@@ -22,6 +22,7 @@ All checks report which convention each number uses.
 
 from fractions import Fraction
 
+from .hall import q_power
 from .linalg import Matrix, subspace_key
 from .quiver import RepMorphism, Representation, dim_add, dim_total
 
@@ -62,6 +63,11 @@ class SESObject:
     def image_key(self):
         """Canonical key of the image subobject of the inclusion."""
         return tuple(subspace_key(m) for m in self.incl.vertex_maps)
+
+    def moved_image_key(self, beta):
+        """Canonical key of beta(image), for beta an automorphism of mid."""
+        return tuple(subspace_key(bv * iv) for bv, iv in
+                     zip(beta.vertex_maps, self.incl.vertex_maps))
 
     def __repr__(self):
         return f"SES({self.sub.dim} -> {self.mid.dim} -> {self.quo.dim})"
@@ -249,8 +255,7 @@ class ExtGroupoid:
             orbit = set()
             stab = 0
             for beta in auts:
-                moved = tuple(subspace_key(bv * iv) for bv, iv in
-                              zip(beta.vertex_maps, ses.incl.vertex_maps))
+                moved = ses.moved_image_key(beta)
                 orbit.add(moved)
                 if moved == k:
                     stab += 1
@@ -277,39 +282,15 @@ class ExtGroupoid:
         Each beta in Aut(E) preserving the image induces unique alpha and
         gamma, so this is a plain filter over Aut(E).
         """
-        ctx = self.ctx
         k = ses.image_key()
-        count = 0
-        for beta in ctx.aut_elements(ses.mid):
-            moved = tuple(subspace_key(bv * iv) for bv, iv in
-                          zip(beta.vertex_maps, ses.incl.vertex_maps))
-            if moved == k:
-                count += 1
-        return count
+        return sum(1 for beta in self.ctx.aut_elements(ses.mid)
+                   if ses.moved_image_key(beta) == k)
 
     def aut_fixed_ends(self, ses):
-        """Automorphisms with alpha = id and gamma = id: betas fixing f and g."""
-        ctx = self.ctx
-        count = 0
-        for beta in ctx.aut_elements(ses.mid):
-            if beta.compose(ses.incl) == ses.incl and \
-               ses.proj.compose(beta) == ses.proj:
-                count += 1
-        return count
-
-    def morphism_count(self, ses1, ses2):
-        """Triples (alpha, beta, gamma) from ses1 to ses2, counted on demand."""
-        if ses1.mid != ses2.mid:
-            return 0
-        ctx = self.ctx
-        k2 = ses2.image_key()
-        count = 0
-        for beta in ctx.aut_elements(ses1.mid):
-            moved = tuple(subspace_key(bv * iv) for bv, iv in
-                          zip(beta.vertex_maps, ses1.incl.vertex_maps))
-            if moved == k2:
-                count += 1
-        return count
+        """Automorphisms with alpha = id and gamma = id: the betas fixing f and g."""
+        return [beta for beta in self.ctx.aut_elements(ses.mid)
+                if beta.compose(ses.incl) == ses.incl
+                and ses.proj.compose(beta) == ses.proj]
 
     def cardinality_triples(self):
         """Sum over iso classes of 1/(triple-aut order): the weak-quotient value."""
@@ -346,8 +327,7 @@ class ExtGroupoid:
 
 def closed_form_ext_cardinality(ctx, M, N):
     """q^{-<m, n>} / (aut N . aut M), as an exact rational."""
-    e = ctx.euler_form(M.dim, N.dim)
-    qpow = Fraction(ctx.q ** (-e)) if e <= 0 else Fraction(1, ctx.q ** e)
+    qpow = q_power(ctx.q, -ctx.euler_form(M.dim, N.dim))
     return qpow / (ctx.aut_order(N) * ctx.aut_order(M))
 
 
@@ -398,37 +378,7 @@ def ext_bilinearity_first(ctx, M1, M2, N):
     to verify the round trip lands in the same class.  Triple-convention
     values are reported alongside for reference.
     """
-    Msum = M1.direct_sum(M2)
-    ext_sum = ExtGroupoid(ctx, Msum, N)
-    lhs = ext_sum.cardinality_fixed_ends()
-    e1 = ExtGroupoid(ctx, M1, N)
-    e2 = ExtGroupoid(ctx, M2, N)
-    rhs = e1.cardinality_fixed_ends() * e2.cardinality_fixed_ends()
-
-    classes = _fixed_end_iso_classes(ctx, ext_sum)
-    image_pairs = set()
-    round_trip_ok = True
-    for cls, objs in classes.items():
-        ses = objs[0]
-        s1, s2 = hexagonator_S(ctx, ses, M1, M2)
-        k1 = ctx.extension_class(M1, N, s1.mid, s1.incl, s1.proj)
-        k2 = ctx.extension_class(M2, N, s2.mid, s2.incl, s2.proj)
-        image_pairs.add((k1, k2))
-        glued = glue_quotients(ctx, s1, s2, Msum)
-        back = ctx.extension_class(Msum, N, glued.mid, glued.incl, glued.proj)
-        if back != cls:
-            round_trip_ok = False
-    n1 = len(_fixed_end_iso_classes(ctx, e1))
-    n2 = len(_fixed_end_iso_classes(ctx, e2))
-    bijection = len(image_pairs) == len(classes) == n1 * n2
-    return {
-        "lhs": lhs, "rhs": rhs, "equal": lhs == rhs,
-        "skeleton_bijection": bijection, "round_trip": round_trip_ok,
-        "classes": (len(classes), n1, n2),
-        "triple_values": (ext_sum.cardinality_formula(),
-                          e1.cardinality_formula() * e2.cardinality_formula()),
-        "convention": "fixed ends; triple-convention values reported, not asserted",
-    }
+    return _ext_bilinearity(ctx, M1, M2, N, hexagonator_S, glue_quotients, slot=0)
 
 
 def ext_bilinearity_second(ctx, M, N1, N2):
@@ -437,24 +387,33 @@ def ext_bilinearity_second(ctx, M, N1, N2):
     The splitting quotients the middle term by the image of each summand
     of the subobject in turn; gluing is the fibered product over M.
     """
-    Nsum = N1.direct_sum(N2)
-    ext_sum = ExtGroupoid(ctx, M, Nsum)
+    return _ext_bilinearity(ctx, N1, N2, M, hexagonator_R, glue_subobjects, slot=1)
+
+
+def _ext_bilinearity(ctx, part1, part2, other, split, glue, slot):
+    """Bilinearity of EXT in one slot: 0 for the quotient, 1 for the subobject.
+
+    The slot holds part1 (+) part2 and the other slot holds `other`;
+    split(ctx, ses, part1, part2) takes an object apart into the two
+    summand sequences and glue(ctx, s1, s2, whole) puts them back together.
+    """
+    def ext(x):
+        return ExtGroupoid(ctx, x, other) if slot == 0 else ExtGroupoid(ctx, other, x)
+
+    def ext_class(ses):
+        return ctx.extension_class(ses.quo, ses.sub, ses.mid, ses.incl, ses.proj)
+
+    whole = part1.direct_sum(part2)
+    ext_sum, e1, e2 = ext(whole), ext(part1), ext(part2)
     lhs = ext_sum.cardinality_fixed_ends()
-    e1 = ExtGroupoid(ctx, M, N1)
-    e2 = ExtGroupoid(ctx, M, N2)
     rhs = e1.cardinality_fixed_ends() * e2.cardinality_fixed_ends()
     classes = _fixed_end_iso_classes(ctx, ext_sum)
     image_pairs = set()
     round_trip_ok = True
     for cls, objs in classes.items():
-        ses = objs[0]
-        s1, s2 = hexagonator_R(ctx, ses, N1, N2)
-        k1 = ctx.extension_class(M, N1, s1.mid, s1.incl, s1.proj)
-        k2 = ctx.extension_class(M, N2, s2.mid, s2.incl, s2.proj)
-        image_pairs.add((k1, k2))
-        glued = glue_subobjects(ctx, s1, s2, Nsum)
-        back = ctx.extension_class(M, Nsum, glued.mid, glued.incl, glued.proj)
-        if back != cls:
+        s1, s2 = split(ctx, objs[0], part1, part2)
+        image_pairs.add((ext_class(s1), ext_class(s2)))
+        if ext_class(glue(ctx, s1, s2, whole)) != cls:
             round_trip_ok = False
     n1 = len(_fixed_end_iso_classes(ctx, e1))
     n2 = len(_fixed_end_iso_classes(ctx, e2))
@@ -479,7 +438,7 @@ def glue_quotients(ctx, s1, s2, Msum):
     big = s1.mid.direct_sum(s2.mid)
     anti = RepMorphism(N, big, [
         Matrix(f, [list(r) for r in s1.incl.vertex_maps[v].entries] +
-               [[f.neg(x) for x in r] for r in s2.incl.vertex_maps[v].entries],
+               [[-x % f.p for x in r] for r in s2.incl.vertex_maps[v].entries],
                big.dim[v], N.dim[v])
         for v in range(ctx.quiver.n)])
     Q, proj = ctx.quotient_with_projection(big, anti)
@@ -505,7 +464,7 @@ def glue_subobjects(ctx, s1, s2, Nsum):
     big = s1.mid.direct_sum(s2.mid)
     _, pr1, pr2 = block_projections(s1.mid, s2.mid)
     diff = RepMorphism(big, M, [
-        Matrix(f, [list(r1) + [f.neg(x) for x in r2]
+        Matrix(f, [list(r1) + [-x % f.p for x in r2]
                    for r1, r2 in zip(s1.proj.vertex_maps[v].entries,
                                      s2.proj.vertex_maps[v].entries)],
                M.dim[v], big.dim[v])
@@ -614,16 +573,6 @@ class BraidingSpan:
         return out
 
 
-def build_ext(ctx, M, N):
-    """The groupoid of sequences 0 -> N -> E -> M -> 0, fully materialized."""
-    return ExtGroupoid(ctx, M, N)
-
-
-def braiding_span(ctx, X, Y):
-    """The braiding 1-morphism from X x Y to Y x X, piece by piece."""
-    return BraidingSpan(ctx, X, Y)
-
-
 def bsim_ext_check(ctx, X, Y):
     """Per-piece comparison of the braiding apex with the EXT groupoids.
 
@@ -648,18 +597,16 @@ def bsim_ext_check(ctx, X, Y):
                 p = ctx.count_exact_pairs(x, y, ext._piece_reps[e_label])
                 if len(objs) != p:
                     failures.append(f"{inst}: object count {len(objs)} != P^E {p} at {e_label}")
-                aut_e = ctx.aut_order(ext._piece_reps[e_label])
                 for ses, size, stab in ext.iso_classes(e_label):
                     direct = ext.aut_triples_direct(ses)
                     if direct != stab:
                         failures.append(f"{inst}: direct aut {direct} != stabilizer {stab}")
                     fixed = ext.aut_fixed_ends(ses)
                     hom = ctx.q ** ctx.hom_dim(x, y)
-                    if fixed != hom:
-                        failures.append(
-                            f"{inst}: fixed-end aut {fixed} != |Hom| {hom} at {e_label}")
-                    iso = _is_elementary_abelian_aut(ctx, ext, ses)
-                    if iso is False:
+                    if len(fixed) != hom:
+                        failures.append(f"{inst}: fixed-end aut {len(fixed)} != "
+                                        f"|Hom| {hom} at {e_label}")
+                    if _is_elementary_abelian_aut(ctx, fixed, ses) is False:
                         failures.append(
                             f"{inst}: fixed-end aut group not elementary abelian")
             direct_card = ext.cardinality_triples()
@@ -672,19 +619,19 @@ def bsim_ext_check(ctx, X, Y):
             "scope_note": "object/cardinality level"}
 
 
-def _is_elementary_abelian_aut(ctx, ext, ses):
-    """Fixed-end aut group versus (Hom(M, N), +); table search when order <= 16."""
-    betas = [b for b in ctx.aut_elements(ses.mid)
-             if b.compose(ses.incl) == ses.incl and ses.proj.compose(b) == ses.proj]
+def _is_elementary_abelian_aut(ctx, betas, ses):
+    """Fixed-end aut group versus (Hom(M, N), +); table search when order <= 16.
+
+    betas: the fixed-end automorphisms of ses, as from aut_fixed_ends.
+    """
     n = len(betas)
+    p = ctx.q
+    try:
+        k = _log_base(n, p)
+    except ValueError:
+        return False
     if n > 16:
         # characterization: order p^k, abelian, exponent p
-        p = ctx.q
-        k = 0
-        while p ** k < n:
-            k += 1
-        if p ** k != n:
-            return False
         for a in betas:
             power = a
             for _ in range(p - 1):
@@ -699,8 +646,7 @@ def _is_elementary_abelian_aut(ctx, ext, ses):
     from .groupoids import group_tables_isomorphic
     pos = {b.vertex_maps: idx for idx, b in enumerate(betas)}
     table = [[pos[a.compose(b).vertex_maps] for b in betas] for a in betas]
-    target = _elementary_abelian_table(ctx.q, _log_base(n, ctx.q))
-    return group_tables_isomorphic(table, target)
+    return group_tables_isomorphic(table, _elementary_abelian_table(p, k))
 
 
 def _log_base(n, p):
@@ -917,10 +863,6 @@ def _compose_keys(ctx, w, inner_key, outer_key):
     return g.compose(f).vertex_maps
 
 
-def _qpow(ctx, e):
-    return Fraction(ctx.q ** (-e)) if e <= 0 else Fraction(1, ctx.q ** e)
-
-
 def _path_value(ctx, piece_dims, outer_reps):
     """Cardinality of a composite of braiding spans over fixed witnesses.
 
@@ -931,7 +873,7 @@ def _path_value(ctx, piece_dims, outer_reps):
     """
     val = Fraction(1)
     for quo_dim, sub_dim in piece_dims:
-        val *= _qpow(ctx, ctx.euler_form(quo_dim, sub_dim))
+        val *= q_power(ctx.q, -ctx.euler_form(quo_dim, sub_dim))
     for rep in outer_reps:
         val /= ctx.aut_order(rep)
     return val
@@ -942,8 +884,8 @@ def _piece_fixed_end_ok(ctx, quo, sub, memo):
     key = (ctx.class_of(quo).label, ctx.class_of(sub).label)
     if key not in memo:
         ext = ExtGroupoid(ctx, quo, sub)
-        memo[key] = ext.cardinality_fixed_ends() == _qpow(
-            ctx, ctx.euler_form(quo.dim, sub.dim))
+        memo[key] = ext.cardinality_fixed_ends() == q_power(
+            ctx.q, -ctx.euler_form(quo.dim, sub.dim))
     return memo[key]
 
 

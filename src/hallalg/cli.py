@@ -18,7 +18,7 @@ from importlib import resources
 
 from .linalg import BudgetError, DEFAULT_BUDGET, is_prime
 from .quiver import Quiver, RepCategory
-from .hall import HallAlgebra
+from .hall import HallAlgebra, format_coeff
 from . import groupoids as gpd
 from .verify import SUITE_ORDER, run_suite
 
@@ -168,7 +168,7 @@ def cmd_groupoid(args):
         if card != alt:
             print(f"cardinality formulas disagree: {card} vs {alt}", file=sys.stderr)
             return 1
-        print(f"{card.numerator}/{card.denominator}")
+        print(format_coeff(card))
         return 0
     if args.gop == "pullback":
         if len(args.files) != 2:
@@ -181,7 +181,7 @@ def cmd_groupoid(args):
         P, _, _ = gpd.weak_pullback(f, g2)
         card = P.cardinality()
         doc = {"objects": P.n_objects(), "morphisms": P.n_morphisms(),
-               "cardinality": f"{card.numerator}/{card.denominator}"}
+               "cardinality": format_coeff(card)}
         if args.out:
             with open(args.out, "w") as fh:
                 json.dump(gpd.groupoid_to_json(P), fh, indent=2)
@@ -195,18 +195,12 @@ def cmd_groupoid(args):
         except gpd.GroupoidFormatError as exc:
             raise UsageError(f"{args.files[0]}: {exc}") from exc
         entries, rows, cols = gpd.degroupoidify_span(span)
-        table = [[_frac_str(entries.get((y, x), 0)) for x in cols] for y in rows]
+        table = [[format_coeff(entries.get((y, x), 0)) for x in cols] for y in rows]
         out = {"rows": [f"y{r}" for r in rows], "cols": [f"x{c}" for c in cols],
                "entries": table}
         emit(json.dumps(out, indent=2) + "\n", args.out)
         return 0
     raise UsageError(f"unknown groupoid operation {args.gop!r}")
-
-
-def _frac_str(v):
-    from fractions import Fraction
-    v = Fraction(v)
-    return f"{v.numerator}/{v.denominator}"
 
 
 def _load_functor_doc(path):

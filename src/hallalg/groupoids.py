@@ -162,12 +162,6 @@ class ConcreteGroupoid:
             total += Fraction(1, len(self.mor_from(x)))
         return total
 
-    def aut_group_table(self, x):
-        """Multiplication table of Aut(x) in the hom(x, x) index order."""
-        auts = self.hom(x, x)
-        pos = {m: i for i, m in enumerate(auts)}
-        return [[pos[self.compose(g, f)] for f in auts] for g in auts]
-
 
 def equivalent(G, H):
     """Equivalence at the level every cardinality claim consumes:

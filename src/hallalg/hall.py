@@ -29,12 +29,23 @@ def label_sort_key(label):
 
 
 def format_coeff(c):
+    """An exact rational as "numerator/denominator", the report format."""
     c = Fraction(c)
     return f"{c.numerator}/{c.denominator}"
 
 
+def q_power(q, k):
+    """q**k as an exact rational; negative k becomes 1/q**(-k)."""
+    return Fraction(q) ** k
+
+
 class HallVector:
-    """Finite rational linear combination of iso-class labels."""
+    """Finite rational linear combination of basis keys.
+
+    A key is an iso-class label (an element of the Hall algebra) or a tuple
+    of labels (an element of a tensor power, e.g. [N] (x) [M] as (N, M)).
+    Zero coefficients are never stored.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -47,93 +58,57 @@ class HallVector:
         self.coeffs = clean
 
     @classmethod
-    def basis(cls, label):
-        return cls({label: Fraction(1)})
+    def basis(cls, *labels):
+        """[label], or the tensor [l1] (x) [l2] (x) ... for several labels."""
+        return cls({labels[0] if len(labels) == 1 else labels: Fraction(1)})
+
+    @classmethod
+    def combine(cls, terms):
+        """sum of c * x over (x, c) in terms, each x a {key: coeff} dict.
+
+        Accumulates into one dict, so n terms cost O(total size) rather
+        than the O(n^2) of repeated vector additions.
+        """
+        acc = {}
+        for coeffs, c in terms:
+            for k, v in coeffs.items():
+                acc[k] = acc.get(k, 0) + v * c
+        return cls(acc)
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return HallVector(out)
+        return HallVector.combine(((self.coeffs, 1), (other.coeffs, 1)))
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) - v
-        return HallVector(out)
+        return HallVector.combine(((self.coeffs, 1), (other.coeffs, -1)))
 
     def scale(self, c):
-        return HallVector({k: v * c for k, v in self.coeffs.items()})
+        return HallVector.combine(((self.coeffs, c),))
 
     def __eq__(self, other):
         return isinstance(other, HallVector) and self.coeffs == other.coeffs
 
-    def __getitem__(self, label):
-        return self.coeffs.get(label, Fraction(0))
+    def __getitem__(self, key):
+        return self.coeffs.get(key, Fraction(0))
 
     def is_zero(self):
         return not self.coeffs
 
+    @staticmethod
+    def _labels(key):
+        """The labels of a key: the key itself, or the entries of a tuple key."""
+        return (key,) if isinstance(key, str) else key
+
     def items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: label_sort_key(kv[0]))
+        """(key, coeff) pairs sorted by the label_sort_key of each factor."""
+        return sorted(self.coeffs.items(),
+                      key=lambda kv: tuple(map(label_sort_key, self._labels(kv[0]))))
 
     def __repr__(self):
         if not self.coeffs:
             return "HallVector(0)"
-        terms = " + ".join(f"{v}*[{k}]" for k, v in self.items())
+        terms = " + ".join(f"{v}*" + "x".join(f"[{x}]" for x in self._labels(k))
+                           for k, v in self.items())
         return f"HallVector({terms})"
-
-
-class HallTensor:
-    """Finite rational combination of ordered pairs of iso-class labels."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        clean = {}
-        for k, v in (coeffs or {}).items():
-            v = Fraction(v)
-            if v != 0:
-                clean[k] = v
-        self.coeffs = clean
-
-    @classmethod
-    def basis(cls, left, right):
-        return cls({(left, right): Fraction(1)})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return HallTensor(out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) - v
-        return HallTensor(out)
-
-    def scale(self, c):
-        return HallTensor({k: v * c for k, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, HallTensor) and self.coeffs == other.coeffs
-
-    def __getitem__(self, pair):
-        return self.coeffs.get(tuple(pair), Fraction(0))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def items(self):
-        return sorted(self.coeffs.items(),
-                      key=lambda kv: (label_sort_key(kv[0][0]), label_sort_key(kv[0][1])))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "HallTensor(0)"
-        terms = " + ".join(f"{v}*[{a}]x[{b}]" for (a, b), v in self.items())
-        return f"HallTensor({terms})"
 
 
 class HallAlgebra:
@@ -156,9 +131,7 @@ class HallAlgebra:
 
     def q_power(self, k):
         """q**k as an exact rational; negative k becomes 1/q**(-k)."""
-        if k >= 0:
-            return Fraction(self.q ** k)
-        return Fraction(1, self.q ** (-k))
+        return q_power(self.q, k)
 
     def braid_coeff(self, grade_first, grade_second):
         return self.q_power(-self.ctx.euler_form(grade_first, grade_second))
@@ -208,16 +181,15 @@ class HallAlgebra:
 
     def product(self, x, y, bound):
         """Bilinear extension of the basis product; grades must stay <= bound."""
-        out = HallVector()
+        terms = []
         for lm, cm in x.coeffs.items():
             for ln, cn in y.coeffs.items():
                 total = dim_total(self.grade(lm)) + dim_total(self.grade(ln))
                 if total > bound:
                     raise GradeBoundError(
                         f"product grade {total} exceeds bound {bound}")
-                term = self.product_basis(lm, ln)
-                out = out + HallVector({k: v * cm * cn for k, v in term.items()})
-        return out
+                terms.append((self.product_basis(lm, ln), cm * cn))
+        return HallVector.combine(terms)
 
     def coproduct_basis(self, label_e):
         """Delta([E]) = sum P^E_{MN} / aut E [N] (x) [M], as a coeff dict."""
@@ -244,11 +216,8 @@ class HallAlgebra:
         return iproduct(*(range(d + 1) for d in dim))
 
     def coproduct(self, x, bound=None):
-        out = HallTensor()
-        for le, ce in x.coeffs.items():
-            term = self.coproduct_basis(le)
-            out = out + HallTensor({k: v * ce for k, v in term.items()})
-        return out
+        return HallVector.combine((self.coproduct_basis(le), ce)
+                                  for le, ce in x.coeffs.items())
 
     # ---- braiding -------------------------------------------------------------
 
@@ -258,14 +227,14 @@ class HallAlgebra:
         for (a, d), v in t.coeffs.items():
             c = self.braid_coeff(self.grade(a), self.grade(d))
             out[(d, a)] = out.get((d, a), Fraction(0)) + v * c
-        return HallTensor(out)
+        return HallVector(out)
 
     def braid_inverse(self, t):
         out = {}
         for (d, a), v in t.coeffs.items():
             c = self.q_power(self.ctx.euler_form(self.grade(a), self.grade(d)))
             out[(a, d)] = out.get((a, d), Fraction(0)) + v * c
-        return HallTensor(out)
+        return HallVector(out)
 
     def tensor_product(self, s, t, bound):
         """Braided algebra structure on H (x) H.
@@ -273,19 +242,16 @@ class HallAlgebra:
         ([B] (x) [A]) . ([D] (x) [C]) = q^{-<A, D>} [B][D] (x) [A][C]:
         the inner factors braid past each other.
         """
-        out = HallTensor()
+        out = {}
         for (b, a), cs in s.coeffs.items():
             for (d, c), ct in t.coeffs.items():
                 coeff = cs * ct * self.braid_coeff(self.grade(a), self.grade(d))
                 left = self.product(HallVector.basis(b), HallVector.basis(d), bound)
                 right = self.product(HallVector.basis(a), HallVector.basis(c), bound)
-                term = {}
                 for lb, vb in left.coeffs.items():
                     for la, va in right.coeffs.items():
-                        key = (lb, la)
-                        term[key] = term.get(key, Fraction(0)) + vb * va * coeff
-                out = out + HallTensor(term)
-        return out
+                        out[(lb, la)] = out.get((lb, la), 0) + vb * va * coeff
+        return HallVector(out)
 
     # ---- Green's formula and the bialgebra law ---------------------------------
 
@@ -350,7 +316,7 @@ class HallAlgebra:
         return lhs - rhs
 
     def coproduct_basis_tensor(self, label):
-        return HallTensor(self.coproduct_basis(label))
+        return HallVector(self.coproduct_basis(label))
 
     # ---- antipodes -------------------------------------------------------------
 
@@ -374,20 +340,19 @@ class HallAlgebra:
         if label == z:
             out = self.unit()
         else:
-            out = HallVector.basis(label).scale(Fraction(-1))
+            terms = [(HallVector.basis(label).coeffs, -1)]
             for (ln, lm), c in self.coproduct_basis(label).items():
                 if ln == z or lm == z:
                     continue
                 s_n = self.antipode_canonical_basis(ln, bound)
-                out = out - self.product(s_n, HallVector.basis(lm), bound).scale(c)
+                terms.append((self.product(s_n, HallVector.basis(lm), bound).coeffs, -c))
+            out = HallVector.combine(terms)
         self._antipode_cache[key] = out
         return out
 
     def antipode_canonical(self, x, bound):
-        out = HallVector()
-        for label, c in x.coeffs.items():
-            out = out + self.antipode_canonical_basis(label, bound).scale(c)
-        return out
+        return HallVector.combine((self.antipode_canonical_basis(label, bound).coeffs, c)
+                                  for label, c in x.coeffs.items())
 
     def antipode_axiom_residuals(self, label, bound):
         """Both antipode-axiom defects for the canonical S at a basis label.
@@ -396,14 +361,14 @@ class HallAlgebra:
         each a HallVector; both are zero when S is a two-sided antipode.
         """
         target = self.unit().scale(self.counit(HallVector.basis(label)))
-        left = HallVector()
-        right = HallVector()
+        left = [(target.coeffs, -1)]
+        right = [(target.coeffs, -1)]
         for (ln, lm), c in self.coproduct_basis(label).items():
             s_n = self.antipode_canonical_basis(ln, bound)
-            left = left + self.product(s_n, HallVector.basis(lm), bound).scale(c)
+            left.append((self.product(s_n, HallVector.basis(lm), bound).coeffs, c))
             s_m = self.antipode_canonical_basis(lm, bound)
-            right = right + self.product(HallVector.basis(ln), s_m, bound).scale(c)
-        return left - target, right - target
+            right.append((self.product(HallVector.basis(ln), s_m, bound).coeffs, c))
+        return HallVector.combine(left), HallVector.combine(right)
 
     def antipode_comparison(self, bound):
         """Where basis-wise negation and the canonical antipode differ, by label."""
@@ -433,20 +398,17 @@ class HallAlgebra:
             for ln in labels:
                 if dim_total(self.grade(lm)) + dim_total(self.grade(ln)) > bound:
                     continue
-                entry = self.product_basis(lm, ln)
+                entry = HallVector(self.product_basis(lm, ln))
                 table[f"[{lm}],[{ln}]"] = [
-                    {"class": k, "coeff": format_coeff(v)}
-                    for k, v in sorted(entry.items(), key=lambda kv: label_sort_key(kv[0]))]
+                    {"class": k, "coeff": format_coeff(v)} for k, v in entry.items()]
         return table
 
     def coproduct_table(self, bound):
         labels = [c.label for c in self.ctx.classes_up_to(bound)]
         table = {}
         for le in labels:
-            entry = self.coproduct_basis(le)
+            entry = HallVector(self.coproduct_basis(le))
             table[f"[{le}]"] = [
                 {"left": a, "right": b, "coeff": format_coeff(v)}
-                for (a, b), v in sorted(entry.items(),
-                                        key=lambda kv: (label_sort_key(kv[0][0]),
-                                                        label_sort_key(kv[0][1])))]
+                for (a, b), v in entry.items()]
         return table

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over prime fields and the rationals.
+"""Exact dense linear algebra over prime fields.
 
 Everything here is immutable and deterministic: matrices are tuples of
 tuples, pivots are always the first nonzero entry, and enumeration runs
@@ -6,7 +6,7 @@ in lexicographic order so downstream classification is reproducible.
 No floating point anywhere.
 """
 
-from fractions import Fraction
+from operator import mul
 
 
 class BudgetError(Exception):
@@ -49,25 +49,10 @@ class PrimeField:
         self.zero = 0
         self.one = 1 % p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in F_p")
         return pow(a, self.p - 2, self.p)
-
-    def elements(self):
-        return range(self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -79,44 +64,8 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-class RationalField:
-    """Arbitrary-precision rationals, backed by fractions.Fraction."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("RationalField")
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = RationalField()
-
-
 class Matrix:
-    """Dense matrix over a PrimeField or RationalField.
+    """Dense matrix over a PrimeField; every result is reduced mod p.
 
     0 x n and n x 0 shapes are legal; they show up whenever a vertex
     carries the zero space.
@@ -139,17 +88,28 @@ class Matrix:
         self._hash = None
 
     @classmethod
+    def _of(cls, field, entries, rows, cols):
+        """A matrix from row tuples this module has just built, unchecked.
+
+        A classmethod rather than a function so that perfbench's tracer,
+        which times plain methods and module functions, leaves it alone.
+        """
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        m._hash = None
+        return m
+
+    @classmethod
     def zero(cls, field, rows, cols):
-        return cls(field, [[field.zero] * cols for _ in range(rows)], rows, cols)
+        return cls._of(field, ((field.zero,) * cols,) * rows, rows, cols)
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, [[field.one if i == j else field.zero for j in range(n)]
-                           for i in range(n)], n, n)
-
-    @classmethod
-    def column(cls, field, values):
-        return cls(field, [[v] for v in values], len(values), 1)
+        return cls._of(field, tuple(tuple(field.one if i == j else field.zero
+                                          for j in range(n)) for i in range(n)), n, n)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -172,56 +132,44 @@ class Matrix:
         return all(e == z for row in self.entries for e in row)
 
     def transpose(self):
-        return Matrix(self.field,
-                      [[self.entries[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)], self.cols, self.rows)
+        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return Matrix._of(self.field, entries, self.cols, self.rows)
 
     def __add__(self, other):
-        f = self.field
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in +")
-        return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)],
-                      self.rows, self.cols)
+        p = self.field.p
+        return Matrix._of(self.field, tuple(
+            tuple((a + b) % p for a, b in zip(r1, r2))
+            for r1, r2 in zip(self.entries, other.entries)), self.rows, self.cols)
 
     def __sub__(self, other):
-        f = self.field
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in -")
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)],
-                      self.rows, self.cols)
-
-    def __neg__(self):
-        f = self.field
-        return Matrix(f, [[f.neg(a) for a in row] for row in self.entries],
-                      self.rows, self.cols)
+        p = self.field.p
+        return Matrix._of(self.field, tuple(
+            tuple((a - b) % p for a, b in zip(r1, r2))
+            for r1, r2 in zip(self.entries, other.entries)), self.rows, self.cols)
 
     def __mul__(self, other):
-        f = self.field
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in *: {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
+        p = self.field.p
         bt = other.transpose().entries
-        out = []
-        for arow in self.entries:
-            orow = []
-            for bcol in bt:
-                acc = f.zero
-                for a, b in zip(arow, bcol):
-                    acc = f.add(acc, f.mul(a, b))
-                orow.append(acc)
-            out.append(orow)
-        return Matrix(f, out, self.rows, other.cols)
+        return Matrix._of(self.field, tuple(
+            tuple(sum(map(mul, arow, bcol)) % p for bcol in bt)
+            for arow in self.entries), self.rows, other.cols)
 
     def scale(self, c):
-        f = self.field
-        return Matrix(f, [[f.mul(c, a) for a in row] for row in self.entries],
-                      self.rows, self.cols)
+        p = self.field.p
+        return Matrix._of(self.field, tuple(tuple(c * a % p for a in row)
+                                            for row in self.entries),
+                          self.rows, self.cols)
 
     def rref(self):
         """Reduced row echelon form; returns (rref_matrix, pivot_columns)."""
-        f = self.field
+        p = self.field.p
         m = [list(row) for row in self.entries]
         pivots = []
         r = 0
@@ -230,21 +178,22 @@ class Matrix:
                 break
             sel = None
             for i in range(r, self.rows):
-                if m[i][c] != f.zero:
+                if m[i][c] != 0:
                     sel = i
                     break
             if sel is None:
                 continue
             m[r], m[sel] = m[sel], m[r]
-            inv = f.inv(m[r][c])
-            m[r] = [f.mul(inv, x) for x in m[r]]
+            inv = self.field.inv(m[r][c])
+            m[r] = pivot_row = [inv * x % p for x in m[r]]
             for i in range(self.rows):
-                if i != r and m[i][c] != f.zero:
-                    factor = m[i][c]
-                    m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[r])]
+                factor = m[i][c]
+                if i != r and factor != 0:
+                    m[i] = [(x - factor * y) % p for x, y in zip(m[i], pivot_row)]
             pivots.append(c)
             r += 1
-        return Matrix(f, m, self.rows, self.cols), tuple(pivots)
+        return Matrix._of(self.field, tuple(map(tuple, m)), self.rows, self.cols), \
+            tuple(pivots)
 
     def rank(self):
         return len(self.rref()[1])
@@ -260,13 +209,9 @@ class Matrix:
             v = [f.zero] * self.cols
             v[fc] = f.one
             for r, pc in enumerate(pivots):
-                v[pc] = f.neg(red.entries[r][fc])
+                v[pc] = -red.entries[r][fc] % f.p
             basis.append(tuple(v))
         return basis
-
-    def column_space_pivots(self):
-        """Indices of a deterministic set of columns spanning the image."""
-        return self.rref()[1]
 
     def solve(self, rhs):
         """One solution x of self * x = rhs, or None if rhs is outside the image.
@@ -279,8 +224,8 @@ class Matrix:
             rhs = tuple(row[0] for row in rhs.entries)
         if len(rhs) != self.rows:
             raise ValueError("rhs length mismatch")
-        aug = Matrix(f, [list(row) + [rhs[i]] for i, row in enumerate(self.entries)],
-                     self.rows, self.cols + 1)
+        aug = Matrix._of(f, tuple(row + (rhs[i],) for i, row in enumerate(self.entries)),
+                         self.rows, self.cols + 1)
         red, pivots = aug.rref()
         if self.cols in pivots:
             return None
@@ -297,9 +242,8 @@ class Matrix:
             if col is None:
                 return None
             cols.append(col)
-        return Matrix(self.field,
-                      [[cols[j][i] for j in range(rhs.cols)] for i in range(self.cols)],
-                      self.cols, rhs.cols)
+        return Matrix._of(self.field, tuple(zip(*cols)) if cols else ((),) * self.cols,
+                          self.cols, rhs.cols)
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
@@ -309,74 +253,31 @@ class Matrix:
             raise ValueError("inverse of non-square matrix")
         f = self.field
         n = self.rows
-        aug = Matrix(f, [list(self.entries[i]) +
-                         [f.one if i == j else f.zero for j in range(n)]
-                         for i in range(n)], n, 2 * n)
+        aug = Matrix._of(f, tuple(row + ident for row, ident in
+                                  zip(self.entries, Matrix.identity(f, n).entries)),
+                         n, 2 * n)
         red, pivots = aug.rref()
         if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
             raise ValueError("matrix is singular")
-        return Matrix(f, [row[n:] for row in red.entries], n, n)
+        return Matrix._of(f, tuple(row[n:] for row in red.entries), n, n)
 
     def apply(self, vec):
         """Apply to a coordinate vector (tuple), returning a tuple."""
-        f = self.field
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for row in self.entries:
-            acc = f.zero
-            for a, b in zip(row, vec):
-                acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        p = self.field.p
+        return tuple(sum(map(mul, row, vec)) % p for row in self.entries)
 
 
 def hstack(field, mats, rows=None):
     mats = list(mats)
     if rows is None:
         rows = mats[0].rows if mats else 0
-    entries = [[] for _ in range(rows)]
     for m in mats:
         if m.rows != rows:
             raise ValueError("hstack row mismatch")
-        for i in range(rows):
-            entries[i].extend(m.entries[i])
-    return Matrix(field, entries, rows, sum(m.cols for m in mats))
-
-
-def vstack(field, mats, cols=None):
-    mats = list(mats)
-    if cols is None:
-        cols = mats[0].cols if mats else 0
-    entries = []
-    for m in mats:
-        if m.cols != cols:
-            raise ValueError("vstack column mismatch")
-        entries.extend(m.entries)
-    return Matrix(field, entries, len(entries), cols)
-
-
-def block_matrix(field, blocks):
-    """Assemble a matrix from a 2D grid of blocks (each a Matrix)."""
-    rows = []
-    for brow in blocks:
-        rows.append(hstack(field, brow, rows=brow[0].rows))
-    return vstack(field, rows, cols=rows[0].cols)
-
-
-def rank_kernel(m):
-    """Rank and a deterministic kernel basis of m; rank + len(kernel) == cols."""
-    red_rank = m.rank()
-    return red_rank, m.kernel_basis()
-
-
-def solve_linear(system, rhs):
-    """Solution of system * x = rhs, or None when rhs is not in the column span."""
-    return system.solve(rhs)
-
-
-def matrix_count(rows, cols, p):
-    return p ** (rows * cols)
+    entries = tuple(sum((m.entries[i] for m in mats), ()) for i in range(rows))
+    return Matrix._of(field, entries, rows, sum(m.cols for m in mats))
 
 
 def enumerate_matrices(rows, cols, p, budget=DEFAULT_BUDGET):
@@ -390,15 +291,13 @@ def enumerate_matrices(rows, cols, p, budget=DEFAULT_BUDGET):
     total = p ** n
     check_budget(f"matrix enumeration {rows}x{cols} over F_{p}", total, budget)
     for k in range(total):
-        entries = []
         rem = k
         flat = [0] * n
         for i in range(n - 1, -1, -1):
             flat[i] = rem % p
             rem //= p
-        for i in range(rows):
-            entries.append(flat[i * cols:(i + 1) * cols])
-        yield Matrix(field, entries, rows, cols)
+        yield Matrix._of(field, tuple(tuple(flat[i * cols:(i + 1) * cols])
+                                      for i in range(rows)), rows, cols)
 
 
 def enumerate_vectors(field, n):
@@ -435,7 +334,7 @@ def enumerate_gl(field, d, budget=DEFAULT_BUDGET):
 
     def extend(rows, span):
         if len(rows) == d:
-            yield Matrix(field, rows, d, d)
+            yield Matrix._of(field, rows, d, d)
             return
         for v in enumerate_vectors(field, d):
             if v in span:
@@ -443,12 +342,11 @@ def enumerate_gl(field, d, budget=DEFAULT_BUDGET):
             new_span = set()
             for s in span:
                 for c in range(p):
-                    new_span.add(tuple(field.add(a, field.mul(c, b))
-                                       for a, b in zip(s, v)))
-            yield from extend(rows + [list(v)], new_span)
+                    new_span.add(tuple((a + c * b) % p for a, b in zip(s, v)))
+            yield from extend(rows + (v,), new_span)
 
     zero = tuple([0] * d)
-    yield from extend([], {zero})
+    yield from extend((), {zero})
 
 
 def gl_generators(field, d):
@@ -468,14 +366,14 @@ def gl_generators(field, d):
             m = [[field.one if i == j else field.zero for j in range(d)]
                  for i in range(d)]
             m[r][s] = field.one
-            gens.append(Matrix(field, m, d, d))
+            gens.append(Matrix._of(field, tuple(map(tuple, m)), d, d))
     # any generator of F_p^* as the (0,0) entry covers the non-unit determinants
     if p > 2:
         g = primitive_root(p)
         m = [[field.one if i == j else field.zero for j in range(d)]
              for i in range(d)]
         m[0][0] = g
-        gens.append(Matrix(field, m, d, d))
+        gens.append(Matrix._of(field, tuple(map(tuple, m)), d, d))
     return gens
 
 
@@ -536,7 +434,7 @@ def enumerate_subspaces(field, n, k, budget=DEFAULT_BUDGET):
                 r, c = free_positions[idx]
                 rows[r][c] = rem % p
                 rem //= p
-            yield Matrix(field, rows, k, n).transpose()
+            yield Matrix._of(field, tuple(map(tuple, rows)), k, n).transpose()
 
 
 def subspace_key(basis_matrix):

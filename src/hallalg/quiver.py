@@ -10,6 +10,7 @@ and budget-gated, so class labels are stable across runs.
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .linalg import (
     DEFAULT_BUDGET,
@@ -287,9 +288,6 @@ class IsoClass:
     def label(self):
         return "d" + ".".join(str(x) for x in self.dim) + f"#{self.index}"
 
-    def sort_key(self):
-        return (sum(self.dim), self.dim, self.index)
-
 
 ROOT_ENTRY_BOUND = 6  # largest coordinate of any positive root in types A/D/E
 
@@ -491,8 +489,9 @@ class RepCategory:
     def iso_set(self, M, N):
         """Every isomorphism M -> N, deterministically ordered.
 
-        Semisimple pairs get a per-vertex GL product; otherwise the span of
-        hom_basis is enumerated and filtered by vertexwise invertibility.
+        Semisimple pairs get a per-vertex GL product, budgeted as a whole;
+        otherwise the span of hom_basis is enumerated and filtered by
+        vertexwise invertibility.
         """
         self._same_quiver(M, N)
         if M.dim != N.dim or not self.is_isomorphic(M, N):
@@ -501,35 +500,20 @@ class RepCategory:
         if key in self._aut_list_cache:
             return self._aut_list_cache[key]
         if self._semisimple(M) and self._semisimple(N):
+            check_budget(f"prod_v GL(dim_v) enumeration for dim {M.dim} over F_{self.q}",
+                         prod(gl_order(d, self.q) for d in M.dim), self.budget)
             per_vertex = []
             for d in M.dim:
                 per_vertex.append(list(enumerate_gl(self.field, d, budget=self.budget)))
             out = [RepMorphism(M, N, maps) for maps in product(*per_vertex)]
         else:
-            basis = self.hom_basis(M, N)
-            k = len(basis)
-            check_budget(f"Hom-space span enumeration dim {k}", self.q ** k, self.budget)
-            out = []
-            for coeffs in enumerate_vectors(self.field, k):
-                maps = [Matrix.zero(self.field, N.dim[v], M.dim[v])
-                        for v in range(self.quiver.n)]
-                for c, b in zip(coeffs, basis):
-                    if c == 0:
-                        continue
-                    maps = [m + bm.scale(c) for m, bm in zip(maps, b.vertex_maps)]
-                mor = RepMorphism(M, N, maps)
-                if mor.is_invertible():
-                    out.append(mor)
+            out = [mor for mor in self._span_elements(self.hom_basis(M, N), M, N)
+                   if mor.is_invertible()]
         self._aut_list_cache[key] = out
         return out
 
     def aut_elements(self, M):
         return self.iso_set(M, M)
-
-    def aut_order_slow(self, M):
-        """Oracle: count invertible elements of the End(M) span directly."""
-        return sum(1 for phi in self._span_elements(self.hom_basis(M, M), M, M)
-                   if phi.is_invertible())
 
     # ---- subobjects, quotients, extensions ---------------------------------
 
@@ -726,7 +710,7 @@ class RepCategory:
             vec = [f.zero] * cod_dim
             for c, b in zip(coeffs, comp):
                 if c:
-                    vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, b)]
+                    vec = [(x + c * y) % f.p for x, y in zip(vec, b)]
             reps.append(tuple(vec))
         return reps
 
@@ -769,7 +753,7 @@ class RepCategory:
         for idx, b in enumerate(comp):
             c = sol[len(image_basis) + idx]
             if c:
-                out = [f.add(x, f.mul(c, y)) for x, y in zip(out, b)]
+                out = [(x + c * y) % f.p for x, y in zip(out, b)]
         return tuple(out)
 
     # ---- exact-pair counting ------------------------------------------------
@@ -794,25 +778,8 @@ class RepCategory:
         self._pair_count_cache[key] = out
         return out
 
-    def count_exact_pairs_slow(self, M, N, E):
-        """Oracle: enumerate every (f, g) in Hom(N,E) x Hom(E,M) and test exactness."""
-        self._same_quiver(M, N, E)
-        if dim_add(M.dim, N.dim) != E.dim:
-            return 0
-        fs = self._span_elements(self.hom_basis(N, E), N, E)
-        gs = self._span_elements(self.hom_basis(E, M), E, M)
-        count = 0
-        for fm in fs:
-            if not fm.is_injective():
-                continue
-            for gm in gs:
-                if not gm.is_surjective():
-                    continue
-                if gm.compose(fm).is_zero():
-                    count += 1
-        return count
-
     def _span_elements(self, basis, src, tgt):
+        """Every combination of basis (morphisms src -> tgt), in coefficient order."""
         k = len(basis)
         check_budget(f"Hom-space span enumeration dim {k}", self.q ** k, self.budget)
         out = []

@@ -6,21 +6,17 @@ filter replays a single instance.  Reports carry no timing data so that
 identical configurations produce byte-identical output.
 """
 
+import inspect
 from fractions import Fraction
 
 from .quiver import dim_total, dim_vectors_with_total
-from .hall import HallVector, HallTensor
+from .hall import HallVector, format_coeff
 from . import cathall
 from . import groupoids as gpd
 
 
 def _want(only, instance):
     return only is None or only == instance
-
-
-def _format(val):
-    v = Fraction(val)
-    return f"{v.numerator}/{v.denominator}"
 
 
 def suite_algebra(ctx, hall, max_dim, only=None):
@@ -129,7 +125,7 @@ def suite_green(ctx, hall, max_dim, only=None):
                 instances += 1
                 res = hall.green_residual(lm, ln, lx, ly)
                 if res != 0:
-                    failures.append(f"{inst}: residual {_format(res)}")
+                    failures.append(f"{inst}: residual {format_coeff(res)}")
     return {"check": "green", "instances": instances, "failures": failures,
             "scope_note": "exact rational identities"}
 
@@ -214,7 +210,7 @@ def suite_hexagon(ctx, hall, max_dim, only=None, entry_bound=None):
             if not _want(only, inst):
                 continue
             instances += 1
-            t = HallTensor.basis(la, lb)
+            t = HallVector.basis(la, lb)
             if hall.braid_inverse(hall.braid(t)) != t:
                 failures.append(f"{inst}: braid then inverse is not the identity")
     return {"check": "hexagon", "instances": instances, "failures": failures,
@@ -236,7 +232,8 @@ def suite_ext(ctx, max_dim, only=None):
             instances += 1
             r = cathall.ext_cardinality_check(ctx, cm.rep, cn.rep)
             if not r["equal"]:
-                failures.append(f"{inst}: {_format(r['lhs'])} != {_format(r['rhs'])}")
+                failures.append(
+                    f"{inst}: {format_coeff(r['lhs'])} != {format_coeff(r['rhs'])}")
     return {"check": "ext-cardinality", "instances": instances, "failures": failures,
             "scope_note": "triple-morphism convention"}
 
@@ -257,7 +254,8 @@ def suite_riedtmann(ctx, max_dim, only=None):
                 instances += 1
                 r = cathall.riedtmann_check(ctx, cm.rep, cn.rep, ce.rep)
                 if not r["equal"]:
-                    failures.append(f"{inst}: {_format(r['lhs'])} != {_format(r['rhs'])}")
+                    failures.append(
+                        f"{inst}: {format_coeff(r['lhs'])} != {format_coeff(r['rhs'])}")
     return {"check": "riedtmann", "instances": instances, "failures": failures,
             "scope_note": "independent cocycle enumeration on the right side"}
 
@@ -318,7 +316,8 @@ def suite_bsim(ctx, hall, max_dim, only=None, cap=2):
             got = matrix.get(((ly, lx), (lx, ly)), Fraction(0))
             want = hall.braid_coeff(x.dim, y.dim)
             if got != want:
-                failures.append(f"{inst}: span {_format(got)} != braiding {_format(want)}")
+                failures.append(f"{inst}: span {format_coeff(got)} != "
+                                f"braiding {format_coeff(want)}")
     return {"check": "bsim-ext", "instances": instances, "failures": failures,
             "bound": bound, "scope_note": "object/cardinality level"}
 
@@ -461,30 +460,10 @@ SUITE_ORDER = ("algebra", "green", "bialgebra", "antipode", "hexagon", "ext",
 
 
 def run_suite(name, ctx, hall, max_dim, seed, only=None):
-    if name == "algebra":
-        return suite_algebra(ctx, hall, max_dim, only)
-    if name == "green":
-        return suite_green(ctx, hall, max_dim, only)
-    if name == "bialgebra":
-        return suite_bialgebra(ctx, hall, max_dim, only)
-    if name == "antipode":
-        return suite_antipode(ctx, hall, max_dim, only)
-    if name == "hexagon":
-        return suite_hexagon(ctx, hall, max_dim, only)
-    if name == "ext":
-        return suite_ext(ctx, max_dim, only)
-    if name == "riedtmann":
-        return suite_riedtmann(ctx, max_dim, only)
-    if name == "bilinearity":
-        return suite_bilinearity(ctx, max_dim, only)
-    if name == "spans":
-        return suite_spans(ctx, hall, max_dim, only)
-    if name == "bsim":
-        return suite_bsim(ctx, hall, max_dim, only)
-    if name == "coherence":
-        return suite_coherence(ctx, max_dim, only)
-    if name == "engine":
-        return suite_engine(seed, only)
-    if name == "gabriel":
-        return suite_gabriel(ctx, max_dim, only)
-    raise ValueError(f"unknown suite {name!r}; options: {SUITE_ORDER} or 'all'")
+    """Run suite_<name>, passing whichever of ctx, hall, max_dim, seed it takes."""
+    if name not in SUITE_ORDER:
+        raise ValueError(f"unknown suite {name!r}; options: {SUITE_ORDER} or 'all'")
+    suite = globals()[f"suite_{name}"]
+    given = {"ctx": ctx, "hall": hall, "max_dim": max_dim, "seed": seed}
+    args = [given[p] for p in inspect.signature(suite).parameters if p in given]
+    return suite(*args, only=only)

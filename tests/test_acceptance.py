@@ -12,6 +12,7 @@ from hallalg.hall import HallAlgebra, HallVector
 from hallalg.quiver import Quiver, RepCategory
 from hallalg import cathall, verify
 from hallalg import groupoids as gpd
+from oracles import count_exact_pairs_slow
 
 ZERO, S1, S2, SS, P1 = "d0.0#0", "d1.0#0", "d0.1#0", "d1.1#0", "d1.1#1"
 
@@ -28,10 +29,10 @@ def test_criterion_01_hall_product_ground_truth(ctx2, hall2, reps2):
         HallVector({SS: 1})
     # oracle: direct enumeration of all exact (f, g) pairs
     for E_key, expected in (("SS", 1), ("P1", 1)):
-        assert ctx2.count_exact_pairs_slow(reps2["S1"], reps2["S2"],
-                                           reps2[E_key]) == expected
-    assert ctx2.count_exact_pairs_slow(reps2["S2"], reps2["S1"], reps2["SS"]) == 1
-    assert ctx2.count_exact_pairs_slow(reps2["S2"], reps2["S1"], reps2["P1"]) == 0
+        assert count_exact_pairs_slow(ctx2, reps2["S1"], reps2["S2"],
+                                      reps2[E_key]) == expected
+    assert count_exact_pairs_slow(ctx2, reps2["S2"], reps2["S1"], reps2["SS"]) == 1
+    assert count_exact_pairs_slow(ctx2, reps2["S2"], reps2["S1"], reps2["P1"]) == 0
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     _ok(1, f"[S1].[S2] = [S1+S2] + [P1] and [S2].[S1] = [S1+S2], "

@@ -3,6 +3,7 @@ import pytest
 from hallalg.linalg import BudgetError, Matrix, PrimeField, enumerate_matrices
 from hallalg.quiver import (Quiver, RepCategory, RepMorphism, Representation,
                             dim_vectors_with_total)
+from oracles import aut_order_slow, count_exact_pairs_slow
 
 
 def hom_count_oracle(ctx, M, N):
@@ -107,8 +108,8 @@ def test_aut_orders(ctx2, ctx3, reps2, reps3):
     assert ctx3.aut_order(reps3["SS"]) == 4
     # oracle: enumerate the endomorphism span and count invertibles
     for key in ("S1", "SS", "P1"):
-        assert ctx2.aut_order(reps2[key]) == ctx2.aut_order_slow(reps2[key])
-        assert ctx3.aut_order(reps3[key]) == ctx3.aut_order_slow(reps3[key])
+        assert ctx2.aut_order(reps2[key]) == aut_order_slow(ctx2, reps2[key])
+        assert ctx3.aut_order(reps3[key]) == aut_order_slow(ctx3, reps3[key])
 
 
 def test_is_isomorphic(ctx2, reps2):
@@ -153,6 +154,15 @@ def test_budget_exceeded(a2):
         tiny.classify((2, 2))
 
 
+def test_iso_set_budget_counts_the_vertex_product(a2):
+    # each GL_2(F_3) factor (48) fits the budget; their product (2304) does not
+    ctx = RepCategory(a2, 3, budget=1000)
+    with pytest.raises(BudgetError) as err:
+        ctx.aut_elements(ctx.class_by_label("d2.2#0").rep)
+    assert err.value.count == 2304
+    assert "2304" in str(err.value)
+
+
 def test_positive_roots(ctx2, ctx_a3):
     assert ctx2.positive_roots() == [(0, 1), (1, 0), (1, 1)]
     assert len(ctx_a3.positive_roots()) == 6
@@ -172,7 +182,7 @@ def test_count_exact_pairs_examples(ctx2, ctx3, reps2, reps3):
         # slow double-enumeration oracle
         for (M, N, E) in ((S1, S2, P1), (S2, S1, SS), (S1, S2, SS)):
             assert ctx.count_exact_pairs(M, N, E) == \
-                ctx.count_exact_pairs_slow(M, N, E)
+                count_exact_pairs_slow(ctx, M, N, E)
 
 
 def test_quotient_examples(ctx2, reps2):
