@@ -23,7 +23,7 @@ All checks report which convention each number uses.
 from fractions import Fraction
 
 from .hall import q_power
-from .linalg import Matrix, subspace_key
+from .linalg import Matrix, check_budget, subspace_key
 from .quiver import RepMorphism, Representation, dim_add, dim_total
 
 
@@ -63,11 +63,6 @@ class SESObject:
     def image_key(self):
         """Canonical key of the image subobject of the inclusion."""
         return tuple(subspace_key(m) for m in self.incl.vertex_maps)
-
-    def moved_image_key(self, beta):
-        """Canonical key of beta(image), for beta an automorphism of mid."""
-        return tuple(subspace_key(bv * iv) for bv, iv in
-                     zip(beta.vertex_maps, self.incl.vertex_maps))
 
     def __repr__(self):
         return f"SES({self.sub.dim} -> {self.mid.dim} -> {self.quo.dim})"
@@ -187,8 +182,9 @@ def build_A0(ctx, bound):
 class ExtGroupoid:
     """All short exact sequences 0 -> N -> E -> M -> 0 with fixed M and N.
 
-    Objects are materialized per middle-term class; morphism counts are
-    computed on demand from Aut(E)-orbits of image subobjects.
+    Objects are materialized per middle-term class.  Morphism counts come
+    on demand from the (Aut N x Aut M)-orbits of extension classes and from
+    units of linear subspaces of End(E); Aut(E) itself is never enumerated.
     """
 
     def __init__(self, ctx, M, N):
@@ -197,6 +193,7 @@ class ExtGroupoid:
         self.N = N
         self.pieces = {}          # E label -> list of SESObject
         self._piece_reps = {}     # E label -> representative Representation
+        self._image_groups = {}   # E label -> {image key: objects with that image}
         self._orbit_data = {}     # E label -> list of (rep_key, orbit_keys, stab)
         total = dim_add(M.dim, N.dim)
         for cls in ctx.classify(total):
@@ -229,68 +226,89 @@ class ExtGroupoid:
         """Aut(E)-orbits on the valid image subobjects of one piece.
 
         Returns a list of (representative image key, set of orbit keys,
-        stabilizer order counted directly).  |orbit| * stabilizer is
-        asserted to equal |Aut(E)|.
+        stabilizer order), representatives in first-appearance order.  Two
+        image subobjects share an Aut(E)-orbit exactly when the extension
+        classes of their sequences share an (Aut N x Aut M)-orbit on
+        Ext^1(M, N) (Riedtmann), so one class per key is computed and keys
+        are grouped by the orbits of c_a -> nu_t c_a mu_s.  The stabilizer
+        is |Aut(E)| / |orbit|, and the division is asserted exact.
         """
         if e_label in self._orbit_data:
             return self._orbit_data[e_label]
-        ctx = self.ctx
-        E = self._piece_reps[e_label]
-        keys = []
-        seen_keys = set()
-        by_key = {}
-        for ses in self.pieces[e_label]:
-            k = ses.image_key()
-            if k not in seen_keys:
-                seen_keys.add(k)
-                keys.append(k)
-            by_key.setdefault(k, []).append(ses)
-        auts = ctx.aut_elements(E)
+        ctx, M, N = self.ctx, self.M, self.N
+        check_budget(f"Aut N x Aut M enumeration for dims {N.dim}, {M.dim} "
+                     f"over F_{ctx.q}", ctx.aut_order(N) * ctx.aut_order(M), ctx.budget)
+        arrows = ctx.quiver.arrows
+        group_of = {}                 # reduced class -> index into groups
+        groups = []                   # (representative key, orbit keys)
+        for k, objs in self._objects_by_image(e_label).items():
+            c = ctx.extension_class(M, N, objs[0].mid, objs[0].incl, objs[0].proj)
+            if c not in group_of:
+                blocks = ctx._cocycle_to_matrices(M, N, c)
+                for nu in ctx.aut_elements(N):
+                    for mu in ctx.aut_elements(M):
+                        moved = tuple(
+                            x for (s, t), ca in zip(arrows, blocks)
+                            for row in (nu.vertex_maps[t] * ca * mu.vertex_maps[s]).entries
+                            for x in row)
+                        group_of[ctx.reduce_cocycle(M, N, moved)] = len(groups)
+                groups.append((k, set()))
+            groups[group_of[c]][1].add(k)
+        aut_e = ctx.aut_order(self._piece_reps[e_label])
         data = []
-        assigned = set()
-        for k in keys:
-            if k in assigned:
-                continue
-            ses = by_key[k][0]
-            orbit = set()
-            stab = 0
-            for beta in auts:
-                moved = ses.moved_image_key(beta)
-                orbit.add(moved)
-                if moved == k:
-                    stab += 1
-            assert len(orbit) * stab == len(auts)
-            assigned |= orbit
-            data.append((k, orbit, stab))
+        for k, orbit in groups:
+            assert aut_e % len(orbit) == 0
+            data.append((k, orbit, aut_e // len(orbit)))
         self._orbit_data[e_label] = data
         return data
 
+    def _objects_by_image(self, e_label):
+        """The objects of one piece grouped by image key, in first-appearance order."""
+        if e_label not in self._image_groups:
+            by_key = {}
+            for ses in self.pieces[e_label]:
+                by_key.setdefault(ses.image_key(), []).append(ses)
+            self._image_groups[e_label] = by_key
+        return self._image_groups[e_label]
+
     def iso_classes(self, e_label):
         """(representative SESObject, class size, triple-aut order) per class."""
-        by_key = {}
-        for ses in self.pieces[e_label]:
-            by_key.setdefault(ses.image_key(), []).append(ses)
+        by_key = self._objects_by_image(e_label)
         out = []
         for rep_key, orbit, stab in self._orbits(e_label):
-            size = sum(len(by_key.get(k, [])) for k in orbit)
+            size = sum(len(by_key[k]) for k in orbit)
             out.append((by_key[rep_key][0], size, stab))
         return out
 
     def aut_triples_direct(self, ses):
         """Automorphisms (alpha, beta, gamma) of one object, counted directly.
 
-        Each beta in Aut(E) preserving the image induces unique alpha and
-        gamma, so this is a plain filter over Aut(E).
+        Each beta in Aut(E) preserving the image U induces unique alpha and
+        gamma, so this counts the units of the subalgebra
+        {beta in End E : g beta f = 0} = {beta : beta(U) <= U}.
         """
-        k = ses.image_key()
-        return sum(1 for beta in self.ctx.aut_elements(ses.mid)
-                   if ses.moved_image_key(beta) == k)
+        E = ses.mid
+        basis = _end_subspace(self.ctx, E, lambda v, b: (
+            ses.proj.vertex_maps[v] * b * ses.incl.vertex_maps[v],))
+        return len(_units(self.ctx, E, [0] * sum(d * d for d in E.dim), basis))
 
     def aut_fixed_ends(self, ses):
-        """Automorphisms with alpha = id and gamma = id: the betas fixing f and g."""
-        return [beta for beta in self.ctx.aut_elements(ses.mid)
-                if beta.compose(ses.incl) == ses.incl
-                and ses.proj.compose(beta) == ses.proj]
+        """Automorphisms with alpha = id and gamma = id: the betas fixing f and g.
+
+        These are the units of 1 + {phi in End E : phi f = 0, g phi = 0}.
+        """
+        ctx, E = self.ctx, ses.mid
+        basis = _end_subspace(ctx, E, lambda v, b: (
+            b * ses.incl.vertex_maps[v], ses.proj.vertex_maps[v] * b))
+        out = []
+        for flat in _units(ctx, E, _flat(RepMorphism.identity(E)), basis):
+            maps, pos = [], 0
+            for d in E.dim:
+                maps.append(Matrix(ctx.field, [flat[pos + i * d:pos + i * d + d]
+                                               for i in range(d)], d, d))
+                pos += d * d
+            out.append(RepMorphism(E, E, maps))
+        return out
 
     def cardinality_triples(self):
         """Sum over iso classes of 1/(triple-aut order): the weak-quotient value."""
@@ -320,6 +338,70 @@ class ExtGroupoid:
             if p:
                 total += Fraction(p, ctx.aut_order(cls.rep))
         return total
+
+
+def _flat(mor):
+    """The entries of a morphism's vertex maps, vertex by vertex, row-major."""
+    return [x for m in mor.vertex_maps for row in m.entries for x in row]
+
+
+def _end_subspace(ctx, E, constraint):
+    """Basis of {phi in End(E) : every constraint(v, phi_v) is zero}, as flat lists.
+
+    constraint(v, m) returns the matrices, linear in m, that must vanish at
+    vertex v; the basis is their kernel on the coordinates of hom_basis(E, E).
+    """
+    p = ctx.q
+    basis = ctx.hom_basis(E, E)
+    flats = [_flat(b) for b in basis]
+    cols = [[x for v, m in enumerate(b.vertex_maps) for c in constraint(v, m)
+             for row in c.entries for x in row] for b in basis]
+    rows = len(cols[0]) if cols else 0
+    A = Matrix(ctx.field, [[col[i] for col in cols] for i in range(rows)], rows, len(cols))
+    return [[sum(c * fl[j] for c, fl in zip(vec, flats)) % p for j in range(len(flats[0]))]
+            for vec in A.kernel_basis()]
+
+
+def _units(ctx, E, base, basis):
+    """The invertible points of base + span(basis) in End(E), as flat tuples.
+
+    The q^k points are walked in modular Gray-code order: step t adds the
+    basis vector whose index is the number of trailing zeros of t in base
+    q, so every step is one vector addition.  Invertibility is tested
+    vertex by vertex, by elimination mod q.
+    """
+    p = ctx.q
+    k = len(basis)
+    check_budget(f"End{E.dim} subspace enumeration dim {k} over F_{p}", p ** k, ctx.budget)
+    blocks, pos = [], 0
+    for d in E.dim:
+        blocks.append((pos, d))
+        pos += d * d
+    point = list(base)
+    out = []
+    for t in range(p ** k):
+        if t:
+            j, s = 0, t
+            while s % p == 0:
+                s //= p
+                j += 1
+            point = [(x + y) % p for x, y in zip(point, basis[j])]
+        for pos, d in blocks:
+            rest = [point[pos + i * d:pos + i * d + d] for i in range(d)]
+            for c in range(d):
+                pivot = next((r for r in rest if r[c]), None)
+                if pivot is None:
+                    break
+                rest.remove(pivot)
+                a = pivot[c]
+                rest = [[(a * x - r[c] * y) % p for x, y in zip(r, pivot)] if r[c] else r
+                        for r in rest]
+            else:
+                continue
+            break           # a singular vertex block
+        else:
+            out.append(tuple(point))
+    return out
 
 
 # ---- cardinality, Riedtmann and bilinearity checks --------------------------------
@@ -573,22 +655,24 @@ class BraidingSpan:
         return out
 
 
-def bsim_ext_check(ctx, X, Y):
-    """Per-piece comparison of the braiding apex with the EXT groupoids.
+def bsim_ext_check(ctx, span):
+    """Per-piece comparison of a BraidingSpan's apex with the EXT groupoids.
 
     For every object pair: object counts per middle class must match the
-    pair counts, orbit-stabilizer bookkeeping must be consistent, the
-    fixed-end automorphism group must be Hom(quo, sub) as an elementary
-    abelian group (table isomorphism when the order is at most 16), and
-    the three cardinality routes must agree.
+    pair counts, the stabilizer |Aut E| / |orbit| must equal the units of
+    the image-preserving subalgebra of End(E), the fixed-end automorphism
+    group must be Hom(quo, sub) as an elementary abelian group (table
+    isomorphism when the order is at most 16), and the three cardinality
+    routes must agree.  The span's pieces are used as they are, so their
+    orbit data is shared with span.matrix().
     """
     failures = []
     instances = 0
-    for i, x in enumerate(X.objects):
-        for j, y in enumerate(Y.objects):
+    for i, x in enumerate(span.X.objects):
+        for j, y in enumerate(span.Y.objects):
             instances += 1
             inst = f"({ctx.class_of(x).label},{ctx.class_of(y).label})"
-            ext = ExtGroupoid(ctx, x, y)
+            ext = span.pieces[(i, j)]
             for cls in ctx.classify(dim_add(x.dim, y.dim)):
                 if cls.label not in ext.pieces and \
                         ctx.count_exact_pairs(x, y, cls.rep) != 0:
@@ -632,6 +716,8 @@ def _is_elementary_abelian_aut(ctx, betas, ses):
         return False
     if n > 16:
         # characterization: order p^k, abelian, exponent p
+        check_budget(f"fixed-end aut exponent and commutator checks, order {n}",
+                     n * (p - 1) + n * n, ctx.budget)
         for a in betas:
             power = a
             for _ in range(p - 1):

@@ -300,9 +300,9 @@ def suite_bsim(ctx, hall, max_dim, only=None, cap=2):
     """Braiding span versus EXT, and its matrix versus the algebraic braiding."""
     bound = min(max_dim, cap)
     base = cathall.build_A0(ctx, bound)
-    rep = cathall.bsim_ext_check(ctx, base, base)
-    failures = list(rep["failures"])
     span = cathall.BraidingSpan(ctx, base, base)
+    rep = cathall.bsim_ext_check(ctx, span)
+    failures = list(rep["failures"])
     matrix = span.matrix()
     instances = rep["instances"]
     for i, x in enumerate(base.objects):

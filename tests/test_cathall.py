@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,11 @@ from hallalg.cathall import (BraidingSpan, COHERENCE_NAMES, ExtGroupoid,
                              ext_bilinearity_second, ext_cardinality_check,
                              factor_through, corestrict, glue_quotients,
                              glue_subobjects, hexagonator_R, hexagonator_S,
-                             mult_matrix_against_hall, mult_span_matrix,
-                             riedtmann_check)
-from hallalg.quiver import dim_add
-from oracles import morphism_count
+                             _is_elementary_abelian_aut, mult_matrix_against_hall,
+                             mult_span_matrix, riedtmann_check)
+from hallalg.linalg import BudgetError
+from hallalg.quiver import RepCategory, RepMorphism, Representation, dim_add
+from oracles import fixed_ends_by_aut_scan, morphism_count, orbits_by_aut_scan
 
 
 def test_build_A0_truncations(ctx2):
@@ -221,9 +223,56 @@ def test_ext_morphism_counts_on_demand(ctx2, reps2):
 
 def test_bsim_ext_check_bound_one(ctx2):
     base = build_A0(ctx2, 1)
-    rep = bsim_ext_check(ctx2, base, base)
+    rep = bsim_ext_check(ctx2, BraidingSpan(ctx2, base, base))
     assert rep["failures"] == []
     assert rep["instances"] == 9
+
+
+def test_aut_routes_match_aut_scans(ctx2):
+    """Orbits, stabilizers and fixed-end groups agree with scans over Aut(E).
+
+    Objects are shuffled first: any object may stand for its image key, and
+    in build order the first objects of keys in one orbit tend to share one
+    extension class, which would hide a wrong (Aut N x Aut M)-action.
+    """
+    rng = random.Random(0)
+    base = build_A0(ctx2, 2).objects
+    for x in base:
+        for y in base:
+            ext = ExtGroupoid(ctx2, x, y)
+            for e_label, objs in ext.pieces.items():
+                rng.shuffle(objs)
+                orbits = ext._orbits(e_label)
+                assert orbits == orbits_by_aut_scan(ext, e_label)
+                by_key = {}
+                for ses in objs:
+                    by_key.setdefault(ses.image_key(), ses)
+                for k, _, stab in orbits:
+                    ses = by_key[k]
+                    assert ext.aut_triples_direct(ses) == stab
+                    fixed = [b.vertex_maps for b in ext.aut_fixed_ends(ses)]
+                    assert len(set(fixed)) == len(fixed)
+                    assert set(fixed) == {b.vertex_maps
+                                          for b in fixed_ends_by_aut_scan(ext, ses)}
+
+
+def test_elementary_abelian_check_is_budgeted(a2):
+    """An order above 16 takes the composition branch, budgeted as a whole."""
+    ctx = RepCategory(a2, 2, budget=1000)
+    S0 = Representation.simple(a2, ctx.field, 0)
+    N = S0.direct_sum(S0)
+    M = N.direct_sum(S0)
+    E, f, g = ctx.middle_term_ses(M, N, ())
+    ident = RepMorphism.identity(E)
+    betas = [RepMorphism(E, E, [i + fv * pv * gv for i, fv, pv, gv in zip(
+                 ident.vertex_maps, f.vertex_maps, psi.vertex_maps, g.vertex_maps)])
+             for psi in ctx._span_elements(ctx.hom_basis(M, N), M, N)]
+    ses = SESObject(N, E, M, f, g)
+    assert len(betas) == 64
+    with pytest.raises(BudgetError) as err:
+        _is_elementary_abelian_aut(ctx, betas, ses)
+    assert err.value.count == 64 + 64 * 64
+    assert _is_elementary_abelian_aut(RepCategory(a2, 2), betas, ses) is True
 
 
 def test_coherence_checks_bound_one(ctx2):

@@ -37,6 +37,15 @@ GOLDEN = [
     pytest.param(["verify", "coherence", "--quiver", "a2"] + Q2,
                  "080e708a6cdc35844e464ec7eeee4e18cf47f1cc3584663f600f3cc78807eb43",
                  id="verify-coherence-a2"),
+    pytest.param(["verify", "bsim", "--quiver", "a2"] + Q2,
+                 "da0c04edbae4b85ddb6e61e210fbde7690daca450af7320b105de437f0f43fe8",
+                 id="verify-bsim-a2"),
+    pytest.param(["verify", "ext", "--quiver", "a2"] + Q2,
+                 "306fcd81b1bfd3a83fe108356eab7db1952471ab59fe6db8d32bd775b2d36a8d",
+                 id="verify-ext-a2"),
+    pytest.param(["verify", "riedtmann", "--quiver", "a2"] + Q2,
+                 "28c8932ff7e3ab79c9d933fdf3317fc914bee73c79e3ee65e1bf35805b236862",
+                 id="verify-riedtmann-a2"),
 ]
 
 

@@ -18,19 +18,19 @@ def test_prime_validation():
         PrimeField(1)
 
 
-def test_rank_kernel_identity():
+def test_rank_and_kernel_identity():
     m = Matrix.identity(F2, 2)
     r, k = m.rank(), m.kernel_basis()
     assert r == 2 and k == []
 
 
-def test_rank_kernel_zero_map():
+def test_rank_and_kernel_zero_map():
     m = Matrix.zero(F3, 1, 2)
     r, k = m.rank(), m.kernel_basis()
     assert r == 0 and len(k) == 2
 
 
-def test_rank_kernel_rank_one():
+def test_rank_and_kernel_rank_one():
     # oracle: multiply every vector of F_2^2 through the matrix
     m = Matrix(F2, [[1, 1], [1, 1]])
     kernel_oracle = [v for v in enumerate_vectors(F2, 2)

@@ -39,6 +39,14 @@ def test_bsim_and_coherence_report_their_bound(ctx2, hall2):
     assert rep["bound"] == 2 and rep["failures"] == []
 
 
+def test_bsim_never_enumerates_aut_of_the_middle_term(a2):
+    # Aut of the semisimple middle terms of dimension (4,0) and (0,4) is
+    # GL_4(F_2), 20160 elements: more than this budget
+    ctx = RepCategory(a2, 2, budget=5000)
+    rep = verify.suite_bsim(ctx, HallAlgebra(ctx), 3)
+    assert rep["bound"] == 2 and rep["failures"] == []
+
+
 def test_d4_root_census(ctx_d4):
     roots = ctx_d4.positive_roots()
     assert len(roots) == 12
