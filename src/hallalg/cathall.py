@@ -23,7 +23,7 @@ All checks report which convention each number uses.
 from fractions import Fraction
 
 from .hall import q_power
-from .linalg import Matrix, check_budget, subspace_key
+from .linalg import Matrix, check_budget
 from .quiver import RepMorphism, Representation, dim_add, dim_total
 
 
@@ -59,10 +59,6 @@ class SESObject:
             if self.sub.dim[v] + self.quo.dim[v] != self.mid.dim[v]:
                 raise ValueError("vertexwise grading violated")
         return True
-
-    def image_key(self):
-        """Canonical key of the image subobject of the inclusion."""
-        return tuple(subspace_key(m) for m in self.incl.vertex_maps)
 
     def __repr__(self):
         return f"SES({self.sub.dim} -> {self.mid.dim} -> {self.quo.dim})"
@@ -182,8 +178,12 @@ def build_A0(ctx, bound):
 class ExtGroupoid:
     """All short exact sequences 0 -> N -> E -> M -> 0 with fixed M and N.
 
-    Objects are materialized per middle-term class.  Morphism counts come
-    on demand from the (Aut N x Aut M)-orbits of extension classes and from
+    A sequence (f, g) factors through its image subobject U = im f as
+    f = incl . nu and g = mu . proj, with nu: N -> U and mu: E/U -> M
+    isomorphisms.  So a piece keeps only its image subobjects
+    (incl, E/U, proj) with U ~ N and E/U ~ M, and objects() builds the
+    |Iso(N, U)| |Iso(E/U, M)| sequences of each on demand.  Morphism counts
+    come from the (Aut N x Aut M)-orbits of extension classes and from
     units of linear subspaces of End(E); Aut(E) itself is never enumerated.
     """
 
@@ -191,47 +191,64 @@ class ExtGroupoid:
         self.ctx = ctx
         self.M = M
         self.N = N
-        self.pieces = {}          # E label -> list of SESObject
+        self.pieces = {}          # E label -> list of image subobjects (incl, Q, proj)
         self._piece_reps = {}     # E label -> representative Representation
-        self._image_groups = {}   # E label -> {image key: objects with that image}
-        self._orbit_data = {}     # E label -> list of (rep_key, orbit_keys, stab)
-        total = dim_add(M.dim, N.dim)
-        for cls in ctx.classify(total):
-            objs = self._build_piece(cls.rep)
-            if objs:
-                self.pieces[cls.label] = objs
+        self._orbit_data = {}     # E label -> (orbits, extension classes)
+        for cls in ctx.classify(dim_add(M.dim, N.dim)):
+            images = [(incl, Q, proj) for incl, Q, proj in ctx.invariant_subreps(cls.rep, N.dim)
+                      if ctx.is_isomorphic(incl.source, N) and ctx.is_isomorphic(Q, M)]
+            if images:
+                self.pieces[cls.label] = images
                 self._piece_reps[cls.label] = cls.rep
 
-    def _build_piece(self, E):
-        ctx = self.ctx
-        out = []
-        for incl, Q, proj in ctx.invariant_subreps(E, self.N.dim):
-            if not ctx.is_isomorphic(incl.source, self.N):
-                continue
-            if not ctx.is_isomorphic(Q, self.M):
-                continue
-            for nu in ctx.iso_set(self.N, incl.source):
-                f = incl.compose(nu)
-                for mu in ctx.iso_set(Q, self.M):
-                    g = mu.compose(proj)
-                    out.append(SESObject(self.N, E, self.M, f, g))
-        return out
+    def _isos(self, image):
+        """(Iso(N, U), Iso(E/U, M)) for one image subobject, as the context caches them."""
+        incl, Q, _ = image
+        return self.ctx.iso_set(self.N, incl.source), self.ctx.iso_set(Q, self.M)
+
+    def _sequence(self, image, nu, mu):
+        incl, _, proj = image
+        return SESObject(self.N, incl.target, self.M, incl.compose(nu), mu.compose(proj))
+
+    def _first(self, image):
+        """The first sequence with this image: it stands for the image."""
+        nus, mus = self._isos(image)
+        return self._sequence(image, nus[0], mus[0])
 
     def object_count(self, e_label=None):
-        if e_label is not None:
-            return len(self.pieces.get(e_label, []))
-        return sum(len(v) for v in self.pieces.values())
+        """Sum of |Iso(N, U)| |Iso(E/U, M)| over the image subobjects U."""
+        labels = self.pieces if e_label is None else [e_label]
+        return sum(len(nus) * len(mus) for e in labels
+                   for nus, mus in map(self._isos, self.pieces.get(e, ())))
+
+    def objects(self, e_label):
+        """The sequences of one piece, built on demand and budgeted as a whole.
+
+        Per image subobject, in piece order: (incl . nu, mu . proj) for nu in
+        Iso(N, U), then mu in Iso(E/U, M).
+        """
+        ctx = self.ctx
+        check_budget(f"EXT({ctx.class_of(self.M).label}, {ctx.class_of(self.N).label}) "
+                     f"objects of piece {e_label}", self.object_count(e_label), ctx.budget)
+        for image in self.pieces[e_label]:
+            nus, mus = self._isos(image)
+            for nu in nus:
+                for mu in mus:
+                    yield self._sequence(image, nu, mu)
 
     def _orbits(self, e_label):
-        """Aut(E)-orbits on the valid image subobjects of one piece.
+        """Aut(E)-orbits on the image subobjects of one piece, and their classes.
 
-        Returns a list of (representative image key, set of orbit keys,
-        stabilizer order), representatives in first-appearance order.  Two
-        image subobjects share an Aut(E)-orbit exactly when the extension
-        classes of their sequences share an (Aut N x Aut M)-orbit on
-        Ext^1(M, N) (Riedtmann), so one class per key is computed and keys
-        are grouped by the orbits of c_a -> nu_t c_a mu_s.  The stabilizer
-        is |Aut(E)| / |orbit|, and the division is asserted exact.
+        Returns (orbits, classes).  orbits lists (representative index, set
+        of orbit indices, stabilizer order), indices into pieces[e_label] and
+        representatives in piece order.  Two image subobjects share an
+        Aut(E)-orbit exactly when the extension classes of their sequences
+        share an (Aut N x Aut M)-orbit on Ext^1(M, N) (Riedtmann), so the
+        class of one sequence per image is computed and images are grouped
+        by the orbits of c_a -> nu_t c_a mu_s.  Those orbits together are
+        the classes of every sequence of the piece, i.e. its fixed-end iso
+        classes, returned as a set.  The stabilizer is |Aut(E)| / |orbit|,
+        and the division is asserted exact.
         """
         if e_label in self._orbit_data:
             return self._orbit_data[e_label]
@@ -239,45 +256,42 @@ class ExtGroupoid:
         check_budget(f"Aut N x Aut M enumeration for dims {N.dim}, {M.dim} "
                      f"over F_{ctx.q}", ctx.aut_order(N) * ctx.aut_order(M), ctx.budget)
         arrows = ctx.quiver.arrows
+        auts_n, auts_m = ctx.aut_elements(N), ctx.aut_elements(M)
         group_of = {}                 # reduced class -> index into groups
-        groups = []                   # (representative key, orbit keys)
-        for k, objs in self._objects_by_image(e_label).items():
-            c = ctx.extension_class(M, N, objs[0].mid, objs[0].incl, objs[0].proj)
+        groups = []                   # (representative index, orbit indices)
+        for i, image in enumerate(self.pieces[e_label]):
+            ses = self._first(image)
+            c = ctx.extension_class(M, N, ses.mid, ses.incl, ses.proj)
             if c not in group_of:
                 blocks = ctx._cocycle_to_matrices(M, N, c)
-                for nu in ctx.aut_elements(N):
-                    for mu in ctx.aut_elements(M):
+                for nu in auts_n:
+                    for mu in auts_m:
                         moved = tuple(
                             x for (s, t), ca in zip(arrows, blocks)
                             for row in (nu.vertex_maps[t] * ca * mu.vertex_maps[s]).entries
                             for x in row)
                         group_of[ctx.reduce_cocycle(M, N, moved)] = len(groups)
-                groups.append((k, set()))
-            groups[group_of[c]][1].add(k)
+                groups.append((i, set()))
+            groups[group_of[c]][1].add(i)
         aut_e = ctx.aut_order(self._piece_reps[e_label])
-        data = []
-        for k, orbit in groups:
+        orbits = []
+        for i, orbit in groups:
             assert aut_e % len(orbit) == 0
-            data.append((k, orbit, aut_e // len(orbit)))
-        self._orbit_data[e_label] = data
-        return data
+            orbits.append((i, orbit, aut_e // len(orbit)))
+        self._orbit_data[e_label] = orbits, set(group_of)
+        return self._orbit_data[e_label]
 
-    def _objects_by_image(self, e_label):
-        """The objects of one piece grouped by image key, in first-appearance order."""
-        if e_label not in self._image_groups:
-            by_key = {}
-            for ses in self.pieces[e_label]:
-                by_key.setdefault(ses.image_key(), []).append(ses)
-            self._image_groups[e_label] = by_key
-        return self._image_groups[e_label]
+    def extension_classes(self):
+        """The reduced extension classes of all objects: the fixed-end iso classes."""
+        return set().union(*(self._orbits(e)[1] for e in self.pieces))
 
     def iso_classes(self, e_label):
         """(representative SESObject, class size, triple-aut order) per class."""
-        by_key = self._objects_by_image(e_label)
+        images = self.pieces[e_label]
         out = []
-        for rep_key, orbit, stab in self._orbits(e_label):
-            size = sum(len(by_key[k]) for k in orbit)
-            out.append((by_key[rep_key][0], size, stab))
+        for i, orbit, stab in self._orbits(e_label)[0]:
+            size = sum(len(nus) * len(mus) for nus, mus in (self._isos(images[k]) for k in orbit))
+            out.append((self._first(images[i]), size, stab))
         return out
 
     def aut_triples_direct(self, ses):
@@ -310,13 +324,14 @@ class ExtGroupoid:
             out.append(RepMorphism(E, E, maps))
         return out
 
-    def cardinality_triples(self):
-        """Sum over iso classes of 1/(triple-aut order): the weak-quotient value."""
-        total = Fraction(0)
-        for e_label in self.pieces:
-            for _, _, stab in self.iso_classes(e_label):
-                total += Fraction(1, stab)
-        return total
+    def cardinality_triples(self, e_label=None):
+        """Sum over iso classes of 1/(triple-aut order): the weak-quotient value.
+
+        With e_label, the sum runs over the classes of that piece only.
+        """
+        labels = self.pieces if e_label is None else [e_label]
+        return sum((Fraction(1, stab) for e in labels for _, _, stab in self._orbits(e)[0]),
+                   Fraction(0))
 
     def cardinality_formula(self):
         """sum_E P^E / (aut N . aut E . aut M), via the pair-count formula."""
@@ -440,16 +455,6 @@ def riedtmann_check(ctx, M, N, E):
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs, "ext_classes_E": ext_e}
 
 
-def _fixed_end_iso_classes(ctx, ext):
-    """Extension classes of an ExtGroupoid: canonical cocycle per object."""
-    out = {}
-    for e_label, objs in ext.pieces.items():
-        for ses in objs:
-            cls = ctx.extension_class(ext.M, ext.N, ses.mid, ses.incl, ses.proj)
-            out.setdefault(cls, []).append(ses)
-    return out
-
-
 def ext_bilinearity_first(ctx, M1, M2, N):
     """EXT(M1 (+) M2, N) against EXT(M1, N) x EXT(M2, N).
 
@@ -478,6 +483,8 @@ def _ext_bilinearity(ctx, part1, part2, other, split, glue, slot):
     The slot holds part1 (+) part2 and the other slot holds `other`;
     split(ctx, ses, part1, part2) takes an object apart into the two
     summand sequences and glue(ctx, s1, s2, whole) puts them back together.
+    Each fixed-end iso class is split once, on the sequence
+    ctx.middle_term_ses builds from its reduced cocycle.
     """
     def ext(x):
         return ExtGroupoid(ctx, x, other) if slot == 0 else ExtGroupoid(ctx, other, x)
@@ -489,16 +496,17 @@ def _ext_bilinearity(ctx, part1, part2, other, split, glue, slot):
     ext_sum, e1, e2 = ext(whole), ext(part1), ext(part2)
     lhs = ext_sum.cardinality_fixed_ends()
     rhs = e1.cardinality_fixed_ends() * e2.cardinality_fixed_ends()
-    classes = _fixed_end_iso_classes(ctx, ext_sum)
+    classes = ext_sum.extension_classes()
     image_pairs = set()
     round_trip_ok = True
-    for cls, objs in classes.items():
-        s1, s2 = split(ctx, objs[0], part1, part2)
+    for cls in classes:
+        E, incl, proj = ctx.middle_term_ses(ext_sum.M, ext_sum.N, cls)
+        s1, s2 = split(ctx, SESObject(ext_sum.N, E, ext_sum.M, incl, proj), part1, part2)
         image_pairs.add((ext_class(s1), ext_class(s2)))
         if ext_class(glue(ctx, s1, s2, whole)) != cls:
             round_trip_ok = False
-    n1 = len(_fixed_end_iso_classes(ctx, e1))
-    n2 = len(_fixed_end_iso_classes(ctx, e2))
+    n1 = len(e1.extension_classes())
+    n2 = len(e2.extension_classes())
     bijection = len(image_pairs) == len(classes) == n1 * n2
     return {
         "lhs": lhs, "rhs": rhs, "equal": lhs == rhs,
@@ -677,10 +685,11 @@ def bsim_ext_check(ctx, span):
                 if cls.label not in ext.pieces and \
                         ctx.count_exact_pairs(x, y, cls.rep) != 0:
                     failures.append(f"{inst}: piece {cls.label} missing but P^E != 0")
-            for e_label, objs in ext.pieces.items():
+            for e_label in ext.pieces:
                 p = ctx.count_exact_pairs(x, y, ext._piece_reps[e_label])
-                if len(objs) != p:
-                    failures.append(f"{inst}: object count {len(objs)} != P^E {p} at {e_label}")
+                n = ext.object_count(e_label)
+                if n != p:
+                    failures.append(f"{inst}: object count {n} != P^E {p} at {e_label}")
                 for ses, size, stab in ext.iso_classes(e_label):
                     direct = ext.aut_triples_direct(ses)
                     if direct != stab:
@@ -757,15 +766,12 @@ def _elementary_abelian_table(p, k):
 # ---- multiplication and comultiplication spans ----------------------------------------
 
 
-def mult_span_matrix(ctx, bound):
-    """Degroupoidified multiplication span, entry per (E, (M, N)).
+def _span_pieces(ctx, bound):
+    """(M label, N label, M, N, E label, E, sum of 1/stab) per EXT piece within bound.
 
-    Matrix entries follow the degroupoidification formula: for each
-    isomorphism class of sequences, |Aut(E)| over the triple-automorphism
-    order, summed.  Row keys are middle-term labels, column keys are
-    (quotient label, subobject label) pairs.
+    The sum runs over the iso classes of sequences in that piece, with
+    triple morphisms; the two span matrices weight it differently.
     """
-    entries = {}
     labels = [c.label for c in ctx.classes_up_to(bound)]
     for lm in labels:
         M = ctx.class_by_label(lm).rep
@@ -774,14 +780,20 @@ def mult_span_matrix(ctx, bound):
             if dim_total(M.dim) + dim_total(N.dim) > bound:
                 continue
             ext = ExtGroupoid(ctx, M, N)
-            for e_label in ext.pieces:
-                aut_e = ctx.aut_order(ext._piece_reps[e_label])
-                val = Fraction(0)
-                for _, _, stab in ext.iso_classes(e_label):
-                    val += Fraction(aut_e, stab)
-                if val:
-                    entries[(e_label, (lm, ln))] = val
-    return entries
+            for le, E in ext._piece_reps.items():
+                yield lm, ln, M, N, le, E, ext.cardinality_triples(le)
+
+
+def mult_span_matrix(ctx, bound):
+    """Degroupoidified multiplication span, entry per (E, (M, N)).
+
+    Matrix entries follow the degroupoidification formula: for each
+    isomorphism class of sequences, |Aut(E)| over the triple-automorphism
+    order, summed.  Row keys are middle-term labels, column keys are
+    (quotient label, subobject label) pairs.
+    """
+    return {(le, (lm, ln)): ctx.aut_order(E) * inv
+            for lm, ln, _, _, le, E, inv in _span_pieces(ctx, bound)}
 
 
 def comult_span_matrix(ctx, bound):
@@ -792,23 +804,8 @@ def comult_span_matrix(ctx, bound):
     |Aut(M)| |Aut(N)| over the triple-automorphism order.  A row key
     (m, n) carries the coefficient of [n] (x) [m] in the coproduct.
     """
-    entries = {}
-    labels = [c.label for c in ctx.classes_up_to(bound)]
-    for lm in labels:
-        M = ctx.class_by_label(lm).rep
-        for ln in labels:
-            N = ctx.class_by_label(ln).rep
-            if dim_total(M.dim) + dim_total(N.dim) > bound:
-                continue
-            aut_pair = ctx.aut_order(M) * ctx.aut_order(N)
-            ext = ExtGroupoid(ctx, M, N)
-            for e_label in ext.pieces:
-                val = Fraction(0)
-                for _, _, stab in ext.iso_classes(e_label):
-                    val += Fraction(aut_pair, stab)
-                if val:
-                    entries[((lm, ln), e_label)] = val
-    return entries
+    return {((lm, ln), le): ctx.aut_order(M) * ctx.aut_order(N) * inv
+            for lm, ln, M, N, le, _, inv in _span_pieces(ctx, bound)}
 
 
 def mult_matrix_against_hall(ctx, hall, bound):
@@ -1013,8 +1010,8 @@ def _check_shuffle_13(ctx, bound):
         bc_sum = b.direct_sum(c)
         sub = b.direct_sum(cd_sum)
         ext = ExtGroupoid(ctx, a, sub)
-        for e_label, objs in ext.pieces.items():
-            for ses in objs:
+        for e_label in ext.pieces:
+            for ses in ext.objects(e_label):
                 ses_b, ses_cd = hexagonator_R(ctx, ses, b, cd_sum)
                 ses_c_t, ses_d_t = hexagonator_R(ctx, ses_cd, c, d)
                 ses_bc, ses_d_b = hexagonator_R(ctx, ses, bc_sum, d)
@@ -1056,8 +1053,8 @@ def _check_shuffle_31(ctx, bound):
         bc_sum = b.direct_sum(c)
         quo = ab_sum.direct_sum(c)
         ext = ExtGroupoid(ctx, quo, d)
-        for e_label, objs in ext.pieces.items():
-            for ses in objs:
+        for e_label in ext.pieces:
+            for ses in ext.objects(e_label):
                 ses_ab, ses_c_t = hexagonator_S(ctx, ses, ab_sum, c)
                 ses_a_t, ses_b_t = hexagonator_S(ctx, ses_ab, a, b)
                 ses_a_b, ses_bc = hexagonator_S(ctx, ses, a, bc_sum)
@@ -1105,8 +1102,8 @@ def _check_shuffle_22(ctx, bound):
         ab = a.direct_sum(b)
         cdsum = c.direct_sum(d)
         ext = ExtGroupoid(ctx, ab, cdsum)
-        for e_label, objs in ext.pieces.items():
-            for ses in objs:
+        for e_label in ext.pieces:
+            for ses in ext.objects(e_label):
                 sa, sb = hexagonator_S(ctx, ses, a, b)
                 s_ac, s_ad = hexagonator_R(ctx, sa, c, d)
                 s_bc, s_bd = hexagonator_R(ctx, sb, c, d)

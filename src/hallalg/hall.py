@@ -350,10 +350,6 @@ class HallAlgebra:
         self._antipode_cache[key] = out
         return out
 
-    def antipode_canonical(self, x, bound):
-        return HallVector.combine((self.antipode_canonical_basis(label, bound).coeffs, c)
-                                  for label, c in x.coeffs.items())
-
     def antipode_axiom_residuals(self, label, bound):
         """Both antipode-axiom defects for the canonical S at a basis label.
 

@@ -435,9 +435,3 @@ def enumerate_subspaces(field, n, k, budget=DEFAULT_BUDGET):
                 rows[r][c] = rem % p
                 rem //= p
             yield Matrix._of(field, tuple(map(tuple, rows)), k, n).transpose()
-
-
-def subspace_key(basis_matrix):
-    """Canonical hashable key for the column span of an n x k matrix."""
-    red, pivots = basis_matrix.transpose().rref()
-    return tuple(red.entries[:len(pivots)])

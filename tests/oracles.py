@@ -4,8 +4,17 @@ Each one recounts a quantity the library computes by a faster route, by
 enumerating every candidate morphism and testing it directly.
 """
 
-from hallalg.linalg import subspace_key
 from hallalg.quiver import dim_add
+
+
+def image_key(mor):
+    """Canonical key of the image subobject of a morphism: per vertex, the
+    reduced row-echelon basis of the column span of its map."""
+    key = []
+    for m in mor.vertex_maps:
+        red, pivots = m.transpose().rref()
+        key.append(tuple(red.entries[:len(pivots)]))
+    return tuple(key)
 
 
 def aut_order_slow(ctx, M):
@@ -33,12 +42,6 @@ def count_exact_pairs_slow(ctx, M, N, E):
     return count
 
 
-def _moved_image_key(beta, ses):
-    """Canonical key of beta(image of ses), for beta an automorphism of ses.mid."""
-    return tuple(subspace_key(bv * iv) for bv, iv in
-                 zip(beta.vertex_maps, ses.incl.vertex_maps))
-
-
 def morphism_count(ext, ses1, ses2):
     """Triples (alpha, beta, gamma) from ses1 to ses2 in an ExtGroupoid.
 
@@ -47,33 +50,32 @@ def morphism_count(ext, ses1, ses2):
     """
     if ses1.mid != ses2.mid:
         return 0
-    k2 = ses2.image_key()
+    k2 = image_key(ses2.incl)
     return sum(1 for beta in ext.ctx.aut_elements(ses1.mid)
-               if _moved_image_key(beta, ses1) == k2)
+               if image_key(beta.compose(ses1.incl)) == k2)
 
 
 def orbits_by_aut_scan(ext, e_label):
     """Aut(E)-orbits on the image subobjects of one piece, by scanning Aut(E).
 
-    Same shape as ExtGroupoid._orbits: (representative key, orbit keys,
-    stabilizer order) in first-appearance order, the stabilizer counted
-    directly and |orbit| * stabilizer checked against |Aut(E)|.
+    Same shape as the orbit list of ExtGroupoid._orbits: (representative
+    index, orbit indices, stabilizer order) in piece order, indices into
+    ext.pieces[e_label], the stabilizer counted directly and
+    |orbit| * stabilizer checked against |Aut(E)|.
     """
-    first = {}
-    for ses in ext.pieces[e_label]:
-        first.setdefault(ses.image_key(), ses)
+    index = {image_key(incl): i for i, (incl, _, _) in enumerate(ext.pieces[e_label])}
     auts = ext.ctx.aut_elements(ext._piece_reps[e_label])
     data = []
     assigned = set()
-    for k, ses in first.items():
-        if k in assigned:
+    for i, (incl, _, _) in enumerate(ext.pieces[e_label]):
+        if i in assigned:
             continue
-        moved = [_moved_image_key(beta, ses) for beta in auts]
+        moved = [index[image_key(beta.compose(incl))] for beta in auts]
         orbit = set(moved)
-        stab = moved.count(k)
+        stab = moved.count(i)
         assert len(orbit) * stab == len(auts)
         assigned |= orbit
-        data.append((k, orbit, stab))
+        data.append((i, orbit, stab))
     return data
 
 

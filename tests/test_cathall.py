@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -15,7 +16,8 @@ from hallalg.cathall import (BraidingSpan, COHERENCE_NAMES, ExtGroupoid,
                              mult_span_matrix, riedtmann_check)
 from hallalg.linalg import BudgetError
 from hallalg.quiver import RepCategory, RepMorphism, Representation, dim_add
-from oracles import fixed_ends_by_aut_scan, morphism_count, orbits_by_aut_scan
+from oracles import (fixed_ends_by_aut_scan, image_key, morphism_count,
+                     orbits_by_aut_scan)
 
 
 def test_build_A0_truncations(ctx2):
@@ -43,10 +45,10 @@ def test_rep_groupoid_hom_sizes(ctx2):
 def test_build_ext_object_counts(ctx2, ctx3, reps2, reps3):
     for ctx, reps, q in ((ctx2, reps2, 2), (ctx3, reps3, 3)):
         ext = ExtGroupoid(ctx, reps["S1"], reps["S2"])
-        counts = sorted(len(v) for v in ext.pieces.values())
+        counts = sorted(len(list(ext.objects(e))) for e in ext.pieces)
         assert counts == [(q - 1) ** 2, (q - 1) ** 2]
-        for objs in ext.pieces.values():
-            for ses in objs:
+        for e in ext.pieces:
+            for ses in ext.objects(e):
                 ses.validate()
         zero = reps["zero"]
         ext0 = ExtGroupoid(ctx, zero, reps["S2"])
@@ -54,6 +56,27 @@ def test_build_ext_object_counts(ctx2, ctx3, reps2, reps3):
         assert ext0.object_count() == q - 1
         (e_label,) = ext0.pieces.keys()
         assert len(ext0.iso_classes(e_label)) == 1
+        # every piece: objects built, object count and pair count agree
+        for M, N in ((reps["S1"], reps["S2"]), (reps["SS"], reps["SS"]),
+                     (reps["P1"], reps["S1"]), (zero, reps["S2"])):
+            ext = ExtGroupoid(ctx, M, N)
+            for e in ext.pieces:
+                assert len(list(ext.objects(e))) == ext.object_count(e) \
+                    == ctx.count_exact_pairs(M, N, ext._piece_reps[e])
+
+
+def test_ext_objects_are_budgeted(a2):
+    """Building the objects of a piece is checked against the budget first."""
+    ctx = RepCategory(a2, 2, budget=30)
+    S1 = Representation.simple(a2, ctx.field, 0)
+    S2 = Representation.simple(a2, ctx.field, 1)
+    ext = ExtGroupoid(ctx, S1.direct_sum(S1), S2.direct_sum(S2))
+    e_label = next(iter(ext.pieces))
+    assert ext.object_count(e_label) == 36       # |GL_2(F_2)|^2 for its one image
+    with pytest.raises(BudgetError) as err:
+        next(ext.objects(e_label))
+    assert err.value.count == 36
+    assert f"piece {e_label}" in str(err.value)
 
 
 def test_ext_cardinality_lemma(ctx2, ctx3, reps2, reps3):
@@ -95,16 +118,16 @@ def test_glue_functions_invert_splitting(ctx2, reps2):
     S1, S2 = reps2["S1"], reps2["S2"]
     Msum = S1.direct_sum(S1)
     ext = ExtGroupoid(ctx2, Msum, S2)
-    for objs in ext.pieces.values():
-        for ses in objs[:2]:
+    for e in ext.pieces:
+        for ses in list(ext.objects(e))[:2]:
             s1, s2 = hexagonator_S(ctx2, ses, S1, S1)
             glued = glue_quotients(ctx2, s1, s2, Msum)
             assert ctx2.extension_class(Msum, S2, glued.mid, glued.incl, glued.proj) \
                 == ctx2.extension_class(Msum, S2, ses.mid, ses.incl, ses.proj)
     Nsum = S2.direct_sum(S2)
     ext2 = ExtGroupoid(ctx2, S1, Nsum)
-    for objs in ext2.pieces.values():
-        for ses in objs[:2]:
+    for e in ext2.pieces:
+        for ses in list(ext2.objects(e))[:2]:
             s1, s2 = hexagonator_R(ctx2, ses, S2, S2)
             glued = glue_subobjects(ctx2, s1, s2, Nsum)
             assert ctx2.extension_class(S1, Nsum, glued.mid, glued.incl, glued.proj) \
@@ -131,8 +154,8 @@ def test_hexagonator_R_counts_match_bilinearity(ctx2, reps2):
     ext = ExtGroupoid(ctx2, S1, sub)
     single = ExtGroupoid(ctx2, S1, S2)
     assert ext.cardinality_fixed_ends() == single.cardinality_fixed_ends() ** 2 == 4
-    for objs in ext.pieces.values():
-        for ses in objs:
+    for e in ext.pieces:
+        for ses in ext.objects(e):
             a, b = hexagonator_R(ctx2, ses, S2, S2)
             assert a.sub == S2 and b.sub == S2
             assert a.quo == S1 and b.quo == S1
@@ -146,8 +169,8 @@ def test_hexagonator_S_counts_match_bilinearity(ctx2, reps2):
     ext = ExtGroupoid(ctx2, quo, S2)
     single = ExtGroupoid(ctx2, S1, S2)
     assert ext.cardinality_fixed_ends() == single.cardinality_fixed_ends() ** 2 == 4
-    for objs in ext.pieces.values():
-        for ses in objs:
+    for e in ext.pieces:
+        for ses in ext.objects(e):
             a, b = hexagonator_S(ctx2, ses, S1, S1)
             assert a.quo == S1 and b.quo == S1
             assert a.sub == S2 and b.sub == S2
@@ -160,8 +183,8 @@ def test_quotient_iso_fact(ctx2, reps2):
     S1, S2 = reps2["S1"], reps2["S2"]
     sub = S2.direct_sum(S2.direct_sum(S2))
     ext = ExtGroupoid(ctx2, S1, sub)
-    for objs in ext.pieces.values():
-        for ses in objs:
+    for e in ext.pieces:
+        for ses in ext.objects(e):
             b = S2
             cd = S2.direct_sum(S2)
             ses_b, ses_cd = hexagonator_R(ctx2, ses, b, cd)
@@ -212,7 +235,7 @@ def test_braiding_span_degroupoidifies_to_braiding(ctx2, hall2, reps2):
 def test_ext_morphism_counts_on_demand(ctx2, reps2):
     ext = ExtGroupoid(ctx2, reps2["S1"], reps2["S1"])
     (e_label,) = ext.pieces.keys()
-    objs = ext.pieces[e_label]
+    objs = list(ext.objects(e_label))
     assert len(objs) == 3  # three lines inside S1+S1
     # all three objects lie in one class; morphism counts match the stabilizer
     for s1 in objs:
@@ -229,26 +252,32 @@ def test_bsim_ext_check_bound_one(ctx2):
 
 
 def test_aut_routes_match_aut_scans(ctx2):
-    """Orbits, stabilizers and fixed-end groups agree with scans over Aut(E).
+    """Orbits, stabilizers, fixed-end groups and extension classes agree with
+    scans over Aut(E) and over every object.
 
-    Objects are shuffled first: any object may stand for its image key, and
-    in build order the first objects of keys in one orbit tend to share one
-    extension class, which would hide a wrong (Aut N x Aut M)-action.
+    Each image's stand-in sequence is drawn with a seeded RNG from all its
+    sequences: in build order the first sequences of images in one orbit
+    tend to share one extension class, which would hide a wrong
+    (Aut N x Aut M)-action.  Shuffling the cached iso_set lists is not
+    enough, since images with equal subrepresentations share one list.
     """
     rng = random.Random(0)
     base = build_A0(ctx2, 2).objects
     for x in base:
         for y in base:
             ext = ExtGroupoid(ctx2, x, y)
-            for e_label, objs in ext.pieces.items():
-                rng.shuffle(objs)
-                orbits = ext._orbits(e_label)
+
+            def any_sequence(image, ext=ext):
+                nu, mu = rng.choice(list(product(*ext._isos(image))))
+                return ext._sequence(image, nu, mu)
+
+            ext._first = any_sequence
+            for e_label in ext.pieces:
+                orbits, classes = ext._orbits(e_label)
                 assert orbits == orbits_by_aut_scan(ext, e_label)
-                by_key = {}
-                for ses in objs:
-                    by_key.setdefault(ses.image_key(), ses)
-                for k, _, stab in orbits:
-                    ses = by_key[k]
+                assert classes == {ctx2.extension_class(x, y, s.mid, s.incl, s.proj)
+                                   for s in ext.objects(e_label)}
+                for (ses, _, _), (_, _, stab) in zip(ext.iso_classes(e_label), orbits):
                     assert ext.aut_triples_direct(ses) == stab
                     fixed = [b.vertex_maps for b in ext.aut_fixed_ends(ses)]
                     assert len(set(fixed)) == len(fixed)
@@ -291,8 +320,8 @@ def test_shuffle_22_specific_instance(ctx2, reps2):
     ext = ExtGroupoid(ctx2, ab, cdsum)
     assert ext.cardinality_fixed_ends() == 16  # q^4: four braid pieces
     checked = 0
-    for objs in ext.pieces.values():
-        for ses in objs:
+    for e in ext.pieces:
+        for ses in ext.objects(e):
             sa, sb = hexagonator_S(ctx2, ses, S1, S1)
             s_ac, s_ad = hexagonator_R(ctx2, sa, S2, S2)
             s_bc, s_bd = hexagonator_R(ctx2, sb, S2, S2)
@@ -344,19 +373,17 @@ def _ses_concrete(ctx, bound, a0c, wits):
             if sum(cm.dim) + sum(cn.dim) > bound:
                 continue
             ext = ExtGroupoid(ctx, cm.rep, cn.rep)
-            for objs in ext.pieces.values():
-                objects.extend(objs)
+            for e in ext.pieces:
+                objects.extend(ext.objects(e))
     labels = []
     morphisms = []
     for i1, s1 in enumerate(objects):
         for i2, s2 in enumerate(objects):
             if s1.mid != s2.mid or s1.sub != s2.sub or s1.quo != s2.quo:
                 continue
-            k2 = s2.image_key()
+            k2 = image_key(s2.incl)
             for beta in ctx.aut_elements(s1.mid):
-                from hallalg.linalg import subspace_key
-                moved = tuple(subspace_key(bv * iv) for bv, iv in
-                              zip(beta.vertex_maps, s1.incl.vertex_maps))
+                moved = image_key(beta.compose(s1.incl))
                 if moved == k2:
                     labels.append((i1, i2, beta.vertex_maps))
                     morphisms.append((i1, i2, (i1, i2, beta.vertex_maps)))
@@ -474,18 +501,16 @@ def _ext_concrete(ctx, M, N):
     Returns (groupoid, objects, per-morphism (alpha, gamma) vertex maps).
     """
     from hallalg.quiver import RepMorphism
-    from hallalg.linalg import subspace_key
     ext = ExtGroupoid(ctx, M, N)
-    objects = [s for objs in ext.pieces.values() for s in objs]
+    objects = [s for e in ext.pieces for s in ext.objects(e)]
     labels, morphisms, ag = [], [], []
     for i1, s1 in enumerate(objects):
         for i2, s2 in enumerate(objects):
             if s1.mid != s2.mid:
                 continue
-            k2 = s2.image_key()
+            k2 = image_key(s2.incl)
             for beta in ctx.aut_elements(s1.mid):
-                moved = tuple(subspace_key(bv * iv) for bv, iv in
-                              zip(beta.vertex_maps, s1.incl.vertex_maps))
+                moved = image_key(beta.compose(s1.incl))
                 if moved != k2:
                     continue
                 lab = (i1, i2, beta.vertex_maps)

@@ -46,6 +46,18 @@ GOLDEN = [
     pytest.param(["verify", "riedtmann", "--quiver", "a2"] + Q2,
                  "28c8932ff7e3ab79c9d933fdf3317fc914bee73c79e3ee65e1bf35805b236862",
                  id="verify-riedtmann-a2"),
+    pytest.param(["verify", "bilinearity", "--quiver", "a3-source"] + Q2,
+                 "e9cb8b96c51c9b562b37def31b1c43f6fa5d63539f2629289dc4953418c2ac4d",
+                 id="verify-bilinearity-a3-source"),
+    pytest.param(["verify", "coherence", "--quiver", "a3-source"] + Q2,
+                 "ad7ab4d622d106d5d93b593ae17b57ee52004d7cb3be0d560720bdc8d2a46836",
+                 id="verify-coherence-a3-source"),
+    pytest.param(["verify", "bsim", "--quiver", "a3-source"] + Q2,
+                 "a202e808084bdee26665ef72af93a0037828b05a2279f804a431fbb177dcffdc",
+                 id="verify-bsim-a3-source"),
+    pytest.param(["verify", "spans", "--quiver", "a3-source"] + Q2,
+                 "c4e65e217aff708989820d3c02b40d40202ec32e453b7c53e8d58f2a79bfbaa1",
+                 id="verify-spans-a3-source"),
 ]
 
 
