@@ -257,6 +257,7 @@ class ExtGroupoid:
                      f"over F_{ctx.q}", ctx.aut_order(N) * ctx.aut_order(M), ctx.budget)
         arrows = ctx.quiver.arrows
         auts_n, auts_m = ctx.aut_elements(N), ctx.aut_elements(M)
+        reduction = ctx._ext_complement(M, N)[1]    # ctx.reduce_cocycle, looked up once
         group_of = {}                 # reduced class -> index into groups
         groups = []                   # (representative index, orbit indices)
         for i, image in enumerate(self.pieces[e_label]):
@@ -270,7 +271,7 @@ class ExtGroupoid:
                             x for (s, t), ca in zip(arrows, blocks)
                             for row in (nu.vertex_maps[t] * ca * mu.vertex_maps[s]).entries
                             for x in row)
-                        group_of[ctx.reduce_cocycle(M, N, moved)] = len(groups)
+                        group_of[reduction.apply(moved)] = len(groups)
                 groups.append((i, set()))
             groups[group_of[c]][1].add(i)
         aut_e = ctx.aut_order(self._piece_reps[e_label])
@@ -286,13 +287,9 @@ class ExtGroupoid:
         return set().union(*(self._orbits(e)[1] for e in self.pieces))
 
     def iso_classes(self, e_label):
-        """(representative SESObject, class size, triple-aut order) per class."""
+        """(representative SESObject, triple-aut order) per class."""
         images = self.pieces[e_label]
-        out = []
-        for i, orbit, stab in self._orbits(e_label)[0]:
-            size = sum(len(nus) * len(mus) for nus, mus in (self._isos(images[k]) for k in orbit))
-            out.append((self._first(images[i]), size, stab))
-        return out
+        return [(self._first(images[i]), stab) for i, _, stab in self._orbits(e_label)[0]]
 
     def aut_triples_direct(self, ses):
         """Automorphisms (alpha, beta, gamma) of one object, counted directly.
@@ -690,7 +687,7 @@ def bsim_ext_check(ctx, span):
                 n = ext.object_count(e_label)
                 if n != p:
                     failures.append(f"{inst}: object count {n} != P^E {p} at {e_label}")
-                for ses, size, stab in ext.iso_classes(e_label):
+                for ses, stab in ext.iso_classes(e_label):
                     direct = ext.aut_triples_direct(ses)
                     if direct != stab:
                         failures.append(f"{inst}: direct aut {direct} != stabilizer {stab}")

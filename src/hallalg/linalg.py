@@ -248,18 +248,31 @@ class Matrix:
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
 
+    def completion(self):
+        """Complete the column span of this n x k matrix B to F_p^n, by one rref.
+
+        Returns (picked, inverse).  picked lists the j whose standard vectors
+        e_j complete B greedily in index order: the pivot columns of
+        rref([B | I_n]) past k.  inverse is the right n x n half of that
+        rref; it equals [B' | C]^-1, where B' is the pivot columns of B and
+        C the picked e_j, because the pivot columns of an RREF read
+        e_1, ..., e_n in order.  For B of full column rank, B' = B.
+        """
+        f, z = self.field, (self.field.zero,)
+        n, k = self.rows, self.cols
+        aug = Matrix._of(f, tuple(row + z * i + (f.one,) + z * (n - 1 - i)
+                                  for i, row in enumerate(self.entries)), n, k + n)
+        red, pivots = aug.rref()
+        return tuple(c - k for c in pivots if c >= k), \
+            Matrix._of(f, tuple(row[k:] for row in red.entries), n, n)
+
     def inverse(self):
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
-        f = self.field
-        n = self.rows
-        aug = Matrix._of(f, tuple(row + ident for row, ident in
-                                  zip(self.entries, Matrix.identity(f, n).entries)),
-                         n, 2 * n)
-        red, pivots = aug.rref()
-        if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
+        picked, inv = self.completion()
+        if picked:
             raise ValueError("matrix is singular")
-        return Matrix._of(f, tuple(row[n:] for row in red.entries), n, n)
+        return inv
 
     def apply(self, vec):
         """Apply to a coordinate vector (tuple), returning a tuple."""
@@ -267,17 +280,6 @@ class Matrix:
             raise ValueError("vector length mismatch")
         p = self.field.p
         return tuple(sum(map(mul, row, vec)) % p for row in self.entries)
-
-
-def hstack(field, mats, rows=None):
-    mats = list(mats)
-    if rows is None:
-        rows = mats[0].rows if mats else 0
-    for m in mats:
-        if m.rows != rows:
-            raise ValueError("hstack row mismatch")
-    entries = tuple(sum((m.entries[i] for m in mats), ()) for i in range(rows))
-    return Matrix._of(field, entries, rows, sum(m.cols for m in mats))
 
 
 def enumerate_matrices(rows, cols, p, budget=DEFAULT_BUDGET):

@@ -9,6 +9,7 @@ and budget-gated, so class labels are stable across runs.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import prod
 
@@ -24,7 +25,6 @@ from .linalg import (
     gaussian_binomial,
     gl_generators,
     gl_order,
-    hstack,
 )
 
 
@@ -284,7 +284,7 @@ class IsoClass:
     rep: Representation
     orbit_size: int
 
-    @property
+    @cached_property
     def label(self):
         return "d" + ".".join(str(x) for x in self.dim) + f"#{self.index}"
 
@@ -517,56 +517,37 @@ class RepCategory:
 
     # ---- subobjects, quotients, extensions ---------------------------------
 
-    def _complement_columns(self, basis_matrix):
-        """Standard basis vectors completing the given columns to a basis."""
-        f = self.field
-        n = basis_matrix.rows
-        cur = basis_matrix
-        picked = []
-        for j in range(n):
-            if cur.cols == n:
-                break
-            e = Matrix(f, [[f.one] if i == j else [f.zero] for i in range(n)], n, 1)
-            trial = hstack(f, [cur, e], rows=n)
-            if trial.rank() == cur.cols + 1:
-                cur = trial
-                picked.append(j)
-        return Matrix(f, [[f.one if j == pj else f.zero for pj in picked]
-                          for j in range(n)], n, len(picked))
-
     def _quotient_data(self, E, basis_mats):
         """Quotient of E by the invariant subspace with per-vertex bases.
 
-        Returns (quotient rep, projection RepMorphism); the projection uses
-        the coordinates of a deterministic standard-vector complement.
+        Returns (quotient rep, projection RepMorphism).  Per vertex, the
+        quotient coordinates are those of the greedy standard-vector
+        complement C of the basis B, and the projection is the rows of
+        [B | C]^-1 past B; each arrow's map is proj_t E_a restricted to the
+        complement columns of its source.
         """
         f = self.field
-        n = self.quiver.n
-        proj = []
-        for v in range(n):
-            B = basis_mats[v]
-            C = self._complement_columns(B)
-            P = hstack(f, [B, C], rows=E.dim[v]) if E.dim[v] else Matrix.zero(f, 0, 0)
-            if E.dim[v]:
-                Pinv = P.inverse()
-                proj.append(Matrix(f, Pinv.entries[B.cols:], C.cols, E.dim[v]))
-            else:
-                proj.append(Matrix.zero(f, 0, 0))
-        qdim = tuple(p.rows for p in proj)
+        picked, proj = [], []
+        for B in basis_mats:
+            cols, inv = B.completion()
+            picked.append(cols)
+            proj.append(Matrix._of(f, inv.entries[B.cols:], len(cols), B.rows))
         qmaps = []
         for k, (s, t) in enumerate(self.quiver.arrows):
-            # induced map on quotient coords: q_t E_a section_s; solve via proj
-            C_s = self._complement_columns(basis_mats[s])
-            qmaps.append(proj[t] * E.edge_maps[k] * C_s)
-        Q = Representation(self.quiver, f, qdim, qmaps)
+            ea_cs = Matrix._of(f, tuple(tuple(row[j] for j in picked[s])
+                                        for row in E.edge_maps[k].entries),
+                               E.dim[t], len(picked[s]))
+            qmaps.append(proj[t] * ea_cs)
+        Q = Representation(self.quiver, f, tuple(map(len, picked)), qmaps)
         return Q, RepMorphism(E, Q, proj)
 
     def invariant_subreps(self, E, sub_dim):
         """All subrepresentations of E with the given dimension vector.
 
-        Yields (inclusion, projection) pairs: inclusion U -> E with U the
-        induced representation on a canonical subspace basis, projection
-        E -> E/U.  Enumeration order is deterministic.
+        Returns a cached list of (inclusion, E/U, projection) triples:
+        inclusion U -> E with U the induced representation on a canonical
+        subspace basis, projection E -> E/U.  Enumeration order is
+        deterministic.
         """
         key = (E, tuple(sub_dim))
         if key in self._subrep_cache:
@@ -600,16 +581,8 @@ class RepCategory:
         self._subrep_cache[key] = out
         return out
 
-    def quotient(self, E, f_mor):
-        """E / im(f) with induced edge maps; f must be vertexwise injective."""
-        if f_mor.target != E:
-            raise ValueError("morphism does not land in E")
-        if not f_mor.is_injective():
-            raise ValueError("quotient by a non-injective morphism")
-        Q, _ = self._quotient_data(E, list(f_mor.vertex_maps))
-        return Q
-
     def quotient_with_projection(self, E, f_mor):
+        """(E / im f, projection E -> E / im f); f must be vertexwise injective."""
         if not f_mor.is_injective():
             raise ValueError("quotient by a non-injective morphism")
         return self._quotient_data(E, list(f_mor.vertex_maps))
@@ -669,29 +642,24 @@ class RepCategory:
         return E, incl, proj
 
     def _ext_complement(self, M, N):
-        """(complement basis, coboundary basis) inside the cocycle space."""
+        """(complement, reduction) in the cocycle space, cached per (M, N).
+
+        complement: the j whose standard vectors complete the coboundaries
+        greedily.  reduction: the cocycle-space matrix sending a cocycle to
+        its representative in the span of those e_j.  With B' the r pivot
+        columns of the presentation matrix (a basis of the coboundaries),
+        its row j_i is row r + i of [B' | C]^-1 and every other row is zero.
+        """
         key = ("extc", M, N)
         if key in self._hom_cache:
             return self._hom_cache[key]
-        f = self.field
-        phi, _, cod_blocks = self._presentation_matrix(M, N)
-        cod_dim = sum(r * c for r, c in cod_blocks)
-        red, pivots = phi.transpose().rref()
-        image_basis = [tuple(red.entries[i]) for i in range(len(pivots))]
-        comp = []
-        cur = Matrix(f, image_basis, len(image_basis), cod_dim) if image_basis \
-            else Matrix.zero(f, 0, cod_dim)
-        rank = len(image_basis)
-        for j in range(cod_dim):
-            if rank == cod_dim:
-                break
-            e = tuple(f.one if i == j else f.zero for i in range(cod_dim))
-            trial = Matrix(f, list(cur.entries) + [list(e)], cur.rows + 1, cod_dim)
-            if trial.rank() == rank + 1:
-                comp.append(e)
-                cur = trial
-                rank += 1
-        self._hom_cache[key] = (comp, image_basis, cod_dim)
+        phi, _, _ = self._presentation_matrix(M, N)
+        comp, inv = phi.completion()
+        r = phi.rows - len(comp)
+        rows = [(self.field.zero,) * phi.rows] * phi.rows
+        for i, j in enumerate(comp):
+            rows[j] = inv.entries[r + i]
+        self._hom_cache[key] = comp, Matrix._of(self.field, tuple(rows), phi.rows, phi.rows)
         return self._hom_cache[key]
 
     def ext_class_reps(self, M, N):
@@ -700,17 +668,15 @@ class RepCategory:
         The coboundaries are the image of the presentation matrix; a greedy
         standard-vector complement gives one representative per class.
         """
-        f = self.field
-        comp, _, cod_dim = self._ext_complement(M, N)
+        comp, reduction = self._ext_complement(M, N)
         ext_dim = len(comp)
         check_budget(f"Ext^1 class enumeration dim {ext_dim}", self.q ** ext_dim,
                      self.budget)
         reps = []
         for coeffs in enumerate_vectors(self.field, ext_dim):
-            vec = [f.zero] * cod_dim
-            for c, b in zip(coeffs, comp):
-                if c:
-                    vec = [(x + c * y) % f.p for x, y in zip(vec, b)]
+            vec = [self.field.zero] * reduction.rows
+            for c, j in zip(coeffs, comp):
+                vec[j] = c
             reps.append(tuple(vec))
         return reps
 
@@ -741,20 +707,7 @@ class RepCategory:
 
     def reduce_cocycle(self, M, N, vec):
         """Canonical representative of vec modulo coboundaries."""
-        f = self.field
-        comp, image_basis, cod_dim = self._ext_complement(M, N)
-        cols = [list(b) for b in image_basis] + [list(b) for b in comp]
-        if not cols:
-            return tuple(vec)
-        A = Matrix(f, [[cols[j][i] for j in range(len(cols))] for i in range(cod_dim)],
-                   cod_dim, len(cols))
-        sol = A.solve(vec)
-        out = [f.zero] * cod_dim
-        for idx, b in enumerate(comp):
-            c = sol[len(image_basis) + idx]
-            if c:
-                out = [(x + c * y) % f.p for x, y in zip(out, b)]
-        return tuple(out)
+        return self._ext_complement(M, N)[1].apply(vec)
 
     # ---- exact-pair counting ------------------------------------------------
 

@@ -1,9 +1,11 @@
 """Slow brute-force oracles that only the tests call.
 
-Each one recounts a quantity the library computes by a faster route, by
-enumerating every candidate morphism and testing it directly.
+Each one recomputes a quantity the library computes by a faster route:
+by enumerating every candidate morphism and testing it directly, or by
+the one-vector-at-a-time linear algebra the library replaced.
 """
 
+from hallalg.linalg import Matrix
 from hallalg.quiver import dim_add
 
 
@@ -84,3 +86,42 @@ def fixed_ends_by_aut_scan(ext, ses):
     return [beta for beta in ext.ctx.aut_elements(ses.mid)
             if beta.compose(ses.incl) == ses.incl
             and ses.proj.compose(beta) == ses.proj]
+
+
+def complement_columns(B):
+    """The j whose standard vectors e_j complete the independent columns of
+    the n x k matrix B to a basis: each e_j in index order is kept when it
+    raises the rank of the columns kept so far."""
+    f, n = B.field, B.rows
+    cols = list(B.transpose().entries)
+    picked = []
+    for j in range(n):
+        if len(cols) == n:
+            break
+        e = tuple(f.one if i == j else f.zero for i in range(n))
+        if Matrix(f, cols + [e], len(cols) + 1, n).rank() == len(cols) + 1:
+            cols.append(e)
+            picked.append(j)
+    return tuple(picked)
+
+
+def reduce_cocycle_by_solve(ctx, M, N, vec):
+    """vec modulo coboundaries by one linear solve: write vec in the basis
+    (reduced coboundary rows, greedy standard-vector complement) and keep
+    the complement part."""
+    f = ctx.field
+    phi, _, _ = ctx._presentation_matrix(M, N)
+    n = phi.rows
+    red, pivots = phi.transpose().rref()
+    image_basis = list(red.entries[:len(pivots)])
+    comp = complement_columns(Matrix(f, image_basis, len(image_basis), n).transpose())
+    cols = image_basis + [tuple(f.one if i == j else f.zero for i in range(n))
+                          for j in comp]
+    if not cols:
+        return tuple(vec)
+    A = Matrix(f, [[c[i] for c in cols] for i in range(n)], n, n)
+    sol = A.solve(tuple(vec))
+    out = [f.zero] * n
+    for idx, j in enumerate(comp):
+        out[j] = sol[len(image_basis) + idx]
+    return tuple(out)

@@ -277,7 +277,7 @@ def test_aut_routes_match_aut_scans(ctx2):
                 assert orbits == orbits_by_aut_scan(ext, e_label)
                 assert classes == {ctx2.extension_class(x, y, s.mid, s.incl, s.proj)
                                    for s in ext.objects(e_label)}
-                for (ses, _, _), (_, _, stab) in zip(ext.iso_classes(e_label), orbits):
+                for (ses, _), (_, _, stab) in zip(ext.iso_classes(e_label), orbits):
                     assert ext.aut_triples_direct(ses) == stab
                     fixed = [b.vertex_maps for b in ext.aut_fixed_ends(ses)]
                     assert len(set(fixed)) == len(fixed)

@@ -58,6 +58,13 @@ GOLDEN = [
     pytest.param(["verify", "spans", "--quiver", "a3-source"] + Q2,
                  "c4e65e217aff708989820d3c02b40d40202ec32e453b7c53e8d58f2a79bfbaa1",
                  id="verify-spans-a3-source"),
+    pytest.param(["tables", "--quiver", "a3-source", "--q", "3", "--max-dim", "4"],
+                 "9560c44be9eb3cb3d359db63f503fdae02a6fd378f0b0e3676e247a7ed3152c7",
+                 id="tables-a3-source-q3"),
+    pytest.param(["verify", "bilinearity", "--quiver", "a3-source", "--q", "3",
+                  "--max-dim", "2"],
+                 "e52fa0a8c6631f008a58fda4c6c69789fb109ff5d530d20e56ff0c8f73a45bf8",
+                 id="verify-bilinearity-a3-source-q3"),
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 from hallalg.linalg import (BudgetError, Matrix, PrimeField, enumerate_gl,
                             enumerate_matrices, enumerate_subspaces,
                             enumerate_vectors, gaussian_binomial, gl_order)
+from oracles import complement_columns
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -134,6 +135,47 @@ def test_matrix_inverse_and_product():
     assert m * inv == Matrix.identity(F5, 2)
     with pytest.raises(ValueError):
         Matrix(F2, [[1, 1], [1, 1]]).inverse()
+
+
+def _check_completion(B):
+    """completion() picks the greedy complement of B's pivot columns B', and
+    its inverse half inverts [B' | C]."""
+    f, n = B.field, B.rows
+    _, pivots = B.rref()
+    Bp = Matrix(f, [[row[c] for c in pivots] for row in B.entries], n, len(pivots))
+    picked, inv = B.completion()
+    assert picked == complement_columns(Bp)
+    A = Matrix(f, [row + tuple(f.one if i == j else f.zero for j in picked)
+                   for i, row in enumerate(Bp.entries)], n, n)
+    assert (inv.rows, inv.cols) == (n, n)
+    assert inv * A == Matrix.identity(f, n)
+
+
+def test_completion_matches_greedy_complement():
+    # every canonical subspace basis for n <= 3 over F_2 and F_3, the 0 x 0
+    # and n x 0 shapes included
+    cases = 0
+    for f in (F2, F3):
+        for n in range(4):
+            for k in range(n + 1):
+                for B in enumerate_subspaces(f, n, k):
+                    _check_completion(B)
+                    cases += 1
+    assert cases == sum(gaussian_binomial(n, k, p)
+                        for p in (2, 3) for n in range(4) for k in range(n + 1))
+    # random bases over F_5, and random matrices that need not have full
+    # column rank (the presentation matrices of Ext reductions are such)
+    rng = random.Random(20261018)
+    full = 0
+    for _ in range(200):
+        n, k = rng.randint(0, 5), rng.randint(0, 5)
+        B = Matrix(F5, [[rng.randrange(5) for _ in range(k)] for _ in range(n)], n, k)
+        full += B.rank() == k
+        _check_completion(B)
+    assert 0 < full < 200
+    # the greedy order: e_0 is skipped when B already spans it
+    B = Matrix(F3, [[1], [0], [0]])
+    assert B.completion()[0] == (1, 2)
 
 
 def test_gl_enumeration_matches_order_formula():

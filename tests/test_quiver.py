@@ -1,16 +1,19 @@
+import random
+from itertools import product
+
 import pytest
 
 from hallalg.linalg import BudgetError, Matrix, PrimeField, enumerate_matrices
 from hallalg.quiver import (Quiver, RepCategory, RepMorphism, Representation,
                             dim_vectors_with_total)
-from oracles import aut_order_slow, count_exact_pairs_slow
+from oracles import (aut_order_slow, complement_columns, count_exact_pairs_slow,
+                     reduce_cocycle_by_solve)
 
 
 def hom_count_oracle(ctx, M, N):
     """Enumerate every tuple of vertex maps and keep the commuting ones."""
     per_vertex = [list(enumerate_matrices(N.dim[v], M.dim[v], ctx.q))
                   for v in range(ctx.quiver.n)]
-    from itertools import product
     count = 0
     for maps in product(*per_vertex):
         if RepMorphism(M, N, maps).is_valid():
@@ -191,19 +194,20 @@ def test_quotient_examples(ctx2, reps2):
     # E / 0 is E
     zmor = RepMorphism(zero, P1, [Matrix.zero(ctx2.field, 1, 0),
                                   Matrix.zero(ctx2.field, 1, 0)])
-    assert ctx2.is_isomorphic(ctx2.quotient(P1, zmor), P1)
+    assert ctx2.is_isomorphic(ctx2.quotient_with_projection(P1, zmor)[0], P1)
     # P1 / S2 is S1
     inc = RepMorphism(S2, P1, [Matrix.zero(ctx2.field, 1, 0),
                                Matrix(ctx2.field, [[1]])])
     assert inc.is_valid()
-    assert ctx2.is_isomorphic(ctx2.quotient(P1, inc), S1)
+    assert ctx2.is_isomorphic(ctx2.quotient_with_projection(P1, inc)[0], S1)
     # (M + N) / N is M for the canonical injection
     inc2 = RepMorphism(S2, SS, [Matrix.zero(ctx2.field, 1, 0),
                                 Matrix(ctx2.field, [[1]])])
-    assert ctx2.is_isomorphic(ctx2.quotient(SS, inc2), S1)
+    assert ctx2.is_isomorphic(ctx2.quotient_with_projection(SS, inc2)[0], S1)
     with pytest.raises(ValueError):
-        ctx2.quotient(P1, RepMorphism(S2, P1, [Matrix.zero(ctx2.field, 1, 0),
-                                               Matrix(ctx2.field, [[0]])]))
+        ctx2.quotient_with_projection(
+            P1, RepMorphism(S2, P1, [Matrix.zero(ctx2.field, 1, 0),
+                                     Matrix(ctx2.field, [[0]])]))[0]
 
 
 def test_middle_term_examples(ctx2, ctx3, reps2, reps3):
@@ -247,6 +251,58 @@ def test_invariant_subreps_consistency(ctx2, reps2):
     assert proj.compose(incl).is_zero()
     # no invariant subrep of P1 has dimension (1, 0)
     assert ctx2.invariant_subreps(E, (1, 0)) == []
+
+
+def test_quotient_coordinates_are_the_greedy_complement(a3_source):
+    """Per vertex, the projection to E/U sends the basis B of U to 0 and the
+    greedy complement C to the identity, and each arrow acts on E/U as
+    proj_t E_a C_s."""
+    ctx = RepCategory(a3_source, 3)
+    f = ctx.field
+    seen = 0
+    for cls in ctx.classes_up_to(3):
+        E = cls.rep
+        for sub_dim in product(*(range(d + 1) for d in E.dim)):
+            for incl, Q, proj in ctx.invariant_subreps(E, sub_dim):
+                C = []
+                for B, P in zip(incl.vertex_maps, proj.vertex_maps):
+                    picked = complement_columns(B)
+                    C.append(Matrix(f, [[int(i == j) for j in picked] for i in range(B.rows)],
+                                    B.rows, len(picked)))
+                    assert P * B == Matrix.zero(f, P.rows, B.cols)
+                    assert P * C[-1] == Matrix.identity(f, P.rows)
+                for k, (s, t) in enumerate(a3_source.arrows):
+                    assert Q.edge_maps[k] == proj.vertex_maps[t] * E.edge_maps[k] * C[s]
+                seen += 1
+    assert seen > 100
+
+
+def test_reduce_cocycle_matches_solve_oracle(ctx2, ctx3, a3_source):
+    """One cached reduction matrix per (M, N) agrees with a fresh solve per
+    cocycle, is idempotent and kills every coboundary."""
+    rng = random.Random(20261018)
+    shapes = set()
+    for ctx in (ctx2, ctx3, RepCategory(a3_source, 3)):
+        p = ctx.q
+        classes = [c.rep for c in ctx.classes_up_to(2)]
+        for M in classes:
+            for N in classes:
+                phi, _, _ = ctx._presentation_matrix(M, N)
+                ext = ctx.ext1_dim(M, N)
+                shapes.add((phi.rows == 0, ext == 0))
+                vecs = [tuple(rng.randrange(p) for _ in range(phi.rows)) for _ in range(6)]
+                for v in vecs:
+                    red = ctx.reduce_cocycle(M, N, v)
+                    assert red == reduce_cocycle_by_solve(ctx, M, N, v)
+                    assert ctx.reduce_cocycle(M, N, red) == red
+                zero = (0,) * phi.rows
+                for _ in range(4):
+                    x = tuple(rng.randrange(p) for _ in range(phi.cols))
+                    assert ctx.reduce_cocycle(M, N, phi.apply(x)) == zero
+                reps = ctx.ext_class_reps(M, N)
+                assert len({ctx.reduce_cocycle(M, N, r) for r in reps}) == p ** ext
+    # cocycle space 0, Ext = 0 with nonzero cocycles, and Ext != 0 all occur
+    assert shapes == {(True, True), (False, True), (False, False)}
 
 
 def test_indecomposables_match_gabriel(ctx2, ctx_a3):
