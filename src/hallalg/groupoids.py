@@ -558,16 +558,6 @@ def compose_spans(t, s, budget=DEFAULT_BUDGET):
     return ConcreteSpan(P, t.left.compose_with(pi_T), s.right.compose_with(pi_S))
 
 
-def add_spans(s1, s2):
-    """Disjoint union of apexes over the same feet."""
-    if s1.foot_left is not s2.foot_left or s1.foot_right is not s2.foot_right:
-        raise ValueError("span addition needs identical feet")
-    P, injL, injR = coproduct_groupoid(s1.apex, s2.apex)
-    left = _copair(P, injL, injR, s1.left, s2.left)
-    right = _copair(P, injL, injR, s1.right, s2.right)
-    return ConcreteSpan(P, left, right)
-
-
 def _copair(P, injL, injR, fL, fR):
     obj_map = [0] * P.n_objects()
     mor_map = [0] * P.n_morphisms()
@@ -580,12 +570,6 @@ def _copair(P, injL, injR, fL, fR):
     for m in range(fR.source.n_morphisms()):
         mor_map[injR.mor_map[m]] = fR.mor_map[m]
     return GroupoidFunctor(P, fL.target, obj_map, mor_map)
-
-
-def scale_span(lam, s):
-    """Multiply a span by a scalar groupoid: apex becomes lam x apex."""
-    P, _, pi2 = product_groupoid(lam, s.apex)
-    return ConcreteSpan(P, s.left.compose_with(pi2), s.right.compose_with(pi2))
 
 
 def scale_vector(lam, v):

@@ -301,7 +301,7 @@ def suite_bsim(ctx, hall, max_dim, only=None, cap=2):
     bound = min(max_dim, cap)
     base = cathall.build_A0(ctx, bound)
     span = cathall.BraidingSpan(ctx, base, base)
-    rep = cathall.bsim_ext_check(ctx, span)
+    rep = cathall.bsim_ext_check(ctx, span, only)
     failures = list(rep["failures"])
     matrix = span.matrix()
     instances = rep["instances"]
@@ -329,9 +329,9 @@ def suite_coherence(ctx, max_dim, only=None, cap=2):
     for name in cathall.COHERENCE_NAMES:
         if only is not None and not only.startswith(name):
             continue
-        rep = cathall.coherence_check(ctx, name, bound)
+        rep = cathall.coherence_check(ctx, name, bound, only)
         instances += rep["instances"]
-        failures.extend(f"{name}: {f}" for f in rep["failures"])
+        failures.extend(rep["failures"])
     return {"check": "coherence", "instances": instances, "failures": failures,
             "bound": bound,
             "scope_note": "object/cardinality level; 2-cell equalities out of scope"}

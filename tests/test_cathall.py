@@ -65,6 +65,19 @@ def test_build_ext_object_counts(ctx2, ctx3, reps2, reps3):
                     == ctx.count_exact_pairs(M, N, ext._piece_reps[e])
 
 
+def test_ext_groupoid_of_is_shared_per_context(a2, reps2):
+    """ExtGroupoid.of keys on the literal pair within one context only."""
+    ctx = RepCategory(a2, 2)
+    S1, S2 = reps2["S1"], reps2["S2"]
+    ext = ExtGroupoid.of(ctx, S1.direct_sum(S2), S2)
+    # an equal but newly built M finds the same groupoid
+    assert ExtGroupoid.of(ctx, S1.direct_sum(S2), S2) is ext
+    assert ExtGroupoid.of(ctx, S2, S1.direct_sum(S2)) is not ext
+    assert ExtGroupoid.of(RepCategory(a2, 2), S1.direct_sum(S2), S2) is not ext
+    fresh = ExtGroupoid(ctx, S1.direct_sum(S2), S2)
+    assert fresh is not ext and ExtGroupoid.of(ctx, S1.direct_sum(S2), S2) is ext
+
+
 def test_ext_objects_are_budgeted(a2):
     """Building the objects of a piece is checked against the budget first."""
     ctx = RepCategory(a2, 2, budget=30)
@@ -616,8 +629,7 @@ def test_engine_grounds_coherence_path_cardinality(ctx2):
 
     composite = gpd.compose_spans(span2, span1)
     got = composite.apex.cardinality()
-    want = _path_value(ctx2, [(a.dim, b.dim), (a.dim, zero.dim)],
-                       (a, b, zero, zero))
+    want = _path_value(ctx2, [(a, b), (a, zero)], (a, b, zero, zero))
     assert got == want == Fraction(1)
     # and the one-step path through the summed subobject agrees
     direct = ExtGroupoid(ctx2, a, b.direct_sum(zero))

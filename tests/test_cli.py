@@ -176,3 +176,33 @@ def test_bundled_quivers_load(capsys):
         code, out, _ = run(capsys, "verify", "gabriel", "--quiver", name,
                            "--max-dim", "2")
         assert code == 0
+
+
+def test_verify_bsim_replays_one_ext_pair(capsys):
+    code, out, _ = run(capsys, "verify", "bsim", "--max-dim", "2",
+                       "--only", "bsim-ext:d1.0#0|d0.1#0")
+    assert code == 0
+    assert json.loads(out)["suites"][0]["instances"] == 1
+
+
+def test_verify_coherence_failure_replays_by_id(capsys, monkeypatch):
+    """A broken Euler form fails the shuffles; the first failure replays alone."""
+    from hallalg.quiver import RepCategory
+    euler_form = RepCategory.euler_form
+
+    def off_by_one(self, m, n):
+        return euler_form(self, m, n) + (1 if any(m) and any(n) else 0)
+
+    monkeypatch.setattr(RepCategory, "euler_form", off_by_one)
+    code, out, _ = run(capsys, "verify", "coherence", "--max-dim", "2")
+    assert code == 1
+    failures = json.loads(out)["suites"][0]["failures"]
+    for name in ("shuffle-1-3", "shuffle-3-1", "shuffle-2-2"):
+        assert any(f.startswith(name + ":") and "fixed-end piece value off" in f
+                   for f in failures), name
+    inst = failures[0].split(": ")[0]
+    code, out, _ = run(capsys, "verify", "coherence", "--max-dim", "2", "--only", inst)
+    assert code == 1
+    suite = json.loads(out)["suites"][0]
+    assert suite["instances"] == 1
+    assert suite["failures"][0] == failures[0]

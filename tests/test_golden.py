@@ -65,6 +65,13 @@ GOLDEN = [
                   "--max-dim", "2"],
                  "e52fa0a8c6631f008a58fda4c6c69789fb109ff5d530d20e56ff0c8f73a45bf8",
                  id="verify-bilinearity-a3-source-q3"),
+    pytest.param(["verify", "coherence", "--quiver", "a3-linear", "--q", "2",
+                  "--max-dim", "2"],
+                 "b4e75a77cc3d3239ffccb665ea726bd43b3227610030b385e69040a7aa303099",
+                 id="verify-coherence-a3-linear"),
+    pytest.param(["verify", "bilinearity", "--quiver", "a3-linear"] + Q2,
+                 "76300d4ee0f849141b7754e5876b704c1ce76f6618231a723d0945fea68d4fbe",
+                 id="verify-bilinearity-a3-linear"),
 ]
 
 

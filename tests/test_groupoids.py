@@ -184,20 +184,6 @@ def test_functoriality_on_seeded_spans():
         assert e_ts == gpd.matrix_product(e_t, e_s)
 
 
-def test_span_addition_and_scaling():
-    pt = gpd.discrete_groupoid(1)
-    a = gpd.group_groupoid(gpd.cyclic_table(2))
-    leg = gpd.GroupoidFunctor(a, pt, [0], [0, 0])
-    span = gpd.ConcreteSpan(a, leg, leg)
-    double = gpd.add_spans(span, span)
-    e, _, _ = gpd.degroupoidify_span(double)
-    assert e == {(0, 0): Fraction(1)}
-    lam = gpd.group_groupoid(gpd.cyclic_table(2))
-    half = gpd.scale_span(lam, span)
-    e2, _, _ = gpd.degroupoidify_span(half)
-    assert e2 == {(0, 0): Fraction(1, 4)}
-
-
 def test_apply_span_matches_matrix():
     rng = gpd.RandomGroupoids(5)
     X, Y = rng.groupoid(), rng.groupoid()
