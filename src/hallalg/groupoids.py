@@ -173,72 +173,6 @@ def equivalent(G, H):
     return gs == hs
 
 
-def group_tables_isomorphic(t1, t2, max_order=16):
-    """Exhaustive bijection search for small multiplication tables.
-
-    Returns True/False, or None when the order exceeds max_order and the
-    search is skipped (callers record that gap).
-    """
-    n = len(t1)
-    if n != len(t2):
-        return False
-    if n > max_order:
-        return None
-    e1 = next(i for i in range(n) if all(t1[i][j] == j for j in range(n)))
-    e2 = next(i for i in range(n) if all(t2[i][j] == j for j in range(n)))
-    order1 = [_element_order(t1, e1, i) for i in range(n)]
-    order2 = [_element_order(t2, e2, i) for i in range(n)]
-    if sorted(order1) != sorted(order2):
-        return False
-
-    assign = [None] * n
-    used = [False] * n
-    assign[e1] = e2
-    used[e2] = True
-
-    def backtrack(pos):
-        while pos < n and assign[pos] is not None:
-            pos += 1
-        if pos == n:
-            return all(assign[t1[a][b]] == t2[assign[a]][assign[b]]
-                       for a in range(n) for b in range(n))
-        for j in range(n):
-            if used[j] or order1[pos] != order2[j]:
-                continue
-            ok = True
-            for a in range(n):
-                if assign[a] is None:
-                    continue
-                c = t1[a][pos]
-                if assign[c] is not None and assign[c] != t2[assign[a]][j]:
-                    ok = False
-                    break
-                c = t1[pos][a]
-                if assign[c] is not None and assign[c] != t2[j][assign[a]]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[pos] = j
-            used[j] = True
-            if backtrack(pos + 1):
-                return True
-            assign[pos] = None
-            used[j] = False
-        return False
-
-    return backtrack(0)
-
-
-def _element_order(table, e, i):
-    k = 1
-    cur = i
-    while cur != e:
-        cur = table[cur][i]
-        k += 1
-    return k
-
-
 # ---- constructors -------------------------------------------------------------
 
 

@@ -289,8 +289,8 @@ def suite_bilinearity(ctx, max_dim, only=None):
 
 def suite_spans(ctx, hall, max_dim, only=None):
     """Degroupoidified multiplication/comultiplication spans against the algebra."""
-    rep_m = cathall.mult_matrix_against_hall(ctx, hall, max_dim)
-    rep_c = cathall.comult_matrix_against_hall(ctx, hall, max_dim)
+    rep_m = cathall.mult_matrix_against_hall(ctx, hall, max_dim, only)
+    rep_c = cathall.comult_matrix_against_hall(ctx, hall, max_dim, only)
     return {"check": "spans", "instances": rep_m["instances"] + rep_c["instances"],
             "failures": rep_m["failures"] + rep_c["failures"],
             "scope_note": "matrix entries vs structure constants, exact"}
@@ -303,7 +303,7 @@ def suite_bsim(ctx, hall, max_dim, only=None, cap=2):
     span = cathall.BraidingSpan(ctx, base, base)
     rep = cathall.bsim_ext_check(ctx, span, only)
     failures = list(rep["failures"])
-    matrix = span.matrix()
+    matrix = None
     instances = rep["instances"]
     for i, x in enumerate(base.objects):
         for j, y in enumerate(base.objects):
@@ -313,6 +313,8 @@ def suite_bsim(ctx, hall, max_dim, only=None, cap=2):
             if not _want(only, inst):
                 continue
             instances += 1
+            if matrix is None:
+                matrix = span.matrix()
             got = matrix.get(((ly, lx), (lx, ly)), Fraction(0))
             want = hall.braid_coeff(x.dim, y.dim)
             if got != want:

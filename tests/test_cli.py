@@ -178,11 +178,47 @@ def test_bundled_quivers_load(capsys):
         assert code == 0
 
 
-def test_verify_bsim_replays_one_ext_pair(capsys):
+def test_verify_bsim_replays_one_ext_pair(capsys, monkeypatch):
+    """The replay builds the one sequence groupoid it checks, and no other."""
+    from hallalg.cathall import ExtGroupoid
+    built = []
+    init = ExtGroupoid.__init__
+
+    def counted(self, ctx, M, N):
+        built.append((M, N))
+        init(self, ctx, M, N)
+
+    monkeypatch.setattr(ExtGroupoid, "__init__", counted)
     code, out, _ = run(capsys, "verify", "bsim", "--max-dim", "2",
                        "--only", "bsim-ext:d1.0#0|d0.1#0")
     assert code == 0
     assert json.loads(out)["suites"][0]["instances"] == 1
+    assert len(built) == 1
+
+
+def test_verify_spans_failure_replays_by_id(capsys, monkeypatch):
+    """A patched product entry fails the mult span; its id replays alone."""
+    from hallalg.hall import HallAlgebra
+    product_basis = HallAlgebra.product_basis
+
+    def patched(self, la, lb):
+        out = product_basis(self, la, lb)
+        if (la, lb) == ("d1.0#0", "d0.1#0"):
+            out = dict(out)
+            out["d1.1#0"] = out.get("d1.1#0", 0) + 1
+        return out
+
+    monkeypatch.setattr(HallAlgebra, "product_basis", patched)
+    code, out, _ = run(capsys, "verify", "spans", "--max-dim", "2")
+    assert code == 1
+    failures = json.loads(out)["suites"][0]["failures"]
+    assert failures[0].startswith("mult:d1.1#0|d1.0#0|d0.1#0: ")
+    inst = failures[0].split(": ")[0]
+    code, out, _ = run(capsys, "verify", "spans", "--max-dim", "2", "--only", inst)
+    assert code == 1
+    suite = json.loads(out)["suites"][0]
+    assert suite["instances"] == 1
+    assert suite["failures"] == [failures[0]]
 
 
 def test_verify_coherence_failure_replays_by_id(capsys, monkeypatch):

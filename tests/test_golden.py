@@ -72,6 +72,9 @@ GOLDEN = [
     pytest.param(["verify", "bilinearity", "--quiver", "a3-linear"] + Q2,
                  "76300d4ee0f849141b7754e5876b704c1ce76f6618231a723d0945fea68d4fbe",
                  id="verify-bilinearity-a3-linear"),
+    pytest.param(["verify", "bsim", "--quiver", "d4", "--q", "2", "--max-dim", "2"],
+                 "f21fcee64cb966128c71574d046423266d4cce9d605eb8979d5d0083dbbda504",
+                 id="verify-bsim-d4"),
 ]
 
 
