@@ -150,15 +150,6 @@ class RepGroupoid:
         self.ctx = ctx
         self.objects = list(reps)
 
-    def aut_order(self, i):
-        return self.ctx.aut_order(self.objects[i])
-
-    def cardinality(self):
-        seen = {}
-        for r in self.objects:
-            seen.setdefault(self.ctx.class_of(r).label, r)
-        return sum(Fraction(1, self.ctx.aut_order(r)) for r in seen.values())
-
 
 def build_A0(ctx, bound):
     """The truncated base: one canonical witness per class, total dim <= bound."""

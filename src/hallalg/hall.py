@@ -50,12 +50,7 @@ class HallVector:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        clean = {}
-        for k, v in (coeffs or {}).items():
-            v = Fraction(v)
-            if v != 0:
-                clean[k] = v
-        self.coeffs = clean
+        self.coeffs = {k: Fraction(v) for k, v in (coeffs or {}).items() if v}
 
     @classmethod
     def basis(cls, *labels):
@@ -66,14 +61,21 @@ class HallVector:
     def combine(cls, terms):
         """sum of c * x over (x, c) in terms, each x a {key: coeff} dict.
 
-        Accumulates into one dict, so n terms cost O(total size) rather
-        than the O(n^2) of repeated vector additions.
+        Accumulates into one dict, dropping a key whose sum cancels, so n
+        terms cost O(total size) rather than the O(n^2) of repeated vector
+        additions.
         """
         acc = {}
         for coeffs, c in terms:
             for k, v in coeffs.items():
-                acc[k] = acc.get(k, 0) + v * c
-        return cls(acc)
+                s = acc.get(k, 0) + v * c
+                if s:
+                    acc[k] = s
+                else:
+                    acc.pop(k, None)
+        out = cls.__new__(cls)
+        out.coeffs = acc
+        return out
 
     def __add__(self, other):
         return HallVector.combine(((self.coeffs, 1), (other.coeffs, 1)))
@@ -120,6 +122,7 @@ class HallAlgebra:
         self._product_cache = {}
         self._coproduct_cache = {}
         self._antipode_cache = {}
+        self._braid_cache = {}
 
     # ---- grading helpers ----------------------------------------------------
 
@@ -127,14 +130,17 @@ class HallAlgebra:
         return self.ctx.classify((0,) * self.ctx.quiver.n)[0].label
 
     def grade(self, label):
-        return parse_label(label)[0]
+        return self.ctx.class_by_label(label).dim
 
     def q_power(self, k):
         """q**k as an exact rational; negative k becomes 1/q**(-k)."""
         return q_power(self.q, k)
 
     def braid_coeff(self, grade_first, grade_second):
-        return self.q_power(-self.ctx.euler_form(grade_first, grade_second))
+        key = (grade_first, grade_second)
+        if key not in self._braid_cache:
+            self._braid_cache[key] = self.q_power(-self.ctx.euler_form(*key))
+        return self._braid_cache[key]
 
     def unit(self):
         return HallVector.basis(self.zero_label())
@@ -167,15 +173,12 @@ class HallAlgebra:
         if key in self._product_cache:
             return self._product_cache[key]
         ctx = self.ctx
-        M = ctx.class_by_label(label_m).rep
-        N = ctx.class_by_label(label_n).rep
-        denom = ctx.aut_order(M) * ctx.aut_order(N)
-        total = dim_add(M.dim, N.dim)
+        cm, cn = ctx.class_by_label(label_m), ctx.class_by_label(label_n)
         out = {}
-        for cls in ctx.classify(total):
-            p = ctx.count_exact_pairs(M, N, cls.rep)
+        for ce in ctx.classify(dim_add(cm.dim, cn.dim)):
+            p = ctx.pair_count(cm, cn, ce)
             if p:
-                out[cls.label] = Fraction(p, denom)
+                out[ce.label] = Fraction(p, cm.aut * cn.aut)
         self._product_cache[key] = out
         return out
 
@@ -196,17 +199,16 @@ class HallAlgebra:
         if label_e in self._coproduct_cache:
             return self._coproduct_cache[label_e]
         ctx = self.ctx
-        E = ctx.class_by_label(label_e).rep
-        aut_e = ctx.aut_order(E)
+        ce = ctx.class_by_label(label_e)
         out = {}
-        for dim_m in self._splittings(E.dim):
-            dim_n = tuple(e - m for e, m in zip(E.dim, dim_m))
+        for dim_m in self._splittings(ce.dim):
+            dim_n = tuple(e - m for e, m in zip(ce.dim, dim_m))
             for cm in ctx.classify(dim_m):
                 for cn in ctx.classify(dim_n):
-                    p = ctx.count_exact_pairs(cm.rep, cn.rep, E)
+                    p = ctx.pair_count(cm, cn, ce)
                     if p:
                         # tensor order is [N] (x) [M]: sub before quotient
-                        out[(cn.label, cm.label)] = Fraction(p, aut_e)
+                        out[(cn.label, cm.label)] = Fraction(p, ce.aut)
         self._coproduct_cache[label_e] = out
         return out
 
@@ -258,21 +260,18 @@ class HallAlgebra:
     def green_residual(self, label_m, label_n, label_x, label_y):
         """LHS minus RHS of Green's formula; identically zero when it holds."""
         ctx = self.ctx
-        M = ctx.class_by_label(label_m).rep
-        N = ctx.class_by_label(label_n).rep
-        X = ctx.class_by_label(label_x).rep
-        Y = ctx.class_by_label(label_y).rep
+        M, N, X, Y = (ctx.class_by_label(l) for l in (label_m, label_n, label_x, label_y))
         if dim_add(M.dim, N.dim) != dim_add(X.dim, Y.dim):
             return Fraction(0)
         total = dim_add(M.dim, N.dim)
         lhs = Fraction(0)
-        for cls in ctx.classify(total):
-            pe_mn = ctx.count_exact_pairs(M, N, cls.rep)
+        for ce in ctx.classify(total):
+            pe_mn = ctx.pair_count(M, N, ce)
             if not pe_mn:
                 continue
-            pe_xy = ctx.count_exact_pairs(X, Y, cls.rep)
+            pe_xy = ctx.pair_count(X, Y, ce)
             if pe_xy:
-                lhs += Fraction(pe_mn * pe_xy, ctx.aut_order(cls.rep))
+                lhs += Fraction(pe_mn * pe_xy, ce.aut)
         rhs = Fraction(0)
         n = ctx.quiver.n
         from itertools import product as iproduct
@@ -287,23 +286,22 @@ class HallAlgebra:
                 continue
             for ca in ctx.classify(dim_a):
                 for cb in ctx.classify(dim_b):
-                    p_m = ctx.count_exact_pairs(ca.rep, cb.rep, M)
+                    p_m = ctx.pair_count(ca, cb, M)
                     if not p_m:
                         continue
                     for cc in ctx.classify(dim_c):
-                        p_x = ctx.count_exact_pairs(ca.rep, cc.rep, X)
+                        p_x = ctx.pair_count(ca, cc, X)
                         if not p_x:
                             continue
                         for cd in ctx.classify(dim_d):
-                            p_n = ctx.count_exact_pairs(cc.rep, cd.rep, N)
+                            p_n = ctx.pair_count(cc, cd, N)
                             if not p_n:
                                 continue
-                            p_y = ctx.count_exact_pairs(cb.rep, cd.rep, Y)
+                            p_y = ctx.pair_count(cb, cd, Y)
                             if not p_y:
                                 continue
                             coeff = self.braid_coeff(dim_a, dim_d)
-                            denom = (ctx.aut_order(ca.rep) * ctx.aut_order(cb.rep)
-                                     * ctx.aut_order(cc.rep) * ctx.aut_order(cd.rep))
+                            denom = ca.aut * cb.aut * cc.aut * cd.aut
                             rhs += coeff * Fraction(p_m * p_n * p_x * p_y, denom)
         return lhs - rhs
 

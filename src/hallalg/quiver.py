@@ -277,12 +277,13 @@ class RepMorphism:
 
 @dataclass(frozen=True)
 class IsoClass:
-    """Canonical representative plus a stable label for one iso class."""
+    """Canonical representative, stable label and |Aut| of one iso class."""
     quiver_name: str
     dim: tuple
     index: int
     rep: Representation
     orbit_size: int
+    aut: int
 
     @cached_property
     def label(self):
@@ -306,8 +307,10 @@ class RepCategory:
         self.budget = budget
         self._classes = {}        # dim -> list[IsoClass]
         self._canon = {}          # dim -> {edge tuple: class index}
+        self._by_label = {}       # label -> IsoClass
         self._hom_cache = {}
         self._pair_count_cache = {}
+        self._census_cache = {}
         self._aut_list_cache = {}
         self._subrep_cache = {}
 
@@ -334,7 +337,8 @@ class RepCategory:
         """Isomorphism classes of representations with the given dimension vector.
 
         Representatives are the lexicographically least edge tuple of each
-        orbit, in enumeration order, so labels are deterministic.
+        orbit, in enumeration order, so labels are deterministic.  |Aut| is
+        read off by orbit-stabilizer inside prod_v GL(dim_v).
         """
         dim = tuple(dim)
         if dim in self._classes:
@@ -342,6 +346,7 @@ class RepCategory:
         check_budget(f"classify{dim} tuple space", self.tuple_space_size(dim), self.budget)
         per_arrow = self._edge_tuple_space(dim)
         gens = self._vertex_generators(dim)
+        group = prod(gl_order(d, self.q) for d in dim)
         visited = {}
         classes = []
         for tup in product(*per_arrow) if per_arrow else [()]:
@@ -367,8 +372,11 @@ class RepCategory:
                         frontier.append(new)
             for member in orbit:
                 visited[member] = index
+            assert group % len(orbit) == 0
             rep = Representation(self.quiver, self.field, dim, tup)
-            classes.append(IsoClass(self.quiver.name, dim, index, rep, len(orbit)))
+            cls = IsoClass(self.quiver.name, dim, index, rep, len(orbit), group // len(orbit))
+            classes.append(cls)
+            self._by_label[cls.label] = cls
         self._classes[dim] = classes
         self._canon[dim] = visited
         return classes
@@ -384,13 +392,7 @@ class RepCategory:
         return self.class_of(M).index == self.class_of(N).index
 
     def aut_order(self, M):
-        """|Aut(M)|, by orbit-stabilizer inside prod_v GL(dim_v)."""
-        cls = self.class_of(M)
-        group = 1
-        for d in M.dim:
-            group *= gl_order(d, self.q)
-        assert group % cls.orbit_size == 0
-        return group // cls.orbit_size
+        return self.class_of(M).aut
 
     def classes_up_to(self, bound):
         """All iso classes with total dimension <= bound, in label order."""
@@ -401,9 +403,10 @@ class RepCategory:
         return out
 
     def class_by_label(self, label):
+        if label in self._by_label:
+            return self._by_label[label]
         dims, _, index = label[1:].partition("#")
-        dim = tuple(int(x) for x in dims.split("."))
-        return self.classify(dim)[int(index)]
+        return self.classify(tuple(int(x) for x in dims.split(".")))[int(index)]
 
     # ---- Hom, Ext, Euler form ---------------------------------------------
 
@@ -712,24 +715,38 @@ class RepCategory:
     # ---- exact-pair counting ------------------------------------------------
 
     def count_exact_pairs(self, M, N, E):
-        """P^E_{MN}: the number of exact pairs 0 -> N -f-> E -g-> M -> 0.
-
-        Each exact pair factors through its image subrepresentation, so the
-        count is aut(M) * aut(N) * #{invariant U <= E : U ~ N, E/U ~ M}.
-        """
+        """P^E_{MN}: the number of exact pairs 0 -> N -f-> E -g-> M -> 0."""
         self._same_quiver(M, N, E)
         if dim_add(M.dim, N.dim) != E.dim:
             return 0
-        key = (self.class_of(M).label, self.class_of(N).label, self.class_of(E).label)
-        if key in self._pair_count_cache:
-            return self._pair_count_cache[key]
-        g = 0
-        for incl, Q, proj in self.invariant_subreps(E, N.dim):
-            if self.is_isomorphic(incl.source, N) and self.is_isomorphic(Q, M):
-                g += 1
-        out = self.aut_order(M) * self.aut_order(N) * g
-        self._pair_count_cache[key] = out
+        return self.pair_count(self.class_of(M), self.class_of(N), self.class_of(E))
+
+    def pair_count(self, cm, cn, ce):
+        """P^E_{MN} for iso classes M, N, E.
+
+        Each exact pair factors through its image subrepresentation, so the
+        count is aut(M) * aut(N) * #{invariant U <= E : U ~ N, E/U ~ M},
+        read off the census of E at sub-dimension dim N.
+        """
+        key = (cm.label, cn.label, ce.label)
+        out = self._pair_count_cache.get(key)
+        if out is None:
+            g = 0
+            if dim_add(cm.dim, cn.dim) == ce.dim:
+                g = self._census(ce, cn.dim).get((cm.index, cn.index), 0)
+            out = self._pair_count_cache[key] = cm.aut * cn.aut * g
         return out
+
+    def _census(self, ce, sub_dim):
+        """{(class index of E/U, class index of U): count} over U <= E of dim sub_dim."""
+        key = (ce.label, sub_dim)
+        census = self._census_cache.get(key)
+        if census is None:
+            census = self._census_cache[key] = {}
+            for incl, Q, _ in self.invariant_subreps(ce.rep, sub_dim):
+                k = (self.class_of(Q).index, self.class_of(incl.source).index)
+                census[k] = census.get(k, 0) + 1
+        return census
 
     def _span_elements(self, basis, src, tgt):
         """Every combination of basis (morphisms src -> tgt), in coefficient order."""

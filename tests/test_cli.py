@@ -214,11 +214,16 @@ def test_verify_spans_failure_replays_by_id(capsys, monkeypatch):
     failures = json.loads(out)["suites"][0]["failures"]
     assert failures[0].startswith("mult:d1.1#0|d1.0#0|d0.1#0: ")
     inst = failures[0].split(": ")[0]
+    from hallalg import cathall
+    comult_built = []
+    monkeypatch.setattr(cathall, "comult_span_matrix",
+                        lambda *args: comult_built.append(args) or {})
     code, out, _ = run(capsys, "verify", "spans", "--max-dim", "2", "--only", inst)
     assert code == 1
     suite = json.loads(out)["suites"][0]
     assert suite["instances"] == 1
     assert suite["failures"] == [failures[0]]
+    assert comult_built == []       # a mult: id runs only the mult side
 
 
 def test_verify_coherence_failure_replays_by_id(capsys, monkeypatch):

@@ -75,6 +75,30 @@ GOLDEN = [
     pytest.param(["verify", "bsim", "--quiver", "d4", "--q", "2", "--max-dim", "2"],
                  "f21fcee64cb966128c71574d046423266d4cce9d605eb8979d5d0083dbbda504",
                  id="verify-bsim-d4"),
+    pytest.param(["verify", "algebra", "--quiver", "a3-source"] + Q2,
+                 "31b113b831fbdfc0cb72b2f8ce052e44f84dc3173131da548db4fd29aaf62e56",
+                 id="verify-algebra-a3-source"),
+    pytest.param(["verify", "algebra", "--quiver", "d4"] + Q2,
+                 "439159f08b5b04eab07dd8c04d216c9da39a345ecd9d35fb3024283dc072ac7b",
+                 id="verify-algebra-d4"),
+    pytest.param(["verify", "green", "--quiver", "a3-source"] + Q2,
+                 "de7ee2e1983d4eaa74e8b28163691b0469ef7b4cc86aa486f7012db6d134157f",
+                 id="verify-green-a3-source"),
+    pytest.param(["verify", "green", "--quiver", "d4"] + Q2,
+                 "360d7fb397ec4d2131e8b7711c15d64b76c7a834b585c4943e79f3f171da7480",
+                 id="verify-green-d4"),
+    pytest.param(["verify", "bialgebra", "--quiver", "a3-source"] + Q2,
+                 "fe195ebbf88219493904a33ecb35716ce0bc9120bf9f9438e717d333f270a4f2",
+                 id="verify-bialgebra-a3-source"),
+    pytest.param(["verify", "bialgebra", "--quiver", "d4"] + Q2,
+                 "7e2c7534caf063b2f7d5301ca854ebf0db35ab409eda191f72848c09cf3a6ace",
+                 id="verify-bialgebra-d4"),
+    pytest.param(["verify", "hexagon", "--quiver", "a3-source"] + Q2,
+                 "81b008851c358bcbe7c9cb0bf7ee956fe54d7d45bd4f3e2307afe64b8af95dd5",
+                 id="verify-hexagon-a3-source"),
+    pytest.param(["verify", "hexagon", "--quiver", "d4"] + Q2,
+                 "9c52d02ca95cdc71d0d7cd55ed0d1383455911224d69105767c9d31a6f55f6ed",
+                 id="verify-hexagon-d4"),
 ]
 
 

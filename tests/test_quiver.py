@@ -188,6 +188,31 @@ def test_count_exact_pairs_examples(ctx2, ctx3, reps2, reps3):
                 count_exact_pairs_slow(ctx, M, N, E)
 
 
+@pytest.mark.parametrize("name,p", [("a2", 2), ("a2", 3), ("a3_source", 2)])
+def test_pair_count_census_matches_slow_oracle(request, name, p):
+    """Every class triple up to total dim 3, census count against the oracle."""
+    quiver = request.getfixturevalue(name)
+    labels = [c.label for c in RepCategory(quiver, p).classes_up_to(3)]
+    ctx = RepCategory(quiver, p)
+    for label in labels:            # first lookup of a dim classifies it
+        cls = ctx.class_by_label(label)
+        assert cls is ctx.classify(cls.dim)[cls.index]
+        assert ctx.class_by_label(label) is cls
+    classes = ctx.classes_up_to(3)
+    compared = 0
+    for ce in classes:
+        for cm in classes:
+            for cn in classes:
+                if sum(cm.dim) + sum(cn.dim) != sum(ce.dim):
+                    continue
+                want = count_exact_pairs_slow(ctx, cm.rep, cn.rep, ce.rep)
+                assert ctx.count_exact_pairs(cm.rep, cn.rep, ce.rep) == want, \
+                    (cm.label, cn.label, ce.label)
+                assert ctx.pair_count(cm, cn, ce) == want
+                compared += 1
+    assert compared > len(classes)
+
+
 def test_quotient_examples(ctx2, reps2):
     S1, S2, P1, SS = reps2["S1"], reps2["S2"], reps2["P1"], reps2["SS"]
     zero = reps2["zero"]

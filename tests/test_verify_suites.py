@@ -1,5 +1,7 @@
 """Suite-level checks on quivers beyond A2, locking in CLI-visible behavior."""
 
+from collections import Counter
+
 import pytest
 
 from hallalg.hall import HallAlgebra
@@ -68,3 +70,19 @@ def test_gabriel_skips_non_dynkin():
     rep = verify.suite_gabriel(ctx, 4)
     assert rep["instances"] == 0
     assert "skipped" in rep["scope_note"]
+
+
+def test_green_builds_each_census_once(a2, monkeypatch):
+    """Hall numbers come from one subrepresentation walk per (E, sub-dim)."""
+    walks = Counter()
+    invariant_subreps = RepCategory.invariant_subreps
+
+    def counted(self, E, sub_dim):
+        walks[(E, tuple(sub_dim))] += 1
+        return invariant_subreps(self, E, sub_dim)
+
+    monkeypatch.setattr(RepCategory, "invariant_subreps", counted)
+    ctx = RepCategory(a2, 2)
+    rep = verify.suite_green(ctx, HallAlgebra(ctx), 3)
+    assert rep["instances"] > 0 and rep["failures"] == []
+    assert walks and set(walks.values()) == {1}, walks.most_common(3)
