@@ -23,8 +23,9 @@ All checks report which convention each number uses.
 from fractions import Fraction
 
 from .hall import q_power
-from .linalg import Matrix, check_budget
-from .quiver import RepMorphism, Representation, dim_add, dim_total
+from .linalg import Matrix, check_budget, flatten, unflatten
+from .quiver import (RepMorphism, block_inclusion, block_projection, dim_add,
+                     dim_total)
 
 
 class SESObject:
@@ -65,32 +66,14 @@ class SESObject:
 
 def block_injections(y, z):
     """Canonical inclusions of y and z into the chosen direct sum y (+) z."""
-    f = y.field
     s = y.direct_sum(z)
-    inc_y = RepMorphism(y, s, [
-        Matrix(f, [[f.one if i == j else f.zero for j in range(y.dim[v])]
-                   for i in range(s.dim[v])], s.dim[v], y.dim[v])
-        for v in range(y.quiver.n)])
-    inc_z = RepMorphism(z, s, [
-        Matrix(f, [[f.one if i == y.dim[v] + j else f.zero for j in range(z.dim[v])]
-                   for i in range(s.dim[v])], s.dim[v], z.dim[v])
-        for v in range(y.quiver.n)])
-    return s, inc_y, inc_z
+    return s, block_inclusion(y, s, (0,) * len(y.dim)), block_inclusion(z, s, y.dim)
 
 
 def block_projections(y, z):
     """Canonical projections of y (+) z onto y and z."""
-    f = y.field
     s = y.direct_sum(z)
-    pr_y = RepMorphism(s, y, [
-        Matrix(f, [[f.one if j == i else f.zero for j in range(s.dim[v])]
-                   for i in range(y.dim[v])], y.dim[v], s.dim[v])
-        for v in range(y.quiver.n)])
-    pr_z = RepMorphism(s, z, [
-        Matrix(f, [[f.one if j == y.dim[v] + i else f.zero for j in range(s.dim[v])]
-                   for i in range(z.dim[v])], z.dim[v], s.dim[v])
-        for v in range(y.quiver.n)])
-    return s, pr_y, pr_z
+    return s, block_projection(s, y, (0,) * len(y.dim)), block_projection(s, z, y.dim)
 
 
 def factor_through(proj, g):
@@ -121,23 +104,12 @@ def preimage_subrep(ctx, proj_to, g):
     g: E -> T, proj_to: T -> W; returns the inclusion of ker(proj_to . g)
     into E, with the induced representation on a canonical kernel basis.
     """
-    f = ctx.field
-    comp = proj_to.compose(g)
-    bases = []
-    for v in range(ctx.quiver.n):
-        kv = comp.vertex_maps[v].kernel_basis()
-        n = comp.vertex_maps[v].cols
-        bases.append(Matrix(f, [[vec[i] for vec in kv] for i in range(n)], n, len(kv)))
-    E = g.source
-    umaps = []
-    for k, (s, t) in enumerate(ctx.quiver.arrows):
-        image = E.edge_maps[k] * bases[s]
-        sol = bases[t].solve_matrix(image)
-        if sol is None:
-            raise ValueError("kernel is not an invariant subspace")
-        umaps.append(sol)
-    U = Representation(ctx.quiver, f, tuple(b.cols for b in bases), umaps)
-    return RepMorphism(U, E, bases)
+    bases = [Matrix(ctx.field, m.kernel_basis(), None, m.cols).transpose()
+             for m in proj_to.compose(g).vertex_maps]
+    incl = ctx.subrep_on(g.source, bases)
+    if incl is None:
+        raise ValueError("kernel is not an invariant subspace")
+    return incl
 
 
 # ---- the base groupoid and EXT groupoids ----------------------------------------
@@ -256,13 +228,11 @@ class ExtGroupoid:
             ses = self._first(image)
             c = ctx.extension_class(M, N, ses.mid, ses.incl, ses.proj)
             if c not in group_of:
-                blocks = ctx._cocycle_to_matrices(M, N, c)
+                blocks = unflatten(ctx.field, c, ctx.cocycle_blocks(M, N))
                 for nu in auts_n:
                     for mu in auts_m:
-                        moved = tuple(
-                            x for (s, t), ca in zip(arrows, blocks)
-                            for row in (nu.vertex_maps[t] * ca * mu.vertex_maps[s]).entries
-                            for x in row)
+                        moved = flatten(nu.vertex_maps[t] * ca * mu.vertex_maps[s]
+                                        for (s, t), ca in zip(arrows, blocks))
                         group_of[reduction.apply(moved)] = len(groups)
                 groups.append((i, set()))
             groups[group_of[c]][1].add(i)
@@ -337,26 +307,17 @@ class ExtGroupoid:
         return total
 
 
-def _flat(mor):
-    """The entries of a morphism's vertex maps, vertex by vertex, row-major."""
-    return [x for m in mor.vertex_maps for row in m.entries for x in row]
-
-
 def _end_subspace(ctx, E, constraint):
-    """Basis of {phi in End(E) : every constraint(v, phi_v) is zero}, as flat lists.
+    """Basis of {phi in End(E) : every constraint(v, phi_v) is zero}, flattened.
 
     constraint(v, m) returns the matrices, linear in m, that must vanish at
     vertex v; the basis is their kernel on the coordinates of hom_basis(E, E).
     """
-    p = ctx.q
     basis = ctx.hom_basis(E, E)
-    flats = [_flat(b) for b in basis]
-    cols = [[x for v, m in enumerate(b.vertex_maps) for c in constraint(v, m)
-             for row in c.entries for x in row] for b in basis]
-    rows = len(cols[0]) if cols else 0
-    A = Matrix(ctx.field, [[col[i] for col in cols] for i in range(rows)], rows, len(cols))
-    return [[sum(c * fl[j] for c, fl in zip(vec, flats)) % p for j in range(len(flats[0]))]
-            for vec in A.kernel_basis()]
+    A = Matrix(ctx.field, [flatten(c for v, m in enumerate(b.vertex_maps)
+                                   for c in constraint(v, m)) for b in basis]).transpose()
+    coords = Matrix(ctx.field, [flatten(b.vertex_maps) for b in basis]).transpose()
+    return [coords.apply(vec) for vec in A.kernel_basis()]
 
 
 def _units(ctx, E, basis):
@@ -401,22 +362,13 @@ def _units(ctx, E, basis):
     return units
 
 
-def _vertex_blocks(ctx, E, flat):
-    """The vertex maps of a flat endomorphism of E, as matrices."""
-    maps, pos = [], 0
-    for d in E.dim:
-        maps.append(Matrix(ctx.field, [flat[pos + i * d:pos + i * d + d]
-                                       for i in range(d)], d, d))
-        pos += d * d
-    return maps
-
-
 def _square_zero(ctx, E, basis):
     """Whether psi phi = 0 in End(E) for every pair of flat basis elements.
 
     Checked vertex block by vertex block: k^2 products, nothing enumerated.
     """
-    blocks = [_vertex_blocks(ctx, E, flat) for flat in basis]
+    shapes = [(d, d) for d in E.dim]
+    blocks = [unflatten(ctx.field, flat, shapes) for flat in basis]
     return all((a * b).is_zero() for psi in blocks for phi in blocks
                for a, b in zip(psi, phi))
 
@@ -434,8 +386,7 @@ def ext_cardinality_check(ctx, M, N):
     """Weak-quotient cardinality versus the closed form, with triple morphisms."""
     lhs = ExtGroupoid.of(ctx, M, N).cardinality_formula()
     rhs = closed_form_ext_cardinality(ctx, M, N)
-    return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs,
-            "convention": "triples (alpha, beta, gamma)"}
+    return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 
 def riedtmann_check(ctx, M, N, E):
@@ -463,8 +414,7 @@ def ext_bilinearity_first(ctx, M1, M2, N):
     identity is exact); the skeleton correspondence applies the preimage
     splitting to one canonical object per extension class, checks the
     induced map on classes is a bijection, and glues each split pair back
-    to verify the round trip lands in the same class.  Triple-convention
-    values are reported alongside for reference.
+    to verify the round trip lands in the same class.
     """
     return _ext_bilinearity(ctx, M1, M2, N, hexagonator_S, glue_quotients, slot=0)
 
@@ -509,14 +459,8 @@ def _ext_bilinearity(ctx, part1, part2, other, split, glue, slot):
     n1 = len(e1.extension_classes())
     n2 = len(e2.extension_classes())
     bijection = len(image_pairs) == len(classes) == n1 * n2
-    return {
-        "lhs": lhs, "rhs": rhs, "equal": lhs == rhs,
-        "skeleton_bijection": bijection, "round_trip": round_trip_ok,
-        "classes": (len(classes), n1, n2),
-        "triple_values": (ext_sum.cardinality_formula(),
-                          e1.cardinality_formula() * e2.cardinality_formula()),
-        "convention": "fixed ends; triple-convention values reported, not asserted",
-    }
+    return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs,
+            "skeleton_bijection": bijection, "round_trip": round_trip_ok}
 
 
 def glue_quotients(ctx, s1, s2, Msum):
@@ -527,17 +471,13 @@ def glue_quotients(ctx, s1, s2, Msum):
     f = ctx.field
     N = s1.sub
     big = s1.mid.direct_sum(s2.mid)
-    anti = RepMorphism(N, big, [
-        Matrix(f, [list(r) for r in s1.incl.vertex_maps[v].entries] +
-               [[-x % f.p for x in r] for r in s2.incl.vertex_maps[v].entries],
-               big.dim[v], N.dim[v])
-        for v in range(ctx.quiver.n)])
+    anti = RepMorphism(N, big, [Matrix.block(f, [[a], [b.scale(-1)]]) for a, b in
+                                zip(s1.incl.vertex_maps, s2.incl.vertex_maps)])
     Q, proj = ctx.quotient_with_projection(big, anti)
-    _, inc_e1, _ = block_injections(s1.mid, s2.mid)
+    inc_e1 = block_inclusion(s1.mid, big, (0,) * ctx.quiver.n)
     new_incl = proj.compose(inc_e1.compose(s1.incl))
-    g_big = RepMorphism(big, Msum, [
-        _block_diag(f, s1.proj.vertex_maps[v], s2.proj.vertex_maps[v])
-        for v in range(ctx.quiver.n)])
+    g_big = RepMorphism(big, Msum, [Matrix.block(f, [[a, None], [None, b]]) for a, b in
+                                    zip(s1.proj.vertex_maps, s2.proj.vertex_maps)])
     new_proj = factor_through(proj, g_big)
     out = SESObject(N, Q, Msum, new_incl, new_proj)
     out.validate()
@@ -553,31 +493,17 @@ def glue_subobjects(ctx, s1, s2, Nsum):
     f = ctx.field
     M = s1.quo
     big = s1.mid.direct_sum(s2.mid)
-    _, pr1, pr2 = block_projections(s1.mid, s2.mid)
-    diff = RepMorphism(big, M, [
-        Matrix(f, [list(r1) + [-x % f.p for x in r2]
-                   for r1, r2 in zip(s1.proj.vertex_maps[v].entries,
-                                     s2.proj.vertex_maps[v].entries)],
-               M.dim[v], big.dim[v])
-        for v in range(ctx.quiver.n)])
+    pr1 = block_projection(big, s1.mid, (0,) * ctx.quiver.n)
+    diff = RepMorphism(big, M, [Matrix.block(f, [[a, b.scale(-1)]]) for a, b in
+                                zip(s1.proj.vertex_maps, s2.proj.vertex_maps)])
     sub_incl = preimage_subrep(ctx, RepMorphism.identity(M), diff)
-    f_pair = RepMorphism(Nsum, big, [
-        _block_diag(f, s1.incl.vertex_maps[v], s2.incl.vertex_maps[v])
-        for v in range(ctx.quiver.n)])
+    f_pair = RepMorphism(Nsum, big, [Matrix.block(f, [[a, None], [None, b]]) for a, b in
+                                     zip(s1.incl.vertex_maps, s2.incl.vertex_maps)])
     new_incl = corestrict(sub_incl, f_pair)
     new_proj = s1.proj.compose(pr1).compose(sub_incl)
     out = SESObject(Nsum, sub_incl.source, M, new_incl, new_proj)
     out.validate()
     return out
-
-
-def _block_diag(f, a, b):
-    rows = []
-    for r in a.entries:
-        rows.append(list(r) + [f.zero] * b.cols)
-    for r in b.entries:
-        rows.append([f.zero] * a.cols + list(r))
-    return Matrix(f, rows, a.rows + b.rows, a.cols + b.cols)
 
 
 # ---- hexagonators -------------------------------------------------------------------
@@ -720,54 +646,62 @@ def bsim_ext_check(ctx, span, only=None):
 # ---- multiplication and comultiplication spans ----------------------------------------
 
 
-def _span_pieces(ctx, bound):
+def _span_pieces(ctx, bound, pair=None):
     """(M label, N label, M, N, E label, E, sum of 1/stab) per EXT piece within bound.
 
     The sum runs over the iso classes of sequences in that piece, with
-    triple morphisms; the two span matrices weight it differently.
+    triple morphisms; the two span matrices weight it differently.  With
+    pair = (M label, N label), only that groupoid is built.
     """
     labels = [c.label for c in ctx.classes_up_to(bound)]
     for lm in labels:
         M = ctx.class_by_label(lm).rep
         for ln in labels:
             N = ctx.class_by_label(ln).rep
-            if dim_total(M.dim) + dim_total(N.dim) > bound:
+            if pair not in (None, (lm, ln)) or dim_total(M.dim) + dim_total(N.dim) > bound:
                 continue
             ext = ExtGroupoid.of(ctx, M, N)
             for le, E in ext._piece_reps.items():
                 yield lm, ln, M, N, le, E, ext.cardinality_triples(le)
 
 
-def mult_span_matrix(ctx, bound):
+def mult_span_matrix(ctx, bound, pair=None):
     """Degroupoidified multiplication span, entry per (E, (M, N)).
 
     Matrix entries follow the degroupoidification formula: for each
     isomorphism class of sequences, |Aut(E)| over the triple-automorphism
     order, summed.  Row keys are middle-term labels, column keys are
-    (quotient label, subobject label) pairs.
+    (quotient label, subobject label) pairs; `pair` keeps one column.
     """
     return {(le, (lm, ln)): ctx.aut_order(E) * inv
-            for lm, ln, _, _, le, E, inv in _span_pieces(ctx, bound)}
+            for lm, ln, _, _, le, E, inv in _span_pieces(ctx, bound, pair)}
 
 
-def comult_span_matrix(ctx, bound):
+def comult_span_matrix(ctx, bound, pair=None):
     """Degroupoidified comultiplication span, entry per ((M, N), E).
 
     The adjoint span: row keys are (quotient label, subobject label)
     pairs, column keys are middle-term labels; the entry weight is
     |Aut(M)| |Aut(N)| over the triple-automorphism order.  A row key
-    (m, n) carries the coefficient of [n] (x) [m] in the coproduct.
+    (m, n) carries the coefficient of [n] (x) [m] in the coproduct;
+    `pair` keeps one row.
     """
     return {((lm, ln), le): ctx.aut_order(M) * ctx.aut_order(N) * inv
-            for lm, ln, M, N, le, _, inv in _span_pieces(ctx, bound)}
+            for lm, ln, M, N, le, _, inv in _span_pieces(ctx, bound, pair)}
+
+
+def _only_pair(only, first):
+    """The (M label, N label) an `only` id names, from its label at index first."""
+    return None if only is None else tuple(only.partition(":")[2].split("|")[first:first + 2])
 
 
 def mult_matrix_against_hall(ctx, hall, bound, only=None):
     """Entrywise comparison of the span matrix with the Hall product.
 
-    Each entry is the instance mult:<le>|<lm>|<ln>; `only` keeps just that one.
+    Each entry is the instance mult:<le>|<lm>|<ln>; `only` keeps just that
+    one, and then only the EXT groupoid of (lm, ln) is built.
     """
-    entries = mult_span_matrix(ctx, bound)
+    entries = mult_span_matrix(ctx, bound, _only_pair(only, 1))
     failures = []
     labels = [c.label for c in ctx.classes_up_to(bound)]
     instances = 0
@@ -797,9 +731,10 @@ def comult_matrix_against_hall(ctx, hall, bound, only=None):
     (m, n): quotient first in the row key, subobject first in the tensor.
     Each coproduct term is the instance comult:<lm>|<ln>|<le>, and a
     nonzero span entry with no coproduct term fails under the same id;
-    `only` keeps just that one.
+    `only` keeps just that one, and then only the EXT groupoid of (lm, ln)
+    is built.
     """
-    entries = comult_span_matrix(ctx, bound)
+    entries = comult_span_matrix(ctx, bound, _only_pair(only, 0))
     failures = []
     instances = 0
     for cls in ctx.classes_up_to(bound):

@@ -235,10 +235,10 @@ def build_parser():
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="enumeration budget (items per enumeration)")
         p.add_argument("--out", help="write the report/table to this path")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_tables = sub.add_parser("tables", help="emit product/coproduct tables")
     common(p_tables)
+    p_tables.add_argument("--format", choices=("json", "csv"), default="json")
     p_tables.set_defaults(func=cmd_tables)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

@@ -719,14 +719,18 @@ def span_from_json(doc, validate=True):
 class RandomGroupoids:
     """Deterministic generator of small groupoids, functors and spans."""
 
+    MAX_COMPONENTS = 2
+    MAX_OBJECTS = 2             # per component
+    ORDERS = (1, 2, 3, 4)       # of the cyclic automorphism groups
+
     def __init__(self, seed):
         self.rng = random.Random(seed)
 
-    def groupoid(self, max_components=2, max_objects=2, orders=(1, 2, 3, 4)):
+    def groupoid(self):
         comps = []
-        for _ in range(self.rng.randint(1, max_components)):
-            m = self.rng.randint(1, max_objects)
-            k = self.rng.choice(orders)
+        for _ in range(self.rng.randint(1, self.MAX_COMPONENTS)):
+            m = self.rng.randint(1, self.MAX_OBJECTS)
+            k = self.rng.choice(self.ORDERS)
             comps.append(connected_groupoid(m, cyclic_table(k)))
         G = comps[0]
         for H in comps[1:]:

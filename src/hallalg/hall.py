@@ -217,7 +217,7 @@ class HallAlgebra:
         from itertools import product as iproduct
         return iproduct(*(range(d + 1) for d in dim))
 
-    def coproduct(self, x, bound=None):
+    def coproduct(self, x):
         return HallVector.combine((self.coproduct_basis(le), ce)
                                   for le, ce in x.coeffs.items())
 

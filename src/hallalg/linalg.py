@@ -6,7 +6,7 @@ in lexicographic order so downstream classification is reproducible.
 No floating point anywhere.
 """
 
-from operator import mul
+from operator import add, mul
 
 
 class BudgetError(Exception):
@@ -103,13 +103,47 @@ class Matrix:
         return m
 
     @classmethod
+    def block(cls, field, grid):
+        """The matrix laid out block by block from grid, a list of block rows.
+
+        Blocks in one block row share their row count and blocks in one
+        block column their column count.  None stands for a zero block; its
+        shape is read off the other blocks of its row and column, so every
+        block row and block column needs one block that is not None.
+        """
+        heights = [next(filter(None, row)).rows for row in grid]
+        widths = [next(filter(None, col)).cols for col in zip(*grid)]
+        z = (field.zero,)
+        rows = []
+        for row, h in zip(grid, heights):
+            if len(row) != len(widths):
+                raise ValueError("ragged block grid")
+            joined = None
+            for m, w in zip(row, widths):
+                if m is None:
+                    part = (z * w,) * h
+                elif m.rows == h and m.cols == w:
+                    part = m.entries
+                else:
+                    raise ValueError(f"block {m.rows}x{m.cols} does not fit a {h}x{w} slot")
+                joined = part if joined is None else map(add, joined, part)
+            rows.extend(joined)
+        return cls._of(field, tuple(rows), sum(heights), sum(widths))
+
+    def columns(self, lo, hi):
+        """Columns lo, ..., hi - 1, as a rows x (hi - lo) matrix."""
+        return Matrix._of(self.field, tuple(row[lo:hi] for row in self.entries),
+                          self.rows, hi - lo)
+
+    @classmethod
     def zero(cls, field, rows, cols):
         return cls._of(field, ((field.zero,) * cols,) * rows, rows, cols)
 
     @classmethod
     def identity(cls, field, n):
-        return cls._of(field, tuple(tuple(field.one if i == j else field.zero
-                                          for j in range(n)) for i in range(n)), n, n)
+        z = (field.zero,)
+        return cls._of(field, tuple(z * i + (field.one,) + z * (n - 1 - i) for i in range(n)),
+                       n, n)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -282,6 +316,27 @@ class Matrix:
         return tuple(sum(map(mul, row, vec)) % p for row in self.entries)
 
 
+def flatten(mats):
+    """The entries of a sequence of matrices, matrix by matrix, row-major.
+
+    This is the one layout of flat coordinates: Hom spaces vertex by
+    vertex, cocycles arrow by arrow, endomorphisms vertex by vertex.
+    """
+    return tuple(x for m in mats for row in m.entries for x in row)
+
+
+def unflatten(field, flat, shapes):
+    """The matrices of the given (rows, cols) shapes whose flatten() is flat."""
+    if len(flat) != sum(r * c for r, c in shapes):
+        raise ValueError(f"{len(flat)} coordinates do not fill the shapes {list(shapes)}")
+    out, pos = [], 0
+    for r, c in shapes:
+        out.append(Matrix._of(field, tuple(tuple(flat[pos + i * c:pos + i * c + c])
+                                           for i in range(r)), r, c))
+        pos += r * c
+    return tuple(out)
+
+
 def enumerate_matrices(rows, cols, p, budget=DEFAULT_BUDGET):
     """Yield every rows x cols matrix over F_p exactly once.
 
@@ -289,17 +344,9 @@ def enumerate_matrices(rows, cols, p, budget=DEFAULT_BUDGET):
     matrix always comes first and runs are reproducible.
     """
     field = PrimeField(p)
-    n = rows * cols
-    total = p ** n
-    check_budget(f"matrix enumeration {rows}x{cols} over F_{p}", total, budget)
-    for k in range(total):
-        rem = k
-        flat = [0] * n
-        for i in range(n - 1, -1, -1):
-            flat[i] = rem % p
-            rem //= p
-        yield Matrix._of(field, tuple(tuple(flat[i * cols:(i + 1) * cols])
-                                      for i in range(rows)), rows, cols)
+    check_budget(f"matrix enumeration {rows}x{cols} over F_{p}", p ** (rows * cols), budget)
+    for flat in enumerate_vectors(field, rows * cols):
+        yield unflatten(field, flat, ((rows, cols),))[0]
 
 
 def enumerate_vectors(field, n):

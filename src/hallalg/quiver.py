@@ -22,9 +22,11 @@ from .linalg import (
     enumerate_matrices,
     enumerate_subspaces,
     enumerate_vectors,
+    flatten,
     gaussian_binomial,
     gl_generators,
     gl_order,
+    unflatten,
 )
 
 
@@ -181,22 +183,12 @@ class Representation:
         return self.total_dim() == 0
 
     def direct_sum(self, other):
+        """The chosen direct sum: self's coordinates first at every vertex."""
         if self.quiver != other.quiver or self.field != other.field:
             raise ValueError("direct sum across different quivers/fields")
-        f = self.field
-        dim = dim_add(self.dim, other.dim)
-        maps = []
-        for k, (s, t) in enumerate(self.quiver.arrows):
-            a, b = self.edge_maps[k], other.edge_maps[k]
-            m = [[f.zero] * dim[s] for _ in range(dim[t])]
-            for i in range(a.rows):
-                for j in range(a.cols):
-                    m[i][j] = a.entries[i][j]
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    m[self.dim[t] + i][self.dim[s] + j] = b.entries[i][j]
-            maps.append(Matrix(f, m, dim[t], dim[s]))
-        return Representation(self.quiver, f, dim, maps)
+        return Representation(self.quiver, self.field, dim_add(self.dim, other.dim), [
+            Matrix.block(self.field, [[a, None], [None, b]])
+            for a, b in zip(self.edge_maps, other.edge_maps)])
 
     def __eq__(self, other):
         return (isinstance(other, Representation) and self.quiver == other.quiver
@@ -273,6 +265,18 @@ class RepMorphism:
 
     def __repr__(self):
         return f"RepMorphism({self.source.dim}->{self.target.dim})"
+
+
+def block_inclusion(part, whole, offset):
+    """part -> whole onto the coordinates offset_v, ..., offset_v + dim_v - 1 of each vertex."""
+    return RepMorphism(part, whole, [Matrix.identity(whole.field, w).columns(o, o + d)
+                                     for w, o, d in zip(whole.dim, offset, part.dim)])
+
+
+def block_projection(whole, part, offset):
+    """whole -> part reading the coordinates offset_v, ..., offset_v + dim_v - 1."""
+    return RepMorphism(whole, part, [Matrix.identity(whole.field, w).columns(o, o + d).transpose()
+                                     for w, o, d in zip(whole.dim, offset, part.dim)])
 
 
 @dataclass(frozen=True)
@@ -423,29 +427,16 @@ class RepCategory:
         is its kernel and Ext^1(M, N) its cokernel (Q is hereditary).
         """
         f = self.field
-        n = self.quiver.n
-        dom_blocks = [(N.dim[v], M.dim[v]) for v in range(n)]
-        cod_blocks = [(N.dim[t], M.dim[s]) for s, t in self.quiver.arrows]
+        dom_blocks = [(N.dim[v], M.dim[v]) for v in range(self.quiver.n)]
+        cod_blocks = self.cocycle_blocks(M, N)
         dom_dim = sum(r * c for r, c in dom_blocks)
-        cod_dim = sum(r * c for r, c in cod_blocks)
         cols = []
-        for v in range(n):
-            nv, mv = dom_blocks[v]
-            for r in range(nv):
-                for c in range(mv):
-                    col = []
-                    e = Matrix(f, [[f.one if (i, j) == (r, c) else f.zero
-                                     for j in range(mv)] for i in range(nv)], nv, mv)
-                    for k, (s, t) in enumerate(self.quiver.arrows):
-                        block = Matrix.zero(f, cod_blocks[k][0], cod_blocks[k][1])
-                        if t == v:
-                            block = block + e * M.edge_maps[k]
-                        if s == v:
-                            block = block - N.edge_maps[k] * e
-                        col.extend(x for row in block.entries for x in row)
-                    cols.append(col)
-        entries = [[cols[j][i] for j in range(dom_dim)] for i in range(cod_dim)]
-        return Matrix(f, entries, cod_dim, dom_dim), dom_blocks, cod_blocks
+        for unit in Matrix.identity(f, dom_dim).entries:
+            phi = unflatten(f, unit, dom_blocks)
+            cols.append(flatten(phi[t] * ma - na * phi[s] for (s, t), ma, na
+                                in zip(self.quiver.arrows, M.edge_maps, N.edge_maps)))
+        cod_dim = sum(r * c for r, c in cod_blocks)
+        return Matrix(f, cols, dom_dim, cod_dim).transpose(), dom_blocks, cod_blocks
 
     def hom_basis(self, M, N):
         """A basis of Hom(M, N) as RepMorphisms."""
@@ -454,16 +445,8 @@ class RepCategory:
         if key in self._hom_cache:
             return self._hom_cache[key]
         phi, dom_blocks, _ = self._presentation_matrix(M, N)
-        basis = []
-        for vec in phi.kernel_basis():
-            maps = []
-            pos = 0
-            for nv, mv in dom_blocks:
-                maps.append(Matrix(self.field,
-                                   [vec[pos + i * mv:pos + (i + 1) * mv] for i in range(nv)],
-                                   nv, mv))
-                pos += nv * mv
-            basis.append(RepMorphism(M, N, maps))
+        basis = [RepMorphism(M, N, unflatten(self.field, vec, dom_blocks))
+                 for vec in phi.kernel_basis()]
         self._hom_cache[key] = basis
         return basis
 
@@ -566,23 +549,27 @@ class RepCategory:
                       for v in range(n)]
         out = []
         for bases in product(*per_vertex):
-            umaps = []
-            ok = True
-            for k, (s, t) in enumerate(self.quiver.arrows):
-                image = E.edge_maps[k] * bases[s]
-                sol = bases[t].solve_matrix(image)
-                if sol is None:
-                    ok = False
-                    break
-                umaps.append(sol)
-            if not ok:
-                continue
-            U = Representation(self.quiver, f, tuple(sub_dim), umaps)
-            incl = RepMorphism(U, E, bases)
-            Q, proj = self._quotient_data(E, bases)
-            out.append((incl, Q, proj))
+            incl = self.subrep_on(E, bases)
+            if incl is not None:
+                out.append((incl,) + self._quotient_data(E, bases))
         self._subrep_cache[key] = out
         return out
+
+    def subrep_on(self, E, bases):
+        """The inclusion of the subrepresentation of E on the given subspaces.
+
+        bases holds one matrix per vertex whose independent columns span
+        the subspace there.  Returns None when the subspaces are not
+        invariant under the edge maps of E.
+        """
+        umaps = []
+        for k, (s, t) in enumerate(self.quiver.arrows):
+            sol = bases[t].solve_matrix(E.edge_maps[k] * bases[s])
+            if sol is None:
+                return None
+            umaps.append(sol)
+        U = Representation(self.quiver, self.field, tuple(b.cols for b in bases), umaps)
+        return RepMorphism(U, E, bases)
 
     def quotient_with_projection(self, E, f_mor):
         """(E / im f, projection E -> E / im f); f must be vertexwise injective."""
@@ -595,54 +582,25 @@ class RepCategory:
     def cocycle_blocks(self, M, N):
         return [(N.dim[t], M.dim[s]) for s, t in self.quiver.arrows]
 
-    def _cocycle_to_matrices(self, M, N, vec):
-        blocks = self.cocycle_blocks(M, N)
-        mats = []
-        pos = 0
-        for r, c in blocks:
-            mats.append(Matrix(self.field,
-                               [vec[pos + i * c:pos + (i + 1) * c] for i in range(r)], r, c))
-            pos += r * c
-        return tuple(mats)
-
     def middle_term(self, M, N, cocycle):
         """Extension of M by N with blocks [[N_a, c_a], [0, M_a]] per arrow.
 
-        cocycle: one Matrix of shape (N.dim[t] x M.dim[s]) per arrow, or a
-        flat coordinate vector.  The zero cocycle yields N + M split.
+        cocycle: a flat coordinate vector, the blocks c_a of shape
+        N.dim[t] x M.dim[s] in arrow order as flatten() lays them out.  The
+        zero cocycle yields N.direct_sum(M) itself.
         """
         f = self.field
-        if not (isinstance(cocycle, (tuple, list))
-                and len(cocycle) == len(self.quiver.arrows)
-                and all(isinstance(c, Matrix) for c in cocycle)):
-            cocycle = self._cocycle_to_matrices(M, N, tuple(cocycle))
-        dim = dim_add(N.dim, M.dim)
-        maps = []
-        for k, (s, t) in enumerate(self.quiver.arrows):
-            c = cocycle[k]
-            if (c.rows, c.cols) != (N.dim[t], M.dim[s]):
-                raise ValueError("cocycle block shape mismatch")
-            rows = []
-            for i in range(N.dim[t]):
-                rows.append(list(N.edge_maps[k].entries[i]) + list(c.entries[i]))
-            for i in range(M.dim[t]):
-                rows.append([f.zero] * N.dim[s] + list(M.edge_maps[k].entries[i]))
-            maps.append(Matrix(f, rows, dim[t], dim[s]))
-        return Representation(self.quiver, f, dim, maps)
+        if not all(isinstance(x, int) for x in cocycle):
+            raise TypeError("a cocycle is a flat vector of field elements")
+        blocks = unflatten(f, cocycle, self.cocycle_blocks(M, N))
+        return Representation(self.quiver, f, dim_add(N.dim, M.dim), [
+            Matrix.block(f, [[na, c], [None, ma]])
+            for na, c, ma in zip(N.edge_maps, blocks, M.edge_maps)])
 
     def middle_term_ses(self, M, N, cocycle):
         """(E, f: N -> E, g: E -> M) for the extension built from the cocycle."""
-        f = self.field
         E = self.middle_term(M, N, cocycle)
-        incl = RepMorphism(N, E, [
-            Matrix(f, [[f.one if i == j else f.zero for j in range(N.dim[v])]
-                       for i in range(E.dim[v])], E.dim[v], N.dim[v])
-            for v in range(self.quiver.n)])
-        proj = RepMorphism(E, M, [
-            Matrix(f, [[f.one if j == N.dim[v] + i else f.zero for j in range(E.dim[v])]
-                       for i in range(M.dim[v])], M.dim[v], E.dim[v])
-            for v in range(self.quiver.n)])
-        return E, incl, proj
+        return E, block_inclusion(N, E, (0,) * self.quiver.n), block_projection(E, M, N.dim)
 
     def _ext_complement(self, M, N):
         """(complement, reduction) in the cocycle space, cached per (M, N).
@@ -699,14 +657,13 @@ class RepCategory:
             if sec is None:
                 raise ValueError("projection is not surjective")
             sections.append(sec)
-        vec = []
+        pulled = []
         for k, (s, t) in enumerate(self.quiver.arrows):
             defect = E.edge_maps[k] * sections[s] - sections[t] * M.edge_maps[k]
-            pulled = incl.vertex_maps[t].solve_matrix(defect)
-            if pulled is None:
+            pulled.append(incl.vertex_maps[t].solve_matrix(defect))
+            if pulled[-1] is None:
                 raise ValueError("section defect not in the subobject")
-            vec.extend(x for row in pulled.entries for x in row)
-        return self.reduce_cocycle(M, N, tuple(vec))
+        return self.reduce_cocycle(M, N, flatten(pulled))
 
     def reduce_cocycle(self, M, N, vec):
         """Canonical representative of vec modulo coboundaries."""

@@ -15,6 +15,14 @@ from . import cathall
 from . import groupoids as gpd
 
 
+HEXAGON_ENTRY_BOUND = 5    # largest grade entry of the hexagon triples on two vertices
+HEXAGON_MAX_GRADES = 50    # the entry bound shrinks until at most this many grades remain
+BSIM_CAP = 2               # total-dimension cap of the braiding span's base
+COHERENCE_CAP = 2          # total-dimension cap of the coherence polytopes
+ENGINE_SPAN_TRIALS = 50
+ENGINE_EQUIV_TRIALS = 20
+
+
 def _want(only, instance):
     return only is None or only == instance
 
@@ -24,14 +32,13 @@ def suite_algebra(ctx, hall, max_dim, only=None):
     failures = []
     instances = 0
     labels = [c.label for c in ctx.classes_up_to(max_dim)]
+    totals = {l: dim_total(hall.grade(l)) for l in labels}
     for la in labels:
         for lb in labels:
-            if dim_total(hall.grade(la)) + dim_total(hall.grade(lb)) > max_dim:
+            if totals[la] + totals[lb] > max_dim:
                 continue
             for lc in labels:
-                total = (dim_total(hall.grade(la)) + dim_total(hall.grade(lb))
-                         + dim_total(hall.grade(lc)))
-                if total > max_dim:
+                if totals[la] + totals[lb] + totals[lc] > max_dim:
                     continue
                 inst = f"assoc:{la}|{lb}|{lc}"
                 if not _want(only, inst):
@@ -72,7 +79,7 @@ def suite_algebra(ctx, hall, max_dim, only=None):
                 failures.append(f"{inst}: unit law fails")
     for la in labels:
         for lb in labels:
-            if dim_total(hall.grade(la)) + dim_total(hall.grade(lb)) > max_dim:
+            if totals[la] + totals[lb] > max_dim:
                 continue
             inst = f"prodgrade:{la}|{lb}"
             if not _want(only, inst):
@@ -169,22 +176,21 @@ def suite_antipode(ctx, hall, max_dim, only=None):
             "comparison": comparison}
 
 
-def suite_hexagon(ctx, hall, max_dim, only=None, entry_bound=None):
+def suite_hexagon(ctx, hall, max_dim, only=None):
     """Hexagon coefficient identity and braid invertibility.
 
     The braiding coefficient must be multiplicative in each slot of the
     Euler form (checked over all grades with entries <= entry_bound), and
     braid followed by inverse braid must be the identity on basis tensors.
-    The default entry bound is 5 on two vertices and shrinks on larger
-    quivers to keep the triple count bounded; the bound used is reported.
+    The entry bound is 5 on two vertices and shrinks on larger quivers to
+    keep the triple count bounded; the bound used is reported.
     """
     failures = []
     instances = 0
     n = ctx.quiver.n
-    if entry_bound is None:
-        entry_bound = 5
-        while entry_bound > 1 and (entry_bound + 1) ** n > 50:
-            entry_bound -= 1
+    entry_bound = HEXAGON_ENTRY_BOUND
+    while entry_bound > 1 and (entry_bound + 1) ** n > HEXAGON_MAX_GRADES:
+        entry_bound -= 1
     grades = []
     for total in range(entry_bound * n + 1):
         for d in dim_vectors_with_total(n, total):
@@ -301,9 +307,9 @@ def suite_spans(ctx, hall, max_dim, only=None):
             "scope_note": "matrix entries vs structure constants, exact"}
 
 
-def suite_bsim(ctx, hall, max_dim, only=None, cap=2):
+def suite_bsim(ctx, hall, max_dim, only=None):
     """Braiding span versus EXT, and its matrix versus the algebraic braiding."""
-    bound = min(max_dim, cap)
+    bound = min(max_dim, BSIM_CAP)
     base = cathall.build_A0(ctx, bound)
     span = cathall.BraidingSpan(ctx, base, base)
     rep = cathall.bsim_ext_check(ctx, span, only)
@@ -329,8 +335,8 @@ def suite_bsim(ctx, hall, max_dim, only=None, cap=2):
             "bound": bound, "scope_note": "object/cardinality level"}
 
 
-def suite_coherence(ctx, max_dim, only=None, cap=2):
-    bound = min(max_dim, cap)
+def suite_coherence(ctx, max_dim, only=None):
+    bound = min(max_dim, COHERENCE_CAP)
     failures = []
     instances = 0
     for name in cathall.COHERENCE_NAMES:
@@ -344,7 +350,7 @@ def suite_coherence(ctx, max_dim, only=None, cap=2):
             "scope_note": "object/cardinality level; 2-cell equalities out of scope"}
 
 
-def suite_engine(seed, only=None, span_trials=50, equiv_trials=20):
+def suite_engine(seed, only=None):
     """Randomized groupoid-engine properties with a fixed seed.
 
     Functoriality of degroupoidification on composable span pairs, the two
@@ -359,7 +365,7 @@ def suite_engine(seed, only=None, span_trials=50, equiv_trials=20):
         if G.cardinality() != G.cardinality_alt():
             failures.append(f"{inst}: cardinality formulas disagree")
 
-    for k in range(span_trials):
+    for k in range(ENGINE_SPAN_TRIALS):
         inst = f"engine:span:{k}"
         # random draws happen unconditionally so --only replays exactly
         X, Y, Z = rng.groupoid(), rng.groupoid(), rng.groupoid()
@@ -396,7 +402,7 @@ def suite_engine(seed, only=None, span_trials=50, equiv_trials=20):
                gpd.degroupoidify_vector(psi).items()}
         if lhs != {k2: v for k2, v in rhs.items() if v}:
             failures.append(f"{inst}: vector scaling off")
-    for k in range(equiv_trials):
+    for k in range(ENGINE_EQUIV_TRIALS):
         inst = f"engine:equiv:{k}"
         G = rng.groupoid()
         comps = []

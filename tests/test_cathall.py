@@ -6,15 +6,16 @@ import pytest
 
 from hallalg import groupoids as gpd
 from hallalg.cathall import (BraidingSpan, COHERENCE_NAMES, ExtGroupoid,
-                             RepGroupoid, SESObject, bsim_ext_check, build_A0,
+                             RepGroupoid, SESObject, block_injections,
+                             block_projections, bsim_ext_check, build_A0,
                              coherence_check, comult_matrix_against_hall,
                              comult_span_matrix, ext_bilinearity_first,
                              ext_bilinearity_second, ext_cardinality_check,
                              factor_through, corestrict, glue_quotients,
                              glue_subobjects, hexagonator_R, hexagonator_S,
                              mult_matrix_against_hall, mult_span_matrix,
-                             riedtmann_check, _flat, _square_zero)
-from hallalg.linalg import BudgetError
+                             riedtmann_check, _square_zero)
+from hallalg.linalg import BudgetError, flatten
 from hallalg.quiver import RepCategory, RepMorphism, Representation, dim_add
 from oracles import (fixed_ends_by_aut_scan, image_key, morphism_count,
                      orbits_by_aut_scan)
@@ -147,12 +148,23 @@ def test_glue_functions_invert_splitting(ctx2, reps2):
                 == ctx2.extension_class(S1, Nsum, ses.mid, ses.incl, ses.proj)
 
 
+def test_summand_maps_split_the_chosen_direct_sum(ctx2, reps2):
+    for y, z in ((reps2["S1"], reps2["P1"]), (reps2["SS"], reps2["S2"]),
+                 (reps2["zero"], reps2["P1"])):
+        s, inc_y, inc_z = block_injections(y, z)
+        s2, pr_y, pr_z = block_projections(y, z)
+        assert s == s2 == y.direct_sum(z)
+        for m in (inc_y, inc_z, pr_y, pr_z):
+            assert m.is_valid()
+        assert pr_y.compose(inc_y) == RepMorphism.identity(y)
+        assert pr_z.compose(inc_z) == RepMorphism.identity(z)
+        assert pr_z.compose(inc_y).is_zero() and pr_y.compose(inc_z).is_zero()
+
+
 def test_hexagonator_split_input_gives_split_outputs(ctx2, reps2):
-    from hallalg.linalg import Matrix
     S1, S2 = reps2["S1"], reps2["S2"]
     sub = S2.direct_sum(S2)
-    zero_cocycle = [Matrix.zero(ctx2.field, sub.dim[t], S1.dim[s])
-                    for s, t in ctx2.quiver.arrows]
+    zero_cocycle = [0] * sum(sub.dim[t] * S1.dim[s] for s, t in ctx2.quiver.arrows)
     E, incl, proj = ctx2.middle_term_ses(S1, sub, zero_cocycle)
     ses = SESObject(sub, E, S1, incl, proj)
     ses.validate()
@@ -295,12 +307,12 @@ def test_aut_routes_match_aut_scans(ctx2):
                     assert ext.aut_triples_direct(ses) == stab
                     basis = ext.fixed_end_basis(ses)
                     assert _square_zero(ctx2, ses.mid, basis)
-                    one = _flat(RepMorphism.identity(ses.mid))
+                    one = flatten(RepMorphism.identity(ses.mid).vertex_maps)
                     fixed = {tuple((e + sum(c * b[k] for c, b in zip(coeffs, basis))) % q
                                    for k, e in enumerate(one))
                              for coeffs in product(range(q), repeat=len(basis))}
                     assert len(fixed) == q ** len(basis)
-                    assert fixed == {tuple(_flat(b))
+                    assert fixed == {flatten(b.vertex_maps)
                                      for b in fixed_ends_by_aut_scan(ext, ses)}
 
 
@@ -311,7 +323,7 @@ def test_square_zero_rejects_the_identity(ctx2, reps2):
         for ses in ext.objects(e_label):
             basis = ext.fixed_end_basis(ses)
             assert _square_zero(ctx2, ses.mid, basis)
-            one = _flat(RepMorphism.identity(ses.mid))
+            one = flatten(RepMorphism.identity(ses.mid).vertex_maps)
             assert not _square_zero(ctx2, ses.mid, basis + [one])
 
 

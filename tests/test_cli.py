@@ -50,6 +50,13 @@ def test_tables_csv(capsys, tmp_path):
     assert any(line.startswith("coproduct,") for line in lines[1:])
 
 
+def test_format_belongs_to_tables_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "green", "--max-dim", "1", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_verify_green_exits_zero(capsys):
     code, out, err = run(capsys, "verify", "green", "--q", "2", "--max-dim", "3")
     assert code == 0
@@ -218,12 +225,21 @@ def test_verify_spans_failure_replays_by_id(capsys, monkeypatch):
     comult_built = []
     monkeypatch.setattr(cathall, "comult_span_matrix",
                         lambda *args: comult_built.append(args) or {})
+    ext_built = []
+    init = cathall.ExtGroupoid.__init__
+
+    def counted(self, ctx, M, N):
+        ext_built.append((M, N))
+        init(self, ctx, M, N)
+
+    monkeypatch.setattr(cathall.ExtGroupoid, "__init__", counted)
     code, out, _ = run(capsys, "verify", "spans", "--max-dim", "2", "--only", inst)
     assert code == 1
     suite = json.loads(out)["suites"][0]
     assert suite["instances"] == 1
     assert suite["failures"] == [failures[0]]
     assert comult_built == []       # a mult: id runs only the mult side
+    assert len(ext_built) == 1      # and builds only the EXT groupoid of its pair
 
 
 def test_verify_coherence_failure_replays_by_id(capsys, monkeypatch):

@@ -99,6 +99,15 @@ GOLDEN = [
     pytest.param(["verify", "hexagon", "--quiver", "d4"] + Q2,
                  "9c52d02ca95cdc71d0d7cd55ed0d1383455911224d69105767c9d31a6f55f6ed",
                  id="verify-hexagon-d4"),
+    pytest.param(["verify", "bilinearity", "--quiver", "d4"] + Q2,
+                 "c15fea35370fbdcba191c52154fb648e7fd3e5a7922037ba123b0d854b64e68e",
+                 id="verify-bilinearity-d4"),
+    pytest.param(["verify", "coherence", "--quiver", "d4", "--q", "2", "--max-dim", "2"],
+                 "2b6357815e8b8b30a865f5eba1a7925ef3ea1c74ed43b18e17e2e70c6f520e65",
+                 id="verify-coherence-d4"),
+    pytest.param(["verify", "bilinearity", "--quiver", "a2", "--q", "3", "--max-dim", "3"],
+                 "966f25e4cbc5001202cb02eda4249e0970ca1554ee6876163fc2ebee20ef859b",
+                 id="verify-bilinearity-a2-q3"),
 ]
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from hallalg.linalg import (BudgetError, Matrix, PrimeField, enumerate_gl,
                             enumerate_matrices, enumerate_subspaces,
-                            enumerate_vectors, gaussian_binomial, gl_order)
+                            enumerate_vectors, flatten, gaussian_binomial,
+                            gl_order, unflatten)
 from oracles import complement_columns
 
 F2 = PrimeField(2)
@@ -76,6 +77,41 @@ def test_enumerate_matrices_counts_and_order():
     flats = [tuple(x for row in m.entries for x in row) for m in ms33]
     assert flats == sorted(flats)
     assert len(set(flats)) == 81
+
+
+def test_flatten_unflatten_round_trip():
+    shapes = [(2, 3), (0, 2), (3, 0), (1, 1), (0, 0)]
+    rng = random.Random(5)
+    mats = tuple(Matrix(F3, [[rng.randrange(3) for _ in range(c)] for _ in range(r)], r, c)
+                 for r, c in shapes)
+    flat = flatten(mats)
+    assert len(flat) == 7
+    assert flat[:6] == mats[0].entries[0] + mats[0].entries[1]   # row-major, block by block
+    back = unflatten(F3, flat, shapes)
+    assert back == mats
+    assert [(m.rows, m.cols) for m in back] == shapes
+    assert flatten(unflatten(F3, flat, shapes)) == flat
+    for wrong in (flat[:-1], flat + (0,)):
+        with pytest.raises(ValueError):
+            unflatten(F3, wrong, shapes)
+
+
+def test_block_and_columns():
+    a = Matrix(F5, [[1, 2], [3, 4]])
+    b = Matrix(F5, [[0, 1]])
+    c = Matrix(F5, [[2], [3]])
+    m = Matrix.block(F5, [[a, c], [b, None]])
+    assert m == Matrix(F5, [[1, 2, 2], [3, 4, 3], [0, 1, 0]])
+    assert m.columns(0, 2) == Matrix(F5, [[1, 2], [3, 4], [0, 1]])
+    assert m.columns(2, 3) == Matrix(F5, [[2], [3], [0]])
+    assert m.columns(1, 1) == Matrix.zero(F5, 3, 0)
+    empty_rows = Matrix.zero(F5, 0, 2)
+    assert Matrix.block(F5, [[empty_rows, None], [None, a]]) == \
+        Matrix(F5, [[0, 0, 1, 2], [0, 0, 3, 4]])
+    with pytest.raises(ValueError):
+        Matrix.block(F5, [[a, c], [c, a]])
+    with pytest.raises(ValueError):
+        Matrix.block(F5, [[a, c], [b]])
 
 
 def test_enumeration_budget_error_names_count():

@@ -237,20 +237,46 @@ def test_quotient_examples(ctx2, reps2):
 
 def test_middle_term_examples(ctx2, ctx3, reps2, reps3):
     S1, S2 = reps2["S1"], reps2["S2"]
-    E0 = ctx2.middle_term(S1, S2, [Matrix(ctx2.field, [[0]])])
+    E0 = ctx2.middle_term(S1, S2, [0])
     assert ctx2.is_isomorphic(E0, reps2["SS"])
-    E1 = ctx2.middle_term(S1, S2, [Matrix(ctx2.field, [[1]])])
+    E1 = ctx2.middle_term(S1, S2, [1])
     assert ctx2.is_isomorphic(E1, reps2["P1"])
     # cohomologous cocycles give isomorphic middle terms over F_3
     S1_3, S2_3 = reps3["S1"], reps3["S2"]
-    Ea = ctx3.middle_term(S1_3, S2_3, [Matrix(ctx3.field, [[1]])])
-    Eb = ctx3.middle_term(S1_3, S2_3, [Matrix(ctx3.field, [[2]])])
+    Ea = ctx3.middle_term(S1_3, S2_3, [1])
+    Eb = ctx3.middle_term(S1_3, S2_3, [2])
     assert ctx3.is_isomorphic(Ea, Eb)
 
 
+def test_zero_cocycle_gives_the_chosen_direct_sum(ctx2, reps2, a3_source):
+    ctx_src = RepCategory(a3_source, 2)
+    for ctx in (ctx2, ctx_src):
+        classes = ctx.classes_up_to(2)
+        for cm in classes:
+            for cn in classes:
+                M, N = cm.rep, cn.rep
+                zero = (0,) * sum(r * c for r, c in ctx.cocycle_blocks(M, N))
+                assert ctx.middle_term(M, N, zero) == N.direct_sum(M)
+    with pytest.raises(ValueError):
+        ctx2.middle_term(reps2["S1"], reps2["S2"], (0, 0))   # one coordinate, not two
+    with pytest.raises(TypeError):                               # blocks are not coordinates
+        ctx2.middle_term(reps2["S1"], reps2["S2"], [Matrix(ctx2.field, [[1]])])
+
+
+def test_subrep_on_accepts_only_invariant_subspaces(ctx2, reps2):
+    P1 = reps2["P1"]                      # S1 -> S2 by the identity: S2 is its only sub
+    f = ctx2.field
+    top = [Matrix(f, [[1]]), Matrix.zero(f, 1, 0)]       # the S1 coordinate alone
+    bottom = [Matrix.zero(f, 1, 0), Matrix(f, [[1]])]    # the S2 coordinate alone
+    assert ctx2.subrep_on(P1, top) is None
+    incl = ctx2.subrep_on(P1, bottom)
+    assert incl.target is P1 and incl.is_valid() and incl.is_injective()
+    assert ctx2.is_isomorphic(incl.source, reps2["S2"])
+    assert [i for i, _, _ in ctx2.invariant_subreps(P1, (0, 1))] == [incl]
+
+
 def test_middle_term_ses_is_exact(ctx2, reps2):
-    E, incl, proj = ctx2.middle_term_ses(reps2["S1"], reps2["S2"],
-                                         [Matrix(ctx2.field, [[1]])])
+    E, incl, proj = ctx2.middle_term_ses(reps2["S1"], reps2["S2"], [1])
     assert incl.is_valid() and proj.is_valid()
     assert incl.is_injective() and proj.is_surjective()
     assert proj.compose(incl).is_zero()
