@@ -6,6 +6,7 @@ in lexicographic order so downstream classification is reproducible.
 No floating point anywhere.
 """
 
+from itertools import combinations, product
 from operator import add, mul
 
 
@@ -269,15 +270,21 @@ class Matrix:
         return tuple(x)
 
     def solve_matrix(self, rhs):
-        """Solve self * X = rhs columnwise; None if any column is unsolvable."""
-        cols = []
-        for j in range(rhs.cols):
-            col = self.solve(tuple(rhs.entries[i][j] for i in range(rhs.rows)))
-            if col is None:
-                return None
-            cols.append(col)
-        return Matrix._of(self.field, tuple(zip(*cols)) if cols else ((),) * self.cols,
-                          self.cols, rhs.cols)
+        """One solution X of self * X = rhs, free variables zero as in solve(), by one
+        rref of [self | rhs]; None if a pivot lies past self's columns."""
+        if rhs.rows != self.rows:
+            raise ValueError("rhs row count mismatch")
+        n, z = self.cols, (self.field.zero,)
+        if not rhs.cols:
+            return Matrix._of(self.field, ((),) * n, n, 0)
+        red, pivots = Matrix._of(self.field, tuple(map(add, self.entries, rhs.entries)),
+                                 self.rows, n + rhs.cols).rref()
+        if pivots and pivots[-1] >= n:
+            return None
+        rows = [z * rhs.cols] * n
+        for r, pc in enumerate(pivots):
+            rows[pc] = red.entries[r][n:]
+        return Matrix._of(self.field, tuple(rows), n, rhs.cols)
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
@@ -351,14 +358,7 @@ def enumerate_matrices(rows, cols, p, budget=DEFAULT_BUDGET):
 
 def enumerate_vectors(field, n):
     """All vectors of F_p^n in lexicographic order, as tuples."""
-    p = field.p
-    for k in range(p ** n):
-        v = [0] * n
-        rem = k
-        for i in range(n - 1, -1, -1):
-            v[i] = rem % p
-            rem //= p
-        yield tuple(v)
+    return product(range(field.p), repeat=n)
 
 
 def gl_order(d, q):
@@ -458,29 +458,14 @@ def enumerate_subspaces(field, n, k, budget=DEFAULT_BUDGET):
     the basis is the transposed RREF row basis, so each subspace appears
     exactly once and the representation is canonical.
     """
-    p = field.p
-    check_budget(f"subspace enumeration ({n} choose {k})_{p}",
-                 gaussian_binomial(n, k, p), budget)
-    if k == 0:
-        yield Matrix.zero(field, n, 0)
-        return
-    if k > n:
-        return
-    from itertools import combinations
+    check_budget(f"subspace enumeration ({n} choose {k})_{field.p}",
+                 gaussian_binomial(n, k, field.p), budget)
     for pivots in combinations(range(n), k):
-        free_positions = []
-        for r in range(k):
-            for c in range(pivots[r] + 1, n):
-                if c not in pivots:
-                    free_positions.append((r, c))
-        nfree = len(free_positions)
-        for assign in range(p ** nfree):
+        free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots]
+        for values in enumerate_vectors(field, len(free)):
             rows = [[field.zero] * n for _ in range(k)]
             for r, pc in enumerate(pivots):
                 rows[r][pc] = field.one
-            rem = assign
-            for idx in range(nfree - 1, -1, -1):
-                r, c = free_positions[idx]
-                rows[r][c] = rem % p
-                rem //= p
+            for (r, c), x in zip(free, values):
+                rows[r][c] = x
             yield Matrix._of(field, tuple(map(tuple, rows)), k, n).transpose()

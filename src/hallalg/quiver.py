@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import prod
+from operator import mul
 
 from .linalg import (
     DEFAULT_BUDGET,
@@ -19,7 +20,6 @@ from .linalg import (
     PrimeField,
     check_budget,
     enumerate_gl,
-    enumerate_matrices,
     enumerate_subspaces,
     enumerate_vectors,
     flatten,
@@ -146,7 +146,7 @@ def dim_vectors_with_total(n, total):
 class Representation:
     """Dimension vector plus one matrix per arrow, shape (dim[tgt] x dim[src])."""
 
-    __slots__ = ("quiver", "field", "dim", "edge_maps", "_hash")
+    __slots__ = ("quiver", "field", "dim", "edge_maps", "_hash", "_flat")
 
     def __init__(self, quiver, field, dim, edge_maps):
         dim = tuple(int(x) for x in dim)
@@ -163,6 +163,7 @@ class Representation:
         self.dim = dim
         self.edge_maps = edge_maps
         self._hash = None
+        self._flat = None         # flatten(edge_maps), the class_of key; set on demand
 
     @classmethod
     def zero(cls, quiver, field):
@@ -310,75 +311,81 @@ class RepCategory:
         self.q = p
         self.budget = budget
         self._classes = {}        # dim -> list[IsoClass]
-        self._canon = {}          # dim -> {edge tuple: class index}
+        self._canon = {}          # dim -> {flat edge tuple: class index}
         self._by_label = {}       # label -> IsoClass
         self._hom_cache = {}
         self._pair_count_cache = {}
         self._census_cache = {}
         self._aut_list_cache = {}
         self._subrep_cache = {}
+        self._frames = {}         # basis B -> its frame
+        self._subspace_frames = {}  # (n, k) -> frames of all k-subspaces of F_p^n, in order
 
     # ---- classification by orbit enumeration ------------------------------
 
     def tuple_space_size(self, dim):
         return self.q ** sum(dim[s] * dim[t] for s, t in self.quiver.arrows)
 
-    def _edge_tuple_space(self, dim):
-        per_arrow = []
-        for s, t in self.quiver.arrows:
-            per_arrow.append(list(enumerate_matrices(dim[t], dim[s], self.q,
-                                                     budget=self.budget)))
-        return per_arrow
-
-    def _vertex_generators(self, dim):
-        gens = []
+    def _generator_actions(self, dim, shapes):
+        """Each GL_{dim_v} generator g, acting as g M on arrows into v and as
+        M g^-1 on arrows out of v, as the (i, row) pairs of the rows of its
+        matrix on flat edge tuples that differ from the identity; generators
+        that change no row are dropped."""
+        f, arrows = self.field, self.quiver.arrows
+        ident = Matrix.identity(f, sum(r * c for r, c in shapes)).entries
+        actions = []
         for v in range(self.quiver.n):
-            for g in gl_generators(self.field, dim[v]):
-                gens.append((v, g, g.inverse()))
-        return gens
+            for g in gl_generators(f, dim[v]):
+                ginv = g.inverse()
+                cols = [flatten(g * m if t == v else m * ginv if s == v else m
+                                for (s, t), m in zip(arrows, unflatten(f, e, shapes)))
+                        for e in ident]
+                changed = [(i, row) for i, (row, e) in enumerate(zip(zip(*cols), ident))
+                           if row != e]
+                if changed:
+                    actions.append(changed)
+        return actions
 
     def classify(self, dim):
         """Isomorphism classes of representations with the given dimension vector.
 
-        Representatives are the lexicographically least edge tuple of each
-        orbit, in enumeration order, so labels are deterministic.  |Aut| is
-        read off by orbit-stabilizer inside prod_v GL(dim_v).
+        Edge tuples are walked as flat coordinate vectors (flatten()'s
+        layout) in lexicographic order, which is the order of the product of
+        the per-arrow matrix enumerations.  Representatives are the least
+        tuple of each orbit, so labels are deterministic.  |Aut| is read off
+        by orbit-stabilizer inside prod_v GL(dim_v).
         """
         dim = tuple(dim)
         if dim in self._classes:
             return self._classes[dim]
         check_budget(f"classify{dim} tuple space", self.tuple_space_size(dim), self.budget)
-        per_arrow = self._edge_tuple_space(dim)
-        gens = self._vertex_generators(dim)
-        group = prod(gl_order(d, self.q) for d in dim)
+        f, p = self.field, self.q
+        shapes = [(dim[t], dim[s]) for s, t in self.quiver.arrows]
+        actions = self._generator_actions(dim, shapes)
+        group = prod(gl_order(d, p) for d in dim)
         visited = {}
         classes = []
-        for tup in product(*per_arrow) if per_arrow else [()]:
+        for tup in enumerate_vectors(f, sum(r * c for r, c in shapes)):
             if tup in visited:
                 continue
             index = len(classes)
-            orbit = {tup}
+            visited[tup] = index
             frontier = [tup]
+            size = 1
             while frontier:
                 cur = frontier.pop()
-                for v, g, ginv in gens:
-                    new = []
-                    for k, (s, t) in enumerate(self.quiver.arrows):
-                        m = cur[k]
-                        if t == v:
-                            m = g * m
-                        if s == v:
-                            m = m * ginv
-                        new.append(m)
+                for changed in actions:
+                    new = list(cur)
+                    for i, row in changed:
+                        new[i] = sum(map(mul, row, cur)) % p
                     new = tuple(new)
-                    if new not in orbit:
-                        orbit.add(new)
+                    if new not in visited:
+                        visited[new] = index
+                        size += 1
                         frontier.append(new)
-            for member in orbit:
-                visited[member] = index
-            assert group % len(orbit) == 0
-            rep = Representation(self.quiver, self.field, dim, tup)
-            cls = IsoClass(self.quiver.name, dim, index, rep, len(orbit), group // len(orbit))
+            assert group % size == 0
+            rep = Representation(self.quiver, f, dim, unflatten(f, tup, shapes))
+            cls = IsoClass(self.quiver.name, dim, index, rep, size, group // size)
             classes.append(cls)
             self._by_label[cls.label] = cls
         self._classes[dim] = classes
@@ -387,7 +394,9 @@ class RepCategory:
 
     def class_of(self, rep):
         classes = self.classify(rep.dim)
-        return classes[self._canon[rep.dim][rep.edge_maps]]
+        if rep._flat is None:
+            rep._flat = flatten(rep.edge_maps)
+        return classes[self._canon[rep.dim][rep._flat]]
 
     def is_isomorphic(self, M, N):
         self._same_quiver(M, N)
@@ -503,79 +512,108 @@ class RepCategory:
 
     # ---- subobjects, quotients, extensions ---------------------------------
 
-    def _quotient_data(self, E, basis_mats):
-        """Quotient of E by the invariant subspace with per-vertex bases.
+    def _frame(self, B):
+        """(B, P, P^-1, proj) for the n x k basis B (full column rank) of a subspace.
 
-        Returns (quotient rep, projection RepMorphism).  Per vertex, the
-        quotient coordinates are those of the greedy standard-vector
-        complement C of the basis B, and the projection is the rows of
-        [B | C]^-1 past B; each arrow's map is proj_t E_a restricted to the
-        complement columns of its source.
+        P = [B | C] with C the greedy standard-vector complement, and P^-1
+        comes from the same completion(); proj is the rows of P^-1 past k,
+        the projection onto the quotient coordinates.  Cached per basis.
         """
-        f = self.field
-        picked, proj = [], []
-        for B in basis_mats:
-            cols, inv = B.completion()
-            picked.append(cols)
-            proj.append(Matrix._of(f, inv.entries[B.cols:], len(cols), B.rows))
-        qmaps = []
-        for k, (s, t) in enumerate(self.quiver.arrows):
-            ea_cs = Matrix._of(f, tuple(tuple(row[j] for j in picked[s])
-                                        for row in E.edge_maps[k].entries),
-                               E.dim[t], len(picked[s]))
-            qmaps.append(proj[t] * ea_cs)
-        Q = Representation(self.quiver, f, tuple(map(len, picked)), qmaps)
-        return Q, RepMorphism(E, Q, proj)
+        if B not in self._frames:
+            picked, inv = B.completion()
+            n, ident = B.rows, Matrix.identity(self.field, B.rows).entries
+            P = Matrix._of(self.field, tuple(row + tuple(e[j] for j in picked)
+                                             for row, e in zip(B.entries, ident)), n, n)
+            self._frames[B] = B, P, inv, Matrix._of(self.field, inv.entries[B.cols:],
+                                                    n - B.cols, n)
+        return self._frames[B]
+
+    def _frame_maps(self, E, frames, products=None):
+        """(maps of U, maps of E/U) for U spanned by the frame bases, or None
+        when U is not invariant.
+
+        products[a] holds the columns of E_a P_s, formed here when not given.
+        Per arrow a: s -> t, the one product Y = P_t^-1 E_a P_s gives
+        everything: its lower-left block vanishes exactly when E_a maps U_s
+        into U_t, its upper-left block is the map U_a and its lower-right
+        block, proj_t E_a C_s, the map of E/U.
+        """
+        p, f, arrows = self.q, self.field, self.quiver.arrows
+        if products is None:
+            products = [(ea * frames[s][1]).transpose().entries
+                        for (s, _), ea in zip(arrows, E.edge_maps)]
+        umaps, qmaps = [], []
+        for (s, t), cols in zip(arrows, products):
+            kt, ks = frames[t][0].cols, frames[s][0].cols
+            y = [tuple(sum(map(mul, row, col)) % p for col in cols)
+                 for row in frames[t][2].entries]
+            if any(any(row[:ks]) for row in y[kt:]):
+                return None
+            umaps.append(Matrix._of(f, tuple(row[:ks] for row in y[:kt]), kt, ks))
+            qmaps.append(Matrix._of(f, tuple(row[ks:] for row in y[kt:]),
+                                    len(y) - kt, len(cols) - ks))
+        return umaps, qmaps
 
     def invariant_subreps(self, E, sub_dim):
         """All subrepresentations of E with the given dimension vector.
 
         Returns a cached list of (inclusion, E/U, projection) triples:
         inclusion U -> E with U the induced representation on a canonical
-        subspace basis, projection E -> E/U.  Enumeration order is
-        deterministic.
+        subspace basis, projection E -> E/U.  Subspace tuples are walked in
+        the order of the per-vertex enumerate_subspaces lists, through
+        frames shared by every E, with E_a P_s formed once per arrow and
+        source frame.
         """
         key = (E, tuple(sub_dim))
         if key in self._subrep_cache:
             return self._subrep_cache[key]
-        f = self.field
-        n = self.quiver.n
         count = 1
-        for v in range(n):
-            count *= gaussian_binomial(E.dim[v], sub_dim[v], self.q)
+        for e, k in zip(E.dim, sub_dim):
+            count *= gaussian_binomial(e, k, self.q)
         check_budget(f"subspace tuples for subreps of dim {tuple(sub_dim)}",
                      count, self.budget)
-        per_vertex = [list(enumerate_subspaces(f, E.dim[v], sub_dim[v], budget=self.budget))
-                      for v in range(n)]
+        per_vertex = []
+        for e, k in zip(E.dim, sub_dim):
+            if (e, k) not in self._subspace_frames:
+                self._subspace_frames[e, k] = [self._frame(B) for B in enumerate_subspaces(
+                    self.field, e, k, budget=self.budget)]
+            per_vertex.append(self._subspace_frames[e, k])
+        # columns of E_a P_s per arrow, by source frame (cached objects, so id() names them)
+        by_source = [{id(fr): (ea * fr[1]).transpose().entries for fr in per_vertex[s]}
+                     for (s, _), ea in zip(self.quiver.arrows, E.edge_maps)]
+        qdim = tuple(e - k for e, k in zip(E.dim, sub_dim))
         out = []
-        for bases in product(*per_vertex):
-            incl = self.subrep_on(E, bases)
-            if incl is not None:
-                out.append((incl,) + self._quotient_data(E, bases))
+        for frames in product(*per_vertex):
+            maps = self._frame_maps(E, frames, [cols[id(frames[s])] for (s, _), cols
+                                                in zip(self.quiver.arrows, by_source)])
+            if maps is not None:
+                U = Representation(self.quiver, self.field, sub_dim, maps[0])
+                Q = Representation(self.quiver, self.field, qdim, maps[1])
+                out.append((RepMorphism(U, E, [fr[0] for fr in frames]), Q,
+                            RepMorphism(E, Q, [fr[3] for fr in frames])))
         self._subrep_cache[key] = out
         return out
 
     def subrep_on(self, E, bases):
-        """The inclusion of the subrepresentation of E on the given subspaces.
-
-        bases holds one matrix per vertex whose independent columns span
-        the subspace there.  Returns None when the subspaces are not
-        invariant under the edge maps of E.
-        """
-        umaps = []
-        for k, (s, t) in enumerate(self.quiver.arrows):
-            sol = bases[t].solve_matrix(E.edge_maps[k] * bases[s])
-            if sol is None:
-                return None
-            umaps.append(sol)
-        U = Representation(self.quiver, self.field, tuple(b.cols for b in bases), umaps)
-        return RepMorphism(U, E, bases)
+        """The inclusion of the subrepresentation of E on the subspaces that
+        bases span (one matrix of full column rank per vertex), or None when
+        they are not invariant under the edge maps of E."""
+        maps = self._frame_maps(E, [self._frame(B) for B in bases])
+        if maps is None:
+            return None
+        return RepMorphism(Representation(self.quiver, self.field,
+                                          [B.cols for B in bases], maps[0]), E, bases)
 
     def quotient_with_projection(self, E, f_mor):
-        """(E / im f, projection E -> E / im f); f must be vertexwise injective."""
+        """(E / im f, projection E -> E / im f); f must be an injective morphism."""
         if not f_mor.is_injective():
             raise ValueError("quotient by a non-injective morphism")
-        return self._quotient_data(E, list(f_mor.vertex_maps))
+        frames = [self._frame(B) for B in f_mor.vertex_maps]
+        maps = self._frame_maps(E, frames)
+        if maps is None:
+            raise ValueError("the image of f is not a subrepresentation")
+        Q = Representation(self.quiver, self.field, [fr[3].rows for fr in frames], maps[1])
+        return Q, RepMorphism(E, Q, [fr[3] for fr in frames])
 
     # extensions: cocycles live in the codomain of the presentation matrix
 

@@ -5,8 +5,11 @@ by enumerating every candidate morphism and testing it directly, or by
 the one-vector-at-a-time linear algebra the library replaced.
 """
 
-from hallalg.linalg import Matrix
-from hallalg.quiver import dim_add
+from itertools import product
+from math import prod
+
+from hallalg.linalg import Matrix, enumerate_matrices, enumerate_subspaces, gl_generators, gl_order
+from hallalg.quiver import Representation, RepMorphism, dim_add
 
 
 def image_key(mor):
@@ -125,3 +128,66 @@ def reduce_cocycle_by_solve(ctx, M, N, vec):
     for idx, j in enumerate(comp):
         out[j] = sol[len(image_basis) + idx]
     return tuple(out)
+
+
+def classify_by_matrix_orbits(ctx, dim):
+    """[(rep, orbit size, |Aut|)] for one dimension vector, by closing orbits
+    on tuples of Matrix edge maps under per-vertex GL generators g, acting
+    as g M on arrows into v and M g^-1 on arrows out of v.  Tuples are
+    visited in the order of the product of per-arrow matrix enumerations."""
+    arrows = ctx.quiver.arrows
+    per_arrow = [list(enumerate_matrices(dim[t], dim[s], ctx.q)) for s, t in arrows]
+    gens = [(v, g, g.inverse()) for v in range(ctx.quiver.n)
+            for g in gl_generators(ctx.field, dim[v])]
+    group = prod(gl_order(d, ctx.q) for d in dim)
+    visited, out = set(), []
+    for tup in product(*per_arrow):
+        if tup in visited:
+            continue
+        orbit, frontier = {tup}, [tup]
+        while frontier:
+            cur = frontier.pop()
+            for v, g, ginv in gens:
+                new = []
+                for (s, t), m in zip(arrows, cur):
+                    if t == v:
+                        m = g * m
+                    if s == v:
+                        m = m * ginv
+                    new.append(m)
+                new = tuple(new)
+                if new not in orbit:
+                    orbit.add(new)
+                    frontier.append(new)
+        visited |= orbit
+        out.append((Representation(ctx.quiver, ctx.field, dim, tup), len(orbit),
+                    group // len(orbit)))
+    return out
+
+
+def invariant_subreps_by_solve(ctx, E, sub_dim):
+    """[(inclusion, E/U, projection)] for every U <= E of dimension sub_dim:
+    each tuple of canonical subspace bases is tested by solving
+    B_t X = E_a B_s on every arrow, X giving the map U_a, and E/U is read
+    off the greedy standard-vector complement C of each basis B, with
+    projection the rows of [B | C]^-1 past B."""
+    f = ctx.field
+    per_vertex = [list(enumerate_subspaces(f, e, k)) for e, k in zip(E.dim, sub_dim)]
+    out = []
+    for bases in product(*per_vertex):
+        umaps = [bases[t].solve_matrix(ea * bases[s])
+                 for (s, t), ea in zip(ctx.quiver.arrows, E.edge_maps)]
+        if None in umaps:
+            continue
+        incl = RepMorphism(Representation(ctx.quiver, f, sub_dim, umaps), E, bases)
+        picked, proj = [], []
+        for B in bases:
+            cols, inv = B.completion()
+            picked.append(cols)
+            proj.append(Matrix(f, inv.entries[B.cols:], len(cols), B.rows))
+        qmaps = [proj[t] * Matrix(f, [[row[j] for j in picked[s]] for row in ea.entries],
+                                  E.dim[t], len(picked[s]))
+                 for (s, t), ea in zip(ctx.quiver.arrows, E.edge_maps)]
+        Q = Representation(ctx.quiver, f, tuple(map(len, picked)), qmaps)
+        out.append((incl, Q, RepMorphism(E, Q, proj)))
+    return out

@@ -108,6 +108,12 @@ GOLDEN = [
     pytest.param(["verify", "bilinearity", "--quiver", "a2", "--q", "3", "--max-dim", "3"],
                  "966f25e4cbc5001202cb02eda4249e0970ca1554ee6876163fc2ebee20ef859b",
                  id="verify-bilinearity-a2-q3"),
+    pytest.param(["tables", "--quiver", "a3-source", "--q", "3", "--max-dim", "5"],
+                 "c812594bc1f5b1e4f745654ea039f111e400ad9dda4e2caf6cda1a5501932445",
+                 id="tables-a3-source-q3-d5"),
+    pytest.param(["tables", "--quiver", "d4", "--q", "2", "--max-dim", "4"],
+                 "db6d0c929e33e67258e21057be5b5861ec477dd794b89e77e446e6317d710ce6",
+                 id="tables-d4-d4"),
 ]
 
 
@@ -116,3 +122,15 @@ def test_report_bytes(tmp_path, argv, sha):
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+def test_sink_oriented_a3_tables_bytes(tmp_path):
+    """Both arrows of this A3 point into the middle vertex, an arrow order no
+    bundled quiver has; the report names the quiver after the file stem."""
+    quiver = tmp_path / "a3sink.json"
+    quiver.write_text('{"vertices": 3, "arrows": [[0, 1], [2, 1]]}')
+    out = tmp_path / "report.json"
+    assert main(["tables", "--quiver", str(quiver), "--q", "3", "--max-dim", "4",
+                 "--out", str(out)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "4177bfac1420b54efa8c3ef1cb3971a4a8b060f28aa28bf4854fa2df614b6e26")

@@ -214,6 +214,42 @@ def test_completion_matches_greedy_complement():
     assert B.completion()[0] == (1, 2)
 
 
+def test_solve_matrix_matches_columnwise_solve():
+    """One rref of [A | R] gives the per-column solve() of every column, or
+    None when any column is unsolvable; 0-row and 0-column shapes included."""
+    rng = random.Random(20261018)
+    unsolvable = 0
+    for f in (F2, F3):
+        p = f.p
+        for _ in range(300):
+            n, k, m = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 3)
+            A = Matrix(f, [[rng.randrange(p) for _ in range(k)] for _ in range(n)], n, k)
+            # mostly right-hand sides in the image, some arbitrary
+            if rng.random() < 0.7:
+                X = Matrix(f, [[rng.randrange(p) for _ in range(m)] for _ in range(k)], k, m)
+                R = A * X
+            else:
+                R = Matrix(f, [[rng.randrange(p) for _ in range(m)] for _ in range(n)], n, m)
+            cols = [A.solve(tuple(row[j] for row in R.entries)) for j in range(m)]
+            got = A.solve_matrix(R)
+            if any(c is None for c in cols):
+                unsolvable += 1
+                assert got is None
+            else:
+                assert (got.rows, got.cols) == (k, m)
+                assert got.transpose().entries == tuple(cols)
+                assert A * got == R
+    assert unsolvable > 0
+    # one unsolvable column among solvable ones sinks the whole solve
+    A = Matrix(F3, [[1, 0], [0, 1], [0, 0]])
+    assert A.solve_matrix(Matrix(F3, [[1, 2], [2, 0], [0, 0]])) == Matrix(F3, [[1, 2], [2, 0]])
+    assert A.solve_matrix(Matrix(F3, [[1, 2], [2, 0], [0, 1]])) is None
+    assert A.solve_matrix(Matrix.zero(F3, 3, 0)) == Matrix.zero(F3, 2, 0)
+    assert Matrix.zero(F2, 0, 3).solve_matrix(Matrix.zero(F2, 0, 2)) == Matrix.zero(F2, 3, 2)
+    with pytest.raises(ValueError):
+        A.solve_matrix(Matrix.zero(F3, 2, 1))
+
+
 def test_gl_enumeration_matches_order_formula():
     assert gl_order(2, 2) == 6
     assert gl_order(3, 2) == 168

@@ -6,7 +6,8 @@ import pytest
 from hallalg.linalg import BudgetError, Matrix, PrimeField, enumerate_matrices
 from hallalg.quiver import (Quiver, RepCategory, RepMorphism, Representation,
                             dim_vectors_with_total)
-from oracles import (aut_order_slow, complement_columns, count_exact_pairs_slow,
+from oracles import (aut_order_slow, classify_by_matrix_orbits, complement_columns,
+                     count_exact_pairs_slow, invariant_subreps_by_solve,
                      reduce_cocycle_by_solve)
 
 
@@ -157,6 +158,16 @@ def test_budget_exceeded(a2):
         tiny.classify((2, 2))
 
 
+def test_subrep_budget_is_checked_before_any_frame(a2):
+    ctx = RepCategory(a2, 2, budget=2)
+    E = Representation(a2, ctx.field, (2, 2), [Matrix.zero(ctx.field, 2, 2)])
+    with pytest.raises(BudgetError) as err:
+        ctx.invariant_subreps(E, (1, 1))
+    assert err.value.what == "subspace tuples for subreps of dim (1, 1)"
+    assert err.value.count == 9
+    assert ctx._frames == {} and ctx._subspace_frames == {}
+
+
 def test_iso_set_budget_counts_the_vertex_product(a2):
     # each GL_2(F_3) factor (48) fits the budget; their product (2304) does not
     ctx = RepCategory(a2, 3, budget=1000)
@@ -233,6 +244,10 @@ def test_quotient_examples(ctx2, reps2):
         ctx2.quotient_with_projection(
             P1, RepMorphism(S2, P1, [Matrix.zero(ctx2.field, 1, 0),
                                      Matrix(ctx2.field, [[0]])]))[0]
+    # injective vertex maps whose image is not a subrepresentation
+    with pytest.raises(ValueError):
+        ctx2.quotient_with_projection(
+            P1, RepMorphism(S1, P1, [Matrix(ctx2.field, [[1]]), Matrix.zero(ctx2.field, 1, 0)]))
 
 
 def test_middle_term_examples(ctx2, ctx3, reps2, reps3):
@@ -372,3 +387,33 @@ def test_ext_class_reps_and_extension_class(ctx2, reps2):
         assert back == ctx2.reduce_cocycle(S1, S2, vec)
         seen.add(back)
     assert len(seen) == 2
+
+
+SINK_A3 = Quiver(3, [(0, 1), (2, 1)], name="a3sink")
+D4 = Quiver(4, [(0, 1), (0, 2), (0, 3)], name="d4")
+
+
+@pytest.mark.parametrize("name,p", [("a2", 2), ("a2", 3), ("a3_source", 2), ("a3_source", 3),
+                                    ("sink", 2), ("sink", 3), ("d4", 2)])
+def test_enumerators_match_matrix_routes(request, name, p):
+    """classify and invariant_subreps against the Matrix-tuple orbit walk and
+    the solve-per-arrow subrep walk: the same classes in the same order with
+    the same reps, orbit sizes and |Aut|, and the same (inclusion, E/U,
+    projection) lists in the same order, on every class up to dim 3."""
+    quiver = {"sink": SINK_A3, "d4": D4}.get(name) or request.getfixturevalue(name)
+    ctx = RepCategory(quiver, p)
+    subreps = 0
+    for total in range(4):
+        for dim in dim_vectors_with_total(quiver.n, total):
+            classes = ctx.classify(dim)
+            assert [(c.rep, c.orbit_size, c.aut) for c in classes] == \
+                classify_by_matrix_orbits(ctx, dim)
+            for cls in classes:
+                assert ctx.class_of(cls.rep) is cls
+                for sub_dim in product(*(range(d + 1) for d in dim)):
+                    got = ctx.invariant_subreps(cls.rep, sub_dim)
+                    want = invariant_subreps_by_solve(ctx, cls.rep, sub_dim)
+                    assert [(i.source, i.vertex_maps, Q, pr.vertex_maps) for i, Q, pr in got] == \
+                        [(i.source, i.vertex_maps, Q, pr.vertex_maps) for i, Q, pr in want]
+                    subreps += len(got)
+    assert subreps > 50
