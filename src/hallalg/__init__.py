@@ -8,7 +8,7 @@ from .hall import GradeBoundError, HallAlgebra, HallVector
 from .groupoids import (ConcreteGroupoid, ConcreteSpan, GroupoidFunctor,
                         action_groupoid, compose_spans, degroupoidify_span,
                         degroupoidify_vector, equivalent, weak_pullback)
-from .cathall import (BraidingSpan, ExtGroupoid, RepGroupoid, SESObject,
+from .cathall import (BraidingSpan, ExtGroupoid, SESObject,
                       build_A0, bsim_ext_check, coherence_check,
                       ext_bilinearity_first, ext_bilinearity_second,
                       ext_cardinality_check, hexagonator_R, hexagonator_S,

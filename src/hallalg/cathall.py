@@ -115,17 +115,9 @@ def preimage_subrep(ctx, proj_to, g):
 # ---- the base groupoid and EXT groupoids ----------------------------------------
 
 
-class RepGroupoid:
-    """Witness-backed groupoid of representations; hom-sets come on demand."""
-
-    def __init__(self, ctx, reps):
-        self.ctx = ctx
-        self.objects = list(reps)
-
-
 def build_A0(ctx, bound):
     """The truncated base: one canonical witness per class, total dim <= bound."""
-    return RepGroupoid(ctx, [c.rep for c in ctx.classes_up_to(bound)])
+    return [c.rep for c in ctx.classes_up_to(bound)]
 
 
 class ExtGroupoid:
@@ -558,9 +550,9 @@ def hexagonator_S(ctx, ses, x, y):
 class BraidingSpan:
     """Apex of the braiding 1-morphism from X x Y to Y x X.
 
-    Objects are (i, j, ses) with ses an extension of X[i]'s class by
-    Y[j]'s class; each (i, j) piece is the context's ExtGroupoid, looked up
-    when it is first asked for.
+    X and Y are lists of representations.  Objects are (i, j, ses) with ses
+    an extension of X[i]'s class by Y[j]'s class; each (i, j) piece is the
+    context's ExtGroupoid, looked up when it is first asked for.
     """
 
     def __init__(self, ctx, X, Y):
@@ -569,7 +561,7 @@ class BraidingSpan:
         self.Y = Y
 
     def piece(self, i, j):
-        return ExtGroupoid.of(self.ctx, self.X.objects[i], self.Y.objects[j])
+        return ExtGroupoid.of(self.ctx, self.X[i], self.Y[j])
 
     def matrix(self):
         """Degroupoidified braiding: entry ((y, x), (x, y)) per class pair.
@@ -580,8 +572,8 @@ class BraidingSpan:
         """
         ctx = self.ctx
         out = {}
-        for i, x in enumerate(self.X.objects):
-            for j, y in enumerate(self.Y.objects):
+        for i, x in enumerate(self.X):
+            for j, y in enumerate(self.Y):
                 lx, ly = ctx.class_of(x).label, ctx.class_of(y).label
                 card = self.piece(i, j).cardinality_triples()
                 val = card * ctx.aut_order(x) * ctx.aut_order(y)
@@ -605,8 +597,8 @@ def bsim_ext_check(ctx, span, only=None):
     """
     failures = []
     instances = 0
-    for i, x in enumerate(span.X.objects):
-        for j, y in enumerate(span.Y.objects):
+    for i, x in enumerate(span.X):
+        for j, y in enumerate(span.Y):
             inst = f"bsim-ext:{ctx.class_of(x).label}|{ctx.class_of(y).label}"
             if only is not None and only != inst:
                 continue

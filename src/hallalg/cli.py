@@ -205,6 +205,8 @@ def cmd_groupoid(args):
 
 def _load_functor_doc(path):
     doc = load_json_file(path, "functor")
+    if not isinstance(doc, dict):
+        raise UsageError(f"{path}: functor document must be an object")
     for field in ("source", "target", "objects", "morphisms"):
         if field not in doc:
             raise UsageError(f'{path}: functor document missing "{field}"')
@@ -266,7 +268,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:
-        print(f"error: {exc} (raise --budget to allow it)", file=sys.stderr)
+        hint = " (raise --budget to allow it)" if hasattr(args, "budget") else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,14 @@
 """Explicit finite groupoids: cardinality, spans, weak pullbacks,
 and degroupoidification to exact rational matrices.
 
-Groupoids here are fully concrete: indexed objects, indexed morphisms,
-identity and inverse assignments, and a composition rule (a table for
-small groupoids, a label-driven function for the big factorial ones,
-where materializing the table would be absurd).  Cardinality and the
-degroupoidification formulas only ever need endpoints and counts, so
-they work for both.
+Groupoids here are fully concrete: indexed objects and morphisms with
+endpoints, built by the one ConcreteGroupoid constructor from morphism
+labels and rules on labels (each object's identity label, inverse(label),
+compose(g_label, f_label)).  Products, coproducts, weak pullbacks, action
+groupoids and the factorial finite-sets groupoid compose their labels
+directly; a JSON groupoid's labels are its indices and its rule reads the
+table.  Cardinality and the degroupoidification formulas only ever need
+endpoints and counts.
 """
 
 from fractions import Fraction
@@ -23,26 +25,26 @@ class ConcreteGroupoid:
     """Objects, morphisms with endpoints, identities, inverses, composition."""
 
     def __init__(self, objects, morphisms, identity, inverse, compose):
-        """morphisms: list of (src, tgt, label); labels must be unique.
+        """A groupoid from its labels and the rules on them.
 
-        compose: either a dict {(g_idx, f_idx): h_idx} or a callable
-        (g_idx, f_idx) -> h_idx, defined exactly for tgt(f) == src(g).
+        morphisms: list of (src, tgt, label) with unique hashable labels;
+        identity: the identity label of each object, in object order;
+        inverse(label) and compose(g_label, f_label) return labels, compose
+        being asked only when tgt(f) == src(g).  Identities and inverses
+        become index tuples once, here; compose() applies the rule per call.
         """
         self.objects = list(objects)
         self.mor_src = tuple(m[0] for m in morphisms)
         self.mor_tgt = tuple(m[1] for m in morphisms)
         self.mor_label = tuple(m[2] for m in morphisms)
-        self.identity = tuple(identity)
-        self.inverse = tuple(inverse)
         self._mor_index = {}
         for i, lab in enumerate(self.mor_label):
             if lab in self._mor_index:
                 raise GroupoidFormatError(f"duplicate morphism label {lab!r}")
             self._mor_index[lab] = i
-        if isinstance(compose, dict):
-            self._compose_fn = lambda g, f: compose[(g, f)]
-        else:
-            self._compose_fn = compose
+        self._compose_rule = compose
+        self.identity = tuple(self._mor_index[lab] for lab in identity)
+        self.inverse = tuple(self._mor_index[inverse(lab)] for lab in self.mor_label)
         self._by_source = {}
         self._by_pair = {}
         for i in range(len(self.mor_src)):
@@ -65,7 +67,8 @@ class ConcreteGroupoid:
         """Index of g after f; requires tgt(f) == src(g)."""
         if self.mor_tgt[f] != self.mor_src[g]:
             raise ValueError("morphisms are not composable")
-        return self._compose_fn(g, f)
+        labels = self.mor_label
+        return self._mor_index[self._compose_rule(labels[g], labels[f])]
 
     def hom(self, x, y):
         return self._by_pair.get((x, y), [])
@@ -84,26 +87,28 @@ class ConcreteGroupoid:
 
     def validate(self, budget=DEFAULT_BUDGET):
         n, m = self.n_objects(), self.n_morphisms()
-        if len(self.identity) != n or len(self.inverse) != m:
-            raise GroupoidFormatError("identity/inverse assignment length mismatch")
+        if len(self.identity) != n:
+            raise GroupoidFormatError("identity assignment length mismatch")
         for x in range(n):
             e = self.identity[x]
             if self.mor_src[e] != x or self.mor_tgt[e] != x:
                 raise GroupoidFormatError(f"identity of object {x} has wrong endpoints")
         pairs = [(g, f) for f in range(m) for g in self.mor_from(self.mor_tgt[f])]
         check_budget("groupoid law check (composable pairs)", len(pairs), budget)
+        # each composite is computed once; the law checks below read them
+        comp = {}
         for g, f in pairs:
-            h = self.compose(g, f)
+            h = comp[(g, f)] = self.compose(g, f)
             if self.mor_src[h] != self.mor_src[f] or self.mor_tgt[h] != self.mor_tgt[g]:
                 raise GroupoidFormatError(f"composition of {g} after {f} has wrong endpoints")
         for f in range(m):
             x, y = self.mor_src[f], self.mor_tgt[f]
-            if self.compose(f, self.identity[x]) != f or self.compose(self.identity[y], f) != f:
+            if comp[(f, self.identity[x])] != f or comp[(self.identity[y], f)] != f:
                 raise GroupoidFormatError(f"identity law fails at morphism {f}")
             inv = self.inverse[f]
             if self.mor_src[inv] != y or self.mor_tgt[inv] != x:
                 raise GroupoidFormatError(f"inverse of {f} has wrong endpoints")
-            if self.compose(inv, f) != self.identity[x] or self.compose(f, inv) != self.identity[y]:
+            if comp[(inv, f)] != self.identity[x] or comp[(f, inv)] != self.identity[y]:
                 raise GroupoidFormatError(f"inverse law fails at morphism {f}")
         triples = 0
         for f in range(m):
@@ -112,9 +117,9 @@ class ConcreteGroupoid:
         check_budget("groupoid law check (composable triples)", triples, budget)
         for f in range(m):
             for g in self.mor_from(self.mor_tgt[f]):
-                gf = self.compose(g, f)
+                gf = comp[(g, f)]
                 for h in self.mor_from(self.mor_tgt[g]):
-                    if self.compose(h, gf) != self.compose(self.compose(h, g), f):
+                    if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
                         raise GroupoidFormatError(
                             f"associativity fails on morphisms ({h},{g},{f})")
         return True
@@ -177,45 +182,28 @@ def equivalent(G, H):
 
 
 def discrete_groupoid(n):
-    morphisms = [(i, i, i) for i in range(n)]
-    return ConcreteGroupoid(list(range(n)), morphisms,
-                            identity=list(range(n)), inverse=list(range(n)),
-                            compose={(i, i): i for i in range(n)})
+    return ConcreteGroupoid(list(range(n)), [(i, i, i) for i in range(n)],
+                            identity=list(range(n)), inverse=lambda i: i,
+                            compose=lambda g, f: g)
 
 
 def group_groupoid(mul_table):
     """One object whose automorphisms follow the given multiplication table."""
-    n = len(mul_table)
-    _validate_group_table(mul_table)
-    e = _table_identity(mul_table)
-    inverse = [next(j for j in range(n) if mul_table[i][j] == e) for i in range(n)]
-    morphisms = [(0, 0, i) for i in range(n)]
-    return ConcreteGroupoid([0], morphisms, identity=[e], inverse=inverse,
+    e, inv = _validate_group_table(mul_table)
+    return ConcreteGroupoid([0], [(0, 0, i) for i in range(len(mul_table))],
+                            identity=[e], inverse=inv.__getitem__,
                             compose=lambda g, f: mul_table[g][f])
 
 
 def connected_groupoid(n_objects, mul_table):
     """n isomorphic objects, hom-sets torsors over the given group."""
-    k = len(mul_table)
-    _validate_group_table(mul_table)
-    e = _table_identity(mul_table)
-    inv = [next(j for j in range(k) if mul_table[i][j] == e) for i in range(k)]
-    labels = []
-    for i in range(n_objects):
-        for j in range(n_objects):
-            for g in range(k):
-                labels.append((i, j, g))
-    index = {lab: idx for idx, lab in enumerate(labels)}
-    morphisms = [(i, j, (i, j, g)) for (i, j, g) in labels]
-    identity = [index[(i, i, e)] for i in range(n_objects)]
-    inverse = [index[(j, i, inv[g])] for (i, j, g) in labels]
-
-    def compose(gm, fm):
-        i1, j1, g1 = labels[fm]
-        i2, j2, g2 = labels[gm]
-        return index[(i1, j2, mul_table[g2][g1])]
-
-    return ConcreteGroupoid(list(range(n_objects)), morphisms, identity, inverse, compose)
+    e, inv = _validate_group_table(mul_table)
+    morphisms = [(i, j, (i, j, g)) for i in range(n_objects)
+                 for j in range(n_objects) for g in range(len(mul_table))]
+    return ConcreteGroupoid(list(range(n_objects)), morphisms,
+                            identity=[(i, i, e) for i in range(n_objects)],
+                            inverse=lambda m: (m[1], m[0], inv[m[2]]),
+                            compose=lambda g, f: (f[0], g[1], mul_table[g[2]][f[2]]))
 
 
 def cyclic_table(k):
@@ -231,50 +219,37 @@ def _table_identity(mul_table):
 
 
 def _validate_group_table(mul_table):
+    """Check a group multiplication table; return (identity, inverse list)."""
     n = len(mul_table)
     for row in mul_table:
         if len(row) != n or any(not (0 <= x < n) for x in row):
             raise GroupoidFormatError("multiplication table is not square over range(n)")
     e = _table_identity(mul_table)
-    for i in range(n):
-        if not any(mul_table[i][j] == e for j in range(n)):
-            raise GroupoidFormatError(f"element {i} has no inverse")
+    inv = [next((j for j in range(n) if mul_table[i][j] == e), None) for i in range(n)]
+    if None in inv:
+        raise GroupoidFormatError(f"element {inv.index(None)} has no inverse")
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 if mul_table[mul_table[a][b]][c] != mul_table[a][mul_table[b][c]]:
                     raise GroupoidFormatError("multiplication table is not associative")
-    return e
+    return e, inv
 
 
 def finite_sets_groupoid(n_max):
     """Sets {0..n} for n <= n_max, with bijections; composition by rule.
 
-    The composition table is never materialized; labels are permutation
-    tuples and composition acts on them directly.
+    Labels are (n, permutation tuple) and the rules act on them directly,
+    so no composition table is ever materialized.
     """
     import itertools
     objects = list(range(n_max + 1))
-    labels = []
-    for n in objects:
-        for perm in itertools.permutations(range(n)):
-            labels.append((n, perm))
-    index = {lab: i for i, lab in enumerate(labels)}
-    morphisms = [(n, n, (n, perm)) for (n, perm) in labels]
-    identity = [index[(n, tuple(range(n)))] for n in objects]
-    inverse = []
-    for n, perm in labels:
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        inverse.append(index[(n, tuple(inv))])
-
-    def compose(g, f):
-        n, pf = labels[f]
-        _, pg = labels[g]
-        return index[(n, tuple(pg[pf[i]] for i in range(n)))]
-
-    return ConcreteGroupoid(objects, morphisms, identity, inverse, compose)
+    morphisms = [(n, n, (n, perm)) for n in objects
+                 for perm in itertools.permutations(range(n))]
+    return ConcreteGroupoid(
+        objects, morphisms, identity=[(n, tuple(range(n))) for n in objects],
+        inverse=lambda m: (m[0], tuple(sorted(range(m[0]), key=m[1].__getitem__))),
+        compose=lambda g, f: (f[0], tuple(g[1][p] for p in f[1])))
 
 
 def action_groupoid(set_size, mul_table, action):
@@ -284,7 +259,7 @@ def action_groupoid(set_size, mul_table, action):
     genuine group action before anything is built.
     """
     k = len(mul_table)
-    e = _validate_group_table(mul_table)
+    e, inv = _validate_group_table(mul_table)
     if len(action) != k or any(len(row) != set_size for row in action):
         raise GroupoidFormatError("action table shape mismatch")
     for x in range(set_size):
@@ -295,19 +270,11 @@ def action_groupoid(set_size, mul_table, action):
             for x in range(set_size):
                 if action[mul_table[g][h]][x] != action[g][action[h][x]]:
                     raise GroupoidFormatError("action is not compatible with multiplication")
-    inv = [next(j for j in range(k) if mul_table[i][j] == e) for i in range(k)]
-    labels = [(g, x) for g in range(k) for x in range(set_size)]
-    index = {lab: i for i, lab in enumerate(labels)}
-    morphisms = [(x, action[g][x], (g, x)) for (g, x) in labels]
-    identity = [index[(e, x)] for x in range(set_size)]
-    inverse = [index[(inv[g], action[g][x])] for (g, x) in labels]
-
-    def compose(gm, fm):
-        g1, x1 = labels[fm]
-        g2, _ = labels[gm]
-        return index[(mul_table[g2][g1], x1)]
-
-    return ConcreteGroupoid(list(range(set_size)), morphisms, identity, inverse, compose)
+    morphisms = [(x, action[g][x], (g, x)) for g in range(k) for x in range(set_size)]
+    return ConcreteGroupoid(list(range(set_size)), morphisms,
+                            identity=[(e, x) for x in range(set_size)],
+                            inverse=lambda m: (inv[m[0]], action[m[0]][m[1]]),
+                            compose=lambda g, f: (mul_table[g[0]][f[0]], f[1]))
 
 
 def product_groupoid(G, H):
@@ -315,19 +282,14 @@ def product_groupoid(G, H):
     objects = [(a, b) for a in range(G.n_objects()) for b in range(H.n_objects())]
     obj_index = {o: i for i, o in enumerate(objects)}
     labels = [(i, j) for i in range(G.n_morphisms()) for j in range(H.n_morphisms())]
-    index = {lab: i for i, lab in enumerate(labels)}
     morphisms = [(obj_index[(G.mor_src[i], H.mor_src[j])],
                   obj_index[(G.mor_tgt[i], H.mor_tgt[j])], (i, j))
                  for (i, j) in labels]
-    identity = [index[(G.identity[a], H.identity[b])] for (a, b) in objects]
-    inverse = [index[(G.inverse[i], H.inverse[j])] for (i, j) in labels]
-
-    def compose(gm, fm):
-        i1, j1 = labels[fm]
-        i2, j2 = labels[gm]
-        return index[(G.compose(i2, i1), H.compose(j2, j1))]
-
-    P = ConcreteGroupoid(objects, morphisms, identity, inverse, compose)
+    P = ConcreteGroupoid(
+        objects, morphisms,
+        identity=[(G.identity[a], H.identity[b]) for (a, b) in objects],
+        inverse=lambda m: (G.inverse[m[0]], H.inverse[m[1]]),
+        compose=lambda g, f: (G.compose(g[0], f[0]), H.compose(g[1], f[1])))
     pi1 = GroupoidFunctor(P, G, [o[0] for o in objects], [l[0] for l in labels])
     pi2 = GroupoidFunctor(P, H, [o[1] for o in objects], [l[1] for l in labels])
     return P, pi1, pi2
@@ -336,19 +298,16 @@ def product_groupoid(G, H):
 def coproduct_groupoid(G, H):
     """Disjoint union, with the two inclusion functors."""
     ng, mg = G.n_objects(), G.n_morphisms()
+    side = {"L": G, "R": H}
     objects = [("L", o) for o in G.objects] + [("R", o) for o in H.objects]
     morphisms = [(G.mor_src[i], G.mor_tgt[i], ("L", i)) for i in range(mg)] + \
                 [(H.mor_src[j] + ng, H.mor_tgt[j] + ng, ("R", j))
                  for j in range(H.n_morphisms())]
-    identity = list(G.identity) + [H.identity[o] + mg for o in range(H.n_objects())]
-    inverse = list(G.inverse) + [H.inverse[j] + mg for j in range(H.n_morphisms())]
-
-    def compose(gm, fm):
-        if fm < mg:
-            return G.compose(gm, fm)
-        return H.compose(gm - mg, fm - mg) + mg
-
-    P = ConcreteGroupoid(objects, morphisms, identity, inverse, compose)
+    P = ConcreteGroupoid(
+        objects, morphisms,
+        identity=[("L", e) for e in G.identity] + [("R", e) for e in H.identity],
+        inverse=lambda m: (m[0], side[m[0]].inverse[m[1]]),
+        compose=lambda g, f: (f[0], side[f[0]].compose(g[1], f[1])))
     injL = GroupoidFunctor(G, P, list(range(ng)), list(range(mg)))
     injR = GroupoidFunctor(H, P, [o + ng for o in range(H.n_objects())],
                            [j + mg for j in range(H.n_morphisms())])
@@ -445,34 +404,24 @@ def weak_pullback(f, g, budget=DEFAULT_BUDGET):
     for (a, b, alpha) in objects:
         n_mor += len(A.mor_from(a)) * len(B.mor_from(b))
     check_budget("weak pullback morphisms", n_mor, budget)
-    labels = []
+
+    def moved(u, v, alpha):
+        """alpha carried along (u, v): g(v) . alpha . f(u)^{-1}."""
+        return X.compose(X.compose(g.mor_map[v], alpha), X.inverse[f.mor_map[u]])
+
     morphisms = []
-    for (a, b, alpha) in objects:
+    for src, (a, b, alpha) in enumerate(objects):
         for u in A.mor_from(a):
-            fu_inv = X.inverse[f.mor_map[u]]
             for v in B.mor_from(b):
-                alpha2 = X.compose(X.compose(g.mor_map[v], alpha), fu_inv)
-                src = obj_index[(a, b, alpha)]
-                tgt = obj_index[(A.mor_tgt[u], B.mor_tgt[v], alpha2)]
-                labels.append((u, v, alpha))
+                tgt = obj_index[(A.mor_tgt[u], B.mor_tgt[v], moved(u, v, alpha))]
                 morphisms.append((src, tgt, (u, v, alpha)))
-    index = {lab: i for i, lab in enumerate(labels)}
-    identity = [index[(A.identity[a], B.identity[b], alpha)]
-                for (a, b, alpha) in objects]
-    inverse = []
-    for (u, v, alpha) in labels:
-        fu_inv = X.inverse[f.mor_map[u]]
-        alpha2 = X.compose(X.compose(g.mor_map[v], alpha), fu_inv)
-        inverse.append(index[(A.inverse[u], B.inverse[v], alpha2)])
-
-    def compose(gm, fm):
-        u1, v1, alpha1 = labels[fm]
-        u2, v2, _ = labels[gm]
-        return index[(A.compose(u2, u1), B.compose(v2, v1), alpha1)]
-
-    P = ConcreteGroupoid(objects, morphisms, identity, inverse, compose)
-    pi_A = GroupoidFunctor(P, A, [o[0] for o in objects], [l[0] for l in labels])
-    pi_B = GroupoidFunctor(P, B, [o[1] for o in objects], [l[1] for l in labels])
+    P = ConcreteGroupoid(
+        objects, morphisms,
+        identity=[(A.identity[a], B.identity[b], alpha) for (a, b, alpha) in objects],
+        inverse=lambda m: (A.inverse[m[0]], B.inverse[m[1]], moved(*m)),
+        compose=lambda m2, m1: (A.compose(m2[0], m1[0]), B.compose(m2[1], m1[1]), m1[2]))
+    pi_A = GroupoidFunctor(P, A, [o[0] for o in objects], [l[0] for l in P.mor_label])
+    pi_B = GroupoidFunctor(P, B, [o[1] for o in objects], [l[1] for l in P.mor_label])
     return P, pi_A, pi_B
 
 
@@ -608,53 +557,54 @@ def groupoid_from_json(doc, validate=True):
         if field not in doc:
             raise GroupoidFormatError(f'missing field "{field}"')
     n = doc["objects"]
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise GroupoidFormatError('"objects" must be a nonnegative integer')
     mors = doc["morphisms"]
+    if not isinstance(mors, list):
+        raise GroupoidFormatError('"morphisms" must be a list')
     m = len(mors)
     src, tgt = [], []
     for i, item in enumerate(mors):
         if not isinstance(item, dict) or "src" not in item or "tgt" not in item:
             raise GroupoidFormatError(f'morphisms[{i}] needs "src" and "tgt"')
-        s, t = item["src"], item["tgt"]
-        if not (0 <= s < n and 0 <= t < n):
-            raise GroupoidFormatError(f"morphisms[{i}] endpoints out of range")
-        src.append(s)
-        tgt.append(t)
+        src.append(_index(item["src"], n, f"morphisms[{i}].src"))
+        tgt.append(_index(item["tgt"], n, f"morphisms[{i}].tgt"))
     table = doc["compose"]
-    if len(table) != m or any(len(row) != m for row in table):
-        raise GroupoidFormatError('"compose" must be an m x m table')
-    comp = {}
+    if not isinstance(table, list) or len(table) != m or \
+            any(not isinstance(row, list) or len(row) != m for row in table):
+        raise GroupoidFormatError('"compose" must be a list of m lists of length m')
     for g in range(m):
         for f in range(m):
-            h = table[g][f]
             if tgt[f] == src[g]:
-                if not isinstance(h, int) or not (0 <= h < m):
-                    raise GroupoidFormatError(
-                        f"compose[{g}][{f}] must be a morphism index")
-                comp[(g, f)] = h
-            elif h is not None:
+                _index(table[g][f], m, f"compose[{g}][{f}]")
+            elif table[g][f] is not None:
                 raise GroupoidFormatError(
                     f"compose[{g}][{f}] defined for non-composable pair")
-    identity = _derive_identities(n, m, src, tgt, comp)
-    inverse = _derive_inverses(n, m, src, tgt, comp, identity)
-    G = ConcreteGroupoid(list(range(n)),
-                         [(src[i], tgt[i], i) for i in range(m)],
-                         identity, inverse, comp)
+    identity = _derive_identities(n, m, src, tgt, table)
+    inverse = _derive_inverses(m, src, tgt, table, identity)
+    G = ConcreteGroupoid(list(range(n)), [(src[i], tgt[i], i) for i in range(m)],
+                         identity, inverse.__getitem__, lambda g, f: table[g][f])
     if validate:
         G.validate()
     return G
 
 
-def _derive_identities(n, m, src, tgt, comp):
+def _index(value, bound, field):
+    """value as an index into range(bound); bools and negatives are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < bound:
+        raise GroupoidFormatError(f"{field} must be an index in range({bound})")
+    return value
+
+
+def _derive_identities(n, m, src, tgt, table):
     identity = []
     for x in range(n):
         found = None
         for e in range(m):
             if src[e] != x or tgt[e] != x:
                 continue
-            if all(comp[(e, f)] == f for f in range(m) if tgt[f] == x) and \
-               all(comp[(f, e)] == f for f in range(m) if src[f] == x):
+            if all(table[e][f] == f for f in range(m) if tgt[f] == x) and \
+               all(table[f][e] == f for f in range(m) if src[f] == x):
                 found = e
                 break
         if found is None:
@@ -663,13 +613,13 @@ def _derive_identities(n, m, src, tgt, comp):
     return identity
 
 
-def _derive_inverses(n, m, src, tgt, comp, identity):
+def _derive_inverses(m, src, tgt, table, identity):
     inverse = []
     for f in range(m):
         found = None
         for g in range(m):
             if src[g] == tgt[f] and tgt[g] == src[f] and \
-               comp[(g, f)] == identity[src[f]] and comp[(f, g)] == identity[tgt[f]]:
+               table[g][f] == identity[src[f]] and table[f][g] == identity[tgt[f]]:
                 found = g
                 break
         if found is None:
@@ -685,7 +635,14 @@ def functor_to_json(fun):
 def functor_from_json(doc, source, target, validate=True):
     if not isinstance(doc, dict) or "objects" not in doc or "morphisms" not in doc:
         raise GroupoidFormatError('functor document needs "objects" and "morphisms"')
-    fun = GroupoidFunctor(source, target, doc["objects"], doc["morphisms"])
+    maps = []
+    for field, bound in (("objects", target.n_objects()),
+                         ("morphisms", target.n_morphisms())):
+        if not isinstance(doc[field], list):
+            raise GroupoidFormatError(f'functor "{field}" must be a list')
+        maps.append([_index(x, bound, f"functor {field}[{i}]")
+                     for i, x in enumerate(doc[field])])
+    fun = GroupoidFunctor(source, target, *maps)
     if validate:
         fun.validate()
     return fun
@@ -702,6 +659,8 @@ def span_to_json(span):
 
 
 def span_from_json(doc, validate=True):
+    if not isinstance(doc, dict):
+        raise GroupoidFormatError("span document must be an object")
     for field in ("apex", "foot_left", "foot_right", "left", "right"):
         if field not in doc:
             raise GroupoidFormatError(f'span document missing "{field}"')

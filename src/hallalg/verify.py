@@ -316,8 +316,8 @@ def suite_bsim(ctx, hall, max_dim, only=None):
     failures = list(rep["failures"])
     matrix = None
     instances = rep["instances"]
-    for i, x in enumerate(base.objects):
-        for j, y in enumerate(base.objects):
+    for i, x in enumerate(base):
+        for j, y in enumerate(base):
             lx = ctx.class_of(x).label
             ly = ctx.class_of(y).label
             inst = f"braidmatrix:{lx}|{ly}"

@@ -6,7 +6,7 @@ import pytest
 
 from hallalg import groupoids as gpd
 from hallalg.cathall import (BraidingSpan, COHERENCE_NAMES, ExtGroupoid,
-                             RepGroupoid, SESObject, block_injections,
+                             SESObject, block_injections,
                              block_projections, bsim_ext_check, build_A0,
                              coherence_check, comult_matrix_against_hall,
                              comult_span_matrix, ext_bilinearity_first,
@@ -22,20 +22,20 @@ from oracles import (fixed_ends_by_aut_scan, image_key, morphism_count,
 
 
 def test_build_A0_truncations(ctx2):
-    assert [c.label for c in [ctx2.class_of(r) for r in build_A0(ctx2, 0).objects]] \
+    assert [c.label for c in [ctx2.class_of(r) for r in build_A0(ctx2, 0)]] \
         == ["d0.0#0"]
     a1 = build_A0(ctx2, 1)
-    assert len(a1.objects) == 3
+    assert len(a1) == 3
     a2g = build_A0(ctx2, 2)
-    assert len(a2g.objects) == 7
-    labels = [ctx2.class_of(r).label for r in a2g.objects]
+    assert len(a2g) == 7
+    labels = [ctx2.class_of(r).label for r in a2g]
     assert len(set(labels)) == 7  # one witness per class, exactly once
 
 
 def test_rep_groupoid_hom_sizes(ctx2):
     base = build_A0(ctx2, 2)
-    for i, a in enumerate(base.objects):
-        for j, b in enumerate(base.objects):
+    for i, a in enumerate(base):
+        for j, b in enumerate(base):
             size = len(ctx2.iso_set(a, b))
             if ctx2.is_isomorphic(a, b):
                 assert size == ctx2.aut_order(a)
@@ -241,9 +241,7 @@ def test_comult_span_matrix_entries(ctx2, ctx3, hall2, hall3):
 
 
 def test_braiding_span_degroupoidifies_to_braiding(ctx2, hall2, reps2):
-    X = RepGroupoid(ctx2, [reps2["S1"]])
-    Y = RepGroupoid(ctx2, [reps2["S2"]])
-    span = BraidingSpan(ctx2, X, Y)
+    span = BraidingSpan(ctx2, [reps2["S1"]], [reps2["S2"]])
     ext = span.piece(0, 0)
     assert ext.cardinality_triples() == ext_cardinality_check(
         ctx2, reps2["S1"], reps2["S2"])["lhs"] == 2
@@ -252,8 +250,7 @@ def test_braiding_span_degroupoidifies_to_braiding(ctx2, hall2, reps2):
     # matches the algebraic braiding coefficient q^{-<s1, s2>}
     assert hall2.braid_coeff((1, 0), (0, 1)) == 2
     # zero-object instance: trivial braid of cardinality 1
-    Z = RepGroupoid(ctx2, [reps2["zero"]])
-    spanz = BraidingSpan(ctx2, Z, Z)
+    spanz = BraidingSpan(ctx2, [reps2["zero"]], [reps2["zero"]])
     assert spanz.piece(0, 0).cardinality_triples() == 1
 
 
@@ -288,7 +285,7 @@ def test_aut_routes_match_aut_scans(ctx2):
     """
     rng = random.Random(0)
     q = ctx2.q
-    base = build_A0(ctx2, 2).objects
+    base = build_A0(ctx2, 2)
     for x in base:
         for y in base:
             ext = ExtGroupoid(ctx2, x, y)
@@ -378,35 +375,57 @@ def test_shuffle_22_specific_instance(ctx2, reps2):
 # ---- the engine bridge: the sequence groupoid as a fully concrete groupoid ----
 
 
+def _vm_compose(g, f):
+    """Labels (src, tgt, vertex maps) compose by multiplying vertex maps."""
+    return (f[0], g[1], tuple(x * y for x, y in zip(g[2], f[2])))
+
+
+def _vm_inverse(lab):
+    return (lab[1], lab[0], tuple(m.inverse() for m in lab[2]))
+
+
+def _vm_groupoid(reps, labels):
+    """Object i carries reps[i]; morphisms are labelled (i, j, vertex maps)."""
+    return gpd.ConcreteGroupoid(
+        list(range(len(reps))), [(lab[0], lab[1], lab) for lab in labels],
+        [(i, i, RepMorphism.identity(r).vertex_maps) for i, r in enumerate(reps)],
+        _vm_inverse, _vm_compose)
+
+
+def _singleton_concrete(ctx, w):
+    """Aut(w) as a one-object groupoid, and the morphism index of vertex maps."""
+    G = _vm_groupoid([w], [(0, 0, m.vertex_maps) for m in ctx.aut_elements(w)])
+    return G, lambda vm: G.morphism_index((0, 0, vm))
+
+
 def _a0_concrete(ctx, bound):
-    from hallalg.quiver import RepMorphism
     wits = [c.rep for c in ctx.classes_up_to(bound)]
-    labels = []
-    for i, w in enumerate(wits):
-        for mor in ctx.aut_elements(w):
-            labels.append((i, i, mor.vertex_maps))
-    index = {lab: k for k, lab in enumerate(labels)}
-    morphisms = [(lab[0], lab[1], lab) for lab in labels]
-    identity = []
-    for i, w in enumerate(wits):
-        identity.append(index[(i, i, RepMorphism.identity(w).vertex_maps)])
-    inverse = []
-    for (i, j, vm) in labels:
-        inverse.append(index[(j, i, tuple(m.inverse() for m in vm))])
-    comp = {}
-    for f_idx, (i1, j1, vm1) in enumerate(labels):
-        for g_idx, (i2, j2, vm2) in enumerate(labels):
-            if j1 == i2:
-                composed = tuple(a * b for a, b in zip(vm2, vm1))
-                comp[(g_idx, f_idx)] = index[(i1, j2, composed)]
-    G = gpd.ConcreteGroupoid(list(range(len(wits))), morphisms, identity,
-                             inverse, comp)
-    return G, wits
+    labels = [(i, i, mor.vertex_maps)
+              for i, w in enumerate(wits) for mor in ctx.aut_elements(w)]
+    return _vm_groupoid(wits, labels), wits
 
 
-def _ses_concrete(ctx, bound, a0c, wits):
-    from hallalg.quiver import RepMorphism
-    wit_index = {w: i for i, w in enumerate(wits)}
+def _sequences_concrete(ctx, objects):
+    """Sequences with the same outer terms, morphisms their middle automorphisms.
+
+    Returns (groupoid, per-morphism (alpha, gamma) vertex maps).
+    """
+    labels, ag = [], []
+    for i1, s1 in enumerate(objects):
+        for i2, s2 in enumerate(objects):
+            if s1.mid != s2.mid or s1.sub != s2.sub or s1.quo != s2.quo:
+                continue
+            k2 = image_key(s2.incl)
+            for beta in ctx.aut_elements(s1.mid):
+                if image_key(beta.compose(s1.incl)) != k2:
+                    continue
+                labels.append((i1, i2, beta.vertex_maps))
+                ag.append((corestrict(s2.incl, beta.compose(s1.incl)).vertex_maps,
+                           factor_through(s1.proj, s2.proj.compose(beta)).vertex_maps))
+    return _vm_groupoid([ses.mid for ses in objects], labels), ag
+
+
+def _ses_concrete(ctx, bound):
     objects = []
     for cm in ctx.classes_up_to(bound):
         for cn in ctx.classes_up_to(bound):
@@ -415,37 +434,8 @@ def _ses_concrete(ctx, bound, a0c, wits):
             ext = ExtGroupoid(ctx, cm.rep, cn.rep)
             for e in ext.pieces:
                 objects.extend(ext.objects(e))
-    labels = []
-    morphisms = []
-    for i1, s1 in enumerate(objects):
-        for i2, s2 in enumerate(objects):
-            if s1.mid != s2.mid or s1.sub != s2.sub or s1.quo != s2.quo:
-                continue
-            k2 = image_key(s2.incl)
-            for beta in ctx.aut_elements(s1.mid):
-                moved = image_key(beta.compose(s1.incl))
-                if moved == k2:
-                    labels.append((i1, i2, beta.vertex_maps))
-                    morphisms.append((i1, i2, (i1, i2, beta.vertex_maps)))
-    index = {lab: k for k, lab in enumerate(labels)}
-    identity = []
-    for i, ses in enumerate(objects):
-        identity.append(index[(i, i, RepMorphism.identity(ses.mid).vertex_maps)])
-    inverse = []
-    for (i1, i2, vm) in labels:
-        inverse.append(index[(i2, i1, tuple(m.inverse() for m in vm))])
-    by_src = {}
-    for k, (i1, i2, vm) in enumerate(labels):
-        by_src.setdefault(i1, []).append(k)
-    comp = {}
-    for f_idx, (a1, a2, vm1) in enumerate(labels):
-        for g_idx in by_src.get(a2, []):
-            _, b2, vm2 = labels[g_idx]
-            composed = tuple(x * y for x, y in zip(vm2, vm1))
-            comp[(g_idx, f_idx)] = index[(a1, b2, composed)]
-    G = gpd.ConcreteGroupoid(list(range(len(objects))), morphisms, identity,
-                             inverse, comp)
-    return G, objects, index
+    G, ag = _sequences_concrete(ctx, objects)
+    return G, objects, ag
 
 
 def test_engine_bridge_mult_comult_spans(ctx2, hall2):
@@ -459,7 +449,7 @@ def test_engine_bridge_mult_comult_spans(ctx2, hall2):
     a0c, wits = _a0_concrete(ctx2, bound)
     a0c.validate()
     prod_base, pi1, pi2 = gpd.product_groupoid(a0c, a0c)
-    sesG, objects, _ = _ses_concrete(ctx2, bound, a0c, wits)
+    sesG, objects, ag = _ses_concrete(ctx2, bound)
     sesG.validate()
     wit_index = {w: i for i, w in enumerate(wits)}
     prod_index = {o: i for i, o in enumerate(prod_base.objects)}
@@ -467,10 +457,7 @@ def test_engine_bridge_mult_comult_spans(ctx2, hall2):
     # leg to the base: middle term and beta
     obj_map_E = [wit_index[ses.mid] for ses in objects]
     mor_map_E = []
-    from hallalg.quiver import RepMorphism
-    from hallalg.cathall import corestrict, factor_through
-    for k in range(sesG.n_morphisms()):
-        i1, i2, vm = sesG.mor_label[k]
+    for i1, _, vm in sesG.mor_label:
         e_idx = obj_map_E[i1]
         mor_map_E.append(a0c.morphism_index((e_idx, e_idx, vm)))
     leg_E = gpd.GroupoidFunctor(sesG, a0c, obj_map_E, mor_map_E)
@@ -480,16 +467,11 @@ def test_engine_bridge_mult_comult_spans(ctx2, hall2):
     obj_map_MN = [prod_index[(wit_index[ses.quo], wit_index[ses.sub])]
                   for ses in objects]
     mor_map_MN = []
-    for k in range(sesG.n_morphisms()):
-        i1, i2, vm = sesG.mor_label[k]
-        s1, s2 = objects[i1], objects[i2]
-        beta = RepMorphism(s1.mid, s2.mid, list(vm))
-        alpha = corestrict(s2.incl, beta.compose(s1.incl))
-        gamma = factor_through(s1.proj, s2.proj.compose(beta))
-        m_idx = wit_index[s1.quo]
-        n_idx = wit_index[s1.sub]
-        g_idx = a0c.morphism_index((m_idx, m_idx, gamma.vertex_maps))
-        a_idx = a0c.morphism_index((n_idx, n_idx, alpha.vertex_maps))
+    for (i1, _, _), (alpha, gamma) in zip(sesG.mor_label, ag):
+        m_idx = wit_index[objects[i1].quo]
+        n_idx = wit_index[objects[i1].sub]
+        g_idx = a0c.morphism_index((m_idx, m_idx, gamma))
+        a_idx = a0c.morphism_index((n_idx, n_idx, alpha))
         mor_map_MN.append(prod_base.morphism_index((g_idx, a_idx)))
     leg_MN = gpd.GroupoidFunctor(sesG, prod_base, obj_map_MN, mor_map_MN)
     leg_MN.validate()
@@ -540,54 +522,10 @@ def _ext_concrete(ctx, M, N):
 
     Returns (groupoid, objects, per-morphism (alpha, gamma) vertex maps).
     """
-    from hallalg.quiver import RepMorphism
     ext = ExtGroupoid(ctx, M, N)
     objects = [s for e in ext.pieces for s in ext.objects(e)]
-    labels, morphisms, ag = [], [], []
-    for i1, s1 in enumerate(objects):
-        for i2, s2 in enumerate(objects):
-            if s1.mid != s2.mid:
-                continue
-            k2 = image_key(s2.incl)
-            for beta in ctx.aut_elements(s1.mid):
-                moved = image_key(beta.compose(s1.incl))
-                if moved != k2:
-                    continue
-                lab = (i1, i2, beta.vertex_maps)
-                labels.append(lab)
-                morphisms.append((i1, i2, lab))
-                alpha = corestrict(s2.incl, beta.compose(s1.incl))
-                gamma = factor_through(s1.proj, s2.proj.compose(beta))
-                ag.append((alpha.vertex_maps, gamma.vertex_maps))
-    index = {lab: k for k, lab in enumerate(labels)}
-    identity = [index[(i, i, RepMorphism.identity(objects[i].mid).vertex_maps)]
-                for i in range(len(objects))]
-    inverse = [index[(i2, i1, tuple(m.inverse() for m in vm))]
-               for (i1, i2, vm) in labels]
-    by_src = {}
-    for k, (i1, _, _) in enumerate(labels):
-        by_src.setdefault(i1, []).append(k)
-    comp = {}
-    for f_idx, (a1, a2, vm1) in enumerate(labels):
-        for g_idx in by_src.get(a2, []):
-            _, b2, vm2 = labels[g_idx]
-            comp[(g_idx, f_idx)] = index[(a1, b2,
-                                          tuple(x * y for x, y in zip(vm2, vm1)))]
-    G = gpd.ConcreteGroupoid(list(range(len(objects))), morphisms, identity,
-                             inverse, comp)
+    G, ag = _sequences_concrete(ctx, objects)
     return G, objects, ag
-
-
-def _singleton_concrete(ctx, w):
-    from hallalg.quiver import RepMorphism
-    labels = [m.vertex_maps for m in ctx.aut_elements(w)]
-    index = {lab: i for i, lab in enumerate(labels)}
-    morphisms = [(0, 0, lab) for lab in labels]
-    identity = [index[RepMorphism.identity(w).vertex_maps]]
-    inverse = [index[tuple(m.inverse() for m in lab)] for lab in labels]
-    comp = {(g, f): index[tuple(x * y for x, y in zip(labels[g], labels[f]))]
-            for f in range(len(labels)) for g in range(len(labels))}
-    return gpd.ConcreteGroupoid([0], morphisms, identity, inverse, comp), index
 
 
 def _quad_product(parts):
@@ -631,11 +569,11 @@ def test_engine_grounds_coherence_path_cardinality(ctx2):
     ext1.validate()
     left1 = gpd.GroupoidFunctor(
         ext1, middle, [0] * ext1.n_objects(),
-        [mid_index(Gb.morphism_index(al), Ga.morphism_index(ga), idz, idz)
+        [mid_index(b_index(al), a_index(ga), idz, idz)
          for al, ga in ag1])
     right1 = gpd.GroupoidFunctor(
         ext1, abcd, [0] * ext1.n_objects(),
-        [abcd_index(Ga.morphism_index(ga), Gb.morphism_index(al), idz, idz)
+        [abcd_index(a_index(ga), b_index(al), idz, idz)
          for al, ga in ag1])
     left1.validate()
     right1.validate()
@@ -646,10 +584,10 @@ def test_engine_grounds_coherence_path_cardinality(ctx2):
     ext2.validate()
     right2 = gpd.GroupoidFunctor(
         ext2, middle, [0] * ext2.n_objects(),
-        [mid_index(idb, Ga.morphism_index(ga), idz, idz) for _, ga in ag2])
+        [mid_index(idb, a_index(ga), idz, idz) for _, ga in ag2])
     left2 = gpd.GroupoidFunctor(
         ext2, bcda, [0] * ext2.n_objects(),
-        [bcda_index(idb, idz, idz, Ga.morphism_index(ga)) for _, ga in ag2])
+        [bcda_index(idb, idz, idz, a_index(ga)) for _, ga in ag2])
     right2.validate()
     left2.validate()
     span2 = gpd.ConcreteSpan(ext2, left2, right2)

@@ -111,6 +111,7 @@ def test_budget_error_exits_two(capsys):
     code, _, err = run(capsys, "tables", "--max-dim", "3", "--budget", "2")
     assert code == 2
     assert "budget" in err
+    assert "raise --budget" in err
 
 
 def test_groupoid_card_bundled(capsys):
@@ -120,12 +121,61 @@ def test_groupoid_card_bundled(capsys):
     assert code == 0 and out.strip() == "163/60"
 
 
+MALFORMED_GROUPOIDS = [
+    ('{"objects": 1, "morphisms": [{"src": 0}], "compose": [[0]]}', "morphisms[0]"),
+    ('{"objects": 1, "morphisms": [{"src": "0", "tgt": 0}], "compose": [[0]]}',
+     "morphisms[0].src"),
+    ('{"objects": 1, "morphisms": [{"src": 0, "tgt": 0}], "compose": 7}', "compose"),
+    ('{"objects": 1, "morphisms": [{"src": 0, "tgt": 0}], "compose": [5]}', "compose"),
+    ('{"objects": 1, "morphisms": 3, "compose": []}', "morphisms"),
+    ('[1, 2]', "groupoid document"),
+]
+
+
 def test_groupoid_card_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"objects": 1, "morphisms": [{"src": 0}], "compose": [[0]]}')
-    code, _, err = run(capsys, "groupoid", "card", str(bad))
+    for doc, field in MALFORMED_GROUPOIDS:
+        bad.write_text(doc)
+        code, _, err = run(capsys, "groupoid", "card", str(bad))
+        assert code == 2, doc
+        assert field in err, doc
+
+
+@pytest.mark.parametrize("mor_map,field", [([5], "functor morphisms[0]"),
+                                           ([-1], "functor morphisms[0]"),
+                                           (7, "functor \"morphisms\"")])
+def test_groupoid_pullback_bad_functor_index(tmp_path, capsys, mor_map, field):
+    """A functor index outside the target, negative ones included, exits 2."""
+    from hallalg import groupoids as gpd
+    pt = gpd.groupoid_to_json(gpd.discrete_groupoid(1))
+    good = {"source": pt, "target": pt, "objects": [0], "morphisms": [0]}
+    (tmp_path / "f.json").write_text(json.dumps(good))
+    (tmp_path / "g.json").write_text(json.dumps(dict(good, morphisms=mor_map)))
+    code, _, err = run(capsys, "groupoid", "pullback", str(tmp_path / "f.json"),
+                       str(tmp_path / "g.json"))
     assert code == 2
-    assert "morphisms[0]" in err
+    assert field in err
+
+
+def test_groupoid_documents_must_be_objects(tmp_path, capsys):
+    path = tmp_path / "seven.json"
+    path.write_text("7")
+    assert run(capsys, "groupoid", "pullback", str(path), str(path))[0] == 2
+    code, _, err = run(capsys, "groupoid", "degroupoidify", str(path))
+    assert code == 2
+    assert "span document" in err
+
+
+def test_groupoid_budget_error_names_no_missing_flag(tmp_path, capsys):
+    """groupoid has no --budget, so its budget errors carry no hint to raise it."""
+    n = 130                   # 130^3 composable triples exceed the default budget
+    table = [[(g + f) % n for f in range(n)] for g in range(n)]
+    path = tmp_path / "z130.json"
+    path.write_text(json.dumps({"objects": 1, "compose": table,
+                                "morphisms": [{"src": 0, "tgt": 0}] * n}))
+    code, _, err = run(capsys, "groupoid", "card", str(path))
+    assert code == 2
+    assert "composable triples" in err and "--budget" not in err
 
 
 def test_groupoid_pullback_discrete(tmp_path, capsys):

@@ -5,9 +5,11 @@ that is meant to leave results alone must leave these hashes alone.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from hallalg import groupoids as gpd
 from hallalg.cli import main
 
 Q2 = ["--q", "2", "--max-dim", "3"]
@@ -114,6 +116,15 @@ GOLDEN = [
     pytest.param(["tables", "--quiver", "d4", "--q", "2", "--max-dim", "4"],
                  "db6d0c929e33e67258e21057be5b5861ec477dd794b89e77e446e6317d710ce6",
                  id="tables-d4-d4"),
+    pytest.param(["verify", "engine", "--seed", "0"],
+                 "c793a66ccc093f79ca74f0aa6c08d4aa929aca82302342ffb86145881d8f0f67",
+                 id="verify-engine-seed0"),
+    pytest.param(["verify", "engine", "--seed", "1"],
+                 "ba5992f96d2b489274906634360cbaa23a4f74feb01a78d1953178b415167b98",
+                 id="verify-engine-seed1"),
+    pytest.param(["verify", "engine", "--seed", "7"],
+                 "d35dfa59620c02ce030c1302fa17d6a4360eff0a4c37653138b977666f73ed49",
+                 id="verify-engine-seed7"),
 ]
 
 
@@ -134,3 +145,24 @@ def test_sink_oriented_a3_tables_bytes(tmp_path):
                  "--out", str(out)]) == 0
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
             == "4177bfac1420b54efa8c3ef1cb3971a4a8b060f28aa28bf4854fa2df614b6e26")
+
+
+def test_weak_pullback_export_bytes(tmp_path, capsys):
+    """A pullback of two non-discrete seeded functors, exported with its full
+    composition table: pins weak-pullback object and morphism order."""
+    rg = gpd.RandomGroupoids(4)
+    X, A, B = rg.groupoid(), rg.groupoid(), rg.groupoid()
+    paths = []
+    for name, fun in (("f", rg.functor_to(A, X)), ("g", rg.functor_to(B, X))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"source": gpd.groupoid_to_json(fun.source),
+                                    "target": gpd.groupoid_to_json(fun.target),
+                                    "objects": list(fun.obj_map),
+                                    "morphisms": list(fun.mor_map)}))
+        paths.append(str(path))
+    out = tmp_path / "pullback.json"
+    assert main(["groupoid", "pullback", *paths, "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out) == \
+        {"objects": 6, "morphisms": 108, "cardinality": "1/2"}
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "9995fe1c3ddaf33ae0fa3818aad8d6035fc6be2c5ab2109147bc4b06a258dae9")
