@@ -370,8 +370,8 @@ def _square_zero(ctx, E, basis):
 
 def closed_form_ext_cardinality(ctx, M, N):
     """q^{-<m, n>} / (aut N . aut M), as an exact rational."""
-    qpow = q_power(ctx.q, -ctx.euler_form(M.dim, N.dim))
-    return qpow / (ctx.aut_order(N) * ctx.aut_order(M))
+    return Fraction(q_power(ctx.q, -ctx.euler_form(M.dim, N.dim)),
+                    ctx.aut_order(N) * ctx.aut_order(M))
 
 
 def ext_cardinality_check(ctx, M, N):

@@ -1,14 +1,16 @@
 """The Hall algebra of a quiver, graded over its Grothendieck group.
 
 Basis elements are isomorphism-class labels; coefficients are exact
-rationals in the fixed field size q.  The product counts extensions with
-the aut(M) aut(N) correction, the coproduct the factorizations with the
-aut(E) correction, and the braiding scales a swap by q to the negative
-Euler form of the grades.  Nothing here truncates silently: every
+rationals in the fixed field size q, kept as ints wherever no denominator
+arises.  The product coefficients are the integer Hall numbers
+P^E_{MN} / (aut M aut N), the coproduct counts the factorizations with
+the 1 / aut E correction, and the braiding scales a swap by q to the
+negative Euler form of the grades.  Nothing here truncates silently: every
 grade-increasing operation takes an explicit bound and refuses to cross it.
 """
 
 from fractions import Fraction
+from itertools import product as iproduct
 
 from .quiver import dim_add, dim_total
 
@@ -35,8 +37,8 @@ def format_coeff(c):
 
 
 def q_power(q, k):
-    """q**k as an exact rational; negative k becomes 1/q**(-k)."""
-    return Fraction(q) ** k
+    """q**k exactly: an int for k >= 0, the Fraction 1/q**(-k) for k < 0."""
+    return q ** k if k >= 0 else Fraction(1, q ** -k)
 
 
 class HallVector:
@@ -44,18 +46,20 @@ class HallVector:
 
     A key is an iso-class label (an element of the Hall algebra) or a tuple
     of labels (an element of a tensor power, e.g. [N] (x) [M] as (N, M)).
+    A coefficient is an int, or a Fraction where a denominator arose; the
+    two compare and hash alike, so equality ignores which one is stored.
     Zero coefficients are never stored.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {k: Fraction(v) for k, v in (coeffs or {}).items() if v}
+        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
 
     @classmethod
     def basis(cls, *labels):
         """[label], or the tensor [l1] (x) [l2] (x) ... for several labels."""
-        return cls({labels[0] if len(labels) == 1 else labels: Fraction(1)})
+        return cls({labels[0] if len(labels) == 1 else labels: 1})
 
     @classmethod
     def combine(cls, terms):
@@ -90,7 +94,7 @@ class HallVector:
         return isinstance(other, HallVector) and self.coeffs == other.coeffs
 
     def __getitem__(self, key):
-        return self.coeffs.get(key, Fraction(0))
+        return self.coeffs.get(key, 0)
 
     def is_zero(self):
         return not self.coeffs
@@ -120,6 +124,7 @@ class HallAlgebra:
         self.ctx = rep_category
         self.q = rep_category.q
         self._product_cache = {}
+        self._factorization_cache = {}
         self._coproduct_cache = {}
         self._antipode_cache = {}
         self._braid_cache = {}
@@ -132,15 +137,15 @@ class HallAlgebra:
     def grade(self, label):
         return self.ctx.class_by_label(label).dim
 
-    def q_power(self, k):
-        """q**k as an exact rational; negative k becomes 1/q**(-k)."""
-        return q_power(self.q, k)
-
-    def braid_coeff(self, grade_first, grade_second):
-        key = (grade_first, grade_second)
-        if key not in self._braid_cache:
-            self._braid_cache[key] = self.q_power(-self.ctx.euler_form(*key))
-        return self._braid_cache[key]
+    def braid_coeff(self, grade_first, grade_second, sign=-1):
+        """q^{-<first, second>}, the braiding's coefficient on [first] (x) [second];
+        with sign=1, q^{<first, second>}, the inverse braiding's.  Cached."""
+        key = (grade_first, grade_second, sign)
+        c = self._braid_cache.get(key)
+        if c is None:
+            c = self._braid_cache[key] = q_power(
+                self.q, sign * self.ctx.euler_form(grade_first, grade_second))
+        return c
 
     def unit(self):
         return HallVector.basis(self.zero_label())
@@ -154,7 +159,7 @@ class HallAlgebra:
         out = {}
         for (a, b), v in t.coeffs.items():
             if a == z:
-                out[b] = out.get(b, Fraction(0)) + v
+                out[b] = out.get(b, 0) + v
         return HallVector(out)
 
     def counit_tensor_right(self, t):
@@ -162,13 +167,17 @@ class HallAlgebra:
         out = {}
         for (a, b), v in t.coeffs.items():
             if b == z:
-                out[a] = out.get(a, Fraction(0)) + v
+                out[a] = out.get(a, 0) + v
         return HallVector(out)
 
     # ---- product and coproduct ----------------------------------------------
 
     def product_basis(self, label_m, label_n):
-        """[M] . [N] = sum_E P^E_{MN} / (aut M aut N) [E], as a coeff dict."""
+        """[M] . [N] = sum_E P^E_{MN} / (aut M aut N) [E], as a coeff dict.
+
+        Each coefficient is the Hall number g^E_{MN}, an int: the division
+        is exact, and asserted so.
+        """
         key = (label_m, label_n)
         if key in self._product_cache:
             return self._product_cache[key]
@@ -178,7 +187,9 @@ class HallAlgebra:
         for ce in ctx.classify(dim_add(cm.dim, cn.dim)):
             p = ctx.pair_count(cm, cn, ce)
             if p:
-                out[ce.label] = Fraction(p, cm.aut * cn.aut)
+                g, r = divmod(p, cm.aut * cn.aut)
+                assert not r, (label_m, label_n, ce.label)
+                out[ce.label] = g
         self._product_cache[key] = out
         return out
 
@@ -194,28 +205,38 @@ class HallAlgebra:
                 terms.append((self.product_basis(lm, ln), cm * cn))
         return HallVector.combine(terms)
 
+    def factorizations(self, label_e):
+        """{quotient label A: {sub label B: P^E_{AB}}} over every B <= E with
+        E/B ~ A, the factorization index of E.
+
+        Built once per class from the census of E at each sub-dimension.
+        Quotient dimension vectors, then quotient and sub classes, come in
+        label order.
+        """
+        out = self._factorization_cache.get(label_e)
+        if out is None:
+            ctx = self.ctx
+            ce = ctx.class_by_label(label_e)
+            out = self._factorization_cache[label_e] = {}
+            for dim_a in iproduct(*(range(d + 1) for d in ce.dim)):
+                dim_b = tuple(e - a for e, a in zip(ce.dim, dim_a))
+                classes_a, classes_b = ctx.classify(dim_a), ctx.classify(dim_b)
+                for (ia, ib), g in sorted(ctx.census(ce, dim_b).items()):
+                    ca, cb = classes_a[ia], classes_b[ib]
+                    out.setdefault(ca.label, {})[cb.label] = ca.aut * cb.aut * g
+        return out
+
     def coproduct_basis(self, label_e):
         """Delta([E]) = sum P^E_{MN} / aut E [N] (x) [M], as a coeff dict."""
         if label_e in self._coproduct_cache:
             return self._coproduct_cache[label_e]
-        ctx = self.ctx
-        ce = ctx.class_by_label(label_e)
-        out = {}
-        for dim_m in self._splittings(ce.dim):
-            dim_n = tuple(e - m for e, m in zip(ce.dim, dim_m))
-            for cm in ctx.classify(dim_m):
-                for cn in ctx.classify(dim_n):
-                    p = ctx.pair_count(cm, cn, ce)
-                    if p:
-                        # tensor order is [N] (x) [M]: sub before quotient
-                        out[(cn.label, cm.label)] = Fraction(p, ce.aut)
+        aut = self.ctx.class_by_label(label_e).aut
+        # tensor order is [N] (x) [M]: sub before quotient
+        out = {(ln, lm): Fraction(p, aut)
+               for lm, subs in self.factorizations(label_e).items()
+               for ln, p in subs.items()}
         self._coproduct_cache[label_e] = out
         return out
-
-    @staticmethod
-    def _splittings(dim):
-        from itertools import product as iproduct
-        return iproduct(*(range(d + 1) for d in dim))
 
     def coproduct(self, x):
         return HallVector.combine((self.coproduct_basis(le), ce)
@@ -228,14 +249,14 @@ class HallAlgebra:
         out = {}
         for (a, d), v in t.coeffs.items():
             c = self.braid_coeff(self.grade(a), self.grade(d))
-            out[(d, a)] = out.get((d, a), Fraction(0)) + v * c
+            out[(d, a)] = out.get((d, a), 0) + v * c
         return HallVector(out)
 
     def braid_inverse(self, t):
         out = {}
         for (d, a), v in t.coeffs.items():
-            c = self.q_power(self.ctx.euler_form(self.grade(a), self.grade(d)))
-            out[(a, d)] = out.get((a, d), Fraction(0)) + v * c
+            c = self.braid_coeff(self.grade(a), self.grade(d), 1)
+            out[(a, d)] = out.get((a, d), 0) + v * c
         return HallVector(out)
 
     def tensor_product(self, s, t, bound):
@@ -258,52 +279,73 @@ class HallAlgebra:
     # ---- Green's formula and the bialgebra law ---------------------------------
 
     def green_residual(self, label_m, label_n, label_x, label_y):
-        """LHS minus RHS of Green's formula; identically zero when it holds."""
+        """LHS minus RHS of Green's formula; identically zero when it holds.
+
+        The left side sums P^E_{MN} P^E_{XY} / aut E over the middle terms E,
+        collected per aut E.  The right side,
+
+            sum q^{-<A, D>} P^M_{AB} P^N_{CD} P^X_{AC} P^Y_{BD}
+                / (aut A aut B aut C aut D),
+
+        is a join of the factorization indexes of M, N, X and Y: A runs over
+        the quotients of both M and X, C over the subs of X under A, B over
+        the subs of M under A, and D over the subs of N under C that also
+        sit under B in Y.  Each term is an exact integer quotient, collected
+        per grade pair (A, C), which fixes the Euler exponent.
+        """
         ctx = self.ctx
-        M, N, X, Y = (ctx.class_by_label(l) for l in (label_m, label_n, label_x, label_y))
-        if dim_add(M.dim, N.dim) != dim_add(X.dim, Y.dim):
-            return Fraction(0)
+        cls = ctx.class_by_label
+        M, N, X, Y = cls(label_m), cls(label_n), cls(label_x), cls(label_y)
         total = dim_add(M.dim, N.dim)
-        lhs = Fraction(0)
+        if total != dim_add(X.dim, Y.dim):
+            return Fraction(0)
+        lhs = {}
         for ce in ctx.classify(total):
             pe_mn = ctx.pair_count(M, N, ce)
             if not pe_mn:
                 continue
             pe_xy = ctx.pair_count(X, Y, ce)
             if pe_xy:
-                lhs += Fraction(pe_mn * pe_xy, ce.aut)
-        rhs = Fraction(0)
-        n = ctx.quiver.n
-        from itertools import product as iproduct
-        a_ranges = [range(min(M.dim[v], X.dim[v]) + 1) for v in range(n)]
-        for dim_a in iproduct(*a_ranges):
-            dim_b = tuple(M.dim[v] - dim_a[v] for v in range(n))
-            dim_c = tuple(X.dim[v] - dim_a[v] for v in range(n))
-            dim_d = tuple(N.dim[v] - dim_c[v] for v in range(n))
-            if any(x < 0 for x in dim_d):
+                lhs[ce.aut] = lhs.get(ce.aut, 0) + pe_mn * pe_xy
+        rhs = {}
+        f_m, f_n = self.factorizations(label_m), self.factorizations(label_n)
+        f_x, f_y = self.factorizations(label_x), self.factorizations(label_y)
+        for la, m_subs in f_m.items():
+            x_subs = f_x.get(la)
+            if x_subs is None:
                 continue
-            if tuple(dim_add(dim_b, dim_d)) != Y.dim:
-                continue
-            for ca in ctx.classify(dim_a):
-                for cb in ctx.classify(dim_b):
-                    p_m = ctx.pair_count(ca, cb, M)
-                    if not p_m:
+            ca = cls(la)
+            for lc, p_x in x_subs.items():
+                n_subs = f_n.get(lc)
+                if n_subs is None:
+                    continue
+                cc = cls(lc)
+                terms = 0
+                for lb, p_m in m_subs.items():
+                    y_subs = f_y.get(lb)
+                    if y_subs is None:
                         continue
-                    for cc in ctx.classify(dim_c):
-                        p_x = ctx.pair_count(ca, cc, X)
-                        if not p_x:
-                            continue
-                        for cd in ctx.classify(dim_d):
-                            p_n = ctx.pair_count(cc, cd, N)
-                            if not p_n:
-                                continue
-                            p_y = ctx.pair_count(cb, cd, Y)
-                            if not p_y:
-                                continue
-                            coeff = self.braid_coeff(dim_a, dim_d)
-                            denom = ca.aut * cb.aut * cc.aut * cd.aut
-                            rhs += coeff * Fraction(p_m * p_n * p_x * p_y, denom)
-        return lhs - rhs
+                    p_mx = p_m * p_x
+                    aut_abc = ca.aut * cls(lb).aut * cc.aut
+                    for ld, p_n in n_subs.items():
+                        p_y = y_subs.get(ld)
+                        if p_y:
+                            t, r = divmod(p_mx * p_n * p_y, aut_abc * cls(ld).aut)
+                            assert not r, (label_m, label_n, label_x, label_y)
+                            terms += t
+                if terms:
+                    key = (ca.dim, cc.dim)
+                    rhs[key] = rhs.get(key, 0) + terms
+        # lhs - rhs over one running denominator: a single Fraction at the end
+        num, den = 0, 1
+        for aut, s in lhs.items():
+            num, den = num * aut + s * den, den * aut
+        for (dim_a, dim_c), s in rhs.items():
+            dim_d = tuple(n - c for n, c in zip(N.dim, dim_c))
+            coeff = self.braid_coeff(dim_a, dim_d)
+            num = num * coeff.denominator - s * coeff.numerator * den
+            den *= coeff.denominator
+        return Fraction(num, den)
 
     def bialgebra_residual(self, label_m, label_n, bound):
         """Delta([M].[N]) - Delta([M]) . Delta([N]) in the braided sense."""
@@ -320,7 +362,7 @@ class HallAlgebra:
 
     def antipode_paper(self, x):
         """Basis-wise negation: the Lemma's S([M]) = -[M] read off every label."""
-        return x.scale(Fraction(-1))
+        return x.scale(-1)
 
     def antipode_canonical_basis(self, label, bound):
         """The unique antipode of the connected graded bialgebra, by recursion.

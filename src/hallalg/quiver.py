@@ -166,6 +166,19 @@ class Representation:
         self._flat = None         # flatten(edge_maps), the class_of key; set on demand
 
     @classmethod
+    def _of(cls, quiver, field, dim, edge_maps):
+        """A representation from a dim tuple and edge maps of the right shapes
+        that this package has just built, unchecked (cf. Matrix._of)."""
+        rep = cls.__new__(cls)
+        rep.quiver = quiver
+        rep.field = field
+        rep.dim = dim
+        rep.edge_maps = tuple(edge_maps)
+        rep._hash = None
+        rep._flat = None
+        return rep
+
+    @classmethod
     def zero(cls, quiver, field):
         dim = (0,) * quiver.n
         maps = [Matrix.zero(field, 0, 0) for _ in quiver.arrows]
@@ -384,7 +397,7 @@ class RepCategory:
                         size += 1
                         frontier.append(new)
             assert group % size == 0
-            rep = Representation(self.quiver, f, dim, unflatten(f, tup, shapes))
+            rep = Representation._of(self.quiver, f, dim, unflatten(f, tup, shapes))
             cls = IsoClass(self.quiver.name, dim, index, rep, size, group // size)
             classes.append(cls)
             self._by_label[cls.label] = cls
@@ -564,13 +577,14 @@ class RepCategory:
         frames shared by every E, with E_a P_s formed once per arrow and
         source frame.
         """
-        key = (E, tuple(sub_dim))
+        sub_dim = tuple(sub_dim)
+        key = (E, sub_dim)
         if key in self._subrep_cache:
             return self._subrep_cache[key]
         count = 1
         for e, k in zip(E.dim, sub_dim):
             count *= gaussian_binomial(e, k, self.q)
-        check_budget(f"subspace tuples for subreps of dim {tuple(sub_dim)}",
+        check_budget(f"subspace tuples for subreps of dim {sub_dim}",
                      count, self.budget)
         per_vertex = []
         for e, k in zip(E.dim, sub_dim):
@@ -587,8 +601,8 @@ class RepCategory:
             maps = self._frame_maps(E, frames, [cols[id(frames[s])] for (s, _), cols
                                                 in zip(self.quiver.arrows, by_source)])
             if maps is not None:
-                U = Representation(self.quiver, self.field, sub_dim, maps[0])
-                Q = Representation(self.quiver, self.field, qdim, maps[1])
+                U = Representation._of(self.quiver, self.field, sub_dim, maps[0])
+                Q = Representation._of(self.quiver, self.field, qdim, maps[1])
                 out.append((RepMorphism(U, E, [fr[0] for fr in frames]), Q,
                             RepMorphism(E, Q, [fr[3] for fr in frames])))
         self._subrep_cache[key] = out
@@ -728,11 +742,11 @@ class RepCategory:
         if out is None:
             g = 0
             if dim_add(cm.dim, cn.dim) == ce.dim:
-                g = self._census(ce, cn.dim).get((cm.index, cn.index), 0)
+                g = self.census(ce, cn.dim).get((cm.index, cn.index), 0)
             out = self._pair_count_cache[key] = cm.aut * cn.aut * g
         return out
 
-    def _census(self, ce, sub_dim):
+    def census(self, ce, sub_dim):
         """{(class index of E/U, class index of U): count} over U <= E of dim sub_dim."""
         key = (ce.label, sub_dim)
         census = self._census_cache.get(key)

@@ -101,12 +101,12 @@ def _coassoc_residual(hall, label):
     for (ln, lm), c in t.items():
         for (la, lb), c2 in hall.coproduct_basis(ln).items():
             key = (la, lb, lm)
-            left[key] = left.get(key, Fraction(0)) + c * c2
+            left[key] = left.get(key, 0) + c * c2
         for (la, lb), c2 in hall.coproduct_basis(lm).items():
             key = (ln, la, lb)
-            right[key] = right.get(key, Fraction(0)) + c * c2
+            right[key] = right.get(key, 0) + c * c2
     keys = set(left) | set(right)
-    return any(left.get(k, Fraction(0)) != right.get(k, Fraction(0)) for k in keys)
+    return any(left.get(k, 0) != right.get(k, 0) for k in keys)
 
 
 def suite_green(ctx, hall, max_dim, only=None):

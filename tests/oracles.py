@@ -1,10 +1,12 @@
 """Slow brute-force oracles that only the tests call.
 
 Each one recomputes a quantity the library computes by a faster route:
-by enumerating every candidate morphism and testing it directly, or by
-the one-vector-at-a-time linear algebra the library replaced.
+by enumerating every candidate morphism and testing it directly, by
+the one-vector-at-a-time linear algebra the library replaced, or by a
+walk over every dimension vector where the library joins sparse indexes.
 """
 
+from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -191,3 +193,40 @@ def invariant_subreps_by_solve(ctx, E, sub_dim):
         Q = Representation(ctx.quiver, f, tuple(map(len, picked)), qmaps)
         out.append((incl, Q, RepMorphism(E, Q, proj)))
     return out
+
+
+def green_residual_by_dim_walk(hall, label_m, label_n, label_x, label_y):
+    """LHS minus RHS of Green's formula, the right side by walking every
+    dimension vector dim A <= min(dim M, dim X) and probing pair_count on
+    every class of the four dimension vectors it fixes."""
+    ctx = hall.ctx
+    M, N, X, Y = (ctx.class_by_label(l) for l in (label_m, label_n, label_x, label_y))
+    if dim_add(M.dim, N.dim) != dim_add(X.dim, Y.dim):
+        return Fraction(0)
+    lhs = Fraction(0)
+    for ce in ctx.classify(dim_add(M.dim, N.dim)):
+        pe_mn = ctx.pair_count(M, N, ce)
+        if pe_mn:
+            lhs += Fraction(pe_mn * ctx.pair_count(X, Y, ce), ce.aut)
+    rhs = Fraction(0)
+    n = ctx.quiver.n
+    for dim_a in product(*(range(min(M.dim[v], X.dim[v]) + 1) for v in range(n))):
+        dim_b = tuple(M.dim[v] - dim_a[v] for v in range(n))
+        dim_c = tuple(X.dim[v] - dim_a[v] for v in range(n))
+        dim_d = tuple(N.dim[v] - dim_c[v] for v in range(n))
+        if any(x < 0 for x in dim_d) or dim_add(dim_b, dim_d) != Y.dim:
+            continue
+        for ca, cb in product(ctx.classify(dim_a), ctx.classify(dim_b)):
+            p_m = ctx.pair_count(ca, cb, M)
+            if not p_m:
+                continue
+            for cc in ctx.classify(dim_c):
+                p_x = ctx.pair_count(ca, cc, X)
+                if not p_x:
+                    continue
+                for cd in ctx.classify(dim_d):
+                    p = p_m * p_x * ctx.pair_count(cc, cd, N) * ctx.pair_count(cb, cd, Y)
+                    if p:
+                        rhs += hall.braid_coeff(dim_a, dim_d) * Fraction(
+                            p, ca.aut * cb.aut * cc.aut * cd.aut)
+    return lhs - rhs

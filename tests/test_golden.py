@@ -13,6 +13,8 @@ from hallalg import groupoids as gpd
 from hallalg.cli import main
 
 Q2 = ["--q", "2", "--max-dim", "3"]
+# the hall-identities benchmark config
+D4_HALL = ["--quiver", "d4", "--q", "2", "--max-dim", "4"]
 
 GOLDEN = [
     pytest.param(["tables", "--quiver", "a2"] + Q2,
@@ -116,6 +118,21 @@ GOLDEN = [
     pytest.param(["tables", "--quiver", "d4", "--q", "2", "--max-dim", "4"],
                  "db6d0c929e33e67258e21057be5b5861ec477dd794b89e77e446e6317d710ce6",
                  id="tables-d4-d4"),
+    pytest.param(["verify", "algebra"] + D4_HALL,
+                 "0d594df9741e22de2cebb0f6fb551d5ed84402c9893bfe7a688aebd9dde3a305",
+                 id="verify-algebra-d4-d4"),
+    pytest.param(["verify", "green"] + D4_HALL,
+                 "b551e77dc275ddb2bfe19e7f56449943e19972ba3ecc5bd2d969fe96c376bfb2",
+                 id="verify-green-d4-d4"),
+    pytest.param(["verify", "bialgebra"] + D4_HALL,
+                 "cc5728558f0adb39e048b615fc39bbb8cd6e12933f11210fac440b6867c00f01",
+                 id="verify-bialgebra-d4-d4"),
+    pytest.param(["verify", "antipode"] + D4_HALL,
+                 "f28356afa718997fd5c0f0c08802f1b5ea72db13dcc1ebb259414225029cc040",
+                 id="verify-antipode-d4-d4"),
+    pytest.param(["verify", "hexagon"] + D4_HALL,
+                 "a122ca91fdf0525fcd34636ec1f9d2a2ec07b8f6f346bdcde156bb5890547863",
+                 id="verify-hexagon-d4-d4"),
     pytest.param(["verify", "engine", "--seed", "0"],
                  "c793a66ccc093f79ca74f0aa6c08d4aa929aca82302342ffb86145881d8f0f67",
                  id="verify-engine-seed0"),

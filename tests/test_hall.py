@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from hallalg.hall import GradeBoundError, HallVector, label_sort_key, parse_label
+from hallalg.hall import (GradeBoundError, HallAlgebra, HallVector, label_sort_key,
+                          parse_label)
+from hallalg.quiver import RepCategory, dim_add
 
 ZERO = "d0.0#0"
 S1 = "d1.0#0"
@@ -177,6 +179,39 @@ def test_structure_tables(hall2):
     rows = cop[f"[{P1}]"]
     assert {(e["left"], e["right"]): e["coeff"] for e in rows} == {
         (ZERO, P1): "1/1", (P1, ZERO): "1/1", (S2, S1): "1/1"}
+
+
+@pytest.mark.parametrize("name,p,bound", [("a2", 2, 4), ("a2", 3, 4), ("a3_source", 2, 3)])
+def test_product_coefficients_are_census_hall_numbers(request, name, p, bound):
+    """Every product coefficient is an int: the number of U <= E with U ~ N
+    and E/U ~ M, read straight off the census."""
+    ctx = RepCategory(request.getfixturevalue(name), p)
+    hall = HallAlgebra(ctx)
+    classes = ctx.classes_up_to(bound)
+    for cm in classes:
+        for cn in classes:
+            if sum(cm.dim) + sum(cn.dim) > bound:
+                continue
+            got = hall.product_basis(cm.label, cn.label)
+            assert all(type(g) is int for g in got.values())
+            want = {}
+            for ce in ctx.classify(dim_add(cm.dim, cn.dim)):
+                g = ctx.census(ce, cn.dim).get((cm.index, cn.index))
+                if g:
+                    want[ce.label] = g
+            assert got == want, (cm.label, cn.label)
+
+
+def test_coefficients_stay_ints_without_a_denominator(hall2):
+    assert type(HallVector.basis(S1)[S1]) is int
+    p = hall2.product(HallVector.basis(S1), HallVector.basis(S2), 2)
+    assert all(type(c) is int for _, c in p.items())
+    # the braiding's q^{-<s1, s2>} = q is an int, its inverse a Fraction
+    assert hall2.braid(HallVector.basis(S1, S2))[(S2, S1)] == 2
+    assert type(hall2.braid_coeff((1, 0), (0, 1))) is int
+    assert hall2.braid_coeff((1, 0), (0, 1), 1) == Fraction(1, 2)
+    # the coproduct carries 1 / aut E
+    assert all(type(c) is Fraction for c in hall2.coproduct_basis(P1).values())
 
 
 def test_associativity_sample_q3(hall3):

@@ -177,6 +177,22 @@ def test_iso_set_budget_counts_the_vertex_product(a2):
     assert "2304" in str(err.value)
 
 
+def test_representation_constructor_checks_shapes(a2, ctx2):
+    """The public constructor validates every edge map; only the package's
+    own builds, whose shapes are right by construction, skip the check."""
+    f = ctx2.field
+    with pytest.raises(ValueError, match="edge map shape"):
+        Representation(a2, f, (1, 1), [Matrix(f, [[1, 0]])])
+    with pytest.raises(ValueError, match="edge map shape"):
+        Representation(a2, f, (2, 1), [Matrix(f, [[1, 0]]).transpose()])
+    with pytest.raises(ValueError):
+        Representation(a2, f, (1, 1), [])
+    rep = Representation(a2, f, (2, 1), [Matrix(f, [[1, 0]])])
+    assert ctx2.is_isomorphic(rep, Representation(a2, f, (2, 1), [Matrix(f, [[0, 1]])]))
+    for cls in ctx2.classes_up_to(3):
+        assert Representation(a2, f, cls.dim, cls.rep.edge_maps) == cls.rep
+
+
 def test_positive_roots(ctx2, ctx_a3):
     assert ctx2.positive_roots() == [(0, 1), (1, 0), (1, 1)]
     assert len(ctx_a3.positive_roots()) == 6

@@ -1,12 +1,16 @@
 """Suite-level checks on quivers beyond A2, locking in CLI-visible behavior."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from hallalg.hall import HallAlgebra
 from hallalg.quiver import Quiver, RepCategory
 from hallalg import verify
+from oracles import green_residual_by_dim_walk
+
+D4 = Quiver(4, [(0, 1), (0, 2), (0, 3)], name="d4")
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +20,7 @@ def ctx_src():
 
 @pytest.fixture(scope="module")
 def ctx_d4():
-    return RepCategory(Quiver(4, [(0, 1), (0, 2), (0, 3)], name="d4"), 2)
+    return RepCategory(D4, 2)
 
 
 def test_a3_source_core_suites(ctx_src):
@@ -86,3 +90,61 @@ def test_green_builds_each_census_once(a2, monkeypatch):
     rep = verify.suite_green(ctx, HallAlgebra(ctx), 3)
     assert rep["instances"] > 0 and rep["failures"] == []
     assert walks and set(walks.values()) == {1}, walks.most_common(3)
+
+
+@pytest.mark.parametrize("name,p", [("a2", 2), ("a2", 3), ("a3_source", 2),
+                                    ("a3_source", 3), ("d4", 2)])
+def test_green_join_matches_dim_walk_oracle(request, name, p):
+    """On every green quadruple up to total dim 3, the factorization join
+    equals the dimension-vector walk it replaced."""
+    quiver = D4 if name == "d4" else request.getfixturevalue(name)
+    ctx = RepCategory(quiver, p)
+    hall = HallAlgebra(ctx)
+    join = hall.green_residual
+    compared = []
+
+    def both(*labels):
+        res = join(*labels)
+        assert type(res) is Fraction
+        assert res == green_residual_by_dim_walk(hall, *labels), labels
+        compared.append(labels)
+        return res
+
+    hall.green_residual = both
+    rep = verify.suite_green(ctx, hall, 3)
+    assert rep["failures"] == []
+    assert len(compared) == rep["instances"] > 0
+
+
+def _green_failures(a2, monkeypatch, name, mutant):
+    monkeypatch.setattr(HallAlgebra, name, mutant)
+    ctx = RepCategory(a2, 2)
+    return verify.suite_green(ctx, HallAlgebra(ctx), 3)["failures"]
+
+
+def test_green_fails_with_swapped_euler_form(a2, monkeypatch):
+    """q^{-<D, A>} in place of q^{-<A, D>} on the right side is caught."""
+    braid_coeff = HallAlgebra.braid_coeff
+
+    def swapped(self, first, second, sign=-1):
+        return braid_coeff(self, second, first, sign)
+
+    failures = _green_failures(a2, monkeypatch, "braid_coeff", swapped)
+    assert "green:d1.0#0|d0.1#0|d1.0#0|d0.1#0: residual 1/1" in failures
+    assert all(": residual " in f for f in failures)
+
+
+def test_green_fails_with_one_factorization_miscounted(a2, monkeypatch):
+    """One extra factorization S2 <= P1 with quotient S1, read only by the
+    right side, is caught, among others by (P1, 0, S1, S2)."""
+    factorizations = HallAlgebra.factorizations
+
+    def bumped(self, label):
+        out = factorizations(self, label)
+        if label == "d1.1#1":
+            out = {a: dict(subs) for a, subs in out.items()}
+            out["d1.0#0"]["d0.1#0"] += 1
+        return out
+
+    failures = _green_failures(a2, monkeypatch, "factorizations", bumped)
+    assert "green:d1.1#1|d0.0#0|d1.0#0|d0.1#0: residual -1/1" in failures
