@@ -563,26 +563,19 @@ class BraidingSpan:
     def piece(self, i, j):
         return ExtGroupoid.of(self.ctx, self.X[i], self.Y[j])
 
-    def matrix(self):
-        """Degroupoidified braiding: entry ((y, x), (x, y)) per class pair.
+    def entry(self, i, j):
+        """Degroupoidified braiding at ((y, x), (x, y)), for x = X[i], y = Y[j].
 
-        Equals |Aut(y)| |Aut(x)| times the triple-convention cardinality of
-        the (x, y) piece; for the full base this is q^{-<x, y>} times the
-        swap matrix.
+        |Aut(y)| |Aut(x)| times the triple-convention cardinality of the
+        (x, y) piece: q^{-<x, y>} when x and y are census witnesses.  Only
+        that piece is built.
         """
         ctx = self.ctx
-        out = {}
-        for i, x in enumerate(self.X):
-            for j, y in enumerate(self.Y):
-                lx, ly = ctx.class_of(x).label, ctx.class_of(y).label
-                card = self.piece(i, j).cardinality_triples()
-                val = card * ctx.aut_order(x) * ctx.aut_order(y)
-                key = ((ly, lx), (lx, ly))
-                out[key] = out.get(key, Fraction(0)) + val
-        return out
+        return (self.piece(i, j).cardinality_triples()
+                * ctx.aut_order(self.X[i]) * ctx.aut_order(self.Y[j]))
 
 
-def bsim_ext_check(ctx, span, only=None):
+def bsim_ext_check(run, ctx, span):
     """Per-piece comparison of a BraidingSpan's apex with the EXT groupoids.
 
     For every object pair: object counts per middle class must match the
@@ -592,185 +585,141 @@ def bsim_ext_check(ctx, span, only=None):
     from the End(E) kernel against hom_dim from the presentation matrix,
     and V V = 0 on a basis), and the three cardinality routes must agree.
     The span's pieces are used as they are, so their orbit data is shared
-    with span.matrix().  Each object pair is the instance bsim-ext:<x>|<y>;
-    `only` keeps just that one.
+    with span.entry().  Each object pair is the instance bsim-ext:<x>|<y>,
+    and only the groupoids of the instances run selects are built.
     """
-    failures = []
-    instances = 0
     for i, x in enumerate(span.X):
         for j, y in enumerate(span.Y):
-            inst = f"bsim-ext:{ctx.class_of(x).label}|{ctx.class_of(y).label}"
-            if only is not None and only != inst:
+            if not run.want(f"bsim-ext:{ctx.class_of(x).label}|{ctx.class_of(y).label}"):
                 continue
-            instances += 1
             ext = span.piece(i, j)
             for cls in ctx.classify(dim_add(x.dim, y.dim)):
                 if cls.label not in ext.pieces and \
                         ctx.count_exact_pairs(x, y, cls.rep) != 0:
-                    failures.append(f"{inst}: piece {cls.label} missing but P^E != 0")
+                    run.fail(f"piece {cls.label} missing but P^E != 0")
             for e_label in ext.pieces:
                 p = ctx.count_exact_pairs(x, y, ext._piece_reps[e_label])
                 n = ext.object_count(e_label)
                 if n != p:
-                    failures.append(f"{inst}: object count {n} != P^E {p} at {e_label}")
+                    run.fail(f"object count {n} != P^E {p} at {e_label}")
                 for ses, stab in ext.iso_classes(e_label):
                     direct = ext.aut_triples_direct(ses)
                     if direct != stab:
-                        failures.append(f"{inst}: direct aut {direct} != stabilizer {stab}")
+                        run.fail(f"direct aut {direct} != stabilizer {stab}")
                     basis = ext.fixed_end_basis(ses)
                     fixed, hom = ctx.q ** len(basis), ctx.q ** ctx.hom_dim(x, y)
                     if fixed != hom:
-                        failures.append(f"{inst}: fixed-end aut {fixed} != "
-                                        f"|Hom| {hom} at {e_label}")
+                        run.fail(f"fixed-end aut {fixed} != |Hom| {hom} at {e_label}")
                     if not _square_zero(ctx, ses.mid, basis):
-                        failures.append(
-                            f"{inst}: fixed-end aut group not elementary abelian")
+                        run.fail("fixed-end aut group not elementary abelian")
             direct_card = ext.cardinality_triples()
             formula_card = ext.cardinality_formula()
             closed = closed_form_ext_cardinality(ctx, x, y)
             if not (direct_card == formula_card == closed):
-                failures.append(
-                    f"{inst}: cardinalities differ: {direct_card} {formula_card} {closed}")
-    return {"check": "bsim-ext", "instances": instances, "failures": failures,
-            "scope_note": "object/cardinality level"}
+                run.fail(f"cardinalities differ: {direct_card} {formula_card} {closed}")
 
 
 # ---- multiplication and comultiplication spans ----------------------------------------
 
 
-def _span_pieces(ctx, bound, pair=None):
-    """(M label, N label, M, N, E label, E, sum of 1/stab) per EXT piece within bound.
+def ext_piece_cardinality(ctx, lm, ln, le):
+    """Triple-convention cardinality of the le piece of EXT(M, N); 0 off its pieces.
 
-    The sum runs over the iso classes of sequences in that piece, with
-    triple morphisms; the two span matrices weight it differently.  With
-    pair = (M label, N label), only that groupoid is built.
+    M and N are the census witnesses of lm and ln: the sum over the iso
+    classes of sequences with middle term le of 1/(triple-aut order).
+    Only the groupoid of (M, N) is built.
     """
-    labels = [c.label for c in ctx.classes_up_to(bound)]
-    for lm in labels:
-        M = ctx.class_by_label(lm).rep
-        for ln in labels:
-            N = ctx.class_by_label(ln).rep
-            if pair not in (None, (lm, ln)) or dim_total(M.dim) + dim_total(N.dim) > bound:
+    ext = ExtGroupoid.of(ctx, ctx.class_by_label(lm).rep, ctx.class_by_label(ln).rep)
+    return ext.cardinality_triples(le) if le in ext.pieces else Fraction(0)
+
+
+def mult_span_entry(ctx, le, lm, ln):
+    """Degroupoidified multiplication span at row E, column (M, N).
+
+    The degroupoidification formula: |Aut(E)| over the triple-automorphism
+    order of each iso class of sequences, summed.
+    """
+    return ctx.class_by_label(le).aut * ext_piece_cardinality(ctx, lm, ln, le)
+
+
+def comult_span_entry(ctx, lm, ln, le):
+    """Degroupoidified comultiplication span at row (M, N), column E.
+
+    The adjoint span: the weight is |Aut(M)| |Aut(N)| instead of |Aut(E)|.
+    Row (m, n) carries the coefficient of [n] (x) [m] in the coproduct.
+    """
+    return (ctx.class_by_label(lm).aut * ctx.class_by_label(ln).aut
+            * ext_piece_cardinality(ctx, lm, ln, le))
+
+
+def mult_matrix_against_hall(run, ctx, hall, bound):
+    """Entrywise comparison of the multiplication span with the Hall product.
+
+    Each entry is the instance mult:<le>|<lm>|<ln>.
+    """
+    classes = ctx.classes_up_to(bound)
+    for cm in classes:
+        for cn in classes:
+            if dim_total(cm.dim) + dim_total(cn.dim) > bound:
                 continue
-            ext = ExtGroupoid.of(ctx, M, N)
-            for le, E in ext._piece_reps.items():
-                yield lm, ln, M, N, le, E, ext.cardinality_triples(le)
-
-
-def mult_span_matrix(ctx, bound, pair=None):
-    """Degroupoidified multiplication span, entry per (E, (M, N)).
-
-    Matrix entries follow the degroupoidification formula: for each
-    isomorphism class of sequences, |Aut(E)| over the triple-automorphism
-    order, summed.  Row keys are middle-term labels, column keys are
-    (quotient label, subobject label) pairs; `pair` keeps one column.
-    """
-    return {(le, (lm, ln)): ctx.aut_order(E) * inv
-            for lm, ln, _, _, le, E, inv in _span_pieces(ctx, bound, pair)}
-
-
-def comult_span_matrix(ctx, bound, pair=None):
-    """Degroupoidified comultiplication span, entry per ((M, N), E).
-
-    The adjoint span: row keys are (quotient label, subobject label)
-    pairs, column keys are middle-term labels; the entry weight is
-    |Aut(M)| |Aut(N)| over the triple-automorphism order.  A row key
-    (m, n) carries the coefficient of [n] (x) [m] in the coproduct;
-    `pair` keeps one row.
-    """
-    return {((lm, ln), le): ctx.aut_order(M) * ctx.aut_order(N) * inv
-            for lm, ln, M, N, le, _, inv in _span_pieces(ctx, bound, pair)}
-
-
-def _only_pair(only, first):
-    """The (M label, N label) an `only` id names, from its label at index first."""
-    return None if only is None else tuple(only.partition(":")[2].split("|")[first:first + 2])
-
-
-def mult_matrix_against_hall(ctx, hall, bound, only=None):
-    """Entrywise comparison of the span matrix with the Hall product.
-
-    Each entry is the instance mult:<le>|<lm>|<ln>; `only` keeps just that
-    one, and then only the EXT groupoid of (lm, ln) is built.
-    """
-    entries = mult_span_matrix(ctx, bound, _only_pair(only, 1))
-    failures = []
-    labels = [c.label for c in ctx.classes_up_to(bound)]
-    instances = 0
-    for lm in labels:
-        for ln in labels:
-            if dim_total(hall.grade(lm)) + dim_total(hall.grade(ln)) > bound:
-                continue
+            lm, ln = cm.label, cn.label
             prod = hall.product_basis(lm, ln)
-            for le in [c.label for c in ctx.classes_up_to(bound)
-                       if tuple(dim_add(hall.grade(lm), hall.grade(ln))) == c.dim]:
-                inst = f"mult:{le}|{lm}|{ln}"
-                if only not in (None, inst):
-                    continue
-                instances += 1
-                span_val = entries.get((le, (lm, ln)), Fraction(0))
-                hall_val = prod.get(le, Fraction(0))
-                if span_val != hall_val:
-                    failures.append(f"{inst}: span {span_val} != hall {hall_val}")
-    return {"check": "mult-span", "instances": instances, "failures": failures,
-            "scope_note": "entrywise, exact"}
+            for ce in ctx.classify(dim_add(cm.dim, cn.dim)):
+                if run.want(f"mult:{ce.label}|{lm}|{ln}"):
+                    span_val = mult_span_entry(ctx, ce.label, lm, ln)
+                    hall_val = prod.get(ce.label, Fraction(0))
+                    if span_val != hall_val:
+                        run.fail(f"span {span_val} != hall {hall_val}")
 
 
-def comult_matrix_against_hall(ctx, hall, bound, only=None):
+def comult_matrix_against_hall(run, ctx, hall, bound):
     """The comultiplication span against the Hall coproduct.
 
     The coproduct term [n] (x) [m] must equal the span entry at row
     (m, n): quotient first in the row key, subobject first in the tensor.
     Each coproduct term is the instance comult:<lm>|<ln>|<le>, and a
-    nonzero span entry with no coproduct term fails under the same id;
-    `only` keeps just that one, and then only the EXT groupoid of (lm, ln)
-    is built.
+    nonzero span entry with no coproduct term fails under the same id.
     """
-    entries = comult_span_matrix(ctx, bound, _only_pair(only, 0))
-    failures = []
-    instances = 0
-    for cls in ctx.classes_up_to(bound):
-        cop = hall.coproduct_basis(cls.label)
-        seen = set()
-        for (ln, lm), coeff in cop.items():
-            seen.add((lm, ln))
-            inst = f"comult:{lm}|{ln}|{cls.label}"
-            if only not in (None, inst):
-                continue
-            instances += 1
-            span_val = entries.get(((lm, ln), cls.label), Fraction(0))
-            if span_val != coeff:
-                failures.append(f"{inst}: span {span_val} != hall {coeff}")
-        for ((lm, ln), le), val in entries.items():
-            inst = f"comult:{lm}|{ln}|{le}"
-            if le == cls.label and (lm, ln) not in seen and val != 0 \
-                    and only in (None, inst):
-                failures.append(f"{inst}: extra span entry {val}")
-    return {"check": "comult-span", "instances": instances, "failures": failures,
-            "scope_note": "entrywise, exact"}
+    classes = ctx.classes_up_to(bound)
+    for cls in classes:
+        le = cls.label
+        terms = {(lm, ln): coeff for (ln, lm), coeff in hall.coproduct_basis(le).items()}
+        for (lm, ln), coeff in terms.items():
+            if run.want(f"comult:{lm}|{ln}|{le}"):
+                span_val = comult_span_entry(ctx, lm, ln, le)
+                if span_val != coeff:
+                    run.fail(f"span {span_val} != hall {coeff}")
+        for cm in classes:
+            for cn in classes:
+                if (cm.label, cn.label) in terms or dim_add(cm.dim, cn.dim) != cls.dim:
+                    continue
+                if run.selects(f"comult:{cm.label}|{cn.label}|{le}"):
+                    val = comult_span_entry(ctx, cm.label, cn.label, le)
+                    if val != 0:
+                        run.fail(f"extra span entry {val}")
 
 
 # ---- coherence polytopes ---------------------------------------------------------
 
 
-def coherence_check(ctx, name, bound, only=None):
+def coherence_check(run, ctx, name, bound):
     """Run one named coherence check at the given total-dimension bound.
 
     All checks operate at the object/cardinality level: they verify that
     the relevant composite object assignments agree up to componentwise
     isomorphism and that composite apex cardinalities coincide; 2-cell
     equalities are out of scope and flagged as such in the report.
-    Every failure starts with its replay id: the check name for
-    pentagon-strict and unitor, <check>:<a>|<b>|<c>|<d> for one shuffle
-    quadruple, which `only` selects.
+    Instance ids are the check name for every object of pentagon-strict
+    and unitor, and <check>:<a>|<b>|<c>|<d> for one shuffle quadruple.
     """
     if name == "pentagon-strict":
-        return _check_pentagon_strict(ctx, bound)
-    if name == "unitor":
-        return _check_unitor(ctx, bound)
-    if name in SHUFFLES:
-        return _check_shuffle(ctx, name, SHUFFLES[name], bound, only)
-    raise ValueError(f"unknown coherence check {name!r}; options: {COHERENCE_NAMES}")
+        _check_pentagon_strict(run, ctx, bound)
+    elif name == "unitor":
+        _check_unitor(run, ctx, bound)
+    elif name in SHUFFLES:
+        _check_shuffle(run, ctx, name, SHUFFLES[name], bound)
+    else:
+        raise ValueError(f"unknown coherence check {name!r}; options: {COHERENCE_NAMES}")
 
 
 def _reassoc(obj):
@@ -779,14 +728,14 @@ def _reassoc(obj):
     return (x, (y, z, n), m)
 
 
-def _check_pentagon_strict(ctx, bound):
+def _check_pentagon_strict(run, ctx, bound):
     """Both pentagon composites of re-parenthesization maps agree objectwise.
 
     The four spans are identity spans on the truncated base, so composite
     objects are witnesses with chains of automorphisms between them.
     """
-    failures = []
-    objects = 0
+    if not run.selects("pentagon-strict"):
+        return
     for cls in ctx.classes_up_to(bound):
         w = cls.rep
         auts = [m.vertex_maps for m in ctx.aut_elements(w)]
@@ -794,28 +743,26 @@ def _check_pentagon_strict(ctx, bound):
         for a in auts:
             for b in auts:
                 for c in auts:
+                    run.want("pentagon-strict")     # one instance per object
                     obj = (((wi, wi, a), wi, b), wi, c)
-                    objects += 1
                     via_back = _reassoc((_reassoc(obj[0]), obj[1], obj[2]))
                     via_back = (via_back[0], _reassoc(via_back[1]), via_back[2])
                     via_front = _reassoc(_reassoc(obj))
                     if via_back != via_front:
-                        failures.append(f"pentagon-strict: pentagon mismatch at {wi}")
-    return {"check": "pentagon-strict", "instances": objects, "failures": failures,
-            "scope_note": "object level; re-parenthesization only"}
+                        run.fail(f"pentagon mismatch at {wi}")
 
 
-def _check_unitor(ctx, bound):
+def _check_unitor(run, ctx, bound):
     """The unitor triangle: both routes send ((t, y, f), s, g) to (t, s, g . f)."""
-    failures = []
-    objects = 0
+    if not run.selects("unitor"):
+        return
     for cls in ctx.classes_up_to(bound):
         w = cls.rep
         auts = ctx.aut_elements(w)
         wi = cls.label
         for fm in auts:
             for gm in auts:
-                objects += 1
+                run.want("unitor")                  # one instance per object
                 composite = gm.compose(fm).vertex_maps
                 via_assoc = _reassoc(((wi, wi, fm.vertex_maps), wi, gm.vertex_maps))
                 # T . l collapses the middle unit leg by composing the alphas
@@ -823,9 +770,7 @@ def _check_unitor(ctx, bound):
                               _compose_keys(ctx, w, via_assoc[1][2], via_assoc[2]))
                 right_route = (wi, wi, composite)
                 if left_route != right_route:
-                    failures.append(f"unitor: unitor mismatch at {wi}")
-    return {"check": "unitor", "instances": objects, "failures": failures,
-            "scope_note": "object level"}
+                    run.fail(f"unitor mismatch at {wi}")
 
 
 def _compose_keys(ctx, w, inner_key, outer_key):
@@ -866,7 +811,7 @@ def _class_tuples(ctx, bound, k):
     return rec(0, bound)
 
 
-def _check_shuffle(ctx, name, shape, bound, only=None):
+def _check_shuffle(run, ctx, name, shape, bound):
     """One coherence shuffle on every class quadruple (a, b, c, d) within bound.
 
     shape(ctx, a, b, c, d) returns the outer terms (quo, sub) of the
@@ -877,13 +822,9 @@ def _check_shuffle(ctx, name, shape, bound, only=None):
     isomorphic), the path cardinalities must all be equal, and every piece
     on a path must have fixed-end cardinality q^{-<quo, sub>}.
     """
-    failures = []
-    instances = 0
     for classes in _class_tuples(ctx, bound, 4):
-        inst = f"{name}:" + "|".join(c.label for c in classes)
-        if only not in (None, name, inst):
+        if not run.want(f"{name}:" + "|".join(c.label for c in classes)):
             continue
-        instances += 1
         outer = tuple(c.rep for c in classes)
         (quo, sub), slots, paths = shape(ctx, *outer)
         ext = ExtGroupoid.of(ctx, quo, sub)
@@ -892,17 +833,16 @@ def _check_shuffle(ctx, name, shape, bound, only=None):
                 for slot, one, two in slots(ses):
                     if not (one.sub == two.sub and one.quo == two.quo
                             and ctx.is_isomorphic(one.mid, two.mid)):
-                        failures.append(f"{inst}: slot {slot} differs at {e_label}")
+                        run.fail(f"slot {slot} differs at {e_label}")
                         break
         values = {k: _path_value(ctx, v, outer) for k, v in paths.items()}
         if len(set(values.values())) != 1:
-            failures.append(f"{inst}: path cardinalities differ: {values}")
+            run.fail(f"path cardinalities differ: {values}")
         for q, s in dict.fromkeys(pair for path in paths.values() for pair in path):
             if ExtGroupoid.of(ctx, q, s).cardinality_fixed_ends() != q_power(
                     ctx.q, -ctx.euler_form(q.dim, s.dim)):
-                failures.append(f"{inst}: fixed-end piece value off for "
-                                f"{ctx.class_of(q).label},{ctx.class_of(s).label}")
-    return {"check": name, "instances": instances, "failures": failures}
+                run.fail(f"fixed-end piece value off for "
+                         f"{ctx.class_of(q).label},{ctx.class_of(s).label}")
 
 
 def _shuffle_13(ctx, a, b, c, d):

@@ -11,13 +11,21 @@ from operator import add, mul
 
 
 class BudgetError(Exception):
-    """An enumeration would exceed the configured budget."""
+    """An enumeration would exceed the configured budget.
+
+    `where` is appended to the message; a verify suite sets it to name
+    itself and the instance that ran out.
+    """
 
     def __init__(self, what, count, budget):
         self.what = what
         self.count = count
         self.budget = budget
-        super().__init__(f"{what}: {count} items exceeds budget {budget}")
+        self.where = ""
+        super().__init__(what, count, budget)
+
+    def __str__(self):
+        return f"{self.what}: {self.count} items exceeds budget {self.budget}{self.where}"
 
 
 DEFAULT_BUDGET = 2_000_000

@@ -102,13 +102,12 @@ def test_criterion_06_riedtmann(ctx2, ctx3):
 
 
 def test_criterion_07_span_degroupoidification(ctx2, hall2):
-    rep_m = cathall.mult_matrix_against_hall(ctx2, hall2, 3)
-    assert rep_m["failures"] == [], rep_m["failures"][:3]
-    rep_c = cathall.comult_matrix_against_hall(ctx2, hall2, 3)
-    assert rep_c["failures"] == [], rep_c["failures"][:3]
+    run = verify.Run()
+    cathall.mult_matrix_against_hall(run, ctx2, hall2, 3)
+    cathall.comult_matrix_against_hall(run, ctx2, hall2, 3)
+    assert run.failures == [], run.failures[:3]
     _ok(7, f"multiplication/comultiplication spans match the Hall maps "
-           f"entrywise at bound 3 ({rep_m['instances'] + rep_c['instances']} "
-           f"entries, A2, q=2)")
+           f"entrywise at bound 3 ({run.instances} entries, A2, q=2)")
 
 
 def test_criterion_08_engine_properties():
@@ -156,8 +155,9 @@ def test_criterion_11_antipode(ctx2, hall2):
 def test_criterion_12_coherence_polytopes(ctx2, hall2):
     t0 = time.monotonic()
     for name in cathall.COHERENCE_NAMES:
-        rep = cathall.coherence_check(ctx2, name, 2)
-        assert rep["failures"] == [], (name, rep["failures"][:3])
+        run = verify.Run()
+        cathall.coherence_check(run, ctx2, name, 2)
+        assert run.failures == [], (name, run.failures[:3])
     # hexagonator checks reproduce EXT bilinearity numerically
     rep = verify.suite_bilinearity(ctx2, 3)
     assert rep["failures"] == []

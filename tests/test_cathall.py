@@ -9,14 +9,15 @@ from hallalg.cathall import (BraidingSpan, COHERENCE_NAMES, ExtGroupoid,
                              SESObject, block_injections,
                              block_projections, bsim_ext_check, build_A0,
                              coherence_check, comult_matrix_against_hall,
-                             comult_span_matrix, ext_bilinearity_first,
+                             comult_span_entry, ext_bilinearity_first,
                              ext_bilinearity_second, ext_cardinality_check,
                              factor_through, corestrict, glue_quotients,
                              glue_subobjects, hexagonator_R, hexagonator_S,
-                             mult_matrix_against_hall, mult_span_matrix,
+                             mult_matrix_against_hall, mult_span_entry,
                              riedtmann_check, _square_zero)
 from hallalg.linalg import BudgetError, flatten
 from hallalg.quiver import RepCategory, RepMorphism, Representation, dim_add
+from hallalg.verify import Run
 from oracles import (fixed_ends_by_aut_scan, image_key, morphism_count,
                      orbits_by_aut_scan)
 
@@ -219,25 +220,44 @@ def test_quotient_iso_fact(ctx2, reps2):
             assert ctx2.is_isomorphic(ses_d.mid, ses_d_direct.mid)
 
 
+def _span_matrices(ctx, bound):
+    """The nonzero mult and comult span entries within bound, read entry by entry."""
+    classes = ctx.classes_up_to(bound)
+    mult, comult = {}, {}
+    for cm in classes:
+        for cn in classes:
+            for ce in classes:
+                if ce.dim != dim_add(cm.dim, cn.dim):
+                    continue
+                lm, ln, le = cm.label, cn.label, ce.label
+                m, c = mult_span_entry(ctx, le, lm, ln), comult_span_entry(ctx, lm, ln, le)
+                if m:
+                    mult[(le, (lm, ln))] = m
+                if c:
+                    comult[((lm, ln), le)] = c
+    return mult, comult
+
+
 def test_mult_span_matrix_entries(ctx2, hall2):
-    entries = mult_span_matrix(ctx2, 2)
     # ((S1, S2) -> P1) entry is 1
-    assert entries[("d1.1#1", ("d1.0#0", "d0.1#0"))] == 1
-    assert entries[("d1.1#0", ("d1.0#0", "d0.1#0"))] == 1
-    # grading mismatch never appears
-    assert ("d1.1#1", ("d1.0#0", "d1.0#0")) not in entries
-    rep = mult_matrix_against_hall(ctx2, hall2, 3)
-    assert rep["failures"] == []
+    assert mult_span_entry(ctx2, "d1.1#1", "d1.0#0", "d0.1#0") == 1
+    assert mult_span_entry(ctx2, "d1.1#0", "d1.0#0", "d0.1#0") == 1
+    # an entry off the grading is zero
+    assert mult_span_entry(ctx2, "d1.1#1", "d1.0#0", "d1.0#0") == 0
+    run = Run()
+    mult_matrix_against_hall(run, ctx2, hall2, 3)
+    assert run.failures == []
+    assert run.instances == 71        # one per (E, M, N) with matching grades
 
 
 def test_comult_span_matrix_entries(ctx2, ctx3, hall2, hall3):
-    entries = comult_span_matrix(ctx2, 2)
     # row (quo, sub) = (S1, S2) of column P1 carries Delta's [S2] (x) [S1] term
-    assert entries[(("d1.0#0", "d0.1#0"), "d1.1#1")] == 1
-    rep = comult_matrix_against_hall(ctx2, hall2, 3)
-    assert rep["failures"] == []
-    entries3 = comult_span_matrix(ctx3, 2)
-    assert entries3[(("d1.0#0", "d0.1#0"), "d1.1#1")] == 2  # q - 1 at q = 3
+    assert comult_span_entry(ctx2, "d1.0#0", "d0.1#0", "d1.1#1") == 1
+    run = Run()
+    comult_matrix_against_hall(run, ctx2, hall2, 3)
+    assert run.failures == []
+    assert run.instances == 50        # one per coproduct term
+    assert comult_span_entry(ctx3, "d1.0#0", "d0.1#0", "d1.1#1") == 2  # q - 1 at q = 3
 
 
 def test_braiding_span_degroupoidifies_to_braiding(ctx2, hall2, reps2):
@@ -245,8 +265,7 @@ def test_braiding_span_degroupoidifies_to_braiding(ctx2, hall2, reps2):
     ext = span.piece(0, 0)
     assert ext.cardinality_triples() == ext_cardinality_check(
         ctx2, reps2["S1"], reps2["S2"])["lhs"] == 2
-    m = span.matrix()
-    assert m == {(("d0.1#0", "d1.0#0"), ("d1.0#0", "d0.1#0")): Fraction(2)}
+    assert span.entry(0, 0) == 2
     # matches the algebraic braiding coefficient q^{-<s1, s2>}
     assert hall2.braid_coeff((1, 0), (0, 1)) == 2
     # zero-object instance: trivial braid of cardinality 1
@@ -268,9 +287,10 @@ def test_ext_morphism_counts_on_demand(ctx2, reps2):
 
 def test_bsim_ext_check_bound_one(ctx2):
     base = build_A0(ctx2, 1)
-    rep = bsim_ext_check(ctx2, BraidingSpan(ctx2, base, base))
-    assert rep["failures"] == []
-    assert rep["instances"] == 9
+    run = Run()
+    bsim_ext_check(run, ctx2, BraidingSpan(ctx2, base, base))
+    assert run.failures == []
+    assert run.instances == 9
 
 
 def test_aut_routes_match_aut_scans(ctx2):
@@ -343,10 +363,12 @@ def test_fixed_end_group_of_order_64_needs_no_enumeration(a2):
 
 def test_coherence_checks_bound_one(ctx2):
     for name in COHERENCE_NAMES:
-        rep = coherence_check(ctx2, name, 1)
-        assert rep["failures"] == [], name
+        run = Run()
+        coherence_check(run, ctx2, name, 1)
+        assert run.failures == [], name
+        assert run.instances > 0, name
     with pytest.raises(ValueError):
-        coherence_check(ctx2, "no-such-polytope", 1)
+        coherence_check(Run(), ctx2, "no-such-polytope", 1)
 
 
 def test_shuffle_22_specific_instance(ctx2, reps2):
@@ -478,7 +500,7 @@ def test_engine_bridge_mult_comult_spans(ctx2, hall2):
 
     mult_span = gpd.ConcreteSpan(sesG, leg_E, leg_MN)
     entries, _, _ = gpd.degroupoidify_span(mult_span)
-    formula = mult_span_matrix(ctx2, bound)
+    formula, cformula = _span_matrices(ctx2, bound)
     engine_entries = {}
     for (y, x), val in entries.items():
         e_label = ctx2.class_of(wits[y]).label
@@ -494,7 +516,6 @@ def test_engine_bridge_mult_comult_spans(ctx2, hall2):
     # adjoint span: same apex, swapped legs, gives the coproduct matrix
     comult_span = gpd.ConcreteSpan(sesG, leg_MN, leg_E)
     centries, _, _ = gpd.degroupoidify_span(comult_span)
-    cformula = comult_span_matrix(ctx2, bound)
     engine_centries = {}
     for (y, x), val in centries.items():
         m_label = ctx2.class_of(wits[prod_base.objects[y][0]]).label

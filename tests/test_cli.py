@@ -4,6 +4,7 @@ import os
 import pytest
 
 from hallalg.cli import main
+from hallalg.verify import SUITE_ORDER
 
 
 def run(capsys, *argv):
@@ -236,21 +237,23 @@ def test_bundled_quivers_load(capsys):
 
 
 def test_verify_bsim_replays_one_ext_pair(capsys, monkeypatch):
-    """The replay builds the one sequence groupoid it checks, and no other."""
+    """A replay builds the one sequence groupoid it checks, and no other."""
     from hallalg.cathall import ExtGroupoid
-    built = []
     init = ExtGroupoid.__init__
+    for suite, max_dim, inst in (("bsim", "2", "bsim-ext:d1.0#0|d0.1#0"),
+                                 ("bsim", "3", "braidmatrix:d1.0#0|d0.1#0"),
+                                 ("spans", "2", "comult:d1.0#0|d0.1#0|d1.1#1")):
+        built = []
 
-    def counted(self, ctx, M, N):
-        built.append((M, N))
-        init(self, ctx, M, N)
+        def counted(self, ctx, M, N):
+            built.append((M, N))
+            init(self, ctx, M, N)
 
-    monkeypatch.setattr(ExtGroupoid, "__init__", counted)
-    code, out, _ = run(capsys, "verify", "bsim", "--max-dim", "2",
-                       "--only", "bsim-ext:d1.0#0|d0.1#0")
-    assert code == 0
-    assert json.loads(out)["suites"][0]["instances"] == 1
-    assert len(built) == 1
+        monkeypatch.setattr(ExtGroupoid, "__init__", counted)
+        code, out, _ = run(capsys, "verify", suite, "--max-dim", max_dim, "--only", inst)
+        assert code == 0
+        assert json.loads(out)["suites"][0]["instances"] == 1
+        assert len(built) == 1, inst
 
 
 def test_verify_spans_failure_replays_by_id(capsys, monkeypatch):
@@ -272,9 +275,9 @@ def test_verify_spans_failure_replays_by_id(capsys, monkeypatch):
     assert failures[0].startswith("mult:d1.1#0|d1.0#0|d0.1#0: ")
     inst = failures[0].split(": ")[0]
     from hallalg import cathall
-    comult_built = []
-    monkeypatch.setattr(cathall, "comult_span_matrix",
-                        lambda *args: comult_built.append(args) or {})
+    comult_entries = []
+    monkeypatch.setattr(cathall, "comult_span_entry",
+                        lambda *args: comult_entries.append(args) or 0)
     ext_built = []
     init = cathall.ExtGroupoid.__init__
 
@@ -288,7 +291,7 @@ def test_verify_spans_failure_replays_by_id(capsys, monkeypatch):
     suite = json.loads(out)["suites"][0]
     assert suite["instances"] == 1
     assert suite["failures"] == [failures[0]]
-    assert comult_built == []       # a mult: id runs only the mult side
+    assert comult_entries == []     # a mult: id reads no comult entry
     assert len(ext_built) == 1      # and builds only the EXT groupoid of its pair
 
 
@@ -313,3 +316,77 @@ def test_verify_coherence_failure_replays_by_id(capsys, monkeypatch):
     suite = json.loads(out)["suites"][0]
     assert suite["instances"] == 1
     assert suite["failures"][0] == failures[0]
+
+
+# one known instance per suite at a2, q=2, max-dim 2
+REPLAY_IDS = {
+    "algebra": "assoc:d1.0#0|d0.1#0|d0.0#0",
+    "green": "green:d1.0#0|d0.1#0|d1.0#0|d0.1#0",
+    "bialgebra": "bialgebra:d1.0#0|d0.1#0",
+    "antipode": "antipode:d1.1#0",
+    "hexagon": "hex:0.0|1.0|0.1",
+    "ext": "ext:d1.0#0|d0.1#0",
+    "riedtmann": "riedtmann:d1.0#0|d0.1#0|d1.1#0",
+    "bilinearity": "bilin2:d1.0#0|d0.1#0|d0.0#0",
+    "spans": "comult:d1.0#0|d0.1#0|d1.1#1",
+    "bsim": "braidmatrix:d1.0#0|d0.1#0",
+    "coherence": "shuffle-3-1:d1.0#0|d0.0#0|d0.1#0|d0.0#0",
+    "engine": "engine:equiv:7",
+    "gabriel": "gabriel:count",
+}
+
+
+def _instances(capsys, suite, *argv):
+    code, out, _ = run(capsys, "verify", suite, "--max-dim", "2", *argv)
+    assert code == 0
+    return json.loads(out)["suites"][0]["instances"]
+
+
+@pytest.mark.parametrize("suite", SUITE_ORDER)
+def test_verify_replays_one_instance_per_suite(capsys, suite):
+    assert _instances(capsys, suite, "--only", REPLAY_IDS[suite]) == 1
+
+
+def test_readme_replay_examples_run_one_instance(capsys):
+    import shlex
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        examples = [shlex.split(line)[1:] for line in fh
+                    if line.startswith("hallalg verify") and "--only" in line]
+    assert len(examples) == 3
+    for argv in examples:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert json.loads(out)["suites"][0]["instances"] == 1, argv
+
+
+def test_verify_only_check_name_selects_the_whole_check(capsys):
+    """The part of an id before its first ':' selects every instance of that check."""
+    total = _instances(capsys, "coherence")
+    parts = [_instances(capsys, "coherence", "--only", name) for name in
+             ("shuffle-1-3", "shuffle-3-1", "shuffle-2-2", "pentagon-strict", "unitor")]
+    assert all(parts) and sum(parts) == total
+    assert _instances(capsys, "algebra", "--only", "coassoc") == 7
+
+
+@pytest.mark.parametrize("inst", ["unitorX", "pentagon-strict:nothing"])
+def test_verify_only_unknown_id_runs_nothing(capsys, inst):
+    assert _instances(capsys, "coherence", "--only", inst) == 0
+
+
+def test_budget_error_names_suite_and_replayable_instance(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["verify", "bsim", "--max-dim", "2", "--budget", "16", "--out", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == "" and not out.exists()
+    line = err.strip().splitlines()[-1]
+    assert line.startswith("error: End(0, 3) subspace enumeration")
+    assert ", in suite bsim, instance 'bsim-ext:d0.1#0|d0.2#0'" in line
+    inst = line.split("instance '")[1].split("'")[0]
+    code, stdout, err = run(capsys, *argv, "--only", inst)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.strip().splitlines()[-1] == line
+    # a stop before the first instance names only the suite
+    code, stdout, err = run(capsys, "verify", "bsim", "--max-dim", "2", "--budget", "1")
+    assert code == 2 and stdout == ""
+    assert err.strip().endswith(", in suite bsim (raise --budget to allow it)")
