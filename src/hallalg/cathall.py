@@ -23,9 +23,8 @@ All checks report which convention each number uses.
 from fractions import Fraction
 
 from .hall import q_power
-from .linalg import Matrix, check_budget, flatten, unflatten
-from .quiver import (RepMorphism, block_inclusion, block_projection, dim_add,
-                     dim_total)
+from .linalg import Matrix, blocks_invertible, check_budget, flatten, span_points, unflatten
+from .quiver import RepMorphism, block_inclusion, block_projection, dim_add
 
 
 class SESObject:
@@ -313,45 +312,13 @@ def _end_subspace(ctx, E, constraint):
 
 
 def _units(ctx, E, basis):
-    """The number of invertible points of span(basis) in End(E).
-
-    The q^k points are walked in modular Gray-code order: step t adds the
-    basis vector whose index is the number of trailing zeros of t in base
-    q, so every step is one vector addition.  Invertibility is tested
-    vertex by vertex, by elimination mod q.
-    """
+    """The number of invertible points of span(basis) in End(E), walked by
+    span_points and tested vertex block by vertex block."""
     p = ctx.q
-    k = len(basis)
-    check_budget(f"End{E.dim} subspace enumeration dim {k} over F_{p}", p ** k, ctx.budget)
-    blocks, pos = [], 0
-    for d in E.dim:
-        blocks.append((pos, d))
-        pos += d * d
-    point = [0] * pos
-    units = 0
-    for t in range(p ** k):
-        if t:
-            j, s = 0, t
-            while s % p == 0:
-                s //= p
-                j += 1
-            point = [(x + y) % p for x, y in zip(point, basis[j])]
-        for pos, d in blocks:
-            rest = [point[pos + i * d:pos + i * d + d] for i in range(d)]
-            for c in range(d):
-                pivot = next((r for r in rest if r[c]), None)
-                if pivot is None:
-                    break
-                rest.remove(pivot)
-                a = pivot[c]
-                rest = [[(a * x - r[c] * y) % p for x, y in zip(r, pivot)] if r[c] else r
-                        for r in rest]
-            else:
-                continue
-            break           # a singular vertex block
-        else:
-            units += 1
-    return units
+    points = span_points(ctx.field, basis, sum(d * d for d in E.dim),
+                         f"End{E.dim} subspace enumeration dim {len(basis)} over F_{p}",
+                         ctx.budget)
+    return sum(1 for point in points if blocks_invertible(point, E.dim, p))
 
 
 def _square_zero(ctx, E, basis):
@@ -657,19 +624,15 @@ def mult_matrix_against_hall(run, ctx, hall, bound):
 
     Each entry is the instance mult:<le>|<lm>|<ln>.
     """
-    classes = ctx.classes_up_to(bound)
-    for cm in classes:
-        for cn in classes:
-            if dim_total(cm.dim) + dim_total(cn.dim) > bound:
-                continue
-            lm, ln = cm.label, cn.label
-            prod = hall.product_basis(lm, ln)
-            for ce in ctx.classify(dim_add(cm.dim, cn.dim)):
-                if run.want(f"mult:{ce.label}|{lm}|{ln}"):
-                    span_val = mult_span_entry(ctx, ce.label, lm, ln)
-                    hall_val = prod.get(ce.label, Fraction(0))
-                    if span_val != hall_val:
-                        run.fail(f"span {span_val} != hall {hall_val}")
+    for cm, cn in ctx.class_tuples(bound, 2):
+        lm, ln = cm.label, cn.label
+        prod = hall.product_basis(lm, ln)
+        for ce in ctx.classify(dim_add(cm.dim, cn.dim)):
+            if run.want(f"mult:{ce.label}|{lm}|{ln}"):
+                span_val = mult_span_entry(ctx, ce.label, lm, ln)
+                hall_val = prod.get(ce.label, Fraction(0))
+                if span_val != hall_val:
+                    run.fail(f"span {span_val} != hall {hall_val}")
 
 
 def comult_matrix_against_hall(run, ctx, hall, bound):
@@ -677,8 +640,9 @@ def comult_matrix_against_hall(run, ctx, hall, bound):
 
     The coproduct term [n] (x) [m] must equal the span entry at row
     (m, n): quotient first in the row key, subobject first in the tensor.
-    Each coproduct term is the instance comult:<lm>|<ln>|<le>, and a
-    nonzero span entry with no coproduct term fails under the same id.
+    Each (M, N, E) with matching grades is the instance
+    comult:<lm>|<ln>|<le>: a coproduct term, or an entry with no term,
+    which must then be zero.
     """
     classes = ctx.classes_up_to(bound)
     for cls in classes:
@@ -693,7 +657,7 @@ def comult_matrix_against_hall(run, ctx, hall, bound):
             for cn in classes:
                 if (cm.label, cn.label) in terms or dim_add(cm.dim, cn.dim) != cls.dim:
                     continue
-                if run.selects(f"comult:{cm.label}|{cn.label}|{le}"):
+                if run.want(f"comult:{cm.label}|{cn.label}|{le}"):
                     val = comult_span_entry(ctx, cm.label, cn.label, le)
                     if val != 0:
                         run.fail(f"extra span entry {val}")
@@ -797,20 +761,6 @@ def _path_value(ctx, pieces, outer_reps):
     return val
 
 
-def _class_tuples(ctx, bound, k):
-    classes = ctx.classes_up_to(bound)
-    def rec(i, remaining):
-        if i == k:
-            yield ()
-            return
-        for cls in classes:
-            t = dim_total(cls.dim)
-            if t <= remaining:
-                for rest in rec(i + 1, remaining - t):
-                    yield (cls,) + rest
-    return rec(0, bound)
-
-
 def _check_shuffle(run, ctx, name, shape, bound):
     """One coherence shuffle on every class quadruple (a, b, c, d) within bound.
 
@@ -822,7 +772,7 @@ def _check_shuffle(run, ctx, name, shape, bound):
     isomorphic), the path cardinalities must all be equal, and every piece
     on a path must have fixed-end cardinality q^{-<quo, sub>}.
     """
-    for classes in _class_tuples(ctx, bound, 4):
+    for classes in ctx.class_tuples(bound, 4):
         if not run.want(f"{name}:" + "|".join(c.label for c in classes)):
             continue
         outer = tuple(c.rep for c in classes)

@@ -428,15 +428,11 @@ class HallAlgebra:
 
     def product_table(self, bound):
         """All basis products with grades within bound, label-sorted."""
-        labels = [c.label for c in self.ctx.classes_up_to(bound)]
         table = {}
-        for lm in labels:
-            for ln in labels:
-                if dim_total(self.grade(lm)) + dim_total(self.grade(ln)) > bound:
-                    continue
-                entry = HallVector(self.product_basis(lm, ln))
-                table[f"[{lm}],[{ln}]"] = [
-                    {"class": k, "coeff": format_coeff(v)} for k, v in entry.items()]
+        for cm, cn in self.ctx.class_tuples(bound, 2):
+            entry = HallVector(self.product_basis(cm.label, cn.label))
+            table[f"[{cm.label}],[{cn.label}]"] = [
+                {"class": k, "coeff": format_coeff(v)} for k, v in entry.items()]
         return table
 
     def coproduct_table(self, bound):

@@ -2,8 +2,8 @@
 
 Everything here is immutable and deterministic: matrices are tuples of
 tuples, pivots are always the first nonzero entry, and enumeration runs
-in lexicographic order so downstream classification is reproducible.
-No floating point anywhere.
+in a fixed order: lexicographic where it fixes class labels, modular
+Gray-code for the points of a span.  No floating point anywhere.
 """
 
 from itertools import combinations, product
@@ -294,9 +294,6 @@ class Matrix:
             rows[pc] = red.entries[r][n:]
         return Matrix._of(self.field, tuple(rows), n, rhs.cols)
 
-    def is_invertible(self):
-        return self.rows == self.cols and self.rank() == self.rows
-
     def completion(self):
         """Complete the column span of this n x k matrix B to F_p^n, by one rref.
 
@@ -369,41 +366,55 @@ def enumerate_vectors(field, n):
     return product(range(field.p), repeat=n)
 
 
+def span_points(field, basis, length, what, budget=DEFAULT_BUDGET):
+    """Every point of the span of basis (flat vectors of the given length), once.
+
+    The p^k points are walked in modular Gray-code order: step t adds the
+    basis vector whose index is the number of trailing zeros of t in base
+    p, so every step is one vector addition.  p^k is checked against the
+    budget under the name `what` before the first point.
+    """
+    p, k = field.p, len(basis)
+    check_budget(what, p ** k, budget)
+    point = (0,) * length
+    yield point
+    for t in range(1, p ** k):
+        j = 0
+        while t % p == 0:
+            t //= p
+            j += 1
+        point = tuple([(x + y) % p for x, y in zip(point, basis[j])])
+        yield point
+
+
+def blocks_invertible(point, dims, p):
+    """Whether every square block of a flat point is invertible mod p.
+
+    point holds one d x d block per d in dims, row-major and in order, as
+    flatten() lays out End spaces vertex by vertex.  Each block is reduced
+    by elimination; the first singular one ends the test.
+    """
+    pos = 0
+    for d in dims:
+        rest = [point[pos + i * d:pos + i * d + d] for i in range(d)]
+        pos += d * d
+        for c in range(d):
+            i = next((i for i, r in enumerate(rest) if r[c]), None)
+            if i is None:
+                return False
+            pivot = rest.pop(i)
+            a = pivot[c]
+            rest = [[(a * x - r[c] * y) % p for x, y in zip(r, pivot)] if r[c] else r
+                    for r in rest]
+    return True
+
+
 def gl_order(d, q):
     """|GL_d(F_q)| = prod_{i<d} (q^d - q^i)."""
     out = 1
     for i in range(d):
         out *= q ** d - q ** i
     return out
-
-
-def enumerate_gl(field, d, budget=DEFAULT_BUDGET):
-    """All invertible d x d matrices over F_p, built row by row.
-
-    Each new row is any vector outside the span of the previous rows, so
-    exactly gl_order(d, p) matrices are produced, with no wasted rank checks.
-    """
-    p = field.p
-    check_budget(f"GL_{d}(F_{p}) enumeration", gl_order(d, p), budget)
-    if d == 0:
-        yield Matrix.identity(field, 0)
-        return
-
-    def extend(rows, span):
-        if len(rows) == d:
-            yield Matrix._of(field, rows, d, d)
-            return
-        for v in enumerate_vectors(field, d):
-            if v in span:
-                continue
-            new_span = set()
-            for s in span:
-                for c in range(p):
-                    new_span.add(tuple((a + c * b) % p for a, b in zip(s, v)))
-            yield from extend(rows + (v,), new_span)
-
-    zero = tuple([0] * d)
-    yield from extend((), {zero})
 
 
 def gl_generators(field, d):

@@ -18,14 +18,15 @@ from .linalg import (
     DEFAULT_BUDGET,
     Matrix,
     PrimeField,
+    blocks_invertible,
     check_budget,
-    enumerate_gl,
     enumerate_subspaces,
     enumerate_vectors,
     flatten,
     gaussian_binomial,
     gl_generators,
     gl_order,
+    span_points,
     unflatten,
 )
 
@@ -253,9 +254,6 @@ class RepMorphism:
     def is_surjective(self):
         return all(m.rank() == m.rows for m in self.vertex_maps)
 
-    def is_invertible(self):
-        return all(m.is_invertible() for m in self.vertex_maps)
-
     def compose(self, other):
         """self after other (other: A -> B, self: B -> C)."""
         if other.target is not self.source and other.target != self.source:
@@ -428,6 +426,23 @@ class RepCategory:
                 out.extend(self.classify(dim))
         return out
 
+    def class_tuples(self, bound, k):
+        """Every k-tuple of classes with total dimension <= bound, in the
+        lexicographic order of classes_up_to(bound)."""
+        classes = self.classes_up_to(bound)
+
+        def rec(k, remaining):
+            if k == 0:
+                yield ()
+                return
+            for cls in classes:
+                t = sum(cls.dim)
+                if t > remaining:
+                    break       # classes come in order of total dimension
+                for rest in rec(k - 1, remaining - t):
+                    yield (cls,) + rest
+        return rec(k, bound)
+
     def class_by_label(self, label):
         if label in self._by_label:
             return self._by_label[label]
@@ -491,34 +506,28 @@ class RepCategory:
 
     # ---- morphism-set enumeration -----------------------------------------
 
-    def _semisimple(self, M):
-        return all(m.is_zero() for m in M.edge_maps)
+    def _hom_points(self, M, N):
+        """Every morphism M -> N as a flat point: span_points over hom_basis(M, N)."""
+        basis = [flatten(b.vertex_maps) for b in self.hom_basis(M, N)]
+        return span_points(self.field, basis, sum(m * n for m, n in zip(M.dim, N.dim)),
+                           f"Hom-space span enumeration dim {len(basis)}", self.budget)
 
     def iso_set(self, M, N):
-        """Every isomorphism M -> N, deterministically ordered.
+        """Every isomorphism M -> N: the invertible points of the Hom(M, N) span.
 
-        Semisimple pairs get a per-vertex GL product, budgeted as a whole;
-        otherwise the span of hom_basis is enumerated and filtered by
-        vertexwise invertibility.
+        Cached per pair; the order is span_points' walk order.
         """
         self._same_quiver(M, N)
         if M.dim != N.dim or not self.is_isomorphic(M, N):
             return []
         key = ("iso", M, N)
-        if key in self._aut_list_cache:
-            return self._aut_list_cache[key]
-        if self._semisimple(M) and self._semisimple(N):
-            check_budget(f"prod_v GL(dim_v) enumeration for dim {M.dim} over F_{self.q}",
-                         prod(gl_order(d, self.q) for d in M.dim), self.budget)
-            per_vertex = []
-            for d in M.dim:
-                per_vertex.append(list(enumerate_gl(self.field, d, budget=self.budget)))
-            out = [RepMorphism(M, N, maps) for maps in product(*per_vertex)]
-        else:
-            out = [mor for mor in self._span_elements(self.hom_basis(M, N), M, N)
-                   if mor.is_invertible()]
-        self._aut_list_cache[key] = out
-        return out
+        if key not in self._aut_list_cache:
+            shapes = [(d, d) for d in M.dim]
+            self._aut_list_cache[key] = [
+                RepMorphism(M, N, unflatten(self.field, point, shapes))
+                for point in self._hom_points(M, N)
+                if blocks_invertible(point, M.dim, self.q)]
+        return self._aut_list_cache[key]
 
     def aut_elements(self, M):
         return self.iso_set(M, M)
@@ -678,20 +687,14 @@ class RepCategory:
     def ext_class_reps(self, M, N):
         """Canonical coset representatives of Ext^1(M, N) as cocycle vectors.
 
-        The coboundaries are the image of the presentation matrix; a greedy
-        standard-vector complement gives one representative per class.
+        The coboundaries are the image of the presentation matrix; the span
+        of a greedy standard-vector complement holds one representative per
+        class.
         """
         comp, reduction = self._ext_complement(M, N)
-        ext_dim = len(comp)
-        check_budget(f"Ext^1 class enumeration dim {ext_dim}", self.q ** ext_dim,
-                     self.budget)
-        reps = []
-        for coeffs in enumerate_vectors(self.field, ext_dim):
-            vec = [self.field.zero] * reduction.rows
-            for c, j in zip(coeffs, comp):
-                vec[j] = c
-            reps.append(tuple(vec))
-        return reps
+        units = Matrix.identity(self.field, reduction.rows).entries
+        return list(span_points(self.field, [units[j] for j in comp], reduction.rows,
+                                f"Ext^1 class enumeration dim {len(comp)}", self.budget))
 
     def extension_class(self, M, N, E, incl, proj):
         """Cocycle coordinates (canonically reduced) of the extension (incl, proj).
@@ -757,21 +760,6 @@ class RepCategory:
                 census[k] = census.get(k, 0) + 1
         return census
 
-    def _span_elements(self, basis, src, tgt):
-        """Every combination of basis (morphisms src -> tgt), in coefficient order."""
-        k = len(basis)
-        check_budget(f"Hom-space span enumeration dim {k}", self.q ** k, self.budget)
-        out = []
-        for coeffs in enumerate_vectors(self.field, k):
-            maps = [Matrix.zero(self.field, tgt.dim[v], src.dim[v])
-                    for v in range(self.quiver.n)]
-            for c, b in zip(coeffs, basis):
-                if c == 0:
-                    continue
-                maps = [m + bm.scale(c) for m, bm in zip(maps, b.vertex_maps)]
-            out.append(RepMorphism(src, tgt, maps))
-        return out
-
     # ---- roots and indecomposables -----------------------------------------
 
     def positive_roots(self):
@@ -785,14 +773,15 @@ class RepCategory:
         return sorted(roots)
 
     def is_indecomposable(self, M):
-        """No nontrivial idempotent in End(M); budgeted span enumeration."""
+        """No nontrivial idempotent in End(M); budgeted span walk."""
         if M.is_zero():
             return False
-        ident = RepMorphism.identity(M)
-        for phi in self._span_elements(self.hom_basis(M, M), M, M):
-            if phi.is_zero() or phi == ident:
+        shapes = [(d, d) for d in M.dim]
+        ident = flatten(RepMorphism.identity(M).vertex_maps)
+        for point in self._hom_points(M, M):
+            if not any(point) or point == ident:
                 continue
-            if phi.compose(phi) == phi:
+            if all(m * m == m for m in unflatten(self.field, point, shapes)):
                 return False
         return True
 

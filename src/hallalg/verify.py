@@ -13,7 +13,7 @@ import inspect
 from fractions import Fraction
 
 from .linalg import BudgetError
-from .quiver import dim_total, dim_vectors_with_total
+from .quiver import dim_vectors_with_total
 from .hall import HallVector, format_coeff
 from . import cathall
 from . import groupoids as gpd
@@ -83,23 +83,15 @@ def _suite(check):
 @_suite("algebra")
 def suite_algebra(run, ctx, hall, max_dim):
     """Associativity, coassociativity, grading, unit and counit laws."""
-    labels = [c.label for c in ctx.classes_up_to(max_dim)]
-    totals = {l: dim_total(hall.grade(l)) for l in labels}
-    for la in labels:
-        for lb in labels:
-            if totals[la] + totals[lb] > max_dim:
-                continue
-            for lc in labels:
-                if totals[la] + totals[lb] + totals[lc] > max_dim:
-                    continue
-                if not run.want(f"assoc:{la}|{lb}|{lc}"):
-                    continue
-                va, vb, vc = (HallVector.basis(x) for x in (la, lb, lc))
-                left = hall.product(hall.product(va, vb, max_dim), vc, max_dim)
-                right = hall.product(va, hall.product(vb, vc, max_dim), max_dim)
-                if left != right:
-                    run.fail("products differ")
-    for le in labels:
+    for triple in ctx.class_tuples(max_dim, 3):
+        if not run.want("assoc:" + "|".join(c.label for c in triple)):
+            continue
+        va, vb, vc = (HallVector.basis(c.label) for c in triple)
+        left = hall.product(hall.product(va, vb, max_dim), vc, max_dim)
+        right = hall.product(va, hall.product(vb, vc, max_dim), max_dim)
+        if left != right:
+            run.fail("products differ")
+    for le in (c.label for c in ctx.classes_up_to(max_dim)):
         if run.want(f"coassoc:{le}") and _coassoc_residual(hall, le):
             run.fail("coproduct not coassociative")
         if run.want(f"grading:{le}"):
@@ -118,15 +110,14 @@ def suite_algebra(run, ctx, hall, max_dim):
             if hall.product(hall.unit(), v, max_dim) != v or \
                hall.product(v, hall.unit(), max_dim) != v:
                 run.fail("unit law fails")
-    for la in labels:
-        for lb in labels:
-            if totals[la] + totals[lb] > max_dim or not run.want(f"prodgrade:{la}|{lb}"):
-                continue
-            gsum = tuple(a + b for a, b in zip(hall.grade(la), hall.grade(lb)))
-            for le, _ in hall.product_basis(la, lb).items():
-                if hall.grade(le) != gsum:
-                    run.fail("product term breaks the grading")
-                    break
+    for ca, cb in ctx.class_tuples(max_dim, 2):
+        if not run.want(f"prodgrade:{ca.label}|{cb.label}"):
+            continue
+        gsum = tuple(a + b for a, b in zip(ca.dim, cb.dim))
+        for le, _ in hall.product_basis(ca.label, cb.label).items():
+            if hall.grade(le) != gsum:
+                run.fail("product term breaks the grading")
+                break
     return {"scope_note": "exact rational identities"}
 
 
@@ -148,13 +139,10 @@ def _coassoc_residual(hall, label):
 @_suite("green")
 def suite_green(run, ctx, hall, max_dim):
     """Green's formula residual on every admissible quadruple."""
-    labels = [c.label for c in ctx.classes_up_to(max_dim)]
     pairs_by_total = {}
-    for lm in labels:
-        for ln in labels:
-            g = tuple(a + b for a, b in zip(hall.grade(lm), hall.grade(ln)))
-            if sum(g) <= max_dim:
-                pairs_by_total.setdefault(g, []).append((lm, ln))
+    for cm, cn in ctx.class_tuples(max_dim, 2):
+        g = tuple(a + b for a, b in zip(cm.dim, cn.dim))
+        pairs_by_total.setdefault(g, []).append((cm.label, cn.label))
     for g, pairs in sorted(pairs_by_total.items()):
         for lm, ln in pairs:
             for lx, ly in pairs:
@@ -167,15 +155,11 @@ def suite_green(run, ctx, hall, max_dim):
 
 @_suite("bialgebra")
 def suite_bialgebra(run, ctx, hall, max_dim):
-    labels = [c.label for c in ctx.classes_up_to(max_dim)]
-    for lm in labels:
-        for ln in labels:
-            if dim_total(hall.grade(lm)) + dim_total(hall.grade(ln)) > max_dim:
-                continue
-            if run.want(f"bialgebra:{lm}|{ln}"):
-                res = hall.bialgebra_residual(lm, ln, max_dim)
-                if not res.is_zero():
-                    run.fail(f"residual has {len(res.coeffs)} terms")
+    for cm, cn in ctx.class_tuples(max_dim, 2):
+        if run.want(f"bialgebra:{cm.label}|{cn.label}"):
+            res = hall.bialgebra_residual(cm.label, cn.label, max_dim)
+            if not res.is_zero():
+                run.fail(f"residual has {len(res.coeffs)} terms")
     return {"scope_note": "braided tensor product on H (x) H"}
 
 
@@ -236,53 +220,39 @@ def suite_hexagon(run, ctx, hall, max_dim):
 
 @_suite("ext-cardinality")
 def suite_ext(run, ctx, max_dim):
-    classes = ctx.classes_up_to(max_dim)
-    for cm in classes:
-        for cn in classes:
-            if dim_total(cm.dim) + dim_total(cn.dim) > max_dim:
-                continue
-            if run.want(f"ext:{cm.label}|{cn.label}"):
-                r = cathall.ext_cardinality_check(ctx, cm.rep, cn.rep)
-                if not r["equal"]:
-                    run.fail(f"{format_coeff(r['lhs'])} != {format_coeff(r['rhs'])}")
+    for cm, cn in ctx.class_tuples(max_dim, 2):
+        if run.want(f"ext:{cm.label}|{cn.label}"):
+            r = cathall.ext_cardinality_check(ctx, cm.rep, cn.rep)
+            if not r["equal"]:
+                run.fail(f"{format_coeff(r['lhs'])} != {format_coeff(r['rhs'])}")
     return {"scope_note": "triple-morphism convention"}
 
 
 @_suite("riedtmann")
 def suite_riedtmann(run, ctx, max_dim):
-    classes = ctx.classes_up_to(max_dim)
-    for cm in classes:
-        for cn in classes:
-            total = tuple(a + b for a, b in zip(cm.dim, cn.dim))
-            if sum(total) > max_dim:
-                continue
-            for ce in ctx.classify(total):
-                if run.want(f"riedtmann:{cm.label}|{cn.label}|{ce.label}"):
-                    r = cathall.riedtmann_check(ctx, cm.rep, cn.rep, ce.rep)
-                    if not r["equal"]:
-                        run.fail(f"{format_coeff(r['lhs'])} != {format_coeff(r['rhs'])}")
+    for cm, cn in ctx.class_tuples(max_dim, 2):
+        for ce in ctx.classify(tuple(a + b for a, b in zip(cm.dim, cn.dim))):
+            if run.want(f"riedtmann:{cm.label}|{cn.label}|{ce.label}"):
+                r = cathall.riedtmann_check(ctx, cm.rep, cn.rep, ce.rep)
+                if not r["equal"]:
+                    run.fail(f"{format_coeff(r['lhs'])} != {format_coeff(r['rhs'])}")
     return {"scope_note": "independent cocycle enumeration on the right side"}
 
 
 @_suite("ext-bilinearity")
 def suite_bilinearity(run, ctx, max_dim):
-    classes = ctx.classes_up_to(max_dim)
-    for c1 in classes:
-        for c2 in classes:
-            for cn in classes:
-                if dim_total(c1.dim) + dim_total(c2.dim) + dim_total(cn.dim) > max_dim:
-                    continue
-                for inst, check, reps in (
-                        (f"bilin1:{c1.label}|{c2.label}|{cn.label}",
-                         cathall.ext_bilinearity_first, (c1.rep, c2.rep, cn.rep)),
-                        (f"bilin2:{cn.label}|{c1.label}|{c2.label}",
-                         cathall.ext_bilinearity_second, (cn.rep, c1.rep, c2.rep))):
-                    if not run.want(inst):
-                        continue
-                    r = check(ctx, *reps)
-                    if not (r["equal"] and r["skeleton_bijection"] and r["round_trip"]):
-                        run.fail(f"{r['lhs']} vs {r['rhs']}, "
-                                 f"bijection {r['skeleton_bijection']}")
+    for c1, c2, cn in ctx.class_tuples(max_dim, 3):
+        for inst, check, reps in (
+                (f"bilin1:{c1.label}|{c2.label}|{cn.label}",
+                 cathall.ext_bilinearity_first, (c1.rep, c2.rep, cn.rep)),
+                (f"bilin2:{cn.label}|{c1.label}|{c2.label}",
+                 cathall.ext_bilinearity_second, (cn.rep, c1.rep, c2.rep))):
+            if not run.want(inst):
+                continue
+            r = check(ctx, *reps)
+            if not (r["equal"] and r["skeleton_bijection"] and r["round_trip"]):
+                run.fail(f"{r['lhs']} vs {r['rhs']}, "
+                         f"bijection {r['skeleton_bijection']}")
     return {"scope_note": "fixed-end cardinalities; skeleton bijection via extension classes"}
 
 

@@ -10,8 +10,70 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from hallalg.linalg import Matrix, enumerate_matrices, enumerate_subspaces, gl_generators, gl_order
+from hallalg.linalg import (DEFAULT_BUDGET, Matrix, check_budget, enumerate_matrices,
+                            enumerate_subspaces, enumerate_vectors, gl_generators, gl_order)
 from hallalg.quiver import Representation, RepMorphism, dim_add
+
+
+def is_invertible(mor):
+    """Whether every vertex map of a morphism is square of full rank."""
+    return all(m.rows == m.cols == m.rank() for m in mor.vertex_maps)
+
+
+def span_elements(ctx, basis, src, tgt):
+    """Every combination of basis (morphisms src -> tgt), in coefficient order."""
+    k = len(basis)
+    check_budget(f"Hom-space span enumeration dim {k}", ctx.q ** k, ctx.budget)
+    out = []
+    for coeffs in enumerate_vectors(ctx.field, k):
+        maps = [Matrix.zero(ctx.field, tgt.dim[v], src.dim[v])
+                for v in range(ctx.quiver.n)]
+        for c, b in zip(coeffs, basis):
+            if c == 0:
+                continue
+            maps = [m + bm.scale(c) for m, bm in zip(maps, b.vertex_maps)]
+        out.append(RepMorphism(src, tgt, maps))
+    return out
+
+
+def enumerate_gl(field, d, budget=DEFAULT_BUDGET):
+    """All invertible d x d matrices over F_p, built row by row.
+
+    Each new row is any vector outside the span of the previous rows, so
+    exactly gl_order(d, p) matrices are produced, with no wasted rank checks.
+    """
+    p = field.p
+    check_budget(f"GL_{d}(F_{p}) enumeration", gl_order(d, p), budget)
+    if d == 0:
+        yield Matrix.identity(field, 0)
+        return
+
+    def extend(rows, span):
+        if len(rows) == d:
+            yield Matrix(field, rows, d, d)
+            return
+        for v in enumerate_vectors(field, d):
+            if v in span:
+                continue
+            new_span = set()
+            for s in span:
+                for c in range(p):
+                    new_span.add(tuple((a + c * b) % p for a, b in zip(s, v)))
+            yield from extend(rows + (v,), new_span)
+
+    yield from extend((), {(0,) * d})
+
+
+def iso_set_by_products(ctx, M, N):
+    """Every isomorphism M -> N, as a set of vertex-map tuples: the product
+    of the per-vertex GL enumerations for a semisimple pair, otherwise the
+    invertible combinations of hom_basis(M, N)."""
+    if M.dim != N.dim or not ctx.is_isomorphic(M, N):
+        return set()
+    if all(m.is_zero() for m in M.edge_maps + N.edge_maps):
+        return set(product(*(list(enumerate_gl(ctx.field, d)) for d in M.dim)))
+    return {mor.vertex_maps for mor in span_elements(ctx, ctx.hom_basis(M, N), M, N)
+            if is_invertible(mor)}
 
 
 def image_key(mor):
@@ -26,8 +88,8 @@ def image_key(mor):
 
 def aut_order_slow(ctx, M):
     """|Aut(M)|: the invertible elements of the End(M) span, counted directly."""
-    return sum(1 for phi in ctx._span_elements(ctx.hom_basis(M, M), M, M)
-               if phi.is_invertible())
+    return sum(1 for phi in span_elements(ctx, ctx.hom_basis(M, M), M, M)
+               if is_invertible(phi))
 
 
 def count_exact_pairs_slow(ctx, M, N, E):
@@ -35,8 +97,8 @@ def count_exact_pairs_slow(ctx, M, N, E):
     ctx._same_quiver(M, N, E)
     if dim_add(M.dim, N.dim) != E.dim:
         return 0
-    fs = ctx._span_elements(ctx.hom_basis(N, E), N, E)
-    gs = ctx._span_elements(ctx.hom_basis(E, M), E, M)
+    fs = span_elements(ctx, ctx.hom_basis(N, E), N, E)
+    gs = span_elements(ctx, ctx.hom_basis(E, M), E, M)
     count = 0
     for fm in fs:
         if not fm.is_injective():

@@ -256,7 +256,7 @@ def test_comult_span_matrix_entries(ctx2, ctx3, hall2, hall3):
     run = Run()
     comult_matrix_against_hall(run, ctx2, hall2, 3)
     assert run.failures == []
-    assert run.instances == 50        # one per coproduct term
+    assert run.instances == 71        # one per (M, N, E) with matching grades, as for mult
     assert comult_span_entry(ctx3, "d1.0#0", "d0.1#0", "d1.1#1") == 2  # q - 1 at q = 3
 
 

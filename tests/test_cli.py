@@ -295,6 +295,29 @@ def test_verify_spans_failure_replays_by_id(capsys, monkeypatch):
     assert len(ext_built) == 1      # and builds only the EXT groupoid of its pair
 
 
+def test_verify_comult_extra_entry_replays_as_one_instance(capsys, monkeypatch):
+    """A span entry with no coproduct term is an instance: its failure replays
+    as 1 instance and 1 failure."""
+    from hallalg.hall import HallAlgebra
+    coproduct_basis = HallAlgebra.coproduct_basis
+
+    def dropped(self, le):
+        out = coproduct_basis(self, le)
+        if le == "d1.1#1":
+            out = {k: v for k, v in out.items() if k != ("d1.1#1", "d0.0#0")}
+        return out
+
+    monkeypatch.setattr(HallAlgebra, "coproduct_basis", dropped)
+    inst = "comult:d0.0#0|d1.1#1|d1.1#1"
+    code, out, _ = run(capsys, "verify", "spans", "--max-dim", "2")
+    assert code == 1
+    assert json.loads(out)["suites"][0]["failures"] == [f"{inst}: extra span entry 1"]
+    code, out, _ = run(capsys, "verify", "spans", "--max-dim", "2", "--only", inst)
+    assert code == 1
+    suite = json.loads(out)["suites"][0]
+    assert (suite["instances"], len(suite["failures"])) == (1, 1)
+
+
 def test_verify_coherence_failure_replays_by_id(capsys, monkeypatch):
     """A broken Euler form fails the shuffles; the first failure replays alone."""
     from hallalg.quiver import RepCategory

@@ -33,7 +33,7 @@ GOLDEN = [
                  "67abc74330c9949695bce59ed73efb4076ce5f3b2d10e5805f640c65b09565f4",
                  id="verify-antipode-a2"),
     pytest.param(["verify", "spans", "--quiver", "a2"] + Q2,
-                 "82ca2eb43141b2cb71114fde38bd80643b10d12a86aa49af4b66327e1db498d4",
+                 "7372281646662760673f0d558ce30742635d32d27ebbd6629b825501d839f7a4",
                  id="verify-spans-a2"),
     pytest.param(["verify", "bilinearity", "--quiver", "a2"] + Q2,
                  "d964d43cca124ff9c043b07320012a4c09f7ea88a67b659b6d4605b372131e55",
@@ -60,7 +60,7 @@ GOLDEN = [
                  "a202e808084bdee26665ef72af93a0037828b05a2279f804a431fbb177dcffdc",
                  id="verify-bsim-a3-source"),
     pytest.param(["verify", "spans", "--quiver", "a3-source"] + Q2,
-                 "c4e65e217aff708989820d3c02b40d40202ec32e453b7c53e8d58f2a79bfbaa1",
+                 "57b387ecbe98517b407110c234f9c1ecf3ed82889b138767e1604ddbeafbca8a",
                  id="verify-spans-a3-source"),
     pytest.param(["tables", "--quiver", "a3-source", "--q", "3", "--max-dim", "4"],
                  "9560c44be9eb3cb3d359db63f503fdae02a6fd378f0b0e3676e247a7ed3152c7",

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from hallalg.linalg import (BudgetError, Matrix, PrimeField, enumerate_gl,
+from hallalg.linalg import (BudgetError, Matrix, PrimeField, blocks_invertible,
                             enumerate_matrices, enumerate_subspaces,
                             enumerate_vectors, flatten, gaussian_binomial,
-                            gl_order, unflatten)
-from oracles import complement_columns
+                            gl_order, span_points, unflatten)
+from oracles import complement_columns, enumerate_gl
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -257,8 +257,52 @@ def test_gl_enumeration_matches_order_formula():
     for d, p in ((0, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
         mats = list(enumerate_gl(PrimeField(p), d))
         assert len(mats) == gl_order(d, p)
-        assert all(m.is_invertible() for m in mats)
+        assert all(m.rank() == d for m in mats)
         assert len(set(mats)) == len(mats)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_span_points_walk_every_point_once(p):
+    """The Gray-code walk yields each of the p^k points of a k-dimensional
+    span exactly once, zero first, for bases of independent flat vectors."""
+    f = PrimeField(p)
+    rng = random.Random(p)
+    for k in range(5):
+        for length in (k, k + 2):
+            while True:
+                basis = [tuple(rng.randrange(p) for _ in range(length)) for _ in range(k)]
+                if Matrix(f, basis, k, length).rank() == k:
+                    break
+            points = list(span_points(f, basis, length, "span", budget=p ** k))
+            assert len(points) == p ** k and points[0] == (0,) * length
+            combos = {tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % p
+                            for i in range(length))
+                      for coeffs in enumerate_vectors(f, k)}
+            assert set(points) == combos
+
+
+def test_span_points_budget_is_checked_before_the_first_point():
+    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    walk = span_points(F3, basis, 3, "End(1, 1) test walk", budget=26)
+    with pytest.raises(BudgetError) as err:
+        next(walk)
+    assert (err.value.what, err.value.count, err.value.budget) == \
+        ("End(1, 1) test walk", 27, 26)
+    assert len(list(span_points(F3, basis, 3, "walk", budget=27))) == 27
+
+
+def test_blocks_invertible_agrees_with_rank():
+    mats = list(enumerate_matrices(2, 2, 3))
+    for m in mats:
+        assert blocks_invertible(flatten([m]), (2,), 3) == (m.rank() == 2)
+    # several blocks: invertible exactly when every block is
+    one, ident = Matrix(F3, [[2]]), Matrix.identity(F3, 2)
+    for m in mats:
+        point = flatten([one, m, ident])
+        assert blocks_invertible(point, (1, 2, 2), 3) == (m.rank() == 2)
+        assert not blocks_invertible(flatten([Matrix.zero(F3, 1, 1), m, ident]),
+                                     (1, 2, 2), 3)
+    assert blocks_invertible((), (0, 0), 3)
 
 
 def test_subspace_enumeration_matches_gaussian_binomial():

@@ -3,12 +3,12 @@ from itertools import product
 
 import pytest
 
-from hallalg.linalg import BudgetError, Matrix, PrimeField, enumerate_matrices
+from hallalg.linalg import BudgetError, Matrix, PrimeField, enumerate_matrices, unflatten
 from hallalg.quiver import (Quiver, RepCategory, RepMorphism, Representation,
                             dim_vectors_with_total)
 from oracles import (aut_order_slow, classify_by_matrix_orbits, complement_columns,
-                     count_exact_pairs_slow, invariant_subreps_by_solve,
-                     reduce_cocycle_by_solve)
+                     count_exact_pairs_slow, invariant_subreps_by_solve, is_invertible,
+                     iso_set_by_products, reduce_cocycle_by_solve, span_elements)
 
 
 def hom_count_oracle(ctx, M, N):
@@ -49,7 +49,7 @@ def test_hom_basis_examples(ctx2, reps2):
     for M in (S1, S2, P1, reps2["SS"]):
         basis = ctx2.hom_basis(M, M)
         ident = RepMorphism.identity(M)
-        combos = ctx2._span_elements(basis, M, M)
+        combos = span_elements(ctx2, basis, M, M)
         assert ident in combos
         for mor in basis:
             assert mor.is_valid()
@@ -169,12 +169,40 @@ def test_subrep_budget_is_checked_before_any_frame(a2):
 
 
 def test_iso_set_budget_counts_the_vertex_product(a2):
-    # each GL_2(F_3) factor (48) fits the budget; their product (2304) does not
+    # the walk covers End = M_2(F_3) x M_2(F_3): each factor (3^4 = 81 points)
+    # fits the budget, the product (3^8 = 6561) does not
     ctx = RepCategory(a2, 3, budget=1000)
     with pytest.raises(BudgetError) as err:
         ctx.aut_elements(ctx.class_by_label("d2.2#0").rep)
-    assert err.value.count == 2304
-    assert "2304" in str(err.value)
+    assert err.value.count == 6561
+    assert err.value.what == "Hom-space span enumeration dim 8"
+    assert "6561" in str(err.value)
+
+
+@pytest.mark.parametrize("name,p", [("a2", 2), ("a2", 3), ("a3_source", 2)])
+def test_iso_set_matches_gl_products_and_span_filter(request, name, p):
+    """iso_set against GL products for semisimple pairs and the filtered
+    span of hom_basis otherwise, on every pair of classes up to dim 3.  Each
+    class also brings the greatest edge tuple of its orbit, so that pairs of
+    distinct isomorphic representations are compared too."""
+    ctx = RepCategory(request.getfixturevalue(name), p)
+    for total in range(4):
+        for dim in dim_vectors_with_total(ctx.quiver.n, total):
+            classes = ctx.classify(dim)
+            last = {}
+            for flat, i in ctx._canon[dim].items():
+                last[i] = max(last.get(i, flat), flat)
+            shapes = [(dim[t], dim[s]) for s, t in ctx.quiver.arrows]
+            reps = dict.fromkeys([c.rep for c in classes] + [
+                Representation(ctx.quiver, ctx.field, dim, unflatten(ctx.field, flat, shapes))
+                for flat in last.values()])
+            for M in reps:
+                for N in reps:
+                    got = [mor.vertex_maps for mor in ctx.iso_set(M, N)]
+                    assert len(set(got)) == len(got)
+                    assert set(got) == iso_set_by_products(ctx, M, N)
+            for cls in classes:
+                assert len(ctx.aut_elements(cls.rep)) == cls.aut
 
 
 def test_representation_constructor_checks_shapes(a2, ctx2):
@@ -319,7 +347,7 @@ def test_commuting_square_invariant_on_all_outputs(ctx2, reps2):
             for mor in ctx2.hom_basis(reps2[a], reps2[b]):
                 assert mor.is_valid()
             for mor in ctx2.iso_set(reps2[a], reps2[b]):
-                assert mor.is_valid() and mor.is_invertible()
+                assert mor.is_valid() and is_invertible(mor)
 
 
 def test_invariant_subreps_consistency(ctx2, reps2):
