@@ -21,6 +21,7 @@ All checks report which convention each number uses.
 """
 
 from fractions import Fraction
+from weakref import proxy
 
 from .hall import q_power
 from .linalg import Matrix, blocks_invertible, check_budget, flatten, span_points, unflatten
@@ -136,10 +137,10 @@ class ExtGroupoid:
 
     @classmethod
     def of(cls, ctx, M, N):
-        """The context's one groupoid for the literal pair (M, N), built on first use."""
+        """The context's one groupoid for (M, N), built on first use; weak ctx: no cycle."""
         key = ("ext", M, N)
         if key not in ctx._hom_cache:
-            ctx._hom_cache[key] = cls(ctx, M, N)
+            ctx._hom_cache[key] = cls(proxy(ctx), M, N)
         return ctx._hom_cache[key]
 
     def __init__(self, ctx, M, N):

@@ -8,6 +8,7 @@ ever enumerating endomorphism spaces.  All enumeration is lexicographic
 and budget-gated, so class labels are stable across runs.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -236,6 +237,13 @@ class RepMorphism:
         self.vertex_maps = vertex_maps
 
     @classmethod
+    def _of(cls, source, target, vertex_maps):
+        """A morphism from vertex maps of the right shapes, unchecked (cf. Representation._of)."""
+        mor = cls.__new__(cls)
+        mor.source, mor.target, mor.vertex_maps = source, target, tuple(vertex_maps)
+        return mor
+
+    @classmethod
     def identity(cls, rep):
         f = rep.field
         return cls(rep, rep, [Matrix.identity(f, d) for d in rep.dim])
@@ -329,8 +337,11 @@ class RepCategory:
         self._census_cache = {}
         self._aut_list_cache = {}
         self._subrep_cache = {}
+        self._on_bases_cache = {}
         self._frames = {}         # basis B -> its frame
         self._subspace_frames = {}  # (n, k) -> frames of all k-subspaces of F_p^n, in order
+        self._closing = [[(a, s, t) for a, (s, t) in enumerate(quiver.arrows) if max(s, t) == v]
+                         for v in range(quiver.n)]   # the arrows a subrep walk tests at v
 
     # ---- classification by orbit enumeration ------------------------------
 
@@ -550,93 +561,117 @@ class RepCategory:
                                                     n - B.cols, n)
         return self._frames[B]
 
-    def _frame_maps(self, E, frames, products=None):
-        """(maps of U, maps of E/U) for U spanned by the frame bases, or None
-        when U is not invariant.
+    def _arrow_blocks(self, cols, ft, ks):
+        """Y = P_t^-1 E_a P_s for a: s -> t, from the columns of E_a P_s, the frame
+        at t and ks = dim U_s: None when its lower-left block is nonzero, else its
+        upper-left (U_a) and lower-right (proj_t E_a C_s, (E/U)_a) blocks, row-major."""
+        p, kt, rows = self.q, ft[0].cols, ft[2].entries
+        low, sub_cols = rows[kt:], cols[:ks]
+        if any(sum(map(mul, row, col)) % p for row in low for col in sub_cols):
+            return None
+        return (tuple(sum(map(mul, row, col)) % p for row in rows[:kt] for col in sub_cols),
+                tuple(sum(map(mul, row, col)) % p for row in low for col in cols[ks:]))
 
-        products[a] holds the columns of E_a P_s, formed here when not given.
-        Per arrow a: s -> t, the one product Y = P_t^-1 E_a P_s gives
-        everything: its lower-left block vanishes exactly when E_a maps U_s
-        into U_t, its upper-left block is the map U_a and its lower-right
-        block, proj_t E_a C_s, the map of E/U.
-        """
-        p, f, arrows = self.q, self.field, self.quiver.arrows
-        if products is None:
-            products = [(ea * frames[s][1]).transpose().entries
-                        for (s, _), ea in zip(arrows, E.edge_maps)]
-        umaps, qmaps = [], []
-        for (s, t), cols in zip(arrows, products):
-            kt, ks = frames[t][0].cols, frames[s][0].cols
-            y = [tuple(sum(map(mul, row, col)) % p for col in cols)
-                 for row in frames[t][2].entries]
-            if any(any(row[:ks]) for row in y[kt:]):
-                return None
-            umaps.append(Matrix._of(f, tuple(row[:ks] for row in y[:kt]), kt, ks))
-            qmaps.append(Matrix._of(f, tuple(row[ks:] for row in y[kt:]),
-                                    len(y) - kt, len(cols) - ks))
-        return umaps, qmaps
-
-    def invariant_subreps(self, E, sub_dim):
-        """All subrepresentations of E with the given dimension vector.
-
-        Returns a cached list of (inclusion, E/U, projection) triples:
-        inclusion U -> E with U the induced representation on a canonical
-        subspace basis, projection E -> E/U.  Subspace tuples are walked in
-        the order of the per-vertex enumerate_subspaces lists, through
-        frames shared by every E, with E_a P_s formed once per arrow and
-        source frame.
-        """
-        sub_dim = tuple(sub_dim)
-        key = (E, sub_dim)
-        if key in self._subrep_cache:
-            return self._subrep_cache[key]
-        count = 1
-        for e, k in zip(E.dim, sub_dim):
-            count *= gaussian_binomial(e, k, self.q)
+    def _subrep_walk(self, E, sub_dim):
+        """(frames, blocks) for every U <= E of dimension sub_dim: a cached
+        subspace frame per vertex and the _arrow_blocks of every arrow.  The
+        budget is checked at call time, before any frame is built.  Vertices
+        are walked in order through their subspace lists (their product's
+        order); an arrow is tested once both its ends are chosen and prunes
+        the subtree when it fails.  E_a P_s is formed once per source frame."""
         check_budget(f"subspace tuples for subreps of dim {sub_dim}",
-                     count, self.budget)
+                     prod(gaussian_binomial(e, k, self.q) for e, k in zip(E.dim, sub_dim)),
+                     self.budget)
         per_vertex = []
         for e, k in zip(E.dim, sub_dim):
             if (e, k) not in self._subspace_frames:
                 self._subspace_frames[e, k] = [self._frame(B) for B in enumerate_subspaces(
                     self.field, e, k, budget=self.budget)]
             per_vertex.append(self._subspace_frames[e, k])
-        # columns of E_a P_s per arrow, by source frame (cached objects, so id() names them)
-        by_source = [{id(fr): (ea * fr[1]).transpose().entries for fr in per_vertex[s]}
-                     for (s, _), ea in zip(self.quiver.arrows, E.edge_maps)]
+        arrows, n, p, closing = self.quiver.arrows, self.quiver.n, self.q, self._closing
+        # the columns of E_a P_s per arrow, by source frame index
+        by_source = [[tuple(tuple(sum(map(mul, row, col)) % p for row in ea.entries)
+                            for col in zip(*fr[1].entries)) for fr in per_vertex[s]]
+                     for (s, _), ea in zip(arrows, E.edge_maps)]
+        memo = [{} for _ in arrows]       # per arrow: (source, target frame index) -> blocks
+        picked, frames, blocks = [-1] * n, [None] * n, [None] * len(arrows)
+
+        def walk():
+            v = 0
+            while v >= 0:
+                if v == n:
+                    yield tuple(frames), tuple(blocks)
+                    v -= 1
+                    continue
+                picked[v] += 1
+                if picked[v] == len(per_vertex[v]):
+                    picked[v], v = -1, v - 1
+                    continue
+                frames[v] = per_vertex[v][picked[v]]
+                for a, s, t in closing[v]:
+                    key = picked[s], picked[t]
+                    if key not in memo[a]:
+                        memo[a][key] = self._arrow_blocks(by_source[a][picked[s]], frames[t],
+                                                          sub_dim[s])
+                    blocks[a] = memo[a][key]
+                    if blocks[a] is None:
+                        break
+                else:
+                    v += 1
+        return walk()
+
+    def _subreps(self, E, sub_dim, walk):
+        """The (inclusion U -> E, E/U, projection E -> E/U) triples of a
+        _subrep_walk, in its order; triples share the matrices of equal blocks."""
+        f, arrows = self.field, self.quiver.arrows
         qdim = tuple(e - k for e, k in zip(E.dim, sub_dim))
+        mats = {}   # id of a block pair (the walk keeps it alive) -> (U_a, (E/U)_a)
         out = []
-        for frames in product(*per_vertex):
-            maps = self._frame_maps(E, frames, [cols[id(frames[s])] for (s, _), cols
-                                                in zip(self.quiver.arrows, by_source)])
-            if maps is not None:
-                U = Representation._of(self.quiver, self.field, sub_dim, maps[0])
-                Q = Representation._of(self.quiver, self.field, qdim, maps[1])
-                out.append((RepMorphism(U, E, [fr[0] for fr in frames]), Q,
-                            RepMorphism(E, Q, [fr[3] for fr in frames])))
-        self._subrep_cache[key] = out
+        for frames, blocks in walk:
+            maps = [mats.get(id(b)) or mats.setdefault(id(b), unflatten(
+                        f, b[0] + b[1], [(sub_dim[t], sub_dim[s]), (qdim[t], qdim[s])]))
+                    for (s, t), b in zip(arrows, blocks)]
+            U = Representation._of(self.quiver, f, sub_dim, [m[0] for m in maps])
+            Q = Representation._of(self.quiver, f, qdim, [m[1] for m in maps])
+            out.append((RepMorphism._of(U, E, [fr[0] for fr in frames]), Q,
+                        RepMorphism._of(E, Q, [fr[3] for fr in frames])))
         return out
 
+    def invariant_subreps(self, E, sub_dim):
+        """All subrepresentations of E with the given dimension vector, as a
+        cached list of _subreps triples over canonical subspace bases."""
+        key = (E, tuple(sub_dim))
+        if key not in self._subrep_cache:
+            self._subrep_cache[key] = self._subreps(E, key[1], self._subrep_walk(E, key[1]))
+        return self._subrep_cache[key]
+
+    def _subrep_on_bases(self, E, bases):
+        """The _subreps triple of U spanned by bases (of full column rank), or
+        None when U is not invariant; cached per (E, bases)."""
+        key = (E, tuple(bases))
+        if key not in self._on_bases_cache:
+            frames = [self._frame(B) for B in bases]
+            blocks = tuple(self._arrow_blocks((ea * frames[s][1]).transpose().entries, frames[t],
+                                              frames[s][0].cols)
+                           for (s, t), ea in zip(self.quiver.arrows, E.edge_maps))
+            self._on_bases_cache[key] = None if None in blocks else self._subreps(
+                E, tuple(B.cols for B in bases), [(frames, blocks)])[0]
+        return self._on_bases_cache[key]
+
     def subrep_on(self, E, bases):
-        """The inclusion of the subrepresentation of E on the subspaces that
-        bases span (one matrix of full column rank per vertex), or None when
-        they are not invariant under the edge maps of E."""
-        maps = self._frame_maps(E, [self._frame(B) for B in bases])
-        if maps is None:
-            return None
-        return RepMorphism(Representation(self.quiver, self.field,
-                                          [B.cols for B in bases], maps[0]), E, bases)
+        """The inclusion of U <= E spanned by bases, or None when U is not invariant."""
+        found = self._subrep_on_bases(E, bases)
+        return found and RepMorphism._of(found[0].source, E, bases)
 
     def quotient_with_projection(self, E, f_mor):
-        """(E / im f, projection E -> E / im f); f must be an injective morphism."""
-        if not f_mor.is_injective():
+        """(E / im f, projection E -> E / im f) for an injective f, cached per
+        (E, vertex maps of f); a bad f raises on every call."""
+        if (E, f_mor.vertex_maps) not in self._on_bases_cache and not f_mor.is_injective():
             raise ValueError("quotient by a non-injective morphism")
-        frames = [self._frame(B) for B in f_mor.vertex_maps]
-        maps = self._frame_maps(E, frames)
-        if maps is None:
+        found = self._subrep_on_bases(E, f_mor.vertex_maps)
+        if found is None:
             raise ValueError("the image of f is not a subrepresentation")
-        Q = Representation(self.quiver, self.field, [fr[3].rows for fr in frames], maps[1])
-        return Q, RepMorphism(E, Q, [fr[3] for fr in frames])
+        return found[1:]
 
     # extensions: cocycles live in the codomain of the presentation matrix
 
@@ -750,15 +785,19 @@ class RepCategory:
         return out
 
     def census(self, ce, sub_dim):
-        """{(class index of E/U, class index of U): count} over U <= E of dim sub_dim."""
+        """{(class index of E/U, class index of U): count} over U <= E of dim sub_dim,
+        read off the walk's concatenated flat blocks (flatten()'s layout); builds no object."""
         key = (ce.label, sub_dim)
-        census = self._census_cache.get(key)
-        if census is None:
-            census = self._census_cache[key] = {}
-            for incl, Q, _ in self.invariant_subreps(ce.rep, sub_dim):
-                k = (self.class_of(Q).index, self.class_of(incl.source).index)
-                census[k] = census.get(k, 0) + 1
-        return census
+        if key not in self._census_cache:
+            walk = self._subrep_walk(ce.rep, sub_dim)
+            qdim = tuple(e - k for e, k in zip(ce.dim, sub_dim))
+            self.classify(sub_dim)
+            self.classify(qdim)
+            qcanon, ucanon = self._canon[qdim], self._canon[sub_dim]
+            self._census_cache[key] = Counter(
+                (qcanon[sum([b[1] for b in blocks], ())], ucanon[sum([b[0] for b in blocks], ())])
+                for _, blocks in walk)
+        return self._census_cache[key]
 
     # ---- roots and indecomposables -----------------------------------------
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -168,6 +169,17 @@ def test_subrep_budget_is_checked_before_any_frame(a2):
     assert ctx._frames == {} and ctx._subspace_frames == {}
 
 
+def test_census_budget_is_checked_before_any_frame(a2):
+    ctx = RepCategory(a2, 2)
+    ce = ctx.class_of(Representation(a2, ctx.field, (2, 2), [Matrix.zero(ctx.field, 2, 2)]))
+    ctx.budget = 2
+    with pytest.raises(BudgetError) as err:
+        ctx.census(ce, (1, 1))
+    assert err.value.what == "subspace tuples for subreps of dim (1, 1)"
+    assert err.value.count == 9
+    assert ctx._frames == {} and ctx._subspace_frames == {}
+
+
 def test_iso_set_budget_counts_the_vertex_product(a2):
     # the walk covers End = M_2(F_3) x M_2(F_3): each factor (3^4 = 81 points)
     # fits the budget, the product (3^8 = 6561) does not
@@ -292,6 +304,22 @@ def test_quotient_examples(ctx2, reps2):
     with pytest.raises(ValueError):
         ctx2.quotient_with_projection(
             P1, RepMorphism(S1, P1, [Matrix(ctx2.field, [[1]]), Matrix.zero(ctx2.field, 1, 0)]))
+
+
+def test_quotient_is_memoised_but_errors_are_not(ctx2, reps2):
+    S2, P1 = reps2["S2"], reps2["P1"]
+    f = ctx2.field
+    inc = RepMorphism(S2, P1, [Matrix.zero(f, 1, 0), Matrix(f, [[1]])])
+    Q, proj = ctx2.quotient_with_projection(P1, inc)
+    again = ctx2.quotient_with_projection(P1, RepMorphism(S2, P1, list(inc.vertex_maps)))
+    assert again[0] is Q and again[1] is proj
+    zero = RepMorphism(S2, P1, [Matrix.zero(f, 1, 0), Matrix(f, [[0]])])
+    top = RepMorphism(reps2["S1"], P1, [Matrix(f, [[1]]), Matrix.zero(f, 1, 0)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-injective"):
+            ctx2.quotient_with_projection(P1, zero)
+        with pytest.raises(ValueError, match="not a subrepresentation"):
+            ctx2.quotient_with_projection(P1, top)
 
 
 def test_middle_term_examples(ctx2, ctx3, reps2, reps3):
@@ -461,3 +489,77 @@ def test_enumerators_match_matrix_routes(request, name, p):
                         [(i.source, i.vertex_maps, Q, pr.vertex_maps) for i, Q, pr in want]
                     subreps += len(got)
     assert subreps > 50
+
+
+def census_by_solve(ctx, E, sub_dim):
+    """The census of E at sub_dim tallied off the solve-per-arrow subrep walk."""
+    return dict(Counter((ctx.class_of(Q).index, ctx.class_of(incl.source).index)
+                        for incl, Q, _ in invariant_subreps_by_solve(ctx, E, sub_dim)))
+
+
+@pytest.mark.parametrize("name,p", [("a2", 2), ("a2", 3), ("a3_source", 2), ("a3_source", 3),
+                                    ("sink", 2), ("sink", 3), ("d4", 2)])
+def test_census_matches_solve_oracle(request, name, p):
+    """The census read off flat walk blocks equals a tally of the solve-per-arrow
+    subreps by (class of E/U, class of U), for every class up to dim 3 and
+    every sub-dimension."""
+    quiver = {"sink": SINK_A3, "d4": D4}.get(name) or request.getfixturevalue(name)
+    ctx = RepCategory(quiver, p)
+    seen = 0
+    for cls in ctx.classes_up_to(3):
+        for sub_dim in product(*(range(d + 1) for d in cls.dim)):
+            census = ctx.census(cls, sub_dim)
+            assert census == census_by_solve(ctx, cls.rep, sub_dim), (cls.label, sub_dim)
+            seen += sum(census.values())
+    assert seen > 50
+
+
+KRONECKER = Quiver(2, [(0, 1), (0, 1)], name="kronecker")
+TRIANGLE = Quiver(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
+
+
+@pytest.mark.parametrize("quiver,dims", [
+    (KRONECKER, list(product(range(3), repeat=2))),
+    (TRIANGLE, [d for t in range(4) for d in dim_vectors_with_total(3, t)])])
+def test_walk_matches_solve_oracle_off_trees(quiver, dims):
+    """Multi-arrows and an arrow closed at a later vertex: invariant_subreps
+    and census against the solve-per-arrow walk at q=2."""
+    ctx = RepCategory(quiver, 2)
+    seen = 0
+    for dim in dims:
+        for cls in ctx.classify(dim):
+            for sub_dim in product(*(range(d + 1) for d in dim)):
+                got = ctx.invariant_subreps(cls.rep, sub_dim)
+                want = invariant_subreps_by_solve(ctx, cls.rep, sub_dim)
+                assert [(i.source, i.vertex_maps, Q, pr.vertex_maps) for i, Q, pr in got] == \
+                    [(i.source, i.vertex_maps, Q, pr.vertex_maps) for i, Q, pr in want]
+                assert ctx.census(cls, sub_dim) == census_by_solve(ctx, cls.rep, sub_dim)
+                seen += len(got)
+    assert seen > 50
+
+
+def test_census_builds_no_objects(a3_source, monkeypatch):
+    """Once the subspace frames exist, a census builds no Matrix,
+    Representation or RepMorphism; invariant_subreps, on the same walk, does."""
+    ctx = RepCategory(a3_source, 3)
+    todo = [(cls, sub_dim) for cls in ctx.classes_up_to(3)
+            for sub_dim in product(*(range(d + 1) for d in cls.dim))]
+    for cls, sub_dim in todo:
+        ctx.invariant_subreps(cls.rep, sub_dim)        # builds every frame
+    built = Counter()
+    for kind in (Matrix, Representation, RepMorphism):
+        def counted_init(self, *args, _init=kind.__init__):
+            built[type(self).__name__] += 1
+            _init(self, *args)
+
+        def counted_of(cls, *args, _of=kind._of.__func__):
+            built[cls.__name__] += 1
+            return _of(cls, *args)
+        monkeypatch.setattr(kind, "__init__", counted_init)
+        monkeypatch.setattr(kind, "_of", classmethod(counted_of))
+    assert sum(sum(ctx.census(cls, sub_dim).values()) for cls, sub_dim in todo) > 100
+    assert not built
+    ctx._subrep_cache.clear()
+    cls, sub_dim = todo[-1]                            # sub_dim = dim E: U = E
+    ctx.invariant_subreps(cls.rep, sub_dim)
+    assert set(built) == {"Matrix", "Representation", "RepMorphism"}

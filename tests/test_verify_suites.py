@@ -79,13 +79,13 @@ def test_gabriel_skips_non_dynkin():
 def test_green_builds_each_census_once(a2, monkeypatch):
     """Hall numbers come from one subrepresentation walk per (E, sub-dim)."""
     walks = Counter()
-    invariant_subreps = RepCategory.invariant_subreps
+    subrep_walk = RepCategory._subrep_walk
 
     def counted(self, E, sub_dim):
         walks[(E, tuple(sub_dim))] += 1
-        return invariant_subreps(self, E, sub_dim)
+        return subrep_walk(self, E, sub_dim)
 
-    monkeypatch.setattr(RepCategory, "invariant_subreps", counted)
+    monkeypatch.setattr(RepCategory, "_subrep_walk", counted)
     ctx = RepCategory(a2, 2)
     rep = verify.suite_green(ctx, HallAlgebra(ctx), 3)
     assert rep["instances"] > 0 and rep["failures"] == []
