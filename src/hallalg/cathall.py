@@ -648,7 +648,9 @@ def comult_matrix_against_hall(run, ctx, hall, bound):
     classes = ctx.classes_up_to(bound)
     for cls in classes:
         le = cls.label
-        terms = {(lm, ln): coeff for (ln, lm), coeff in hall.coproduct_basis(le).items()}
+        order = hall.grade_order(cls.dim)
+        terms = {(lm, ln): Fraction(coeff, order)
+                 for (ln, lm), coeff in hall.coproduct_basis(le).items()}
         for (lm, ln), coeff in terms.items():
             if run.want(f"comult:{lm}|{ln}|{le}"):
                 span_val = comult_span_entry(ctx, lm, ln, le)

@@ -3,15 +3,22 @@
 Basis elements are isomorphism-class labels; coefficients are exact
 rationals in the fixed field size q, kept as ints wherever no denominator
 arises.  The product coefficients are the integer Hall numbers
-P^E_{MN} / (aut M aut N), the coproduct counts the factorizations with
-the 1 / aut E correction, and the braiding scales a swap by q to the
-negative Euler form of the grades.  Nothing here truncates silently: every
-grade-increasing operation takes an explicit bound and refuses to cross it.
+P^E_{MN} / (aut M aut N).  The coproduct and the canonical antipode carry
+denominators of one fixed form: every aut E of grade e divides the grade
+order |G_e| = prod_v |GL_{e_v}(F_q)|, so both are kept as int numerators
+over |G_e|, and the Hopf-object checks compare ints scaled to a common
+denominator.  A Fraction is formed only where a value leaves this layer:
+`coproduct(x)`, the tables and the antipode comparison.  The braiding
+scales a swap by q to the negative Euler form of the grades.  Nothing here
+truncates silently: every grade-increasing operation takes an explicit
+bound and refuses to cross it.
 """
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm, prod
 
+from .linalg import gl_order
 from .quiver import dim_add, dim_total
 
 
@@ -128,6 +135,7 @@ class HallAlgebra:
         self._coproduct_cache = {}
         self._antipode_cache = {}
         self._braid_cache = {}
+        self._grade_orders = {}
 
     # ---- grading helpers ----------------------------------------------------
 
@@ -136,6 +144,15 @@ class HallAlgebra:
 
     def grade(self, label):
         return self.ctx.class_by_label(label).dim
+
+    def grade_order(self, dim):
+        """|G_d| = prod_v |GL_{d_v}(F_q)|, the group acting on the
+        representations of dimension d: aut E times the orbit size of E
+        for every class E of grade d.  Cached."""
+        g = self._grade_orders.get(dim)
+        if g is None:
+            g = self._grade_orders[dim] = prod(gl_order(d, self.q) for d in dim)
+        return g
 
     def braid_coeff(self, grade_first, grade_second, sign=-1):
         """q^{-<first, second>}, the braiding's coefficient on [first] (x) [second];
@@ -193,17 +210,18 @@ class HallAlgebra:
         self._product_cache[key] = out
         return out
 
+    def bounded_product_basis(self, label_m, label_n, bound):
+        """product_basis(label_m, label_n), refused if its grade exceeds bound."""
+        total = dim_total(self.grade(label_m)) + dim_total(self.grade(label_n))
+        if total > bound:
+            raise GradeBoundError(f"product grade {total} exceeds bound {bound}")
+        return self.product_basis(label_m, label_n)
+
     def product(self, x, y, bound):
         """Bilinear extension of the basis product; grades must stay <= bound."""
-        terms = []
-        for lm, cm in x.coeffs.items():
-            for ln, cn in y.coeffs.items():
-                total = dim_total(self.grade(lm)) + dim_total(self.grade(ln))
-                if total > bound:
-                    raise GradeBoundError(
-                        f"product grade {total} exceeds bound {bound}")
-                terms.append((self.product_basis(lm, ln), cm * cn))
-        return HallVector.combine(terms)
+        return HallVector.combine((self.bounded_product_basis(lm, ln, bound), cm * cn)
+                                  for lm, cm in x.coeffs.items()
+                                  for ln, cn in y.coeffs.items())
 
     def factorizations(self, label_e):
         """{quotient label A: {sub label B: P^E_{AB}}} over every B <= E with
@@ -227,20 +245,26 @@ class HallAlgebra:
         return out
 
     def coproduct_basis(self, label_e):
-        """Delta([E]) = sum P^E_{MN} / aut E [N] (x) [M], as a coeff dict."""
-        if label_e in self._coproduct_cache:
-            return self._coproduct_cache[label_e]
-        aut = self.ctx.class_by_label(label_e).aut
-        # tensor order is [N] (x) [M]: sub before quotient
-        out = {(ln, lm): Fraction(p, aut)
-               for lm, subs in self.factorizations(label_e).items()
-               for ln, p in subs.items()}
-        self._coproduct_cache[label_e] = out
+        """|G_e| Delta([E]) = sum P^E_{MN} orbit(E) [N] (x) [M], an int coeff dict.
+
+        Delta([E]) carries P^E_{MN} / aut E, and aut E orbit(E) = |G_e|, so
+        its numerators over the grade order |G_e| are ints.
+        """
+        out = self._coproduct_cache.get(label_e)
+        if out is None:
+            orbit = self.ctx.class_by_label(label_e).orbit_size
+            # tensor order is [N] (x) [M]: sub before quotient
+            out = self._coproduct_cache[label_e] = {
+                (ln, lm): p * orbit
+                for lm, subs in self.factorizations(label_e).items()
+                for ln, p in subs.items()}
         return out
 
     def coproduct(self, x):
-        return HallVector.combine((self.coproduct_basis(le), ce)
-                                  for le, ce in x.coeffs.items())
+        """Delta(x) with exact coefficients: each basis coproduct over |G_e|."""
+        return HallVector.combine(
+            (self.coproduct_basis(le), Fraction(ce, self.grade_order(self.grade(le))))
+            for le, ce in x.coeffs.items())
 
     # ---- braiding -------------------------------------------------------------
 
@@ -260,21 +284,29 @@ class HallAlgebra:
         return HallVector(out)
 
     def tensor_product(self, s, t, bound):
-        """Braided algebra structure on H (x) H.
+        """Braided algebra structure on H (x) H, scaled to stay integral.
 
         ([B] (x) [A]) . ([D] (x) [C]) = q^{-<A, D>} [B][D] (x) [A][C]:
-        the inner factors braid past each other.
+        the inner factors braid past each other.  q^{-k} is a fraction for
+        k > 0, so the result is (q^K s.t, K), K >= 0 the largest exponent
+        <A, D> over the term pairs: an int vector when s and t are.
         """
+        grade, q = self.grade, self.q
+        exponents = {(ga, gd): self.ctx.euler_form(ga, gd)
+                     for ga in {grade(a) for _, a in s.coeffs}
+                     for gd in {grade(d) for d, _ in t.coeffs}}
+        top = max([0, *exponents.values()])
         out = {}
         for (b, a), cs in s.coeffs.items():
+            ga = grade(a)
             for (d, c), ct in t.coeffs.items():
-                coeff = cs * ct * self.braid_coeff(self.grade(a), self.grade(d))
-                left = self.product(HallVector.basis(b), HallVector.basis(d), bound)
-                right = self.product(HallVector.basis(a), HallVector.basis(c), bound)
-                for lb, vb in left.coeffs.items():
-                    for la, va in right.coeffs.items():
+                coeff = cs * ct * q ** (top - exponents[ga, grade(d)])
+                left = self.bounded_product_basis(b, d, bound)
+                right = self.bounded_product_basis(a, c, bound)
+                for lb, vb in left.items():
+                    for la, va in right.items():
                         out[(lb, la)] = out.get((lb, la), 0) + vb * va * coeff
-        return HallVector(out)
+        return HallVector(out), top
 
     # ---- Green's formula and the bialgebra law ---------------------------------
 
@@ -348,15 +380,23 @@ class HallAlgebra:
         return Fraction(num, den)
 
     def bialgebra_residual(self, label_m, label_n, bound):
-        """Delta([M].[N]) - Delta([M]) . Delta([N]) in the braided sense."""
-        prod = self.product(HallVector.basis(label_m), HallVector.basis(label_n), bound)
-        lhs = self.coproduct(prod)
-        rhs = self.tensor_product(self.coproduct_basis_tensor(label_m),
-                                  self.coproduct_basis_tensor(label_n), bound)
-        return lhs - rhs
+        """Delta([M].[N]) - Delta([M]) . Delta([N]) in the braided sense, as
+        (int numerators, denominator).
 
-    def coproduct_basis_tensor(self, label):
-        return HallVector(self.coproduct_basis(label))
+        The left side is sum_E g^E_{MN} Delta([E]), over |G_{m+n}|; the right
+        side is tensor_product of the two basis coproducts, over
+        |G_m| |G_n| q^K.  Both are scaled to |G_m| |G_n| |G_{m+n}| q^K.
+        """
+        g_m, g_n = self.grade(label_m), self.grade(label_n)
+        order_m, order_n = self.grade_order(g_m), self.grade_order(g_n)
+        order_mn = self.grade_order(dim_add(g_m, g_n))
+        rhs, top = self.tensor_product(HallVector(self.coproduct_basis(label_m)),
+                                       HallVector(self.coproduct_basis(label_n)), bound)
+        scale = order_m * order_n * self.q ** top
+        terms = [(self.coproduct_basis(le), g * scale) for le, g in
+                 self.bounded_product_basis(label_m, label_n, bound).items()]
+        terms.append((rhs.coeffs, -order_mn))
+        return HallVector.combine(terms), scale * order_mn
 
     # ---- antipodes -------------------------------------------------------------
 
@@ -364,59 +404,87 @@ class HallAlgebra:
         """Basis-wise negation: the Lemma's S([M]) = -[M] read off every label."""
         return x.scale(-1)
 
+    def _s_convolution(self, terms, bound, s_first):
+        """sum c S([L]) . [O] (s_first) or c [O] . S([L]) over (L, O, c) in
+        terms, times den = the lcm of the grade orders |G_l|; returns
+        (int HallVector, den).  S([L]) is kept over |G_l|, so each term is
+        scaled by den / |G_l|."""
+        orders = {ls: self.grade_order(self.grade(ls)) for ls, _, _ in terms}
+        den = lcm(*orders.values())
+        acc = []
+        for ls, lo, c in terms:
+            scale = c * (den // orders[ls])
+            for lk, v in self.antipode_canonical_basis(ls, bound).coeffs.items():
+                basis = (self.bounded_product_basis(lk, lo, bound) if s_first
+                         else self.bounded_product_basis(lo, lk, bound))
+                acc.append((basis, scale * v))
+        return HallVector.combine(acc), den
+
     def antipode_canonical_basis(self, label, bound):
-        """The unique antipode of the connected graded bialgebra, by recursion.
+        """|G_e| S([E]) for the unique antipode of the connected graded
+        bialgebra, by recursion, as an int HallVector.
 
         S([0]) = [0]; for positive grade, S([E]) = -[E] - sum of
         S([N]) . (coefficient) [M] over the reduced coproduct terms of [E].
+        The sum is taken over the lcm of the sub grade orders, and the
+        division by it is exact (asserted), since aut E S([E]) is integral
+        (Xiao, J. Algebra 190, 1997).
         """
         if dim_total(self.grade(label)) > bound:
             raise GradeBoundError(
                 f"antipode grade {dim_total(self.grade(label))} exceeds bound {bound}")
-        key = label
-        if key in self._antipode_cache:
-            return self._antipode_cache[key]
+        out = self._antipode_cache.get(label)
+        if out is not None:
+            return out
         z = self.zero_label()
         if label == z:
             out = self.unit()
         else:
-            terms = [(HallVector.basis(label).coeffs, -1)]
-            for (ln, lm), c in self.coproduct_basis(label).items():
-                if ln == z or lm == z:
-                    continue
-                s_n = self.antipode_canonical_basis(ln, bound)
-                terms.append((self.product(s_n, HallVector.basis(lm), bound).coeffs, -c))
-            out = HallVector.combine(terms)
-        self._antipode_cache[key] = out
+            reduced = [(ln, lm, c) for (ln, lm), c in self.coproduct_basis(label).items()
+                       if ln != z and lm != z]
+            conv, den = self._s_convolution(reduced, bound, s_first=True)
+            order_e = self.grade_order(self.grade(label))
+            total = HallVector.combine((({label: order_e * den}, -1), (conv.coeffs, -1)))
+            out = HallVector()
+            for k, v in total.coeffs.items():
+                out.coeffs[k], r = divmod(v, den)
+                assert not r, (label, k)
+        self._antipode_cache[label] = out
         return out
 
     def antipode_axiom_residuals(self, label, bound):
         """Both antipode-axiom defects for the canonical S at a basis label.
 
         Returns (m(S x 1)Delta - unit.counit, m(1 x S)Delta - unit.counit),
-        each a HallVector; both are zero when S is a two-sided antipode.
+        each an int HallVector: the defect times |G_e| times the lcm of the
+        grade orders of the factors S applies to.  Both are zero when S is
+        a two-sided antipode.
         """
-        target = self.unit().scale(self.counit(HallVector.basis(label)))
-        left = [(target.coeffs, -1)]
-        right = [(target.coeffs, -1)]
-        for (ln, lm), c in self.coproduct_basis(label).items():
-            s_n = self.antipode_canonical_basis(ln, bound)
-            left.append((self.product(s_n, HallVector.basis(lm), bound).coeffs, c))
-            s_m = self.antipode_canonical_basis(lm, bound)
-            right.append((self.product(HallVector.basis(ln), s_m, bound).coeffs, c))
-        return HallVector.combine(left), HallVector.combine(right)
+        order_e = self.grade_order(self.grade(label))
+        target = self.unit().coeffs
+        counit = self.counit(HallVector.basis(label))
+        coproduct = self.coproduct_basis(label).items()
+        residuals = []
+        for terms, s_first in (([(ln, lm, c) for (ln, lm), c in coproduct], True),
+                               ([(lm, ln, c) for (ln, lm), c in coproduct], False)):
+            conv, den = self._s_convolution(terms, bound, s_first)
+            residuals.append(HallVector.combine(
+                ((conv.coeffs, 1), (target, -counit * order_e * den))))
+        return tuple(residuals)
 
     def antipode_comparison(self, bound):
         """Where basis-wise negation and the canonical antipode differ, by label."""
         divergences = []
         for cls in self.ctx.classes_up_to(bound):
+            order = self.grade_order(cls.dim)
             paper = self.antipode_paper(HallVector.basis(cls.label))
             canonical = self.antipode_canonical_basis(cls.label, bound)
-            if paper != canonical:
+            if paper.scale(order) != canonical:
                 divergences.append({
                     "label": cls.label,
                     "paper": {k: format_coeff(v) for k, v in paper.items()},
-                    "canonical": {k: format_coeff(v) for k, v in canonical.items()},
+                    "canonical": {k: format_coeff(Fraction(v, order))
+                                  for k, v in canonical.items()},
                 })
         return {
             "agree": not divergences,
@@ -439,8 +507,9 @@ class HallAlgebra:
         labels = [c.label for c in self.ctx.classes_up_to(bound)]
         table = {}
         for le in labels:
+            order = self.grade_order(self.grade(le))
             entry = HallVector(self.coproduct_basis(le))
             table[f"[{le}]"] = [
-                {"left": a, "right": b, "coeff": format_coeff(v)}
+                {"left": a, "right": b, "coeff": format_coeff(Fraction(v, order))}
                 for (a, b), v in entry.items()]
         return table

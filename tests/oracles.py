@@ -2,14 +2,16 @@
 
 Each one recomputes a quantity the library computes by a faster route:
 by enumerating every candidate morphism and testing it directly, by
-the one-vector-at-a-time linear algebra the library replaced, or by a
-walk over every dimension vector where the library joins sparse indexes.
+the one-vector-at-a-time linear algebra the library replaced, by a
+walk over every dimension vector where the library joins sparse indexes,
+or with Fraction coefficients where the library keeps int numerators.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import prod
 
+from hallalg.hall import HallVector
 from hallalg.linalg import (DEFAULT_BUDGET, Matrix, check_budget, enumerate_matrices,
                             enumerate_subspaces, enumerate_vectors, gl_generators, gl_order)
 from hallalg.quiver import Representation, RepMorphism, dim_add
@@ -292,3 +294,55 @@ def green_residual_by_dim_walk(hall, label_m, label_n, label_x, label_y):
                         rhs += hall.braid_coeff(dim_a, dim_d) * Fraction(
                             p, ca.aut * cb.aut * cc.aut * cd.aut)
     return lhs - rhs
+
+
+def coproduct_by_aut(hall, label_e):
+    """Delta([E]) = sum P^E_{MN} / aut E [N] (x) [M] as Fractions, read off
+    the factorization index of E."""
+    aut = hall.ctx.class_by_label(label_e).aut
+    return {(ln, lm): Fraction(p, aut)
+            for lm, subs in hall.factorizations(label_e).items()
+            for ln, p in subs.items()}
+
+
+def tensor_product_by_fractions(hall, s, t, bound):
+    """The braided product ([B] (x) [A]) . ([D] (x) [C]) =
+    q^{-<A, D>} [B][D] (x) [A][C] with exact coefficients, the braiding's
+    q^{-k} a Fraction for k > 0."""
+    out = {}
+    for (b, a), cs in s.coeffs.items():
+        for (d, c), ct in t.coeffs.items():
+            coeff = cs * ct * hall.braid_coeff(hall.grade(a), hall.grade(d))
+            left = hall.product(HallVector.basis(b), HallVector.basis(d), bound)
+            right = hall.product(HallVector.basis(a), HallVector.basis(c), bound)
+            for lb, vb in left.coeffs.items():
+                for la, va in right.coeffs.items():
+                    out[(lb, la)] = out.get((lb, la), 0) + vb * va * coeff
+    return HallVector(out)
+
+
+def bialgebra_residual_by_fractions(hall, label_m, label_n, bound, coproduct):
+    """Delta([M].[N]) - Delta([M]) . Delta([N]) with exact coefficients, for
+    a coproduct given as coproduct(label) -> {(N, M): exact coefficient}."""
+    prod = hall.product(HallVector.basis(label_m), HallVector.basis(label_n), bound)
+    lhs = HallVector.combine((coproduct(le), c) for le, c in prod.coeffs.items())
+    rhs = tensor_product_by_fractions(hall, HallVector(coproduct(label_m)),
+                                      HallVector(coproduct(label_n)), bound)
+    return lhs - rhs
+
+
+def antipode_by_fractions(hall, label, bound, cache):
+    """S([E]) = -[E] - sum c S([N]) . [M] over the reduced coproduct terms of
+    [E], with exact coefficients; cache maps labels to finished values."""
+    if label not in cache:
+        z = hall.zero_label()
+        if label == z:
+            cache[label] = hall.unit()
+        else:
+            terms = [({label: 1}, -1)]
+            for (ln, lm), c in coproduct_by_aut(hall, label).items():
+                if ln != z and lm != z:
+                    s_n = antipode_by_fractions(hall, ln, bound, cache)
+                    terms.append((hall.product(s_n, HallVector.basis(lm), bound).coeffs, -c))
+            cache[label] = HallVector.combine(terms)
+    return cache[label]

@@ -95,15 +95,21 @@ def test_braid_inverse(hall2):
 
 
 def test_tensor_product_examples(hall2):
+    """tensor_product returns (q^K s.t, K), K >= 0 the largest braid exponent."""
     one = HallVector.basis(ZERO, ZERO)
-    t = HallVector({(S2, S1): 1, (P1, ZERO): Fraction(1, 2)})
-    assert hall2.tensor_product(one, t, 4) == t
+    t = HallVector({(S2, S1): 1, (P1, ZERO): 3})
+    assert hall2.tensor_product(one, t, 4) == (t, 0)
     got = hall2.tensor_product(HallVector.basis(S2, S1),
                                HallVector.basis(ZERO, S2), 4)
-    assert got == HallVector({(S2, SS): 1, (S2, P1): 1})
+    assert got == (HallVector({(S2, SS): 1, (S2, P1): 1}), 0)
+    # <S1, S2> = -1: the braiding's q^{-<S1, S2>} = q is an int
     got2 = hall2.tensor_product(HallVector.basis(ZERO, S1),
                                 HallVector.basis(S2, ZERO), 4)
-    assert got2 == HallVector({(S2, S1): 2})
+    assert got2 == (HallVector({(S2, S1): 2}), 0)
+    # <S2, S1> = 0 and <S1, S1> = 1: q^{-1} is a fraction, so all is scaled by q
+    got3 = hall2.tensor_product(HallVector({(ZERO, S2): 1, (ZERO, S1): 1}),
+                                HallVector.basis(S1, ZERO), 4)
+    assert got3 == (HallVector({(S1, S2): 2, (S1, S1): 1}), 1)
 
 
 def test_green_residuals(hall2):
@@ -114,9 +120,11 @@ def test_green_residuals(hall2):
 
 
 def test_bialgebra_residuals(hall2):
-    assert hall2.bialgebra_residual(S1, S2, 4).is_zero()
-    assert hall2.bialgebra_residual(ZERO, P1, 4).is_zero()
-    assert hall2.bialgebra_residual(S2, S2, 4).is_zero()
+    """The residual comes as (int numerators, denominator |G_m||G_n||G_{m+n}| q^K)."""
+    assert hall2.bialgebra_residual(S1, S2, 4) == (HallVector(), 1)
+    assert hall2.bialgebra_residual(ZERO, P1, 4) == (HallVector(), 1)
+    res, den = hall2.bialgebra_residual(S2, S2, 4)
+    assert res.is_zero() and den == 2 * 6    # |GL_2(F_2)| = 6, K = <S2, S2> = 1
 
 
 def test_antipode_paper(hall2):
@@ -210,8 +218,13 @@ def test_coefficients_stay_ints_without_a_denominator(hall2):
     assert hall2.braid(HallVector.basis(S1, S2))[(S2, S1)] == 2
     assert type(hall2.braid_coeff((1, 0), (0, 1))) is int
     assert hall2.braid_coeff((1, 0), (0, 1), 1) == Fraction(1, 2)
-    # the coproduct carries 1 / aut E
-    assert all(type(c) is Fraction for c in hall2.coproduct_basis(P1).values())
+    # coproduct_basis holds int numerators over |G_e|, coproduct(x) exact values:
+    # Delta([S1 + S1]) has [S1] (x) [S1] with P = 3 over aut = |GL_2(F_2)| = 6
+    s1s1 = "d2.0#0"
+    assert all(type(c) is int for c in hall2.coproduct_basis(s1s1).values())
+    assert hall2.coproduct_basis(s1s1)[(S1, S1)] == 3
+    assert hall2.coproduct(HallVector.basis(s1s1)) == HallVector(
+        {(ZERO, s1s1): 1, (S1, S1): Fraction(1, 2), (s1s1, ZERO): 1})
 
 
 def test_associativity_sample_q3(hall3):

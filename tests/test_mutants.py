@@ -1,0 +1,40 @@
+"""Each mutant of tests/mutants.py against the suites that must catch it."""
+
+import pytest
+
+from hallalg.cli import load_quiver
+from hallalg.hall import HallAlgebra
+from hallalg.quiver import RepCategory
+from hallalg import verify
+from mutants import MUTANTS
+
+# mutant -> (quiver, q, max_dim, {suite: (failures, instances)})
+CAUGHT = {
+    # only the bialgebra law and the comultiplication span catch it here
+    "coproduct_doubled": ("a2", 2, 3, {"algebra": (0, 202), "green": (0, 295),
+                                       "bialgebra": (20, 45), "antipode": (0, 13),
+                                       "spans": (25, 142)}),
+}
+
+
+def _counts(quiver, q, max_dim, suites):
+    ctx = RepCategory(load_quiver(quiver), q)
+    hall = HallAlgebra(ctx)
+    out = {}
+    for name in suites:
+        rep = verify.run_suite(name, ctx, hall, max_dim, seed=0)
+        out[name] = (len(rep["failures"]), rep["instances"])
+    return out
+
+
+def test_every_mutant_has_an_expectation():
+    assert set(CAUGHT) == set(MUTANTS)
+
+
+@pytest.mark.parametrize("name", sorted(CAUGHT))
+def test_mutant_caught(name):
+    quiver, q, max_dim, want = CAUGHT[name]
+    assert _counts(quiver, q, max_dim, want) == {
+        s: (0, n) for s, (_, n) in want.items()}
+    with MUTANTS[name]():
+        assert _counts(quiver, q, max_dim, want) == want
