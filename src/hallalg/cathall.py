@@ -21,11 +21,12 @@ All checks report which convention each number uses.
 """
 
 from fractions import Fraction
+from operator import mul
 from weakref import proxy
 
 from .hall import q_power
 from .linalg import Matrix, blocks_invertible, check_budget, flatten, span_points, unflatten
-from .quiver import RepMorphism, block_inclusion, block_projection, dim_add
+from .quiver import RepMorphism, dim_add
 
 
 class SESObject:
@@ -41,19 +42,29 @@ class SESObject:
         self.proj = proj
 
     def validate(self):
-        if self.incl.source != self.sub or self.incl.target != self.mid:
+        """Raise ValueError unless this is a short exact sequence of representations.
+
+        Six conditions, in this order and each with its own message:
+        endpoints, grading, the commuting squares of both maps, an injective
+        inclusion, a surjective projection and a zero composite.  Squares
+        and composite are products of entry tuples; no morphism is built.
+        """
+        sub, mid, quo, f, g = self.sub, self.mid, self.quo, self.incl, self.proj
+        if f.source != sub or f.target != mid:
             raise ValueError("inclusion endpoints wrong")
-        if self.proj.source != self.mid or self.proj.target != self.quo:
+        if g.source != mid or g.target != quo:
             raise ValueError("projection endpoints wrong")
-        if dim_add(self.sub.dim, self.quo.dim) != self.mid.dim:
+        if dim_add(sub.dim, quo.dim) != mid.dim:
             raise ValueError("grading violated: dim mid != dim sub + dim quo")
-        if not (self.incl.is_valid() and self.proj.is_valid()):
+        p = mid.field.p
+        if not (_commutes(f, p) and _commutes(g, p)):
             raise ValueError("maps are not representation morphisms")
-        if not self.incl.is_injective():
+        if any(m.rank() != m.cols for m in f.vertex_maps):
             raise ValueError("inclusion is not injective")
-        if not self.proj.is_surjective():
+        if any(m.rank() != m.rows for m in g.vertex_maps):
             raise ValueError("projection is not surjective")
-        if not self.proj.compose(self.incl).is_zero():
+        if any(any(row) for a, b in zip(g.vertex_maps, f.vertex_maps)
+               for row in _product(a, b, p)):
             raise ValueError("composite sub -> quo is nonzero")
         return True
 
@@ -61,55 +72,17 @@ class SESObject:
         return f"SES({self.sub.dim} -> {self.mid.dim} -> {self.quo.dim})"
 
 
-# ---- block helpers for chosen direct sums -------------------------------------
+def _product(a, b, p):
+    """The entry rows of the product a b of two matrices, mod p."""
+    cols = tuple(zip(*b.entries)) if b.rows else ((),) * b.cols
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in a.entries)
 
 
-def block_injections(y, z):
-    """Canonical inclusions of y and z into the chosen direct sum y (+) z."""
-    s = y.direct_sum(z)
-    return s, block_inclusion(y, s, (0,) * len(y.dim)), block_inclusion(z, s, y.dim)
-
-
-def block_projections(y, z):
-    """Canonical projections of y (+) z onto y and z."""
-    s = y.direct_sum(z)
-    return s, block_projection(s, y, (0,) * len(y.dim)), block_projection(s, z, y.dim)
-
-
-def factor_through(proj, g):
-    """The unique h with h . proj = g, for a vertexwise surjective proj."""
-    maps = []
-    for pv, gv in zip(proj.vertex_maps, g.vertex_maps):
-        sol = pv.transpose().solve_matrix(gv.transpose())
-        if sol is None:
-            raise ValueError("map does not factor through the projection")
-        maps.append(sol.transpose())
-    return RepMorphism(proj.target, g.target, maps)
-
-
-def corestrict(incl, f):
-    """The unique h with incl . h = f, for f landing inside im(incl)."""
-    maps = []
-    for iv, fv in zip(incl.vertex_maps, f.vertex_maps):
-        sol = iv.solve_matrix(fv)
-        if sol is None:
-            raise ValueError("map does not land in the subobject")
-        maps.append(sol)
-    return RepMorphism(f.source, incl.source, maps)
-
-
-def preimage_subrep(ctx, proj_to, g):
-    """g^{-1}(0) as a subrepresentation: inclusion of ker(proj_to . g).
-
-    g: E -> T, proj_to: T -> W; returns the inclusion of ker(proj_to . g)
-    into E, with the induced representation on a canonical kernel basis.
-    """
-    bases = [Matrix(ctx.field, m.kernel_basis(), None, m.cols).transpose()
-             for m in proj_to.compose(g).vertex_maps]
-    incl = ctx.subrep_on(g.source, bases)
-    if incl is None:
-        raise ValueError("kernel is not an invariant subspace")
-    return incl
+def _commutes(mor, p):
+    """Whether target_a mor_s = mor_t source_a on every arrow a: s -> t."""
+    src, tgt, maps = mor.source, mor.target, mor.vertex_maps
+    return all(_product(ta, maps[s], p) == _product(maps[t], sa, p)
+               for (s, t), sa, ta in zip(src.quiver.arrows, src.edge_maps, tgt.edge_maps))
 
 
 # ---- the base groupoid and EXT groupoids ----------------------------------------
@@ -150,6 +123,7 @@ class ExtGroupoid:
         self.pieces = {}          # E label -> list of image subobjects (incl, Q, proj)
         self._piece_reps = {}     # E label -> representative Representation
         self._orbit_data = {}     # E label -> (orbits, extension classes)
+        self._actions = None      # _cocycle_actions, built on first use
         for cls in ctx.classify(dim_add(M.dim, N.dim)):
             images = [(incl, Q, proj) for incl, Q, proj in ctx.invariant_subreps(cls.rep, N.dim)
                       if ctx.is_isomorphic(incl.source, N) and ctx.is_isomorphic(Q, M)]
@@ -168,8 +142,9 @@ class ExtGroupoid:
 
     def _first(self, image):
         """The first sequence with this image: it stands for the image."""
-        nus, mus = self._isos(image)
-        return self._sequence(image, nus[0], mus[0])
+        incl, Q, _ = image
+        ctx = self.ctx
+        return self._sequence(image, ctx.first_iso(self.N, incl.source), ctx.first_iso(Q, self.M))
 
     def object_count(self, e_label=None):
         """Sum of |Iso(N, U)| |Iso(E/U, M)| over the image subobjects U."""
@@ -211,21 +186,14 @@ class ExtGroupoid:
         ctx, M, N = self.ctx, self.M, self.N
         check_budget(f"Aut N x Aut M enumeration for dims {N.dim}, {M.dim} "
                      f"over F_{ctx.q}", ctx.aut_order(N) * ctx.aut_order(M), ctx.budget)
-        arrows = ctx.quiver.arrows
-        auts_n, auts_m = ctx.aut_elements(N), ctx.aut_elements(M)
-        reduction = ctx._ext_complement(M, N)[1]    # ctx.reduce_cocycle, looked up once
         group_of = {}                 # reduced class -> index into groups
         groups = []                   # (representative index, orbit indices)
         for i, image in enumerate(self.pieces[e_label]):
             ses = self._first(image)
             c = ctx.extension_class(M, N, ses.mid, ses.incl, ses.proj)
             if c not in group_of:
-                blocks = unflatten(ctx.field, c, ctx.cocycle_blocks(M, N))
-                for nu in auts_n:
-                    for mu in auts_m:
-                        moved = flatten(nu.vertex_maps[t] * ca * mu.vertex_maps[s]
-                                        for (s, t), ca in zip(arrows, blocks))
-                        group_of[reduction.apply(moved)] = len(groups)
+                for moved in self._orbit(c):
+                    group_of[moved] = len(groups)
                 groups.append((i, set()))
             groups[group_of[c]][1].add(i)
         aut_e = ctx.aut_order(self._piece_reps[e_label])
@@ -235,6 +203,38 @@ class ExtGroupoid:
             orbits.append((i, orbit, aut_e // len(orbit)))
         self._orbit_data[e_label] = orbits, set(group_of)
         return self._orbit_data[e_label]
+
+    def _orbit(self, c):
+        """reduce(nu c mu) for (nu, mu) in Aut N x Aut M, nu-major in
+        aut_elements order: the orbit of the reduced class c, with repeats.
+        When Ext^1(M, N) = 0 the only class is 0 and its orbit is [c];
+        neither group is listed."""
+        lefts, rights = self._cocycle_actions()
+        if not lefts:
+            return [c]
+        moved = [right.apply(c) for right in rights]
+        return [left.apply(cm) for left in lefts for cm in moved]
+
+    def _cocycle_actions(self):
+        """The action c -> nu c mu of Aut N x Aut M on flat cocycles, as matrices.
+
+        Returns (lefts, rights): per nu in Aut N the matrix of
+        c -> reduce(nu_t c_a), and per mu in Aut M that of c -> c_a mu_s, in
+        aut_elements order.  reduce(nu c mu) is lefts[nu] rights[mu] c, as
+        reduce_cocycle is linear.  Both are empty when Ext^1(M, N) = 0.
+        Built once per groupoid.
+        """
+        if self._actions is None:
+            ctx = self.ctx
+            f, arrows = ctx.field, ctx.quiver.arrows
+            shapes = ctx.cocycle_blocks(self.M, self.N)
+            comp, reduction = ctx._ext_complement(self.M, self.N)
+            self._actions = ([], []) if not comp else (
+                [reduction * _block_action(f, shapes, [nu.vertex_maps[t] for _, t in arrows],
+                                           True) for nu in ctx.aut_elements(self.N)],
+                [_block_action(f, shapes, [mu.vertex_maps[s] for s, _ in arrows], False)
+                 for mu in ctx.aut_elements(self.M)])
+        return self._actions
 
     def extension_classes(self):
         """The reduced extension classes of all objects: the fixed-end iso classes."""
@@ -297,6 +297,26 @@ class ExtGroupoid:
             if p:
                 total += Fraction(p, ctx.aut_order(cls.rep))
         return total
+
+
+def _block_action(field, shapes, mats, left):
+    """The matrix of c -> m_a c_a (left) or c -> c_a m_a (right) on flat vectors
+    whose block a has shape shapes[a], flatten()'s layout; mats[a] is square."""
+    n = sum(r * c for r, c in shapes)
+    rows, off = [], 0
+    for (r, c), m in zip(shapes, mats):
+        for i in range(r):
+            for j in range(c):
+                row = [0] * n
+                if left:      # (m X)_ij = sum_k m_ik X_kj
+                    for k in range(r):
+                        row[off + k * c + j] = m.entries[i][k]
+                else:         # (X m)_ij = sum_k X_ik m_kj
+                    for k in range(c):
+                        row[off + i * c + k] = m.entries[k][j]
+                rows.append(tuple(row))
+        off += r * c
+    return Matrix._of(field, tuple(rows), n, n)
 
 
 def _end_subspace(ctx, E, constraint):
@@ -403,7 +423,7 @@ def _ext_bilinearity(ctx, part1, part2, other, split, glue, slot):
     def ext_class(ses):
         return ctx.extension_class(ses.quo, ses.sub, ses.mid, ses.incl, ses.proj)
 
-    whole = part1.direct_sum(part2)
+    whole = ctx.direct_sum(part1, part2)
     ext_sum, e1, e2 = ext(whole), ext(part1), ext(part2)
     lhs = ext_sum.cardinality_fixed_ends()
     rhs = e1.cardinality_fixed_ends() * e2.cardinality_fixed_ends()
@@ -423,23 +443,75 @@ def _ext_bilinearity(ctx, part1, part2, other, split, glue, slot):
             "skeleton_bijection": bijection, "round_trip": round_trip_ok}
 
 
+# Splitting and gluing on subspace frames.  For U <= E spanned by a basis B,
+# the frame P = [B | C] (RepCategory._frame) gives E/U and the projection,
+# the rows of P^-1 past dim U, as quotient_with_projection does.  With it the
+# induced maps are one product each: a map g vanishing on U factors as
+# (g C) proj, since g = g P P^-1 and g B = 0; a map f landing in U is B X
+# with X the first dim U rows of P^-1 f.
+
+
+def _times_complement(g, frame):
+    """g C for the complement C of a frame, the columns of P past dim U."""
+    B, P = frame[:2]
+    return g * P.columns(B.cols, B.rows)
+
+
+def _coordinates(frame, f):
+    """X with f = B X, for f landing in the span of the frame's basis B: the
+    first dim U rows of P^-1 f."""
+    B, _, inv = frame[:3]
+    return Matrix._of(B.field, inv.entries[:B.cols], B.cols, B.rows) * f
+
+
+def _kernel_columns(m):
+    """The kernel basis of m (Matrix.kernel_basis) as the columns of a matrix."""
+    basis = m.kernel_basis()
+    return Matrix._of(m.field, tuple(zip(*basis)) if basis else ((),) * m.cols,
+                      m.cols, len(basis))
+
+
+def _quotient_piece(ctx, ses, keep, f_keep, f_kill):
+    """0 -> keep -> E/im f_kill -> quo -> 0 for the f_keep part of ses's inclusion."""
+    _, Q, proj, frames = ctx.subrep_frames(ses.mid, f_kill)
+    incl = RepMorphism._of(keep, Q, [pv * fv for pv, fv in zip(proj.vertex_maps, f_keep)])
+    down = RepMorphism._of(Q, ses.quo, [_times_complement(gv, fr)
+                                        for gv, fr in zip(ses.proj.vertex_maps, frames)])
+    out = SESObject(keep, Q, ses.quo, incl, down)
+    out.validate()
+    return out
+
+
+def _preimage_piece(ctx, ses, keep, g_keep, g_kill):
+    """0 -> sub -> ker g_kill -> keep -> 0 for the g_keep part of ses's projection."""
+    bases = [_kernel_columns(m) for m in g_kill]
+    incl, _, _, frames = ctx.subrep_frames(ses.mid, bases)
+    U = incl.source
+    up = RepMorphism._of(ses.sub, U, [_coordinates(fr, fv)
+                                      for fr, fv in zip(frames, ses.incl.vertex_maps)])
+    proj = RepMorphism._of(U, keep, [gv * B for gv, B in zip(g_keep, bases)])
+    out = SESObject(ses.sub, U, keep, up, proj)
+    out.validate()
+    return out
+
+
 def glue_quotients(ctx, s1, s2, Msum):
     """Glue 0 -> N -> Ei -> Mi -> 0 into 0 -> N -> (E1 (+) E2)/I_N -> M1 (+) M2 -> 0.
 
     I_N is the antidiagonal copy {(f1 n, -f2 n)} of the shared subobject.
+    The inclusion is proj (f1, 0) and the projection diag(g1, g2) C.
     """
     f = ctx.field
-    N = s1.sub
-    big = s1.mid.direct_sum(s2.mid)
-    anti = RepMorphism(N, big, [Matrix.block(f, [[a], [b.scale(-1)]]) for a, b in
-                                zip(s1.incl.vertex_maps, s2.incl.vertex_maps)])
-    Q, proj = ctx.quotient_with_projection(big, anti)
-    inc_e1 = block_inclusion(s1.mid, big, (0,) * ctx.quiver.n)
-    new_incl = proj.compose(inc_e1.compose(s1.incl))
-    g_big = RepMorphism(big, Msum, [Matrix.block(f, [[a, None], [None, b]]) for a, b in
-                                    zip(s1.proj.vertex_maps, s2.proj.vertex_maps)])
-    new_proj = factor_through(proj, g_big)
-    out = SESObject(N, Q, Msum, new_incl, new_proj)
+    big = ctx.direct_sum(s1.mid, s2.mid)
+    anti = [Matrix.block(f, [[a], [b.scale(-1)]])
+            for a, b in zip(s1.incl.vertex_maps, s2.incl.vertex_maps)]
+    _, Q, proj, frames = ctx.subrep_frames(big, anti)
+    incl = RepMorphism._of(s1.sub, Q, [pv.columns(0, e) * a for pv, e, a in zip(
+        proj.vertex_maps, s1.mid.dim, s1.incl.vertex_maps)])
+    down = RepMorphism._of(Q, Msum, [
+        _times_complement(Matrix.block(f, [[a, None], [None, b]]), fr)
+        for a, b, fr in zip(s1.proj.vertex_maps, s2.proj.vertex_maps, frames)])
+    out = SESObject(s1.sub, Q, Msum, incl, down)
     out.validate()
     return out
 
@@ -448,20 +520,22 @@ def glue_subobjects(ctx, s1, s2, Nsum):
     """Glue 0 -> Ni -> Ei -> M -> 0 into the fibered product over M.
 
     The middle term is ker(g1 - g2) inside E1 (+) E2, an extension of M
-    by N1 (+) N2.
+    by N1 (+) N2.  With B its kernel basis, the inclusion is the B
+    coordinates of diag(f1, f2) and the projection g1 times the E1 rows of B.
     """
     f = ctx.field
-    M = s1.quo
-    big = s1.mid.direct_sum(s2.mid)
-    pr1 = block_projection(big, s1.mid, (0,) * ctx.quiver.n)
-    diff = RepMorphism(big, M, [Matrix.block(f, [[a, b.scale(-1)]]) for a, b in
-                                zip(s1.proj.vertex_maps, s2.proj.vertex_maps)])
-    sub_incl = preimage_subrep(ctx, RepMorphism.identity(M), diff)
-    f_pair = RepMorphism(Nsum, big, [Matrix.block(f, [[a, None], [None, b]]) for a, b in
-                                     zip(s1.incl.vertex_maps, s2.incl.vertex_maps)])
-    new_incl = corestrict(sub_incl, f_pair)
-    new_proj = s1.proj.compose(pr1).compose(sub_incl)
-    out = SESObject(Nsum, sub_incl.source, M, new_incl, new_proj)
+    big = ctx.direct_sum(s1.mid, s2.mid)
+    bases = [_kernel_columns(Matrix.block(f, [[a, b.scale(-1)]]))
+             for a, b in zip(s1.proj.vertex_maps, s2.proj.vertex_maps)]
+    incl, _, _, frames = ctx.subrep_frames(big, bases)
+    U = incl.source
+    up = RepMorphism._of(Nsum, U, [_coordinates(fr, Matrix.block(f, [[a, None], [None, b]]))
+                                   for fr, a, b in zip(frames, s1.incl.vertex_maps,
+                                                       s2.incl.vertex_maps)])
+    proj = RepMorphism._of(U, s1.quo, [g * Matrix._of(f, B.entries[:e], e, B.cols)
+                                       for g, B, e in zip(s1.proj.vertex_maps, bases,
+                                                          s1.mid.dim)])
+    out = SESObject(Nsum, U, s1.quo, up, proj)
     out.validate()
     return out
 
@@ -473,22 +547,14 @@ def hexagonator_R(ctx, ses, y, z):
     """Split 0 -> y (+) z -> E -> x -> 0 into the two quotient sequences.
 
     Returns (0 -> y -> E/z -> x -> 0, 0 -> z -> E/y -> x -> 0); the input
-    subobject must literally be the chosen direct sum of y and z.
+    subobject must be the chosen direct sum of y and z, whose summand
+    columns of the inclusion are sliced off.
     """
-    if ses.sub.dim != dim_add(y.dim, z.dim):
+    if ses.sub != ctx.direct_sum(y, z):
         raise ValueError("subobject is not the given direct sum")
-    _, inc_y, inc_z = block_injections(y, z)
-    f_y = ses.incl.compose(inc_y)
-    f_z = ses.incl.compose(inc_z)
-    out = []
-    for keep, keep_rep, kill in ((f_y, y, f_z), (f_z, z, f_y)):
-        Q, proj = ctx.quotient_with_projection(ses.mid, kill)
-        new_incl = proj.compose(keep)
-        new_proj = factor_through(proj, ses.proj)
-        piece = SESObject(keep_rep, Q, ses.quo, new_incl, new_proj)
-        piece.validate()
-        out.append(piece)
-    return tuple(out)
+    f_y = [m.columns(0, k) for m, k in zip(ses.incl.vertex_maps, y.dim)]
+    f_z = [m.columns(k, m.cols) for m, k in zip(ses.incl.vertex_maps, y.dim)]
+    return (_quotient_piece(ctx, ses, y, f_y, f_z), _quotient_piece(ctx, ses, z, f_z, f_y))
 
 
 def hexagonator_S(ctx, ses, x, y):
@@ -496,20 +562,17 @@ def hexagonator_S(ctx, ses, x, y):
 
     Returns (0 -> z -> g^{-1}(x) -> x -> 0, 0 -> z -> g^{-1}(y) -> y -> 0).
     Convention: g^{-1}(x) means the preimage of the x summand, so the
-    outer terms of the outputs are x and y in that order.
+    outer terms of the outputs are x and y in that order.  The quotient must
+    be the chosen direct sum of x and y, whose summand rows of the
+    projection are sliced off.
     """
-    if ses.quo.dim != dim_add(x.dim, y.dim):
+    if ses.quo != ctx.direct_sum(x, y):
         raise ValueError("quotient is not the given direct sum")
-    _, pr_x, pr_y = block_projections(x, y)
-    out = []
-    for pr_keep, keep_rep, pr_kill in ((pr_x, x, pr_y), (pr_y, y, pr_x)):
-        sub_incl = preimage_subrep(ctx, pr_kill, ses.proj)
-        new_incl = corestrict(sub_incl, ses.incl)
-        new_proj = pr_keep.compose(ses.proj).compose(sub_incl)
-        piece = SESObject(ses.sub, sub_incl.source, keep_rep, new_incl, new_proj)
-        piece.validate()
-        out.append(piece)
-    return tuple(out)
+    f = ctx.field
+    g_x = [Matrix._of(f, m.entries[:k], k, m.cols) for m, k in zip(ses.proj.vertex_maps, x.dim)]
+    g_y = [Matrix._of(f, m.entries[k:], m.rows - k, m.cols)
+           for m, k in zip(ses.proj.vertex_maps, x.dim)]
+    return (_preimage_piece(ctx, ses, x, g_x, g_y), _preimage_piece(ctx, ses, y, g_y, g_x))
 
 
 # ---- the braiding span and its comparison with EXT -----------------------------------
@@ -804,8 +867,8 @@ def _shuffle_13(ctx, a, b, c, d):
     Every extension of a by b (+) (c (+) d), split at b then at (c, d),
     must agree slotwise with its split at d then at (b, c).
     """
-    cd, bc = c.direct_sum(d), b.direct_sum(c)
-    sub = b.direct_sum(cd)
+    cd, bc = ctx.direct_sum(c, d), ctx.direct_sum(b, c)
+    sub = ctx.direct_sum(b, cd)
 
     def slots(ses):
         top_b, top_cd = hexagonator_R(ctx, ses, b, cd)
@@ -830,8 +893,8 @@ def _shuffle_31(ctx, a, b, c, d):
     (b, c).  S convention: g^{-1}(x) is the preimage of the x summand, and
     hexagonator_S orders its outputs (x, y) to match the hexagon.
     """
-    ab, bc = a.direct_sum(b), b.direct_sum(c)
-    quo = ab.direct_sum(c)
+    ab, bc = ctx.direct_sum(a, b), ctx.direct_sum(b, c)
+    quo = ctx.direct_sum(ab, c)
 
     def slots(ses):
         top_ab, top_c = hexagonator_S(ctx, ses, ab, c)
@@ -855,7 +918,7 @@ def _shuffle_22(ctx, a, b, c, d):
     give componentwise isomorphic quadruples; the S convention is that of
     _shuffle_31.
     """
-    ab, cd = a.direct_sum(b), c.direct_sum(d)
+    ab, cd = ctx.direct_sum(a, b), ctx.direct_sum(c, d)
 
     def slots(ses):
         sa, sb = hexagonator_S(ctx, ses, a, b)

@@ -155,9 +155,9 @@ class Matrix:
                        n, n)
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+        return self is other or (isinstance(other, Matrix) and self.rows == other.rows
+                                 and self.cols == other.cols and self.entries == other.entries
+                                 and self.field == other.field)
 
     def __hash__(self):
         if self._hash is None:
@@ -199,7 +199,7 @@ class Matrix:
             raise ValueError(f"shape mismatch in *: {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
         p = self.field.p
-        bt = other.transpose().entries
+        bt = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
         return Matrix._of(self.field, tuple(
             tuple(sum(map(mul, arow, bcol)) % p for bcol in bt)
             for arow in self.entries), self.rows, other.cols)
@@ -239,7 +239,19 @@ class Matrix:
             tuple(pivots)
 
     def rank(self):
-        return len(self.rref()[1])
+        """The rank, by forward elimination: each pivot row clears its column
+        from the rows left, and zero rows drop out (no reduced form is built)."""
+        p = self.field.p
+        rows = [row for row in self.entries if any(row)]
+        rank = 0
+        while rows:
+            pivot = rows.pop()
+            c = next(j for j, x in enumerate(pivot) if x)
+            a = pivot[c]
+            rows = [r for r in ([(a * x - r[c] * y) % p for x, y in zip(r, pivot)] if r[c] else r
+                                for r in rows) if any(r)]
+            rank += 1
+        return rank
 
     def kernel_basis(self):
         """Basis of the right kernel, as a list of column vectors (tuples)."""

@@ -207,8 +207,8 @@ class Representation:
             for a, b in zip(self.edge_maps, other.edge_maps)])
 
     def __eq__(self, other):
-        return (isinstance(other, Representation) and self.quiver == other.quiver
-                and self.dim == other.dim and self.edge_maps == other.edge_maps)
+        return self is other or (isinstance(other, Representation) and self.quiver == other.quiver
+                                 and self.dim == other.dim and self.edge_maps == other.edge_maps)
 
     def __hash__(self):
         if self._hash is None:
@@ -338,6 +338,7 @@ class RepCategory:
         self._aut_list_cache = {}
         self._subrep_cache = {}
         self._on_bases_cache = {}
+        self._sums = {}           # (y, z) -> the chosen direct sum y (+) z
         self._frames = {}         # basis B -> its frame
         self._subspace_frames = {}  # (n, k) -> frames of all k-subspaces of F_p^n, in order
         self._closing = [[(a, s, t) for a, (s, t) in enumerate(quiver.arrows) if max(s, t) == v]
@@ -540,6 +541,16 @@ class RepCategory:
                 if blocks_invertible(point, M.dim, self.q)]
         return self._aut_list_cache[key]
 
+    def first_iso(self, M, N):
+        """iso_set(M, N)[0], or None when there is none; when the list is not
+        cached, the span is walked only up to its first invertible point."""
+        found = self._aut_list_cache.get(("iso", M, N))
+        if found is not None or M.dim != N.dim or not self.is_isomorphic(M, N):
+            return found[0] if found else None
+        for point in self._hom_points(M, N):
+            if blocks_invertible(point, M.dim, self.q):
+                return RepMorphism(M, N, unflatten(self.field, point, [(d, d) for d in M.dim]))
+
     def aut_elements(self, M):
         return self.iso_set(M, M)
 
@@ -645,33 +656,38 @@ class RepCategory:
             self._subrep_cache[key] = self._subreps(E, key[1], self._subrep_walk(E, key[1]))
         return self._subrep_cache[key]
 
-    def _subrep_on_bases(self, E, bases):
-        """The _subreps triple of U spanned by bases (of full column rank), or
-        None when U is not invariant; cached per (E, bases)."""
+    def subrep_frames(self, E, bases):
+        """(inclusion U -> E, E/U, projection E -> E/U, frames) for U spanned by
+        bases, one basis matrix per vertex: a _subreps triple followed by the
+        frames of the bases, cached per (E, bases).  Bases that are not of full
+        column rank, or that span no subrepresentation, raise on every call."""
         key = (E, tuple(bases))
-        if key not in self._on_bases_cache:
-            frames = [self._frame(B) for B in bases]
+        found = self._on_bases_cache.get(key, False)
+        if found is False:
+            if any(B.rank() != B.cols for B in bases):
+                raise ValueError("quotient by a non-injective morphism")
+            frames = tuple(self._frame(B) for B in bases)
             blocks = tuple(self._arrow_blocks((ea * frames[s][1]).transpose().entries, frames[t],
                                               frames[s][0].cols)
                            for (s, t), ea in zip(self.quiver.arrows, E.edge_maps))
-            self._on_bases_cache[key] = None if None in blocks else self._subreps(
-                E, tuple(B.cols for B in bases), [(frames, blocks)])[0]
-        return self._on_bases_cache[key]
-
-    def subrep_on(self, E, bases):
-        """The inclusion of U <= E spanned by bases, or None when U is not invariant."""
-        found = self._subrep_on_bases(E, bases)
-        return found and RepMorphism._of(found[0].source, E, bases)
+            found = self._on_bases_cache[key] = None if None in blocks else self._subreps(
+                E, tuple(B.cols for B in bases), [(frames, blocks)])[0] + (frames,)
+        if found is None:
+            raise ValueError("the span of the bases is not a subrepresentation")
+        return found
 
     def quotient_with_projection(self, E, f_mor):
         """(E / im f, projection E -> E / im f) for an injective f, cached per
         (E, vertex maps of f); a bad f raises on every call."""
-        if (E, f_mor.vertex_maps) not in self._on_bases_cache and not f_mor.is_injective():
-            raise ValueError("quotient by a non-injective morphism")
-        found = self._subrep_on_bases(E, f_mor.vertex_maps)
-        if found is None:
-            raise ValueError("the image of f is not a subrepresentation")
-        return found[1:]
+        return self.subrep_frames(E, f_mor.vertex_maps)[1:3]
+
+    def direct_sum(self, y, z):
+        """The chosen direct sum y (+) z (Representation.direct_sum), one object
+        per ordered pair, so that tests of endpoints against it are identity tests."""
+        key = (y, z)
+        if key not in self._sums:
+            self._sums[key] = y.direct_sum(z)
+        return self._sums[key]
 
     # extensions: cocycles live in the codomain of the presentation matrix
 

@@ -5,16 +5,21 @@ by enumerating every candidate morphism and testing it directly, by
 the one-vector-at-a-time linear algebra the library replaced, by a
 walk over every dimension vector where the library joins sparse indexes,
 or with Fraction coefficients where the library keeps int numerators.
+The *_by_solve splittings and gluings build their induced maps by linear
+solves through block inclusions and projections, where the library slices
+maps and reads them off subspace frames.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import prod
 
+from hallalg.cathall import SESObject
 from hallalg.hall import HallVector
 from hallalg.linalg import (DEFAULT_BUDGET, Matrix, check_budget, enumerate_matrices,
                             enumerate_subspaces, enumerate_vectors, gl_generators, gl_order)
-from hallalg.quiver import Representation, RepMorphism, dim_add
+from hallalg.quiver import (Representation, RepMorphism, block_inclusion, block_projection,
+                            dim_add)
 
 
 def is_invertible(mor):
@@ -346,3 +351,150 @@ def antipode_by_fractions(hall, label, bound, cache):
                     terms.append((hall.product(s_n, HallVector.basis(lm), bound).coeffs, -c))
             cache[label] = HallVector.combine(terms)
     return cache[label]
+
+
+# ---- splitting and gluing by solves ------------------------------------------
+
+
+def block_injections(y, z):
+    """Canonical inclusions of y and z into the chosen direct sum y (+) z."""
+    s = y.direct_sum(z)
+    return s, block_inclusion(y, s, (0,) * len(y.dim)), block_inclusion(z, s, y.dim)
+
+
+def block_projections(y, z):
+    """Canonical projections of y (+) z onto y and z."""
+    s = y.direct_sum(z)
+    return s, block_projection(s, y, (0,) * len(y.dim)), block_projection(s, z, y.dim)
+
+
+def factor_through(proj, g):
+    """The unique h with h . proj = g, for a vertexwise surjective proj."""
+    maps = []
+    for pv, gv in zip(proj.vertex_maps, g.vertex_maps):
+        sol = pv.transpose().solve_matrix(gv.transpose())
+        if sol is None:
+            raise ValueError("map does not factor through the projection")
+        maps.append(sol.transpose())
+    return RepMorphism(proj.target, g.target, maps)
+
+
+def corestrict(incl, f):
+    """The unique h with incl . h = f, for f landing inside im(incl)."""
+    maps = []
+    for iv, fv in zip(incl.vertex_maps, f.vertex_maps):
+        sol = iv.solve_matrix(fv)
+        if sol is None:
+            raise ValueError("map does not land in the subobject")
+        maps.append(sol)
+    return RepMorphism(f.source, incl.source, maps)
+
+
+def subrep_on(ctx, E, bases):
+    """The inclusion of U <= E spanned by bases (of full column rank), or None
+    when U is not invariant."""
+    try:
+        U = ctx.subrep_frames(E, bases)[0].source
+    except ValueError:
+        return None
+    return RepMorphism(U, E, bases)
+
+
+def preimage_subrep(ctx, proj_to, g):
+    """g^{-1}(0) as a subrepresentation: inclusion of ker(proj_to . g).
+
+    g: E -> T, proj_to: T -> W; returns the inclusion of ker(proj_to . g)
+    into E, with the induced representation on a canonical kernel basis.
+    """
+    bases = [Matrix(ctx.field, m.kernel_basis(), None, m.cols).transpose()
+             for m in proj_to.compose(g).vertex_maps]
+    incl = subrep_on(ctx, g.source, bases)
+    if incl is None:
+        raise ValueError("kernel is not an invariant subspace")
+    return incl
+
+
+def glue_quotients_by_solve(ctx, s1, s2, Msum):
+    """Glue 0 -> N -> Ei -> Mi -> 0 into 0 -> N -> (E1 (+) E2)/I_N -> M1 (+) M2 -> 0.
+
+    I_N is the antidiagonal copy {(f1 n, -f2 n)} of the shared subobject.
+    """
+    f = ctx.field
+    N = s1.sub
+    big = s1.mid.direct_sum(s2.mid)
+    anti = RepMorphism(N, big, [Matrix.block(f, [[a], [b.scale(-1)]]) for a, b in
+                                zip(s1.incl.vertex_maps, s2.incl.vertex_maps)])
+    Q, proj = ctx.quotient_with_projection(big, anti)
+    inc_e1 = block_inclusion(s1.mid, big, (0,) * ctx.quiver.n)
+    new_incl = proj.compose(inc_e1.compose(s1.incl))
+    g_big = RepMorphism(big, Msum, [Matrix.block(f, [[a, None], [None, b]]) for a, b in
+                                    zip(s1.proj.vertex_maps, s2.proj.vertex_maps)])
+    new_proj = factor_through(proj, g_big)
+    out = SESObject(N, Q, Msum, new_incl, new_proj)
+    out.validate()
+    return out
+
+
+def glue_subobjects_by_solve(ctx, s1, s2, Nsum):
+    """Glue 0 -> Ni -> Ei -> M -> 0 into the fibered product over M.
+
+    The middle term is ker(g1 - g2) inside E1 (+) E2, an extension of M
+    by N1 (+) N2.
+    """
+    f = ctx.field
+    M = s1.quo
+    big = s1.mid.direct_sum(s2.mid)
+    pr1 = block_projection(big, s1.mid, (0,) * ctx.quiver.n)
+    diff = RepMorphism(big, M, [Matrix.block(f, [[a, b.scale(-1)]]) for a, b in
+                                zip(s1.proj.vertex_maps, s2.proj.vertex_maps)])
+    sub_incl = preimage_subrep(ctx, RepMorphism.identity(M), diff)
+    f_pair = RepMorphism(Nsum, big, [Matrix.block(f, [[a, None], [None, b]]) for a, b in
+                                     zip(s1.incl.vertex_maps, s2.incl.vertex_maps)])
+    new_incl = corestrict(sub_incl, f_pair)
+    new_proj = s1.proj.compose(pr1).compose(sub_incl)
+    out = SESObject(Nsum, sub_incl.source, M, new_incl, new_proj)
+    out.validate()
+    return out
+
+
+def hexagonator_R_by_solve(ctx, ses, y, z):
+    """Split 0 -> y (+) z -> E -> x -> 0 into the two quotient sequences.
+
+    Returns (0 -> y -> E/z -> x -> 0, 0 -> z -> E/y -> x -> 0); the input
+    subobject must literally be the chosen direct sum of y and z.
+    """
+    if ses.sub.dim != dim_add(y.dim, z.dim):
+        raise ValueError("subobject is not the given direct sum")
+    _, inc_y, inc_z = block_injections(y, z)
+    f_y = ses.incl.compose(inc_y)
+    f_z = ses.incl.compose(inc_z)
+    out = []
+    for keep, keep_rep, kill in ((f_y, y, f_z), (f_z, z, f_y)):
+        Q, proj = ctx.quotient_with_projection(ses.mid, kill)
+        new_incl = proj.compose(keep)
+        new_proj = factor_through(proj, ses.proj)
+        piece = SESObject(keep_rep, Q, ses.quo, new_incl, new_proj)
+        piece.validate()
+        out.append(piece)
+    return tuple(out)
+
+
+def hexagonator_S_by_solve(ctx, ses, x, y):
+    """Split 0 -> z -> E -> x (+) y -> 0 into the two preimage sequences.
+
+    Returns (0 -> z -> g^{-1}(x) -> x -> 0, 0 -> z -> g^{-1}(y) -> y -> 0).
+    Convention: g^{-1}(x) means the preimage of the x summand, so the
+    outer terms of the outputs are x and y in that order.
+    """
+    if ses.quo.dim != dim_add(x.dim, y.dim):
+        raise ValueError("quotient is not the given direct sum")
+    _, pr_x, pr_y = block_projections(x, y)
+    out = []
+    for pr_keep, keep_rep, pr_kill in ((pr_x, x, pr_y), (pr_y, y, pr_x)):
+        sub_incl = preimage_subrep(ctx, pr_kill, ses.proj)
+        new_incl = corestrict(sub_incl, ses.incl)
+        new_proj = pr_keep.compose(ses.proj).compose(sub_incl)
+        piece = SESObject(ses.sub, sub_incl.source, keep_rep, new_incl, new_proj)
+        piece.validate()
+        out.append(piece)
+    return tuple(out)

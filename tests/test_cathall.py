@@ -6,20 +6,21 @@ import pytest
 
 from hallalg import groupoids as gpd
 from hallalg.cathall import (BraidingSpan, COHERENCE_NAMES, ExtGroupoid,
-                             SESObject, block_injections,
-                             block_projections, bsim_ext_check, build_A0,
+                             SESObject, bsim_ext_check, build_A0,
                              coherence_check, comult_matrix_against_hall,
                              comult_span_entry, ext_bilinearity_first,
                              ext_bilinearity_second, ext_cardinality_check,
-                             factor_through, corestrict, glue_quotients,
-                             glue_subobjects, hexagonator_R, hexagonator_S,
+                             glue_quotients, glue_subobjects, hexagonator_R, hexagonator_S,
                              mult_matrix_against_hall, mult_span_entry,
                              riedtmann_check, _square_zero)
-from hallalg.linalg import BudgetError, flatten
+from hallalg.linalg import BudgetError, Matrix, flatten
 from hallalg.quiver import RepCategory, RepMorphism, Representation, dim_add
 from hallalg.verify import Run
-from oracles import (fixed_ends_by_aut_scan, image_key, morphism_count,
-                     orbits_by_aut_scan)
+from oracles import (block_injections, block_projections, corestrict, factor_through,
+                     fixed_ends_by_aut_scan, glue_quotients_by_solve,
+                     glue_subobjects_by_solve, hexagonator_R_by_solve,
+                     hexagonator_S_by_solve, image_key, morphism_count, orbits_by_aut_scan)
+
 
 
 def test_build_A0_truncations(ctx2):
@@ -129,24 +130,58 @@ def test_ext_bilinearity(ctx2, ctx3, reps2, reps3):
         assert r["equal"] and r["skeleton_bijection"] and r["round_trip"]
 
 
-def test_glue_functions_invert_splitting(ctx2, reps2):
-    S1, S2 = reps2["S1"], reps2["S2"]
-    Msum = S1.direct_sum(S1)
-    ext = ExtGroupoid(ctx2, Msum, S2)
-    for e in ext.pieces:
-        for ses in list(ext.objects(e))[:2]:
-            s1, s2 = hexagonator_S(ctx2, ses, S1, S1)
-            glued = glue_quotients(ctx2, s1, s2, Msum)
-            assert ctx2.extension_class(Msum, S2, glued.mid, glued.incl, glued.proj) \
-                == ctx2.extension_class(Msum, S2, ses.mid, ses.incl, ses.proj)
-    Nsum = S2.direct_sum(S2)
-    ext2 = ExtGroupoid(ctx2, S1, Nsum)
-    for e in ext2.pieces:
-        for ses in list(ext2.objects(e))[:2]:
-            s1, s2 = hexagonator_R(ctx2, ses, S2, S2)
-            glued = glue_subobjects(ctx2, s1, s2, Nsum)
-            assert ctx2.extension_class(S1, Nsum, glued.mid, glued.incl, glued.proj) \
-                == ctx2.extension_class(S1, Nsum, ses.mid, ses.incl, ses.proj)
+def test_glue_functions_invert_splitting(ctx2, ctx3, reps2, reps3):
+    for ctx, reps in ((ctx2, reps2), (ctx3, reps3)):
+        S1, S2 = reps["S1"], reps["S2"]
+        Msum = S1.direct_sum(S1)
+        ext = ExtGroupoid(ctx, Msum, S2)
+        for e in ext.pieces:
+            for ses in list(ext.objects(e))[:2]:
+                s1, s2 = hexagonator_S(ctx, ses, S1, S1)
+                glued = glue_quotients(ctx, s1, s2, Msum)
+                assert ctx.extension_class(Msum, S2, glued.mid, glued.incl, glued.proj) \
+                    == ctx.extension_class(Msum, S2, ses.mid, ses.incl, ses.proj)
+        Nsum = S2.direct_sum(S2)
+        ext2 = ExtGroupoid(ctx, S1, Nsum)
+        for e in ext2.pieces:
+            for ses in list(ext2.objects(e))[:2]:
+                s1, s2 = hexagonator_R(ctx, ses, S2, S2)
+                glued = glue_subobjects(ctx, s1, s2, Nsum)
+                assert ctx.extension_class(S1, Nsum, glued.mid, glued.incl, glued.proj) \
+                    == ctx.extension_class(S1, Nsum, ses.mid, ses.incl, ses.proj)
+
+
+def _same_sequence(a, b):
+    """Equal outer and middle terms and equal vertex maps of both maps."""
+    return (a.sub == b.sub and a.mid == b.mid and a.quo == b.quo
+            and a.incl.vertex_maps == b.incl.vertex_maps
+            and a.proj.vertex_maps == b.proj.vertex_maps)
+
+
+def test_frame_route_matches_solve_route(ctx2, ctx3, reps2, reps3):
+    """Both hexagonators and both glues, on every object of EXT(S1, S2 + S2)
+    and EXT(S1 + S1, S2), equal the solve-based route of tests/oracles.py.
+    The oracle runs on a fresh context, so no quotient is shared from a cache."""
+    for ctx, reps in ((ctx2, reps2), (ctx3, reps3)):
+        fresh = RepCategory(ctx.quiver, ctx.q)
+        S1, S2 = reps["S1"], reps["S2"]
+        checked = expected = 0
+        SS2, SS1 = ctx.direct_sum(S2, S2), ctx.direct_sum(S1, S1)
+        for M, N, split, oracle_split, glue, oracle_glue, whole, parts in (
+                (S1, SS2, hexagonator_R, hexagonator_R_by_solve,
+                 glue_subobjects, glue_subobjects_by_solve, SS2, (S2, S2)),
+                (SS1, S2, hexagonator_S, hexagonator_S_by_solve,
+                 glue_quotients, glue_quotients_by_solve, SS1, (S1, S1))):
+            ext = ExtGroupoid(ctx, M, N)
+            expected += ext.object_count()
+            for e in ext.pieces:
+                for ses in ext.objects(e):
+                    got, want = split(ctx, ses, *parts), oracle_split(fresh, ses, *parts)
+                    assert all(map(_same_sequence, got, want))
+                    assert _same_sequence(glue(ctx, *got, whole),
+                                          oracle_glue(fresh, *got, whole))
+                    checked += 1
+        assert checked == expected > 0
 
 
 def test_summand_maps_split_the_chosen_direct_sum(ctx2, reps2):
@@ -174,50 +209,96 @@ def test_hexagonator_split_input_gives_split_outputs(ctx2, reps2):
         assert ctx2.is_isomorphic(piece.mid, piece.sub.direct_sum(piece.quo))
 
 
-def test_hexagonator_R_counts_match_bilinearity(ctx2, reps2):
-    S1, S2 = reps2["S1"], reps2["S2"]
-    sub = S2.direct_sum(S2)
-    ext = ExtGroupoid(ctx2, S1, sub)
-    single = ExtGroupoid(ctx2, S1, S2)
-    assert ext.cardinality_fixed_ends() == single.cardinality_fixed_ends() ** 2 == 4
-    for e in ext.pieces:
-        for ses in ext.objects(e):
-            a, b = hexagonator_R(ctx2, ses, S2, S2)
-            assert a.sub == S2 and b.sub == S2
-            assert a.quo == S1 and b.quo == S1
-            a.validate()
-            b.validate()
+def test_hexagonator_R_counts_match_bilinearity(ctx2, ctx3, reps2, reps3):
+    for ctx, reps in ((ctx2, reps2), (ctx3, reps3)):
+        S1, S2 = reps["S1"], reps["S2"]
+        sub = S2.direct_sum(S2)
+        ext = ExtGroupoid(ctx, S1, sub)
+        single = ExtGroupoid(ctx, S1, S2)
+        assert ext.cardinality_fixed_ends() == single.cardinality_fixed_ends() ** 2 == ctx.q ** 2
+        for e in ext.pieces:
+            for ses in ext.objects(e):
+                a, b = hexagonator_R(ctx, ses, S2, S2)
+                assert a.sub == S2 and b.sub == S2
+                assert a.quo == S1 and b.quo == S1
+                a.validate()
+                b.validate()
 
 
-def test_hexagonator_S_counts_match_bilinearity(ctx2, reps2):
-    S1, S2 = reps2["S1"], reps2["S2"]
-    quo = S1.direct_sum(S1)
-    ext = ExtGroupoid(ctx2, quo, S2)
-    single = ExtGroupoid(ctx2, S1, S2)
-    assert ext.cardinality_fixed_ends() == single.cardinality_fixed_ends() ** 2 == 4
-    for e in ext.pieces:
-        for ses in ext.objects(e):
-            a, b = hexagonator_S(ctx2, ses, S1, S1)
-            assert a.quo == S1 and b.quo == S1
-            assert a.sub == S2 and b.sub == S2
-            a.validate()
-            b.validate()
+def test_hexagonator_S_counts_match_bilinearity(ctx2, ctx3, reps2, reps3):
+    for ctx, reps in ((ctx2, reps2), (ctx3, reps3)):
+        S1, S2 = reps["S1"], reps["S2"]
+        quo = S1.direct_sum(S1)
+        ext = ExtGroupoid(ctx, quo, S2)
+        single = ExtGroupoid(ctx, S1, S2)
+        assert ext.cardinality_fixed_ends() == single.cardinality_fixed_ends() ** 2 == ctx.q ** 2
+        for e in ext.pieces:
+            for ses in ext.objects(e):
+                a, b = hexagonator_S(ctx, ses, S1, S1)
+                assert a.quo == S1 and b.quo == S1
+                assert a.sub == S2 and b.sub == S2
+                a.validate()
+                b.validate()
 
 
-def test_quotient_iso_fact(ctx2, reps2):
+def test_quotient_iso_fact(ctx2, ctx3, reps2, reps3):
     # (E/A)/B is isomorphic to E/(A + B) on every witness instance
-    S1, S2 = reps2["S1"], reps2["S2"]
-    sub = S2.direct_sum(S2.direct_sum(S2))
-    ext = ExtGroupoid(ctx2, S1, sub)
-    for e in ext.pieces:
-        for ses in ext.objects(e):
-            b = S2
-            cd = S2.direct_sum(S2)
-            ses_b, ses_cd = hexagonator_R(ctx2, ses, b, cd)
-            _, ses_d = hexagonator_R(ctx2, ses_cd, S2, S2)
-            bc = S2.direct_sum(S2)
-            _, ses_d_direct = hexagonator_R(ctx2, ses, bc, S2)
-            assert ctx2.is_isomorphic(ses_d.mid, ses_d_direct.mid)
+    for ctx, reps in ((ctx2, reps2), (ctx3, reps3)):
+        S1, S2 = reps["S1"], reps["S2"]
+        sub = S2.direct_sum(S2.direct_sum(S2))
+        ext = ExtGroupoid(ctx, S1, sub)
+        for e in ext.pieces:
+            for ses in ext.objects(e):
+                b = S2
+                cd = S2.direct_sum(S2)
+                ses_b, ses_cd = hexagonator_R(ctx, ses, b, cd)
+                _, ses_d = hexagonator_R(ctx, ses_cd, S2, S2)
+                bc = S2.direct_sum(S2)
+                _, ses_d_direct = hexagonator_R(ctx, ses, bc, S2)
+                assert ctx.is_isomorphic(ses_d.mid, ses_d_direct.mid)
+
+
+def _broken_sequences(ctx, reps):
+    """One sequence per condition of SESObject.validate, each failing only
+    that condition (and none checked before it), with the expected message."""
+    f = ctx.field
+    S1, S2, P1, SS = reps["S1"], reps["S2"], reps["P1"], reps["SS"]
+
+    def mor(src, tgt, *maps):
+        return RepMorphism(src, tgt, [Matrix(f, m, len(m), c) for m, c in maps])
+
+    incl = mor(S2, P1, ([[]], 0), ([[2]], 1))          # the socle of P1
+    proj = mor(P1, S1, ([[1]], 1), ([], 1))             # its top
+    two = S1.direct_sum(S1)
+    return [
+        (SESObject(S1, P1, S1, incl, proj), "inclusion endpoints wrong"),
+        (SESObject(S2, P1, S2, incl, proj), "projection endpoints wrong"),
+        (SESObject(S1, S1, S1, mor(S1, S1, ([[1]], 1), ([], 0)),
+                   mor(S1, S1, ([[2]], 1), ([], 0))), "grading violated"),
+        (SESObject(S1, P1, S2, mor(S1, P1, ([[2]], 1), ([[]], 0)),
+                   mor(P1, S2, ([], 1), ([[1]], 1))), "not representation morphisms"),
+        (SESObject(S2, SS, S1, mor(S2, SS, ([[]], 0), ([[0]], 1)),
+                   mor(SS, S1, ([[1]], 1), ([], 1))), "inclusion is not injective"),
+        (SESObject(S2, SS, S1, mor(S2, SS, ([[]], 0), ([[2]], 1)),
+                   mor(SS, S1, ([[0]], 1), ([], 1))), "projection is not surjective"),
+        (SESObject(S1, two, S1, mor(S1, two, ([[1], [2]], 1), ([], 0)),
+                   mor(two, S1, ([[1, 0]], 2), ([], 0))), "composite sub -> quo is nonzero"),
+    ]
+
+
+def test_validate_rejects_each_broken_condition(ctx3, reps3):
+    """Each of validate's conditions fails on its own sequence, with its own
+    message, over F_3; the unbroken socle-and-top sequence of P1 passes."""
+    f = ctx3.field
+    S1, S2, P1 = reps3["S1"], reps3["S2"], reps3["P1"]
+    good = SESObject(S2, P1, S1, RepMorphism(S2, P1, [Matrix(f, [[]], 1, 0), Matrix(f, [[2]])]),
+                     RepMorphism(P1, S1, [Matrix(f, [[1]]), Matrix(f, [], 0, 1)]))
+    assert good.validate()
+    cases = _broken_sequences(ctx3, reps3)
+    assert len({msg for _, msg in cases}) == len(cases) == 7
+    for ses, msg in cases:
+        with pytest.raises(ValueError, match=msg):
+            ses.validate()
 
 
 def _span_matrices(ctx, bound):

@@ -112,6 +112,9 @@ GOLDEN = [
     pytest.param(["verify", "bilinearity", "--quiver", "a2", "--q", "3", "--max-dim", "3"],
                  "966f25e4cbc5001202cb02eda4249e0970ca1554ee6876163fc2ebee20ef859b",
                  id="verify-bilinearity-a2-q3"),
+    pytest.param(["verify", "coherence", "--quiver", "a2", "--q", "3", "--max-dim", "2"],
+                 "3da5f6a0afc5ee16b588cdb61a3312efdd07e98d180753234b2b924405002f92",
+                 id="verify-coherence-a2-q3"),
     pytest.param(["tables", "--quiver", "a3-source", "--q", "3", "--max-dim", "5"],
                  "c812594bc1f5b1e4f745654ea039f111e400ad9dda4e2caf6cda1a5501932445",
                  id="tables-a3-source-q3-d5"),

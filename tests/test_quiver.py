@@ -9,7 +9,8 @@ from hallalg.quiver import (Quiver, RepCategory, RepMorphism, Representation,
                             dim_vectors_with_total)
 from oracles import (aut_order_slow, classify_by_matrix_orbits, complement_columns,
                      count_exact_pairs_slow, invariant_subreps_by_solve, is_invertible,
-                     iso_set_by_products, reduce_cocycle_by_solve, span_elements)
+                     iso_set_by_products, reduce_cocycle_by_solve, span_elements,
+                     subrep_on)
 
 
 def hom_count_oracle(ctx, M, N):
@@ -196,8 +197,10 @@ def test_iso_set_matches_gl_products_and_span_filter(request, name, p):
     """iso_set against GL products for semisimple pairs and the filtered
     span of hom_basis otherwise, on every pair of classes up to dim 3.  Each
     class also brings the greatest edge tuple of its orbit, so that pairs of
-    distinct isomorphic representations are compared too."""
+    distinct isomorphic representations are compared too.  first_iso is the
+    head of the list, walked on a fresh context and read from a cached one."""
     ctx = RepCategory(request.getfixturevalue(name), p)
+    fresh = RepCategory(ctx.quiver, p)
     for total in range(4):
         for dim in dim_vectors_with_total(ctx.quiver.n, total):
             classes = ctx.classify(dim)
@@ -210,9 +213,13 @@ def test_iso_set_matches_gl_products_and_span_filter(request, name, p):
                 for flat in last.values()])
             for M in reps:
                 for N in reps:
+                    walked = fresh.first_iso(M, N)
                     got = [mor.vertex_maps for mor in ctx.iso_set(M, N)]
                     assert len(set(got)) == len(got)
                     assert set(got) == iso_set_by_products(ctx, M, N)
+                    head = ctx.first_iso(M, N)
+                    assert (walked and walked.vertex_maps) == (head and head.vertex_maps) \
+                        == (got[0] if got else None)
             for cls in classes:
                 assert len(ctx.aut_elements(cls.rep)) == cls.aut
 
@@ -355,8 +362,8 @@ def test_subrep_on_accepts_only_invariant_subspaces(ctx2, reps2):
     f = ctx2.field
     top = [Matrix(f, [[1]]), Matrix.zero(f, 1, 0)]       # the S1 coordinate alone
     bottom = [Matrix.zero(f, 1, 0), Matrix(f, [[1]])]    # the S2 coordinate alone
-    assert ctx2.subrep_on(P1, top) is None
-    incl = ctx2.subrep_on(P1, bottom)
+    assert subrep_on(ctx2, P1, top) is None
+    incl = subrep_on(ctx2, P1, bottom)
     assert incl.target is P1 and incl.is_valid() and incl.is_injective()
     assert ctx2.is_isomorphic(incl.source, reps2["S2"])
     assert [i for i, _, _ in ctx2.invariant_subreps(P1, (0, 1))] == [incl]
