@@ -25,7 +25,8 @@ from operator import mul
 from weakref import proxy
 
 from .hall import q_power
-from .linalg import Matrix, blocks_invertible, check_budget, flatten, span_points, unflatten
+from .linalg import (Matrix, blocks_invertible, check_budget, flatten, frame_coordinates,
+                     span_points, unflatten)
 from .quiver import RepMorphism, dim_add
 
 
@@ -444,24 +445,19 @@ def _ext_bilinearity(ctx, part1, part2, other, split, glue, slot):
 
 
 # Splitting and gluing on subspace frames.  For U <= E spanned by a basis B,
-# the frame P = [B | C] (RepCategory._frame) gives E/U and the projection,
-# the rows of P^-1 past dim U, as quotient_with_projection does.  With it the
-# induced maps are one product each: a map g vanishing on U factors as
-# (g C) proj, since g = g P P^-1 and g B = 0; a map f landing in U is B X
-# with X the first dim U rows of P^-1 f.
+# the frame (RepCategory._frame) completes B by the standard vectors C = e_rest
+# off its pivot rows, and gives E/U and the projection, the rows of
+# [B | C]^-1 past dim U.  With it the induced maps are picks: a map g
+# vanishing on U factors as (g C) proj, since g = g P P^-1 and g B = 0, and
+# g C is the columns rest of g; a map f landing in U is B X with X the
+# frame_coordinates of f, read off its pivot rows.
 
 
 def _times_complement(g, frame):
-    """g C for the complement C of a frame, the columns of P past dim U."""
-    B, P = frame[:2]
-    return g * P.columns(B.cols, B.rows)
-
-
-def _coordinates(frame, f):
-    """X with f = B X, for f landing in the span of the frame's basis B: the
-    first dim U rows of P^-1 f."""
-    B, _, inv = frame[:3]
-    return Matrix._of(B.field, inv.entries[:B.cols], B.cols, B.rows) * f
+    """g C for the complement C = e_rest of a frame: the columns rest of g."""
+    rest = frame[2]
+    return Matrix._of(g.field, tuple(tuple(row[j] for j in rest) for row in g.entries),
+                      g.rows, len(rest))
 
 
 def _kernel_columns(m):
@@ -487,7 +483,7 @@ def _preimage_piece(ctx, ses, keep, g_keep, g_kill):
     bases = [_kernel_columns(m) for m in g_kill]
     incl, _, _, frames = ctx.subrep_frames(ses.mid, bases)
     U = incl.source
-    up = RepMorphism._of(ses.sub, U, [_coordinates(fr, fv)
+    up = RepMorphism._of(ses.sub, U, [frame_coordinates(fr, fv)
                                       for fr, fv in zip(frames, ses.incl.vertex_maps)])
     proj = RepMorphism._of(U, keep, [gv * B for gv, B in zip(g_keep, bases)])
     out = SESObject(ses.sub, U, keep, up, proj)
@@ -529,7 +525,7 @@ def glue_subobjects(ctx, s1, s2, Nsum):
              for a, b in zip(s1.proj.vertex_maps, s2.proj.vertex_maps)]
     incl, _, _, frames = ctx.subrep_frames(big, bases)
     U = incl.source
-    up = RepMorphism._of(Nsum, U, [_coordinates(fr, Matrix.block(f, [[a, None], [None, b]]))
+    up = RepMorphism._of(Nsum, U, [frame_coordinates(fr, Matrix.block(f, [[a, None], [None, b]]))
                                    for fr, a, b in zip(frames, s1.incl.vertex_maps,
                                                        s2.incl.vertex_maps)])
     proj = RepMorphism._of(U, s1.quo, [g * Matrix._of(f, B.entries[:e], e, B.cols)

@@ -4,10 +4,9 @@ and degroupoidification to exact rational matrices.
 Groupoids here are fully concrete: indexed objects and morphisms with
 endpoints, built by the one ConcreteGroupoid constructor from morphism
 labels and rules on labels (each object's identity label, inverse(label),
-compose(g_label, f_label)).  Products, coproducts, weak pullbacks, action
-groupoids and the factorial finite-sets groupoid compose their labels
-directly; a JSON groupoid's labels are its indices and its rule reads the
-table.  Cardinality and the degroupoidification formulas only ever need
+compose(g_label, f_label)).  Products, coproducts, weak pullbacks and
+action groupoids compose their labels directly; a JSON groupoid's labels
+are its indices and its rule reads the table.  Cardinality and the degroupoidification formulas only ever need
 endpoints and counts.
 """
 
@@ -234,22 +233,6 @@ def _validate_group_table(mul_table):
                 if mul_table[mul_table[a][b]][c] != mul_table[a][mul_table[b][c]]:
                     raise GroupoidFormatError("multiplication table is not associative")
     return e, inv
-
-
-def finite_sets_groupoid(n_max):
-    """Sets {0..n} for n <= n_max, with bijections; composition by rule.
-
-    Labels are (n, permutation tuple) and the rules act on them directly,
-    so no composition table is ever materialized.
-    """
-    import itertools
-    objects = list(range(n_max + 1))
-    morphisms = [(n, n, (n, perm)) for n in objects
-                 for perm in itertools.permutations(range(n))]
-    return ConcreteGroupoid(
-        objects, morphisms, identity=[(n, tuple(range(n))) for n in objects],
-        inverse=lambda m: (m[0], tuple(sorted(range(m[0]), key=m[1].__getitem__))),
-        compose=lambda g, f: (f[0], tuple(g[1][p] for p in f[1])))
 
 
 def action_groupoid(set_size, mul_table, action):
@@ -628,10 +611,6 @@ def _derive_inverses(m, src, tgt, table, identity):
     return inverse
 
 
-def functor_to_json(fun):
-    return {"objects": list(fun.obj_map), "morphisms": list(fun.mor_map)}
-
-
 def functor_from_json(doc, source, target, validate=True):
     if not isinstance(doc, dict) or "objects" not in doc or "morphisms" not in doc:
         raise GroupoidFormatError('functor document needs "objects" and "morphisms"')
@@ -646,16 +625,6 @@ def functor_from_json(doc, source, target, validate=True):
     if validate:
         fun.validate()
     return fun
-
-
-def span_to_json(span):
-    return {
-        "apex": groupoid_to_json(span.apex),
-        "foot_left": groupoid_to_json(span.foot_left),
-        "foot_right": groupoid_to_json(span.foot_right),
-        "left": functor_to_json(span.left),
-        "right": functor_to_json(span.right),
-    }
 
 
 def span_from_json(doc, validate=True):

@@ -311,7 +311,8 @@ class HallAlgebra:
     # ---- Green's formula and the bialgebra law ---------------------------------
 
     def green_residual(self, label_m, label_n, label_x, label_y):
-        """LHS minus RHS of Green's formula; identically zero when it holds.
+        """LHS minus RHS of Green's formula, as (int numerator, denominator);
+        the numerator is identically zero when it holds.
 
         The left side sums P^E_{MN} P^E_{XY} / aut E over the middle terms E,
         collected per aut E.  The right side,
@@ -323,14 +324,16 @@ class HallAlgebra:
         the quotients of both M and X, C over the subs of X under A, B over
         the subs of M under A, and D over the subs of N under C that also
         sit under B in Y.  Each term is an exact integer quotient, collected
-        per grade pair (A, C), which fixes the Euler exponent.
+        per grade pair (A, C), which fixes the Euler exponent.  Both sides are
+        scaled to |G_{m+n}| q^K, q^K the largest denominator of the braiding
+        coefficients, as in bialgebra_residual: aut E divides |G_{m+n}|.
         """
         ctx = self.ctx
         cls = ctx.class_by_label
         M, N, X, Y = cls(label_m), cls(label_n), cls(label_x), cls(label_y)
         total = dim_add(M.dim, N.dim)
         if total != dim_add(X.dim, Y.dim):
-            return Fraction(0)
+            return 0, 1
         lhs = {}
         for ce in ctx.classify(total):
             pe_mn = ctx.pair_count(M, N, ce)
@@ -368,16 +371,16 @@ class HallAlgebra:
                 if terms:
                     key = (ca.dim, cc.dim)
                     rhs[key] = rhs.get(key, 0) + terms
-        # lhs - rhs over one running denominator: a single Fraction at the end
-        num, den = 0, 1
-        for aut, s in lhs.items():
-            num, den = num * aut + s * den, den * aut
+        # rhs over q^K, rescaled whenever a larger power of q turns up
+        num, top = 0, 1
         for (dim_a, dim_c), s in rhs.items():
-            dim_d = tuple(n - c for n, c in zip(N.dim, dim_c))
-            coeff = self.braid_coeff(dim_a, dim_d)
-            num = num * coeff.denominator - s * coeff.numerator * den
-            den *= coeff.denominator
-        return Fraction(num, den)
+            coeff = self.braid_coeff(dim_a, tuple(n - c for n, c in zip(N.dim, dim_c)))
+            den = coeff.denominator
+            if den > top:
+                num, top = num * (den // top), den
+            num += s * coeff.numerator * (top // den)
+        order = self.grade_order(total)
+        return sum(s * (order // aut) for aut, s in lhs.items()) * top - num * order, order * top
 
     def bialgebra_residual(self, label_m, label_n, bound):
         """Delta([M].[N]) - Delta([M]) . Delta([N]) in the braided sense, as

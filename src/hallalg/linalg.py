@@ -482,21 +482,62 @@ def gaussian_binomial(n, k, q):
     return num // den
 
 
-def enumerate_subspaces(field, n, k, budget=DEFAULT_BUDGET):
-    """All k-dimensional subspaces of F_p^n, one canonical basis matrix each.
+def _pivot_frame(B, pivots, canon):
+    """The frame (B, pivots, rest, proj) of the basis B of a subspace whose
+    canonical basis B B_pivots^-1 has the rows canon.  The complement is e_rest,
+    rest the rows off pivots, and proj, the rows of [B | e_rest]^-1 past k,
+    reads x_c - canon_c x_pivots for c in rest: the projection onto the
+    quotient coordinates, one matrix shared by every object built on B."""
+    n, p = B.rows, B.field.p
+    rest = tuple(c for c in range(n) if c not in pivots)
+    proj = []
+    for c in rest:
+        row = [0] * n
+        row[c] = 1
+        for pc, x in zip(pivots, canon[c]):
+            row[pc] = -x % p
+        proj.append(tuple(row))
+    return B, pivots, rest, Matrix._of(B.field, tuple(proj), len(rest), n)
 
-    Subspaces are produced as n x k matrices whose columns are the basis;
-    the basis is the transposed RREF row basis, so each subspace appears
-    exactly once and the representation is canonical.
-    """
+
+def subspace_frames(field, n, k, budget=DEFAULT_BUDGET):
+    """Every k-dimensional subspace of F_p^n once, as a _pivot_frame with no
+    rref: B is the transpose of a reduced row echelon form with pivot columns
+    pivots, so B_pivots = I and P = [B | e_rest] has P^-1 x = (x_pivots,
+    x_rest - B_rest x_pivots).  Subspaces come in lexicographic order of
+    pivots, then of their free entries row by row; their number is checked
+    against the budget first."""
     check_budget(f"subspace enumeration ({n} choose {k})_{field.p}",
                  gaussian_binomial(n, k, field.p), budget)
     for pivots in combinations(range(n), k):
         free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots]
         for values in enumerate_vectors(field, len(free)):
-            rows = [[field.zero] * n for _ in range(k)]
+            rows = [[0] * k for _ in range(n)]
             for r, pc in enumerate(pivots):
-                rows[r][pc] = field.one
+                rows[pc][r] = 1
             for (r, c), x in zip(free, values):
-                rows[r][c] = x
-            yield Matrix._of(field, tuple(map(tuple, rows)), k, n).transpose()
+                rows[c][r] = x
+            yield _pivot_frame(Matrix._of(field, tuple(map(tuple, rows)), n, k), pivots, rows)
+
+
+def basis_frame(B):
+    """The _pivot_frame of an n x k basis B of full column rank followed by
+    B_pivots^-1, pivots the pivot columns of rref(B^T): one rref of
+    [B^T | I_k] gives the canonical basis B B_pivots^-1 (the transposed left
+    half) and B_pivots^-1 (the transposed right half).  A basis of lower rank
+    raises ValueError."""
+    n, k, z = B.rows, B.cols, (0,) * B.cols
+    red, pivots = Matrix._of(B.field, tuple(col + z[:i] + (1,) + z[i + 1:] for i, col in
+                                            enumerate(B.transpose().entries)), k, n + k).rref()
+    if k and pivots[-1] >= n:      # [B^T | I_k] has rank k; B^T alone had less
+        raise ValueError("quotient by a non-injective morphism")
+    canon = tuple(zip(*(row[:n] for row in red.entries))) or ((),) * n
+    inv = Matrix._of(B.field, tuple(zip(*(row[n:] for row in red.entries))), k, k)
+    return _pivot_frame(B, pivots, canon) + (inv,)
+
+
+def frame_coordinates(frame, m):
+    """X with m = B X, for m landing in the span of the basis B of a
+    basis_frame: B_pivots^-1 times the rows pivots of m."""
+    pivots, inv = frame[1], frame[4]
+    return inv * Matrix._of(m.field, tuple(m.entries[i] for i in pivots), len(pivots), m.cols)

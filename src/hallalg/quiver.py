@@ -19,15 +19,17 @@ from .linalg import (
     DEFAULT_BUDGET,
     Matrix,
     PrimeField,
+    basis_frame,
     blocks_invertible,
     check_budget,
-    enumerate_subspaces,
     enumerate_vectors,
     flatten,
+    frame_coordinates,
     gaussian_binomial,
     gl_generators,
     gl_order,
     span_points,
+    subspace_frames,
     unflatten,
 )
 
@@ -248,33 +250,12 @@ class RepMorphism:
         f = rep.field
         return cls(rep, rep, [Matrix.identity(f, d) for d in rep.dim])
 
-    def is_valid(self):
-        for k, (s, t) in enumerate(self.source.quiver.arrows):
-            lhs = self.target.edge_maps[k] * self.vertex_maps[s]
-            rhs = self.vertex_maps[t] * self.source.edge_maps[k]
-            if lhs != rhs:
-                return False
-        return True
-
-    def is_injective(self):
-        return all(m.rank() == m.cols for m in self.vertex_maps)
-
-    def is_surjective(self):
-        return all(m.rank() == m.rows for m in self.vertex_maps)
-
     def compose(self, other):
         """self after other (other: A -> B, self: B -> C)."""
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition endpoint mismatch")
         return RepMorphism(other.source, self.target,
                            [a * b for a, b in zip(self.vertex_maps, other.vertex_maps)])
-
-    def inverse(self):
-        return RepMorphism(self.target, self.source,
-                           [m.inverse() for m in self.vertex_maps])
-
-    def is_zero(self):
-        return all(m.is_zero() for m in self.vertex_maps)
 
     def __eq__(self, other):
         return (isinstance(other, RepMorphism) and self.source == other.source
@@ -297,6 +278,11 @@ def block_projection(whole, part, offset):
     """whole -> part reading the coordinates offset_v, ..., offset_v + dim_v - 1."""
     return RepMorphism(whole, part, [Matrix.identity(whole.field, w).columns(o, o + d).transpose()
                                      for w, o, d in zip(whole.dim, offset, part.dim)])
+
+
+def _columns(m, picked):
+    """The columns picked of a matrix, as entry tuples."""
+    return tuple(tuple(row[j] for row in m.entries) for j in picked)
 
 
 @dataclass(frozen=True)
@@ -557,31 +543,22 @@ class RepCategory:
     # ---- subobjects, quotients, extensions ---------------------------------
 
     def _frame(self, B):
-        """(B, P, P^-1, proj) for the n x k basis B (full column rank) of a subspace.
-
-        P = [B | C] with C the greedy standard-vector complement, and P^-1
-        comes from the same completion(); proj is the rows of P^-1 past k,
-        the projection onto the quotient coordinates.  Cached per basis.
-        """
+        """linalg.basis_frame(B), cached per basis."""
         if B not in self._frames:
-            picked, inv = B.completion()
-            n, ident = B.rows, Matrix.identity(self.field, B.rows).entries
-            P = Matrix._of(self.field, tuple(row + tuple(e[j] for j in picked)
-                                             for row, e in zip(B.entries, ident)), n, n)
-            self._frames[B] = B, P, inv, Matrix._of(self.field, inv.entries[B.cols:],
-                                                    n - B.cols, n)
+            self._frames[B] = basis_frame(B)
         return self._frames[B]
 
-    def _arrow_blocks(self, cols, ft, ks):
-        """Y = P_t^-1 E_a P_s for a: s -> t, from the columns of E_a P_s, the frame
-        at t and ks = dim U_s: None when its lower-left block is nonzero, else its
-        upper-left (U_a) and lower-right (proj_t E_a C_s, (E/U)_a) blocks, row-major."""
-        p, kt, rows = self.q, ft[0].cols, ft[2].entries
-        low, sub_cols = rows[kt:], cols[:ks]
+    def _arrow_blocks(self, sub_cols, rest_cols, ft):
+        """Y = P_t^-1 E_a P_s for a: s -> t, from the columns of E_a B_s, the columns
+        rest_s of E_a (that is, E_a C_s) and the subspace frame at t: None when its
+        lower-left block proj_t E_a B_s is nonzero, else its upper-left block (the
+        rows pivots_t of E_a B_s, which is U_a) and lower-right block
+        (proj_t E_a C_s, which is (E/U)_a), row-major."""
+        p, pivots, low = self.q, ft[1], ft[3].entries
         if any(sum(map(mul, row, col)) % p for row in low for col in sub_cols):
             return None
-        return (tuple(sum(map(mul, row, col)) % p for row in rows[:kt] for col in sub_cols),
-                tuple(sum(map(mul, row, col)) % p for row in low for col in cols[ks:]))
+        return (tuple(col[i] for i in pivots for col in sub_cols),
+                tuple(sum(map(mul, row, col)) % p for row in low for col in rest_cols))
 
     def _subrep_walk(self, E, sub_dim):
         """(frames, blocks) for every U <= E of dimension sub_dim: a cached
@@ -589,20 +566,20 @@ class RepCategory:
         budget is checked at call time, before any frame is built.  Vertices
         are walked in order through their subspace lists (their product's
         order); an arrow is tested once both its ends are chosen and prunes
-        the subtree when it fails.  E_a P_s is formed once per source frame."""
+        the subtree when it fails.  E_a B_s is formed once per source frame."""
         check_budget(f"subspace tuples for subreps of dim {sub_dim}",
                      prod(gaussian_binomial(e, k, self.q) for e, k in zip(E.dim, sub_dim)),
                      self.budget)
         per_vertex = []
         for e, k in zip(E.dim, sub_dim):
             if (e, k) not in self._subspace_frames:
-                self._subspace_frames[e, k] = [self._frame(B) for B in enumerate_subspaces(
-                    self.field, e, k, budget=self.budget)]
+                self._subspace_frames[e, k] = list(subspace_frames(self.field, e, k, self.budget))
             per_vertex.append(self._subspace_frames[e, k])
         arrows, n, p, closing = self.quiver.arrows, self.quiver.n, self.q, self._closing
-        # the columns of E_a P_s per arrow, by source frame index
-        by_source = [[tuple(tuple(sum(map(mul, row, col)) % p for row in ea.entries)
-                            for col in zip(*fr[1].entries)) for fr in per_vertex[s]]
+        # the columns of E_a B_s and of E_a C_s per arrow, by source frame index
+        by_source = [[(tuple(tuple(sum(map(mul, row, col)) % p for row in ea.entries)
+                             for col in zip(*fr[0].entries)), _columns(ea, fr[2]))
+                      for fr in per_vertex[s]]
                      for (s, _), ea in zip(arrows, E.edge_maps)]
         memo = [{} for _ in arrows]       # per arrow: (source, target frame index) -> blocks
         picked, frames, blocks = [-1] * n, [None] * n, [None] * len(arrows)
@@ -622,8 +599,7 @@ class RepCategory:
                 for a, s, t in closing[v]:
                     key = picked[s], picked[t]
                     if key not in memo[a]:
-                        memo[a][key] = self._arrow_blocks(by_source[a][picked[s]], frames[t],
-                                                          sub_dim[s])
+                        memo[a][key] = self._arrow_blocks(*by_source[a][picked[s]], frames[t])
                     blocks[a] = memo[a][key]
                     if blocks[a] is None:
                         break
@@ -659,27 +635,24 @@ class RepCategory:
     def subrep_frames(self, E, bases):
         """(inclusion U -> E, E/U, projection E -> E/U, frames) for U spanned by
         bases, one basis matrix per vertex: a _subreps triple followed by the
-        frames of the bases, cached per (E, bases).  Bases that are not of full
-        column rank, or that span no subrepresentation, raise on every call."""
+        _frame of each basis, cached per (E, bases); U's maps are in the given
+        bases (frame_coordinates).  Bases that are not of full column rank, or
+        that span no subrepresentation, raise on every call."""
         key = (E, tuple(bases))
         found = self._on_bases_cache.get(key, False)
         if found is False:
-            if any(B.rank() != B.cols for B in bases):
-                raise ValueError("quotient by a non-injective morphism")
             frames = tuple(self._frame(B) for B in bases)
-            blocks = tuple(self._arrow_blocks((ea * frames[s][1]).transpose().entries, frames[t],
-                                              frames[s][0].cols)
-                           for (s, t), ea in zip(self.quiver.arrows, E.edge_maps))
+            blocks = []
+            for (s, t), ea in zip(self.quiver.arrows, E.edge_maps):
+                eb = ea * frames[s][0]
+                b = self._arrow_blocks(eb.transpose().entries, _columns(ea, frames[s][2]),
+                                       frames[t])
+                blocks.append(b and (flatten([frame_coordinates(frames[t], eb)]), b[1]))
             found = self._on_bases_cache[key] = None if None in blocks else self._subreps(
                 E, tuple(B.cols for B in bases), [(frames, blocks)])[0] + (frames,)
         if found is None:
             raise ValueError("the span of the bases is not a subrepresentation")
         return found
-
-    def quotient_with_projection(self, E, f_mor):
-        """(E / im f, projection E -> E / im f) for an injective f, cached per
-        (E, vertex maps of f); a bad f raises on every call."""
-        return self.subrep_frames(E, f_mor.vertex_maps)[1:3]
 
     def direct_sum(self, y, z):
         """The chosen direct sum y (+) z (Representation.direct_sum), one object

@@ -157,9 +157,9 @@ def suite_green(run, ctx, hall, max_dim):
         for lm, ln in pairs:
             for lx, ly in pairs:
                 if run.want(f"green:{lm}|{ln}|{lx}|{ly}"):
-                    res = hall.green_residual(lm, ln, lx, ly)
-                    if res != 0:
-                        run.fail(f"residual {format_coeff(res)}")
+                    num, den = hall.green_residual(lm, ln, lx, ly)
+                    if num:
+                        run.fail(f"residual {format_coeff(Fraction(num, den))}")
     return {"scope_note": "exact rational identities"}
 
 

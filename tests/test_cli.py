@@ -201,12 +201,13 @@ def test_groupoid_pullback_discrete(tmp_path, capsys):
 
 def test_groupoid_degroupoidify(tmp_path, capsys):
     from hallalg import groupoids as gpd
+    from oracles import span_to_json
     pt = gpd.discrete_groupoid(1)
     a = gpd.group_groupoid(gpd.cyclic_table(2))
     leg = gpd.GroupoidFunctor(a, pt, [0], [0, 0])
     span = gpd.ConcreteSpan(a, leg, leg)
     path = tmp_path / "span.json"
-    path.write_text(json.dumps(gpd.span_to_json(span)))
+    path.write_text(json.dumps(span_to_json(span)))
     code, out, _ = run(capsys, "groupoid", "degroupoidify", str(path))
     assert code == 0
     doc = json.loads(out)

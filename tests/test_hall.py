@@ -113,10 +113,12 @@ def test_tensor_product_examples(hall2):
 
 
 def test_green_residuals(hall2):
-    assert hall2.green_residual(S1, S2, S1, S2) == 0
-    assert hall2.green_residual(P1, S1, P1, S1) == 0
+    # (numerator, |G_{m+n}| q^K): |G_(1,1)| = 1 with K = 0, and
+    # |G_(2,1)| = |GL_2(F_2)| = 6 with K = 1
+    assert hall2.green_residual(S1, S2, S1, S2) == (0, 1)
+    assert hall2.green_residual(P1, S1, P1, S1) == (0, 12)
     # mismatched total grade: trivially zero with both sides empty
-    assert hall2.green_residual(S1, S1, S1, S2) == 0
+    assert hall2.green_residual(S1, S1, S1, S2) == (0, 1)
 
 
 def test_bialgebra_residuals(hall2):

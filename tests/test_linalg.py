@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from hallalg.linalg import (BudgetError, Matrix, PrimeField, blocks_invertible,
-                            enumerate_matrices, enumerate_subspaces,
-                            enumerate_vectors, flatten, gaussian_binomial,
-                            gl_order, span_points, unflatten)
-from oracles import complement_columns, enumerate_gl
+from hallalg.linalg import (BudgetError, Matrix, PrimeField, basis_frame, blocks_invertible,
+                            enumerate_matrices, enumerate_vectors, flatten,
+                            frame_coordinates, gaussian_binomial, gl_order, span_points,
+                            subspace_frames, unflatten)
+from oracles import (complement_columns, enumerate_gl, enumerate_subspaces, frame_matrices,
+                     pivot_row_complement)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -309,8 +310,74 @@ def test_subspace_enumeration_matches_gaussian_binomial():
     assert gaussian_binomial(4, 2, 2) == 35
     for n, k, p in ((3, 1, 2), (4, 2, 2), (3, 2, 3), (2, 0, 5)):
         f = PrimeField(p)
-        subs = list(enumerate_subspaces(f, n, k))
+        subs = [fr[0] for fr in subspace_frames(f, n, k)]
         assert len(subs) == gaussian_binomial(n, k, p)
         for b in subs:
             assert b.rows == n and b.cols == k and b.rank() == k
 
+
+def check_frame(frame):
+    """The frame's projection kills B and is the identity on C = e_rest, the
+    coordinates of B X are X, and the P and P^-1 rebuilt from the frame are
+    inverse to each other."""
+    B, pivots, rest, proj = frame[:4]
+    f, n, k = B.field, B.rows, B.cols
+    assert rest == pivot_row_complement(B)
+    P, P_inv = frame_matrices(frame)
+    C = Matrix(f, [[int(i == j) for j in rest] for i in range(n)], n, n - k)
+    assert (proj.rows, proj.cols) == (n - k, n)
+    assert proj * B == Matrix.zero(f, n - k, k)
+    assert proj * C == Matrix.identity(f, n - k)
+    assert P_inv.entries[k:] == proj.entries
+    assert P * P_inv == P_inv * P == Matrix.identity(f, n)
+    X = Matrix(f, [[(3 * i + j) % f.p for j in range(2)] for i in range(k)], k, 2)
+    assert frame_coordinates(frame, B * X) == X
+
+
+def test_subspace_frames_invert_their_completion():
+    """Every k-subspace of F_p^n for p in {2, 3, 5} and n <= 5 (except the
+    20,306 each of dimension 2 and 3 in F_5^5, for time): the canonical bases
+    of the entry-by-entry RREF walk in its order, the identity on the pivot
+    rows, and a frame that checks out (check_frame)."""
+    shapes = [(p, n, k) for p in (2, 3, 5) for n in range(6) for k in range(n + 1)
+              if (p, n) != (5, 5) or k not in (2, 3)]
+    cases = 0
+    for p, n, k in shapes:
+        f = PrimeField(p)
+        frames = list(subspace_frames(f, n, k))
+        assert [fr[0] for fr in frames] == list(enumerate_subspaces(f, n, k))
+        for fr in frames:
+            B, pivots = fr[:2]
+            assert pivots == B.transpose().rref()[1]
+            assert [B.entries[i] for i in pivots] == list(Matrix.identity(f, k).entries)
+            check_frame(fr + (Matrix.identity(f, k),))
+            cases += 1
+    assert cases == sum(gaussian_binomial(n, k, p) for p, n, k in shapes) > 5000
+
+
+def test_basis_frames_on_random_bases():
+    """basis_frame on random full-rank bases, RREF or not, over F_2, F_3 and
+    F_5: the pivots are those of rref(B^T), B_pivots^-1 is an inverse, and
+    the frame checks out as the subspace frames do (check_frame); a basis of
+    lower rank raises."""
+    rng = random.Random(20261019)
+    shapes = set()
+    for p in (2, 3, 5):
+        f = PrimeField(p)
+        for _ in range(150):
+            n = rng.randint(0, 5)
+            k = rng.randint(0, n)
+            B = Matrix(f, [[rng.randrange(p) for _ in range(k)] for _ in range(n)], n, k)
+            if B.rank() < k:
+                with pytest.raises(ValueError, match="non-injective"):
+                    basis_frame(B)
+                shapes.add("low rank")
+                continue
+            frame = basis_frame(B)
+            pivots, inv = frame[1], frame[4]
+            assert pivots == B.transpose().rref()[1]
+            Bp = Matrix(f, [B.entries[i] for i in pivots], k, k)
+            assert inv * Bp == Matrix.identity(f, k)
+            check_frame(frame)
+            shapes.add("rref" if Bp == Matrix.identity(f, k) else "other")
+    assert shapes == {"low rank", "rref", "other"}

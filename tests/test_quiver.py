@@ -8,9 +8,10 @@ from hallalg.linalg import BudgetError, Matrix, PrimeField, enumerate_matrices, 
 from hallalg.quiver import (Quiver, RepCategory, RepMorphism, Representation,
                             dim_vectors_with_total)
 from oracles import (aut_order_slow, classify_by_matrix_orbits, complement_columns,
-                     count_exact_pairs_slow, invariant_subreps_by_solve, is_invertible,
-                     iso_set_by_products, reduce_cocycle_by_solve, span_elements,
-                     subrep_on)
+                     count_exact_pairs_slow, invariant_subreps_by_solve, is_injective,
+                     is_invertible, is_surjective, is_valid, is_zero, iso_set_by_products,
+                     pivot_row_complement, quotient_with_projection, reduce_cocycle_by_solve,
+                     span_elements, subrep_on)
 
 
 def hom_count_oracle(ctx, M, N):
@@ -19,7 +20,7 @@ def hom_count_oracle(ctx, M, N):
                   for v in range(ctx.quiver.n)]
     count = 0
     for maps in product(*per_vertex):
-        if RepMorphism(M, N, maps).is_valid():
+        if is_valid(RepMorphism(M, N, maps)):
             count += 1
     return count
 
@@ -54,7 +55,7 @@ def test_hom_basis_examples(ctx2, reps2):
         combos = span_elements(ctx2, basis, M, M)
         assert ident in combos
         for mor in basis:
-            assert mor.is_valid()
+            assert is_valid(mor)
 
 
 def test_hom_dim_against_full_enumeration(ctx2, reps2):
@@ -293,23 +294,23 @@ def test_quotient_examples(ctx2, reps2):
     # E / 0 is E
     zmor = RepMorphism(zero, P1, [Matrix.zero(ctx2.field, 1, 0),
                                   Matrix.zero(ctx2.field, 1, 0)])
-    assert ctx2.is_isomorphic(ctx2.quotient_with_projection(P1, zmor)[0], P1)
+    assert ctx2.is_isomorphic(quotient_with_projection(ctx2, P1, zmor)[0], P1)
     # P1 / S2 is S1
     inc = RepMorphism(S2, P1, [Matrix.zero(ctx2.field, 1, 0),
                                Matrix(ctx2.field, [[1]])])
-    assert inc.is_valid()
-    assert ctx2.is_isomorphic(ctx2.quotient_with_projection(P1, inc)[0], S1)
+    assert is_valid(inc)
+    assert ctx2.is_isomorphic(quotient_with_projection(ctx2, P1, inc)[0], S1)
     # (M + N) / N is M for the canonical injection
     inc2 = RepMorphism(S2, SS, [Matrix.zero(ctx2.field, 1, 0),
                                 Matrix(ctx2.field, [[1]])])
-    assert ctx2.is_isomorphic(ctx2.quotient_with_projection(SS, inc2)[0], S1)
+    assert ctx2.is_isomorphic(quotient_with_projection(ctx2, SS, inc2)[0], S1)
     with pytest.raises(ValueError):
-        ctx2.quotient_with_projection(
+        quotient_with_projection(ctx2, 
             P1, RepMorphism(S2, P1, [Matrix.zero(ctx2.field, 1, 0),
                                      Matrix(ctx2.field, [[0]])]))[0]
     # injective vertex maps whose image is not a subrepresentation
     with pytest.raises(ValueError):
-        ctx2.quotient_with_projection(
+        quotient_with_projection(ctx2, 
             P1, RepMorphism(S1, P1, [Matrix(ctx2.field, [[1]]), Matrix.zero(ctx2.field, 1, 0)]))
 
 
@@ -317,16 +318,16 @@ def test_quotient_is_memoised_but_errors_are_not(ctx2, reps2):
     S2, P1 = reps2["S2"], reps2["P1"]
     f = ctx2.field
     inc = RepMorphism(S2, P1, [Matrix.zero(f, 1, 0), Matrix(f, [[1]])])
-    Q, proj = ctx2.quotient_with_projection(P1, inc)
-    again = ctx2.quotient_with_projection(P1, RepMorphism(S2, P1, list(inc.vertex_maps)))
+    Q, proj = quotient_with_projection(ctx2, P1, inc)
+    again = quotient_with_projection(ctx2, P1, RepMorphism(S2, P1, list(inc.vertex_maps)))
     assert again[0] is Q and again[1] is proj
     zero = RepMorphism(S2, P1, [Matrix.zero(f, 1, 0), Matrix(f, [[0]])])
     top = RepMorphism(reps2["S1"], P1, [Matrix(f, [[1]]), Matrix.zero(f, 1, 0)])
     for _ in range(2):
         with pytest.raises(ValueError, match="non-injective"):
-            ctx2.quotient_with_projection(P1, zero)
+            quotient_with_projection(ctx2, P1, zero)
         with pytest.raises(ValueError, match="not a subrepresentation"):
-            ctx2.quotient_with_projection(P1, top)
+            quotient_with_projection(ctx2, P1, top)
 
 
 def test_middle_term_examples(ctx2, ctx3, reps2, reps3):
@@ -364,25 +365,25 @@ def test_subrep_on_accepts_only_invariant_subspaces(ctx2, reps2):
     bottom = [Matrix.zero(f, 1, 0), Matrix(f, [[1]])]    # the S2 coordinate alone
     assert subrep_on(ctx2, P1, top) is None
     incl = subrep_on(ctx2, P1, bottom)
-    assert incl.target is P1 and incl.is_valid() and incl.is_injective()
+    assert incl.target is P1 and is_valid(incl) and is_injective(incl)
     assert ctx2.is_isomorphic(incl.source, reps2["S2"])
     assert [i for i, _, _ in ctx2.invariant_subreps(P1, (0, 1))] == [incl]
 
 
 def test_middle_term_ses_is_exact(ctx2, reps2):
     E, incl, proj = ctx2.middle_term_ses(reps2["S1"], reps2["S2"], [1])
-    assert incl.is_valid() and proj.is_valid()
-    assert incl.is_injective() and proj.is_surjective()
-    assert proj.compose(incl).is_zero()
+    assert is_valid(incl) and is_valid(proj)
+    assert is_injective(incl) and is_surjective(proj)
+    assert is_zero(proj.compose(incl))
 
 
 def test_commuting_square_invariant_on_all_outputs(ctx2, reps2):
     for a in ("S1", "SS", "P1"):
         for b in ("S1", "SS", "P1"):
             for mor in ctx2.hom_basis(reps2[a], reps2[b]):
-                assert mor.is_valid()
+                assert is_valid(mor)
             for mor in ctx2.iso_set(reps2[a], reps2[b]):
-                assert mor.is_valid() and is_invertible(mor)
+                assert is_valid(mor) and is_invertible(mor)
 
 
 def test_invariant_subreps_consistency(ctx2, reps2):
@@ -391,17 +392,17 @@ def test_invariant_subreps_consistency(ctx2, reps2):
     subs = ctx2.invariant_subreps(E, (0, 1))
     assert len(subs) == 1
     incl, Q, proj = subs[0]
-    assert incl.is_valid() and incl.is_injective()
-    assert proj.is_valid() and proj.is_surjective()
-    assert proj.compose(incl).is_zero()
+    assert is_valid(incl) and is_injective(incl)
+    assert is_valid(proj) and is_surjective(proj)
+    assert is_zero(proj.compose(incl))
     # no invariant subrep of P1 has dimension (1, 0)
     assert ctx2.invariant_subreps(E, (1, 0)) == []
 
 
-def test_quotient_coordinates_are_the_greedy_complement(a3_source):
+def test_quotient_coordinates_are_the_pivot_row_complement(a3_source):
     """Per vertex, the projection to E/U sends the basis B of U to 0 and the
-    greedy complement C to the identity, and each arrow acts on E/U as
-    proj_t E_a C_s."""
+    complement C, the standard vectors off the pivot rows of B, to the
+    identity, and each arrow acts on E/U as proj_t E_a C_s."""
     ctx = RepCategory(a3_source, 3)
     f = ctx.field
     seen = 0
@@ -411,7 +412,7 @@ def test_quotient_coordinates_are_the_greedy_complement(a3_source):
             for incl, Q, proj in ctx.invariant_subreps(E, sub_dim):
                 C = []
                 for B, P in zip(incl.vertex_maps, proj.vertex_maps):
-                    picked = complement_columns(B)
+                    picked = pivot_row_complement(B)
                     C.append(Matrix(f, [[int(i == j) for j in picked] for i in range(B.rows)],
                                     B.rows, len(picked)))
                     assert P * B == Matrix.zero(f, P.rows, B.cols)
@@ -476,9 +477,10 @@ D4 = Quiver(4, [(0, 1), (0, 2), (0, 3)], name="d4")
                                     ("sink", 2), ("sink", 3), ("d4", 2)])
 def test_enumerators_match_matrix_routes(request, name, p):
     """classify and invariant_subreps against the Matrix-tuple orbit walk and
-    the solve-per-arrow subrep walk: the same classes in the same order with
-    the same reps, orbit sizes and |Aut|, and the same (inclusion, E/U,
-    projection) lists in the same order, on every class up to dim 3."""
+    the solve-per-arrow subrep walk on pivot-row complements: the same
+    classes in the same order with the same reps, orbit sizes and |Aut|, and
+    the same (inclusion, E/U, projection) lists in the same order, on every
+    class up to dim 3."""
     quiver = {"sink": SINK_A3, "d4": D4}.get(name) or request.getfixturevalue(name)
     ctx = RepCategory(quiver, p)
     subreps = 0
@@ -498,10 +500,10 @@ def test_enumerators_match_matrix_routes(request, name, p):
     assert subreps > 50
 
 
-def census_by_solve(ctx, E, sub_dim):
+def census_by_solve(ctx, E, sub_dim, complement=pivot_row_complement):
     """The census of E at sub_dim tallied off the solve-per-arrow subrep walk."""
     return dict(Counter((ctx.class_of(Q).index, ctx.class_of(incl.source).index)
-                        for incl, Q, _ in invariant_subreps_by_solve(ctx, E, sub_dim)))
+                        for incl, Q, _ in invariant_subreps_by_solve(ctx, E, sub_dim, complement)))
 
 
 @pytest.mark.parametrize("name,p", [("a2", 2), ("a2", 3), ("a3_source", 2), ("a3_source", 3),
@@ -519,6 +521,45 @@ def test_census_matches_solve_oracle(request, name, p):
             assert census == census_by_solve(ctx, cls.rep, sub_dim), (cls.label, sub_dim)
             seen += sum(census.values())
     assert seen > 50
+
+
+@pytest.mark.parametrize("name,p", [("a2", 2), ("a2", 3), ("a3_source", 2), ("a3_source", 3),
+                                    ("d4", 2), ("d4", 3)])
+def test_census_matches_greedy_completion_oracle(request, name, p):
+    """Census counts do not depend on the complement: every census up to dim 3
+    equals the tally of the solve-per-arrow walk whose quotients are read off
+    the greedy complement of Matrix.completion(), for every sub-dimension."""
+    quiver = {"d4": D4}.get(name) or request.getfixturevalue(name)
+    ctx = RepCategory(quiver, p)
+    seen = 0
+    for cls in ctx.classes_up_to(3):
+        for sub_dim in product(*(range(d + 1) for d in cls.dim)):
+            census = ctx.census(cls, sub_dim)
+            assert census == census_by_solve(ctx, cls.rep, sub_dim, complement_columns), \
+                (cls.label, sub_dim)
+            seen += sum(census.values())
+    assert seen > 50
+
+
+def test_census_walks_compute_no_rref(a3_source, monkeypatch):
+    """Once the classes are classified, census walks and invariant_subreps
+    over every class up to dim 4 call Matrix.rref 0 times: frames come in
+    closed form and blocks are row picks and products."""
+    ctx = RepCategory(a3_source, 3)
+    todo = [(cls, sub_dim) for cls in ctx.classes_up_to(4)
+            for sub_dim in product(*(range(d + 1) for d in cls.dim))]
+    calls = Counter()
+    rref = Matrix.rref
+
+    def counted_rref(self):
+        calls["rref"] += 1
+        return rref(self)
+    monkeypatch.setattr(Matrix, "rref", counted_rref)
+    assert sum(sum(ctx.census(cls, sub_dim).values()) for cls, sub_dim in todo) > 1000
+    assert sum(len(ctx.invariant_subreps(cls.rep, sub_dim)) for cls, sub_dim in todo) > 1000
+    assert ctx._subspace_frames and not calls
+    ctx.class_by_label("d2.2.2#0")
+    assert calls["rref"] > 0          # classify still inverts its generators
 
 
 KRONECKER = Quiver(2, [(0, 1), (0, 1)], name="kronecker")
