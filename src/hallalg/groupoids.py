@@ -59,9 +59,6 @@ class ConcreteGroupoid:
     def n_morphisms(self):
         return len(self.mor_src)
 
-    def morphism_index(self, label):
-        return self._mor_index[label]
-
     def compose(self, g, f):
         """Index of g after f; requires tgt(f) == src(g)."""
         if self.mor_tgt[f] != self.mor_src[g]:
@@ -233,31 +230,6 @@ def _validate_group_table(mul_table):
                 if mul_table[mul_table[a][b]][c] != mul_table[a][mul_table[b][c]]:
                     raise GroupoidFormatError("multiplication table is not associative")
     return e, inv
-
-
-def action_groupoid(set_size, mul_table, action):
-    """Weak quotient X // G: objects are set elements, morphisms are (g, x).
-
-    action[g][x] is the image of x under g; the table is checked to be a
-    genuine group action before anything is built.
-    """
-    k = len(mul_table)
-    e, inv = _validate_group_table(mul_table)
-    if len(action) != k or any(len(row) != set_size for row in action):
-        raise GroupoidFormatError("action table shape mismatch")
-    for x in range(set_size):
-        if action[e][x] != x:
-            raise GroupoidFormatError("identity does not act trivially")
-    for g in range(k):
-        for h in range(k):
-            for x in range(set_size):
-                if action[mul_table[g][h]][x] != action[g][action[h][x]]:
-                    raise GroupoidFormatError("action is not compatible with multiplication")
-    morphisms = [(x, action[g][x], (g, x)) for g in range(k) for x in range(set_size)]
-    return ConcreteGroupoid(list(range(set_size)), morphisms,
-                            identity=[(e, x) for x in range(set_size)],
-                            inverse=lambda m: (inv[m[0]], action[m[0]][m[1]]),
-                            compose=lambda g, f: (mul_table[g[0]][f[0]], f[1]))
 
 
 def product_groupoid(G, H):

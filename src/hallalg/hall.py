@@ -260,12 +260,6 @@ class HallAlgebra:
                 for ln, p in subs.items()}
         return out
 
-    def coproduct(self, x):
-        """Delta(x) with exact coefficients: each basis coproduct over |G_e|."""
-        return HallVector.combine(
-            (self.coproduct_basis(le), Fraction(ce, self.grade_order(self.grade(le))))
-            for le, ce in x.coeffs.items())
-
     # ---- braiding -------------------------------------------------------------
 
     def braid(self, t):

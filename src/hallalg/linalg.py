@@ -145,10 +145,6 @@ class Matrix:
                           self.rows, hi - lo)
 
     @classmethod
-    def zero(cls, field, rows, cols):
-        return cls._of(field, ((field.zero,) * cols,) * rows, rows, cols)
-
-    @classmethod
     def identity(cls, field, n):
         z = (field.zero,)
         return cls._of(field, tuple(z * i + (field.one,) + z * (n - 1 - i) for i in range(n)),
@@ -167,9 +163,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.entries})"
 
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
     def is_zero(self):
         z = self.field.zero
         return all(e == z for row in self.entries for e in row)
@@ -177,14 +170,6 @@ class Matrix:
     def transpose(self):
         entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
         return Matrix._of(self.field, entries, self.cols, self.rows)
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in +")
-        p = self.field.p
-        return Matrix._of(self.field, tuple(
-            tuple((a + b) % p for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)), self.rows, self.cols)
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -268,30 +253,9 @@ class Matrix:
             basis.append(tuple(v))
         return basis
 
-    def solve(self, rhs):
-        """One solution x of self * x = rhs, or None if rhs is outside the image.
-
-        rhs may be a tuple/list (length rows) or a rows x 1 Matrix.
-        Deterministic: free variables are set to zero.
-        """
-        f = self.field
-        if isinstance(rhs, Matrix):
-            rhs = tuple(row[0] for row in rhs.entries)
-        if len(rhs) != self.rows:
-            raise ValueError("rhs length mismatch")
-        aug = Matrix._of(f, tuple(row + (rhs[i],) for i, row in enumerate(self.entries)),
-                         self.rows, self.cols + 1)
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [f.zero] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.entries[r][self.cols]
-        return tuple(x)
-
     def solve_matrix(self, rhs):
-        """One solution X of self * X = rhs, free variables zero as in solve(), by one
-        rref of [self | rhs]; None if a pivot lies past self's columns."""
+        """One solution X of self * X = rhs, free variables zero, by one rref of
+        [self | rhs]; None if a pivot lies past self's columns."""
         if rhs.rows != self.rows:
             raise ValueError("rhs row count mismatch")
         n, z = self.cols, (self.field.zero,)
@@ -305,32 +269,6 @@ class Matrix:
         for r, pc in enumerate(pivots):
             rows[pc] = red.entries[r][n:]
         return Matrix._of(self.field, tuple(rows), n, rhs.cols)
-
-    def completion(self):
-        """Complete the column span of this n x k matrix B to F_p^n, by one rref.
-
-        Returns (picked, inverse).  picked lists the j whose standard vectors
-        e_j complete B greedily in index order: the pivot columns of
-        rref([B | I_n]) past k.  inverse is the right n x n half of that
-        rref; it equals [B' | C]^-1, where B' is the pivot columns of B and
-        C the picked e_j, because the pivot columns of an RREF read
-        e_1, ..., e_n in order.  For B of full column rank, B' = B.
-        """
-        f, z = self.field, (self.field.zero,)
-        n, k = self.rows, self.cols
-        aug = Matrix._of(f, tuple(row + z * i + (f.one,) + z * (n - 1 - i)
-                                  for i, row in enumerate(self.entries)), n, k + n)
-        red, pivots = aug.rref()
-        return tuple(c - k for c in pivots if c >= k), \
-            Matrix._of(f, tuple(row[k:] for row in red.entries), n, n)
-
-    def inverse(self):
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        picked, inv = self.completion()
-        if picked:
-            raise ValueError("matrix is singular")
-        return inv
 
     def apply(self, vec):
         """Apply to a coordinate vector (tuple), returning a tuple."""
@@ -359,18 +297,6 @@ def unflatten(field, flat, shapes):
                                            for i in range(r)), r, c))
         pos += r * c
     return tuple(out)
-
-
-def enumerate_matrices(rows, cols, p, budget=DEFAULT_BUDGET):
-    """Yield every rows x cols matrix over F_p exactly once.
-
-    Order is lexicographic on the row-major entry tuple, so the zero
-    matrix always comes first and runs are reproducible.
-    """
-    field = PrimeField(p)
-    check_budget(f"matrix enumeration {rows}x{cols} over F_{p}", p ** (rows * cols), budget)
-    for flat in enumerate_vectors(field, rows * cols):
-        yield unflatten(field, flat, ((rows, cols),))[0]
 
 
 def enumerate_vectors(field, n):
@@ -430,30 +356,24 @@ def gl_order(d, q):
 
 
 def gl_generators(field, d):
-    """A generating set for GL_d(F_p): transvections plus one diagonal unit.
+    """Generators of GL_d(F_p) with their inverses, as (g, g^-1) pairs: the
+    transvections I + E_rs (r != s), inverted by I - E_rs, and for p > 2 one
+    diag(a, 1, ..., 1) with a primitive root a, inverted by diag(a^(p-2), 1,
+    ..., 1).  The inverses are read off in closed form, with no row reduction."""
+    p, gens = field.p, []
 
-    Inverses are not needed by callers that close orbits under repeated
-    application, since every element of a finite group has finite order.
-    """
-    gens = []
-    if d == 0:
-        return gens
-    p = field.p
+    def with_entry(r, s, x):
+        """The identity with entry (r, s) set to x."""
+        return Matrix._of(field, tuple(tuple(x if (i, j) == (r, s) else int(i == j)
+                                             for j in range(d)) for i in range(d)), d, d)
     for r in range(d):
         for s in range(d):
-            if r == s:
-                continue
-            m = [[field.one if i == j else field.zero for j in range(d)]
-                 for i in range(d)]
-            m[r][s] = field.one
-            gens.append(Matrix._of(field, tuple(map(tuple, m)), d, d))
-    # any generator of F_p^* as the (0,0) entry covers the non-unit determinants
-    if p > 2:
-        g = primitive_root(p)
-        m = [[field.one if i == j else field.zero for j in range(d)]
-             for i in range(d)]
-        m[0][0] = g
-        gens.append(Matrix._of(field, tuple(map(tuple, m)), d, d))
+            if r != s:
+                gens.append((with_entry(r, s, 1), with_entry(r, s, p - 1)))
+    # a generator of F_p^* in the (0, 0) entry covers the non-unit determinants
+    if d and p > 2:
+        a = primitive_root(p)
+        gens.append((with_entry(0, 0, a), with_entry(0, 0, pow(a, p - 2, p))))
     return gens
 
 
@@ -482,22 +402,31 @@ def gaussian_binomial(n, k, q):
     return num // den
 
 
-def _pivot_frame(B, pivots, canon):
-    """The frame (B, pivots, rest, proj) of the basis B of a subspace whose
-    canonical basis B B_pivots^-1 has the rows canon.  The complement is e_rest,
-    rest the rows off pivots, and proj, the rows of [B | e_rest]^-1 past k,
-    reads x_c - canon_c x_pivots for c in rest: the projection onto the
-    quotient coordinates, one matrix shared by every object built on B."""
-    n, p = B.rows, B.field.p
+def projection_rows(n, pivots, canon, p):
+    """(rest, rows) for a subspace of F_p^n with pivot coordinates pivots and
+    canonical basis rows canon (its basis B B_pivots^-1, row c = canon[c]):
+    rest the coordinates off pivots, and per c in rest the row e_c -
+    sum_r canon[c][r] e_{pivots_r}.  These rows read x_c - canon_c x_pivots,
+    the coordinates of x along the complement e_rest modulo the subspace: the
+    one quotient rule of subspace frames and of Ext^1 reductions."""
     rest = tuple(c for c in range(n) if c not in pivots)
-    proj = []
+    rows = []
     for c in rest:
         row = [0] * n
         row[c] = 1
         for pc, x in zip(pivots, canon[c]):
             row[pc] = -x % p
-        proj.append(tuple(row))
-    return B, pivots, rest, Matrix._of(B.field, tuple(proj), len(rest), n)
+        rows.append(tuple(row))
+    return rest, tuple(rows)
+
+
+def _pivot_frame(B, pivots, canon):
+    """The frame (B, pivots, rest, proj) of the basis B of a subspace whose
+    canonical basis B B_pivots^-1 has the rows canon: the complement is e_rest
+    and proj, the rows of [B | e_rest]^-1 past k, is the projection_rows
+    matrix, one matrix shared by every object built on B."""
+    rest, rows = projection_rows(B.rows, pivots, canon, B.field.p)
+    return B, pivots, rest, Matrix._of(B.field, rows, len(rest), B.rows)
 
 
 def subspace_frames(field, n, k, budget=DEFAULT_BUDGET):

@@ -10,6 +10,7 @@ and budget-gated, so class labels are stable across runs.
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import prod
@@ -28,6 +29,7 @@ from .linalg import (
     gaussian_binomial,
     gl_generators,
     gl_order,
+    projection_rows,
     span_points,
     subspace_frames,
     unflatten,
@@ -47,7 +49,7 @@ class Quiver:
         self.name = name or f"Q{vertex_count}v{len(arrows)}a"
         if not self._is_acyclic():
             raise ValueError("quiver has a directed cycle")
-        self.is_dynkin = self._is_simply_laced_dynkin()
+        self.is_dynkin = self._is_dynkin()
 
     def _is_acyclic(self):
         indeg = [0] * self.n
@@ -65,54 +67,27 @@ class Quiver:
                         stack.append(t)
         return seen == self.n
 
-    def _is_simply_laced_dynkin(self):
-        # underlying undirected graph must be a connected tree of type A/D/E;
-        # a repeated edge (Kronecker-style) or loop disqualifies immediately
-        if self.n == 0:
-            return False
-        edges = set()
-        for s, t in self.arrows:
-            if s == t or (min(s, t), max(s, t)) in edges:
-                return False
-            edges.add((min(s, t), max(s, t)))
-        if len(edges) != self.n - 1:
-            return False
-        adj = {v: set() for v in range(self.n)}
-        for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
+    def _is_dynkin(self):
+        """Gabriel: Q is of type A, D or E exactly when it is connected and its
+        symmetrised Euler form (x, y) = <x, y> + <y, x> is positive definite,
+        tested by exact elimination with every pivot positive."""
+        n, arrows = self.n, self.arrows
         seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != self.n:
+        for _ in range(n):      # every vertex is within n - 1 steps of 0
+            seen |= {w for s, t in arrows for v, w in ((s, t), (t, s)) if v in seen}
+        if n == 0 or len(seen) != n:
             return False
-        degs = sorted(len(adj[v]) for v in range(self.n))
-        if degs and degs[-1] <= 2:
-            return True  # type A path
-        branch = [v for v in range(self.n) if len(adj[v]) >= 3]
-        if len(branch) != 1 or len(adj[branch[0]]) != 3:
-            return False
-        # arm lengths from the unique branch vertex, in vertices
-        center = branch[0]
-        arms = []
-        for w in adj[center]:
-            length = 1
-            prev, cur = center, w
-            while len(adj[cur]) == 2:
-                nxt = next(x for x in adj[cur] if x != prev)
-                prev, cur = cur, nxt
-                length += 1
-            arms.append(length)
-        p, q, r = sorted(arms)
-        return p == 1 and (q == 1 or (q == 2 and r in (2, 3, 4)))
-
-    def to_json_dict(self):
-        return {"vertices": self.n, "arrows": [list(a) for a in self.arrows]}
+        form = [[Fraction(2 * (i == j)) for j in range(n)] for i in range(n)]
+        for s, t in arrows:
+            form[s][t] -= 1
+            form[t][s] -= 1
+        for k in range(n):
+            if form[k][k] <= 0:
+                return False
+            for i in range(k + 1, n):
+                c = form[i][k] / form[k][k]
+                form[i] = [x - c * y for x, y in zip(form[i], form[k])]
+        return True
 
     @classmethod
     def from_json_dict(cls, doc, name=""):
@@ -181,18 +156,6 @@ class Representation:
         rep._hash = None
         rep._flat = None
         return rep
-
-    @classmethod
-    def zero(cls, quiver, field):
-        dim = (0,) * quiver.n
-        maps = [Matrix.zero(field, 0, 0) for _ in quiver.arrows]
-        return cls(quiver, field, dim, maps)
-
-    @classmethod
-    def simple(cls, quiver, field, vertex):
-        dim = tuple(1 if v == vertex else 0 for v in range(quiver.n))
-        maps = [Matrix.zero(field, dim[t], dim[s]) for s, t in quiver.arrows]
-        return cls(quiver, field, dim, maps)
 
     def total_dim(self):
         return sum(self.dim)
@@ -344,8 +307,7 @@ class RepCategory:
         ident = Matrix.identity(f, sum(r * c for r, c in shapes)).entries
         actions = []
         for v in range(self.quiver.n):
-            for g in gl_generators(f, dim[v]):
-                ginv = g.inverse()
+            for g, ginv in gl_generators(f, dim[v]):
                 cols = [flatten(g * m if t == v else m * ginv if s == v else m
                                 for (s, t), m in zip(arrows, unflatten(f, e, shapes)))
                         for e in ident]
@@ -487,11 +449,6 @@ class RepCategory:
 
     def hom_dim(self, M, N):
         return len(self.hom_basis(M, N))
-
-    def ext1_dim(self, M, N):
-        self._same_quiver(M, N)
-        phi, _, cod_blocks = self._presentation_matrix(M, N)
-        return sum(r * c for r, c in cod_blocks) - phi.rank()
 
     def euler_form(self, m, n):
         """<m, n> = sum_v m_v n_v - sum_{a: s->t} m_s n_t."""
@@ -690,30 +647,34 @@ class RepCategory:
     def _ext_complement(self, M, N):
         """(complement, reduction) in the cocycle space, cached per (M, N).
 
-        complement: the j whose standard vectors complete the coboundaries
-        greedily.  reduction: the cocycle-space matrix sending a cocycle to
-        its representative in the span of those e_j.  With B' the r pivot
-        columns of the presentation matrix (a basis of the coboundaries),
-        its row j_i is row r + i of [B' | C]^-1 and every other row is zero.
+        The coboundaries are the image of the presentation matrix phi; one
+        rref of phi^T gives their canonical basis and its pivot coordinates.
+        complement: the coordinates off those pivots, whose standard vectors
+        complete the coboundaries.  reduction: the cocycle-space matrix
+        sending a cocycle to its representative in the span of those e_j,
+        the projection_rows of the coboundaries at the complement rows and
+        zero at the pivot rows; the subspace frames use the same rows.
         """
         key = ("extc", M, N)
         if key in self._hom_cache:
             return self._hom_cache[key]
         phi, _, _ = self._presentation_matrix(M, N)
-        comp, inv = phi.completion()
-        r = phi.rows - len(comp)
-        rows = [(self.field.zero,) * phi.rows] * phi.rows
-        for i, j in enumerate(comp):
-            rows[j] = inv.entries[r + i]
-        self._hom_cache[key] = comp, Matrix._of(self.field, tuple(rows), phi.rows, phi.rows)
+        n = phi.rows
+        red, pivots = phi.transpose().rref()
+        canon = tuple(zip(*red.entries[:len(pivots)])) or ((),) * n
+        comp, proj = projection_rows(n, pivots, canon, self.q)
+        rows = [(0,) * n] * n
+        for c, row in zip(comp, proj):
+            rows[c] = row
+        self._hom_cache[key] = comp, Matrix._of(self.field, tuple(rows), n, n)
         return self._hom_cache[key]
 
     def ext_class_reps(self, M, N):
         """Canonical coset representatives of Ext^1(M, N) as cocycle vectors.
 
         The coboundaries are the image of the presentation matrix; the span
-        of a greedy standard-vector complement holds one representative per
-        class.
+        of the standard vectors off their pivot coordinates (_ext_complement)
+        holds one representative per class.
         """
         comp, reduction = self._ext_complement(M, N)
         units = Matrix.identity(self.field, reduction.rows).entries

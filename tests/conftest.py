@@ -3,6 +3,7 @@ import pytest
 from hallalg.quiver import Quiver, RepCategory, Representation
 from hallalg.hall import HallAlgebra
 from hallalg.linalg import Matrix
+from oracles import simple_rep, zero_rep
 
 
 @pytest.fixture(scope="session")
@@ -47,7 +48,7 @@ def hall3(ctx3):
 
 def simples(ctx):
     q = ctx.quiver
-    return [Representation.simple(q, ctx.field, v) for v in range(q.n)]
+    return [simple_rep(q, ctx.field, v) for v in range(q.n)]
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +57,7 @@ def reps2(ctx2):
     S1, S2 = simples(ctx2)
     P1 = Representation(ctx2.quiver, ctx2.field, (1, 1), [Matrix(ctx2.field, [[1]])])
     return {"S1": S1, "S2": S2, "SS": S1.direct_sum(S2), "P1": P1,
-            "zero": Representation.zero(ctx2.quiver, ctx2.field)}
+            "zero": zero_rep(ctx2.quiver, ctx2.field)}
 
 
 @pytest.fixture(scope="session")
@@ -64,4 +65,4 @@ def reps3(ctx3):
     S1, S2 = simples(ctx3)
     P1 = Representation(ctx3.quiver, ctx3.field, (1, 1), [Matrix(ctx3.field, [[1]])])
     return {"S1": S1, "S2": S2, "SS": S1.direct_sum(S2), "P1": P1,
-            "zero": Representation.zero(ctx3.quiver, ctx3.field)}
+            "zero": zero_rep(ctx3.quiver, ctx3.field)}

@@ -73,5 +73,26 @@ def frame_low_term_dropped():
         yield
 
 
+def drop_ext_low_terms(comp, reduction):
+    """An Ext^1 reduction whose complement rows read x_c alone, not
+    x_c - canon_c x_pivots: coboundaries are no longer sent to 0."""
+    n = reduction.rows
+    units = [[int(i == c) if c in comp else 0 for i in range(n)] for c in range(n)]
+    return comp, Matrix(reduction.field, units, n, n)
+
+
+@contextmanager
+def ext_low_term_dropped():
+    """RepCategory._ext_complement with drop_ext_low_terms applied."""
+    ext_complement = RepCategory._ext_complement
+
+    def dropped(self, M, N):
+        return drop_ext_low_terms(*ext_complement(self, M, N))
+
+    with mock.patch.object(RepCategory, "_ext_complement", dropped):
+        yield
+
+
 MUTANTS = {"coproduct_doubled": coproduct_doubled, "glue_sign_dropped": glue_sign_dropped,
-           "frame_low_term_dropped": frame_low_term_dropped}
+           "frame_low_term_dropped": frame_low_term_dropped,
+           "ext_low_term_dropped": ext_low_term_dropped}

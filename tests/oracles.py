@@ -9,8 +9,10 @@ The *_by_solve splittings and gluings build their induced maps by linear
 solves through block inclusions and projections, where the library slices
 maps and reads them off subspace frames.  Library API that only the tests
 call lives here too: the morphism predicates, quotient_with_projection,
-the entry-by-entry subspace walk, and the finite-sets groupoid and span
-JSON exporters at the end.
+the entry-by-entry subspace and matrix walks, zero and simple
+representations, dim Ext^1, and at the end the finite-sets and action
+groupoids, the JSON exporters, the exact-coefficient coproduct and the
+shape-based Dynkin classifier that the Tits-form test replaced.
 """
 
 from fractions import Fraction
@@ -18,12 +20,52 @@ from itertools import combinations, permutations, product
 from math import prod
 
 from hallalg.cathall import SESObject
-from hallalg.groupoids import ConcreteGroupoid, groupoid_to_json
+from hallalg.groupoids import (ConcreteGroupoid, GroupoidFormatError, _validate_group_table,
+                               groupoid_to_json)
 from hallalg.hall import HallVector
-from hallalg.linalg import (DEFAULT_BUDGET, Matrix, check_budget, enumerate_matrices,
-                            enumerate_vectors, gaussian_binomial, gl_generators, gl_order)
+from hallalg.linalg import (DEFAULT_BUDGET, Matrix, PrimeField, check_budget, enumerate_vectors,
+                            flatten, gaussian_binomial, gl_generators, gl_order, unflatten)
 from hallalg.quiver import (Representation, RepMorphism, block_inclusion, block_projection,
                             dim_add)
+
+
+def zero_matrix(field, rows, cols):
+    return Matrix(field, [[0] * cols] * rows, rows, cols)
+
+
+def matrix_inverse(m):
+    """The inverse of a square matrix, solve_matrix(I); None when singular."""
+    return m.solve_matrix(Matrix.identity(m.field, m.rows))
+
+
+def enumerate_matrices(rows, cols, p, budget=DEFAULT_BUDGET):
+    """Yield every rows x cols matrix over F_p exactly once.
+
+    Order is lexicographic on the row-major entry tuple, so the zero
+    matrix always comes first and runs are reproducible.
+    """
+    field = PrimeField(p)
+    check_budget(f"matrix enumeration {rows}x{cols} over F_{p}", p ** (rows * cols), budget)
+    for flat in enumerate_vectors(field, rows * cols):
+        yield unflatten(field, flat, ((rows, cols),))[0]
+
+
+def zero_rep(quiver, field):
+    return Representation(quiver, field, (0,) * quiver.n,
+                          [zero_matrix(field, 0, 0) for _ in quiver.arrows])
+
+
+def simple_rep(quiver, field, vertex):
+    dim = tuple(int(v == vertex) for v in range(quiver.n))
+    return Representation(quiver, field, dim,
+                          [zero_matrix(field, dim[t], dim[s]) for s, t in quiver.arrows])
+
+
+def ext1_dim(ctx, M, N):
+    """dim Ext^1(M, N): the cocycle dimension minus the rank of the
+    presentation matrix."""
+    phi = ctx._presentation_matrix(M, N)[0]
+    return phi.rows - phi.rank()
 
 
 def is_invertible(mor):
@@ -52,7 +94,7 @@ def is_zero(mor):
 
 def inverse(mor):
     """The inverse of an isomorphism, vertex map by vertex map."""
-    return RepMorphism(mor.target, mor.source, [m.inverse() for m in mor.vertex_maps])
+    return RepMorphism(mor.target, mor.source, [matrix_inverse(m) for m in mor.vertex_maps])
 
 
 def quotient_with_projection(ctx, E, f_mor):
@@ -82,15 +124,13 @@ def span_elements(ctx, basis, src, tgt):
     """Every combination of basis (morphisms src -> tgt), in coefficient order."""
     k = len(basis)
     check_budget(f"Hom-space span enumeration dim {k}", ctx.q ** k, ctx.budget)
+    flats = [flatten(b.vertex_maps) for b in basis]
+    shapes = [(t, s) for s, t in zip(src.dim, tgt.dim)]
     out = []
     for coeffs in enumerate_vectors(ctx.field, k):
-        maps = [Matrix.zero(ctx.field, tgt.dim[v], src.dim[v])
-                for v in range(ctx.quiver.n)]
-        for c, b in zip(coeffs, basis):
-            if c == 0:
-                continue
-            maps = [m + bm.scale(c) for m, bm in zip(maps, b.vertex_maps)]
-        out.append(RepMorphism(src, tgt, maps))
+        flat = [sum(c * b[i] for c, b in zip(coeffs, flats)) % ctx.q
+                for i in range(sum(s * t for s, t in shapes))]
+        out.append(RepMorphism(src, tgt, unflatten(ctx.field, tuple(flat), shapes)))
     return out
 
 
@@ -230,22 +270,29 @@ def complement_columns(B):
     return tuple(picked)
 
 
-def reduce_cocycle_by_solve(ctx, M, N, vec):
+def pivot_row_complement(B):
+    """The j off the pivot rows of B, the pivot columns of rref(B^T): the
+    standard vectors e_j complete the columns of B to a basis."""
+    pivots = B.transpose().rref()[1]
+    return tuple(j for j in range(B.rows) if j not in pivots)
+
+
+def reduce_cocycle_by_solve(ctx, M, N, vec, complement=pivot_row_complement):
     """vec modulo coboundaries by one linear solve: write vec in the basis
-    (reduced coboundary rows, greedy standard-vector complement) and keep
-    the complement part."""
+    (reduced coboundary rows B, standard vectors e_j for j in complement(B))
+    and keep the complement part.  The complement is the pivot-row rule of
+    the library by default; complement_columns gives the greedy one."""
     f = ctx.field
     phi, _, _ = ctx._presentation_matrix(M, N)
     n = phi.rows
     red, pivots = phi.transpose().rref()
     image_basis = list(red.entries[:len(pivots)])
-    comp = complement_columns(Matrix(f, image_basis, len(image_basis), n).transpose())
-    cols = image_basis + [tuple(f.one if i == j else f.zero for i in range(n))
-                          for j in comp]
+    comp = complement(Matrix(f, image_basis, len(image_basis), n).transpose())
+    cols = image_basis + [tuple(int(i == j) for i in range(n)) for j in comp]
     if not cols:
         return tuple(vec)
     A = Matrix(f, [[c[i] for c in cols] for i in range(n)], n, n)
-    sol = A.solve(tuple(vec))
+    sol = A.solve_matrix(Matrix(f, [[x] for x in vec], n, 1)).transpose().entries[0]
     out = [f.zero] * n
     for idx, j in enumerate(comp):
         out[j] = sol[len(image_basis) + idx]
@@ -259,8 +306,8 @@ def classify_by_matrix_orbits(ctx, dim):
     visited in the order of the product of per-arrow matrix enumerations."""
     arrows = ctx.quiver.arrows
     per_arrow = [list(enumerate_matrices(dim[t], dim[s], ctx.q)) for s, t in arrows]
-    gens = [(v, g, g.inverse()) for v in range(ctx.quiver.n)
-            for g in gl_generators(ctx.field, dim[v])]
+    gens = [(v, g, ginv) for v in range(ctx.quiver.n)
+            for g, ginv in gl_generators(ctx.field, dim[v])]
     group = prod(gl_order(d, ctx.q) for d in dim)
     visited, out = set(), []
     for tup in product(*per_arrow):
@@ -285,13 +332,6 @@ def classify_by_matrix_orbits(ctx, dim):
         out.append((Representation(ctx.quiver, ctx.field, dim, tup), len(orbit),
                     group // len(orbit)))
     return out
-
-
-def pivot_row_complement(B):
-    """The j off the pivot rows of B, the pivot columns of rref(B^T): the
-    standard vectors e_j complete the columns of B to a basis."""
-    pivots = B.transpose().rref()[1]
-    return tuple(j for j in range(B.rows) if j not in pivots)
 
 
 def frame_matrices(frame):
@@ -327,7 +367,7 @@ def invariant_subreps_by_solve(ctx, E, sub_dim, complement=pivot_row_complement)
             P = Matrix(f, [row + tuple(int(i == j) for j in cols)
                            for i, row in enumerate(B.entries)], B.rows, B.rows)
             picked.append(cols)
-            proj.append(Matrix(f, P.inverse().entries[B.cols:], len(cols), B.rows))
+            proj.append(Matrix(f, matrix_inverse(P).entries[B.cols:], len(cols), B.rows))
         qmaps = [proj[t] * Matrix(f, [[row[j] for j in picked[s]] for row in ea.entries],
                                   E.dim[t], len(picked[s]))
                  for (s, t), ea in zip(ctx.quiver.arrows, E.edge_maps)]
@@ -602,3 +642,88 @@ def span_to_json(span):
         "left": functor_to_json(span.left),
         "right": functor_to_json(span.right),
     }
+
+
+def quiver_to_json_dict(quiver):
+    return {"vertices": quiver.n, "arrows": [list(a) for a in quiver.arrows]}
+
+
+def morphism_index(G, label):
+    """The index of the morphism of a ConcreteGroupoid with the given label."""
+    return G._mor_index[label]
+
+
+def action_groupoid(set_size, mul_table, action):
+    """Weak quotient X // G: objects are set elements, morphisms are (g, x).
+
+    action[g][x] is the image of x under g; the table is checked to be a
+    genuine group action before anything is built.
+    """
+    k = len(mul_table)
+    e, inv = _validate_group_table(mul_table)
+    if len(action) != k or any(len(row) != set_size for row in action):
+        raise GroupoidFormatError("action table shape mismatch")
+    for x in range(set_size):
+        if action[e][x] != x:
+            raise GroupoidFormatError("identity does not act trivially")
+    for g in range(k):
+        for h in range(k):
+            for x in range(set_size):
+                if action[mul_table[g][h]][x] != action[g][action[h][x]]:
+                    raise GroupoidFormatError("action is not compatible with multiplication")
+    morphisms = [(x, action[g][x], (g, x)) for g in range(k) for x in range(set_size)]
+    return ConcreteGroupoid(list(range(set_size)), morphisms,
+                            identity=[(e, x) for x in range(set_size)],
+                            inverse=lambda m: (inv[m[0]], action[m[0]][m[1]]),
+                            compose=lambda g, f: (mul_table[g[0]][f[0]], f[1]))
+
+
+def coproduct(hall, x):
+    """Delta(x) with exact coefficients: each basis coproduct over |G_e|."""
+    return HallVector.combine(
+        (hall.coproduct_basis(le), Fraction(ce, hall.grade_order(hall.grade(le))))
+        for le, ce in x.coeffs.items())
+
+
+def is_simply_laced_dynkin(quiver):
+    """Whether the underlying graph is a connected tree of type A, D or E,
+    read off its shape: no repeated edge, n - 1 edges, connected, and either
+    a path or one branch vertex of degree 3 with arms (1, 1, r) or
+    (1, 2, 2..4) in vertices."""
+    n = quiver.n
+    if n == 0:
+        return False
+    edges = set()
+    for s, t in quiver.arrows:
+        if s == t or (min(s, t), max(s, t)) in edges:
+            return False
+        edges.add((min(s, t), max(s, t)))
+    if len(edges) != n - 1:
+        return False
+    adj = {v: set() for v in range(n)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != n:
+        return False
+    if max(len(adj[v]) for v in range(n)) <= 2:
+        return True  # type A path
+    branch = [v for v in range(n) if len(adj[v]) >= 3]
+    if len(branch) != 1 or len(adj[branch[0]]) != 3:
+        return False
+    center, arms = branch[0], []
+    for w in adj[center]:
+        length, prev, cur = 1, center, w
+        while len(adj[cur]) == 2:
+            prev, cur = cur, next(x for x in adj[cur] if x != prev)
+            length += 1
+        arms.append(length)
+    p, q, r = sorted(arms)
+    return p == 1 and (q == 1 or (q == 2 and r in (2, 3, 4)))

@@ -14,13 +14,13 @@ from hallalg.cathall import (BraidingSpan, COHERENCE_NAMES, ExtGroupoid,
                              mult_matrix_against_hall, mult_span_entry,
                              riedtmann_check, _square_zero)
 from hallalg.linalg import BudgetError, Matrix, flatten
-from hallalg.quiver import RepCategory, RepMorphism, Representation, dim_add
+from hallalg.quiver import RepCategory, RepMorphism, dim_add
 from hallalg.verify import Run
 from oracles import (block_injections, block_projections, corestrict, factor_through,
                      fixed_ends_by_aut_scan, glue_quotients_by_solve,
                      glue_subobjects_by_solve, hexagonator_R_by_solve,
-                     hexagonator_S_by_solve, image_key, is_valid, is_zero, morphism_count,
-                     orbits_by_aut_scan)
+                     hexagonator_S_by_solve, image_key, is_valid, is_zero, matrix_inverse,
+                     morphism_count, morphism_index, orbits_by_aut_scan, simple_rep)
 
 
 
@@ -85,8 +85,8 @@ def test_ext_groupoid_of_is_shared_per_context(a2, reps2):
 def test_ext_objects_are_budgeted(a2):
     """Building the objects of a piece is checked against the budget first."""
     ctx = RepCategory(a2, 2, budget=30)
-    S1 = Representation.simple(a2, ctx.field, 0)
-    S2 = Representation.simple(a2, ctx.field, 1)
+    S1 = simple_rep(a2, ctx.field, 0)
+    S2 = simple_rep(a2, ctx.field, 1)
     ext = ExtGroupoid(ctx, S1.direct_sum(S1), S2.direct_sum(S2))
     e_label = next(iter(ext.pieces))
     assert ext.object_count(e_label) == 36       # |GL_2(F_2)|^2 for its one image
@@ -433,7 +433,7 @@ def test_fixed_end_group_of_order_64_needs_no_enumeration(a2):
     (64 + 64 * 64 = 4160 items) used to exceed that budget.
     """
     ctx = RepCategory(a2, 2, budget=1000)
-    S0 = Representation.simple(a2, ctx.field, 0)
+    S0 = simple_rep(a2, ctx.field, 0)
     N = S0.direct_sum(S0)
     M = N.direct_sum(S0)
     E, f, g = ctx.middle_term_ses(M, N, ())
@@ -485,7 +485,7 @@ def _vm_compose(g, f):
 
 
 def _vm_inverse(lab):
-    return (lab[1], lab[0], tuple(m.inverse() for m in lab[2]))
+    return (lab[1], lab[0], tuple(matrix_inverse(m) for m in lab[2]))
 
 
 def _vm_groupoid(reps, labels):
@@ -499,7 +499,7 @@ def _vm_groupoid(reps, labels):
 def _singleton_concrete(ctx, w):
     """Aut(w) as a one-object groupoid, and the morphism index of vertex maps."""
     G = _vm_groupoid([w], [(0, 0, m.vertex_maps) for m in ctx.aut_elements(w)])
-    return G, lambda vm: G.morphism_index((0, 0, vm))
+    return G, lambda vm: morphism_index(G, (0, 0, vm))
 
 
 def _a0_concrete(ctx, bound):
@@ -563,7 +563,7 @@ def test_engine_bridge_mult_comult_spans(ctx2, hall2):
     mor_map_E = []
     for i1, _, vm in sesG.mor_label:
         e_idx = obj_map_E[i1]
-        mor_map_E.append(a0c.morphism_index((e_idx, e_idx, vm)))
+        mor_map_E.append(morphism_index(a0c, (e_idx, e_idx, vm)))
     leg_E = gpd.GroupoidFunctor(sesG, a0c, obj_map_E, mor_map_E)
     leg_E.validate()
 
@@ -574,9 +574,9 @@ def test_engine_bridge_mult_comult_spans(ctx2, hall2):
     for (i1, _, _), (alpha, gamma) in zip(sesG.mor_label, ag):
         m_idx = wit_index[objects[i1].quo]
         n_idx = wit_index[objects[i1].sub]
-        g_idx = a0c.morphism_index((m_idx, m_idx, gamma))
-        a_idx = a0c.morphism_index((n_idx, n_idx, alpha))
-        mor_map_MN.append(prod_base.morphism_index((g_idx, a_idx)))
+        g_idx = morphism_index(a0c, (m_idx, m_idx, gamma))
+        a_idx = morphism_index(a0c, (n_idx, n_idx, alpha))
+        mor_map_MN.append(morphism_index(prod_base, (g_idx, a_idx)))
     leg_MN = gpd.GroupoidFunctor(sesG, prod_base, obj_map_MN, mor_map_MN)
     leg_MN.validate()
 
@@ -638,9 +638,9 @@ def _quad_product(parts):
     g0123, _, _ = gpd.product_groupoid(g012, parts[3])
 
     def mor_index(m0, m1, m2, m3):
-        i01 = g01.morphism_index((m0, m1))
-        i012 = g012.morphism_index((i01, m2))
-        return g0123.morphism_index((i012, m3))
+        i01 = morphism_index(g01, (m0, m1))
+        i012 = morphism_index(g012, (i01, m2))
+        return morphism_index(g0123, (i012, m3))
 
     return g0123, mor_index
 

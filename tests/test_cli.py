@@ -4,6 +4,7 @@ import os
 import pytest
 
 from hallalg.cli import main
+from hallalg.linalg import Matrix
 from hallalg.verify import SUITE_ORDER
 
 
@@ -29,6 +30,22 @@ def test_tables_bound_zero(capsys):
     assert list(doc["product"]) == ["[d0.0#0],[d0.0#0]"]
     assert doc["product"]["[d0.0#0],[d0.0#0]"] == \
         [{"class": "d0.0#0", "coeff": "1/1"}]
+
+
+def test_tables_run_no_row_reduction(capsys, monkeypatch):
+    """`tables --quiver a3-source --q 3 --max-dim 5` calls Matrix.rref 0
+    times: classify inverts its generators in closed form and the census
+    reads its subspace frames in closed form."""
+    calls = []
+    rref = Matrix.rref
+
+    def counted(self):
+        calls.append(self)
+        return rref(self)
+    monkeypatch.setattr(Matrix, "rref", counted)
+    code, out, _ = run(capsys, "tables", "--quiver", "a3-source", "--q", "3", "--max-dim", "5")
+    assert code == 0 and len(json.loads(out)["product"]) == 932
+    assert calls == []
 
 
 def test_tables_q3_coproduct_row(capsys):

@@ -3,11 +3,10 @@ import random
 import pytest
 
 from hallalg.linalg import (BudgetError, Matrix, PrimeField, basis_frame, blocks_invertible,
-                            enumerate_matrices, enumerate_vectors, flatten,
-                            frame_coordinates, gaussian_binomial, gl_order, span_points,
-                            subspace_frames, unflatten)
-from oracles import (complement_columns, enumerate_gl, enumerate_subspaces, frame_matrices,
-                     pivot_row_complement)
+                            enumerate_vectors, flatten, frame_coordinates, gaussian_binomial,
+                            gl_generators, gl_order, span_points, subspace_frames, unflatten)
+from oracles import (enumerate_gl, enumerate_matrices, enumerate_subspaces, frame_matrices,
+                     matrix_inverse, pivot_row_complement, zero_matrix)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -28,7 +27,7 @@ def test_rank_and_kernel_identity():
 
 
 def test_rank_and_kernel_zero_map():
-    m = Matrix.zero(F3, 1, 2)
+    m = zero_matrix(F3, 1, 2)
     r, k = m.rank(), m.kernel_basis()
     assert r == 0 and len(k) == 2
 
@@ -45,26 +44,30 @@ def test_rank_and_kernel_rank_one():
 
 
 def test_degenerate_shapes_legal():
-    m = Matrix.zero(F2, 0, 3)
+    m = zero_matrix(F2, 0, 3)
     r, k = m.rank(), m.kernel_basis()
     assert r == 0 and len(k) == 3
-    m2 = Matrix.zero(F2, 3, 0)
+    m2 = zero_matrix(F2, 3, 0)
     assert (m2.rank(), m2.kernel_basis()) == (0, [])
 
 
+def column(field, vec):
+    return Matrix(field, [[x] for x in vec], len(vec), 1)
+
+
 def test_solve_identity():
-    assert Matrix.identity(F2, 2).solve((1, 0)) == (1, 0)
+    assert Matrix.identity(F2, 2).solve_matrix(column(F2, (1, 0))) == column(F2, (1, 0))
 
 
 def test_solve_no_solution():
-    assert Matrix.zero(F2, 2, 2).solve((1, 0)) is None
+    assert zero_matrix(F2, 2, 2).solve_matrix(column(F2, (1, 0))) is None
 
 
 def test_solve_f5_by_substitution():
     m = Matrix(F5, [[1, 2], [0, 1]])
-    x = m.solve((0, 1))
-    assert x == (3, 1)
-    assert m.apply(x) == (0, 1)
+    x = m.solve_matrix(column(F5, (0, 1)))
+    assert x == column(F5, (3, 1))
+    assert m.apply(x.transpose().entries[0]) == (0, 1)
 
 
 def test_enumerate_matrices_counts_and_order():
@@ -105,8 +108,8 @@ def test_block_and_columns():
     assert m == Matrix(F5, [[1, 2, 2], [3, 4, 3], [0, 1, 0]])
     assert m.columns(0, 2) == Matrix(F5, [[1, 2], [3, 4], [0, 1]])
     assert m.columns(2, 3) == Matrix(F5, [[2], [3], [0]])
-    assert m.columns(1, 1) == Matrix.zero(F5, 3, 0)
-    empty_rows = Matrix.zero(F5, 0, 2)
+    assert m.columns(1, 1) == zero_matrix(F5, 3, 0)
+    empty_rows = zero_matrix(F5, 0, 2)
     assert Matrix.block(F5, [[empty_rows, None], [None, a]]) == \
         Matrix(F5, [[0, 0, 1, 2], [0, 0, 3, 4]])
     with pytest.raises(ValueError):
@@ -150,74 +153,53 @@ def test_arithmetic_matches_entrywise_oracle():
         for _ in range(100):
             r, k, c = (rng.randint(0, 3) for _ in range(3))
             a, a2, b = rand(r, k), rand(r, k), rand(k, c)
+            x, x2, y = a.entries, a2.entries, b.entries
             s = rng.randrange(p)
             v = tuple(rng.randrange(p) for _ in range(k))
-            assert a * b == Matrix(f, [[sum(a[i, t] * b[t, j] for t in range(k)) % p
+            assert a * b == Matrix(f, [[sum(x[i][t] * y[t][j] for t in range(k)) % p
                                         for j in range(c)] for i in range(r)], r, c)
-            assert a + a2 == Matrix(f, [[(a[i, j] + a2[i, j]) % p for j in range(k)]
+            assert a - a2 == Matrix(f, [[(x[i][j] - x2[i][j]) % p for j in range(k)]
                                         for i in range(r)], r, k)
-            assert a - a2 == Matrix(f, [[(a[i, j] - a2[i, j]) % p for j in range(k)]
-                                        for i in range(r)], r, k)
-            assert a.scale(s) == Matrix(f, [[s * a[i, j] % p for j in range(k)]
+            assert a.scale(s) == Matrix(f, [[s * x[i][j] % p for j in range(k)]
                                             for i in range(r)], r, k)
-            assert a.apply(v) == tuple(sum(a[i, t] * v[t] for t in range(k)) % p
+            assert a.apply(v) == tuple(sum(x[i][t] * v[t] for t in range(k)) % p
                                        for i in range(r))
-            assert a.transpose() == Matrix(f, [[a[i, j] for i in range(r)]
+            assert a.transpose() == Matrix(f, [[x[i][j] for i in range(r)]
                                                for j in range(k)], k, r)
 
 
 def test_matrix_inverse_and_product():
     m = Matrix(F5, [[1, 2], [3, 4]])
-    inv = m.inverse()
-    assert m * inv == Matrix.identity(F5, 2)
-    with pytest.raises(ValueError):
-        Matrix(F2, [[1, 1], [1, 1]]).inverse()
+    inv = matrix_inverse(m)
+    assert m * inv == inv * m == Matrix.identity(F5, 2)
+    assert matrix_inverse(Matrix(F2, [[1, 1], [1, 1]])) is None
 
 
-def _check_completion(B):
-    """completion() picks the greedy complement of B's pivot columns B', and
-    its inverse half inverts [B' | C]."""
-    f, n = B.field, B.rows
-    _, pivots = B.rref()
-    Bp = Matrix(f, [[row[c] for c in pivots] for row in B.entries], n, len(pivots))
-    picked, inv = B.completion()
-    assert picked == complement_columns(Bp)
-    A = Matrix(f, [row + tuple(f.one if i == j else f.zero for j in picked)
-                   for i, row in enumerate(Bp.entries)], n, n)
-    assert (inv.rows, inv.cols) == (n, n)
-    assert inv * A == Matrix.identity(f, n)
-
-
-def test_completion_matches_greedy_complement():
-    # every canonical subspace basis for n <= 3 over F_2 and F_3, the 0 x 0
-    # and n x 0 shapes included
-    cases = 0
-    for f in (F2, F3):
-        for n in range(4):
-            for k in range(n + 1):
-                for B in enumerate_subspaces(f, n, k):
-                    _check_completion(B)
-                    cases += 1
-    assert cases == sum(gaussian_binomial(n, k, p)
-                        for p in (2, 3) for n in range(4) for k in range(n + 1))
-    # random bases over F_5, and random matrices that need not have full
-    # column rank (the presentation matrices of Ext reductions are such)
-    rng = random.Random(20261018)
-    full = 0
-    for _ in range(200):
-        n, k = rng.randint(0, 5), rng.randint(0, 5)
-        B = Matrix(F5, [[rng.randrange(5) for _ in range(k)] for _ in range(n)], n, k)
-        full += B.rank() == k
-        _check_completion(B)
-    assert 0 < full < 200
-    # the greedy order: e_0 is skipped when B already spans it
-    B = Matrix(F3, [[1], [0], [0]])
-    assert B.completion()[0] == (1, 2)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_gl_generator_pairs_invert_and_generate(p):
+    """Each gl_generators pair (g, h) has g h = h g = I, and the g generate
+    GL_d(F_p): the orbit of I under left multiplication by them has
+    |GL_d(F_p)| elements, for d <= 2."""
+    f = PrimeField(p)
+    for d in range(3):
+        ident = Matrix.identity(f, d)
+        pairs = gl_generators(f, d)
+        assert all(g * h == h * g == ident for g, h in pairs)
+        orbit, frontier = {ident}, [ident]
+        while frontier:
+            m = frontier.pop()
+            for g, _ in pairs:
+                if g * m not in orbit:
+                    orbit.add(g * m)
+                    frontier.append(g * m)
+        assert len(orbit) == gl_order(d, p)
 
 
 def test_solve_matrix_matches_columnwise_solve():
-    """One rref of [A | R] gives the per-column solve() of every column, or
-    None when any column is unsolvable; 0-row and 0-column shapes included."""
+    """One rref of [A | R] solves every column, setting the free variables
+    (the non-pivot columns of A) to zero, or gives None when any column is
+    unsolvable, as a search over all of F_p^k column by column finds;
+    0-row and 0-column shapes included."""
     rng = random.Random(20261018)
     unsolvable = 0
     for f in (F2, F3):
@@ -231,7 +213,9 @@ def test_solve_matrix_matches_columnwise_solve():
                 R = A * X
             else:
                 R = Matrix(f, [[rng.randrange(p) for _ in range(m)] for _ in range(n)], n, m)
-            cols = [A.solve(tuple(row[j] for row in R.entries)) for j in range(m)]
+            free = [c for c in range(k) if c not in A.rref()[1]]
+            cols = [next((x for x in enumerate_vectors(f, k) if not any(x[c] for c in free)
+                          and A.apply(x) == rhs), None) for rhs in R.transpose().entries]
             got = A.solve_matrix(R)
             if any(c is None for c in cols):
                 unsolvable += 1
@@ -245,10 +229,10 @@ def test_solve_matrix_matches_columnwise_solve():
     A = Matrix(F3, [[1, 0], [0, 1], [0, 0]])
     assert A.solve_matrix(Matrix(F3, [[1, 2], [2, 0], [0, 0]])) == Matrix(F3, [[1, 2], [2, 0]])
     assert A.solve_matrix(Matrix(F3, [[1, 2], [2, 0], [0, 1]])) is None
-    assert A.solve_matrix(Matrix.zero(F3, 3, 0)) == Matrix.zero(F3, 2, 0)
-    assert Matrix.zero(F2, 0, 3).solve_matrix(Matrix.zero(F2, 0, 2)) == Matrix.zero(F2, 3, 2)
+    assert A.solve_matrix(zero_matrix(F3, 3, 0)) == zero_matrix(F3, 2, 0)
+    assert zero_matrix(F2, 0, 3).solve_matrix(zero_matrix(F2, 0, 2)) == zero_matrix(F2, 3, 2)
     with pytest.raises(ValueError):
-        A.solve_matrix(Matrix.zero(F3, 2, 1))
+        A.solve_matrix(zero_matrix(F3, 2, 1))
 
 
 def test_gl_enumeration_matches_order_formula():
@@ -301,7 +285,7 @@ def test_blocks_invertible_agrees_with_rank():
     for m in mats:
         point = flatten([one, m, ident])
         assert blocks_invertible(point, (1, 2, 2), 3) == (m.rank() == 2)
-        assert not blocks_invertible(flatten([Matrix.zero(F3, 1, 1), m, ident]),
+        assert not blocks_invertible(flatten([zero_matrix(F3, 1, 1), m, ident]),
                                      (1, 2, 2), 3)
     assert blocks_invertible((), (0, 0), 3)
 
@@ -326,7 +310,7 @@ def check_frame(frame):
     P, P_inv = frame_matrices(frame)
     C = Matrix(f, [[int(i == j) for j in rest] for i in range(n)], n, n - k)
     assert (proj.rows, proj.cols) == (n - k, n)
-    assert proj * B == Matrix.zero(f, n - k, k)
+    assert proj * B == zero_matrix(f, n - k, k)
     assert proj * C == Matrix.identity(f, n - k)
     assert P_inv.entries[k:] == proj.entries
     assert P * P_inv == P_inv * P == Matrix.identity(f, n)

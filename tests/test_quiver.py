@@ -1,17 +1,18 @@
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from hallalg.linalg import BudgetError, Matrix, PrimeField, enumerate_matrices, unflatten
+from hallalg.linalg import BudgetError, Matrix, PrimeField, unflatten
 from hallalg.quiver import (Quiver, RepCategory, RepMorphism, Representation,
                             dim_vectors_with_total)
 from oracles import (aut_order_slow, classify_by_matrix_orbits, complement_columns,
-                     count_exact_pairs_slow, invariant_subreps_by_solve, is_injective,
-                     is_invertible, is_surjective, is_valid, is_zero, iso_set_by_products,
-                     pivot_row_complement, quotient_with_projection, reduce_cocycle_by_solve,
-                     span_elements, subrep_on)
+                     count_exact_pairs_slow, enumerate_matrices, ext1_dim,
+                     invariant_subreps_by_solve, is_injective, is_invertible, is_surjective,
+                     is_simply_laced_dynkin, is_valid, is_zero, iso_set_by_products,
+                     pivot_row_complement, quiver_to_json_dict, quotient_with_projection,
+                     reduce_cocycle_by_solve, span_elements, subrep_on, zero_matrix)
 
 
 def hom_count_oracle(ctx, M, N):
@@ -39,8 +40,43 @@ def test_quiver_validation():
     assert not star5.is_dynkin                            # degree-4 vertex
 
 
+def _trees():
+    """Paths, stars with arms (1, 1, r) and (1, 2, r), and the affine E
+    trees (2, 2, 2), (1, 3, 3) and (1, 2, 5), arms counted in edges."""
+    def star(arms):
+        arrows, v = [], 1
+        for length in arms:
+            prev = 0
+            for _ in range(length):
+                arrows.append((prev, v))
+                prev, v = v, v + 1
+        return Quiver(v, arrows)
+    yield from (Quiver(n, [(i, i + 1) for i in range(n - 1)]) for n in (1, 9, 10))
+    yield from (star(arms) for arms in ((1, 1, 5), (1, 1, 6), (1, 2, 3), (1, 2, 4),
+                                        (2, 2, 2), (1, 3, 3), (1, 2, 5)))
+
+
+def test_is_dynkin_matches_the_shape_classifier():
+    """The Tits-form test agrees with the A/D/E tree shapes on every quiver
+    whose arrows s -> t, s < t, form a multiset of at most n arrows on n <= 5
+    vertices, and on A1, A9, A10, D8, D9, E7, E8 and the affine E6, E7, E8 trees."""
+    seen = Counter()
+    for n in range(6):
+        pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
+        for k in range(n + 1):
+            for arrows in combinations_with_replacement(pairs, k):
+                quiver = Quiver(n, arrows)
+                assert quiver.is_dynkin == is_simply_laced_dynkin(quiver), quiver
+                seen[quiver.is_dynkin] += 1
+    for quiver in _trees():
+        assert quiver.is_dynkin == is_simply_laced_dynkin(quiver), quiver
+        seen[quiver.is_dynkin, "tree"] += 1
+    assert seen[True, "tree"] == 7 and seen[False, "tree"] == 3
+    assert (seen[True], seen[False]) == (141, 3097)
+
+
 def test_quiver_json_round_trip(a2):
-    doc = a2.to_json_dict()
+    doc = quiver_to_json_dict(a2)
     assert doc == {"vertices": 2, "arrows": [[0, 1]]}
     assert Quiver.from_json_dict(doc) == a2
 
@@ -67,9 +103,9 @@ def test_hom_dim_against_full_enumeration(ctx2, reps2):
 
 def test_ext_examples(ctx2, reps2):
     S1, S2 = reps2["S1"], reps2["S2"]
-    assert ctx2.ext1_dim(S1, S2) == 1
-    assert ctx2.ext1_dim(S2, S1) == 0
-    assert ctx2.ext1_dim(S2, S2) == 0  # simple at the sink
+    assert ext1_dim(ctx2, S1, S2) == 1
+    assert ext1_dim(ctx2, S2, S1) == 0
+    assert ext1_dim(ctx2, S2, S2) == 0  # simple at the sink
 
 
 def test_euler_form_examples(ctx2):
@@ -89,7 +125,7 @@ def test_euler_form_is_hom_minus_ext_on_witnesses(ctx2, ctx3, ctx_a3):
                 if sum(cm.dim) + sum(cn.dim) > 4:
                     continue
                 got = ctx.euler_form(cm.dim, cn.dim)
-                want = ctx.hom_dim(cm.rep, cn.rep) - ctx.ext1_dim(cm.rep, cn.rep)
+                want = ctx.hom_dim(cm.rep, cn.rep) - ext1_dim(ctx, cm.rep, cn.rep)
                 assert got == want
 
 
@@ -163,7 +199,7 @@ def test_budget_exceeded(a2):
 
 def test_subrep_budget_is_checked_before_any_frame(a2):
     ctx = RepCategory(a2, 2, budget=2)
-    E = Representation(a2, ctx.field, (2, 2), [Matrix.zero(ctx.field, 2, 2)])
+    E = Representation(a2, ctx.field, (2, 2), [zero_matrix(ctx.field, 2, 2)])
     with pytest.raises(BudgetError) as err:
         ctx.invariant_subreps(E, (1, 1))
     assert err.value.what == "subspace tuples for subreps of dim (1, 1)"
@@ -173,7 +209,7 @@ def test_subrep_budget_is_checked_before_any_frame(a2):
 
 def test_census_budget_is_checked_before_any_frame(a2):
     ctx = RepCategory(a2, 2)
-    ce = ctx.class_of(Representation(a2, ctx.field, (2, 2), [Matrix.zero(ctx.field, 2, 2)]))
+    ce = ctx.class_of(Representation(a2, ctx.field, (2, 2), [zero_matrix(ctx.field, 2, 2)]))
     ctx.budget = 2
     with pytest.raises(BudgetError) as err:
         ctx.census(ce, (1, 1))
@@ -292,37 +328,37 @@ def test_quotient_examples(ctx2, reps2):
     S1, S2, P1, SS = reps2["S1"], reps2["S2"], reps2["P1"], reps2["SS"]
     zero = reps2["zero"]
     # E / 0 is E
-    zmor = RepMorphism(zero, P1, [Matrix.zero(ctx2.field, 1, 0),
-                                  Matrix.zero(ctx2.field, 1, 0)])
+    zmor = RepMorphism(zero, P1, [zero_matrix(ctx2.field, 1, 0),
+                                  zero_matrix(ctx2.field, 1, 0)])
     assert ctx2.is_isomorphic(quotient_with_projection(ctx2, P1, zmor)[0], P1)
     # P1 / S2 is S1
-    inc = RepMorphism(S2, P1, [Matrix.zero(ctx2.field, 1, 0),
+    inc = RepMorphism(S2, P1, [zero_matrix(ctx2.field, 1, 0),
                                Matrix(ctx2.field, [[1]])])
     assert is_valid(inc)
     assert ctx2.is_isomorphic(quotient_with_projection(ctx2, P1, inc)[0], S1)
     # (M + N) / N is M for the canonical injection
-    inc2 = RepMorphism(S2, SS, [Matrix.zero(ctx2.field, 1, 0),
+    inc2 = RepMorphism(S2, SS, [zero_matrix(ctx2.field, 1, 0),
                                 Matrix(ctx2.field, [[1]])])
     assert ctx2.is_isomorphic(quotient_with_projection(ctx2, SS, inc2)[0], S1)
     with pytest.raises(ValueError):
         quotient_with_projection(ctx2, 
-            P1, RepMorphism(S2, P1, [Matrix.zero(ctx2.field, 1, 0),
+            P1, RepMorphism(S2, P1, [zero_matrix(ctx2.field, 1, 0),
                                      Matrix(ctx2.field, [[0]])]))[0]
     # injective vertex maps whose image is not a subrepresentation
     with pytest.raises(ValueError):
         quotient_with_projection(ctx2, 
-            P1, RepMorphism(S1, P1, [Matrix(ctx2.field, [[1]]), Matrix.zero(ctx2.field, 1, 0)]))
+            P1, RepMorphism(S1, P1, [Matrix(ctx2.field, [[1]]), zero_matrix(ctx2.field, 1, 0)]))
 
 
 def test_quotient_is_memoised_but_errors_are_not(ctx2, reps2):
     S2, P1 = reps2["S2"], reps2["P1"]
     f = ctx2.field
-    inc = RepMorphism(S2, P1, [Matrix.zero(f, 1, 0), Matrix(f, [[1]])])
+    inc = RepMorphism(S2, P1, [zero_matrix(f, 1, 0), Matrix(f, [[1]])])
     Q, proj = quotient_with_projection(ctx2, P1, inc)
     again = quotient_with_projection(ctx2, P1, RepMorphism(S2, P1, list(inc.vertex_maps)))
     assert again[0] is Q and again[1] is proj
-    zero = RepMorphism(S2, P1, [Matrix.zero(f, 1, 0), Matrix(f, [[0]])])
-    top = RepMorphism(reps2["S1"], P1, [Matrix(f, [[1]]), Matrix.zero(f, 1, 0)])
+    zero = RepMorphism(S2, P1, [zero_matrix(f, 1, 0), Matrix(f, [[0]])])
+    top = RepMorphism(reps2["S1"], P1, [Matrix(f, [[1]]), zero_matrix(f, 1, 0)])
     for _ in range(2):
         with pytest.raises(ValueError, match="non-injective"):
             quotient_with_projection(ctx2, P1, zero)
@@ -361,8 +397,8 @@ def test_zero_cocycle_gives_the_chosen_direct_sum(ctx2, reps2, a3_source):
 def test_subrep_on_accepts_only_invariant_subspaces(ctx2, reps2):
     P1 = reps2["P1"]                      # S1 -> S2 by the identity: S2 is its only sub
     f = ctx2.field
-    top = [Matrix(f, [[1]]), Matrix.zero(f, 1, 0)]       # the S1 coordinate alone
-    bottom = [Matrix.zero(f, 1, 0), Matrix(f, [[1]])]    # the S2 coordinate alone
+    top = [Matrix(f, [[1]]), zero_matrix(f, 1, 0)]       # the S1 coordinate alone
+    bottom = [zero_matrix(f, 1, 0), Matrix(f, [[1]])]    # the S2 coordinate alone
     assert subrep_on(ctx2, P1, top) is None
     incl = subrep_on(ctx2, P1, bottom)
     assert incl.target is P1 and is_valid(incl) and is_injective(incl)
@@ -415,7 +451,7 @@ def test_quotient_coordinates_are_the_pivot_row_complement(a3_source):
                     picked = pivot_row_complement(B)
                     C.append(Matrix(f, [[int(i == j) for j in picked] for i in range(B.rows)],
                                     B.rows, len(picked)))
-                    assert P * B == Matrix.zero(f, P.rows, B.cols)
+                    assert P * B == zero_matrix(f, P.rows, B.cols)
                     assert P * C[-1] == Matrix.identity(f, P.rows)
                 for k, (s, t) in enumerate(a3_source.arrows):
                     assert Q.edge_maps[k] == proj.vertex_maps[t] * E.edge_maps[k] * C[s]
@@ -425,30 +461,42 @@ def test_quotient_coordinates_are_the_pivot_row_complement(a3_source):
 
 def test_reduce_cocycle_matches_solve_oracle(ctx2, ctx3, a3_source):
     """One cached reduction matrix per (M, N) agrees with a fresh solve per
-    cocycle, is idempotent and kills every coboundary."""
+    cocycle onto the pivot-row complement, is idempotent, kills every
+    coboundary, and puts cocycles in the same classes as a solve onto the
+    greedy complement does, on every pair of classes of total dim <= 4 of a2
+    (q = 2, 3), a3-source (q = 3) and d4 (q = 2).  The two complements
+    differ on a few of these pairs, so the test tells the two rules apart."""
     rng = random.Random(20261018)
-    shapes = set()
-    for ctx in (ctx2, ctx3, RepCategory(a3_source, 3)):
+    shapes, differ = set(), []
+    for ctx in (ctx2, ctx3, RepCategory(a3_source, 3), RepCategory(D4, 2)):
         p = ctx.q
-        classes = [c.rep for c in ctx.classes_up_to(2)]
-        for M in classes:
-            for N in classes:
-                phi, _, _ = ctx._presentation_matrix(M, N)
-                ext = ctx.ext1_dim(M, N)
-                shapes.add((phi.rows == 0, ext == 0))
-                vecs = [tuple(rng.randrange(p) for _ in range(phi.rows)) for _ in range(6)]
-                for v in vecs:
-                    red = ctx.reduce_cocycle(M, N, v)
-                    assert red == reduce_cocycle_by_solve(ctx, M, N, v)
-                    assert ctx.reduce_cocycle(M, N, red) == red
-                zero = (0,) * phi.rows
-                for _ in range(4):
-                    x = tuple(rng.randrange(p) for _ in range(phi.cols))
-                    assert ctx.reduce_cocycle(M, N, phi.apply(x)) == zero
-                reps = ctx.ext_class_reps(M, N)
-                assert len({ctx.reduce_cocycle(M, N, r) for r in reps}) == p ** ext
+        for cm, cn in ctx.class_tuples(4, 2):
+            M, N = cm.rep, cn.rep
+            phi, _, _ = ctx._presentation_matrix(M, N)
+            ext = ext1_dim(ctx, M, N)
+            shapes.add((phi.rows == 0, ext == 0))
+            echelon, pivots = phi.transpose().rref()
+            image = Matrix(ctx.field, echelon.entries[:len(pivots)], len(pivots), phi.rows)
+            if complement_columns(image.transpose()) != ctx._ext_complement(M, N)[0]:
+                differ.append((ctx.quiver.name, cm.label, cn.label))
+            for _ in range(3):
+                v = tuple(rng.randrange(p) for _ in range(phi.rows))
+                red = ctx.reduce_cocycle(M, N, v)
+                greedy = reduce_cocycle_by_solve(ctx, M, N, v, complement_columns)
+                assert red == reduce_cocycle_by_solve(ctx, M, N, v)
+                assert ctx.reduce_cocycle(M, N, red) == red
+                assert ctx.reduce_cocycle(M, N, greedy) == red
+                assert reduce_cocycle_by_solve(ctx, M, N, red, complement_columns) == greedy
+            zero = (0,) * phi.rows
+            for _ in range(2):
+                x = tuple(rng.randrange(p) for _ in range(phi.cols))
+                assert ctx.reduce_cocycle(M, N, phi.apply(x)) == zero
+            reps = ctx.ext_class_reps(M, N)
+            assert len({ctx.reduce_cocycle(M, N, r) for r in reps}) == p ** ext
     # cocycle space 0, Ext = 0 with nonzero cocycles, and Ext != 0 all occur
     assert shapes == {(True, True), (False, True), (False, False)}
+    assert differ == [("a3-source", "d0.1.0#0", "d1.1.1#3"), ("d4", "d1.0.0.0#0", "d1.0.1.1#3"),
+                      ("d4", "d1.0.0.0#0", "d1.1.0.1#3"), ("d4", "d1.0.0.0#0", "d1.1.1.0#3")]
 
 
 def test_indecomposables_match_gabriel(ctx2, ctx_a3):
@@ -528,7 +576,7 @@ def test_census_matches_solve_oracle(request, name, p):
 def test_census_matches_greedy_completion_oracle(request, name, p):
     """Census counts do not depend on the complement: every census up to dim 3
     equals the tally of the solve-per-arrow walk whose quotients are read off
-    the greedy complement of Matrix.completion(), for every sub-dimension."""
+    the greedy complement (complement_columns), for every sub-dimension."""
     quiver = {"d4": D4}.get(name) or request.getfixturevalue(name)
     ctx = RepCategory(quiver, p)
     seen = 0
@@ -559,7 +607,7 @@ def test_census_walks_compute_no_rref(a3_source, monkeypatch):
     assert sum(len(ctx.invariant_subreps(cls.rep, sub_dim)) for cls, sub_dim in todo) > 1000
     assert ctx._subspace_frames and not calls
     ctx.class_by_label("d2.2.2#0")
-    assert calls["rref"] > 0          # classify still inverts its generators
+    assert calls["rref"] == 0         # classify inverts its generators in closed form
 
 
 KRONECKER = Quiver(2, [(0, 1), (0, 1)], name="kronecker")
