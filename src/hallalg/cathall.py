@@ -764,8 +764,9 @@ def _check_pentagon_strict(run, ctx, bound):
         return
     for cls in ctx.classes_up_to(bound):
         w = cls.rep
-        auts = [m.vertex_maps for m in ctx.aut_elements(w)]
         wi = cls.label
+        check_budget(f"pentagon-strict Aut({wi})^3 loop", cls.aut ** 3, ctx.budget)
+        auts = [m.vertex_maps for m in ctx.aut_elements(w)]
         for a in auts:
             for b in auts:
                 for c in auts:
@@ -784,8 +785,9 @@ def _check_unitor(run, ctx, bound):
         return
     for cls in ctx.classes_up_to(bound):
         w = cls.rep
-        auts = ctx.aut_elements(w)
         wi = cls.label
+        check_budget(f"unitor Aut({wi})^2 loop", cls.aut ** 2, ctx.budget)
+        auts = ctx.aut_elements(w)
         for fm in auts:
             for gm in auts:
                 run.want("unitor")                  # one instance per object

@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import prod
 from operator import mul
 
@@ -208,11 +207,6 @@ class RepMorphism:
         mor.source, mor.target, mor.vertex_maps = source, target, tuple(vertex_maps)
         return mor
 
-    @classmethod
-    def identity(cls, rep):
-        f = rep.field
-        return cls(rep, rep, [Matrix.identity(f, d) for d in rep.dim])
-
     def compose(self, other):
         """self after other (other: A -> B, self: B -> C)."""
         if other.target is not self.source and other.target != self.source:
@@ -261,9 +255,6 @@ class IsoClass:
     @cached_property
     def label(self):
         return "d" + ".".join(str(x) for x in self.dim) + f"#{self.index}"
-
-
-ROOT_ENTRY_BOUND = 6  # largest coordinate of any positive root in types A/D/E
 
 
 class RepCategory:
@@ -749,41 +740,30 @@ class RepCategory:
                 for _, blocks in walk)
         return self._census_cache[key]
 
-    # ---- roots and indecomposables -----------------------------------------
+    # ---- indecomposables ----------------------------------------------------
 
-    def positive_roots(self):
-        """Nonzero dimension vectors with Tits form <d, d> = 1 (ADE only)."""
-        if not self.quiver.is_dynkin:
-            raise ValueError("positive roots require a simply-laced Dynkin quiver")
-        roots = []
-        for d in product(range(ROOT_ENTRY_BOUND + 1), repeat=self.quiver.n):
-            if any(d) and self.euler_form(d, d) == 1:
-                roots.append(d)
-        return sorted(roots)
+    def indecomposable_counts(self, max_total):
+        """{d: n_d} over the grades 0 < |d| <= max_total, in classes_up_to order:
+        n_d is the number of indecomposable classes of dimension d.
 
-    def is_indecomposable(self, M):
-        """No nontrivial idempotent in End(M); budgeted span walk."""
-        if M.is_zero():
-            return False
-        shapes = [(d, d) for d in M.dim]
-        ident = flatten(RepMorphism.identity(M).vertex_maps)
-        for point in self._hom_points(M, M):
-            if not any(point) or point == ident:
-                continue
-            if all(m * m == m for m in unflatten(self.field, point, shapes)):
-                return False
-        return True
-
-    def indecomposable_classes(self, max_total, max_entry=None):
-        """Indecomposable iso classes with total dim <= max_total (scan box)."""
-        if max_entry is None:
-            max_entry = max_total
-        out = []
-        for total in range(1, max_total + 1):
-            for dim in dim_vectors_with_total(self.quiver.n, total):
-                if max(dim) > max_entry:
-                    continue
-                for cls in self.classify(dim):
-                    if self.is_indecomposable(cls.rep):
-                        out.append(cls)
-        return out
+        By Krull-Schmidt the class counts c(d) = len(classify(d)) satisfy
+        sum_d c(d) x^d = prod_a (1 - x^a)^(-n_a), so n_d is c(d) less the
+        coefficient of x^d in the product over the grades before d (a
+        plethystic logarithm); no endomorphism is walked.  Counts that are not
+        those of a Krull-Schmidt category can give a negative n_d.
+        """
+        grades = [d for total in range(max_total + 1)
+                  for d in dim_vectors_with_total(self.quiver.n, total)]
+        series = {d: int(not any(d)) for d in grades}   # [x^d] of the product so far
+        counts = {}
+        for d in grades[1:]:
+            n_d = counts[d] = len(self.classify(d)) - series[d]
+            # times (1 - x^d)^(-n_d): |n_d| in-place divisions by 1 - x^d (upward
+            # through the grades), or products with it (downward)
+            sign, order = (1, grades) if n_d > 0 else (-1, grades[::-1])
+            for _ in range(abs(n_d)):
+                for g in order:
+                    rest = tuple(a - b for a, b in zip(g, d))
+                    if min(rest) >= 0:
+                        series[g] += sign * series[rest]
+        return counts

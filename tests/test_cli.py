@@ -373,7 +373,7 @@ REPLAY_IDS = {
     "bsim": "braidmatrix:d1.0#0|d0.1#0",
     "coherence": "shuffle-3-1:d1.0#0|d0.0#0|d0.1#0|d0.0#0",
     "engine": "engine:equiv:7",
-    "gabriel": "gabriel:count",
+    "gabriel": "gabriel:1.1",
 }
 
 
@@ -431,3 +431,19 @@ def test_budget_error_names_suite_and_replayable_instance(capsys, tmp_path):
     code, stdout, err = run(capsys, "verify", "bsim", "--max-dim", "2", "--budget", "1")
     assert code == 2 and stdout == ""
     assert err.strip().endswith(", in suite bsim (raise --budget to allow it)")
+
+
+def test_coherence_budgets_its_automorphism_loops(capsys):
+    """pentagon-strict walks |Aut w|^3 triples and unitor |Aut w|^2 pairs per
+    class w; at q = 5 the class of (0, 2), with Aut = GL_2(F_5) of order 480,
+    stops each loop before it starts."""
+    argv = ["verify", "coherence", "--quiver", "a2", "--q", "5", "--max-dim", "2"]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert err.strip().splitlines()[-1] == (
+        "error: pentagon-strict Aut(d0.2#0)^3 loop: 110592000 items exceeds budget 2000000, "
+        "in suite coherence, instance 'pentagon-strict' (raise --budget to allow it)")
+    code, stdout, err = run(capsys, *argv, "--only", "unitor", "--budget", "100000")
+    assert code == 2 and stdout == ""
+    assert err.strip().splitlines()[-1].startswith(
+        "error: unitor Aut(d0.2#0)^2 loop: 230400 items exceeds budget 100000")

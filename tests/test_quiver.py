@@ -8,10 +8,11 @@ from hallalg.linalg import BudgetError, Matrix, PrimeField, unflatten
 from hallalg.quiver import (Quiver, RepCategory, RepMorphism, Representation,
                             dim_vectors_with_total)
 from oracles import (aut_order_slow, classify_by_matrix_orbits, complement_columns,
-                     count_exact_pairs_slow, enumerate_matrices, ext1_dim,
-                     invariant_subreps_by_solve, is_injective, is_invertible, is_surjective,
-                     is_simply_laced_dynkin, is_valid, is_zero, iso_set_by_products,
-                     pivot_row_complement, quiver_to_json_dict, quotient_with_projection,
+                     count_exact_pairs_slow, enumerate_matrices, ext1_dim, identity_morphism,
+                     indecomposable_classes, invariant_subreps_by_solve, is_indecomposable,
+                     is_injective, is_invertible, is_surjective, is_simply_laced_dynkin,
+                     is_valid, is_zero, iso_set_by_products, pivot_row_complement,
+                     positive_roots, quiver_to_json_dict, quotient_with_projection,
                      reduce_cocycle_by_solve, span_elements, subrep_on, zero_matrix)
 
 
@@ -87,7 +88,7 @@ def test_hom_basis_examples(ctx2, reps2):
     assert ctx2.hom_dim(S2, P1) == 1
     for M in (S1, S2, P1, reps2["SS"]):
         basis = ctx2.hom_basis(M, M)
-        ident = RepMorphism.identity(M)
+        ident = identity_morphism(M)
         combos = span_elements(ctx2, basis, M, M)
         assert ident in combos
         for mor in basis:
@@ -278,13 +279,13 @@ def test_representation_constructor_checks_shapes(a2, ctx2):
 
 
 def test_positive_roots(ctx2, ctx_a3):
-    assert ctx2.positive_roots() == [(0, 1), (1, 0), (1, 1)]
-    assert len(ctx_a3.positive_roots()) == 6
+    assert positive_roots(ctx2) == [(0, 1), (1, 0), (1, 1)]
+    assert len(positive_roots(ctx_a3)) == 6
     a1 = RepCategory(Quiver(1, []), 2)
-    assert a1.positive_roots() == [(1,)]
+    assert positive_roots(a1) == [(1,)]
     non_ade = RepCategory(Quiver(2, [(0, 1), (0, 1)]), 2)
     with pytest.raises(ValueError):
-        non_ade.positive_roots()
+        positive_roots(non_ade)
 
 
 def test_count_exact_pairs_examples(ctx2, ctx3, reps2, reps3):
@@ -500,8 +501,35 @@ def test_reduce_cocycle_matches_solve_oracle(ctx2, ctx3, a3_source):
 
 
 def test_indecomposables_match_gabriel(ctx2, ctx_a3):
-    assert len(ctx2.indecomposable_classes(4, max_entry=2)) == 3
-    assert len(ctx_a3.indecomposable_classes(4, max_entry=2)) == 6
+    assert len(indecomposable_classes(ctx2, 4, max_entry=2)) == 3
+    assert len(indecomposable_classes(ctx_a3, 4, max_entry=2)) == 6
+
+
+def test_indecomposable_counts_match_the_idempotent_walk(ctx2, ctx_a3, a3_source):
+    """The plethystic log of the class counts against the End(M) idempotent
+    walk, grade by grade inside the walk's box (total <= 4, entries <= 2)."""
+    for ctx in (ctx2, ctx_a3, RepCategory(a3_source, 3)):
+        walked = Counter(c.dim for c in indecomposable_classes(ctx, 4, max_entry=2))
+        counts = ctx.indecomposable_counts(4)
+        assert {d: n for d, n in counts.items() if max(d) <= 2} == \
+            {d: walked[d] for d in counts if max(d) <= 2}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_kronecker_indecomposable_counts(q):
+    """At (1, 1) the q + 1 points of P^1; at (2, 2) the q + 1 absolutely
+    indecomposable classes and the (q^2 - q) / 2 regular simples with End =
+    F_{q^2}.  The other grades up to total 4 are the real roots (1, 0),
+    (0, 1), (2, 1) and (1, 2), one class each, and no class at (4, 0),
+    (3, 1), (1, 3) or (0, 4)."""
+    ctx = RepCategory(Quiver(2, [(0, 1), (0, 1)], name="kronecker"), q)
+    counts = ctx.indecomposable_counts(4)
+    assert counts[(1, 1)] == q + 1
+    assert counts[(2, 2)] == q + 1 + (q * q - q) // 2
+    assert {d: n for d, n in counts.items() if n and d not in ((1, 1), (2, 2))} == \
+        {(0, 1): 1, (1, 0): 1, (1, 2): 1, (2, 1): 1}
+    if q == 2:      # the End(M) walk finds the same indecomposables at (2, 2)
+        assert sum(is_indecomposable(ctx, c.rep) for c in ctx.classify((2, 2))) == 4
 
 
 def test_ext_class_reps_and_extension_class(ctx2, reps2):

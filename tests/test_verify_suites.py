@@ -8,7 +8,7 @@ import pytest
 from hallalg.hall import HallAlgebra
 from hallalg.quiver import Quiver, RepCategory
 from hallalg import verify
-from oracles import green_residual_by_dim_walk
+from oracles import green_residual_by_dim_walk, indecomposable_classes, positive_roots
 
 D4 = Quiver(4, [(0, 1), (0, 2), (0, 3)], name="d4")
 
@@ -54,19 +54,20 @@ def test_bsim_never_enumerates_aut_of_the_middle_term(a2):
 
 
 def test_d4_root_census(ctx_d4):
-    roots = ctx_d4.positive_roots()
+    roots = positive_roots(ctx_d4)
     assert len(roots) == 12
     assert max(max(r) for r in roots) == 2  # the highest root doubles the center
-    inds = ctx_d4.indecomposable_classes(4, max_entry=2)
+    inds = indecomposable_classes(ctx_d4, 4, max_entry=2)
     in_box = [r for r in roots if sum(r) <= 4]
     assert len(in_box) == 11  # the highest root has total dimension 5
     assert sorted(c.dim for c in inds) == sorted(in_box)
 
 
 def test_d4_gabriel_suite(ctx_d4):
-    rep = verify.suite_gabriel(ctx_d4, 4)
+    rep = verify.suite_gabriel(ctx_d4, 5)
     assert rep["failures"] == []
-    assert rep["roots"] == 12
+    assert rep["instances"] == 125     # every grade 0 < |d| <= 5 on four vertices
+    assert rep["roots"] == 12          # the highest root (2 at the center) has total 5
 
 
 def test_gabriel_skips_non_dynkin():
