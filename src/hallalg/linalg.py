@@ -356,20 +356,31 @@ def gl_order(d, q):
 
 
 def gl_generators(field, d):
-    """Generators of GL_d(F_p) with their inverses, as (g, g^-1) pairs: the
-    transvections I + E_rs (r != s), inverted by I - E_rs, and for p > 2 one
-    diag(a, 1, ..., 1) with a primitive root a, inverted by diag(a^(p-2), 1,
-    ..., 1).  The inverses are read off in closed form, with no row reduction."""
+    """At most four generators of GL_d(F_p) with their inverses, as (g, g^-1)
+    pairs: the transvection I + E_01, inverted by I - E_01; the d-cycle
+    permutation e_i -> e_(i+1 mod d), inverted by its transpose; for d >= 3
+    the transposition (0 1), its own inverse; and for p > 2 diag(a, 1, ...,
+    1) with a primitive root a, inverted by diag(a^(p-2), 1, ..., 1).  The
+    permutations conjugate I + E_01 to every I + E_rs, which generate SL_d,
+    and the diagonal one reaches every determinant.  The inverses are read
+    off in closed form, with no row reduction."""
     p, gens = field.p, []
 
     def with_entry(r, s, x):
         """The identity with entry (r, s) set to x."""
         return Matrix._of(field, tuple(tuple(x if (i, j) == (r, s) else int(i == j)
                                              for j in range(d)) for i in range(d)), d, d)
-    for r in range(d):
-        for s in range(d):
-            if r != s:
-                gens.append((with_entry(r, s, 1), with_entry(r, s, p - 1)))
+
+    def permutation(images):
+        """The matrix sending e_i to e_images[i]."""
+        return Matrix._of(field, tuple(tuple(int(images[j] == i) for j in range(d))
+                                       for i in range(d)), d, d)
+    if d >= 2:
+        cycle = permutation([(i + 1) % d for i in range(d)])
+        gens += [(with_entry(0, 1, 1), with_entry(0, 1, p - 1)), (cycle, cycle.transpose())]
+    if d >= 3:
+        swap = permutation([1, 0] + list(range(2, d)))
+        gens.append((swap, swap))
     # a generator of F_p^* in the (0, 0) entry covers the non-unit determinants
     if d and p > 2:
         a = primitive_root(p)

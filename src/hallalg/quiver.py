@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import prod
 from operator import mul
 
@@ -281,6 +282,8 @@ class RepCategory:
         self._sums = {}           # (y, z) -> the chosen direct sum y (+) z
         self._frames = {}         # basis B -> its frame
         self._subspace_frames = {}  # (n, k) -> frames of all k-subspaces of F_p^n, in order
+        self._arrow_memo = {}     # edge map -> {(source, target frame index): _arrow_blocks}
+        self._block_pairs = {}    # each distinct _arrow_blocks pair, to itself
         self._closing = [[(a, s, t) for a, (s, t) in enumerate(quiver.arrows) if max(s, t) == v]
                          for v in range(quiver.n)]   # the arrows a subrep walk tests at v
 
@@ -501,71 +504,90 @@ class RepCategory:
         rest_s of E_a (that is, E_a C_s) and the subspace frame at t: None when its
         lower-left block proj_t E_a B_s is nonzero, else its upper-left block (the
         rows pivots_t of E_a B_s, which is U_a) and lower-right block
-        (proj_t E_a C_s, which is (E/U)_a), row-major."""
+        (proj_t E_a C_s, which is (E/U)_a), row-major.  Equal block pairs are
+        one object, so that the arrow memo holds each once."""
         p, pivots, low = self.q, ft[1], ft[3].entries
         if any(sum(map(mul, row, col)) % p for row in low for col in sub_cols):
             return None
-        return (tuple(col[i] for i in pivots for col in sub_cols),
+        pair = (tuple(col[i] for i in pivots for col in sub_cols),
                 tuple(sum(map(mul, row, col)) % p for row in low for col in rest_cols))
+        return self._block_pairs.setdefault(pair, pair)
 
-    def _subrep_walk(self, E, sub_dim):
-        """(frames, blocks) for every U <= E of dimension sub_dim: a cached
-        subspace frame per vertex and the _arrow_blocks of every arrow.  The
-        budget is checked at call time, before any frame is built.  Vertices
-        are walked in order through their subspace lists (their product's
-        order); an arrow is tested once both its ends are chosen and prunes
-        the subtree when it fails.  E_a B_s is formed once per source frame."""
-        check_budget(f"subspace tuples for subreps of dim {sub_dim}",
-                     prod(gaussian_binomial(e, k, self.q) for e, k in zip(E.dim, sub_dim)),
-                     self.budget)
-        per_vertex = []
-        for e, k in zip(E.dim, sub_dim):
-            if (e, k) not in self._subspace_frames:
-                self._subspace_frames[e, k] = list(subspace_frames(self.field, e, k, self.budget))
-            per_vertex.append(self._subspace_frames[e, k])
-        arrows, n, p, closing = self.quiver.arrows, self.quiver.n, self.q, self._closing
-        # the columns of E_a B_s and of E_a C_s per arrow, by source frame index
-        by_source = [[(tuple(tuple(sum(map(mul, row, col)) % p for row in ea.entries)
-                             for col in zip(*fr[0].entries)), _columns(ea, fr[2]))
-                      for fr in per_vertex[s]]
-                     for (s, _), ea in zip(arrows, E.edge_maps)]
-        memo = [{} for _ in arrows]       # per arrow: (source, target frame index) -> blocks
-        picked, frames, blocks = [-1] * n, [None] * n, [None] * len(arrows)
+    def _subrep_walk(self, E, sub_dim=None):
+        """(sub_dim, frames, blocks) for every U <= E of dimension sub_dim, or of
+        every dimension when sub_dim is None: a cached subspace frame per vertex
+        and the _arrow_blocks of every arrow.  The budget is checked on the
+        whole walk at call time, before any frame is built.  Vertices are
+        walked in order through their subspace lists, by dimension and then in
+        subspace_frames order (their product's order); an arrow is tested once
+        both its ends are chosen and prunes the subtree when it fails.  Blocks
+        are memoized on the context per edge map E_a and pair of frame
+        indices, so middle terms that share an edge map share them."""
+        q = self.q
+        if sub_dim is None:
+            what, ks = f"subspace tuples for subreps of every dim <= {E.dim}", [
+                range(e + 1) for e in E.dim]
+        else:
+            what, ks = f"subspace tuples for subreps of dim {sub_dim}", [(k,) for k in sub_dim]
+        check_budget(what, prod(sum(gaussian_binomial(e, k, q) for k in kv)
+                                for e, kv in zip(E.dim, ks)), self.budget)
+        per_vertex = []     # per vertex: (k, frame index among all of F_p^e, frame)
+        for e, kv in zip(E.dim, ks):
+            entries = []
+            for k in kv:
+                if (e, k) not in self._subspace_frames:
+                    self._subspace_frames[e, k] = list(
+                        subspace_frames(self.field, e, k, self.budget))
+                offset = sum(gaussian_binomial(e, j, q) for j in range(k))
+                entries.extend((k, offset + i, fr)
+                               for i, fr in enumerate(self._subspace_frames[e, k]))
+            per_vertex.append(entries)
+        n, closing, edge_maps = self.quiver.n, self._closing, E.edge_maps
+        memos = [self._arrow_memo.setdefault(ea, {}) for ea in edge_maps]
+        picked, dims, index, frames = [-1] * n, [0] * n, [0] * n, [None] * n
+        blocks = [None] * len(edge_maps)
 
         def walk():
             v = 0
             while v >= 0:
                 if v == n:
-                    yield tuple(frames), tuple(blocks)
+                    yield tuple(dims), tuple(frames), tuple(blocks)
                     v -= 1
                     continue
                 picked[v] += 1
                 if picked[v] == len(per_vertex[v]):
                     picked[v], v = -1, v - 1
                     continue
-                frames[v] = per_vertex[v][picked[v]]
+                dims[v], index[v], frames[v] = per_vertex[v][picked[v]]
                 for a, s, t in closing[v]:
-                    key = picked[s], picked[t]
-                    if key not in memo[a]:
-                        memo[a][key] = self._arrow_blocks(*by_source[a][picked[s]], frames[t])
-                    blocks[a] = memo[a][key]
+                    memo, key = memos[a], (index[s], index[t])
+                    if key not in memo:
+                        ea = edge_maps[a]
+                        memo[key] = self._arrow_blocks(
+                            tuple(tuple(sum(map(mul, row, col)) % q for row in ea.entries)
+                                  for col in zip(*frames[s][0].entries)),
+                            _columns(ea, frames[s][2]), frames[t])
+                    blocks[a] = memo[key]
                     if blocks[a] is None:
                         break
                 else:
                     v += 1
         return walk()
 
-    def _subreps(self, E, sub_dim, walk):
+    def _subreps(self, E, walk):
         """The (inclusion U -> E, E/U, projection E -> E/U) triples of a
         _subrep_walk, in its order; triples share the matrices of equal blocks."""
         f, arrows = self.field, self.quiver.arrows
-        qdim = tuple(e - k for e, k in zip(E.dim, sub_dim))
-        mats = {}   # id of a block pair (the walk keeps it alive) -> (U_a, (E/U)_a)
+        mats = {}   # (id of a block pair, its shapes) -> (U_a, (E/U)_a)
         out = []
-        for frames, blocks in walk:
-            maps = [mats.get(id(b)) or mats.setdefault(id(b), unflatten(
-                        f, b[0] + b[1], [(sub_dim[t], sub_dim[s]), (qdim[t], qdim[s])]))
-                    for (s, t), b in zip(arrows, blocks)]
+        for sub_dim, frames, blocks in walk:
+            qdim = tuple(e - k for e, k in zip(E.dim, sub_dim))
+            maps = []
+            for (s, t), b in zip(arrows, blocks):
+                key = id(b), ((sub_dim[t], sub_dim[s]), (qdim[t], qdim[s]))
+                if key not in mats:
+                    mats[key] = unflatten(f, b[0] + b[1], key[1])
+                maps.append(mats[key])
             U = Representation._of(self.quiver, f, sub_dim, [m[0] for m in maps])
             Q = Representation._of(self.quiver, f, qdim, [m[1] for m in maps])
             out.append((RepMorphism._of(U, E, [fr[0] for fr in frames]), Q,
@@ -577,7 +599,7 @@ class RepCategory:
         cached list of _subreps triples over canonical subspace bases."""
         key = (E, tuple(sub_dim))
         if key not in self._subrep_cache:
-            self._subrep_cache[key] = self._subreps(E, key[1], self._subrep_walk(E, key[1]))
+            self._subrep_cache[key] = self._subreps(E, self._subrep_walk(E, key[1]))
         return self._subrep_cache[key]
 
     def subrep_frames(self, E, bases):
@@ -597,7 +619,7 @@ class RepCategory:
                                        frames[t])
                 blocks.append(b and (flatten([frame_coordinates(frames[t], eb)]), b[1]))
             found = self._on_bases_cache[key] = None if None in blocks else self._subreps(
-                E, tuple(B.cols for B in bases), [(frames, blocks)])[0] + (frames,)
+                E, [(tuple(B.cols for B in bases), frames, blocks)])[0] + (frames,)
         if found is None:
             raise ValueError("the span of the bases is not a subrepresentation")
         return found
@@ -727,17 +749,23 @@ class RepCategory:
 
     def census(self, ce, sub_dim):
         """{(class index of E/U, class index of U): count} over U <= E of dim sub_dim,
-        read off the walk's concatenated flat blocks (flatten()'s layout); builds no object."""
+        read off the walk's concatenated flat blocks (flatten()'s layout); builds no object.
+        One walk of E over every sub-dimension fills the census of E at each."""
         key = (ce.label, sub_dim)
         if key not in self._census_cache:
-            walk = self._subrep_walk(ce.rep, sub_dim)
-            qdim = tuple(e - k for e, k in zip(ce.dim, sub_dim))
-            self.classify(sub_dim)
-            self.classify(qdim)
-            qcanon, ucanon = self._canon[qdim], self._canon[sub_dim]
-            self._census_cache[key] = Counter(
-                (qcanon[sum([b[1] for b in blocks], ())], ucanon[sum([b[0] for b in blocks], ())])
-                for _, blocks in walk)
+            walk = self._subrep_walk(ce.rep)
+            tallies = {}    # sub-dimension -> (quotient canon, sub canon, counts)
+            for k in product(*(range(e + 1) for e in ce.dim)):
+                qdim = tuple(e - x for e, x in zip(ce.dim, k))
+                self.classify(k)
+                self.classify(qdim)
+                tallies[k] = self._canon[qdim], self._canon[k], Counter()
+            for k, _, blocks in walk:
+                qcanon, ucanon, counts = tallies[k]
+                counts[qcanon[sum([b[1] for b in blocks], ())],
+                       ucanon[sum([b[0] for b in blocks], ())]] += 1
+            for k, (_, _, counts) in tallies.items():
+                self._census_cache[ce.label, k] = counts
         return self._census_cache[key]
 
     # ---- indecomposables ----------------------------------------------------

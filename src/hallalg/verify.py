@@ -387,15 +387,21 @@ def suite_engine(run, seed):
 def suite_gabriel(run, ctx, max_dim):
     """Gabriel's theorem on every grade 0 < |d| <= max_dim: the number of
     indecomposable classes of dimension d, read off the class counts, is 1
-    when d is a positive root (Tits form <d, d> = 1) and 0 otherwise."""
+    when d is a positive root (Tits form <d, d> = 1) and 0 otherwise.  When
+    `only` names one grade, the counts are read up to its total alone."""
     if not ctx.quiver.is_dynkin:
         return {"scope_note": "skipped: quiver is not simply-laced Dynkin"}
+    ids = {d: "gabriel:" + ".".join(map(str, d))
+           for total in range(1, max_dim + 1) for d in dim_vectors_with_total(ctx.quiver.n, total)}
+    bound = max_dim if run.only in (None, "gabriel") else max(
+        (sum(d) for d, inst in ids.items() if inst == run.only), default=0)
+    counts = ctx.indecomposable_counts(bound)
     roots = 0
-    for d, n_d in ctx.indecomposable_counts(max_dim).items():
+    for d, inst in ids.items():
         tits = ctx.euler_form(d, d)
         roots += tits == 1
-        if run.want("gabriel:" + ".".join(map(str, d))) and n_d != (tits == 1):
-            run.fail(f"{n_d} indecomposable classes, Tits form {tits}")
+        if run.want(inst) and counts[d] != (tits == 1):
+            run.fail(f"{counts[d]} indecomposable classes, Tits form {tits}")
     return {"roots": roots, "scope_note": f"every grade of total <= {max_dim}; "
             "indecomposables by plethystic log of the class counts"}
 

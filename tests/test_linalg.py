@@ -177,13 +177,15 @@ def test_matrix_inverse_and_product():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_gl_generator_pairs_invert_and_generate(p):
-    """Each gl_generators pair (g, h) has g h = h g = I, and the g generate
-    GL_d(F_p): the orbit of I under left multiplication by them has
-    |GL_d(F_p)| elements, for d <= 2."""
+    """Each gl_generators pair (g, h) has g h = h g = I, there are at most
+    four, and the g generate GL_d(F_p): the orbit of I under left
+    multiplication by them has |GL_d(F_p)| elements, for d <= 4 at p = 2,
+    d <= 3 at p = 3 and d <= 2 at p = 5."""
     f = PrimeField(p)
-    for d in range(3):
+    for d in range({2: 5, 3: 4, 5: 3}[p]):
         ident = Matrix.identity(f, d)
         pairs = gl_generators(f, d)
+        assert len(pairs) <= 4
         assert all(g * h == h * g == ident for g, h in pairs)
         orbit, frontier = {ident}, [ident]
         while frontier:

@@ -31,7 +31,8 @@ CAUGHT = {
                       "bilinearity": ("ValueError: inclusion is not injective", 210)})],
     # no suite sees it: the reduction changes only on pairs of total dim >= 4
     # (none on a2), so every suite passes at a2 and a3-source up to dim 3;
-    # test_ext_reduction_oracle_catches_ext_low_term_dropped catches it
+    # test_ext_reduction_oracle_catches_ext_low_term_dropped and the property
+    # test test_reduce_cocycle_properties (tests/test_quiver.py) catch it
     "ext_low_term_dropped": [("a3-source", 3, 3, {"ext": (0, 114), "riedtmann": (0, 220),
                                                   "bilinearity": (0, 566)})],
     # one class too few at (3, 1) on a2 reads n = -1 indecomposables there; (3, 1)

@@ -7,6 +7,7 @@ import pytest
 from hallalg.linalg import BudgetError, Matrix, PrimeField, unflatten
 from hallalg.quiver import (Quiver, RepCategory, RepMorphism, Representation,
                             dim_vectors_with_total)
+from mutants import MUTANTS
 from oracles import (aut_order_slow, classify_by_matrix_orbits, complement_columns,
                      count_exact_pairs_slow, enumerate_matrices, ext1_dim, identity_morphism,
                      indecomposable_classes, invariant_subreps_by_solve, is_indecomposable,
@@ -209,14 +210,16 @@ def test_subrep_budget_is_checked_before_any_frame(a2):
 
 
 def test_census_budget_is_checked_before_any_frame(a2):
+    """A census walks E once over every sub-dimension, so the budget meets the
+    whole walk: (1 + 3 + 1)^2 = 25 subspace pairs for E = (2, 2) at q = 2."""
     ctx = RepCategory(a2, 2)
     ce = ctx.class_of(Representation(a2, ctx.field, (2, 2), [zero_matrix(ctx.field, 2, 2)]))
     ctx.budget = 2
     with pytest.raises(BudgetError) as err:
         ctx.census(ce, (1, 1))
-    assert err.value.what == "subspace tuples for subreps of dim (1, 1)"
-    assert err.value.count == 9
-    assert ctx._frames == {} and ctx._subspace_frames == {}
+    assert err.value.what == "subspace tuples for subreps of every dim <= (2, 2)"
+    assert err.value.count == 25
+    assert ctx._frames == {} and ctx._subspace_frames == {} and ctx._census_cache == {}
 
 
 def test_iso_set_budget_counts_the_vertex_product(a2):
@@ -500,6 +503,50 @@ def test_reduce_cocycle_matches_solve_oracle(ctx2, ctx3, a3_source):
                       ("d4", "d1.0.0.0#0", "d1.1.0.1#3"), ("d4", "d1.0.0.0#0", "d1.1.1.0#3")]
 
 
+def ext_reduction_violations(ctx, bound, rng):
+    """The (M label, N label, property) triples, over every pair of classes of
+    total dim <= bound, where reduce_cocycle breaks one of three properties:
+    it sends the coboundaries phi x to 0, x a unit vector of the domain or
+    one of two seeded draws ("coboundary"); it fixes the unit vector e_c of
+    every complement coordinate c ("rest"); and its image, spanned by the
+    reductions of the unit cocycles, has dimension dim Hom(M, N) - <m, n> =
+    dim Ext^1(M, N) ("image")."""
+    out = []
+    for cm, cn in ctx.class_tuples(bound, 2):
+        M, N = cm.rep, cn.rep
+        phi = ctx._presentation_matrix(M, N)[0]
+        units = Matrix.identity(ctx.field, phi.rows).entries
+        draws = list(Matrix.identity(ctx.field, phi.cols).entries) + [
+            tuple(rng.randrange(ctx.q) for _ in range(phi.cols)) for _ in range(2)]
+        if any(any(ctx.reduce_cocycle(M, N, phi.apply(x))) for x in draws):
+            out.append((cm.label, cn.label, "coboundary"))
+        if any(ctx.reduce_cocycle(M, N, units[c]) != units[c]
+               for c in ctx._ext_complement(M, N)[0]):
+            out.append((cm.label, cn.label, "rest"))
+        image = Matrix(ctx.field, [ctx.reduce_cocycle(M, N, u) for u in units],
+                       phi.rows, phi.rows)
+        if image.rank() != ctx.hom_dim(M, N) - ctx.euler_form(M.dim, N.dim):
+            out.append((cm.label, cn.label, "image"))
+    return out
+
+
+@pytest.mark.parametrize("name", ["a3_source", "a3", "d4"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_reduce_cocycle_properties(request, name, p):
+    """reduce_cocycle kills coboundaries, fixes the complement and has image of
+    dimension dim Ext^1, on every class pair of total dim <= 4; with the
+    coboundary terms of the reduction dropped (the ext_low_term_dropped
+    mutant), coboundaries survive on the pairs where those terms are nonzero
+    (one pair on each A3, three on d4)."""
+    quiver = {"d4": D4}.get(name) or request.getfixturevalue(name)
+    ctx = RepCategory(quiver, p)
+    assert ext_reduction_violations(ctx, 4, random.Random(20261019)) == []
+    with MUTANTS["ext_low_term_dropped"]():
+        caught = ext_reduction_violations(RepCategory(quiver, p), 4, random.Random(20261019))
+    assert len(caught) == (3 if name == "d4" else 1), caught
+    assert {prop for _, _, prop in caught} == {"coboundary"}
+
+
 def test_indecomposables_match_gabriel(ctx2, ctx_a3):
     assert len(indecomposable_classes(ctx2, 4, max_entry=2)) == 3
     assert len(indecomposable_classes(ctx_a3, 4, max_entry=2)) == 6
@@ -615,6 +662,22 @@ def test_census_matches_greedy_completion_oracle(request, name, p):
                 (cls.label, sub_dim)
             seen += sum(census.values())
     assert seen > 50
+
+
+@pytest.mark.parametrize("name,p,bound", [("a2", 2, 4), ("a2", 3, 4), ("d4", 2, 3)])
+def test_census_arrow_memo_does_not_leak_between_middle_terms(request, name, p, bound):
+    """Arrow blocks are memoized on the context across middle terms: the
+    census of every class, on a context that walked the classes after it
+    first, equals its census on a fresh context."""
+    quiver = {"d4": D4}.get(name) or request.getfixturevalue(name)
+    shared = RepCategory(quiver, p)
+    classes = shared.classes_up_to(bound)
+    sub_dims = {cls: list(product(*(range(d + 1) for d in cls.dim))) for cls in classes}
+    got = {cls: [shared.census(cls, k) for k in sub_dims[cls]] for cls in reversed(classes)}
+    for cls in classes:
+        fresh = RepCategory(quiver, p)
+        ce = fresh.class_by_label(cls.label)
+        assert got[cls] == [fresh.census(ce, k) for k in sub_dims[cls]], cls.label
 
 
 def test_census_walks_compute_no_rref(a3_source, monkeypatch):

@@ -70,6 +70,18 @@ def test_d4_gabriel_suite(ctx_d4):
     assert rep["roots"] == 12          # the highest root (2 at the center) has total 5
 
 
+def test_gabriel_only_reads_the_grades_it_needs():
+    """--only gabriel:<d> classifies no grade of total above |d|; the roots
+    are still counted on every grade, as in the full run."""
+    ctx = RepCategory(D4, 3)
+    rep = verify.run_suite("gabriel", ctx, None, 5, seed=0, only="gabriel:1.0.0.0")
+    assert (rep["instances"], rep["failures"], rep["roots"]) == (1, [], 12)
+    assert max(sum(d) for d in ctx._classes) == 1
+    full = verify.run_suite("gabriel", RepCategory(D4, 3), None, 5, seed=0)
+    assert {k: v for k, v in rep.items() if k != "instances"} == \
+        {k: v for k, v in full.items() if k != "instances"}
+
+
 def test_gabriel_skips_non_dynkin():
     ctx = RepCategory(Quiver(2, [(0, 1), (0, 1)], name="kronecker"), 2)
     rep = verify.suite_gabriel(ctx, 4)
@@ -78,12 +90,13 @@ def test_gabriel_skips_non_dynkin():
 
 
 def test_green_builds_each_census_once(a2, monkeypatch):
-    """Hall numbers come from one subrepresentation walk per (E, sub-dim)."""
+    """Hall numbers come from one subrepresentation walk per middle term E,
+    over every sub-dimension of E at once."""
     walks = Counter()
     subrep_walk = RepCategory._subrep_walk
 
-    def counted(self, E, sub_dim):
-        walks[(E, tuple(sub_dim))] += 1
+    def counted(self, E, sub_dim=None):
+        walks[E, sub_dim] += 1
         return subrep_walk(self, E, sub_dim)
 
     monkeypatch.setattr(RepCategory, "_subrep_walk", counted)
@@ -91,6 +104,8 @@ def test_green_builds_each_census_once(a2, monkeypatch):
     rep = verify.suite_green(ctx, HallAlgebra(ctx), 3)
     assert rep["instances"] > 0 and rep["failures"] == []
     assert walks and set(walks.values()) == {1}, walks.most_common(3)
+    assert {sub_dim for _, sub_dim in walks} == {None}
+    assert {E for E, _ in walks} == {c.rep for c in ctx.classes_up_to(3)}
 
 
 @pytest.mark.parametrize("name,p", [("a2", 2), ("a2", 3), ("a3_source", 2),
