@@ -136,6 +136,7 @@ class HallAlgebra:
         self._antipode_cache = {}
         self._braid_cache = {}
         self._grade_orders = {}
+        self._green_grade = (None, None, None)     # (grade, columns, inverse)
 
     # ---- grading helpers ----------------------------------------------------
 
@@ -304,77 +305,85 @@ class HallAlgebra:
 
     # ---- Green's formula and the bialgebra law ---------------------------------
 
-    def green_residual(self, label_m, label_n, label_x, label_y):
-        """LHS minus RHS of Green's formula, as (int numerator, denominator);
-        the numerator is identically zero when it holds.
+    def _green_indexes(self, total):
+        """The two indexes that the Green rows of grade total read, as
+        (columns, inverse).
 
-        The left side sums P^E_{MN} P^E_{XY} / aut E over the middle terms E,
-        collected per aut E.  The right side,
-
-            sum q^{-<A, D>} P^M_{AB} P^N_{CD} P^X_{AC} P^Y_{BD}
-                / (aut A aut B aut C aut D),
-
-        is a join of the factorization indexes of M, N, X and Y: A runs over
-        the quotients of both M and X, C over the subs of X under A, B over
-        the subs of M under A, and D over the subs of N under C that also
-        sit under B in Y.  Each term is an exact integer quotient, collected
-        per grade pair (A, C), which fixes the Euler exponent.  Both sides are
-        scaled to |G_{m+n}| q^K, q^K the largest denominator of the braiding
-        coefficients, as in bialgebra_residual: aut E divides |G_{m+n}|.
+        columns lists (E, {(X, Y): P^E_{XY}}) over the classes E of grade
+        total, read through pair_count.  inverse is {(A, C): [(X, g^X_{AC})]}
+        over the classes X of every grade <= total, regrouped from their
+        factorization indexes; the Hall number g^X_{AC} = P^X_{AC} /
+        (aut A aut C) is an exact integer, asserted so.
         """
-        ctx = self.ctx
-        cls = ctx.class_by_label
-        M, N, X, Y = cls(label_m), cls(label_n), cls(label_x), cls(label_y)
-        total = dim_add(M.dim, N.dim)
-        if total != dim_add(X.dim, Y.dim):
-            return 0, 1
-        lhs = {}
+        ctx, cls = self.ctx, self.ctx.class_by_label
+        splits = [(ctx.classify(dim_x), ctx.classify(tuple(t - x for t, x in zip(total, dim_x))))
+                  for dim_x in iproduct(*(range(t + 1) for t in total))]
+        columns = []
         for ce in ctx.classify(total):
-            pe_mn = ctx.pair_count(M, N, ce)
-            if not pe_mn:
-                continue
-            pe_xy = ctx.pair_count(X, Y, ce)
-            if pe_xy:
-                lhs[ce.aut] = lhs.get(ce.aut, 0) + pe_mn * pe_xy
-        rhs = {}
+            column = {(cx.label, cy.label): p for xs, ys in splits for cx in xs for cy in ys
+                      if (p := ctx.pair_count(cx, cy, ce))}
+            columns.append((ce, column))
+        inverse = {}
+        for xs, _ in splits:
+            for cx in xs:
+                for la, subs in self.factorizations(cx.label).items():
+                    aut_a = cls(la).aut
+                    for lc, p in subs.items():
+                        g, r = divmod(p, aut_a * cls(lc).aut)
+                        assert not r, (cx.label, la, lc)
+                        inverse.setdefault((la, lc), []).append((cx.label, g))
+        return columns, inverse
+
+    def green_residual(self, label_m, label_n):
+        """LHS minus RHS of Green's formula on the row (M, N), for every
+        (X, Y) of grade m + n at once: ({(X, Y): int numerator}, denominator),
+        only nonzero numerators stored.  The row is empty when it holds.
+
+        The left side, sum_E P^E_{MN} P^E_{XY} / aut E, is the sum over E of
+        P^E_{MN} / aut E times the pair-count column of E.  The right side,
+
+            sum q^{-<A, D>} P^M_{AB} P^N_{CD} g^X_{AC} g^Y_{BD},
+
+        scatters each pair of factorizations (A, B) of M and (C, D) of N over
+        the X of the inverse index at (A, C) and the Y at (B, D).  Both sides
+        are scaled to |G_{m+n}| q^K, q^K the largest denominator of the
+        row's braiding coefficients: aut E divides |G_{m+n}|.  The indexes
+        are kept for the last grade asked only, so rows are cheapest grade
+        by grade, as verify green asks for them.
+        """
+        cls = self.ctx.class_by_label
+        dim_n = cls(label_n).dim
+        total = dim_add(cls(label_m).dim, dim_n)
+        if self._green_grade[0] != total:
+            self._green_grade = (total, *self._green_indexes(total))
+        _, columns, inverse = self._green_grade
         f_m, f_n = self.factorizations(label_m), self.factorizations(label_n)
-        f_x, f_y = self.factorizations(label_x), self.factorizations(label_y)
-        for la, m_subs in f_m.items():
-            x_subs = f_x.get(la)
-            if x_subs is None:
-                continue
-            ca = cls(la)
-            for lc, p_x in x_subs.items():
-                n_subs = f_n.get(lc)
-                if n_subs is None:
-                    continue
-                cc = cls(lc)
-                terms = 0
-                for lb, p_m in m_subs.items():
-                    y_subs = f_y.get(lb)
-                    if y_subs is None:
-                        continue
-                    p_mx = p_m * p_x
-                    aut_abc = ca.aut * cls(lb).aut * cc.aut
-                    for ld, p_n in n_subs.items():
-                        p_y = y_subs.get(ld)
-                        if p_y:
-                            t, r = divmod(p_mx * p_n * p_y, aut_abc * cls(ld).aut)
-                            assert not r, (label_m, label_n, label_x, label_y)
-                            terms += t
-                if terms:
-                    key = (ca.dim, cc.dim)
-                    rhs[key] = rhs.get(key, 0) + terms
-        # rhs over q^K, rescaled whenever a larger power of q turns up
-        num, top = 0, 1
-        for (dim_a, dim_c), s in rhs.items():
-            coeff = self.braid_coeff(dim_a, tuple(n - c for n, c in zip(N.dim, dim_c)))
-            den = coeff.denominator
-            if den > top:
-                num, top = num * (den // top), den
-            num += s * coeff.numerator * (top // den)
+        dims_d = {lc: tuple(n - c for n, c in zip(dim_n, cls(lc).dim)) for lc in f_n}
+        coeffs = {(la, lc): self.braid_coeff(cls(la).dim, dim_d)
+                  for la in f_m for lc, dim_d in dims_d.items() if (la, lc) in inverse}
+        top = max((c.denominator for c in coeffs.values()), default=1)
         order = self.grade_order(total)
-        return sum(s * (order // aut) for aut, s in lhs.items()) * top - num * order, order * top
+        acc = {}
+        for ce, column in columns:
+            pe_mn = column.get((label_m, label_n))
+            if pe_mn:
+                w = pe_mn * (order // ce.aut) * top
+                for key, p in column.items():
+                    acc[key] = acc.get(key, 0) + w * p
+        for (la, lc), coeff in coeffs.items():
+            xs = inverse[la, lc]
+            c = -order * coeff.numerator * (top // coeff.denominator)
+            n_subs = f_n[lc]
+            for lb, p_m in f_m[la].items():
+                for ld, p_n in n_subs.items():
+                    ys = inverse.get((lb, ld))
+                    if ys:
+                        w = c * p_m * p_n
+                        for lx, g_x in xs:
+                            w_x = w * g_x
+                            for ly, g_y in ys:
+                                acc[lx, ly] = acc.get((lx, ly), 0) + w_x * g_y
+        return {key: v for key, v in acc.items() if v}, order * top
 
     def bialgebra_residual(self, label_m, label_n, bound):
         """Delta([M].[N]) - Delta([M]) . Delta([N]) in the braided sense, as

@@ -122,6 +122,21 @@ def dim_vectors_with_total(n, total):
             yield (first,) + rest
 
 
+def tuples_up_to(classes, k, remaining):
+    """Every k-tuple of classes, in the order of the list `classes` (sorted
+    by total dimension), whose total dimensions sum to at most `remaining`.
+    A module-level generator, so no closure cycle keeps `classes` alive."""
+    if k == 0:
+        yield ()
+        return
+    for cls in classes:
+        t = sum(cls.dim)
+        if t > remaining:
+            break       # classes come in order of total dimension
+        for rest in tuples_up_to(classes, k - 1, remaining - t):
+            yield (cls,) + rest
+
+
 class Representation:
     """Dimension vector plus one matrix per arrow, shape (dim[tgt] x dim[src])."""
 
@@ -383,19 +398,7 @@ class RepCategory:
     def class_tuples(self, bound, k):
         """Every k-tuple of classes with total dimension <= bound, in the
         lexicographic order of classes_up_to(bound)."""
-        classes = self.classes_up_to(bound)
-
-        def rec(k, remaining):
-            if k == 0:
-                yield ()
-                return
-            for cls in classes:
-                t = sum(cls.dim)
-                if t > remaining:
-                    break       # classes come in order of total dimension
-                for rest in rec(k - 1, remaining - t):
-                    yield (cls,) + rest
-        return rec(k, bound)
+        return tuples_up_to(self.classes_up_to(bound), k, bound)
 
     def class_by_label(self, label):
         if label in self._by_label:

@@ -49,6 +49,36 @@ def glue_sign_dropped():
         yield
 
 
+@contextmanager
+def braid_exponent_swapped():
+    """HallAlgebra.braid_coeff with its two grades swapped: q^{-<second, first>}
+    for q^{-<first, second>}."""
+    braid_coeff = HallAlgebra.braid_coeff
+
+    def swapped(self, grade_first, grade_second, sign=-1):
+        return braid_coeff(self, grade_second, grade_first, sign)
+
+    with mock.patch.object(HallAlgebra, "braid_coeff", swapped):
+        yield
+
+
+@contextmanager
+def factorization_bumped():
+    """HallAlgebra.factorizations with one extra factorization of P1 =
+    d1.1#1 on a2: S2 = d0.1#0 <= P1 with quotient S1 = d1.0#0."""
+    factorizations = HallAlgebra.factorizations
+
+    def bumped(self, label):
+        out = factorizations(self, label)
+        if label == "d1.1#1":
+            out = {a: dict(subs) for a, subs in out.items()}
+            out["d1.0#0"]["d0.1#0"] += 1
+        return out
+
+    with mock.patch.object(HallAlgebra, "factorizations", bumped):
+        yield
+
+
 def drop_low_terms(frame):
     """A frame whose projection rows read x_rest alone, not x_rest - B_rest x_pivots."""
     B, pivots, rest = frame[:3]
@@ -112,5 +142,7 @@ def orbits_merged():
 
 
 MUTANTS = {"coproduct_doubled": coproduct_doubled, "glue_sign_dropped": glue_sign_dropped,
+           "braid_exponent_swapped": braid_exponent_swapped,
+           "factorization_bumped": factorization_bumped,
            "frame_low_term_dropped": frame_low_term_dropped,
            "ext_low_term_dropped": ext_low_term_dropped, "orbits_merged": orbits_merged}

@@ -3,8 +3,9 @@
 Each one recomputes a quantity the library computes by a faster route:
 by enumerating every candidate morphism and testing it directly, by
 the one-vector-at-a-time linear algebra the library replaced, by a
-walk over every dimension vector where the library joins sparse indexes,
-or with Fraction coefficients where the library keeps int numerators.
+walk over every dimension vector or a per-quadruple join of sparse
+indexes where the library scatters whole rows of Green's formula, or
+with Fraction coefficients where the library keeps int numerators.
 The *_by_solve splittings and gluings build their induced maps by linear
 solves through block inclusions and projections, where the library slices
 maps and reads them off subspace frames.  Library API that only the tests
@@ -417,6 +418,75 @@ def green_residual_by_dim_walk(hall, label_m, label_n, label_x, label_y):
                         rhs += hall.braid_coeff(dim_a, dim_d) * Fraction(
                             p, ca.aut * cb.aut * cc.aut * cd.aut)
     return lhs - rhs
+
+
+def green_residual_by_join(hall, label_m, label_n, label_x, label_y):
+    """LHS minus RHS of Green's formula on one quadruple, the right side a
+    join of the factorization indexes of M, N, X and Y.
+
+    A runs over the quotients of both M and X, C over the subs of X under
+    A, B over the subs of M under A, and D over the subs of N under C that
+    also sit under B in Y.  Each term is an exact integer quotient,
+    collected per grade pair (A, C), which fixes the Euler exponent.
+    """
+    ctx = hall.ctx
+    cls = ctx.class_by_label
+    M, N, X, Y = cls(label_m), cls(label_n), cls(label_x), cls(label_y)
+    total = dim_add(M.dim, N.dim)
+    if total != dim_add(X.dim, Y.dim):
+        return Fraction(0)
+    lhs = Fraction(0)
+    for ce in ctx.classify(total):
+        pe_mn = ctx.pair_count(M, N, ce)
+        if pe_mn:
+            lhs += Fraction(pe_mn * ctx.pair_count(X, Y, ce), ce.aut)
+    rhs = {}
+    f_m, f_n = hall.factorizations(label_m), hall.factorizations(label_n)
+    f_x, f_y = hall.factorizations(label_x), hall.factorizations(label_y)
+    for la, m_subs in f_m.items():
+        x_subs = f_x.get(la)
+        if x_subs is None:
+            continue
+        ca = cls(la)
+        for lc, p_x in x_subs.items():
+            n_subs = f_n.get(lc)
+            if n_subs is None:
+                continue
+            cc = cls(lc)
+            terms = 0
+            for lb, p_m in m_subs.items():
+                y_subs = f_y.get(lb)
+                if y_subs is None:
+                    continue
+                p_mx = p_m * p_x
+                aut_abc = ca.aut * cls(lb).aut * cc.aut
+                for ld, p_n in n_subs.items():
+                    p_y = y_subs.get(ld)
+                    if p_y:
+                        t, r = divmod(p_mx * p_n * p_y, aut_abc * cls(ld).aut)
+                        assert not r, (label_m, label_n, label_x, label_y)
+                        terms += t
+            if terms:
+                key = (ca.dim, cc.dim)
+                rhs[key] = rhs.get(key, 0) + terms
+    return lhs - sum(s * hall.braid_coeff(dim_a, tuple(n - c for n, c in zip(N.dim, dim_c)))
+                     for (dim_a, dim_c), s in rhs.items())
+
+
+def green_row_by_join(hall, label_m, label_n):
+    """HallAlgebra.green_residual's row (M, N) from green_residual_by_join:
+    ({(X, Y): residual}, 1) over the pairs of classes of grade m + n, only
+    nonzero residuals stored, each a Fraction."""
+    ctx = hall.ctx
+    total = dim_add(hall.grade(label_m), hall.grade(label_n))
+    row = {}
+    for dim_x in product(*(range(t + 1) for t in total)):
+        for cx in ctx.classify(dim_x):
+            for cy in ctx.classify(tuple(t - x for t, x in zip(total, dim_x))):
+                r = green_residual_by_join(hall, label_m, label_n, cx.label, cy.label)
+                if r:
+                    row[cx.label, cy.label] = r
+    return row, 1
 
 
 def coproduct_by_aut(hall, label_e):

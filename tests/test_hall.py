@@ -5,6 +5,7 @@ import pytest
 from hallalg.hall import (GradeBoundError, HallAlgebra, HallVector, label_sort_key,
                           parse_label)
 from hallalg.quiver import RepCategory, dim_add
+from mutants import MUTANTS
 from oracles import coproduct
 
 ZERO = "d0.0#0"
@@ -113,13 +114,17 @@ def test_tensor_product_examples(hall2):
     assert got3 == (HallVector({(S1, S2): 2, (S1, S1): 1}), 1)
 
 
-def test_green_residuals(hall2):
-    # (numerator, |G_{m+n}| q^K): |G_(1,1)| = 1 with K = 0, and
-    # |G_(2,1)| = |GL_2(F_2)| = 6 with K = 1
-    assert hall2.green_residual(S1, S2, S1, S2) == (0, 1)
-    assert hall2.green_residual(P1, S1, P1, S1) == (0, 12)
-    # mismatched total grade: trivially zero with both sides empty
-    assert hall2.green_residual(S1, S1, S1, S2) == (0, 1)
+def test_green_residuals(hall2, a2):
+    # a row (M, N) is ({(X, Y): numerator}, |G_{m+n}| q^K), empty when Green's
+    # formula holds: |G_(1,1)| = 1 with K = 0, and |G_(2,1)| = |GL_2(F_2)| = 6
+    # with K = 1
+    assert hall2.green_residual(S1, S2) == ({}, 1)
+    assert hall2.green_residual(P1, S1) == ({}, 12)
+    # with q^{-<D, A>} for q^{-<A, D>}, only the pair (M, N) itself is off
+    with MUTANTS["braid_exponent_swapped"]():
+        hall = HallAlgebra(RepCategory(a2, 2))
+        assert hall.green_residual(S1, S2) == ({(S1, S2): 1}, 1)
+        assert hall.green_residual(P1, S1) == ({(P1, S1): -6}, 12)
 
 
 def test_bialgebra_residuals(hall2):

@@ -8,7 +8,7 @@ from hallalg.linalg import Matrix
 from hallalg.quiver import RepCategory
 from hallalg import verify
 from mutants import MUTANTS
-from oracles import reduce_cocycle_by_solve
+from oracles import green_row_by_join, reduce_cocycle_by_solve
 
 # mutant -> [(quiver, q, max_dim, {suite: (failures, instances)}), ...]; failures may
 # instead be the "Type: message" of an exception the mutant makes the suite raise,
@@ -18,6 +18,19 @@ CAUGHT = {
     "coproduct_doubled": [("a2", 2, 3, {"algebra": (0, 202), "green": (0, 295),
                                         "bialgebra": (20, 45), "antipode": (0, 13),
                                         "spans": (25, 142)})],
+    # Green's formula and the braiding matrix of bsim read braid_coeff; the
+    # bialgebra law braids through euler_form directly, so it passes
+    "braid_exponent_swapped": [("a2", 2, 3, {"green": (26, 295), "bialgebra": (0, 45),
+                                             "bsim": (24, 98)}),
+                               ("a2", 3, 3, {"green": (26, 295)}),
+                               ("a2", 2, 4, {"green": (166, 1137)})],
+    # every Hall suite that reads a coproduct sees it too; at q = 3 the bumped
+    # P^{P1}_{S1 S2} = 5 is no multiple of aut S1 aut S2 = 4, and the Hall
+    # number division of the Green rows asserts exactness
+    "factorization_bumped": [
+        ("a2", 2, 3, {"algebra": (2, 202), "green": (22, 295), "bialgebra": (5, 45),
+                      "antipode": (2, 13), "spans": (1, 142)}),
+        ("a2", 3, 3, {"green": ("AssertionError: ('d1.1#1', 'd1.0#0', 'd0.1#0')", 295)})],
     # a sign is invisible over F_2; the bilinearity round trip sees it at q = 3
     "glue_sign_dropped": [("a2", 3, 2, {"bilinearity": (1, 62)}),
                           ("a2", 3, 3, {"bilinearity": (7, 210)})],
@@ -48,8 +61,8 @@ def _counts(quiver, q, max_dim, suites):
     for name in suites:
         try:
             rep = verify.run_suite(name, ctx, hall, max_dim, seed=0)
-        except ValueError as exc:
-            out[name] = (f"ValueError: {exc}", suites[name][1])
+        except (AssertionError, ValueError) as exc:
+            out[name] = (f"{type(exc).__name__}: {exc}", suites[name][1])
             continue
         out[name] = (len(rep["failures"]), rep["instances"])
     return out
@@ -66,6 +79,35 @@ def test_mutant_caught(name):
             s: (0, n) for s, (_, n) in want.items()}
         with MUTANTS[name]():
             assert _counts(quiver, q, max_dim, want) == want
+
+
+def _green_failures(quiver, q, max_dim, by_join):
+    """verify green's failure lines, its rows from the library or, by_join,
+    from the per-quadruple join oracle."""
+    ctx = RepCategory(load_quiver(quiver), q)
+    hall = HallAlgebra(ctx)
+    if by_join:
+        hall.green_residual = lambda lm, ln: green_row_by_join(hall, lm, ln)
+    return verify.suite_green(ctx, hall, max_dim)["failures"]
+
+
+@pytest.mark.parametrize("name,quiver,q,max_dim", [
+    ("braid_exponent_swapped", "a2", 2, 3), ("braid_exponent_swapped", "a2", 3, 3),
+    ("braid_exponent_swapped", "a2", 2, 4), ("factorization_bumped", "a2", 2, 3)])
+def test_green_mutant_failures_match_the_join_oracle(name, quiver, q, max_dim):
+    """Under each Green mutant the rows fail on the same instances, with the
+    same residuals, as the per-quadruple join, line for line."""
+    with MUTANTS[name]():
+        rows = _green_failures(quiver, q, max_dim, by_join=False)
+        assert rows and rows == _green_failures(quiver, q, max_dim, by_join=True)
+
+
+def test_factorization_bumped_breaks_exactness_on_both_routes():
+    """At q = 3 the bumped factorization is no multiple of aut S1 aut S2:
+    the rows and the join both raise on their exactness assert."""
+    for by_join in (False, True):
+        with MUTANTS["factorization_bumped"](), pytest.raises(AssertionError):
+            _green_failures("a2", 3, 3, by_join)
 
 
 def test_ext_reduction_oracle_catches_ext_low_term_dropped():

@@ -1,14 +1,18 @@
 """Suite-level checks on quivers beyond A2, locking in CLI-visible behavior."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from hallalg.hall import HallAlgebra
-from hallalg.quiver import Quiver, RepCategory
+from hallalg.cli import main
+from hallalg.hall import HallAlgebra, parse_label
+from hallalg.quiver import Quiver, RepCategory, dim_add
 from hallalg import verify
-from oracles import green_residual_by_dim_walk, indecomposable_classes, positive_roots
+from mutants import MUTANTS
+from oracles import (green_residual_by_dim_walk, green_residual_by_join, indecomposable_classes,
+                     positive_roots)
 
 D4 = Quiver(4, [(0, 1), (0, 2), (0, 3)], name="d4")
 
@@ -111,26 +115,65 @@ def test_green_builds_each_census_once(a2, monkeypatch):
 @pytest.mark.parametrize("name,p", [("a2", 2), ("a2", 3), ("a3_source", 2),
                                     ("a3_source", 3), ("d4", 2)])
 def test_green_join_matches_dim_walk_oracle(request, name, p):
-    """On every green quadruple up to total dim 3, the factorization join, an
-    int numerator over an int denominator, equals the dimension-vector walk
-    it replaced."""
+    """On every green quadruple up to total dim 3, the row of (M, N), an int
+    numerator at (X, Y) over an int denominator, equals both the
+    per-quadruple factorization join and the dimension-vector walk."""
     quiver = D4 if name == "d4" else request.getfixturevalue(name)
     ctx = RepCategory(quiver, p)
     hall = HallAlgebra(ctx)
-    join = hall.green_residual
-    compared = []
+    pairs_by_total = {}
+    for cm, cn in ctx.class_tuples(3, 2):
+        pairs_by_total.setdefault(dim_add(cm.dim, cn.dim), []).append((cm.label, cn.label))
+    compared = 0
+    for pairs in pairs_by_total.values():
+        for lm, ln in pairs:
+            row, den = hall.green_residual(lm, ln)
+            assert type(den) is int and den > 0 and set(row) <= set(pairs)
+            for lx, ly in pairs:
+                num = row.get((lx, ly), 0)
+                assert type(num) is int
+                labels = (lm, ln, lx, ly)
+                assert Fraction(num, den) == green_residual_by_join(hall, *labels) == \
+                    green_residual_by_dim_walk(hall, *labels), labels
+                compared += 1
+    assert compared == verify.suite_green(ctx, hall, 3)["instances"] > 0
 
-    def both(*labels):
-        num, den = res = join(*labels)
-        assert type(num) is int and type(den) is int and den > 0
-        assert Fraction(num, den) == green_residual_by_dim_walk(hall, *labels), labels
-        compared.append(labels)
-        return res
 
-    hall.green_residual = both
-    rep = verify.suite_green(ctx, hall, 3)
-    assert rep["failures"] == []
-    assert len(compared) == rep["instances"] > 0
+def test_green_replay_computes_one_row(monkeypatch, capsys):
+    """verify green --only <id> computes the row of its (M, N) alone and
+    builds the indexes of its grade alone, and under braid_exponent_swapped
+    replays the full run's failure line; the full run builds each grade's
+    indexes once."""
+    rows, grades = [], []
+    green_residual, green_indexes = HallAlgebra.green_residual, HallAlgebra._green_indexes
+
+    def row(self, lm, ln):
+        rows.append((lm, ln))
+        return green_residual(self, lm, ln)
+
+    def indexes(self, total):
+        grades.append(total)
+        return green_indexes(self, total)
+
+    monkeypatch.setattr(HallAlgebra, "green_residual", row)
+    monkeypatch.setattr(HallAlgebra, "_green_indexes", indexes)
+
+    def failures(*only):
+        assert main(["verify", "green", "--quiver", "a2", "--q", "2", "--max-dim", "3",
+                     *only]) == 1
+        return json.loads(capsys.readouterr().out)["suites"][0]["failures"]
+
+    with MUTANTS["braid_exponent_swapped"]():
+        full = failures()
+        assert len(grades) == len(set(grades)) > 1
+        line = full[len(full) // 2]
+        inst = line.partition(": ")[0]
+        rows.clear()
+        grades.clear()
+        assert failures("--only", inst) == [line]
+    lm, ln, _, _ = inst[len("green:"):].split("|")
+    assert rows == [(lm, ln)]
+    assert grades == [dim_add(parse_label(lm)[0], parse_label(ln)[0])]
 
 
 def _green_failures(a2, monkeypatch, name, mutant):
