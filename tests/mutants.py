@@ -141,8 +141,37 @@ def orbits_merged():
         yield
 
 
+@contextmanager
+def units_accept_singular():
+    """cathall.blocks_invertible with the last vertex block unread: a point of
+    an End-subalgebra that is singular only at the last vertex counts as a
+    unit."""
+    blocks_invertible = cathall.blocks_invertible
+
+    def accepting(point, dims, p):
+        return blocks_invertible(point, dims[:-1], p)
+
+    with mock.patch.object(cathall, "blocks_invertible", accepting):
+        yield
+
+
+@contextmanager
+def fixed_end_factor_dropped():
+    """ExtGroupoid.aut_triples_direct without its q^{dim V} factor: only the
+    units of the complement of the fixed-end ideal are counted."""
+    aut_triples_direct = cathall.ExtGroupoid.aut_triples_direct
+
+    def dropped(self, ses, fixed):
+        return aut_triples_direct(self, ses, fixed) // self.ctx.q ** len(fixed)
+
+    with mock.patch.object(cathall.ExtGroupoid, "aut_triples_direct", dropped):
+        yield
+
+
 MUTANTS = {"coproduct_doubled": coproduct_doubled, "glue_sign_dropped": glue_sign_dropped,
            "braid_exponent_swapped": braid_exponent_swapped,
            "factorization_bumped": factorization_bumped,
            "frame_low_term_dropped": frame_low_term_dropped,
-           "ext_low_term_dropped": ext_low_term_dropped, "orbits_merged": orbits_merged}
+           "ext_low_term_dropped": ext_low_term_dropped, "orbits_merged": orbits_merged,
+           "units_accept_singular": units_accept_singular,
+           "fixed_end_factor_dropped": fixed_end_factor_dropped}

@@ -4,8 +4,10 @@ Each one recomputes a quantity the library computes by a faster route:
 by enumerating every candidate morphism and testing it directly, by
 the one-vector-at-a-time linear algebra the library replaced, by a
 walk over every dimension vector or a per-quadruple join of sparse
-indexes where the library scatters whole rows of Green's formula, or
-with Fraction coefficients where the library keeps int numerators.
+indexes where the library scatters whole rows of Green's formula, by
+walking every point of an End-subalgebra where the library walks a
+complement of its fixed-end ideal, or with Fraction coefficients where
+the library keeps int numerators.
 The *_by_solve splittings and gluings build their induced maps by linear
 solves through block inclusions and projections, where the library slices
 maps and reads them off subspace frames.  Library API that only the tests
@@ -22,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
 
-from hallalg.cathall import SESObject
+from hallalg.cathall import SESObject, _end_subspace, _units
 from hallalg.groupoids import (ConcreteGroupoid, GroupoidFormatError, _validate_group_table,
                                groupoid_to_json)
 from hallalg.hall import HallVector
@@ -251,6 +253,19 @@ def orbits_by_aut_scan(ext, e_label):
         assigned |= orbit
         data.append((i, orbit, stab))
     return data
+
+
+def image_preserving_basis(ctx, ses):
+    """Basis of A = {beta in End E : g beta f = 0} = {beta : beta(U) <= U}, flattened."""
+    return _end_subspace(ctx, ses.mid, lambda v, b: (
+        ses.proj.vertex_maps[v] * b * ses.incl.vertex_maps[v],))
+
+
+def units_by_full_walk(ctx, ses):
+    """|A^x| for the image-preserving subalgebra A of End E, by walking all
+    q^{dim A} points of A; the library walks a complement of the fixed-end
+    ideal V only, and multiplies by q^{dim V}."""
+    return _units(ctx, ses.mid, image_preserving_basis(ctx, ses))
 
 
 def fixed_ends_by_aut_scan(ext, ses):

@@ -13,15 +13,17 @@ from hallalg.cathall import (BraidingSpan, COHERENCE_NAMES, ExtGroupoid,
                              glue_quotients, glue_subobjects, hexagonator_R, hexagonator_S,
                              mult_matrix_against_hall, mult_span_entry,
                              riedtmann_check, _square_zero)
-from hallalg.linalg import BudgetError, Matrix, flatten
+from hallalg import cathall
+from hallalg.cli import load_quiver
+from hallalg.linalg import BudgetError, Matrix, flatten, unflatten
 from hallalg.quiver import RepCategory, RepMorphism, dim_add
-from hallalg.verify import Run
+from hallalg.verify import BSIM_CAP, Run
 from oracles import (block_injections, block_projections, corestrict, factor_through,
                      fixed_ends_by_aut_scan, glue_quotients_by_solve,
                      glue_subobjects_by_solve, hexagonator_R_by_solve,
-                     hexagonator_S_by_solve, identity_morphism, image_key, is_valid, is_zero,
-                     matrix_inverse, morphism_count, morphism_index, orbits_by_aut_scan,
-                     simple_rep)
+                     hexagonator_S_by_solve, identity_morphism, image_key,
+                     image_preserving_basis, is_valid, is_zero, matrix_inverse, morphism_count,
+                     morphism_index, orbits_by_aut_scan, simple_rep, units_by_full_walk)
 
 
 
@@ -365,7 +367,8 @@ def test_ext_morphism_counts_on_demand(ctx2, reps2):
     for s1 in objs:
         for s2 in objs:
             assert morphism_count(ext, s1, s2) == 2  # |GL_2(F_2)| / 3
-    assert morphism_count(ext, objs[0], objs[0]) == ext.aut_triples_direct(objs[0])
+    assert morphism_count(ext, objs[0], objs[0]) == ext.aut_triples_direct(
+        objs[0], ext.fixed_end_basis(objs[0]))
 
 
 def test_bsim_ext_check_bound_one(ctx2):
@@ -404,8 +407,8 @@ def test_aut_routes_match_aut_scans(ctx2):
                 assert classes == {ctx2.extension_class(x, y, s.mid, s.incl, s.proj)
                                    for s in ext.objects(e_label)}
                 for (ses, _), (_, _, stab) in zip(ext.iso_classes(e_label), orbits):
-                    assert ext.aut_triples_direct(ses) == stab
                     basis = ext.fixed_end_basis(ses)
+                    assert ext.aut_triples_direct(ses, basis) == stab
                     assert _square_zero(ctx2, ses.mid, basis)
                     one = flatten(identity_morphism(ses.mid).vertex_maps)
                     fixed = {tuple((e + sum(c * b[k] for c, b in zip(coeffs, basis))) % q
@@ -414,6 +417,77 @@ def test_aut_routes_match_aut_scans(ctx2):
                     assert len(fixed) == q ** len(basis)
                     assert fixed == {flatten(b.vertex_maps)
                                      for b in fixed_ends_by_aut_scan(ext, ses)}
+
+
+def _in_span(field, basis, vectors):
+    """Whether every flat vector lies in the span of the flat vectors basis."""
+    rank = Matrix(field, basis).rank()
+    return all(Matrix(field, basis + [v]).rank() == rank for v in vectors)
+
+
+def _block_product(field, dims, a, b):
+    """The product a b of two flat points of End(E), vertex block by vertex block."""
+    shapes = [(d, d) for d in dims]
+    return flatten(u * w for u, w in zip(unflatten(field, a, shapes), unflatten(field, b, shapes)))
+
+
+@pytest.mark.parametrize("quiver,q", [("a2", 2), ("a2", 3), ("a3-source", 2), ("d4", 2)])
+def test_units_modulo_fixed_end_ideal_match_the_full_walk(quiver, q):
+    """On every iso class of every bsim piece (bound 2), V = fixed_end_basis
+    lies in A = {beta : g beta f = 0}, A V and V A lie in V, and the count
+    q^{dim V} |span(C)^x| equals the units of a walk over all of A."""
+    ctx = RepCategory(load_quiver(quiver), q)
+    base = build_A0(ctx, BSIM_CAP)
+    span = BraidingSpan(ctx, base, base)
+    field, classes, s4 = ctx.field, 0, []
+    for i, x in enumerate(base):
+        for j, y in enumerate(base):
+            ext = span.piece(i, j)
+            for e_label in ext.pieces:
+                for ses, _ in ext.iso_classes(e_label):
+                    A, V = image_preserving_basis(ctx, ses), ext.fixed_end_basis(ses)
+                    dims = ses.mid.dim
+                    assert _in_span(field, A, V)
+                    assert _in_span(field, V, [_block_product(field, dims, a, v)
+                                               for a in A for v in V])
+                    assert _in_span(field, V, [_block_product(field, dims, v, a)
+                                               for a in A for v in V])
+                    count = ext.aut_triples_direct(ses, V)
+                    assert count == units_by_full_walk(ctx, ses)
+                    if quiver == "a2" and q == 2 and sorted(ses.mid.dim) == [0, 4]:
+                        s4.append(count)
+                    classes += 1
+    assert classes > 0
+    if quiver == "a2" and q == 2:
+        assert s4 == [576, 576]     # the (2, 2)-parabolic of GL_4(F_2): 6 * 6 * 2^4
+
+
+def test_complement_walk_checks_its_budget_before_the_first_point(a2, monkeypatch):
+    """EXT(S1^2, S1^2) on a2 (q = 2) has E = S1^4: dim A = 12 and dim V = 4,
+    so the complement walk visits 2^8 points where the full walk would
+    visit 2^12.  Under budget 255 it stops before testing any point; under
+    budget 256 it counts all 576 units."""
+    blocks_invertible, tested = cathall.blocks_invertible, []
+
+    def recording(point, dims, p):
+        tested.append(point)
+        return blocks_invertible(point, dims, p)
+
+    monkeypatch.setattr(cathall, "blocks_invertible", recording)
+    for budget in (255, 256):
+        ctx = RepCategory(a2, 2, budget=budget)
+        S1 = simple_rep(a2, ctx.field, 0)
+        ext = ExtGroupoid(ctx, S1.direct_sum(S1), S1.direct_sum(S1))
+        ((ses, _),) = ext.iso_classes(next(iter(ext.pieces)))
+        V = ext.fixed_end_basis(ses)
+        if budget == 255:
+            with pytest.raises(BudgetError, match=r"^End\(4, 0\) subspace enumeration dim 8 "
+                               r"over F_2: 256 items exceeds budget 255"):
+                ext.aut_triples_direct(ses, V)
+            assert tested == []
+        else:
+            assert ext.aut_triples_direct(ses, V) == 576
+            assert len(tested) == 256
 
 
 def test_square_zero_rejects_the_identity(ctx2, reps2):

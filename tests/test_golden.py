@@ -79,6 +79,12 @@ GOLDEN = [
     pytest.param(["verify", "bsim", "--quiver", "d4", "--q", "2", "--max-dim", "2"],
                  "f21fcee64cb966128c71574d046423266d4cce9d605eb8979d5d0083dbbda504",
                  id="verify-bsim-d4"),
+    pytest.param(["verify", "bsim", "--quiver", "a2", "--q", "3", "--max-dim", "3"],
+                 "cfac7c4151b61c85f37227bf9af89905b1c20b0f4d446d66020f0452145c99ef",
+                 id="verify-bsim-a2-q3"),
+    pytest.param(["verify", "bsim", "--quiver", "a3-source", "--q", "3", "--max-dim", "3"],
+                 "77f1ec5d3ee6e4d83dba73a61e88a36753e0fd186976446b483a564f8fc9441f",
+                 id="verify-bsim-a3-source-q3"),
     pytest.param(["verify", "algebra", "--quiver", "a3-source"] + Q2,
                  "31b113b831fbdfc0cb72b2f8ce052e44f84dc3173131da548db4fd29aaf62e56",
                  id="verify-algebra-a3-source"),

@@ -51,6 +51,11 @@ CAUGHT = {
     # one class too few at (3, 1) on a2 reads n = -1 indecomposables there; (3, 1)
     # has an entry above 2, so the End-walk box that gabriel used before never saw it
     "orbits_merged": [("a2", 2, 4, {"gabriel": (1, 14)})],
+    # bsim's direct count of sequence automorphisms, against the stabilizers
+    # from the orbits: points singular only at vertex 2 pass as units, or the
+    # units of the complement of the fixed-end ideal V miss their q^{dim V}
+    "units_accept_singular": [("a2", 2, 3, {"bsim": (38, 98)})],
+    "fixed_end_factor_dropped": [("a2", 2, 3, {"bsim": (29, 98)})],
 }
 
 
