@@ -843,19 +843,33 @@ def _path_value(ctx, pieces, outer_reps):
 def _check_shuffle(run, ctx, name, shape, bound):
     """One coherence shuffle on every class quadruple (a, b, c, d) within bound.
 
-    shape(ctx, a, b, c, d) returns the outer terms (quo, sub) of the
+    shape(ctx, split, a, b, c, d) returns the outer terms (quo, sub) of the
     extensions to split, slots(ses) listing (slot, route-one piece,
     route-two piece) for one sequence, and the polytope's named paths as
-    lists of (quo, sub) braid pieces.  On every object of EXT(quo, sub)
-    the two routes must agree slotwise (outer terms literal, middle terms
-    isomorphic), the path cardinalities must all be equal, and every piece
-    on a path must have fixed-end cardinality q^{-<quo, sub>}.
+    lists of (quo, sub) braid pieces.  slots splits only through
+    split(hexagonator, ses, y, z), which calls hexagonator(ctx, ses, y, z)
+    once per distinct input for the length of this check: quadruples whose
+    direct sums coincide (zero summands) walk the same sequences.  On every
+    object of EXT(quo, sub) the two routes must agree slotwise (outer terms
+    literal, middle terms isomorphic), the path cardinalities must all be
+    equal, and every piece on a path must have fixed-end cardinality
+    q^{-<quo, sub>}.
     """
+    splits = {}
+
+    def split(hexagonator, ses, y, z):
+        # incl fixes sub and mid, proj fixes quo: the key fixes the sequence
+        key = (hexagonator, ses.incl, ses.proj, y, z)
+        out = splits.get(key)
+        if out is None:
+            out = splits[key] = hexagonator(ctx, ses, y, z)
+        return out
+
     for classes in ctx.class_tuples(bound, 4):
         if not run.want(f"{name}:" + "|".join(c.label for c in classes)):
             continue
         outer = tuple(c.rep for c in classes)
-        (quo, sub), slots, paths = shape(ctx, *outer)
+        (quo, sub), slots, paths = shape(ctx, split, *outer)
         ext = ExtGroupoid.of(ctx, quo, sub)
         for e_label in ext.pieces:
             for ses in ext.objects(e_label):
@@ -874,7 +888,7 @@ def _check_shuffle(run, ctx, name, shape, bound):
                          f"{ctx.class_of(q).label},{ctx.class_of(s).label}")
 
 
-def _shuffle_13(ctx, a, b, c, d):
+def _shuffle_13(ctx, split, a, b, c, d):
     """The R tetrahedron: splitting one object past three, both orders.
 
     Every extension of a by b (+) (c (+) d), split at b then at (c, d),
@@ -884,10 +898,10 @@ def _shuffle_13(ctx, a, b, c, d):
     sub = ctx.direct_sum(b, cd)
 
     def slots(ses):
-        top_b, top_cd = hexagonator_R(ctx, ses, b, cd)
-        top_c, top_d = hexagonator_R(ctx, top_cd, c, d)
-        bot_bc, bot_d = hexagonator_R(ctx, ses, bc, d)
-        bot_b, bot_c = hexagonator_R(ctx, bot_bc, b, c)
+        top_b, top_cd = split(hexagonator_R, ses, b, cd)
+        top_c, top_d = split(hexagonator_R, top_cd, c, d)
+        bot_bc, bot_d = split(hexagonator_R, ses, bc, d)
+        bot_b, bot_c = split(hexagonator_R, bot_bc, b, c)
         return [("b", top_b, bot_b), ("c", top_c, bot_c), ("d", top_d, bot_d)]
 
     return (a, sub), slots, {
@@ -898,7 +912,7 @@ def _shuffle_13(ctx, a, b, c, d):
     }
 
 
-def _shuffle_31(ctx, a, b, c, d):
+def _shuffle_31(ctx, split, a, b, c, d):
     """The S tetrahedron: splitting three objects past one, both orders.
 
     Every extension of (a (+) b) (+) c by d, split at (a (+) b, c) then at
@@ -910,10 +924,10 @@ def _shuffle_31(ctx, a, b, c, d):
     quo = ctx.direct_sum(ab, c)
 
     def slots(ses):
-        top_ab, top_c = hexagonator_S(ctx, ses, ab, c)
-        top_a, top_b = hexagonator_S(ctx, top_ab, a, b)
-        bot_a, bot_bc = hexagonator_S(ctx, ses, a, bc)
-        bot_b, bot_c = hexagonator_S(ctx, bot_bc, b, c)
+        top_ab, top_c = split(hexagonator_S, ses, ab, c)
+        top_a, top_b = split(hexagonator_S, top_ab, a, b)
+        bot_a, bot_bc = split(hexagonator_S, ses, a, bc)
+        bot_b, bot_c = split(hexagonator_S, bot_bc, b, c)
         return [("a", top_a, bot_a), ("b", top_b, bot_b), ("c", top_c, bot_c)]
 
     return (quo, d), slots, {
@@ -924,7 +938,7 @@ def _shuffle_31(ctx, a, b, c, d):
     }
 
 
-def _shuffle_22(ctx, a, b, c, d):
+def _shuffle_22(ctx, split, a, b, c, d):
     """The truncated cube: two objects past two, S-first versus R-first.
 
     Both composite splittings of an extension of a (+) b by c (+) d must
@@ -934,12 +948,12 @@ def _shuffle_22(ctx, a, b, c, d):
     ab, cd = ctx.direct_sum(a, b), ctx.direct_sum(c, d)
 
     def slots(ses):
-        sa, sb = hexagonator_S(ctx, ses, a, b)
-        s_ac, s_ad = hexagonator_R(ctx, sa, c, d)
-        s_bc, s_bd = hexagonator_R(ctx, sb, c, d)
-        rc, rd = hexagonator_R(ctx, ses, c, d)
-        r_ac, r_bc = hexagonator_S(ctx, rc, a, b)
-        r_ad, r_bd = hexagonator_S(ctx, rd, a, b)
+        sa, sb = split(hexagonator_S, ses, a, b)
+        s_ac, s_ad = split(hexagonator_R, sa, c, d)
+        s_bc, s_bd = split(hexagonator_R, sb, c, d)
+        rc, rd = split(hexagonator_R, ses, c, d)
+        r_ac, r_bc = split(hexagonator_S, rc, a, b)
+        r_ad, r_bd = split(hexagonator_S, rd, a, b)
         return [("ac", s_ac, r_ac), ("ad", s_ad, r_ad), ("bc", s_bc, r_bc),
                 ("bd", s_bd, r_bd)]
 

@@ -365,15 +365,17 @@ def weak_pullback(f, g, budget=DEFAULT_BUDGET):
         return X.compose(X.compose(g.mor_map[v], alpha), X.inverse[f.mor_map[u]])
 
     morphisms = []
+    carried = {}        # (u, v, alpha) -> moved(u, v, alpha), the inverse's alpha
     for src, (a, b, alpha) in enumerate(objects):
         for u in A.mor_from(a):
             for v in B.mor_from(b):
-                tgt = obj_index[(A.mor_tgt[u], B.mor_tgt[v], moved(u, v, alpha))]
-                morphisms.append((src, tgt, (u, v, alpha)))
+                lab = (u, v, alpha)
+                beta = carried[lab] = moved(u, v, alpha)
+                morphisms.append((src, obj_index[(A.mor_tgt[u], B.mor_tgt[v], beta)], lab))
     P = ConcreteGroupoid(
         objects, morphisms,
         identity=[(A.identity[a], B.identity[b], alpha) for (a, b, alpha) in objects],
-        inverse=lambda m: (A.inverse[m[0]], B.inverse[m[1]], moved(*m)),
+        inverse=lambda m: (A.inverse[m[0]], B.inverse[m[1]], carried[m]),
         compose=lambda m2, m1: (A.compose(m2[0], m1[0]), B.compose(m2[1], m1[1]), m1[2]))
     pi_A = GroupoidFunctor(P, A, [o[0] for o in objects], [l[0] for l in P.mor_label])
     pi_B = GroupoidFunctor(P, B, [o[1] for o in objects], [l[1] for l in P.mor_label])

@@ -13,7 +13,7 @@ from hallalg import cathall, quiver
 from hallalg.cathall import SESObject
 from hallalg.hall import HallAlgebra
 from hallalg.linalg import Matrix
-from hallalg.quiver import RepCategory, RepMorphism
+from hallalg.quiver import RepCategory, RepMorphism, block_inclusion, block_projection
 
 
 def double_mixed_terms(coeffs, zero):
@@ -168,10 +168,28 @@ def fixed_end_factor_dropped():
         yield
 
 
+@contextmanager
+def hexagonator_output_split():
+    """cathall.hexagonator_R with its second output, 0 -> z -> E/y -> x -> 0,
+    replaced by the split extension 0 -> z -> z (+) x -> x -> 0 of the same
+    outer terms."""
+    hexagonator_R = cathall.hexagonator_R
+
+    def split(ctx, ses, y, z):
+        first, second = hexagonator_R(ctx, ses, y, z)
+        E = ctx.direct_sum(z, ses.quo)
+        return first, SESObject(z, E, ses.quo, block_inclusion(z, E, (0,) * len(z.dim)),
+                                block_projection(E, ses.quo, z.dim))
+
+    with mock.patch.object(cathall, "hexagonator_R", split):
+        yield
+
+
 MUTANTS = {"coproduct_doubled": coproduct_doubled, "glue_sign_dropped": glue_sign_dropped,
            "braid_exponent_swapped": braid_exponent_swapped,
            "factorization_bumped": factorization_bumped,
            "frame_low_term_dropped": frame_low_term_dropped,
            "ext_low_term_dropped": ext_low_term_dropped, "orbits_merged": orbits_merged,
            "units_accept_singular": units_accept_singular,
-           "fixed_end_factor_dropped": fixed_end_factor_dropped}
+           "fixed_end_factor_dropped": fixed_end_factor_dropped,
+           "hexagonator_output_split": hexagonator_output_split}

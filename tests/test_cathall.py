@@ -551,6 +551,66 @@ def test_shuffle_22_specific_instance(ctx2, reps2):
     assert checked == ext.object_count() > 0
 
 
+def _watch_splits(monkeypatch, on_split):
+    """Hand every shuffle shape the split on_split(ctx, split, hexagonator, ses, y, z)
+    in place of the check's own split."""
+    for name, shape in list(cathall.SHUFFLES.items()):
+        def watched(ctx, split, *outer, shape=shape):
+            return shape(ctx, lambda *args: on_split(ctx, split, *args), *outer)
+        monkeypatch.setitem(cathall.SHUFFLES, name, watched)
+
+
+def test_each_shuffle_splits_each_sequence_once(ctx2, monkeypatch):
+    """At a2, q=2, bound 2 (verify coherence at max-dim 3) the shapes ask for
+    536, 536 and 774 splits, and the hexagonators run once per distinct
+    (hexagonator, sequence, summands) in each check: 81, 81 and 162 times."""
+    tally = {"asked": 0, "calls": 0}
+    for name in ("hexagonator_R", "hexagonator_S"):
+        def counted(ctx, ses, y, z, hexagonator=getattr(cathall, name)):
+            tally["calls"] += 1
+            return hexagonator(ctx, ses, y, z)
+        monkeypatch.setattr(cathall, name, counted)
+
+    def on_split(ctx, split, *args):
+        tally["asked"] += 1
+        return split(*args)
+    _watch_splits(monkeypatch, on_split)
+    counts = {}
+    for check in cathall.SHUFFLES:
+        tally.update(asked=0, calls=0)
+        run = Run()
+        coherence_check(run, ctx2, check, 2)
+        assert run.failures == []
+        counts[check] = (tally["asked"], tally["calls"])
+    assert counts == {"shuffle-1-3": (536, 81), "shuffle-3-1": (536, 81),
+                      "shuffle-2-2": (774, 162)}
+
+
+def test_shuffle_splits_equal_fresh_hexagonator_calls(ctx2, reps2, monkeypatch):
+    """Every split a shuffle shape receives at a2, q=2, bound 2 equals a fresh
+    hexagonator call on the same arguments, piece by piece: sub, mid, quo,
+    incl and proj; and a first summand that does not fit the sequence still
+    raises after the fitting one was split.  The slot match is too weak to
+    notice a wrong split (ROADMAP item 6), so this guards the split table."""
+    seen = []
+
+    def on_split(ctx, split, hexagonator, ses, y, z):
+        got = split(hexagonator, ses, y, z)
+        for a, b in zip(got, hexagonator(ctx, ses, y, z), strict=True):
+            assert (a.sub, a.mid, a.quo, a.incl, a.proj) == (b.sub, b.mid, b.quo, b.incl, b.proj)
+        with pytest.raises(ValueError, match="not the given direct sum"):
+            split(hexagonator, ses, ctx.direct_sum(reps2["S1"], y), z)
+        seen.append(hexagonator)
+        return got
+    _watch_splits(monkeypatch, on_split)
+    for check in cathall.SHUFFLES:
+        run = Run()
+        coherence_check(run, ctx2, check, 2)
+        assert run.failures == []
+    assert len(seen) == 536 + 536 + 774
+    assert set(seen) == {hexagonator_R, hexagonator_S}
+
+
 # ---- the engine bridge: the sequence groupoid as a fully concrete groupoid ----
 
 

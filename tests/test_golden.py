@@ -121,6 +121,9 @@ GOLDEN = [
     pytest.param(["verify", "coherence", "--quiver", "a2", "--q", "3", "--max-dim", "2"],
                  "3da5f6a0afc5ee16b588cdb61a3312efdd07e98d180753234b2b924405002f92",
                  id="verify-coherence-a2-q3"),
+    pytest.param(["verify", "coherence", "--quiver", "a3-source", "--q", "3", "--max-dim", "3"],
+                 "9a4eb8e05ee0541b64f5d7cdaa1943b93bc59fef6e3f3f4548bfdae80b3d1860",
+                 id="verify-coherence-a3-source-q3"),
     pytest.param(["tables", "--quiver", "a3-source", "--q", "3", "--max-dim", "5"],
                  "c812594bc1f5b1e4f745654ea039f111e400ad9dda4e2caf6cda1a5501932445",
                  id="tables-a3-source-q3-d5"),

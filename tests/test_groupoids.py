@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hallalg import groupoids as gpd
+from hallalg.verify import suite_engine
 from oracles import action_groupoid, finite_sets_groupoid, span_to_json
 
 
@@ -173,6 +174,28 @@ def test_functoriality_on_seeded_spans():
         e_t, _, _ = gpd.degroupoidify_span(t)
         e_s, _, _ = gpd.degroupoidify_span(s)
         assert e_ts == gpd.matrix_product(e_t, e_s)
+
+
+def test_engine_span_pullbacks_pass_the_groupoid_laws(monkeypatch):
+    """Every weak pullback that engine:span:0..9 builds at seed 0, for its span
+    composite and its span application, passes the exhaustive law check,
+    inverse laws included: the inverse alphas are the ones carried to each
+    morphism's target."""
+    built = []
+    weak_pullback = gpd.weak_pullback
+
+    def recorded(f, g, budget=gpd.DEFAULT_BUDGET):
+        out = weak_pullback(f, g, budget=budget)
+        built.append(out[0])
+        return out
+    monkeypatch.setattr(gpd, "weak_pullback", recorded)
+    for k in range(10):
+        report = suite_engine(0, only=f"engine:span:{k}")
+        assert (report["instances"], report["failures"]) == (1, [])
+    assert len(built) == 20
+    assert any(P.n_morphisms() > P.n_objects() for P in built)
+    for P in built:
+        assert P.validate()
 
 
 def test_apply_span_matches_matrix():

@@ -56,6 +56,12 @@ CAUGHT = {
     # units of the complement of the fixed-end ideal V miss their q^{dim V}
     "units_accept_singular": [("a2", 2, 3, {"bsim": (38, 98)})],
     "fixed_end_factor_dropped": [("a2", 2, 3, {"bsim": (29, 98)})],
+    # hexagonator_R's second piece replaced by the split extension: both routes
+    # of every coherence shuffle split through it, and the slot match compares
+    # only outer terms and middle-term classes, so coherence passes (ROADMAP
+    # item 6); the bilinearity round trip glues the split piece back and sees it
+    "hexagonator_output_split": [("a2", 2, 3, {"bilinearity": (7, 210),
+                                               "coherence": (0, 661)})],
 }
 
 
