@@ -458,25 +458,22 @@ class HallAlgebra:
         self._antipode_cache[label] = out
         return out
 
-    def antipode_axiom_residuals(self, label, bound):
-        """Both antipode-axiom defects for the canonical S at a basis label.
+    def antipode_residual(self, label, bound):
+        """The right antipode-axiom defect m(1 x S)Delta - unit.counit for the
+        canonical S at a basis label, as an int HallVector: the defect times
+        |G_e| times the lcm of the grade orders of the factors S applies to.
 
-        Returns (m(S x 1)Delta - unit.counit, m(1 x S)Delta - unit.counit),
-        each an int HallVector: the defect times |G_e| times the lcm of the
-        grade orders of the factors S applies to.  Both are zero when S is
-        a two-sided antipode.
+        The left defect m(S x 1)Delta - unit.counit is not computed: its
+        convolution is the recursion that defines S in
+        antipode_canonical_basis, so it vanishes by construction.
         """
         order_e = self.grade_order(self.grade(label))
-        target = self.unit().coeffs
         counit = self.counit(HallVector.basis(label))
-        coproduct = self.coproduct_basis(label).items()
-        residuals = []
-        for terms, s_first in (([(ln, lm, c) for (ln, lm), c in coproduct], True),
-                               ([(lm, ln, c) for (ln, lm), c in coproduct], False)):
-            conv, den = self._s_convolution(terms, bound, s_first)
-            residuals.append(HallVector.combine(
-                ((conv.coeffs, 1), (target, -counit * order_e * den))))
-        return tuple(residuals)
+        conv, den = self._s_convolution(
+            [(lm, ln, c) for (ln, lm), c in self.coproduct_basis(label).items()], bound,
+            s_first=False)
+        return HallVector.combine(((conv.coeffs, 1),
+                                   (self.unit().coeffs, -counit * order_e * den)))
 
     def antipode_comparison(self, bound):
         """Where basis-wise negation and the canonical antipode differ, by label."""

@@ -179,14 +179,13 @@ def suite_bialgebra(run, ctx, hall, max_dim):
 
 @_suite("antipode")
 def suite_antipode(run, ctx, hall, max_dim):
-    """Both antipode axioms for the canonical S, plus the comparison report."""
+    """The right antipode axiom m(1 x S)Delta = unit.counit for the canonical
+    S, plus the comparison report.  The left axiom is the recursion that
+    defines S, so it is not checked again."""
     for cls in ctx.classes_up_to(max_dim):
         if not run.want(f"antipode:{cls.label}"):
             continue
-        left, right = hall.antipode_axiom_residuals(cls.label, max_dim)
-        if not left.is_zero():
-            run.fail("left axiom residual nonzero")
-        if not right.is_zero():
+        if not hall.antipode_residual(cls.label, max_dim).is_zero():
             run.fail("right axiom residual nonzero")
     return {"scope_note": "canonical antipode axioms; comparison emitted either way",
             "comparison": hall.antipode_comparison(max_dim)}

@@ -161,8 +161,8 @@ def fixed_end_factor_dropped():
     units of the complement of the fixed-end ideal are counted."""
     aut_triples_direct = cathall.ExtGroupoid.aut_triples_direct
 
-    def dropped(self, ses, fixed):
-        return aut_triples_direct(self, ses, fixed) // self.ctx.q ** len(fixed)
+    def dropped(self, ses, fixed, complement):
+        return aut_triples_direct(self, ses, fixed, complement) // self.ctx.q ** len(fixed)
 
     with mock.patch.object(cathall.ExtGroupoid, "aut_triples_direct", dropped):
         yield
@@ -185,6 +185,32 @@ def hexagonator_output_split():
         yield
 
 
+@contextmanager
+def euler_form_bumped():
+    """RepCategory.euler_form plus 1 when both dimension vectors are nonzero:
+    no longer bilinear."""
+    euler_form = RepCategory.euler_form
+
+    def bumped(self, m, n):
+        return euler_form(self, m, n) + int(any(m) and any(n))
+
+    with mock.patch.object(RepCategory, "euler_form", bumped):
+        yield
+
+
+@contextmanager
+def euler_form_transposed():
+    """RepCategory.euler_form with its arrows transposed, sum_v m_v n_v -
+    sum_{a: s->t} m_t n_s: the form of the opposite quiver, still bilinear."""
+    euler_form = RepCategory.euler_form
+
+    def transposed(self, m, n):
+        return euler_form(self, n, m)
+
+    with mock.patch.object(RepCategory, "euler_form", transposed):
+        yield
+
+
 MUTANTS = {"coproduct_doubled": coproduct_doubled, "glue_sign_dropped": glue_sign_dropped,
            "braid_exponent_swapped": braid_exponent_swapped,
            "factorization_bumped": factorization_bumped,
@@ -192,4 +218,6 @@ MUTANTS = {"coproduct_doubled": coproduct_doubled, "glue_sign_dropped": glue_sig
            "ext_low_term_dropped": ext_low_term_dropped, "orbits_merged": orbits_merged,
            "units_accept_singular": units_accept_singular,
            "fixed_end_factor_dropped": fixed_end_factor_dropped,
-           "hexagonator_output_split": hexagonator_output_split}
+           "hexagonator_output_split": hexagonator_output_split,
+           "euler_form_bumped": euler_form_bumped,
+           "euler_form_transposed": euler_form_transposed}

@@ -7,7 +7,9 @@ walk over every dimension vector or a per-quadruple join of sparse
 indexes where the library scatters whole rows of Green's formula, by
 walking every point of an End-subalgebra where the library walks a
 complement of its fixed-end ideal, or with Fraction coefficients where
-the library keeps int numerators.
+the library keeps int numerators.  path_value is the Euler-form formula
+for a composite of braiding spans that the groupoid engine's composed
+apexes are compared with.
 The *_by_solve splittings and gluings build their induced maps by linear
 solves through block inclusions and projections, where the library slices
 maps and reads them off subspace frames.  Library API that only the tests
@@ -24,10 +26,10 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
 
-from hallalg.cathall import SESObject, _end_subspace, _units
+from hallalg.cathall import SESObject, _units
 from hallalg.groupoids import (ConcreteGroupoid, GroupoidFormatError, _validate_group_table,
                                groupoid_to_json)
-from hallalg.hall import HallVector
+from hallalg.hall import HallVector, q_power
 from hallalg.linalg import (DEFAULT_BUDGET, Matrix, PrimeField, check_budget, enumerate_vectors,
                             flatten, gaussian_binomial, gl_generators, gl_order, unflatten)
 from hallalg.quiver import (Representation, RepMorphism, block_inclusion, block_projection,
@@ -256,9 +258,13 @@ def orbits_by_aut_scan(ext, e_label):
 
 
 def image_preserving_basis(ctx, ses):
-    """Basis of A = {beta in End E : g beta f = 0} = {beta : beta(U) <= U}, flattened."""
-    return _end_subspace(ctx, ses.mid, lambda v, b: (
-        ses.proj.vertex_maps[v] * b * ses.incl.vertex_maps[v],))
+    """Basis of A = {beta in End E : g beta f = 0} = {beta : beta(U) <= U}, flattened:
+    the kernel of beta -> g beta f on the coordinates of hom_basis(E, E)."""
+    basis = ctx.hom_basis(ses.mid, ses.mid)
+    A = Matrix(ctx.field, [flatten(g * b * f for b, f, g in zip(
+        h.vertex_maps, ses.incl.vertex_maps, ses.proj.vertex_maps)) for h in basis]).transpose()
+    coords = Matrix(ctx.field, [flatten(h.vertex_maps) for h in basis]).transpose()
+    return [coords.apply(vec) for vec in A.kernel_basis()]
 
 
 def units_by_full_walk(ctx, ses):
@@ -266,6 +272,24 @@ def units_by_full_walk(ctx, ses):
     q^{dim A} points of A; the library walks a complement of the fixed-end
     ideal V only, and multiplies by q^{dim V}."""
     return _units(ctx, ses.mid, image_preserving_basis(ctx, ses))
+
+
+def path_value(ctx, pieces, outer_reps):
+    """Cardinality of a composite of braiding spans over fixed witnesses, by formula.
+
+    pieces lists the path's braid pieces as (quo, sub) representation
+    pairs.  Each piece contributes its fixed-end cardinality
+    q^{-<quo, sub>}, each of the ambient objects divides by its
+    automorphism count once; the middle-groupoid automorphism factors of
+    the weak pullbacks cancel the repeated divisions, leaving this product
+    for every path.
+    """
+    val = Fraction(1)
+    for quo, sub in pieces:
+        val *= q_power(ctx.q, -ctx.euler_form(quo.dim, sub.dim))
+    for rep in outer_reps:
+        val /= ctx.aut_order(rep)
+    return val
 
 
 def fixed_ends_by_aut_scan(ext, ses):

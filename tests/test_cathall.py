@@ -23,7 +23,8 @@ from oracles import (block_injections, block_projections, corestrict, factor_thr
                      glue_subobjects_by_solve, hexagonator_R_by_solve,
                      hexagonator_S_by_solve, identity_morphism, image_key,
                      image_preserving_basis, is_valid, is_zero, matrix_inverse, morphism_count,
-                     morphism_index, orbits_by_aut_scan, simple_rep, units_by_full_walk)
+                     morphism_index, orbits_by_aut_scan, path_value, simple_rep,
+                     units_by_full_walk)
 
 
 
@@ -368,7 +369,7 @@ def test_ext_morphism_counts_on_demand(ctx2, reps2):
         for s2 in objs:
             assert morphism_count(ext, s1, s2) == 2  # |GL_2(F_2)| / 3
     assert morphism_count(ext, objs[0], objs[0]) == ext.aut_triples_direct(
-        objs[0], ext.fixed_end_basis(objs[0]))
+        objs[0], *ext.end_bases(objs[0]))
 
 
 def test_bsim_ext_check_bound_one(ctx2):
@@ -407,8 +408,8 @@ def test_aut_routes_match_aut_scans(ctx2):
                 assert classes == {ctx2.extension_class(x, y, s.mid, s.incl, s.proj)
                                    for s in ext.objects(e_label)}
                 for (ses, _), (_, _, stab) in zip(ext.iso_classes(e_label), orbits):
-                    basis = ext.fixed_end_basis(ses)
-                    assert ext.aut_triples_direct(ses, basis) == stab
+                    basis, complement = ext.end_bases(ses)
+                    assert ext.aut_triples_direct(ses, basis, complement) == stab
                     assert _square_zero(ctx2, ses.mid, basis)
                     one = flatten(identity_morphism(ses.mid).vertex_maps)
                     fixed = {tuple((e + sum(c * b[k] for c, b in zip(coeffs, basis))) % q
@@ -433,9 +434,10 @@ def _block_product(field, dims, a, b):
 
 @pytest.mark.parametrize("quiver,q", [("a2", 2), ("a2", 3), ("a3-source", 2), ("d4", 2)])
 def test_units_modulo_fixed_end_ideal_match_the_full_walk(quiver, q):
-    """On every iso class of every bsim piece (bound 2), V = fixed_end_basis
-    lies in A = {beta : g beta f = 0}, A V and V A lie in V, and the count
-    q^{dim V} |span(C)^x| equals the units of a walk over all of A."""
+    """On every iso class of every bsim piece (bound 2), V from end_bases
+    lies in A = {beta : g beta f = 0}, A V and V A lie in V, V and the
+    complement C together are a basis of A, and the count q^{dim V}
+    |span(C)^x| equals the units of a walk over all of A."""
     ctx = RepCategory(load_quiver(quiver), q)
     base = build_A0(ctx, BSIM_CAP)
     span = BraidingSpan(ctx, base, base)
@@ -445,14 +447,15 @@ def test_units_modulo_fixed_end_ideal_match_the_full_walk(quiver, q):
             ext = span.piece(i, j)
             for e_label in ext.pieces:
                 for ses, _ in ext.iso_classes(e_label):
-                    A, V = image_preserving_basis(ctx, ses), ext.fixed_end_basis(ses)
+                    A, (V, C) = image_preserving_basis(ctx, ses), ext.end_bases(ses)
                     dims = ses.mid.dim
-                    assert _in_span(field, A, V)
+                    assert _in_span(field, A, V + C)
+                    assert Matrix(field, V + C).rank() == len(V) + len(C) == len(A)
                     assert _in_span(field, V, [_block_product(field, dims, a, v)
                                                for a in A for v in V])
                     assert _in_span(field, V, [_block_product(field, dims, v, a)
                                                for a in A for v in V])
-                    count = ext.aut_triples_direct(ses, V)
+                    count = ext.aut_triples_direct(ses, V, C)
                     assert count == units_by_full_walk(ctx, ses)
                     if quiver == "a2" and q == 2 and sorted(ses.mid.dim) == [0, 4]:
                         s4.append(count)
@@ -460,6 +463,25 @@ def test_units_modulo_fixed_end_ideal_match_the_full_walk(quiver, q):
     assert classes > 0
     if quiver == "a2" and q == 2:
         assert s4 == [576, 576]     # the (2, 2)-parabolic of GL_4(F_2): 6 * 6 * 2^4
+
+
+def test_orbits_budget_the_group_listing_only_when_ext_is_nonzero(a2):
+    """|Aut N| |Aut M| is checked against the budget where the two groups
+    are listed.  At q = 3 both products below are 2 * 2 = 4, over a budget
+    of 3.  EXT(S2, S2) has Ext^1 = 0, so its orbits list neither group and
+    succeed; every Hom span walked on the way has 3 points.  EXT(S1, S2)
+    has Ext^1 != 0, and its orbits still stop before the listing."""
+    ctx = RepCategory(a2, 3)
+    S1, S2 = ctx.class_by_label("d1.0#0").rep, ctx.class_by_label("d0.1#0").rep
+    split, nonsplit = ExtGroupoid(ctx, S2, S2), ExtGroupoid(ctx, S1, S2)
+    ctx.budget = 3
+    (e_label,) = split.pieces
+    orbits, classes = split._orbits(e_label)
+    assert classes == {()} and len(orbits) == 1
+    for e_label in nonsplit.pieces:
+        with pytest.raises(BudgetError, match=r"^Aut N x Aut M enumeration for dims "
+                           r"\(0, 1\), \(1, 0\) over F_3: 4 items exceeds budget 3"):
+            nonsplit._orbits(e_label)
 
 
 def test_complement_walk_checks_its_budget_before_the_first_point(a2, monkeypatch):
@@ -479,14 +501,14 @@ def test_complement_walk_checks_its_budget_before_the_first_point(a2, monkeypatc
         S1 = simple_rep(a2, ctx.field, 0)
         ext = ExtGroupoid(ctx, S1.direct_sum(S1), S1.direct_sum(S1))
         ((ses, _),) = ext.iso_classes(next(iter(ext.pieces)))
-        V = ext.fixed_end_basis(ses)
+        V, C = ext.end_bases(ses)
         if budget == 255:
             with pytest.raises(BudgetError, match=r"^End\(4, 0\) subspace enumeration dim 8 "
                                r"over F_2: 256 items exceeds budget 255"):
-                ext.aut_triples_direct(ses, V)
+                ext.aut_triples_direct(ses, V, C)
             assert tested == []
         else:
-            assert ext.aut_triples_direct(ses, V) == 576
+            assert ext.aut_triples_direct(ses, V, C) == 576
             assert len(tested) == 256
 
 
@@ -495,7 +517,7 @@ def test_square_zero_rejects_the_identity(ctx2, reps2):
     ext = ExtGroupoid(ctx2, reps2["S1"], reps2["S2"])
     for e_label in ext.pieces:
         for ses in ext.objects(e_label):
-            basis = ext.fixed_end_basis(ses)
+            basis = ext.end_bases(ses)[0]
             assert _square_zero(ctx2, ses.mid, basis)
             one = flatten(identity_morphism(ses.mid).vertex_maps)
             assert not _square_zero(ctx2, ses.mid, basis + [one])
@@ -513,7 +535,7 @@ def test_fixed_end_group_of_order_64_needs_no_enumeration(a2):
     M = N.direct_sum(S0)
     E, f, g = ctx.middle_term_ses(M, N, ())
     ses = SESObject(N, E, M, f, g)
-    basis = ExtGroupoid(ctx, M, N).fixed_end_basis(ses)
+    basis = ExtGroupoid(ctx, M, N).end_bases(ses)[0]
     assert len(basis) == ctx.hom_dim(M, N) == 6
     assert _square_zero(ctx, E, basis)
 
@@ -783,11 +805,10 @@ def _quad_product(parts):
 def test_engine_grounds_coherence_path_cardinality(ctx2):
     """Compose two braid pieces through a middle base with nontrivial
     automorphisms, entirely inside the groupoid engine, and compare the
-    composite apex cardinality with the closed path-value formula used by
-    the coherence checks.
+    composite apex cardinality with the closed path-value formula
+    (oracles.path_value).
     """
     from fractions import Fraction
-    from hallalg.cathall import _path_value
     a = ctx2.classify((2, 1))[1].rep   # S1 + P1, automorphism count 2
     b = ctx2.classify((0, 1))[0].rep   # S2
     zero = ctx2.classify((0, 0))[0].rep
@@ -832,7 +853,7 @@ def test_engine_grounds_coherence_path_cardinality(ctx2):
 
     composite = gpd.compose_spans(span2, span1)
     got = composite.apex.cardinality()
-    want = _path_value(ctx2, [(a, b), (a, zero)], (a, b, zero, zero))
+    want = path_value(ctx2, [(a, b), (a, zero)], (a, b, zero, zero))
     assert got == want == Fraction(1)
     # and the one-step path through the summed subobject agrees
     direct = ExtGroupoid(ctx2, a, b.direct_sum(zero))

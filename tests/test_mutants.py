@@ -62,6 +62,15 @@ CAUGHT = {
     # item 6); the bilinearity round trip glues the split piece back and sees it
     "hexagonator_output_split": [("a2", 2, 3, {"bilinearity": (7, 210),
                                                "coherence": (0, 661)})],
+    # every suite that reads the Euler form sees a wrong one; hexagon sees only
+    # a form that is not bilinear, as both its loops read the formula alone.
+    # coherence fails on its fixed-end piece values (census against the form)
+    "euler_form_bumped": [("a2", 2, 3, {"hexagon": (85750, 46825), "ext": (20, 45),
+                                        "bsim": (72, 98), "coherence": (40, 661),
+                                        "green": (44, 295), "bialgebra": (20, 45)})],
+    "euler_form_transposed": [("a2", 2, 3, {"hexagon": (0, 46825), "ext": (14, 45),
+                                            "bsim": (48, 98), "coherence": (20, 661),
+                                            "green": (26, 295), "bialgebra": (14, 45)})],
 }
 
 
