@@ -99,11 +99,14 @@ class ExtGroupoid:
 
     A sequence (f, g) factors through its image subobject U = im f as
     f = incl . nu and g = mu . proj, with nu: N -> U and mu: E/U -> M
-    isomorphisms.  So a piece keeps only its image subobjects
-    (incl, E/U, proj) with U ~ N and E/U ~ M, and objects() builds the
-    |Iso(N, U)| |Iso(E/U, M)| sequences of each on demand.  Morphism counts
-    come from the (Aut N x Aut M)-orbits of extension classes and from
-    units of linear subspaces of End(E); Aut(E) itself is never enumerated.
+    isomorphisms.  Iso(N, U) and Iso(E/U, M) are torsors under Aut N and
+    Aut M, so a piece keeps one first sequence (incl . nu0, mu0 . proj) per
+    image subobject U ~ N with E/U ~ M, nu0 and mu0 the first_iso of each,
+    and objects() builds the others as (f . nu, mu . g) for nu in Aut N and
+    mu in Aut M.  The images are the census walk's subobjects of the classes
+    of N and M.  Morphism counts come from the (Aut N x Aut M)-orbits of
+    extension classes and from units of linear subspaces of End(E); Aut(E)
+    itself is never enumerated.
 
     Checks take the context's shared groupoid from ExtGroupoid.of; calling
     the class directly builds an unshared one.
@@ -121,52 +124,41 @@ class ExtGroupoid:
         self.ctx = ctx
         self.M = M
         self.N = N
-        self.pieces = {}          # E label -> list of image subobjects (incl, Q, proj)
-        self._piece_reps = {}     # E label -> representative Representation
+        self.pieces = {}          # E label -> the first sequence of each image subobject
         self._orbit_data = {}     # E label -> (orbits, extension classes)
         self._actions = None      # _cocycle_actions, built on first use
+        cm, cn = ctx.class_of(M), ctx.class_of(N)
         for cls in ctx.classify(dim_add(M.dim, N.dim)):
-            images = [(incl, Q, proj) for incl, Q, proj in ctx.invariant_subreps(cls.rep, N.dim)
-                      if ctx.is_isomorphic(incl.source, N) and ctx.is_isomorphic(Q, M)]
+            images = ctx.class_subreps(cls.rep, cn, cm)
             if images:
-                self.pieces[cls.label] = images
-                self._piece_reps[cls.label] = cls.rep
-
-    def _isos(self, image):
-        """(Iso(N, U), Iso(E/U, M)) for one image subobject, as the context caches them."""
-        incl, Q, _ = image
-        return self.ctx.iso_set(self.N, incl.source), self.ctx.iso_set(Q, self.M)
-
-    def _sequence(self, image, nu, mu):
-        incl, _, proj = image
-        return SESObject(self.N, incl.target, self.M, incl.compose(nu), mu.compose(proj))
-
-    def _first(self, image):
-        """The first sequence with this image: it stands for the image."""
-        incl, Q, _ = image
-        ctx = self.ctx
-        return self._sequence(image, ctx.first_iso(self.N, incl.source), ctx.first_iso(Q, self.M))
+                self.pieces[cls.label] = [
+                    SESObject(N, cls.rep, M, incl.compose(ctx.first_iso(N, incl.source)),
+                              ctx.first_iso(Q, M).compose(proj)) for incl, Q, proj in images]
 
     def object_count(self, e_label=None):
-        """Sum of |Iso(N, U)| |Iso(E/U, M)| over the image subobjects U."""
+        """Images times |Aut N| |Aut M|, the groups as aut_elements lists them;
+        neither is listed when there is no image."""
         labels = self.pieces if e_label is None else [e_label]
-        return sum(len(nus) * len(mus) for e in labels
-                   for nus, mus in map(self._isos, self.pieces.get(e, ())))
+        images = sum(len(self.pieces.get(e, ())) for e in labels)
+        return images and images * len(self.ctx.aut_elements(self.N)) * len(
+            self.ctx.aut_elements(self.M))
 
     def objects(self, e_label):
         """The sequences of one piece, built on demand and budgeted as a whole.
 
-        Per image subobject, in piece order: (incl . nu, mu . proj) for nu in
-        Iso(N, U), then mu in Iso(E/U, M).
+        Per first sequence (f, g), in piece order: (f . nu, mu . g) for nu in
+        Aut N, then mu in Aut M, in aut_elements order.  Each f . nu and
+        mu . g is composed once.
         """
-        ctx = self.ctx
-        check_budget(f"EXT({ctx.class_of(self.M).label}, {ctx.class_of(self.N).label}) "
+        ctx, M, N = self.ctx, self.M, self.N
+        check_budget(f"EXT({ctx.class_of(M).label}, {ctx.class_of(N).label}) "
                      f"objects of piece {e_label}", self.object_count(e_label), ctx.budget)
-        for image in self.pieces[e_label]:
-            nus, mus = self._isos(image)
-            for nu in nus:
-                for mu in mus:
-                    yield self._sequence(image, nu, mu)
+        for ses in self.pieces[e_label]:
+            gs = [mu.compose(ses.proj) for mu in ctx.aut_elements(M)]
+            for nu in ctx.aut_elements(N):
+                f = ses.incl.compose(nu)
+                for g in gs:
+                    yield SESObject(N, ses.mid, M, f, g)
 
     def _orbits(self, e_label):
         """Aut(E)-orbits on the image subobjects of one piece, and their classes.
@@ -187,15 +179,14 @@ class ExtGroupoid:
         ctx, M, N = self.ctx, self.M, self.N
         group_of = {}                 # reduced class -> index into groups
         groups = []                   # (representative index, orbit indices)
-        for i, image in enumerate(self.pieces[e_label]):
-            ses = self._first(image)
+        for i, ses in enumerate(self.pieces[e_label]):
             c = ctx.extension_class(M, N, ses.mid, ses.incl, ses.proj)
             if c not in group_of:
                 for moved in self._orbit(c):
                     group_of[moved] = len(groups)
                 groups.append((i, set()))
             groups[group_of[c]][1].add(i)
-        aut_e = ctx.aut_order(self._piece_reps[e_label])
+        aut_e = ctx.aut_order(self.pieces[e_label][0].mid)
         orbits = []
         for i, orbit in groups:
             assert aut_e % len(orbit) == 0
@@ -248,8 +239,8 @@ class ExtGroupoid:
 
     def iso_classes(self, e_label):
         """(representative SESObject, triple-aut order) per class."""
-        images = self.pieces[e_label]
-        return [(self._first(images[i]), stab) for i, _, stab in self._orbits(e_label)[0]]
+        firsts = self.pieces[e_label]
+        return [(firsts[i], stab) for i, _, stab in self._orbits(e_label)[0]]
 
     def end_bases(self, ses):
         """(V, C): bases of the fixed-end ideal V and of a complement C of V
@@ -303,16 +294,6 @@ class ExtGroupoid:
         return sum((Fraction(1, stab) for e in labels for _, _, stab in self._orbits(e)[0]),
                    Fraction(0))
 
-    def cardinality_fixed_ends(self):
-        """sum_E P^E / aut E: the fixed-end cardinality, equal to q^{-<m,n>}."""
-        ctx = self.ctx
-        total = Fraction(0)
-        for cls in ctx.classify(dim_add(self.M.dim, self.N.dim)):
-            p = ctx.count_exact_pairs(self.M, self.N, cls.rep)
-            if p:
-                total += Fraction(p, ctx.aut_order(cls.rep))
-        return total
-
 
 def _block_action(field, shapes, mats, left):
     """The matrix of c -> m_a c_a (left) or c -> c_a m_a (right) on flat vectors
@@ -364,14 +345,20 @@ def closed_form_ext_cardinality(ctx, M, N):
                     ctx.aut_order(N) * ctx.aut_order(M))
 
 
+def fixed_end_cardinality(ctx, M, N):
+    """sum_E P^E / aut E over the middle terms E: the fixed-end cardinality of
+    EXT(M, N), equal to q^{-<m,n>}.  Read off the census; no groupoid is built."""
+    return sum((Fraction(ctx.count_exact_pairs(M, N, cls.rep), cls.aut)
+                for cls in ctx.classify(dim_add(M.dim, N.dim))), Fraction(0))
+
+
 def ext_cardinality_check(ctx, M, N):
     """Weak-quotient cardinality versus the closed form, with triple morphisms.
 
     The left side is the pair-count route: the fixed-end sum of P^E / aut E
     over middle terms, divided by aut N aut M.
     """
-    lhs = ExtGroupoid.of(ctx, M, N).cardinality_fixed_ends() / (
-        ctx.aut_order(N) * ctx.aut_order(M))
+    lhs = fixed_end_cardinality(ctx, M, N) / (ctx.aut_order(N) * ctx.aut_order(M))
     rhs = closed_form_ext_cardinality(ctx, M, N)
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
@@ -424,16 +411,16 @@ def _ext_bilinearity(ctx, part1, part2, other, split, glue, slot):
     Each fixed-end iso class is split once, on the sequence
     ctx.middle_term_ses builds from its reduced cocycle.
     """
-    def ext(x):
-        return ExtGroupoid.of(ctx, x, other) if slot == 0 else ExtGroupoid.of(ctx, other, x)
+    def ends(x):
+        return (x, other) if slot == 0 else (other, x)
 
     def ext_class(ses):
         return ctx.extension_class(ses.quo, ses.sub, ses.mid, ses.incl, ses.proj)
 
     whole = ctx.direct_sum(part1, part2)
-    ext_sum, e1, e2 = ext(whole), ext(part1), ext(part2)
-    lhs = ext_sum.cardinality_fixed_ends()
-    rhs = e1.cardinality_fixed_ends() * e2.cardinality_fixed_ends()
+    lhs = fixed_end_cardinality(ctx, *ends(whole))
+    rhs = fixed_end_cardinality(ctx, *ends(part1)) * fixed_end_cardinality(ctx, *ends(part2))
+    ext_sum = ExtGroupoid.of(ctx, *ends(whole))
     classes = ext_sum.extension_classes()
     image_pairs = set()
     round_trip_ok = True
@@ -443,8 +430,8 @@ def _ext_bilinearity(ctx, part1, part2, other, split, glue, slot):
         image_pairs.add((ext_class(s1), ext_class(s2)))
         if ext_class(glue(ctx, s1, s2, whole)) != cls:
             round_trip_ok = False
-    n1 = len(e1.extension_classes())
-    n2 = len(e2.extension_classes())
+    n1 = len(ExtGroupoid.of(ctx, *ends(part1)).extension_classes())
+    n2 = len(ExtGroupoid.of(ctx, *ends(part2)).extension_classes())
     bijection = len(image_pairs) == len(classes) == n1 * n2
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs,
             "skeleton_bijection": bijection, "round_trip": round_trip_ok}
@@ -612,7 +599,10 @@ def bsim_ext_check(run, ctx, span):
     """Per-piece comparison of a BraidingSpan's apex with the EXT groupoids.
 
     For every object pair: object counts per middle class must match the
-    pair counts, the stabilizer |Aut E| / |orbit| must equal the units of
+    pair counts (images times the listed |Aut N| |Aut M|, against the census
+    count times the orbit-stabilizer orders; the pieces and the census read
+    one walk through the same class tables, so no piece can be missing),
+    the stabilizer |Aut E| / |orbit| must equal the units of
     the image-preserving subalgebra A of End(E) (counted modulo V; A and V
     come from one End(E) pass per iso class), the fixed-end automorphism
     group 1 + V must be Hom(quo, sub) as an elementary abelian group (dim V
@@ -629,12 +619,8 @@ def bsim_ext_check(run, ctx, span):
             if not run.want(f"bsim-ext:{ctx.class_of(x).label}|{ctx.class_of(y).label}"):
                 continue
             ext = span.piece(i, j)
-            for cls in ctx.classify(dim_add(x.dim, y.dim)):
-                if cls.label not in ext.pieces and \
-                        ctx.count_exact_pairs(x, y, cls.rep) != 0:
-                    run.fail(f"piece {cls.label} missing but P^E != 0")
-            for e_label in ext.pieces:
-                p = ctx.count_exact_pairs(x, y, ext._piece_reps[e_label])
+            for e_label, firsts in ext.pieces.items():
+                p = ctx.count_exact_pairs(x, y, firsts[0].mid)
                 n = ext.object_count(e_label)
                 if n != p:
                     run.fail(f"object count {n} != P^E {p} at {e_label}")
@@ -854,8 +840,7 @@ def _check_shuffle(run, ctx, name, shape, bound):
                         run.fail(f"slot {slot} differs at {e_label}")
                         break
         for q, s in dict.fromkeys(pieces):
-            if ExtGroupoid.of(ctx, q, s).cardinality_fixed_ends() != q_power(
-                    ctx.q, -ctx.euler_form(q.dim, s.dim)):
+            if fixed_end_cardinality(ctx, q, s) != q_power(ctx.q, -ctx.euler_form(q.dim, s.dim)):
                 run.fail(f"fixed-end piece value off for "
                          f"{ctx.class_of(q).label},{ctx.class_of(s).label}")
 

@@ -81,7 +81,7 @@ class ConcreteGroupoid:
 
     # ---- laws (exhaustive, budget-gated) ------------------------------------
 
-    def validate(self, budget=DEFAULT_BUDGET):
+    def validate(self):
         n, m = self.n_objects(), self.n_morphisms()
         if len(self.identity) != n:
             raise GroupoidFormatError("identity assignment length mismatch")
@@ -90,7 +90,7 @@ class ConcreteGroupoid:
             if self.mor_src[e] != x or self.mor_tgt[e] != x:
                 raise GroupoidFormatError(f"identity of object {x} has wrong endpoints")
         pairs = [(g, f) for f in range(m) for g in self.mor_from(self.mor_tgt[f])]
-        check_budget("groupoid law check (composable pairs)", len(pairs), budget)
+        check_budget("groupoid law check (composable pairs)", len(pairs), DEFAULT_BUDGET)
         # each composite is computed once; the law checks below read them
         comp = {}
         for g, f in pairs:
@@ -110,7 +110,7 @@ class ConcreteGroupoid:
         for f in range(m):
             for g in self.mor_from(self.mor_tgt[f]):
                 triples += len(self.mor_from(self.mor_tgt[g]))
-        check_budget("groupoid law check (composable triples)", triples, budget)
+        check_budget("groupoid law check (composable triples)", triples, DEFAULT_BUDGET)
         for f in range(m):
             for g in self.mor_from(self.mor_tgt[f]):
                 gf = comp[(g, f)]
@@ -289,7 +289,7 @@ class GroupoidFunctor:
     def identity(cls, G):
         return cls(G, G, list(range(G.n_objects())), list(range(G.n_morphisms())))
 
-    def validate(self, budget=DEFAULT_BUDGET):
+    def validate(self):
         S, T = self.source, self.target
         for i in range(S.n_morphisms()):
             if T.mor_src[self.mor_map[i]] != self.obj_map[S.mor_src[i]] or \
@@ -300,7 +300,7 @@ class GroupoidFunctor:
                 raise GroupoidFormatError(f"functor breaks identity at object {x}")
         pairs = [(g, f) for f in range(S.n_morphisms())
                  for g in S.mor_from(S.mor_tgt[f])]
-        check_budget("functor law check (composable pairs)", len(pairs), budget)
+        check_budget("functor law check (composable pairs)", len(pairs), DEFAULT_BUDGET)
         for g, f in pairs:
             if self.mor_map[S.compose(g, f)] != T.compose(self.mor_map[g], self.mor_map[f]):
                 raise GroupoidFormatError(f"functor breaks composition at ({g},{f})")
@@ -339,7 +339,7 @@ class ConcreteSpan:
         return cls(X, ident, ident)
 
 
-def weak_pullback(f, g, budget=DEFAULT_BUDGET):
+def weak_pullback(f, g):
     """Weak pullback of f: A -> X and g: B -> X.
 
     Objects are triples (a, b, alpha) with alpha: f(a) -> g(b) in X;
@@ -358,7 +358,7 @@ def weak_pullback(f, g, budget=DEFAULT_BUDGET):
     n_mor = 0
     for (a, b, alpha) in objects:
         n_mor += len(A.mor_from(a)) * len(B.mor_from(b))
-    check_budget("weak pullback morphisms", n_mor, budget)
+    check_budget("weak pullback morphisms", n_mor, DEFAULT_BUDGET)
 
     def moved(u, v, alpha):
         """alpha carried along (u, v): g(v) . alpha . f(u)^{-1}."""
@@ -382,19 +382,19 @@ def weak_pullback(f, g, budget=DEFAULT_BUDGET):
     return P, pi_A, pi_B
 
 
-def apply_span(span, vector, budget=DEFAULT_BUDGET):
+def apply_span(span, vector):
     """Apply a span from X to Y to a groupoid over X; result is over Y."""
     if vector.target is not span.foot_right:
         raise ValueError("vector is not over the span's right foot")
-    P, pi_S, _ = weak_pullback(span.right, vector, budget=budget)
+    P, pi_S, _ = weak_pullback(span.right, vector)
     return span.left.compose_with(pi_S)
 
 
-def compose_spans(t, s, budget=DEFAULT_BUDGET):
+def compose_spans(t, s):
     """Composite of s: X -> Y then t: Y -> Z, by weak pullback over Y."""
     if s.foot_left is not t.foot_right:
         raise ValueError("spans are not composable (feet mismatch)")
-    P, pi_T, pi_S = weak_pullback(t.right, s.left, budget=budget)
+    P, pi_T, pi_S = weak_pullback(t.right, s.left)
     return ConcreteSpan(P, t.left.compose_with(pi_T), s.right.compose_with(pi_S))
 
 
@@ -493,9 +493,9 @@ def matrix_product(e1, e2):
 # ---- JSON round trip ----------------------------------------------------------------
 
 
-def groupoid_to_json(G, budget=DEFAULT_BUDGET):
+def groupoid_to_json(G):
     m = G.n_morphisms()
-    check_budget("composition table export", m * m, budget)
+    check_budget("composition table export", m * m, DEFAULT_BUDGET)
     table = [[None] * m for _ in range(m)]
     for f in range(m):
         for g in G.mor_from(G.mor_tgt[f]):
@@ -507,7 +507,7 @@ def groupoid_to_json(G, budget=DEFAULT_BUDGET):
     }
 
 
-def groupoid_from_json(doc, validate=True):
+def groupoid_from_json(doc):
     if not isinstance(doc, dict):
         raise GroupoidFormatError("groupoid document must be an object")
     for field in ("objects", "morphisms", "compose"):
@@ -541,8 +541,7 @@ def groupoid_from_json(doc, validate=True):
     inverse = _derive_inverses(m, src, tgt, table, identity)
     G = ConcreteGroupoid(list(range(n)), [(src[i], tgt[i], i) for i in range(m)],
                          identity, inverse.__getitem__, lambda g, f: table[g][f])
-    if validate:
-        G.validate()
+    G.validate()
     return G
 
 
@@ -585,7 +584,7 @@ def _derive_inverses(m, src, tgt, table, identity):
     return inverse
 
 
-def functor_from_json(doc, source, target, validate=True):
+def functor_from_json(doc, source, target):
     if not isinstance(doc, dict) or "objects" not in doc or "morphisms" not in doc:
         raise GroupoidFormatError('functor document needs "objects" and "morphisms"')
     maps = []
@@ -596,22 +595,21 @@ def functor_from_json(doc, source, target, validate=True):
         maps.append([_index(x, bound, f"functor {field}[{i}]")
                      for i, x in enumerate(doc[field])])
     fun = GroupoidFunctor(source, target, *maps)
-    if validate:
-        fun.validate()
+    fun.validate()
     return fun
 
 
-def span_from_json(doc, validate=True):
+def span_from_json(doc):
     if not isinstance(doc, dict):
         raise GroupoidFormatError("span document must be an object")
     for field in ("apex", "foot_left", "foot_right", "left", "right"):
         if field not in doc:
             raise GroupoidFormatError(f'span document missing "{field}"')
-    apex = groupoid_from_json(doc["apex"], validate)
-    fl = groupoid_from_json(doc["foot_left"], validate)
-    fr = groupoid_from_json(doc["foot_right"], validate)
-    left = functor_from_json(doc["left"], apex, fl, validate)
-    right = functor_from_json(doc["right"], apex, fr, validate)
+    apex = groupoid_from_json(doc["apex"])
+    fl = groupoid_from_json(doc["foot_left"])
+    fr = groupoid_from_json(doc["foot_right"])
+    left = functor_from_json(doc["left"], apex, fl)
+    right = functor_from_json(doc["right"], apex, fr)
     return ConcreteSpan(apex, left, right)
 
 

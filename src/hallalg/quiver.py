@@ -292,7 +292,6 @@ class RepCategory:
         self._pair_count_cache = {}
         self._census_cache = {}
         self._aut_list_cache = {}
-        self._subrep_cache = {}
         self._on_bases_cache = {}
         self._sums = {}           # (y, z) -> the chosen direct sum y (+) z
         self._frames = {}         # basis B -> its frame
@@ -464,35 +463,27 @@ class RepCategory:
         return span_points(self.field, basis, sum(m * n for m, n in zip(M.dim, N.dim)),
                            f"Hom-space span enumeration dim {len(basis)}", self.budget)
 
-    def iso_set(self, M, N):
-        """Every isomorphism M -> N: the invertible points of the Hom(M, N) span.
-
-        Cached per pair; the order is span_points' walk order.
-        """
-        self._same_quiver(M, N)
-        if M.dim != N.dim or not self.is_isomorphic(M, N):
-            return []
-        key = ("iso", M, N)
-        if key not in self._aut_list_cache:
-            shapes = [(d, d) for d in M.dim]
-            self._aut_list_cache[key] = [
-                RepMorphism(M, N, unflatten(self.field, point, shapes))
-                for point in self._hom_points(M, N)
-                if blocks_invertible(point, M.dim, self.q)]
-        return self._aut_list_cache[key]
-
     def first_iso(self, M, N):
-        """iso_set(M, N)[0], or None when there is none; when the list is not
-        cached, the span is walked only up to its first invertible point."""
-        found = self._aut_list_cache.get(("iso", M, N))
-        if found is not None or M.dim != N.dim or not self.is_isomorphic(M, N):
-            return found[0] if found else None
+        """The first invertible point of the Hom(M, N) span in span_points' walk
+        order, or None when M and N are not isomorphic; the walk stops there."""
+        if not self.is_isomorphic(M, N):
+            return None
         for point in self._hom_points(M, N):
             if blocks_invertible(point, M.dim, self.q):
                 return RepMorphism(M, N, unflatten(self.field, point, [(d, d) for d in M.dim]))
 
     def aut_elements(self, M):
-        return self.iso_set(M, M)
+        """Every automorphism of M: the invertible points of the End(M) span.
+
+        Cached per M; the order is span_points' walk order.
+        """
+        if M not in self._aut_list_cache:
+            shapes = [(d, d) for d in M.dim]
+            self._aut_list_cache[M] = [
+                RepMorphism(M, M, unflatten(self.field, point, shapes))
+                for point in self._hom_points(M, M)
+                if blocks_invertible(point, M.dim, self.q)]
+        return self._aut_list_cache[M]
 
     # ---- subobjects, quotients, extensions ---------------------------------
 
@@ -597,13 +588,14 @@ class RepCategory:
                         RepMorphism._of(E, Q, [fr[3] for fr in frames])))
         return out
 
-    def invariant_subreps(self, E, sub_dim):
-        """All subrepresentations of E with the given dimension vector, as a
-        cached list of _subreps triples over canonical subspace bases."""
-        key = (E, tuple(sub_dim))
-        if key not in self._subrep_cache:
-            self._subrep_cache[key] = self._subreps(E, self._subrep_walk(E, key[1]))
-        return self._subrep_cache[key]
+    def class_subreps(self, E, cn, cm):
+        """The _subreps triples of the U <= E with U in class cn and E/U in class
+        cm, in walk order: the classes are read off the walk's flat blocks, as
+        census reads them, and only the matching U are built."""
+        ucanon, qcanon = self._canon[cn.dim], self._canon[cm.dim]
+        return self._subreps(E, (w for w in self._subrep_walk(E, cn.dim)
+                                 if ucanon[sum([b[0] for b in w[2]], ())] == cn.index
+                                 and qcanon[sum([b[1] for b in w[2]], ())] == cm.index))
 
     def subrep_frames(self, E, bases):
         """(inclusion U -> E, E/U, projection E -> E/U, frames) for U spanned by

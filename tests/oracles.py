@@ -238,17 +238,18 @@ def orbits_by_aut_scan(ext, e_label):
 
     Same shape as the orbit list of ExtGroupoid._orbits: (representative
     index, orbit indices, stabilizer order) in piece order, indices into
-    ext.pieces[e_label], the stabilizer counted directly and
-    |orbit| * stabilizer checked against |Aut(E)|.
+    ext.pieces[e_label] (one sequence per image), the stabilizer counted
+    directly and |orbit| * stabilizer checked against |Aut(E)|.
     """
-    index = {image_key(incl): i for i, (incl, _, _) in enumerate(ext.pieces[e_label])}
-    auts = ext.ctx.aut_elements(ext._piece_reps[e_label])
+    firsts = ext.pieces[e_label]
+    index = {image_key(ses.incl): i for i, ses in enumerate(firsts)}
+    auts = ext.ctx.aut_elements(firsts[0].mid)
     data = []
     assigned = set()
-    for i, (incl, _, _) in enumerate(ext.pieces[e_label]):
+    for i, ses in enumerate(firsts):
         if i in assigned:
             continue
-        moved = [index[image_key(beta.compose(incl))] for beta in auts]
+        moved = [index[image_key(beta.compose(ses.incl))] for beta in auts]
         orbit = set(moved)
         stab = moved.count(i)
         assert len(orbit) * stab == len(auts)
@@ -390,6 +391,12 @@ def frame_matrices(frame):
                n, n)
     picks = Matrix(f, [[int(i == j) for j in range(n)] for i in pivots], k, n)
     return P, Matrix(f, (inv * picks).entries + proj.entries, n, n)
+
+
+def invariant_subreps(ctx, E, sub_dim):
+    """Every (inclusion, E/U, projection) triple of the U <= E of dimension
+    sub_dim, in walk order: the library's walk with every yield built."""
+    return ctx._subreps(E, ctx._subrep_walk(E, tuple(sub_dim)))
 
 
 def invariant_subreps_by_solve(ctx, E, sub_dim, complement=pivot_row_complement):

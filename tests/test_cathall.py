@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -10,6 +11,7 @@ from hallalg.cathall import (BraidingSpan, COHERENCE_NAMES, ExtGroupoid,
                              coherence_check, comult_matrix_against_hall,
                              comult_span_entry, ext_bilinearity_first,
                              ext_bilinearity_second, ext_cardinality_check,
+                             fixed_end_cardinality,
                              glue_quotients, glue_subobjects, hexagonator_R, hexagonator_S,
                              mult_matrix_against_hall, mult_span_entry,
                              riedtmann_check, _square_zero)
@@ -17,14 +19,14 @@ from hallalg import cathall
 from hallalg.cli import load_quiver
 from hallalg.linalg import BudgetError, Matrix, flatten, unflatten
 from hallalg.quiver import RepCategory, RepMorphism, dim_add
-from hallalg.verify import BSIM_CAP, Run
+from hallalg.verify import BSIM_CAP, Run, run_suite
 from oracles import (block_injections, block_projections, corestrict, factor_through,
                      fixed_ends_by_aut_scan, glue_quotients_by_solve,
                      glue_subobjects_by_solve, hexagonator_R_by_solve,
                      hexagonator_S_by_solve, identity_morphism, image_key,
-                     image_preserving_basis, is_valid, is_zero, matrix_inverse, morphism_count,
-                     morphism_index, orbits_by_aut_scan, path_value, simple_rep,
-                     units_by_full_walk)
+                     image_preserving_basis, invariant_subreps, is_valid, is_zero,
+                     iso_set_by_products, matrix_inverse, morphism_count, morphism_index,
+                     orbits_by_aut_scan, path_value, simple_rep, units_by_full_walk)
 
 
 
@@ -43,7 +45,7 @@ def test_rep_groupoid_hom_sizes(ctx2):
     base = build_A0(ctx2, 2)
     for i, a in enumerate(base):
         for j, b in enumerate(base):
-            size = len(ctx2.iso_set(a, b))
+            size = len(iso_set_by_products(ctx2, a, b))
             if ctx2.is_isomorphic(a, b):
                 assert size == ctx2.aut_order(a)
             else:
@@ -70,7 +72,53 @@ def test_build_ext_object_counts(ctx2, ctx3, reps2, reps3):
             ext = ExtGroupoid(ctx, M, N)
             for e in ext.pieces:
                 assert len(list(ext.objects(e))) == ext.object_count(e) \
-                    == ctx.count_exact_pairs(M, N, ext._piece_reps[e])
+                    == ctx.count_exact_pairs(M, N, ext.pieces[e][0].mid)
+
+
+@pytest.mark.parametrize("quiver,q", [("a2", 2), ("a2", 3), ("a3-source", 2)])
+def test_objects_compose_each_image_with_its_isomorphisms(quiver, q):
+    """On every piece of every bsim pair (bound 2), objects(E) yields the
+    (incl nu, mu proj) of every image U of dimension dim N, nu in Iso(N, U)
+    and mu in Iso(E/U, M) as iso_set_by_products lists them, each once; their
+    number is object_count(E) and P^E, and the pieces are the E with
+    P^E != 0."""
+    ctx = RepCategory(load_quiver(quiver), q)
+    base = build_A0(ctx, BSIM_CAP)
+    pieces = 0
+    for M in base:
+        for N in base:
+            ext = ExtGroupoid(ctx, M, N)
+            assert list(ext.pieces) == [c.label for c in ctx.classify(dim_add(M.dim, N.dim))
+                                        if ctx.count_exact_pairs(M, N, c.rep)]
+            for e_label, firsts in ext.pieces.items():
+                E = firsts[0].mid
+                got = [(s.incl.vertex_maps, s.proj.vertex_maps) for s in ext.objects(e_label)]
+                want = set()
+                for incl, Q, proj in invariant_subreps(ctx, E, N.dim):
+                    fs = [tuple(map(mul, incl.vertex_maps, nu))
+                          for nu in iso_set_by_products(ctx, N, incl.source)]
+                    gs = [tuple(map(mul, mu, proj.vertex_maps))
+                          for mu in iso_set_by_products(ctx, Q, M)]
+                    want.update(product(fs, gs))
+                assert len(set(got)) == len(got) and set(got) == want
+                assert len(got) == ext.object_count(e_label) == ctx.count_exact_pairs(M, N, E)
+                pieces += 1
+    assert pieces > 0
+
+
+def test_verify_ext_builds_no_groupoid(a2, monkeypatch):
+    """The ext suite reads the fixed-end cardinality off the census: no
+    ExtGroupoid is constructed."""
+    built = []
+    init = ExtGroupoid.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(ExtGroupoid, "__init__", counted)
+    report = run_suite("ext", RepCategory(a2, 2), None, 3, 0)
+    assert (report["instances"], report["failures"]) == (45, [])
+    assert built == []
 
 
 def test_ext_groupoid_of_is_shared_per_context(a2, reps2):
@@ -219,8 +267,8 @@ def test_hexagonator_R_counts_match_bilinearity(ctx2, ctx3, reps2, reps3):
         S1, S2 = reps["S1"], reps["S2"]
         sub = S2.direct_sum(S2)
         ext = ExtGroupoid(ctx, S1, sub)
-        single = ExtGroupoid(ctx, S1, S2)
-        assert ext.cardinality_fixed_ends() == single.cardinality_fixed_ends() ** 2 == ctx.q ** 2
+        assert fixed_end_cardinality(ctx, S1, sub) == fixed_end_cardinality(ctx, S1, S2) ** 2 \
+            == ctx.q ** 2
         for e in ext.pieces:
             for ses in ext.objects(e):
                 a, b = hexagonator_R(ctx, ses, S2, S2)
@@ -235,8 +283,8 @@ def test_hexagonator_S_counts_match_bilinearity(ctx2, ctx3, reps2, reps3):
         S1, S2 = reps["S1"], reps["S2"]
         quo = S1.direct_sum(S1)
         ext = ExtGroupoid(ctx, quo, S2)
-        single = ExtGroupoid(ctx, S1, S2)
-        assert ext.cardinality_fixed_ends() == single.cardinality_fixed_ends() ** 2 == ctx.q ** 2
+        assert fixed_end_cardinality(ctx, quo, S2) == fixed_end_cardinality(ctx, S1, S2) ** 2 \
+            == ctx.q ** 2
         for e in ext.pieces:
             for ses in ext.objects(e):
                 a, b = hexagonator_S(ctx, ses, S1, S1)
@@ -384,11 +432,10 @@ def test_aut_routes_match_aut_scans(ctx2):
     """Orbits, stabilizers, fixed-end groups and extension classes agree with
     scans over Aut(E) and over every object.
 
-    Each image's stand-in sequence is drawn with a seeded RNG from all its
-    sequences: in build order the first sequences of images in one orbit
+    Each image's stand-in sequence is drawn with a seeded RNG from its block
+    of objects(E): in build order the first sequences of images in one orbit
     tend to share one extension class, which would hide a wrong
-    (Aut N x Aut M)-action.  Shuffling the cached iso_set lists is not
-    enough, since images with equal subrepresentations share one list.
+    (Aut N x Aut M)-action.
     """
     rng = random.Random(0)
     q = ctx2.q
@@ -396,13 +443,11 @@ def test_aut_routes_match_aut_scans(ctx2):
     for x in base:
         for y in base:
             ext = ExtGroupoid(ctx2, x, y)
-
-            def any_sequence(image, ext=ext):
-                nu, mu = rng.choice(list(product(*ext._isos(image))))
-                return ext._sequence(image, nu, mu)
-
-            ext._first = any_sequence
+            block = len(ctx2.aut_elements(x)) * len(ctx2.aut_elements(y))
             for e_label in ext.pieces:
+                objects = list(ext.objects(e_label))
+                ext.pieces[e_label] = [rng.choice(objects[k:k + block])
+                                       for k in range(0, len(objects), block)]
                 orbits, classes = ext._orbits(e_label)
                 assert orbits == orbits_by_aut_scan(ext, e_label)
                 assert classes == {ctx2.extension_class(x, y, s.mid, s.incl, s.proj)
@@ -556,7 +601,7 @@ def test_shuffle_22_specific_instance(ctx2, reps2):
     ab = S1.direct_sum(S1)
     cdsum = S2.direct_sum(S2)
     ext = ExtGroupoid(ctx2, ab, cdsum)
-    assert ext.cardinality_fixed_ends() == 16  # q^4: four braid pieces
+    assert fixed_end_cardinality(ctx2, ab, cdsum) == 16  # q^4: four braid pieces
     checked = 0
     for e in ext.pieces:
         for ses in ext.objects(e):
@@ -856,7 +901,6 @@ def test_engine_grounds_coherence_path_cardinality(ctx2):
     want = path_value(ctx2, [(a, b), (a, zero)], (a, b, zero, zero))
     assert got == want == Fraction(1)
     # and the one-step path through the summed subobject agrees
-    direct = ExtGroupoid(ctx2, a, b.direct_sum(zero))
-    per_factor = direct.cardinality_fixed_ends() / (
+    per_factor = fixed_end_cardinality(ctx2, a, b.direct_sum(zero)) / (
         ctx2.aut_order(a) * ctx2.aut_order(b))
     assert per_factor == want

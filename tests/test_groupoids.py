@@ -184,8 +184,8 @@ def test_engine_span_pullbacks_pass_the_groupoid_laws(monkeypatch):
     built = []
     weak_pullback = gpd.weak_pullback
 
-    def recorded(f, g, budget=gpd.DEFAULT_BUDGET):
-        out = weak_pullback(f, g, budget=budget)
+    def recorded(f, g):
+        out = weak_pullback(f, g)
         built.append(out[0])
         return out
     monkeypatch.setattr(gpd, "weak_pullback", recorded)

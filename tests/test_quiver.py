@@ -10,7 +10,8 @@ from hallalg.quiver import (Quiver, RepCategory, RepMorphism, Representation,
 from mutants import MUTANTS
 from oracles import (aut_order_slow, classify_by_matrix_orbits, complement_columns,
                      count_exact_pairs_slow, enumerate_matrices, ext1_dim, identity_morphism,
-                     indecomposable_classes, invariant_subreps_by_solve, is_indecomposable,
+                     indecomposable_classes, invariant_subreps, invariant_subreps_by_solve,
+                     is_indecomposable,
                      is_injective, is_invertible, is_surjective, is_simply_laced_dynkin,
                      is_valid, is_zero, iso_set_by_products, pivot_row_complement,
                      positive_roots, quiver_to_json_dict, quotient_with_projection,
@@ -203,7 +204,7 @@ def test_subrep_budget_is_checked_before_any_frame(a2):
     ctx = RepCategory(a2, 2, budget=2)
     E = Representation(a2, ctx.field, (2, 2), [zero_matrix(ctx.field, 2, 2)])
     with pytest.raises(BudgetError) as err:
-        ctx.invariant_subreps(E, (1, 1))
+        invariant_subreps(ctx, E, (1, 1))
     assert err.value.what == "subspace tuples for subreps of dim (1, 1)"
     assert err.value.count == 9
     assert ctx._frames == {} and ctx._subspace_frames == {}
@@ -235,13 +236,13 @@ def test_iso_set_budget_counts_the_vertex_product(a2):
 
 @pytest.mark.parametrize("name,p", [("a2", 2), ("a2", 3), ("a3_source", 2)])
 def test_iso_set_matches_gl_products_and_span_filter(request, name, p):
-    """iso_set against GL products for semisimple pairs and the filtered
-    span of hom_basis otherwise, on every pair of classes up to dim 3.  Each
-    class also brings the greatest edge tuple of its orbit, so that pairs of
-    distinct isomorphic representations are compared too.  first_iso is the
-    head of the list, walked on a fresh context and read from a cached one."""
+    """aut_elements against GL products for semisimple representations and
+    the filtered span of hom_basis otherwise, and first_iso against the
+    isomorphisms the same way (one of them, or None exactly when there is
+    none), on every pair of classes up to dim 3.  Each class also brings the
+    greatest edge tuple of its orbit, so that pairs of distinct isomorphic
+    representations are compared too."""
     ctx = RepCategory(request.getfixturevalue(name), p)
-    fresh = RepCategory(ctx.quiver, p)
     for total in range(4):
         for dim in dim_vectors_with_total(ctx.quiver.n, total):
             classes = ctx.classify(dim)
@@ -253,14 +254,14 @@ def test_iso_set_matches_gl_products_and_span_filter(request, name, p):
                 Representation(ctx.quiver, ctx.field, dim, unflatten(ctx.field, flat, shapes))
                 for flat in last.values()])
             for M in reps:
+                got = [mor.vertex_maps for mor in ctx.aut_elements(M)]
+                assert len(set(got)) == len(got)
+                assert set(got) == iso_set_by_products(ctx, M, M)
                 for N in reps:
-                    walked = fresh.first_iso(M, N)
-                    got = [mor.vertex_maps for mor in ctx.iso_set(M, N)]
-                    assert len(set(got)) == len(got)
-                    assert set(got) == iso_set_by_products(ctx, M, N)
-                    head = ctx.first_iso(M, N)
-                    assert (walked and walked.vertex_maps) == (head and head.vertex_maps) \
-                        == (got[0] if got else None)
+                    isos = iso_set_by_products(ctx, M, N)
+                    first = ctx.first_iso(M, N)
+                    assert (first is None) == (not isos)
+                    assert first is None or first.vertex_maps in isos
             for cls in classes:
                 assert len(ctx.aut_elements(cls.rep)) == cls.aut
 
@@ -407,7 +408,7 @@ def test_subrep_on_accepts_only_invariant_subspaces(ctx2, reps2):
     incl = subrep_on(ctx2, P1, bottom)
     assert incl.target is P1 and is_valid(incl) and is_injective(incl)
     assert ctx2.is_isomorphic(incl.source, reps2["S2"])
-    assert [i for i, _, _ in ctx2.invariant_subreps(P1, (0, 1))] == [incl]
+    assert [i for i, _, _ in invariant_subreps(ctx2, P1, (0, 1))] == [incl]
 
 
 def test_middle_term_ses_is_exact(ctx2, reps2):
@@ -422,21 +423,22 @@ def test_commuting_square_invariant_on_all_outputs(ctx2, reps2):
         for b in ("S1", "SS", "P1"):
             for mor in ctx2.hom_basis(reps2[a], reps2[b]):
                 assert is_valid(mor)
-            for mor in ctx2.iso_set(reps2[a], reps2[b]):
+            isos = ctx2.aut_elements(reps2[a]) + [ctx2.first_iso(reps2[a], reps2[b])]
+            for mor in filter(None, isos):
                 assert is_valid(mor) and is_invertible(mor)
 
 
 def test_invariant_subreps_consistency(ctx2, reps2):
     # every subrep yields a valid inclusion and an exact quotient
     E = reps2["P1"]
-    subs = ctx2.invariant_subreps(E, (0, 1))
+    subs = invariant_subreps(ctx2, E, (0, 1))
     assert len(subs) == 1
     incl, Q, proj = subs[0]
     assert is_valid(incl) and is_injective(incl)
     assert is_valid(proj) and is_surjective(proj)
     assert is_zero(proj.compose(incl))
     # no invariant subrep of P1 has dimension (1, 0)
-    assert ctx2.invariant_subreps(E, (1, 0)) == []
+    assert invariant_subreps(ctx2, E, (1, 0)) == []
 
 
 def test_quotient_coordinates_are_the_pivot_row_complement(a3_source):
@@ -449,7 +451,7 @@ def test_quotient_coordinates_are_the_pivot_row_complement(a3_source):
     for cls in ctx.classes_up_to(3):
         E = cls.rep
         for sub_dim in product(*(range(d + 1) for d in E.dim)):
-            for incl, Q, proj in ctx.invariant_subreps(E, sub_dim):
+            for incl, Q, proj in invariant_subreps(ctx, E, sub_dim):
                 C = []
                 for B, P in zip(incl.vertex_maps, proj.vertex_maps):
                     picked = pivot_row_complement(B)
@@ -615,12 +617,36 @@ def test_enumerators_match_matrix_routes(request, name, p):
             for cls in classes:
                 assert ctx.class_of(cls.rep) is cls
                 for sub_dim in product(*(range(d + 1) for d in dim)):
-                    got = ctx.invariant_subreps(cls.rep, sub_dim)
+                    got = invariant_subreps(ctx, cls.rep, sub_dim)
                     want = invariant_subreps_by_solve(ctx, cls.rep, sub_dim)
                     assert [(i.source, i.vertex_maps, Q, pr.vertex_maps) for i, Q, pr in got] == \
                         [(i.source, i.vertex_maps, Q, pr.vertex_maps) for i, Q, pr in want]
                     subreps += len(got)
     assert subreps > 50
+
+
+@pytest.mark.parametrize("name,p", [("a2", 2), ("a2", 3), ("a3_source", 2), ("d4", 2)])
+def test_class_subreps_match_the_filtered_walk(request, name, p):
+    """class_subreps(E, cn, cm), which reads the classes off the walk's flat
+    blocks, equals every subrep of dimension dim N filtered by is_isomorphic
+    on U and on E/U: the same matrices in the same order, for every class E
+    up to dim 3 and every class pair (M, N) with m + n = dim E."""
+    quiver = {"d4": D4}.get(name) or request.getfixturevalue(name)
+    ctx = RepCategory(quiver, p)
+    seen = 0
+    for ce in ctx.classes_up_to(3):
+        E = ce.rep
+        for sub_dim in product(*(range(d + 1) for d in E.dim)):
+            walked = invariant_subreps(ctx, E, sub_dim)
+            for cn in ctx.classify(sub_dim):
+                for cm in ctx.classify(tuple(e - k for e, k in zip(E.dim, sub_dim))):
+                    got = ctx.class_subreps(E, cn, cm)
+                    want = [(i, Q, pr) for i, Q, pr in walked if ctx.is_isomorphic(
+                        i.source, cn.rep) and ctx.is_isomorphic(Q, cm.rep)]
+                    assert [(i.source, i.vertex_maps, Q, pr.vertex_maps) for i, Q, pr in got] \
+                        == [(i.source, i.vertex_maps, Q, pr.vertex_maps) for i, Q, pr in want]
+                    seen += len(got)
+    assert seen > 50
 
 
 def census_by_solve(ctx, E, sub_dim, complement=pivot_row_complement):
@@ -695,7 +721,7 @@ def test_census_walks_compute_no_rref(a3_source, monkeypatch):
         return rref(self)
     monkeypatch.setattr(Matrix, "rref", counted_rref)
     assert sum(sum(ctx.census(cls, sub_dim).values()) for cls, sub_dim in todo) > 1000
-    assert sum(len(ctx.invariant_subreps(cls.rep, sub_dim)) for cls, sub_dim in todo) > 1000
+    assert sum(len(invariant_subreps(ctx, cls.rep, sub_dim)) for cls, sub_dim in todo) > 1000
     assert ctx._subspace_frames and not calls
     ctx.class_by_label("d2.2.2#0")
     assert calls["rref"] == 0         # classify inverts its generators in closed form
@@ -716,7 +742,7 @@ def test_walk_matches_solve_oracle_off_trees(quiver, dims):
     for dim in dims:
         for cls in ctx.classify(dim):
             for sub_dim in product(*(range(d + 1) for d in dim)):
-                got = ctx.invariant_subreps(cls.rep, sub_dim)
+                got = invariant_subreps(ctx, cls.rep, sub_dim)
                 want = invariant_subreps_by_solve(ctx, cls.rep, sub_dim)
                 assert [(i.source, i.vertex_maps, Q, pr.vertex_maps) for i, Q, pr in got] == \
                     [(i.source, i.vertex_maps, Q, pr.vertex_maps) for i, Q, pr in want]
@@ -732,7 +758,7 @@ def test_census_builds_no_objects(a3_source, monkeypatch):
     todo = [(cls, sub_dim) for cls in ctx.classes_up_to(3)
             for sub_dim in product(*(range(d + 1) for d in cls.dim))]
     for cls, sub_dim in todo:
-        ctx.invariant_subreps(cls.rep, sub_dim)        # builds every frame
+        invariant_subreps(ctx, cls.rep, sub_dim)        # builds every frame
     built = Counter()
     for kind in (Matrix, Representation, RepMorphism):
         def counted_init(self, *args, _init=kind.__init__):
@@ -746,7 +772,6 @@ def test_census_builds_no_objects(a3_source, monkeypatch):
         monkeypatch.setattr(kind, "_of", classmethod(counted_of))
     assert sum(sum(ctx.census(cls, sub_dim).values()) for cls, sub_dim in todo) > 100
     assert not built
-    ctx._subrep_cache.clear()
     cls, sub_dim = todo[-1]                            # sub_dim = dim E: U = E
-    ctx.invariant_subreps(cls.rep, sub_dim)
+    invariant_subreps(ctx, cls.rep, sub_dim)
     assert set(built) == {"Matrix", "Representation", "RepMorphism"}
