@@ -101,12 +101,13 @@ class ExtGroupoid:
     f = incl . nu and g = mu . proj, with nu: N -> U and mu: E/U -> M
     isomorphisms.  Iso(N, U) and Iso(E/U, M) are torsors under Aut N and
     Aut M, so a piece keeps one first sequence (incl . nu0, mu0 . proj) per
-    image subobject U ~ N with E/U ~ M, nu0 and mu0 the first_iso of each,
-    and objects() builds the others as (f . nu, mu . g) for nu in Aut N and
-    mu in Aut M.  The images are the census walk's subobjects of the classes
-    of N and M.  Morphism counts come from the (Aut N x Aut M)-orbits of
-    extension classes and from units of linear subspaces of End(E); Aut(E)
-    itself is never enumerated.
+    image subobject U ~ N with E/U ~ M, nu0 and mu0 the first_iso of each:
+    products of orbit-tree transporters, with no Hom space walked, shared
+    by every image whose U or E/U is equal.  objects() builds the others as
+    (f . nu, mu . g) for nu in Aut N and mu in Aut M.  The images are the
+    census walk's subobjects of the classes of N and M.  Morphism counts
+    come from the (Aut N x Aut M)-orbits of extension classes and from
+    units of linear subspaces of End(E); Aut(E) itself is never enumerated.
 
     Checks take the context's shared groupoid from ExtGroupoid.of; calling
     the class directly builds an unshared one.
@@ -347,9 +348,14 @@ def closed_form_ext_cardinality(ctx, M, N):
 
 def fixed_end_cardinality(ctx, M, N):
     """sum_E P^E / aut E over the middle terms E: the fixed-end cardinality of
-    EXT(M, N), equal to q^{-<m,n>}.  Read off the census; no groupoid is built."""
-    return sum((Fraction(ctx.count_exact_pairs(M, N, cls.rep), cls.aut)
-                for cls in ctx.classify(dim_add(M.dim, N.dim))), Fraction(0))
+    EXT(M, N), equal to q^{-<m,n>}.  Read off the census and cached on the
+    context per pair of classes; no groupoid is built."""
+    cm, cn = ctx.class_of(M), ctx.class_of(N)
+    key = ("fixed", cm.label, cn.label)
+    if key not in ctx._hom_cache:
+        ctx._hom_cache[key] = sum((Fraction(ctx.pair_count(cm, cn, ce), ce.aut)
+                                   for ce in ctx.classify(dim_add(M.dim, N.dim))), Fraction(0))
+    return ctx._hom_cache[key]
 
 
 def ext_cardinality_check(ctx, M, N):

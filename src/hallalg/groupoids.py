@@ -30,7 +30,8 @@ class ConcreteGroupoid:
         identity: the identity label of each object, in object order;
         inverse(label) and compose(g_label, f_label) return labels, compose
         being asked only when tgt(f) == src(g).  Identities and inverses
-        become index tuples once, here; compose() applies the rule per call.
+        become index tuples once, here; compose() applies the rule once per
+        composable pair and keeps the result.
         """
         self.objects = list(objects)
         self.mor_src = tuple(m[0] for m in morphisms)
@@ -42,6 +43,7 @@ class ConcreteGroupoid:
                 raise GroupoidFormatError(f"duplicate morphism label {lab!r}")
             self._mor_index[lab] = i
         self._compose_rule = compose
+        self._composites = {}     # (g, f) -> index of g after f, composable pairs only
         self.identity = tuple(self._mor_index[lab] for lab in identity)
         self.inverse = tuple(self._mor_index[inverse(lab)] for lab in self.mor_label)
         self._by_source = {}
@@ -60,11 +62,15 @@ class ConcreteGroupoid:
         return len(self.mor_src)
 
     def compose(self, g, f):
-        """Index of g after f; requires tgt(f) == src(g)."""
-        if self.mor_tgt[f] != self.mor_src[g]:
-            raise ValueError("morphisms are not composable")
-        labels = self.mor_label
-        return self._mor_index[self._compose_rule(labels[g], labels[f])]
+        """Index of g after f; requires tgt(f) == src(g).  Memoized per pair;
+        a pair that is not composable raises on every call and is not kept."""
+        h = self._composites.get((g, f))
+        if h is None:
+            if self.mor_tgt[f] != self.mor_src[g]:
+                raise ValueError("morphisms are not composable")
+            labels = self.mor_label
+            h = self._composites[g, f] = self._mor_index[self._compose_rule(labels[g], labels[f])]
+        return h
 
     def hom(self, x, y):
         return self._by_pair.get((x, y), [])
@@ -91,20 +97,19 @@ class ConcreteGroupoid:
                 raise GroupoidFormatError(f"identity of object {x} has wrong endpoints")
         pairs = [(g, f) for f in range(m) for g in self.mor_from(self.mor_tgt[f])]
         check_budget("groupoid law check (composable pairs)", len(pairs), DEFAULT_BUDGET)
-        # each composite is computed once; the law checks below read them
-        comp = {}
+        comp = self.compose
         for g, f in pairs:
-            h = comp[(g, f)] = self.compose(g, f)
+            h = comp(g, f)
             if self.mor_src[h] != self.mor_src[f] or self.mor_tgt[h] != self.mor_tgt[g]:
                 raise GroupoidFormatError(f"composition of {g} after {f} has wrong endpoints")
         for f in range(m):
             x, y = self.mor_src[f], self.mor_tgt[f]
-            if comp[(f, self.identity[x])] != f or comp[(self.identity[y], f)] != f:
+            if comp(f, self.identity[x]) != f or comp(self.identity[y], f) != f:
                 raise GroupoidFormatError(f"identity law fails at morphism {f}")
             inv = self.inverse[f]
             if self.mor_src[inv] != y or self.mor_tgt[inv] != x:
                 raise GroupoidFormatError(f"inverse of {f} has wrong endpoints")
-            if comp[(inv, f)] != self.identity[x] or comp[(f, inv)] != self.identity[y]:
+            if comp(inv, f) != self.identity[x] or comp(f, inv) != self.identity[y]:
                 raise GroupoidFormatError(f"inverse law fails at morphism {f}")
         triples = 0
         for f in range(m):
@@ -113,9 +118,9 @@ class ConcreteGroupoid:
         check_budget("groupoid law check (composable triples)", triples, DEFAULT_BUDGET)
         for f in range(m):
             for g in self.mor_from(self.mor_tgt[f]):
-                gf = comp[(g, f)]
+                gf = comp(g, f)
                 for h in self.mor_from(self.mor_tgt[g]):
-                    if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
+                    if comp(h, gf) != comp(comp(h, g), f):
                         raise GroupoidFormatError(
                             f"associativity fails on morphisms ({h},{g},{f})")
         return True
@@ -360,17 +365,15 @@ def weak_pullback(f, g):
         n_mor += len(A.mor_from(a)) * len(B.mor_from(b))
     check_budget("weak pullback morphisms", n_mor, DEFAULT_BUDGET)
 
-    def moved(u, v, alpha):
-        """alpha carried along (u, v): g(v) . alpha . f(u)^{-1}."""
-        return X.compose(X.compose(g.mor_map[v], alpha), X.inverse[f.mor_map[u]])
-
     morphisms = []
-    carried = {}        # (u, v, alpha) -> moved(u, v, alpha), the inverse's alpha
+    carried = {}        # (u, v, alpha) -> g(v) . alpha . f(u)^{-1}, the inverse's alpha
     for src, (a, b, alpha) in enumerate(objects):
+        after = [(v, X.compose(g.mor_map[v], alpha)) for v in B.mor_from(b)]
         for u in A.mor_from(a):
-            for v in B.mor_from(b):
+            f_u_inv = X.inverse[f.mor_map[u]]
+            for v, g_alpha in after:
                 lab = (u, v, alpha)
-                beta = carried[lab] = moved(u, v, alpha)
+                beta = carried[lab] = X.compose(g_alpha, f_u_inv)
                 morphisms.append((src, obj_index[(A.mor_tgt[u], B.mor_tgt[v], beta)], lab))
     P = ConcreteGroupoid(
         objects, morphisms,

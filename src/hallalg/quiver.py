@@ -287,6 +287,7 @@ class RepCategory:
         self.budget = budget
         self._classes = {}        # dim -> list[IsoClass]
         self._canon = {}          # dim -> {flat edge tuple: class index}
+        self._trees = {}          # class label -> its orbit tree, built on first use
         self._by_label = {}       # label -> IsoClass
         self._hom_cache = {}
         self._pair_count_cache = {}
@@ -308,9 +309,9 @@ class RepCategory:
 
     def _generator_actions(self, dim, shapes):
         """Each GL_{dim_v} generator g, acting as g M on arrows into v and as
-        M g^-1 on arrows out of v, as the (i, row) pairs of the rows of its
-        matrix on flat edge tuples that differ from the identity; generators
-        that change no row are dropped."""
+        M g^-1 on arrows out of v, as (changed, v, g, g^-1): changed lists the
+        (i, row) pairs of the rows of its matrix on flat edge tuples that
+        differ from the identity; generators that change no row are dropped."""
         f, arrows = self.field, self.quiver.arrows
         ident = Matrix.identity(f, sum(r * c for r, c in shapes)).entries
         actions = []
@@ -322,7 +323,7 @@ class RepCategory:
                 changed = [(i, row) for i, (row, e) in enumerate(zip(zip(*cols), ident))
                            if row != e]
                 if changed:
-                    actions.append(changed)
+                    actions.append((changed, v, g, ginv))
         return actions
 
     def classify(self, dim):
@@ -340,7 +341,7 @@ class RepCategory:
         check_budget(f"classify{dim} tuple space", self.tuple_space_size(dim), self.budget)
         f, p = self.field, self.q
         shapes = [(dim[t], dim[s]) for s, t in self.quiver.arrows]
-        actions = self._generator_actions(dim, shapes)
+        actions = [a[0] for a in self._generator_actions(dim, shapes)]
         group = prod(gl_order(d, p) for d in dim)
         visited = {}
         classes = []
@@ -463,14 +464,73 @@ class RepCategory:
         return span_points(self.field, basis, sum(m * n for m, n in zip(M.dim, N.dim)),
                            f"Hom-space span enumeration dim {len(basis)}", self.budget)
 
+    def _orbit_tree(self, cls):
+        """{flat edge tuple: (parent tuple, generator action) or None at the root}
+        over the orbit of cls: breadth-first from the representative's flat
+        tuple with classify's _generator_actions, so each tuple is its
+        parent's image under the action.  Built on first use per class; its
+        size is the orbit size, within the tuple_space_size(cls.dim) that
+        classify has budgeted."""
+        tree = self._trees.get(cls.label)
+        if tree is None:
+            dim, p = cls.dim, self.q
+            shapes = [(dim[t], dim[s]) for s, t in self.quiver.arrows]
+            actions = self._generator_actions(dim, shapes)
+            root = flatten(cls.rep.edge_maps)
+            tree, level = {root: None}, [root]
+            while level:
+                nxt = []
+                for cur in level:
+                    for act in actions:
+                        new = list(cur)
+                        for i, row in act[0]:
+                            new[i] = sum(map(mul, row, cur)) % p
+                        new = tuple(new)
+                        if new not in tree:
+                            tree[new] = cur, act
+                            nxt.append(new)
+                level = nxt
+            self._trees[cls.label] = tree
+        return tree
+
+    def _tree_path(self, M):
+        """The generator actions on the _orbit_tree path from M's flat tuple up
+        to the root, first step first: M = a_0 a_1 ... a_(k-1) rep.  The path
+        visits distinct tuples of one orbit, so k is below the orbit size."""
+        tree = self._orbit_tree(self.class_of(M))
+        path, node = [], tree[M._flat]
+        while node is not None:
+            path.append(node[1])
+            node = tree[node[0]]
+        return path
+
     def first_iso(self, M, N):
-        """The first invertible point of the Hom(M, N) span in span_points' walk
-        order, or None when M and N are not isomorphic; the walk stops there."""
-        if not self.is_isomorphic(M, N):
-            return None
-        for point in self._hom_points(M, N):
-            if blocks_invertible(point, M.dim, self.q):
-                return RepMorphism(M, N, unflatten(self.field, point, [(d, d) for d in M.dim]))
+        """An isomorphism M -> N, or None when M and N are not isomorphic.
+
+        It is h_N h_M^-1 for the transporters h: rep -> M and rep -> N from
+        their class representative, products of the generators on their
+        _tree_path; h_M^-1 multiplies the closed-form generator inverses in
+        reverse order.  No Hom space is walked, so no span budget is
+        charged, and each path is shorter than the orbit.  The result is
+        checked against every arrow (ValueError if a square fails) and
+        cached on the context per (M, N), by content.
+        """
+        key = ("iso", M, N)
+        if key not in self._hom_cache:
+            iso = None
+            if self.is_isomorphic(M, N):
+                maps = [Matrix.identity(self.field, d) for d in M.dim]
+                for _, v, _, g_inv in self._tree_path(M):
+                    maps[v] = g_inv * maps[v]
+                for _, v, g, _ in reversed(self._tree_path(N)):
+                    maps[v] = g * maps[v]
+                if any(na * maps[s] != maps[t] * ma for (s, t), ma, na
+                       in zip(self.quiver.arrows, M.edge_maps, N.edge_maps)):
+                    raise ValueError(f"transported map {M.dim} -> {N.dim} does not commute "
+                                     "with the arrows")
+                iso = RepMorphism._of(M, N, maps)
+            self._hom_cache[key] = iso
+        return self._hom_cache[key]
 
     def aut_elements(self, M):
         """Every automorphism of M: the invertible points of the End(M) span.

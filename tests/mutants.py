@@ -211,6 +211,22 @@ def euler_form_transposed():
         yield
 
 
+@contextmanager
+def transporter_inverse_uninverted():
+    """RepCategory._generator_actions with each generator standing in for its
+    own inverse: a transporter's h^-1 multiplies the generators themselves,
+    which differs from h^-1 once some generator on its path is no involution
+    (over F_3, or at a vertex of dimension >= 3).  classify reads only the
+    changed rows, so the classes stay as they are."""
+    generator_actions = RepCategory._generator_actions
+
+    def uninverted(self, dim, shapes):
+        return [(changed, v, g, g) for changed, v, g, _ in generator_actions(self, dim, shapes)]
+
+    with mock.patch.object(RepCategory, "_generator_actions", uninverted):
+        yield
+
+
 MUTANTS = {"coproduct_doubled": coproduct_doubled, "glue_sign_dropped": glue_sign_dropped,
            "braid_exponent_swapped": braid_exponent_swapped,
            "factorization_bumped": factorization_bumped,
@@ -220,4 +236,5 @@ MUTANTS = {"coproduct_doubled": coproduct_doubled, "glue_sign_dropped": glue_sig
            "fixed_end_factor_dropped": fixed_end_factor_dropped,
            "hexagonator_output_split": hexagonator_output_split,
            "euler_form_bumped": euler_form_bumped,
-           "euler_form_transposed": euler_form_transposed}
+           "euler_form_transposed": euler_form_transposed,
+           "transporter_inverse_uninverted": transporter_inverse_uninverted}

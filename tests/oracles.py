@@ -894,3 +894,20 @@ def indecomposable_classes(ctx, max_total, max_entry=None):
                 if is_indecomposable(ctx, cls.rep):
                     out.append(cls)
     return out
+
+
+def weak_pullback_by_moves(f, g):
+    """The objects and (source, target, label) morphisms of weak_pullback(f, g),
+    each alpha carried along each (u, v) by its own two composites
+    g(v) . alpha . f(u)^-1, in the same order."""
+    A, B, X = f.source, g.source, f.target
+    objects = [(a, b, alpha) for a in range(A.n_objects()) for b in range(B.n_objects())
+               for alpha in X.hom(f.obj_map[a], g.obj_map[b])]
+    index = {o: i for i, o in enumerate(objects)}
+    morphisms = []
+    for src, (a, b, alpha) in enumerate(objects):
+        for u in A.mor_from(a):
+            for v in B.mor_from(b):
+                beta = X.compose(X.compose(g.mor_map[v], alpha), X.inverse[f.mor_map[u]])
+                morphisms.append((src, index[(A.mor_tgt[u], B.mor_tgt[v], beta)], (u, v, alpha)))
+    return objects, morphisms

@@ -435,6 +435,17 @@ def test_budget_error_names_suite_and_replayable_instance(capsys, tmp_path):
     assert err.strip().endswith(", in suite bsim (raise --budget to allow it)")
 
 
+def test_bilinearity_frontier_instance_passes_under_the_default_budget(capsys):
+    """EXT(0 (+) 0, d0.4#0) of a2 over F_3: its first sequence needs an
+    isomorphism onto an image of dimension (0, 4), which a walk of the
+    3^16-point Hom span once found and which the orbit-tree transporter
+    gives without charging the budget."""
+    code, stdout, err = run(capsys, "verify", "bilinearity", "--quiver", "a2", "--q", "3",
+                            "--max-dim", "4", "--only", "bilin1:d0.0#0|d0.0#0|d0.4#0")
+    assert code == 0 and json.loads(stdout)["ok"]
+    assert "[bilinearity] 1 instances, 0 failures" in err
+
+
 def test_coherence_budgets_its_automorphism_loops(capsys):
     """pentagon-strict walks |Aut w|^3 triples and unitor |Aut w|^2 pairs per
     class w; at q = 5 the class of (0, 2), with Aut = GL_2(F_5) of order 480,

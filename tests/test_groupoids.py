@@ -4,7 +4,7 @@ import pytest
 
 from hallalg import groupoids as gpd
 from hallalg.verify import suite_engine
-from oracles import action_groupoid, finite_sets_groupoid, span_to_json
+from oracles import action_groupoid, finite_sets_groupoid, span_to_json, weak_pullback_by_moves
 
 
 def test_cardinality_examples():
@@ -196,6 +196,45 @@ def test_engine_span_pullbacks_pass_the_groupoid_laws(monkeypatch):
     assert any(P.n_morphisms() > P.n_objects() for P in built)
     for P in built:
         assert P.validate()
+
+
+def test_engine_pullbacks_match_the_per_move_formula(monkeypatch):
+    """Every weak pullback of the engine suite at seed 0 (its 50 span pairs,
+    each composed and applied, and its 10 discrete pullbacks) has the
+    objects, morphism labels and targets of weak_pullback_by_moves."""
+    built = []
+    weak_pullback = gpd.weak_pullback
+
+    def recorded(f, g):
+        out = weak_pullback(f, g)
+        built.append((f, g, out[0]))
+        return out
+    monkeypatch.setattr(gpd, "weak_pullback", recorded)
+    report = suite_engine(0)
+    assert report["failures"] == [] and len(built) == 110
+    for f, g, P in built:
+        assert (P.objects, list(zip(P.mor_src, P.mor_tgt, P.mor_label))) == \
+            weak_pullback_by_moves(f, g)
+
+
+def test_compose_raises_on_every_non_composable_call():
+    """A pair with tgt(f) != src(g) raises on every call, before and after
+    the law check has composed every composable pair, and is never kept;
+    the kept composites are those of the rule."""
+    G, _, _ = gpd.coproduct_groupoid(gpd.connected_groupoid(2, gpd.cyclic_table(3)),
+                                     gpd.group_groupoid(gpd.cyclic_table(2)))
+    m = G.n_morphisms()
+    apart = [(g, f) for g in range(m) for f in range(m) if G.mor_tgt[f] != G.mor_src[g]]
+    assert apart
+    for _ in range(2):
+        for g, f in apart:
+            with pytest.raises(ValueError, match="morphisms are not composable"):
+                G.compose(g, f)
+        G.validate()
+    labels = G.mor_label
+    assert G._composites and not set(apart) & set(G._composites)
+    assert all(G.mor_label[h] == G._compose_rule(labels[g], labels[f])
+               for (g, f), h in G._composites.items())
 
 
 def test_apply_span_matches_matrix():

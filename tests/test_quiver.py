@@ -4,7 +4,8 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from hallalg.linalg import BudgetError, Matrix, PrimeField, unflatten
+from hallalg.cli import load_quiver
+from hallalg.linalg import BudgetError, Matrix, PrimeField, flatten, unflatten
 from hallalg.quiver import (Quiver, RepCategory, RepMorphism, Representation,
                             dim_vectors_with_total)
 from mutants import MUTANTS
@@ -264,6 +265,33 @@ def test_iso_set_matches_gl_products_and_span_filter(request, name, p):
                     assert first is None or first.vertex_maps in isos
             for cls in classes:
                 assert len(ctx.aut_elements(cls.rep)) == cls.aut
+
+
+@pytest.mark.parametrize("name,p,bound", [("a2", 3, 3), ("d4", 2, 2)])
+def test_first_iso_transports_within_every_orbit(name, p, bound):
+    """first_iso(M, N) is one of the isomorphisms iso_set_by_products lists,
+    for every pair of edge tuples M, N of one orbit, on every dim up to
+    bound.  The orbit tree of each class holds exactly its orbit, and the
+    walk up from every tuple reaches the representative in fewer steps than
+    the orbit size."""
+    ctx = RepCategory(load_quiver(name), p)
+    for total in range(bound + 1):
+        for dim in dim_vectors_with_total(ctx.quiver.n, total):
+            shapes = [(dim[t], dim[s]) for s, t in ctx.quiver.arrows]
+            for cls in ctx.classify(dim):
+                orbit = [flat for flat, i in ctx._canon[dim].items() if i == cls.index]
+                tree = ctx._orbit_tree(cls)
+                assert sorted(tree) == sorted(orbit) and len(orbit) == cls.orbit_size
+                for flat in orbit:
+                    steps, node = 0, flat
+                    while tree[node] is not None and steps < cls.orbit_size:
+                        node, steps = tree[node][0], steps + 1
+                    assert node == flatten(cls.rep.edge_maps) and steps < cls.orbit_size
+                reps = [Representation(ctx.quiver, ctx.field, dim,
+                                       unflatten(ctx.field, flat, shapes)) for flat in orbit]
+                for M in reps:
+                    for N in reps:
+                        assert ctx.first_iso(M, N).vertex_maps in iso_set_by_products(ctx, M, N)
 
 
 def test_representation_constructor_checks_shapes(a2, ctx2):
