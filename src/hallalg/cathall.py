@@ -415,7 +415,9 @@ def _ext_bilinearity(ctx, part1, part2, other, split, glue, slot):
     split(ctx, ses, part1, part2) takes an object apart into the two
     summand sequences and glue(ctx, s1, s2, whole) puts them back together.
     Each fixed-end iso class is split once, on the sequence
-    ctx.middle_term_ses builds from its reduced cocycle.
+    ctx.middle_term_ses builds from its reduced cocycle.  split_sequence's
+    cache is not used: bilinearity asks for no split twice on one context,
+    so the table would only keep every piece alive with the context.
     """
     def ends(x):
         return (x, other) if slot == 0 else (other, x)
@@ -568,6 +570,20 @@ def hexagonator_S(ctx, ses, x, y):
     g_y = [Matrix._of(f, m.entries[k:], m.rows - k, m.cols)
            for m, k in zip(ses.proj.vertex_maps, x.dim)]
     return (_preimage_piece(ctx, ses, x, g_x, g_y), _preimage_piece(ctx, ses, y, g_y, g_x))
+
+
+def split_sequence(ctx, hexagonator, ses, y, z):
+    """hexagonator(ctx, ses, y, z), cached on the context by content under
+    ("split", hexagonator, incl, proj, y, z): incl fixes sub and mid and
+    proj fixes quo, so the key fixes the sequence.  Sequences that are equal
+    but built apart share their split, and so do their second-level splits;
+    each piece is validated when the hexagonator first builds it.  A call
+    that raises caches nothing."""
+    key = ("split", hexagonator, ses.incl, ses.proj, y, z)
+    out = ctx._hom_cache.get(key)
+    if out is None:
+        out = ctx._hom_cache[key] = hexagonator(ctx, ses, y, z)
+    return out
 
 
 # ---- the braiding span and its comparison with EXT -----------------------------------
@@ -810,33 +826,24 @@ def _compose_keys(ctx, w, inner_key, outer_key):
 def _check_shuffle(run, ctx, name, shape, bound):
     """One coherence shuffle on every class quadruple (a, b, c, d) within bound.
 
-    shape(ctx, split, a, b, c, d) returns the outer terms (quo, sub) of the
+    shape(ctx, a, b, c, d) returns the outer terms (quo, sub) of the
     extensions to split, slots(ses) listing (slot, route-one piece,
     route-two piece) for one sequence, and the list of (quo, sub) braid
     pieces on the polytope's paths, each first met in path order.  slots
-    splits only through split(hexagonator, ses, y, z), which calls
-    hexagonator(ctx, ses, y, z) once per distinct input for the length of
-    this check: quadruples whose direct sums coincide (zero summands) walk
-    the same sequences.  On every object of EXT(quo, sub) the two routes
-    must agree slotwise (outer terms literal, middle terms isomorphic), and
-    every distinct piece must have fixed-end cardinality q^{-<quo, sub>},
-    read off the census.  The paths' products of those values are not
+    splits only through split_sequence, so each hexagonator runs once per
+    distinct input on the context, not once per check: quadruples whose
+    direct sums coincide (zero summands) walk the same sequences, and after
+    shuffle-1-3 and shuffle-3-1, shuffle-2-2 finds every split it asks for
+    cached.  On every object of EXT(quo, sub) the two routes must agree
+    slotwise (outer terms literal, middle terms isomorphic), and every
+    distinct piece must have fixed-end cardinality q^{-<quo, sub>}, read
+    off the census.  The paths' products of those values are not
     compared: they read only the Euler form and agree by its bilinearity.
     """
-    splits = {}
-
-    def split(hexagonator, ses, y, z):
-        # incl fixes sub and mid, proj fixes quo: the key fixes the sequence
-        key = (hexagonator, ses.incl, ses.proj, y, z)
-        out = splits.get(key)
-        if out is None:
-            out = splits[key] = hexagonator(ctx, ses, y, z)
-        return out
-
     for classes in ctx.class_tuples(bound, 4):
         if not run.want(f"{name}:" + "|".join(c.label for c in classes)):
             continue
-        (quo, sub), slots, pieces = shape(ctx, split, *(c.rep for c in classes))
+        (quo, sub), slots, pieces = shape(ctx, *(c.rep for c in classes))
         ext = ExtGroupoid.of(ctx, quo, sub)
         for e_label in ext.pieces:
             for ses in ext.objects(e_label):
@@ -851,7 +858,7 @@ def _check_shuffle(run, ctx, name, shape, bound):
                          f"{ctx.class_of(q).label},{ctx.class_of(s).label}")
 
 
-def _shuffle_13(ctx, split, a, b, c, d):
+def _shuffle_13(ctx, a, b, c, d):
     """The R tetrahedron: splitting one object past three, both orders.
 
     Every extension of a by b (+) (c (+) d), split at b then at (c, d),
@@ -861,16 +868,16 @@ def _shuffle_13(ctx, split, a, b, c, d):
     sub = ctx.direct_sum(b, cd)
 
     def slots(ses):
-        top_b, top_cd = split(hexagonator_R, ses, b, cd)
-        top_c, top_d = split(hexagonator_R, top_cd, c, d)
-        bot_bc, bot_d = split(hexagonator_R, ses, bc, d)
-        bot_b, bot_c = split(hexagonator_R, bot_bc, b, c)
+        top_b, top_cd = split_sequence(ctx, hexagonator_R, ses, b, cd)
+        top_c, top_d = split_sequence(ctx, hexagonator_R, top_cd, c, d)
+        bot_bc, bot_d = split_sequence(ctx, hexagonator_R, ses, bc, d)
+        bot_b, bot_c = split_sequence(ctx, hexagonator_R, bot_bc, b, c)
         return [("b", top_b, bot_b), ("c", top_c, bot_c), ("d", top_d, bot_d)]
 
     return (a, sub), slots, [(a, sub), (a, b), (a, cd), (a, bc), (a, d), (a, c)]
 
 
-def _shuffle_31(ctx, split, a, b, c, d):
+def _shuffle_31(ctx, a, b, c, d):
     """The S tetrahedron: splitting three objects past one, both orders.
 
     Every extension of (a (+) b) (+) c by d, split at (a (+) b, c) then at
@@ -882,16 +889,16 @@ def _shuffle_31(ctx, split, a, b, c, d):
     quo = ctx.direct_sum(ab, c)
 
     def slots(ses):
-        top_ab, top_c = split(hexagonator_S, ses, ab, c)
-        top_a, top_b = split(hexagonator_S, top_ab, a, b)
-        bot_a, bot_bc = split(hexagonator_S, ses, a, bc)
-        bot_b, bot_c = split(hexagonator_S, bot_bc, b, c)
+        top_ab, top_c = split_sequence(ctx, hexagonator_S, ses, ab, c)
+        top_a, top_b = split_sequence(ctx, hexagonator_S, top_ab, a, b)
+        bot_a, bot_bc = split_sequence(ctx, hexagonator_S, ses, a, bc)
+        bot_b, bot_c = split_sequence(ctx, hexagonator_S, bot_bc, b, c)
         return [("a", top_a, bot_a), ("b", top_b, bot_b), ("c", top_c, bot_c)]
 
     return (quo, d), slots, [(quo, d), (ab, d), (c, d), (a, d), (bc, d), (b, d)]
 
 
-def _shuffle_22(ctx, split, a, b, c, d):
+def _shuffle_22(ctx, a, b, c, d):
     """The truncated cube: two objects past two, S-first versus R-first.
 
     Both composite splittings of an extension of a (+) b by c (+) d must
@@ -901,12 +908,12 @@ def _shuffle_22(ctx, split, a, b, c, d):
     ab, cd = ctx.direct_sum(a, b), ctx.direct_sum(c, d)
 
     def slots(ses):
-        sa, sb = split(hexagonator_S, ses, a, b)
-        s_ac, s_ad = split(hexagonator_R, sa, c, d)
-        s_bc, s_bd = split(hexagonator_R, sb, c, d)
-        rc, rd = split(hexagonator_R, ses, c, d)
-        r_ac, r_bc = split(hexagonator_S, rc, a, b)
-        r_ad, r_bd = split(hexagonator_S, rd, a, b)
+        sa, sb = split_sequence(ctx, hexagonator_S, ses, a, b)
+        s_ac, s_ad = split_sequence(ctx, hexagonator_R, sa, c, d)
+        s_bc, s_bd = split_sequence(ctx, hexagonator_R, sb, c, d)
+        rc, rd = split_sequence(ctx, hexagonator_R, ses, c, d)
+        r_ac, r_bc = split_sequence(ctx, hexagonator_S, rc, a, b)
+        r_ad, r_bd = split_sequence(ctx, hexagonator_S, rd, a, b)
         return [("ac", s_ac, r_ac), ("ad", s_ad, r_ad), ("bc", s_bc, r_bc),
                 ("bd", s_bd, r_bd)]
 

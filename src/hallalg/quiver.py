@@ -469,8 +469,8 @@ class RepCategory:
         over the orbit of cls: breadth-first from the representative's flat
         tuple with classify's _generator_actions, so each tuple is its
         parent's image under the action.  Built on first use per class; its
-        size is the orbit size, within the tuple_space_size(cls.dim) that
-        classify has budgeted."""
+        size must be cls.orbit_size, within the tuple_space_size(cls.dim)
+        that classify has budgeted, and a ValueError says when it is not."""
         tree = self._trees.get(cls.label)
         if tree is None:
             dim, p = cls.dim, self.q
@@ -490,6 +490,9 @@ class RepCategory:
                             tree[new] = cur, act
                             nxt.append(new)
                 level = nxt
+            if len(tree) != cls.orbit_size:
+                raise ValueError(f"orbit tree of {cls.label} has {len(tree)} tuples, "
+                                 f"not its orbit size {cls.orbit_size}")
             self._trees[cls.label] = tree
         return tree
 
@@ -708,9 +711,15 @@ class RepCategory:
             for na, c, ma in zip(N.edge_maps, blocks, M.edge_maps)])
 
     def middle_term_ses(self, M, N, cocycle):
-        """(E, f: N -> E, g: E -> M) for the extension built from the cocycle."""
-        E = self.middle_term(M, N, cocycle)
-        return E, block_inclusion(N, E, (0,) * self.quiver.n), block_projection(E, M, N.dim)
+        """(E, f: N -> E, g: E -> M) for the extension built from the cocycle,
+        cached on the context by content under ("mses", M, N, cocycle)."""
+        key = ("mses", M, N, tuple(cocycle))
+        out = self._hom_cache.get(key)
+        if out is None:
+            E = self.middle_term(M, N, cocycle)
+            out = self._hom_cache[key] = (E, block_inclusion(N, E, (0,) * self.quiver.n),
+                                          block_projection(E, M, N.dim))
+        return out
 
     def _ext_complement(self, M, N):
         """(complement, reduction) in the cocycle space, cached per (M, N).
@@ -755,7 +764,13 @@ class RepCategory:
         A linear section of proj is chosen per vertex, the defect of the
         section against the edge maps is pulled back through incl, and the
         result is reduced modulo coboundaries to the canonical complement.
+        Cached on the context by the content of all five arguments, under
+        ("class", M, N, E, incl, proj); a call that raises caches nothing.
         """
+        key = ("class", M, N, E, incl, proj)
+        out = self._hom_cache.get(key)
+        if out is not None:
+            return out
         f = self.field
         sections = []
         for v in range(self.quiver.n):
@@ -771,7 +786,8 @@ class RepCategory:
             pulled.append(incl.vertex_maps[t].solve_matrix(defect))
             if pulled[-1] is None:
                 raise ValueError("section defect not in the subobject")
-        return self.reduce_cocycle(M, N, flatten(pulled))
+        out = self._hom_cache[key] = self.reduce_cocycle(M, N, flatten(pulled))
+        return out
 
     def reduce_cocycle(self, M, N, vec):
         """Canonical representative of vec modulo coboundaries."""

@@ -227,6 +227,23 @@ def transporter_inverse_uninverted():
         yield
 
 
+@contextmanager
+def extension_class_key_without_proj():
+    """RepCategory.extension_class cached per (M, N, E, incl), proj left out of
+    the key: a sequence (f, mu g) gets the class of the first (f, g) with the
+    same inclusion that was classified on the context."""
+    extension_class = RepCategory.extension_class
+
+    def keyed(self, M, N, E, incl, proj):
+        key = ("class without proj", M, N, E, incl)
+        if key not in self._hom_cache:
+            self._hom_cache[key] = extension_class(self, M, N, E, incl, proj)
+        return self._hom_cache[key]
+
+    with mock.patch.object(RepCategory, "extension_class", keyed):
+        yield
+
+
 MUTANTS = {"coproduct_doubled": coproduct_doubled, "glue_sign_dropped": glue_sign_dropped,
            "braid_exponent_swapped": braid_exponent_swapped,
            "factorization_bumped": factorization_bumped,
@@ -237,4 +254,5 @@ MUTANTS = {"coproduct_doubled": coproduct_doubled, "glue_sign_dropped": glue_sig
            "hexagonator_output_split": hexagonator_output_split,
            "euler_form_bumped": euler_form_bumped,
            "euler_form_transposed": euler_form_transposed,
-           "transporter_inverse_uninverted": transporter_inverse_uninverted}
+           "transporter_inverse_uninverted": transporter_inverse_uninverted,
+           "extension_class_key_without_proj": extension_class_key_without_proj}

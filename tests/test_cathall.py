@@ -619,18 +619,19 @@ def test_shuffle_22_specific_instance(ctx2, reps2):
 
 
 def _watch_splits(monkeypatch, on_split):
-    """Hand every shuffle shape the split on_split(ctx, split, hexagonator, ses, y, z)
-    in place of the check's own split."""
-    for name, shape in list(cathall.SHUFFLES.items()):
-        def watched(ctx, split, *outer, shape=shape):
-            return shape(ctx, lambda *args: on_split(ctx, split, *args), *outer)
-        monkeypatch.setitem(cathall.SHUFFLES, name, watched)
+    """Route every split_sequence(ctx, hexagonator, ses, y, z) call through
+    on_split(split, ctx, hexagonator, ses, y, z), split the library's own."""
+    split = cathall.split_sequence
+    monkeypatch.setattr(cathall, "split_sequence", lambda *args: on_split(split, *args))
 
 
-def test_each_shuffle_splits_each_sequence_once(ctx2, monkeypatch):
+def test_each_shuffle_splits_each_sequence_once(a2, monkeypatch):
     """At a2, q=2, bound 2 (verify coherence at max-dim 3) the shapes ask for
     536, 536 and 774 splits, and the hexagonators run once per distinct
-    (hexagonator, sequence, summands) in each check: 81, 81 and 162 times."""
+    (hexagonator, sequence, summands) on one fresh context: 81, 81 and 0
+    times, 162 in all, as shuffle-2-2 splits only what shuffle-1-3 and
+    shuffle-3-1 split."""
+    ctx = RepCategory(a2, 2)
     tally = {"asked": 0, "calls": 0}
     for name in ("hexagonator_R", "hexagonator_S"):
         def counted(ctx, ses, y, z, hexagonator=getattr(cathall, name)):
@@ -638,7 +639,7 @@ def test_each_shuffle_splits_each_sequence_once(ctx2, monkeypatch):
             return hexagonator(ctx, ses, y, z)
         monkeypatch.setattr(cathall, name, counted)
 
-    def on_split(ctx, split, *args):
+    def on_split(split, *args):
         tally["asked"] += 1
         return split(*args)
     _watch_splits(monkeypatch, on_split)
@@ -646,11 +647,11 @@ def test_each_shuffle_splits_each_sequence_once(ctx2, monkeypatch):
     for check in cathall.SHUFFLES:
         tally.update(asked=0, calls=0)
         run = Run()
-        coherence_check(run, ctx2, check, 2)
+        coherence_check(run, ctx, check, 2)
         assert run.failures == []
         counts[check] = (tally["asked"], tally["calls"])
     assert counts == {"shuffle-1-3": (536, 81), "shuffle-3-1": (536, 81),
-                      "shuffle-2-2": (774, 162)}
+                      "shuffle-2-2": (774, 0)}
 
 
 def test_shuffle_splits_equal_fresh_hexagonator_calls(ctx2, reps2, monkeypatch):
@@ -658,15 +659,15 @@ def test_shuffle_splits_equal_fresh_hexagonator_calls(ctx2, reps2, monkeypatch):
     hexagonator call on the same arguments, piece by piece: sub, mid, quo,
     incl and proj; and a first summand that does not fit the sequence still
     raises after the fitting one was split.  The slot match is too weak to
-    notice a wrong split (ROADMAP item 6), so this guards the split table."""
+    notice a wrong split (ROADMAP item 6), so this guards split_sequence's cache."""
     seen = []
 
-    def on_split(ctx, split, hexagonator, ses, y, z):
-        got = split(hexagonator, ses, y, z)
+    def on_split(split, ctx, hexagonator, ses, y, z):
+        got = split(ctx, hexagonator, ses, y, z)
         for a, b in zip(got, hexagonator(ctx, ses, y, z), strict=True):
             assert (a.sub, a.mid, a.quo, a.incl, a.proj) == (b.sub, b.mid, b.quo, b.incl, b.proj)
         with pytest.raises(ValueError, match="not the given direct sum"):
-            split(hexagonator, ses, ctx.direct_sum(reps2["S1"], y), z)
+            split(ctx, hexagonator, ses, ctx.direct_sum(reps2["S1"], y), z)
         seen.append(hexagonator)
         return got
     _watch_splits(monkeypatch, on_split)

@@ -5,7 +5,7 @@ import pytest
 from hallalg.cli import load_quiver
 from hallalg.hall import HallAlgebra
 from hallalg.linalg import Matrix
-from hallalg.quiver import RepCategory
+from hallalg.quiver import RepCategory, RepMorphism, Representation
 from hallalg import verify
 from mutants import MUTANTS
 from oracles import green_row_by_join, reduce_cocycle_by_solve
@@ -49,8 +49,15 @@ CAUGHT = {
     "ext_low_term_dropped": [("a3-source", 3, 3, {"ext": (0, 114), "riedtmann": (0, 220),
                                                   "bilinearity": (0, 566)})],
     # one class too few at (3, 1) on a2 reads n = -1 indecomposables there; (3, 1)
-    # has an entry above 2, so the End-walk box that gabriel used before never saw it
-    "orbits_merged": [("a2", 2, 4, {"gabriel": (1, 14)})],
+    # has an entry above 2, so the End-walk box that gabriel used before never saw it;
+    # the merged class's orbit tree is smaller than its orbit size, and the first
+    # sequences of bilinearity and spans raise on that; bsim counts wrong
+    "orbits_merged": [("a2", 2, 4, {
+        "gabriel": (1, 14), "bsim": (6, 98),
+        "bilinearity": ("ValueError: orbit tree of d3.1#0 has 1 tuples, not its orbit size 8",
+                        600),
+        "spans": ("ValueError: orbit tree of d3.1#0 has 1 tuples, not its orbit size 8",
+                  394)})],
     # bsim's direct count of sequence automorphisms, against the stabilizers
     # from the orbits: points singular only at vertex 2 pass as units, or the
     # units of the complement of the fixed-end ideal V miss their q^{dim V}
@@ -82,6 +89,19 @@ CAUGHT = {
                                       "commute with the arrows", 600)}),
         ("a2", 3, 4, {"bilinearity": ("ValueError: transported map (2, 1) -> (2, 1) does not "
                                       "commute with the arrows", 600)})],
+    # extension_class's cache keyed without proj: it returns no suite a wrong
+    # class (0 of 1,090 bilinearity and 371 bsim calls at a2 q=3, 0 of 6,311
+    # bilinearity calls at max-dim 4), as the sequences a suite classifies
+    # under one inclusion share their class; the cache test
+    # test_class_cache_test_catches_extension_class_key_without_proj sees it
+    "extension_class_key_without_proj": [
+        ("a2", 2, 3, {"ext": (0, 45), "riedtmann": (0, 71), "bilinearity": (0, 210),
+                      "bsim": (0, 98), "spans": (0, 142), "coherence": (0, 661)}),
+        ("a2", 3, 3, {"ext": (0, 45), "riedtmann": (0, 71), "bilinearity": (0, 210),
+                      "bsim": (0, 98), "spans": (0, 142), "coherence": (0, 226057)}),
+        ("a3-source", 3, 3, {"bilinearity": (0, 566), "bsim": (0, 288)}),
+        ("d4", 3, 3, {"bilinearity": (0, 1162), "bsim": (0, 648)}),
+        ("a2", 3, 4, {"bilinearity": (0, 600), "bsim": (0, 98)})],
 }
 
 
@@ -159,3 +179,74 @@ def test_ext_reduction_oracle_catches_ext_low_term_dropped():
     assert wrong() == 0
     with MUTANTS["ext_low_term_dropped"]():
         assert wrong() == 2         # the coboundary and the unit vector at its pivot
+
+
+def _copy_maps(maps):
+    return [Matrix(m.field, m.entries, m.rows, m.cols) for m in maps]
+
+
+def _copy_rep(R):
+    """R rebuilt from new objects: equal content, nothing shared."""
+    return Representation(R.quiver, R.field, R.dim, _copy_maps(R.edge_maps))
+
+
+def _class_cache_misses():
+    """Classify every sequence that verify bilinearity classifies at a2, q = 3,
+    max-dim 3, then rebuild a content-equal copy of each from new objects.
+    Returns (mismatches, moved, sequences).  mismatches counts the copies
+    whose extension_class on that context differs from the class it cached
+    or from a fresh context's value, and, for M nonzero, the copies
+    (f, mu g), mu the first non-identity element of Aut M, whose class there
+    differs from a fresh context's.  moved counts the (f, mu g) whose class
+    is not that of (f, g), which a cache that ignored proj would get wrong.
+    The middle_term_ses of each class the suite splits is compared with a
+    fresh context's too."""
+    ctx = RepCategory(load_quiver("a2"), 3)
+    classified, built = {}, {}
+
+    def extension_class(*args):
+        classified[args] = RepCategory.extension_class(ctx, *args)
+        return classified[args]
+
+    def middle_term_ses(M, N, cocycle):
+        built[M, N, tuple(cocycle)] = RepCategory.middle_term_ses(ctx, M, N, cocycle)
+        return built[M, N, tuple(cocycle)]
+    ctx.extension_class, ctx.middle_term_ses = extension_class, middle_term_ses
+    assert verify.run_suite("bilinearity", ctx, None, 3, seed=0)["failures"] == []
+    del ctx.extension_class, ctx.middle_term_ses
+
+    def fresh():
+        return RepCategory(ctx.quiver, ctx.q)
+    mismatches = moved = 0
+    for (M, N, E, f, g), cached in classified.items():
+        M2, N2, E2 = _copy_rep(M), _copy_rep(N), _copy_rep(E)
+        f2 = RepMorphism(N2, E2, _copy_maps(f.vertex_maps))
+        g2 = RepMorphism(E2, M2, _copy_maps(g.vertex_maps))
+        got = ctx.extension_class(M2, N2, E2, f2, g2)
+        mismatches += got != cached or got != fresh().extension_class(M2, N2, E2, f2, g2)
+        if M.is_zero():
+            continue
+        mu = next(a for a in ctx.aut_elements(M) if a.vertex_maps != tuple(
+            Matrix.identity(ctx.field, d) for d in M.dim))
+        g3 = RepMorphism(E2, M2, [m * gv for m, gv in zip(mu.vertex_maps, g.vertex_maps)])
+        want = fresh().extension_class(M2, N2, E2, f2, g3)
+        mismatches += ctx.extension_class(M2, N2, E2, f2, g3) != want
+        moved += want != cached
+    for (M, N, cocycle), (E, f, g) in built.items():
+        got = ctx.middle_term_ses(_copy_rep(M), _copy_rep(N), list(cocycle))
+        mismatches += got != (E, f, g) or got != fresh().middle_term_ses(M, N, cocycle)
+    return mismatches, moved, len(classified)
+
+
+def test_extension_class_cache_matches_a_fresh_context():
+    """Copies of the 153 sequences bilinearity classifies get the cached
+    class, which is a fresh context's; and a copy that differs only in proj
+    gets its own class, which moves off the cached one for 26 of them."""
+    assert _class_cache_misses() == (0, 26, 153)
+
+
+def test_class_cache_test_catches_extension_class_key_without_proj():
+    """No suite sees the mutant (CAUGHT), but here it hands each of the 26
+    (f, mu g) whose class moved the cached class of (f, g)."""
+    with MUTANTS["extension_class_key_without_proj"]():
+        assert _class_cache_misses() == (26, 26, 153)
