@@ -21,17 +21,17 @@ All checks report which convention each number uses.
 """
 
 from fractions import Fraction
-from operator import mul
 from weakref import proxy
 
 from .hall import q_power
 from .linalg import (Matrix, blocks_invertible, check_budget, flatten, frame_coordinates,
                      span_points, unflatten)
-from .quiver import RepMorphism, dim_add
+from .quiver import RepMorphism, commutes, dim_add, entry_product, kept
 
 
 class SESObject:
-    """A short exact sequence 0 -> sub -> mid -> quo -> 0 with explicit maps."""
+    """A short exact sequence 0 -> sub -> mid -> quo -> 0 with explicit maps,
+    equal to another by (incl, proj): incl fixes sub and mid, proj fixes quo."""
 
     __slots__ = ("sub", "mid", "quo", "incl", "proj")
 
@@ -58,32 +58,25 @@ class SESObject:
         if dim_add(sub.dim, quo.dim) != mid.dim:
             raise ValueError("grading violated: dim mid != dim sub + dim quo")
         p = mid.field.p
-        if not (_commutes(f, p) and _commutes(g, p)):
+        if not (commutes(f, p) and commutes(g, p)):
             raise ValueError("maps are not representation morphisms")
         if any(m.rank() != m.cols for m in f.vertex_maps):
             raise ValueError("inclusion is not injective")
         if any(m.rank() != m.rows for m in g.vertex_maps):
             raise ValueError("projection is not surjective")
         if any(any(row) for a, b in zip(g.vertex_maps, f.vertex_maps)
-               for row in _product(a, b, p)):
+               for row in entry_product(a, b, p)):
             raise ValueError("composite sub -> quo is nonzero")
         return True
 
+    def __eq__(self, other):
+        return isinstance(other, SESObject) and (self.incl, self.proj) == (other.incl, other.proj)
+
+    def __hash__(self):
+        return hash((self.incl, self.proj))
+
     def __repr__(self):
         return f"SES({self.sub.dim} -> {self.mid.dim} -> {self.quo.dim})"
-
-
-def _product(a, b, p):
-    """The entry rows of the product a b of two matrices, mod p."""
-    cols = tuple(zip(*b.entries)) if b.rows else ((),) * b.cols
-    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in a.entries)
-
-
-def _commutes(mor, p):
-    """Whether target_a mor_s = mor_t source_a on every arrow a: s -> t."""
-    src, tgt, maps = mor.source, mor.target, mor.vertex_maps
-    return all(_product(ta, maps[s], p) == _product(maps[t], sa, p)
-               for (s, t), sa, ta in zip(src.quiver.arrows, src.edge_maps, tgt.edge_maps))
 
 
 # ---- the base groupoid and EXT groupoids ----------------------------------------
@@ -113,21 +106,18 @@ class ExtGroupoid:
     the class directly builds an unshared one.
     """
 
-    @classmethod
-    def of(cls, ctx, M, N):
-        """The context's one groupoid for (M, N), built on first use; weak ctx: no cycle."""
-        key = ("ext", M, N)
-        if key not in ctx._hom_cache:
-            ctx._hom_cache[key] = cls(proxy(ctx), M, N)
-        return ctx._hom_cache[key]
+    @staticmethod
+    @kept
+    def of(ctx, M, N):
+        """The context's one groupoid for (M, N), kept in its memo; weak ctx: no cycle."""
+        return ExtGroupoid(proxy(ctx), M, N)
 
     def __init__(self, ctx, M, N):
         self.ctx = ctx
         self.M = M
         self.N = N
         self.pieces = {}          # E label -> the first sequence of each image subobject
-        self._orbit_data = {}     # E label -> (orbits, extension classes)
-        self._actions = None      # _cocycle_actions, built on first use
+        self._memo = {}           # _orbits per E label, and _cocycle_actions
         cm, cn = ctx.class_of(M), ctx.class_of(N)
         for cls in ctx.classify(dim_add(M.dim, N.dim)):
             images = ctx.class_subreps(cls.rep, cn, cm)
@@ -161,6 +151,7 @@ class ExtGroupoid:
                 for g in gs:
                     yield SESObject(N, ses.mid, M, f, g)
 
+    @kept
     def _orbits(self, e_label):
         """Aut(E)-orbits on the image subobjects of one piece, and their classes.
 
@@ -175,8 +166,6 @@ class ExtGroupoid:
         classes, returned as a set.  The stabilizer is |Aut(E)| / |orbit|,
         and the division is asserted exact.
         """
-        if e_label in self._orbit_data:
-            return self._orbit_data[e_label]
         ctx, M, N = self.ctx, self.M, self.N
         group_of = {}                 # reduced class -> index into groups
         groups = []                   # (representative index, orbit indices)
@@ -192,8 +181,7 @@ class ExtGroupoid:
         for i, orbit in groups:
             assert aut_e % len(orbit) == 0
             orbits.append((i, orbit, aut_e // len(orbit)))
-        self._orbit_data[e_label] = orbits, set(group_of)
-        return self._orbit_data[e_label]
+        return orbits, set(group_of)
 
     def _orbit(self, c):
         """reduce(nu c mu) for (nu, mu) in Aut N x Aut M, nu-major in
@@ -206,6 +194,7 @@ class ExtGroupoid:
         moved = [right.apply(c) for right in rights]
         return [left.apply(cm) for left in lefts for cm in moved]
 
+    @kept
     def _cocycle_actions(self):
         """The action c -> nu c mu of Aut N x Aut M on flat cocycles, as matrices.
 
@@ -217,22 +206,18 @@ class ExtGroupoid:
         against the budget before the lists are built.  Built once per
         groupoid.
         """
-        if self._actions is None:
-            ctx, M, N = self.ctx, self.M, self.N
-            f, arrows = ctx.field, ctx.quiver.arrows
-            shapes = ctx.cocycle_blocks(M, N)
-            comp, reduction = ctx._ext_complement(M, N)
-            if not comp:
-                self._actions = [], []
-            else:
-                check_budget(f"Aut N x Aut M enumeration for dims {N.dim}, {M.dim} "
-                             f"over F_{ctx.q}", ctx.aut_order(N) * ctx.aut_order(M), ctx.budget)
-                self._actions = (
-                    [reduction * _block_action(f, shapes, [nu.vertex_maps[t] for _, t in arrows],
-                                               True) for nu in ctx.aut_elements(N)],
-                    [_block_action(f, shapes, [mu.vertex_maps[s] for s, _ in arrows], False)
-                     for mu in ctx.aut_elements(M)])
-        return self._actions
+        ctx, M, N = self.ctx, self.M, self.N
+        f, arrows = ctx.field, ctx.quiver.arrows
+        shapes = ctx.cocycle_blocks(M, N)
+        comp, reduction = ctx.ext_complement(M, N)
+        if not comp:
+            return [], []
+        check_budget(f"Aut N x Aut M enumeration for dims {N.dim}, {M.dim} "
+                     f"over F_{ctx.q}", ctx.aut_order(N) * ctx.aut_order(M), ctx.budget)
+        return ([reduction * _block_action(f, shapes, [nu.vertex_maps[t] for _, t in arrows],
+                                           True) for nu in ctx.aut_elements(N)],
+                [_block_action(f, shapes, [mu.vertex_maps[s] for s, _ in arrows], False)
+                 for mu in ctx.aut_elements(M)])
 
     def extension_classes(self):
         """The reduced extension classes of all objects: the fixed-end iso classes."""
@@ -348,14 +333,16 @@ def closed_form_ext_cardinality(ctx, M, N):
 
 def fixed_end_cardinality(ctx, M, N):
     """sum_E P^E / aut E over the middle terms E: the fixed-end cardinality of
-    EXT(M, N), equal to q^{-<m,n>}.  Read off the census and cached on the
-    context per pair of classes; no groupoid is built."""
-    cm, cn = ctx.class_of(M), ctx.class_of(N)
-    key = ("fixed", cm.label, cn.label)
-    if key not in ctx._hom_cache:
-        ctx._hom_cache[key] = sum((Fraction(ctx.pair_count(cm, cn, ce), ce.aut)
-                                   for ce in ctx.classify(dim_add(M.dim, N.dim))), Fraction(0))
-    return ctx._hom_cache[key]
+    EXT(M, N), equal to q^{-<m,n>}.  Read off the census and kept per pair
+    of classes; no groupoid is built."""
+    return _fixed_end_sum(ctx, ctx.class_of(M), ctx.class_of(N))
+
+
+@kept
+def _fixed_end_sum(ctx, cm, cn):
+    """fixed_end_cardinality for the classes cm and cn."""
+    return sum((Fraction(ctx.pair_count(cm, cn, ce), ce.aut)
+                for ce in ctx.classify(dim_add(cm.dim, cn.dim))), Fraction(0))
 
 
 def ext_cardinality_check(ctx, M, N):
@@ -415,9 +402,9 @@ def _ext_bilinearity(ctx, part1, part2, other, split, glue, slot):
     split(ctx, ses, part1, part2) takes an object apart into the two
     summand sequences and glue(ctx, s1, s2, whole) puts them back together.
     Each fixed-end iso class is split once, on the sequence
-    ctx.middle_term_ses builds from its reduced cocycle.  split_sequence's
-    cache is not used: bilinearity asks for no split twice on one context,
-    so the table would only keep every piece alive with the context.
+    ctx.middle_term_ses builds from its reduced cocycle.  split_sequence is
+    not used: bilinearity asks for no split twice on one context, so its
+    memo would only keep every piece alive with the context.
     """
     def ends(x):
         return (x, other) if slot == 0 else (other, x)
@@ -470,7 +457,7 @@ def _kernel_columns(m):
 
 def _quotient_piece(ctx, ses, keep, f_keep, f_kill):
     """0 -> keep -> E/im f_kill -> quo -> 0 for the f_keep part of ses's inclusion."""
-    _, Q, proj, frames = ctx.subrep_frames(ses.mid, f_kill)
+    _, Q, proj, frames = ctx.subrep_frames(ses.mid, tuple(f_kill))
     incl = RepMorphism._of(keep, Q, [pv * fv for pv, fv in zip(proj.vertex_maps, f_keep)])
     down = RepMorphism._of(Q, ses.quo, [_times_complement(gv, fr)
                                         for gv, fr in zip(ses.proj.vertex_maps, frames)])
@@ -481,7 +468,7 @@ def _quotient_piece(ctx, ses, keep, f_keep, f_kill):
 
 def _preimage_piece(ctx, ses, keep, g_keep, g_kill):
     """0 -> sub -> ker g_kill -> keep -> 0 for the g_keep part of ses's projection."""
-    bases = [_kernel_columns(m) for m in g_kill]
+    bases = tuple(_kernel_columns(m) for m in g_kill)
     incl, _, _, frames = ctx.subrep_frames(ses.mid, bases)
     U = incl.source
     up = RepMorphism._of(ses.sub, U, [frame_coordinates(fr, fv)
@@ -500,8 +487,8 @@ def glue_quotients(ctx, s1, s2, Msum):
     """
     f = ctx.field
     big = ctx.direct_sum(s1.mid, s2.mid)
-    anti = [Matrix.block(f, [[a], [b.scale(-1)]])
-            for a, b in zip(s1.incl.vertex_maps, s2.incl.vertex_maps)]
+    anti = tuple(Matrix.block(f, [[a], [b.scale(-1)]])
+                 for a, b in zip(s1.incl.vertex_maps, s2.incl.vertex_maps))
     _, Q, proj, frames = ctx.subrep_frames(big, anti)
     incl = RepMorphism._of(s1.sub, Q, [pv.columns(0, e) * a for pv, e, a in zip(
         proj.vertex_maps, s1.mid.dim, s1.incl.vertex_maps)])
@@ -522,8 +509,8 @@ def glue_subobjects(ctx, s1, s2, Nsum):
     """
     f = ctx.field
     big = ctx.direct_sum(s1.mid, s2.mid)
-    bases = [_kernel_columns(Matrix.block(f, [[a, b.scale(-1)]]))
-             for a, b in zip(s1.proj.vertex_maps, s2.proj.vertex_maps)]
+    bases = tuple(_kernel_columns(Matrix.block(f, [[a, b.scale(-1)]]))
+                  for a, b in zip(s1.proj.vertex_maps, s2.proj.vertex_maps))
     incl, _, _, frames = ctx.subrep_frames(big, bases)
     U = incl.source
     up = RepMorphism._of(Nsum, U, [frame_coordinates(fr, Matrix.block(f, [[a, None], [None, b]]))
@@ -572,18 +559,13 @@ def hexagonator_S(ctx, ses, x, y):
     return (_preimage_piece(ctx, ses, x, g_x, g_y), _preimage_piece(ctx, ses, y, g_y, g_x))
 
 
+@kept
 def split_sequence(ctx, hexagonator, ses, y, z):
-    """hexagonator(ctx, ses, y, z), cached on the context by content under
-    ("split", hexagonator, incl, proj, y, z): incl fixes sub and mid and
-    proj fixes quo, so the key fixes the sequence.  Sequences that are equal
+    """hexagonator(ctx, ses, y, z), kept on the context by content: a
+    SESObject is equal to another by (incl, proj).  Sequences that are equal
     but built apart share their split, and so do their second-level splits;
-    each piece is validated when the hexagonator first builds it.  A call
-    that raises caches nothing."""
-    key = ("split", hexagonator, ses.incl, ses.proj, y, z)
-    out = ctx._hom_cache.get(key)
-    if out is None:
-        out = ctx._hom_cache[key] = hexagonator(ctx, ses, y, z)
-    return out
+    each piece is validated when the hexagonator first builds it."""
+    return hexagonator(ctx, ses, y, z)
 
 
 # ---- the braiding span and its comparison with EXT -----------------------------------

@@ -19,17 +19,11 @@ from itertools import product as iproduct
 from math import lcm, prod
 
 from .linalg import gl_order
-from .quiver import dim_add, dim_total
+from .quiver import dim_add, dim_total, kept, parse_label
 
 
 class GradeBoundError(Exception):
     """An operation would produce a term above the stated grade bound."""
-
-
-def parse_label(label):
-    """Grade (dimension vector) and class index encoded in a label."""
-    dims, _, index = label[1:].partition("#")
-    return tuple(int(x) for x in dims.split(".")), int(index)
 
 
 def label_sort_key(label):
@@ -130,12 +124,7 @@ class HallAlgebra:
     def __init__(self, rep_category):
         self.ctx = rep_category
         self.q = rep_category.q
-        self._product_cache = {}
-        self._factorization_cache = {}
-        self._coproduct_cache = {}
-        self._antipode_cache = {}
-        self._braid_cache = {}
-        self._grade_orders = {}
+        self._memo = {}           # qualified name -> {args: result} of each @kept method
         self._green_grade = (None, None, None)     # (grade, columns, inverse)
 
     # ---- grading helpers ----------------------------------------------------
@@ -146,24 +135,18 @@ class HallAlgebra:
     def grade(self, label):
         return self.ctx.class_by_label(label).dim
 
+    @kept
     def grade_order(self, dim):
         """|G_d| = prod_v |GL_{d_v}(F_q)|, the group acting on the
         representations of dimension d: aut E times the orbit size of E
-        for every class E of grade d.  Cached."""
-        g = self._grade_orders.get(dim)
-        if g is None:
-            g = self._grade_orders[dim] = prod(gl_order(d, self.q) for d in dim)
-        return g
+        for every class E of grade d."""
+        return prod(gl_order(d, self.q) for d in dim)
 
+    @kept
     def braid_coeff(self, grade_first, grade_second, sign=-1):
         """q^{-<first, second>}, the braiding's coefficient on [first] (x) [second];
-        with sign=1, q^{<first, second>}, the inverse braiding's.  Cached."""
-        key = (grade_first, grade_second, sign)
-        c = self._braid_cache.get(key)
-        if c is None:
-            c = self._braid_cache[key] = q_power(
-                self.q, sign * self.ctx.euler_form(grade_first, grade_second))
-        return c
+        with sign=1, q^{<first, second>}, the inverse braiding's."""
+        return q_power(self.q, sign * self.ctx.euler_form(grade_first, grade_second))
 
     def unit(self):
         return HallVector.basis(self.zero_label())
@@ -190,15 +173,13 @@ class HallAlgebra:
 
     # ---- product and coproduct ----------------------------------------------
 
+    @kept
     def product_basis(self, label_m, label_n):
         """[M] . [N] = sum_E P^E_{MN} / (aut M aut N) [E], as a coeff dict.
 
         Each coefficient is the Hall number g^E_{MN}, an int: the division
         is exact, and asserted so.
         """
-        key = (label_m, label_n)
-        if key in self._product_cache:
-            return self._product_cache[key]
         ctx = self.ctx
         cm, cn = ctx.class_by_label(label_m), ctx.class_by_label(label_n)
         out = {}
@@ -208,7 +189,6 @@ class HallAlgebra:
                 g, r = divmod(p, cm.aut * cn.aut)
                 assert not r, (label_m, label_n, ce.label)
                 out[ce.label] = g
-        self._product_cache[key] = out
         return out
 
     def bounded_product_basis(self, label_m, label_n, bound):
@@ -224,6 +204,7 @@ class HallAlgebra:
                                   for lm, cm in x.coeffs.items()
                                   for ln, cn in y.coeffs.items())
 
+    @kept
     def factorizations(self, label_e):
         """{quotient label A: {sub label B: P^E_{AB}}} over every B <= E with
         E/B ~ A, the factorization index of E.
@@ -232,34 +213,28 @@ class HallAlgebra:
         Quotient dimension vectors, then quotient and sub classes, come in
         label order.
         """
-        out = self._factorization_cache.get(label_e)
-        if out is None:
-            ctx = self.ctx
-            ce = ctx.class_by_label(label_e)
-            out = self._factorization_cache[label_e] = {}
-            for dim_a in iproduct(*(range(d + 1) for d in ce.dim)):
-                dim_b = tuple(e - a for e, a in zip(ce.dim, dim_a))
-                classes_a, classes_b = ctx.classify(dim_a), ctx.classify(dim_b)
-                for (ia, ib), g in sorted(ctx.census(ce, dim_b).items()):
-                    ca, cb = classes_a[ia], classes_b[ib]
-                    out.setdefault(ca.label, {})[cb.label] = ca.aut * cb.aut * g
+        ctx = self.ctx
+        ce = ctx.class_by_label(label_e)
+        out = {}
+        for dim_a in iproduct(*(range(d + 1) for d in ce.dim)):
+            dim_b = tuple(e - a for e, a in zip(ce.dim, dim_a))
+            classes_a, classes_b = ctx.classify(dim_a), ctx.classify(dim_b)
+            for (ia, ib), g in sorted(ctx.census(ce, dim_b).items()):
+                ca, cb = classes_a[ia], classes_b[ib]
+                out.setdefault(ca.label, {})[cb.label] = ca.aut * cb.aut * g
         return out
 
+    @kept
     def coproduct_basis(self, label_e):
         """|G_e| Delta([E]) = sum P^E_{MN} orbit(E) [N] (x) [M], an int coeff dict.
 
         Delta([E]) carries P^E_{MN} / aut E, and aut E orbit(E) = |G_e|, so
         its numerators over the grade order |G_e| are ints.
         """
-        out = self._coproduct_cache.get(label_e)
-        if out is None:
-            orbit = self.ctx.class_by_label(label_e).orbit_size
-            # tensor order is [N] (x) [M]: sub before quotient
-            out = self._coproduct_cache[label_e] = {
-                (ln, lm): p * orbit
-                for lm, subs in self.factorizations(label_e).items()
-                for ln, p in subs.items()}
-        return out
+        orbit = self.ctx.class_by_label(label_e).orbit_size
+        # tensor order is [N] (x) [M]: sub before quotient
+        return {(ln, lm): p * orbit
+                for lm, subs in self.factorizations(label_e).items() for ln, p in subs.items()}
 
     # ---- braiding -------------------------------------------------------------
 
@@ -426,6 +401,7 @@ class HallAlgebra:
                 acc.append((basis, scale * v))
         return HallVector.combine(acc), den
 
+    @kept
     def antipode_canonical_basis(self, label, bound):
         """|G_e| S([E]) for the unique antipode of the connected graded
         bialgebra, by recursion, as an int HallVector.
@@ -439,23 +415,18 @@ class HallAlgebra:
         if dim_total(self.grade(label)) > bound:
             raise GradeBoundError(
                 f"antipode grade {dim_total(self.grade(label))} exceeds bound {bound}")
-        out = self._antipode_cache.get(label)
-        if out is not None:
-            return out
         z = self.zero_label()
         if label == z:
-            out = self.unit()
-        else:
-            reduced = [(ln, lm, c) for (ln, lm), c in self.coproduct_basis(label).items()
-                       if ln != z and lm != z]
-            conv, den = self._s_convolution(reduced, bound, s_first=True)
-            order_e = self.grade_order(self.grade(label))
-            total = HallVector.combine((({label: order_e * den}, -1), (conv.coeffs, -1)))
-            out = HallVector()
-            for k, v in total.coeffs.items():
-                out.coeffs[k], r = divmod(v, den)
-                assert not r, (label, k)
-        self._antipode_cache[label] = out
+            return self.unit()
+        reduced = [(ln, lm, c) for (ln, lm), c in self.coproduct_basis(label).items()
+                   if ln != z and lm != z]
+        conv, den = self._s_convolution(reduced, bound, s_first=True)
+        order_e = self.grade_order(self.grade(label))
+        total = HallVector.combine((({label: order_e * den}, -1), (conv.coeffs, -1)))
+        out = HallVector()
+        for k, v in total.coeffs.items():
+            out.coeffs[k], r = divmod(v, den)
+            assert not r, (label, k)
         return out
 
     def antipode_residual(self, label, bound):

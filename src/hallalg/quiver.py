@@ -11,7 +11,7 @@ and budget-gated, so class labels are stable across runs.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import product
 from math import prod
 from operator import mul
@@ -34,6 +34,32 @@ from .linalg import (
     subspace_frames,
     unflatten,
 )
+
+
+def kept(fn):
+    """fn(owner, *args), computed once per positional args and kept in
+    owner._memo[fn's qualified name][args].  Every result here is a pure
+    function of its arguments given the owner (a RepCategory, its
+    HallAlgebra or an ExtGroupoid), so this is the one memo policy: arguments
+    hash by content, or by identity where the context makes them once (its
+    IsoClass objects).  A call that raises stores nothing."""
+    name = fn.__qualname__
+
+    @wraps(fn)
+    def keeper(owner, *args):
+        table = owner._memo.get(name)
+        out = keeper if table is None else table.get(args, keeper)
+        if out is keeper:
+            out = fn(owner, *args)
+            owner._memo.setdefault(name, {})[args] = out
+        return out
+    return keeper
+
+
+def parse_label(label):
+    """Grade (dimension vector) and class index encoded in a label: d1.0#2."""
+    dims, _, index = label[1:].partition("#")
+    return tuple(int(x) for x in dims.split(".")), int(index)
 
 
 class Quiver:
@@ -253,14 +279,28 @@ def block_projection(whole, part, offset):
                                      for w, o, d in zip(whole.dim, offset, part.dim)])
 
 
+def entry_product(a, b, p):
+    """The entry rows of the product a b of two matrices, mod p."""
+    cols = tuple(zip(*b.entries)) if b.rows else ((),) * b.cols
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in a.entries)
+
+
+def commutes(mor, p):
+    """Whether target_a mor_s = mor_t source_a on every arrow a: s -> t."""
+    src, tgt, maps = mor.source, mor.target, mor.vertex_maps
+    return all(entry_product(ta, maps[s], p) == entry_product(maps[t], sa, p)
+               for (s, t), sa, ta in zip(src.quiver.arrows, src.edge_maps, tgt.edge_maps))
+
+
 def _columns(m, picked):
     """The columns picked of a matrix, as entry tuples."""
     return tuple(tuple(row[j] for row in m.entries) for j in picked)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsoClass:
-    """Canonical representative, stable label and |Aut| of one iso class."""
+    """Canonical representative, stable label and |Aut| of one iso class.
+    classify makes one per class per context, so it hashes by identity."""
     quiver_name: str
     dim: tuple
     index: int
@@ -277,7 +317,8 @@ class RepCategory:
     """All computations about Rep(Q) over a fixed F_p, with memo tables.
 
     One instance per (quiver, p) pair; every method is a pure function of
-    its arguments given the fixed quiver and field.
+    its arguments given the fixed quiver and field, and the @kept ones keep
+    their results in _memo.
     """
 
     def __init__(self, quiver, p, budget=DEFAULT_BUDGET):
@@ -287,15 +328,8 @@ class RepCategory:
         self.budget = budget
         self._classes = {}        # dim -> list[IsoClass]
         self._canon = {}          # dim -> {flat edge tuple: class index}
-        self._trees = {}          # class label -> its orbit tree, built on first use
         self._by_label = {}       # label -> IsoClass
-        self._hom_cache = {}
-        self._pair_count_cache = {}
-        self._census_cache = {}
-        self._aut_list_cache = {}
-        self._on_bases_cache = {}
-        self._sums = {}           # (y, z) -> the chosen direct sum y (+) z
-        self._frames = {}         # basis B -> its frame
+        self._memo = {}           # qualified name -> {args: result} of each @kept function
         self._subspace_frames = {}  # (n, k) -> frames of all k-subspaces of F_p^n, in order
         self._arrow_memo = {}     # edge map -> {(source, target frame index): _arrow_blocks}
         self._block_pairs = {}    # each distinct _arrow_blocks pair, to itself
@@ -376,7 +410,12 @@ class RepCategory:
         classes = self.classify(rep.dim)
         if rep._flat is None:
             rep._flat = flatten(rep.edge_maps)
-        return classes[self._canon[rep.dim][rep._flat]]
+        index = self._canon[rep.dim][rep._flat]
+        try:
+            return classes[index]
+        except IndexError:
+            raise ValueError(f"class index {index} of dim {rep.dim} is past the "
+                             f"{len(classes)} classes of its table") from None
 
     def is_isomorphic(self, M, N):
         self._same_quiver(M, N)
@@ -403,8 +442,8 @@ class RepCategory:
     def class_by_label(self, label):
         if label in self._by_label:
             return self._by_label[label]
-        dims, _, index = label[1:].partition("#")
-        return self.classify(tuple(int(x) for x in dims.split(".")))[int(index)]
+        dim, index = parse_label(label)
+        return self.classify(dim)[index]
 
     # ---- Hom, Ext, Euler form ---------------------------------------------
 
@@ -432,17 +471,13 @@ class RepCategory:
         cod_dim = sum(r * c for r, c in cod_blocks)
         return Matrix(f, cols, dom_dim, cod_dim).transpose(), dom_blocks, cod_blocks
 
+    @kept
     def hom_basis(self, M, N):
         """A basis of Hom(M, N) as RepMorphisms."""
         self._same_quiver(M, N)
-        key = (M, N)
-        if key in self._hom_cache:
-            return self._hom_cache[key]
         phi, dom_blocks, _ = self._presentation_matrix(M, N)
-        basis = [RepMorphism(M, N, unflatten(self.field, vec, dom_blocks))
-                 for vec in phi.kernel_basis()]
-        self._hom_cache[key] = basis
-        return basis
+        return [RepMorphism(M, N, unflatten(self.field, vec, dom_blocks))
+                for vec in phi.kernel_basis()]
 
     def hom_dim(self, M, N):
         return len(self.hom_basis(M, N))
@@ -464,6 +499,7 @@ class RepCategory:
         return span_points(self.field, basis, sum(m * n for m, n in zip(M.dim, N.dim)),
                            f"Hom-space span enumeration dim {len(basis)}", self.budget)
 
+    @kept
     def _orbit_tree(self, cls):
         """{flat edge tuple: (parent tuple, generator action) or None at the root}
         over the orbit of cls: breadth-first from the representative's flat
@@ -471,29 +507,26 @@ class RepCategory:
         parent's image under the action.  Built on first use per class; its
         size must be cls.orbit_size, within the tuple_space_size(cls.dim)
         that classify has budgeted, and a ValueError says when it is not."""
-        tree = self._trees.get(cls.label)
-        if tree is None:
-            dim, p = cls.dim, self.q
-            shapes = [(dim[t], dim[s]) for s, t in self.quiver.arrows]
-            actions = self._generator_actions(dim, shapes)
-            root = flatten(cls.rep.edge_maps)
-            tree, level = {root: None}, [root]
-            while level:
-                nxt = []
-                for cur in level:
-                    for act in actions:
-                        new = list(cur)
-                        for i, row in act[0]:
-                            new[i] = sum(map(mul, row, cur)) % p
-                        new = tuple(new)
-                        if new not in tree:
-                            tree[new] = cur, act
-                            nxt.append(new)
-                level = nxt
-            if len(tree) != cls.orbit_size:
-                raise ValueError(f"orbit tree of {cls.label} has {len(tree)} tuples, "
-                                 f"not its orbit size {cls.orbit_size}")
-            self._trees[cls.label] = tree
+        dim, p = cls.dim, self.q
+        shapes = [(dim[t], dim[s]) for s, t in self.quiver.arrows]
+        actions = self._generator_actions(dim, shapes)
+        root = flatten(cls.rep.edge_maps)
+        tree, level = {root: None}, [root]
+        while level:
+            nxt = []
+            for cur in level:
+                for act in actions:
+                    new = list(cur)
+                    for i, row in act[0]:
+                        new[i] = sum(map(mul, row, cur)) % p
+                    new = tuple(new)
+                    if new not in tree:
+                        tree[new] = cur, act
+                        nxt.append(new)
+            level = nxt
+        if len(tree) != cls.orbit_size:
+            raise ValueError(f"orbit tree of {cls.label} has {len(tree)} tuples, "
+                             f"not its orbit size {cls.orbit_size}")
         return tree
 
     def _tree_path(self, M):
@@ -507,6 +540,7 @@ class RepCategory:
             node = tree[node[0]]
         return path
 
+    @kept
     def first_iso(self, M, N):
         """An isomorphism M -> N, or None when M and N are not isomorphic.
 
@@ -515,46 +549,36 @@ class RepCategory:
         _tree_path; h_M^-1 multiplies the closed-form generator inverses in
         reverse order.  No Hom space is walked, so no span budget is
         charged, and each path is shorter than the orbit.  The result is
-        checked against every arrow (ValueError if a square fails) and
-        cached on the context per (M, N), by content.
+        checked against every arrow (commutes; ValueError if a square fails)
+        and kept per (M, N), by content.
         """
-        key = ("iso", M, N)
-        if key not in self._hom_cache:
-            iso = None
-            if self.is_isomorphic(M, N):
-                maps = [Matrix.identity(self.field, d) for d in M.dim]
-                for _, v, _, g_inv in self._tree_path(M):
-                    maps[v] = g_inv * maps[v]
-                for _, v, g, _ in reversed(self._tree_path(N)):
-                    maps[v] = g * maps[v]
-                if any(na * maps[s] != maps[t] * ma for (s, t), ma, na
-                       in zip(self.quiver.arrows, M.edge_maps, N.edge_maps)):
-                    raise ValueError(f"transported map {M.dim} -> {N.dim} does not commute "
-                                     "with the arrows")
-                iso = RepMorphism._of(M, N, maps)
-            self._hom_cache[key] = iso
-        return self._hom_cache[key]
+        if not self.is_isomorphic(M, N):
+            return None
+        maps = [Matrix.identity(self.field, d) for d in M.dim]
+        for _, v, _, g_inv in self._tree_path(M):
+            maps[v] = g_inv * maps[v]
+        for _, v, g, _ in reversed(self._tree_path(N)):
+            maps[v] = g * maps[v]
+        iso = RepMorphism._of(M, N, maps)
+        if not commutes(iso, self.q):
+            raise ValueError(f"transported map {M.dim} -> {N.dim} does not commute "
+                             "with the arrows")
+        return iso
 
+    @kept
     def aut_elements(self, M):
-        """Every automorphism of M: the invertible points of the End(M) span.
-
-        Cached per M; the order is span_points' walk order.
-        """
-        if M not in self._aut_list_cache:
-            shapes = [(d, d) for d in M.dim]
-            self._aut_list_cache[M] = [
-                RepMorphism(M, M, unflatten(self.field, point, shapes))
-                for point in self._hom_points(M, M)
-                if blocks_invertible(point, M.dim, self.q)]
-        return self._aut_list_cache[M]
+        """Every automorphism of M: the invertible points of the End(M) span,
+        in span_points' walk order."""
+        shapes = [(d, d) for d in M.dim]
+        return [RepMorphism(M, M, unflatten(self.field, point, shapes))
+                for point in self._hom_points(M, M) if blocks_invertible(point, M.dim, self.q)]
 
     # ---- subobjects, quotients, extensions ---------------------------------
 
+    @kept
     def _frame(self, B):
-        """linalg.basis_frame(B), cached per basis."""
-        if B not in self._frames:
-            self._frames[B] = basis_frame(B)
-        return self._frames[B]
+        """linalg.basis_frame(B), kept per basis."""
+        return basis_frame(B)
 
     def _arrow_blocks(self, sub_cols, rest_cols, ft):
         """Y = P_t^-1 E_a P_s for a: s -> t, from the columns of E_a B_s, the columns
@@ -660,35 +684,28 @@ class RepCategory:
                                  if ucanon[sum([b[0] for b in w[2]], ())] == cn.index
                                  and qcanon[sum([b[1] for b in w[2]], ())] == cm.index))
 
+    @kept
     def subrep_frames(self, E, bases):
         """(inclusion U -> E, E/U, projection E -> E/U, frames) for U spanned by
-        bases, one basis matrix per vertex: a _subreps triple followed by the
-        _frame of each basis, cached per (E, bases); U's maps are in the given
-        bases (frame_coordinates).  Bases that are not of full column rank, or
-        that span no subrepresentation, raise on every call."""
-        key = (E, tuple(bases))
-        found = self._on_bases_cache.get(key, False)
-        if found is False:
-            frames = tuple(self._frame(B) for B in bases)
-            blocks = []
-            for (s, t), ea in zip(self.quiver.arrows, E.edge_maps):
-                eb = ea * frames[s][0]
-                b = self._arrow_blocks(eb.transpose().entries, _columns(ea, frames[s][2]),
-                                       frames[t])
-                blocks.append(b and (flatten([frame_coordinates(frames[t], eb)]), b[1]))
-            found = self._on_bases_cache[key] = None if None in blocks else self._subreps(
-                E, [(tuple(B.cols for B in bases), frames, blocks)])[0] + (frames,)
-        if found is None:
-            raise ValueError("the span of the bases is not a subrepresentation")
-        return found
+        bases, a tuple of one basis matrix per vertex: a _subreps triple
+        followed by the _frame of each basis, kept per (E, bases); U's maps are
+        in the given bases (frame_coordinates).  Bases that are not of full
+        column rank, or that span no subrepresentation, raise on every call."""
+        frames = tuple(self._frame(B) for B in bases)
+        blocks = []
+        for (s, t), ea in zip(self.quiver.arrows, E.edge_maps):
+            eb = ea * frames[s][0]
+            b = self._arrow_blocks(eb.transpose().entries, _columns(ea, frames[s][2]), frames[t])
+            if b is None:
+                raise ValueError("the span of the bases is not a subrepresentation")
+            blocks.append((flatten([frame_coordinates(frames[t], eb)]), b[1]))
+        return self._subreps(E, [(tuple(B.cols for B in bases), frames, blocks)])[0] + (frames,)
 
+    @kept
     def direct_sum(self, y, z):
         """The chosen direct sum y (+) z (Representation.direct_sum), one object
         per ordered pair, so that tests of endpoints against it are identity tests."""
-        key = (y, z)
-        if key not in self._sums:
-            self._sums[key] = y.direct_sum(z)
-        return self._sums[key]
+        return y.direct_sum(z)
 
     # extensions: cocycles live in the codomain of the presentation matrix
 
@@ -710,19 +727,16 @@ class RepCategory:
             Matrix.block(f, [[na, c], [None, ma]])
             for na, c, ma in zip(N.edge_maps, blocks, M.edge_maps)])
 
+    @kept
     def middle_term_ses(self, M, N, cocycle):
-        """(E, f: N -> E, g: E -> M) for the extension built from the cocycle,
-        cached on the context by content under ("mses", M, N, cocycle)."""
-        key = ("mses", M, N, tuple(cocycle))
-        out = self._hom_cache.get(key)
-        if out is None:
-            E = self.middle_term(M, N, cocycle)
-            out = self._hom_cache[key] = (E, block_inclusion(N, E, (0,) * self.quiver.n),
-                                          block_projection(E, M, N.dim))
-        return out
+        """(E, f: N -> E, g: E -> M) for the extension built from the cocycle
+        tuple, kept by content."""
+        E = self.middle_term(M, N, cocycle)
+        return E, block_inclusion(N, E, (0,) * self.quiver.n), block_projection(E, M, N.dim)
 
-    def _ext_complement(self, M, N):
-        """(complement, reduction) in the cocycle space, cached per (M, N).
+    @kept
+    def ext_complement(self, M, N):
+        """(complement, reduction) in the cocycle space, kept per (M, N).
 
         The coboundaries are the image of the presentation matrix phi; one
         rref of phi^T gives their canonical basis and its pivot coordinates.
@@ -732,9 +746,6 @@ class RepCategory:
         the projection_rows of the coboundaries at the complement rows and
         zero at the pivot rows; the subspace frames use the same rows.
         """
-        key = ("extc", M, N)
-        if key in self._hom_cache:
-            return self._hom_cache[key]
         phi, _, _ = self._presentation_matrix(M, N)
         n = phi.rows
         red, pivots = phi.transpose().rref()
@@ -743,34 +754,29 @@ class RepCategory:
         rows = [(0,) * n] * n
         for c, row in zip(comp, proj):
             rows[c] = row
-        self._hom_cache[key] = comp, Matrix._of(self.field, tuple(rows), n, n)
-        return self._hom_cache[key]
+        return comp, Matrix._of(self.field, tuple(rows), n, n)
 
     def ext_class_reps(self, M, N):
         """Canonical coset representatives of Ext^1(M, N) as cocycle vectors.
 
         The coboundaries are the image of the presentation matrix; the span
-        of the standard vectors off their pivot coordinates (_ext_complement)
+        of the standard vectors off their pivot coordinates (ext_complement)
         holds one representative per class.
         """
-        comp, reduction = self._ext_complement(M, N)
+        comp, reduction = self.ext_complement(M, N)
         units = Matrix.identity(self.field, reduction.rows).entries
         return list(span_points(self.field, [units[j] for j in comp], reduction.rows,
                                 f"Ext^1 class enumeration dim {len(comp)}", self.budget))
 
+    @kept
     def extension_class(self, M, N, E, incl, proj):
         """Cocycle coordinates (canonically reduced) of the extension (incl, proj).
 
         A linear section of proj is chosen per vertex, the defect of the
         section against the edge maps is pulled back through incl, and the
         result is reduced modulo coboundaries to the canonical complement.
-        Cached on the context by the content of all five arguments, under
-        ("class", M, N, E, incl, proj); a call that raises caches nothing.
+        Kept by the content of all five arguments.
         """
-        key = ("class", M, N, E, incl, proj)
-        out = self._hom_cache.get(key)
-        if out is not None:
-            return out
         f = self.field
         sections = []
         for v in range(self.quiver.n):
@@ -786,12 +792,11 @@ class RepCategory:
             pulled.append(incl.vertex_maps[t].solve_matrix(defect))
             if pulled[-1] is None:
                 raise ValueError("section defect not in the subobject")
-        out = self._hom_cache[key] = self.reduce_cocycle(M, N, flatten(pulled))
-        return out
+        return self.reduce_cocycle(M, N, flatten(pulled))
 
     def reduce_cocycle(self, M, N, vec):
         """Canonical representative of vec modulo coboundaries."""
-        return self._ext_complement(M, N)[1].apply(vec)
+        return self.ext_complement(M, N)[1].apply(vec)
 
     # ---- exact-pair counting ------------------------------------------------
 
@@ -802,6 +807,7 @@ class RepCategory:
             return 0
         return self.pair_count(self.class_of(M), self.class_of(N), self.class_of(E))
 
+    @kept
     def pair_count(self, cm, cn, ce):
         """P^E_{MN} for iso classes M, N, E.
 
@@ -809,35 +815,32 @@ class RepCategory:
         count is aut(M) * aut(N) * #{invariant U <= E : U ~ N, E/U ~ M},
         read off the census of E at sub-dimension dim N.
         """
-        key = (cm.label, cn.label, ce.label)
-        out = self._pair_count_cache.get(key)
-        if out is None:
-            g = 0
-            if dim_add(cm.dim, cn.dim) == ce.dim:
-                g = self.census(ce, cn.dim).get((cm.index, cn.index), 0)
-            out = self._pair_count_cache[key] = cm.aut * cn.aut * g
-        return out
+        g = 0
+        if dim_add(cm.dim, cn.dim) == ce.dim:
+            g = self.census(ce, cn.dim).get((cm.index, cn.index), 0)
+        return cm.aut * cn.aut * g
 
     def census(self, ce, sub_dim):
         """{(class index of E/U, class index of U): count} over U <= E of dim sub_dim,
         read off the walk's concatenated flat blocks (flatten()'s layout); builds no object.
         One walk of E over every sub-dimension fills the census of E at each."""
-        key = (ce.label, sub_dim)
-        if key not in self._census_cache:
-            walk = self._subrep_walk(ce.rep)
-            tallies = {}    # sub-dimension -> (quotient canon, sub canon, counts)
-            for k in product(*(range(e + 1) for e in ce.dim)):
-                qdim = tuple(e - x for e, x in zip(ce.dim, k))
-                self.classify(k)
-                self.classify(qdim)
-                tallies[k] = self._canon[qdim], self._canon[k], Counter()
-            for k, _, blocks in walk:
-                qcanon, ucanon, counts = tallies[k]
-                counts[qcanon[sum([b[1] for b in blocks], ())],
-                       ucanon[sum([b[0] for b in blocks], ())]] += 1
-            for k, (_, _, counts) in tallies.items():
-                self._census_cache[ce.label, k] = counts
-        return self._census_cache[key]
+        return self._census_walk(ce)[sub_dim]
+
+    @kept
+    def _census_walk(self, ce):
+        """{sub-dimension: census(ce, sub-dimension)} from one walk of E."""
+        walk = self._subrep_walk(ce.rep)
+        tallies = {}    # sub-dimension -> (quotient canon, sub canon, counts)
+        for k in product(*(range(e + 1) for e in ce.dim)):
+            qdim = tuple(e - x for e, x in zip(ce.dim, k))
+            self.classify(k)
+            self.classify(qdim)
+            tallies[k] = self._canon[qdim], self._canon[k], Counter()
+        for k, _, blocks in walk:
+            qcanon, ucanon, counts = tallies[k]
+            counts[qcanon[sum([b[1] for b in blocks], ())],
+                   ucanon[sum([b[0] for b in blocks], ())]] += 1
+        return {k: counts for k, (_, _, counts) in tallies.items()}
 
     # ---- indecomposables ----------------------------------------------------
 

@@ -114,13 +114,13 @@ def drop_ext_low_terms(comp, reduction):
 
 @contextmanager
 def ext_low_term_dropped():
-    """RepCategory._ext_complement with drop_ext_low_terms applied."""
-    ext_complement = RepCategory._ext_complement
+    """RepCategory.ext_complement with drop_ext_low_terms applied."""
+    ext_complement = RepCategory.ext_complement
 
     def dropped(self, M, N):
         return drop_ext_low_terms(*ext_complement(self, M, N))
 
-    with mock.patch.object(RepCategory, "_ext_complement", dropped):
+    with mock.patch.object(RepCategory, "ext_complement", dropped):
         yield
 
 
@@ -233,12 +233,13 @@ def extension_class_key_without_proj():
     the key: a sequence (f, mu g) gets the class of the first (f, g) with the
     same inclusion that was classified on the context."""
     extension_class = RepCategory.extension_class
+    cache = {}
 
     def keyed(self, M, N, E, incl, proj):
-        key = ("class without proj", M, N, E, incl)
-        if key not in self._hom_cache:
-            self._hom_cache[key] = extension_class(self, M, N, E, incl, proj)
-        return self._hom_cache[key]
+        key = (self, M, N, E, incl)
+        if key not in cache:
+            cache[key] = extension_class(self, M, N, E, incl, proj)
+        return cache[key]
 
     with mock.patch.object(RepCategory, "extension_class", keyed):
         yield

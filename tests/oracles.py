@@ -628,7 +628,7 @@ def subrep_on(ctx, E, bases):
     """The inclusion of U <= E spanned by bases (of full column rank), or None
     when U is not invariant."""
     try:
-        U = ctx.subrep_frames(E, bases)[0].source
+        U = ctx.subrep_frames(E, tuple(bases))[0].source
     except ValueError:
         return None
     return RepMorphism(U, E, bases)

@@ -253,7 +253,7 @@ def test_summand_maps_split_the_chosen_direct_sum(ctx2, reps2):
 def test_hexagonator_split_input_gives_split_outputs(ctx2, reps2):
     S1, S2 = reps2["S1"], reps2["S2"]
     sub = S2.direct_sum(S2)
-    zero_cocycle = [0] * sum(sub.dim[t] * S1.dim[s] for s, t in ctx2.quiver.arrows)
+    zero_cocycle = (0,) * sum(sub.dim[t] * S1.dim[s] for s, t in ctx2.quiver.arrows)
     E, incl, proj = ctx2.middle_term_ses(S1, sub, zero_cocycle)
     ses = SESObject(sub, E, S1, incl, proj)
     ses.validate()

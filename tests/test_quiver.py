@@ -4,7 +4,9 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from hallalg import verify
 from hallalg.cli import load_quiver
+from hallalg.hall import HallAlgebra
 from hallalg.linalg import BudgetError, Matrix, PrimeField, flatten, unflatten
 from hallalg.quiver import (Quiver, RepCategory, RepMorphism, Representation,
                             dim_vectors_with_total)
@@ -195,6 +197,64 @@ def test_classify_deterministic_labels(ctx2):
     assert first == again
 
 
+def test_class_of_names_an_index_past_its_table(a2):
+    """A canon index with no class in the table (a classify that lost a class,
+    as the orbits_merged mutant's does) is a ValueError naming the dim, the
+    index and the table length, not a bare IndexError."""
+    ctx = RepCategory(a2, 2)
+    classes = ctx.classify((1, 1))
+    P1 = classes.pop().rep
+    with pytest.raises(ValueError, match=r"^class index 1 of dim \(1, 1\) is past the 1 "
+                                         r"classes of its table$"):
+        ctx.class_of(P1)
+
+
+def test_kept_memo_is_per_context_by_content_and_skips_raising_calls(a2):
+    """Two contexts share no memo entry; a content-equal copy of a
+    representation hits the memo; a call that raises raises again and stores
+    nothing under its key."""
+    one, two = RepCategory(a2, 2), RepCategory(a2, 2)
+    f = one.field
+    P1, S1, S2 = (one.class_by_label(x).rep for x in ("d1.1#1", "d1.0#0", "d0.1#0"))
+    basis = one.hom_basis(P1, P1)
+    copy = Representation(a2, f, P1.dim, [Matrix(f, m.entries) for m in P1.edge_maps])
+    assert copy is not P1 and one.hom_basis(copy, copy) is basis
+    assert two._memo == {}
+    assert two.hom_basis(P1, P1) is not basis and two.hom_basis(P1, P1) == basis
+    top = (Matrix(f, [[1]]), zero_matrix(f, 1, 0))     # the S1 coordinate: not invariant
+    zero = RepMorphism(P1, S1, [Matrix(f, [[0]]), zero_matrix(f, 0, 1)])
+    incl = RepMorphism(S2, P1, [zero_matrix(f, 1, 0), Matrix(f, [[1]])])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a subrepresentation"):
+            one.subrep_frames(P1, top)
+        with pytest.raises(ValueError, match="projection is not surjective"):
+            one.extension_class(S1, S2, P1, incl, zero)
+    assert "RepCategory.subrep_frames" not in one._memo
+    assert "RepCategory.extension_class" not in one._memo
+
+
+def test_memo_tables_keep_their_sizes_on_verify_all(a2):
+    """The memo of one verify all context (a2, q = 2, max-dim 3), entries per
+    kept function.  Every key shares its entries by content or by class: a
+    key that lost that sharing grows its count here."""
+    ctx = RepCategory(a2, 2)
+    hall = HallAlgebra(ctx)
+    for name in verify.SUITE_ORDER:
+        verify.run_suite(name, ctx, hall, 3, seed=0)
+    assert {name: len(table) for name, table in ctx._memo.items()} == {
+        "RepCategory.hom_basis": 76, "RepCategory.first_iso": 17,
+        "RepCategory.ext_complement": 65, "RepCategory.middle_term_ses": 58,
+        "RepCategory.extension_class": 241, "ExtGroupoid.of": 65, "_fixed_end_sum": 45,
+        "split_sequence": 162, "RepCategory.pair_count": 92, "RepCategory.aut_elements": 7,
+        "RepCategory._frame": 37, "RepCategory.direct_sum": 133,
+        "RepCategory._orbit_tree": 13, "RepCategory.subrep_frames": 222,
+        "RepCategory._census_walk": 22}
+    assert {name: len(table) for name, table in hall._memo.items()} == {
+        "HallAlgebra.product_basis": 45, "HallAlgebra.factorizations": 13,
+        "HallAlgebra.coproduct_basis": 13, "HallAlgebra.antipode_canonical_basis": 13,
+        "HallAlgebra.braid_coeff": 7516, "HallAlgebra.grade_order": 10}
+
+
 def test_budget_exceeded(a2):
     tiny = RepCategory(a2, 2, budget=3)
     with pytest.raises(BudgetError):
@@ -208,7 +268,7 @@ def test_subrep_budget_is_checked_before_any_frame(a2):
         invariant_subreps(ctx, E, (1, 1))
     assert err.value.what == "subspace tuples for subreps of dim (1, 1)"
     assert err.value.count == 9
-    assert ctx._frames == {} and ctx._subspace_frames == {}
+    assert ctx._memo == {} and ctx._subspace_frames == {}
 
 
 def test_census_budget_is_checked_before_any_frame(a2):
@@ -221,7 +281,7 @@ def test_census_budget_is_checked_before_any_frame(a2):
         ctx.census(ce, (1, 1))
     assert err.value.what == "subspace tuples for subreps of every dim <= (2, 2)"
     assert err.value.count == 25
-    assert ctx._frames == {} and ctx._subspace_frames == {} and ctx._census_cache == {}
+    assert ctx._memo == {} and ctx._subspace_frames == {}
 
 
 def test_iso_set_budget_counts_the_vertex_product(a2):
@@ -440,7 +500,7 @@ def test_subrep_on_accepts_only_invariant_subspaces(ctx2, reps2):
 
 
 def test_middle_term_ses_is_exact(ctx2, reps2):
-    E, incl, proj = ctx2.middle_term_ses(reps2["S1"], reps2["S2"], [1])
+    E, incl, proj = ctx2.middle_term_ses(reps2["S1"], reps2["S2"], (1,))
     assert is_valid(incl) and is_valid(proj)
     assert is_injective(incl) and is_surjective(proj)
     assert is_zero(proj.compose(incl))
@@ -511,7 +571,7 @@ def test_reduce_cocycle_matches_solve_oracle(ctx2, ctx3, a3_source):
             shapes.add((phi.rows == 0, ext == 0))
             echelon, pivots = phi.transpose().rref()
             image = Matrix(ctx.field, echelon.entries[:len(pivots)], len(pivots), phi.rows)
-            if complement_columns(image.transpose()) != ctx._ext_complement(M, N)[0]:
+            if complement_columns(image.transpose()) != ctx.ext_complement(M, N)[0]:
                 differ.append((ctx.quiver.name, cm.label, cn.label))
             for _ in range(3):
                 v = tuple(rng.randrange(p) for _ in range(phi.rows))
@@ -551,7 +611,7 @@ def ext_reduction_violations(ctx, bound, rng):
         if any(any(ctx.reduce_cocycle(M, N, phi.apply(x))) for x in draws):
             out.append((cm.label, cn.label, "coboundary"))
         if any(ctx.reduce_cocycle(M, N, units[c]) != units[c]
-               for c in ctx._ext_complement(M, N)[0]):
+               for c in ctx.ext_complement(M, N)[0]):
             out.append((cm.label, cn.label, "rest"))
         image = Matrix(ctx.field, [ctx.reduce_cocycle(M, N, u) for u in units],
                        phi.rows, phi.rows)

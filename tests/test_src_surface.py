@@ -66,3 +66,27 @@ def test_the_check_sees_a_dead_function_and_a_dead_method():
     defs, refs = [], set()
     _walk(tree, None, defs, refs)
     assert sorted(q for q, name in defs if name not in refs) == ["C.unused", "dead", "rec"]
+
+
+def private_context_reads(tree):
+    """The `_`-prefixed attributes read through ctx or self.ctx under tree."""
+    def through_ctx(node):
+        return (isinstance(node, ast.Name) and node.id == "ctx"
+                or isinstance(node, ast.Attribute) and node.attr == "ctx"
+                and isinstance(node.value, ast.Name) and node.value.id == "self")
+    return sorted(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and node.attr.startswith("_") and through_ctx(node.value))
+
+
+def test_only_quiver_reads_the_private_state_of_a_context():
+    """RepCategory's tables and memo are quiver.py's own: no other src/
+    module reads an attribute `_...` of ctx or self.ctx."""
+    assert {path.name: private_context_reads(ast.parse(path.read_text()))
+            for path in sorted(SRC.glob("*.py")) if path.name != "quiver.py"} == {
+        path.name: [] for path in sorted(SRC.glob("*.py")) if path.name != "quiver.py"}
+
+
+def test_the_boundary_check_sees_private_context_reads():
+    tree = ast.parse("ctx._memo\nself.ctx._canon\nctx.classify\nother._memo\n"
+                     "self._memo\nctx.field._p\n")
+    assert private_context_reads(tree) == ["_canon", "_memo"]
