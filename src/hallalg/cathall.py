@@ -714,8 +714,11 @@ def comult_matrix_against_hall(run, ctx, hall, bound):
                 if span_val != coeff:
                     run.fail(f"span {span_val} != hall {coeff}")
         for cm in classes:
-            for cn in classes:
-                if (cm.label, cn.label) in terms or dim_add(cm.dim, cn.dim) != cls.dim:
+            rest = tuple(e - m for e, m in zip(cls.dim, cm.dim))
+            if min(rest, default=0) < 0:
+                continue
+            for cn in ctx.classify(rest):
+                if (cm.label, cn.label) in terms:
                     continue
                 if run.want(f"comult:{cm.label}|{cn.label}|{le}"):
                     val = comult_span_entry(ctx, cm.label, cn.label, le)

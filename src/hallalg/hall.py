@@ -7,9 +7,9 @@ P^E_{MN} / (aut M aut N).  The coproduct and the canonical antipode carry
 denominators of one fixed form: every aut E of grade e divides the grade
 order |G_e| = prod_v |GL_{e_v}(F_q)|, so both are kept as int numerators
 over |G_e|, and the Hopf-object checks compare ints scaled to a common
-denominator.  A Fraction is formed only where a value leaves this layer:
-`coproduct(x)`, the tables and the antipode comparison.  The braiding
-scales a swap by q to the negative Euler form of the grades.  Nothing here
+denominator.  A Fraction is formed where a value leaves this layer (the
+tables, the antipode comparison) and for the braiding's q^{-k}, inside
+braid, braid_inverse and green_residual's coefficients.  Nothing here
 truncates silently: every grade-increasing operation takes an explicit
 bound and refuses to cross it.
 """
@@ -58,9 +58,16 @@ class HallVector:
         self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
 
     @classmethod
+    def _of(cls, coeffs):
+        """The vector of a {key: coeff} dict that stores no zero, taken as is."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def basis(cls, *labels):
         """[label], or the tensor [l1] (x) [l2] (x) ... for several labels."""
-        return cls({labels[0] if len(labels) == 1 else labels: 1})
+        return cls._of({labels[0] if len(labels) == 1 else labels: 1})
 
     @classmethod
     def combine(cls, terms):
@@ -78,9 +85,7 @@ class HallVector:
                     acc[k] = s
                 else:
                     acc.pop(k, None)
-        out = cls.__new__(cls)
-        out.coeffs = acc
-        return out
+        return cls._of(acc)
 
     def __add__(self, other):
         return HallVector.combine(((self.coeffs, 1), (other.coeffs, 1)))
@@ -239,19 +244,16 @@ class HallAlgebra:
     # ---- braiding -------------------------------------------------------------
 
     def braid(self, t):
-        """[A] (x) [D] -> q^{-<gr A, gr D>} [D] (x) [A], extended linearly."""
-        out = {}
-        for (a, d), v in t.coeffs.items():
-            c = self.braid_coeff(self.grade(a), self.grade(d))
-            out[(d, a)] = out.get((d, a), 0) + v * c
-        return HallVector(out)
+        """[A] (x) [D] -> q^{-<gr A, gr D>} [D] (x) [A], extended linearly: one
+        dict, as the swap is a bijection on keys and no q^k is 0."""
+        grade, coeff = self.grade, self.braid_coeff
+        return HallVector._of({(d, a): v * coeff(grade(a), grade(d))
+                               for (a, d), v in t.coeffs.items()})
 
     def braid_inverse(self, t):
-        out = {}
-        for (d, a), v in t.coeffs.items():
-            c = self.braid_coeff(self.grade(a), self.grade(d), 1)
-            out[(a, d)] = out.get((a, d), 0) + v * c
-        return HallVector(out)
+        grade, coeff = self.grade, self.braid_coeff
+        return HallVector._of({(a, d): v * coeff(grade(a), grade(d), 1)
+                               for (d, a), v in t.coeffs.items()})
 
     def tensor_product(self, s, t, bound):
         """Braided algebra structure on H (x) H, scaled to stay integral.

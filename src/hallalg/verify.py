@@ -42,7 +42,7 @@ class Run:
 
     def selects(self, inst):
         """Whether `only` selects inst; if so, inst becomes current."""
-        if self.only not in (None, inst, inst.partition(":")[0]):
+        if self.only is not None and self.only not in (inst, inst.partition(":")[0]):
             return False
         self.current = inst
         return True
@@ -210,21 +210,24 @@ def suite_hexagon(run, ctx, hall, max_dim):
         for d in dim_vectors_with_total(n, total):
             if max(d, default=0) <= entry_bound:
                 grades.append(d)
+    names = {g: ".".join(map(str, g)) for g in grades}
+    coeff = hall.braid_coeff
     for u in grades:
         for v in grades:
+            prefix, uv, c_uv = f"hex:{names[u]}|{names[v]}|", dim_add(u, v), coeff(u, v)
             for w in grades:
-                if not run.want("hex:" + "|".join(".".join(map(str, g)) for g in (u, v, w))):
+                if not run.want(prefix + names[w]):
                     continue
-                vw = tuple(a + b for a, b in zip(v, w))
-                if hall.braid_coeff(u, vw) != hall.braid_coeff(u, v) * hall.braid_coeff(u, w):
+                c_uw = coeff(u, w)
+                if coeff(u, dim_add(v, w)) != c_uv * c_uw:
                     run.fail("first hexagon coefficient fails")
-                uv = tuple(a + b for a, b in zip(u, v))
-                if hall.braid_coeff(uv, w) != hall.braid_coeff(u, w) * hall.braid_coeff(v, w):
+                if coeff(uv, w) != c_uw * coeff(v, w):
                     run.fail("second hexagon coefficient fails")
     labels = [c.label for c in ctx.classes_up_to(max_dim)]
     for la in labels:
+        prefix = f"braidinv:{la}|"
         for lb in labels:
-            if run.want(f"braidinv:{la}|{lb}"):
+            if run.want(prefix + lb):
                 t = HallVector.basis(la, lb)
                 if hall.braid_inverse(hall.braid(t)) != t:
                     run.fail("braid then inverse is not the identity")

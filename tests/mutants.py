@@ -63,6 +63,21 @@ def braid_exponent_swapped():
 
 
 @contextmanager
+def braid_inverse_sign_kept():
+    """HallAlgebra.braid_coeff with its sign ignored, so that braid_inverse,
+    its one caller with sign=1, reads q^{-<first, second>} for
+    q^{<first, second>}: braid then inverse scales [A] (x) [D] by
+    q^{-2<A, D>}."""
+    braid_coeff = HallAlgebra.braid_coeff
+
+    def kept_sign(self, grade_first, grade_second, sign=-1):
+        return braid_coeff(self, grade_first, grade_second)
+
+    with mock.patch.object(HallAlgebra, "braid_coeff", kept_sign):
+        yield
+
+
+@contextmanager
 def factorization_bumped():
     """HallAlgebra.factorizations with one extra factorization of P1 =
     d1.1#1 on a2: S2 = d0.1#0 <= P1 with quotient S1 = d1.0#0."""
@@ -247,6 +262,7 @@ def extension_class_key_without_proj():
 
 MUTANTS = {"coproduct_doubled": coproduct_doubled, "glue_sign_dropped": glue_sign_dropped,
            "braid_exponent_swapped": braid_exponent_swapped,
+           "braid_inverse_sign_kept": braid_inverse_sign_kept,
            "factorization_bumped": factorization_bumped,
            "frame_low_term_dropped": frame_low_term_dropped,
            "ext_low_term_dropped": ext_low_term_dropped, "orbits_merged": orbits_merged,

@@ -16,8 +16,9 @@ maps and reads them off subspace frames.  Library API that only the tests
 call lives here too: the morphism predicates, quotient_with_projection,
 the entry-by-entry subspace and matrix walks, zero and simple
 representations, identity morphisms, dim Ext^1, and at the end the
-finite-sets and action groupoids, the JSON exporters, the exact-coefficient
-coproduct, the shape-based Dynkin classifier that the Tits-form test
+finite-sets and action groupoids, the JSON exporters, the braiding and its
+inverse accumulated term by term, the exact-coefficient coproduct, the
+shape-based Dynkin classifier that the Tits-form test
 replaced, and the End(M) idempotent walk and root scan that the plethystic
 log of the class counts replaced.
 """
@@ -798,6 +799,27 @@ def action_groupoid(set_size, mul_table, action):
                             identity=[(e, x) for x in range(set_size)],
                             inverse=lambda m: (inv[m[0]], action[m[0]][m[1]]),
                             compose=lambda g, f: (mul_table[g[0]][f[0]], f[1]))
+
+
+def braid_by_accumulation(hall, t):
+    """[A] (x) [D] -> q^{-<gr A, gr D>} [D] (x) [A], summed term by term
+    into the output and filtered for zeros, where the library builds one
+    dict because the swap is a bijection on keys."""
+    out = {}
+    for (a, d), v in t.coeffs.items():
+        c = hall.braid_coeff(hall.grade(a), hall.grade(d))
+        out[(d, a)] = out.get((d, a), 0) + v * c
+    return HallVector(out)
+
+
+def braid_inverse_by_accumulation(hall, t):
+    """The inverse braiding [D] (x) [A] -> q^{<gr A, gr D>} [A] (x) [D], as
+    braid_by_accumulation."""
+    out = {}
+    for (d, a), v in t.coeffs.items():
+        c = hall.braid_coeff(hall.grade(a), hall.grade(d), 1)
+        out[(a, d)] = out.get((a, d), 0) + v * c
+    return HallVector(out)
 
 
 def coproduct(hall, x):

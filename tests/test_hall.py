@@ -6,7 +6,7 @@ from hallalg.hall import (GradeBoundError, HallAlgebra, HallVector, label_sort_k
                           parse_label)
 from hallalg.quiver import RepCategory, dim_add
 from mutants import MUTANTS
-from oracles import coproduct
+from oracles import braid_by_accumulation, braid_inverse_by_accumulation, coproduct
 
 ZERO = "d0.0#0"
 S1 = "d1.0#0"
@@ -94,6 +94,28 @@ def test_braid_inverse(hall2):
     # involution fails in general: braiding twice scales by q^{-<a,b>-<b,a>}
     t = HallVector.basis(S1, S2)
     assert hall2.braid(hall2.braid(t)) == t.scale(2)
+
+
+def test_braid_matches_the_accumulating_oracle(ctx3):
+    """On a2 at q = 3, braid and braid_inverse equal the term-by-term
+    accumulation on multi-term tensors of every grade up to 3, with int and
+    Fraction coefficients and both (x, y) and (y, x) keys; they store no
+    zero and invert each other both ways."""
+    hall = HallAlgebra(ctx3)
+    labels = [c.label for c in ctx3.classes_up_to(3)]
+    pairs = [(x, y) for x in labels for y in labels]
+    assert len({tuple(map(hall.grade, p)) for p in pairs}) > 20
+    full = HallVector({p: i - 80 if i % 2 else Fraction(i - 80, 7)
+                       for i, p in enumerate(pairs)})
+    assert len(full.coeffs) == len(pairs) - 1
+    assert {type(c) for c in full.coeffs.values()} == {int, Fraction}
+    vectors = [full, HallVector({(S1, S2): 2, (S2, S1): Fraction(-1, 3), (P1, SS): 5}),
+               *(HallVector(dict(list(full.coeffs.items())[k::5])) for k in range(5))]
+    for x in vectors:
+        assert hall.braid(x) == braid_by_accumulation(hall, x)
+        assert hall.braid_inverse(x) == braid_inverse_by_accumulation(hall, x)
+        assert all(hall.braid(x).coeffs.values()) and all(hall.braid_inverse(x).coeffs.values())
+        assert hall.braid(hall.braid_inverse(x)) == x == hall.braid_inverse(hall.braid(x))
 
 
 def test_tensor_product_examples(hall2):

@@ -24,6 +24,11 @@ CAUGHT = {
                                              "bsim": (24, 98)}),
                                ("a2", 3, 3, {"green": (26, 295)}),
                                ("a2", 2, 4, {"green": (166, 1137)})],
+    # only braid_inverse asks for sign=1, so only hexagon's braid round trip sees
+    # it: on each (A, D) with <A, D> != 0 (119 of the 13^2 label pairs); the
+    # suites that read braid_coeff at sign -1 pass
+    "braid_inverse_sign_kept": [("a2", 2, 3, {"hexagon": (119, 46825), "green": (0, 295),
+                                              "bialgebra": (0, 45), "bsim": (0, 98)})],
     # every Hall suite that reads a coproduct sees it too; at q = 3 the bumped
     # P^{P1}_{S1 S2} = 5 is no multiple of aut S1 aut S2 = 4, and the Hall
     # number division of the Green rows asserts exactness

@@ -176,6 +176,26 @@ def test_green_replay_computes_one_row(monkeypatch, capsys):
     assert grades == [dim_add(parse_label(lm)[0], parse_label(ln)[0])]
 
 
+def test_hexagon_replays_one_instance_per_check(capsys):
+    """verify hexagon --only runs one instance for a hex: id and for a
+    braidinv: id, and under braid_inverse_sign_kept the braidinv replay
+    gives the full run's failure line."""
+    def report(*only):
+        code = main(["verify", "hexagon", "--quiver", "a2", "--q", "2", "--max-dim", "3",
+                     *only])
+        rep = json.loads(capsys.readouterr().out)["suites"][0]
+        return code, rep["instances"], rep["failures"]
+
+    assert report("--only", "hex:1.2|0.1|3.0") == (0, 1, [])
+    assert report("--only", "braidinv:d1.0#0|d0.1#0") == (0, 1, [])
+    with MUTANTS["braid_inverse_sign_kept"]():
+        code, instances, full = report()
+        assert (code, instances, len(full)) == (1, 46825, 119)
+        line = full[len(full) // 2]
+        assert line.startswith("braidinv:")
+        assert report("--only", line.partition(": ")[0]) == (1, 1, [line])
+
+
 def _green_failures(a2, monkeypatch, name, mutant):
     monkeypatch.setattr(HallAlgebra, name, mutant)
     ctx = RepCategory(a2, 2)
