@@ -79,12 +79,7 @@ class SESObject:
         return f"SES({self.sub.dim} -> {self.mid.dim} -> {self.quo.dim})"
 
 
-# ---- the base groupoid and EXT groupoids ----------------------------------------
-
-
-def build_A0(ctx, bound):
-    """The truncated base: one canonical witness per class, total dim <= bound."""
-    return [c.rep for c in ctx.classes_up_to(bound)]
+# ---- the EXT groupoids ----------------------------------------------------------
 
 
 class ExtGroupoid:
@@ -571,38 +566,20 @@ def split_sequence(ctx, hexagonator, ses, y, z):
 # ---- the braiding span and its comparison with EXT -----------------------------------
 
 
-class BraidingSpan:
-    """Apex of the braiding 1-morphism from X x Y to Y x X.
+def braiding_entry(ctx, cx, cy):
+    """Degroupoidified braiding span at ((y, x), (x, y)), for the classes cx and cy.
 
-    X and Y are lists of representations.  Objects are (i, j, ses) with ses
-    an extension of X[i]'s class by Y[j]'s class; each (i, j) piece is the
-    context's ExtGroupoid, looked up when it is first asked for.
+    |Aut(y)| |Aut(x)| times the triple-convention cardinality of
+    EXT(x, y) on the census witnesses: q^{-<x, y>}.  Only that groupoid is
+    built.
     """
-
-    def __init__(self, ctx, X, Y):
-        self.ctx = ctx
-        self.X = X
-        self.Y = Y
-
-    def piece(self, i, j):
-        return ExtGroupoid.of(self.ctx, self.X[i], self.Y[j])
-
-    def entry(self, i, j):
-        """Degroupoidified braiding at ((y, x), (x, y)), for x = X[i], y = Y[j].
-
-        |Aut(y)| |Aut(x)| times the triple-convention cardinality of the
-        (x, y) piece: q^{-<x, y>} when x and y are census witnesses.  Only
-        that piece is built.
-        """
-        ctx = self.ctx
-        return (self.piece(i, j).cardinality_triples()
-                * ctx.aut_order(self.X[i]) * ctx.aut_order(self.Y[j]))
+    return ExtGroupoid.of(ctx, cx.rep, cy.rep).cardinality_triples() * cx.aut * cy.aut
 
 
-def bsim_ext_check(run, ctx, span):
-    """Per-piece comparison of a BraidingSpan's apex with the EXT groupoids.
+def bsim_ext_check(run, ctx, classes):
+    """Per-piece comparison of the braiding span's apex with the EXT groupoids.
 
-    For every object pair: object counts per middle class must match the
+    For every pair of classes: object counts per middle class must match the
     pair counts (images times the listed |Aut N| |Aut M|, against the census
     count times the orbit-stabilizer orders; the pieces and the census read
     one walk through the same class tables, so no piece can be missing),
@@ -614,15 +591,18 @@ def bsim_ext_check(run, ctx, span):
     and V V = 0 on a basis), and the orbit route's triple-convention
     cardinality must equal the closed form.  The pair-count route to that
     cardinality is the ext suite's, so it is not compared here again.
-    The span's pieces are used as they are, so their orbit data is shared
-    with span.entry().  Each object pair is the instance bsim-ext:<x>|<y>,
-    and only the groupoids of the instances run selects are built.
+    Each pair's groupoid is the context's shared ExtGroupoid.of(ctx, x, y),
+    so its orbit data is shared with braiding_entry.  Each pair of classes
+    is the instance bsim-ext:<x>|<y>, and only the groupoids of the
+    instances run selects are built.
     """
-    for i, x in enumerate(span.X):
-        for j, y in enumerate(span.Y):
-            if not run.want(f"bsim-ext:{ctx.class_of(x).label}|{ctx.class_of(y).label}"):
+    for cx in classes:
+        x = cx.rep
+        for cy in classes:
+            y = cy.rep
+            if not run.want(f"bsim-ext:{cx.label}|{cy.label}"):
                 continue
-            ext = span.piece(i, j)
+            ext = ExtGroupoid.of(ctx, x, y)
             for e_label, firsts in ext.pieces.items():
                 p = ctx.count_exact_pairs(x, y, firsts[0].mid)
                 n = ext.object_count(e_label)
@@ -729,33 +709,13 @@ def comult_matrix_against_hall(run, ctx, hall, bound):
 # ---- coherence polytopes ---------------------------------------------------------
 
 
-def coherence_check(run, ctx, name, bound):
-    """Run one named coherence check at the given total-dimension bound.
-
-    All checks operate at the object/cardinality level: they verify that
-    the relevant composite object assignments agree up to componentwise
-    isomorphism and that composite apex cardinalities coincide; 2-cell
-    equalities are out of scope and flagged as such in the report.
-    Instance ids are the check name for every object of pentagon-strict
-    and unitor, and <check>:<a>|<b>|<c>|<d> for one shuffle quadruple.
-    """
-    if name == "pentagon-strict":
-        _check_pentagon_strict(run, ctx, bound)
-    elif name == "unitor":
-        _check_unitor(run, ctx, bound)
-    elif name in SHUFFLES:
-        _check_shuffle(run, ctx, name, SHUFFLES[name], bound)
-    else:
-        raise ValueError(f"unknown coherence check {name!r}; options: {COHERENCE_NAMES}")
-
-
 def _reassoc(obj):
     """((x, y, m), z, n) -> (x, (y, z, n), m): the associator on pullback tuples."""
     (x, y, m), z, n = obj
     return (x, (y, z, n), m)
 
 
-def _check_pentagon_strict(run, ctx, bound):
+def pentagon_strict_check(run, ctx, bound):
     """Both pentagon composites of re-parenthesization maps agree objectwise.
 
     The four spans are identity spans on the truncated base, so composite
@@ -780,7 +740,7 @@ def _check_pentagon_strict(run, ctx, bound):
                         run.fail(f"pentagon mismatch at {wi}")
 
 
-def _check_unitor(run, ctx, bound):
+def unitor_check(run, ctx, bound):
     """The unitor triangle: both routes send ((t, y, f), s, g) to (t, s, g . f)."""
     if not run.selects("unitor"):
         return
@@ -808,7 +768,7 @@ def _compose_keys(ctx, w, inner_key, outer_key):
     return g.compose(f).vertex_maps
 
 
-def _check_shuffle(run, ctx, name, shape, bound):
+def shuffle_check(run, ctx, name, shape, bound):
     """One coherence shuffle on every class quadruple (a, b, c, d) within bound.
 
     shape(ctx, a, b, c, d) returns the outer terms (quo, sub) of the
@@ -908,5 +868,3 @@ def _shuffle_22(ctx, a, b, c, d):
 
 SHUFFLES = {"shuffle-1-3": _shuffle_13, "shuffle-3-1": _shuffle_31,
             "shuffle-2-2": _shuffle_22}
-
-COHERENCE_NAMES = ("pentagon-strict", "unitor") + tuple(SHUFFLES)

@@ -23,42 +23,37 @@ from . import groupoids as gpd
 from .verify import SUITE_ORDER, run_suite
 
 BUNDLED_QUIVERS = ("a2", "a3-linear", "a3-source", "d4")
+BUNDLED_GROUPOIDS = ("discrete-3", "finite-sets-5")
 
 
 class UsageError(Exception):
     pass
 
 
+def read_document(spec, what, bundled=()):
+    """The JSON document in the file spec, or else the bundled one that spec
+    names (with or without .json) when bundled lists it."""
+    if os.path.exists(spec):
+        try:
+            with open(spec) as fh:
+                return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{what} file {spec!r}: invalid JSON at line "
+                             f"{exc.lineno}, column {exc.colno}")
+    base = spec[:-5] if spec.endswith(".json") else spec
+    if base not in bundled:
+        raise UsageError(f"{what} {spec!r} is neither a file nor one of {', '.join(bundled)}"
+                         if bundled else f"{what} file {spec!r} does not exist")
+    return json.loads(resources.files("hallalg").joinpath("data", f"{base}.json").read_text())
+
+
 def load_quiver(spec):
     """A quiver from a file path or a bundled name (a2, a3-linear, ...)."""
-    name = spec
-    if os.path.exists(spec):
-        with open(spec) as fh:
-            doc = json.load(fh)
-        name = os.path.splitext(os.path.basename(spec))[0]
-    else:
-        base = spec[:-5] if spec.endswith(".json") else spec
-        if base not in BUNDLED_QUIVERS:
-            raise UsageError(f"quiver {spec!r} is neither a file nor one of "
-                             f"{', '.join(BUNDLED_QUIVERS)}")
-        doc = json.loads(resources.files("hallalg").joinpath(
-            "data", f"{base}.json").read_text())
-        name = base
+    doc = read_document(spec, "quiver", BUNDLED_QUIVERS)
     try:
-        return Quiver.from_json_dict(doc, name=name)
+        return Quiver.from_json_dict(doc, name=os.path.splitext(os.path.basename(spec))[0])
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad quiver document {spec!r}: {exc}") from exc
-
-
-def load_json_file(path, what):
-    if not os.path.exists(path):
-        raise UsageError(f"{what} file {path!r} does not exist")
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} file {path!r}: invalid JSON at line "
-                         f"{exc.lineno}, column {exc.colno}")
 
 
 def make_context(args):
@@ -110,10 +105,6 @@ def cmd_tables(args):
 def cmd_verify(args):
     ctx, hall = make_context(args)
     names = list(SUITE_ORDER) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in SUITE_ORDER:
-            raise UsageError(f"unknown suite {name!r}; options: "
-                             f"{', '.join(SUITE_ORDER)} or all")
     reports = []
     ok = True
     for name in names:
@@ -135,34 +126,13 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def _resolve_groupoid_file(path):
-    if os.path.exists(path):
-        return path
-    base = path[:-5] if path.endswith(".json") else path
-    try:
-        res = resources.files("hallalg").joinpath("data", f"{base}.json")
-        if res.is_file():
-            return res
-    except (FileNotFoundError, ModuleNotFoundError):
-        pass
-    raise UsageError(f"groupoid file {path!r} not found")
-
-
-def _load_groupoid(path):
-    res = _resolve_groupoid_file(path)
-    if hasattr(res, "read_text") and not isinstance(res, str):
-        doc = json.loads(res.read_text())
-    else:
-        doc = load_json_file(res, "groupoid")
-    try:
-        return gpd.groupoid_from_json(doc)
-    except gpd.GroupoidFormatError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-
-
 def cmd_groupoid(args):
     if args.gop == "card":
-        G = _load_groupoid(args.files[0])
+        try:
+            G = gpd.groupoid_from_json(
+                read_document(args.files[0], "groupoid", BUNDLED_GROUPOIDS))
+        except gpd.GroupoidFormatError as exc:
+            raise UsageError(f"{args.files[0]}: {exc}") from exc
         card = G.cardinality()
         alt = G.cardinality_alt()
         if card != alt:
@@ -178,7 +148,7 @@ def cmd_groupoid(args):
         if gpd.groupoid_to_json(f.target) != gpd.groupoid_to_json(g.target):
             raise UsageError("the two functors have different codomains")
         g2 = gpd.GroupoidFunctor(g.source, f.target, g.obj_map, g.mor_map)
-        P, _, _ = gpd.weak_pullback(f, g2)
+        P, _, _ = gpd.weak_pullback(f, g2, DEFAULT_BUDGET)
         card = P.cardinality()
         doc = {"objects": P.n_objects(), "morphisms": P.n_morphisms(),
                "cardinality": format_coeff(card)}
@@ -189,7 +159,7 @@ def cmd_groupoid(args):
         print(json.dumps(doc, indent=2))
         return 0
     if args.gop == "degroupoidify":
-        doc = load_json_file(args.files[0], "span")
+        doc = read_document(args.files[0], "span")
         try:
             span = gpd.span_from_json(doc)
         except gpd.GroupoidFormatError as exc:
@@ -204,7 +174,7 @@ def cmd_groupoid(args):
 
 
 def _load_functor_doc(path):
-    doc = load_json_file(path, "functor")
+    doc = read_document(path, "functor")
     if not isinstance(doc, dict):
         raise UsageError(f"{path}: functor document must be an object")
     for field in ("source", "target", "objects", "morphisms"):

@@ -344,12 +344,13 @@ class ConcreteSpan:
         return cls(X, ident, ident)
 
 
-def weak_pullback(f, g):
+def weak_pullback(f, g, budget):
     """Weak pullback of f: A -> X and g: B -> X.
 
     Objects are triples (a, b, alpha) with alpha: f(a) -> g(b) in X;
     morphisms are pairs (u, v) whose square commutes, one per source
     alpha.  Returns (P, pi_A, pi_B), objects ordered by (a, b, alpha).
+    Refuses to start when the morphisms would exceed budget.
     """
     if f.target is not g.target:
         raise ValueError("weak pullback needs a common codomain")
@@ -363,7 +364,7 @@ def weak_pullback(f, g):
     n_mor = 0
     for (a, b, alpha) in objects:
         n_mor += len(A.mor_from(a)) * len(B.mor_from(b))
-    check_budget("weak pullback morphisms", n_mor, DEFAULT_BUDGET)
+    check_budget("weak pullback morphisms", n_mor, budget)
 
     morphisms = []
     carried = {}        # (u, v, alpha) -> g(v) . alpha . f(u)^{-1}, the inverse's alpha
@@ -385,19 +386,19 @@ def weak_pullback(f, g):
     return P, pi_A, pi_B
 
 
-def apply_span(span, vector):
+def apply_span(span, vector, budget):
     """Apply a span from X to Y to a groupoid over X; result is over Y."""
     if vector.target is not span.foot_right:
         raise ValueError("vector is not over the span's right foot")
-    P, pi_S, _ = weak_pullback(span.right, vector)
+    P, pi_S, _ = weak_pullback(span.right, vector, budget)
     return span.left.compose_with(pi_S)
 
 
-def compose_spans(t, s):
+def compose_spans(t, s, budget):
     """Composite of s: X -> Y then t: Y -> Z, by weak pullback over Y."""
     if s.foot_left is not t.foot_right:
         raise ValueError("spans are not composable (feet mismatch)")
-    P, pi_T, pi_S = weak_pullback(t.right, s.left)
+    P, pi_T, pi_S = weak_pullback(t.right, s.left, budget)
     return ConcreteSpan(P, t.left.compose_with(pi_T), s.right.compose_with(pi_S))
 
 

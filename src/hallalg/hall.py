@@ -159,21 +159,14 @@ class HallAlgebra:
     def counit(self, x):
         return x[self.zero_label()]
 
-    def counit_tensor_left(self, t):
-        """(counit x id) applied to a tensor."""
+    def counit_tensor(self, t, slot):
+        """(counit x id) for slot 0, (id x counit) for slot 1, applied to a tensor."""
         z = self.zero_label()
         out = {}
-        for (a, b), v in t.coeffs.items():
-            if a == z:
-                out[b] = out.get(b, 0) + v
-        return HallVector(out)
-
-    def counit_tensor_right(self, t):
-        z = self.zero_label()
-        out = {}
-        for (a, b), v in t.coeffs.items():
-            if b == z:
-                out[a] = out.get(a, 0) + v
+        for key, v in t.coeffs.items():
+            if key[slot] == z:
+                rest = key[1 - slot]
+                out[rest] = out.get(rest, 0) + v
         return HallVector(out)
 
     # ---- product and coproduct ----------------------------------------------

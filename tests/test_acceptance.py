@@ -110,8 +110,8 @@ def test_criterion_07_span_degroupoidification(ctx2, hall2):
            f"entrywise at bound 3 ({run.instances} entries, A2, q=2)")
 
 
-def test_criterion_08_engine_properties():
-    rep = verify.suite_engine(seed=0)
+def test_criterion_08_engine_properties(ctx2):
+    rep = verify.suite_engine(ctx2, seed=0)
     assert rep["failures"] == [], rep["failures"][:3]
     assert rep["instances"] == 80  # 50 span pairs + 20 equivalences + 10 discrete
     _ok(8, "degroupoidification functorial on 50 seeded span pairs; "
@@ -154,9 +154,13 @@ def test_criterion_11_antipode(ctx2, hall2):
 
 def test_criterion_12_coherence_polytopes(ctx2, hall2):
     t0 = time.monotonic()
-    for name in cathall.COHERENCE_NAMES:
-        run = verify.Run()
-        cathall.coherence_check(run, ctx2, name, 2)
+    runs = {"pentagon-strict": verify.Run(), "unitor": verify.Run()}
+    cathall.pentagon_strict_check(runs["pentagon-strict"], ctx2, 2)
+    cathall.unitor_check(runs["unitor"], ctx2, 2)
+    for name, shape in cathall.SHUFFLES.items():
+        runs[name] = verify.Run()
+        cathall.shuffle_check(runs[name], ctx2, name, shape, 2)
+    for name, run in runs.items():
         assert run.failures == [], (name, run.failures[:3])
     # hexagonator checks reproduce EXT bilinearity numerically
     rep = verify.suite_bilinearity(ctx2, 3)

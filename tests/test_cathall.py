@@ -6,9 +6,8 @@ from operator import mul
 import pytest
 
 from hallalg import groupoids as gpd
-from hallalg.cathall import (BraidingSpan, COHERENCE_NAMES, ExtGroupoid,
-                             SESObject, bsim_ext_check, build_A0,
-                             coherence_check, comult_matrix_against_hall,
+from hallalg.cathall import (ExtGroupoid, SESObject, braiding_entry, bsim_ext_check,
+                             comult_matrix_against_hall,
                              comult_span_entry, ext_bilinearity_first,
                              ext_bilinearity_second, ext_cardinality_check,
                              fixed_end_cardinality,
@@ -17,7 +16,7 @@ from hallalg.cathall import (BraidingSpan, COHERENCE_NAMES, ExtGroupoid,
                              riedtmann_check, _square_zero)
 from hallalg import cathall
 from hallalg.cli import load_quiver
-from hallalg.linalg import BudgetError, Matrix, flatten, unflatten
+from hallalg.linalg import DEFAULT_BUDGET, BudgetError, Matrix, flatten, unflatten
 from hallalg.quiver import RepCategory, RepMorphism, dim_add
 from hallalg.verify import BSIM_CAP, Run, run_suite
 from oracles import (block_injections, block_projections, corestrict, factor_through,
@@ -31,18 +30,18 @@ from oracles import (block_injections, block_projections, corestrict, factor_thr
 
 
 def test_build_A0_truncations(ctx2):
-    assert [c.label for c in [ctx2.class_of(r) for r in build_A0(ctx2, 0)]] \
-        == ["d0.0#0"]
-    a1 = build_A0(ctx2, 1)
+    """The truncated base A0 is classes_up_to(bound): each class once."""
+    assert [c.label for c in ctx2.classes_up_to(0)] == ["d0.0#0"]
+    a1 = ctx2.classes_up_to(1)
     assert len(a1) == 3
-    a2g = build_A0(ctx2, 2)
+    a2g = ctx2.classes_up_to(2)
     assert len(a2g) == 7
-    labels = [ctx2.class_of(r).label for r in a2g]
+    labels = [ctx2.class_of(c.rep).label for c in a2g]
     assert len(set(labels)) == 7  # one witness per class, exactly once
 
 
 def test_rep_groupoid_hom_sizes(ctx2):
-    base = build_A0(ctx2, 2)
+    base = [c.rep for c in ctx2.classes_up_to(2)]
     for i, a in enumerate(base):
         for j, b in enumerate(base):
             size = len(iso_set_by_products(ctx2, a, b))
@@ -83,7 +82,7 @@ def test_objects_compose_each_image_with_its_isomorphisms(quiver, q):
     number is object_count(E) and P^E, and the pieces are the E with
     P^E != 0."""
     ctx = RepCategory(load_quiver(quiver), q)
-    base = build_A0(ctx, BSIM_CAP)
+    base = [c.rep for c in ctx.classes_up_to(BSIM_CAP)]
     pieces = 0
     for M in base:
         for N in base:
@@ -395,16 +394,14 @@ def test_comult_span_matrix_entries(ctx2, ctx3, hall2, hall3):
 
 
 def test_braiding_span_degroupoidifies_to_braiding(ctx2, hall2, reps2):
-    span = BraidingSpan(ctx2, [reps2["S1"]], [reps2["S2"]])
-    ext = span.piece(0, 0)
+    ext = ExtGroupoid.of(ctx2, reps2["S1"], reps2["S2"])
     assert ext.cardinality_triples() == ext_cardinality_check(
         ctx2, reps2["S1"], reps2["S2"])["lhs"] == 2
-    assert span.entry(0, 0) == 2
+    assert braiding_entry(ctx2, ctx2.class_of(reps2["S1"]), ctx2.class_of(reps2["S2"])) == 2
     # matches the algebraic braiding coefficient q^{-<s1, s2>}
     assert hall2.braid_coeff((1, 0), (0, 1)) == 2
     # zero-object instance: trivial braid of cardinality 1
-    spanz = BraidingSpan(ctx2, [reps2["zero"]], [reps2["zero"]])
-    assert spanz.piece(0, 0).cardinality_triples() == 1
+    assert ExtGroupoid.of(ctx2, reps2["zero"], reps2["zero"]).cardinality_triples() == 1
 
 
 def test_ext_morphism_counts_on_demand(ctx2, reps2):
@@ -421,9 +418,8 @@ def test_ext_morphism_counts_on_demand(ctx2, reps2):
 
 
 def test_bsim_ext_check_bound_one(ctx2):
-    base = build_A0(ctx2, 1)
     run = Run()
-    bsim_ext_check(run, ctx2, BraidingSpan(ctx2, base, base))
+    bsim_ext_check(run, ctx2, ctx2.classes_up_to(1))
     assert run.failures == []
     assert run.instances == 9
 
@@ -439,7 +435,7 @@ def test_aut_routes_match_aut_scans(ctx2):
     """
     rng = random.Random(0)
     q = ctx2.q
-    base = build_A0(ctx2, 2)
+    base = [c.rep for c in ctx2.classes_up_to(2)]
     for x in base:
         for y in base:
             ext = ExtGroupoid(ctx2, x, y)
@@ -484,12 +480,11 @@ def test_units_modulo_fixed_end_ideal_match_the_full_walk(quiver, q):
     complement C together are a basis of A, and the count q^{dim V}
     |span(C)^x| equals the units of a walk over all of A."""
     ctx = RepCategory(load_quiver(quiver), q)
-    base = build_A0(ctx, BSIM_CAP)
-    span = BraidingSpan(ctx, base, base)
+    base = [c.rep for c in ctx.classes_up_to(BSIM_CAP)]
     field, classes, s4 = ctx.field, 0, []
-    for i, x in enumerate(base):
-        for j, y in enumerate(base):
-            ext = span.piece(i, j)
+    for x in base:
+        for y in base:
+            ext = ExtGroupoid.of(ctx, x, y)
             for e_label in ext.pieces:
                 for ses, _ in ext.iso_classes(e_label):
                     A, (V, C) = image_preserving_basis(ctx, ses), ext.end_bases(ses)
@@ -586,13 +581,15 @@ def test_fixed_end_group_of_order_64_needs_no_enumeration(a2):
 
 
 def test_coherence_checks_bound_one(ctx2):
-    for name in COHERENCE_NAMES:
-        run = Run()
-        coherence_check(run, ctx2, name, 1)
+    runs = {"pentagon-strict": Run(), "unitor": Run()}
+    cathall.pentagon_strict_check(runs["pentagon-strict"], ctx2, 1)
+    cathall.unitor_check(runs["unitor"], ctx2, 1)
+    for name, shape in cathall.SHUFFLES.items():
+        runs[name] = Run()
+        cathall.shuffle_check(runs[name], ctx2, name, shape, 1)
+    for name, run in runs.items():
         assert run.failures == [], name
         assert run.instances > 0, name
-    with pytest.raises(ValueError):
-        coherence_check(Run(), ctx2, "no-such-polytope", 1)
 
 
 def test_shuffle_22_specific_instance(ctx2, reps2):
@@ -644,10 +641,10 @@ def test_each_shuffle_splits_each_sequence_once(a2, monkeypatch):
         return split(*args)
     _watch_splits(monkeypatch, on_split)
     counts = {}
-    for check in cathall.SHUFFLES:
+    for check, shape in cathall.SHUFFLES.items():
         tally.update(asked=0, calls=0)
         run = Run()
-        coherence_check(run, ctx, check, 2)
+        cathall.shuffle_check(run, ctx, check, shape, 2)
         assert run.failures == []
         counts[check] = (tally["asked"], tally["calls"])
     assert counts == {"shuffle-1-3": (536, 81), "shuffle-3-1": (536, 81),
@@ -671,9 +668,9 @@ def test_shuffle_splits_equal_fresh_hexagonator_calls(ctx2, reps2, monkeypatch):
         seen.append(hexagonator)
         return got
     _watch_splits(monkeypatch, on_split)
-    for check in cathall.SHUFFLES:
+    for check, shape in cathall.SHUFFLES.items():
         run = Run()
-        coherence_check(run, ctx2, check, 2)
+        cathall.shuffle_check(run, ctx2, check, shape, 2)
         assert run.failures == []
     assert len(seen) == 536 + 536 + 774
     assert set(seen) == {hexagonator_R, hexagonator_S}
@@ -817,7 +814,7 @@ def test_engine_bridge_mult_comult_spans(ctx2, hall2):
     psi = gpd.GroupoidFunctor(pt, prod_base, [target],
                               [prod_base.identity[target]])
     psi.validate()
-    pushed = gpd.apply_span(mult_span, psi)
+    pushed = gpd.apply_span(mult_span, psi, DEFAULT_BUDGET)
     vec = gpd.degroupoidify_vector(pushed)
     got = {ctx2.class_of(wits[k]).label: v for k, v in vec.items()}
     assert got == dict(hall2.product_basis("d1.0#0", "d0.1#0"))
@@ -897,7 +894,7 @@ def test_engine_grounds_coherence_path_cardinality(ctx2):
     left2.validate()
     span2 = gpd.ConcreteSpan(ext2, left2, right2)
 
-    composite = gpd.compose_spans(span2, span1)
+    composite = gpd.compose_spans(span2, span1, DEFAULT_BUDGET)
     got = composite.apex.cardinality()
     want = path_value(ctx2, [(a, b), (a, zero)], (a, b, zero, zero))
     assert got == want == Fraction(1)

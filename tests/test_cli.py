@@ -460,3 +460,25 @@ def test_coherence_budgets_its_automorphism_loops(capsys):
     assert code == 2 and stdout == ""
     assert err.strip().splitlines()[-1].startswith(
         "error: unitor Aut(d0.2#0)^2 loop: 230400 items exceeds budget 100000")
+
+
+def test_engine_pullbacks_honour_the_budget(capsys):
+    """The engine suite's weak pullbacks are charged to --budget, not to the
+    default budget: the first span composite has 384 morphisms."""
+    code, stdout, err = run(capsys, "verify", "engine", "--budget", "5")
+    assert code == 2 and stdout == ""
+    assert err.strip().splitlines()[-1] == (
+        "error: weak pullback morphisms: 384 items exceeds budget 5, in suite engine, "
+        "instance 'engine:span:0' (raise --budget to allow it)")
+
+
+def test_document_errors_name_the_file_or_the_bundled_names(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    code, _, err = run(capsys, "tables", "--quiver", str(bad))
+    assert code == 2
+    assert err.strip() == f"error: quiver file {str(bad)!r}: invalid JSON at line 1, column 1"
+    code, _, err = run(capsys, "groupoid", "card", "no-such-groupoid")
+    assert code == 2
+    assert err.strip() == ("error: groupoid 'no-such-groupoid' is neither a file nor one of "
+                           "discrete-3, finite-sets-5")

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hallalg import groupoids as gpd
+from hallalg.linalg import DEFAULT_BUDGET
 from hallalg.verify import suite_engine
 from oracles import action_groupoid, finite_sets_groupoid, span_to_json, weak_pullback_by_moves
 
@@ -80,7 +81,7 @@ def test_weak_pullback_discrete_is_fibered_product():
     A, B, X = (gpd.discrete_groupoid(n) for n in (3, 2, 2))
     f = gpd.GroupoidFunctor(A, X, [0, 1, 0], [0, 1, 0])
     g = gpd.GroupoidFunctor(B, X, [0, 1], [0, 1])
-    P, piA, piB = gpd.weak_pullback(f, g)
+    P, piA, piB = gpd.weak_pullback(f, g, DEFAULT_BUDGET)
     P.validate()
     piA.validate()
     piB.validate()
@@ -91,7 +92,7 @@ def test_weak_pullback_discrete_is_fibered_product():
 def test_weak_pullback_along_identity_is_equivalent():
     G = gpd.connected_groupoid(2, gpd.cyclic_table(4))
     ident = gpd.GroupoidFunctor.identity(G)
-    P, _, _ = gpd.weak_pullback(ident, ident)
+    P, _, _ = gpd.weak_pullback(ident, ident, DEFAULT_BUDGET)
     assert gpd.equivalent(P, G)
     assert P.cardinality() == G.cardinality()
 
@@ -104,7 +105,7 @@ def test_weak_pullback_two_groups_over_group():
     fb = gpd.GroupoidFunctor(b, n, [0], [0, 2])
     fa.validate()
     fb.validate()
-    P, _, _ = gpd.weak_pullback(fa, fb)
+    P, _, _ = gpd.weak_pullback(fa, fb, DEFAULT_BUDGET)
     P.validate()
     assert P.n_objects() == 4           # one alpha per element of Aut(n)
     assert P.cardinality() == Fraction(4, 2 * 2)
@@ -152,7 +153,7 @@ def test_degroupoidify_span_examples():
 def test_compose_with_identity_span():
     X = gpd.connected_groupoid(2, gpd.cyclic_table(2))
     ident = gpd.ConcreteSpan.identity(X)
-    comp = gpd.compose_spans(ident, ident)
+    comp = gpd.compose_spans(ident, ident, DEFAULT_BUDGET)
     e, _, _ = gpd.degroupoidify_span(comp)
     ei, _, _ = gpd.degroupoidify_span(ident)
     assert e == ei
@@ -169,14 +170,14 @@ def test_functoriality_on_seeded_spans():
         s.right.validate()
         t.left.validate()
         t.right.validate()
-        ts = gpd.compose_spans(t, s)
+        ts = gpd.compose_spans(t, s, DEFAULT_BUDGET)
         e_ts, _, _ = gpd.degroupoidify_span(ts)
         e_t, _, _ = gpd.degroupoidify_span(t)
         e_s, _, _ = gpd.degroupoidify_span(s)
         assert e_ts == gpd.matrix_product(e_t, e_s)
 
 
-def test_engine_span_pullbacks_pass_the_groupoid_laws(monkeypatch):
+def test_engine_span_pullbacks_pass_the_groupoid_laws(ctx2, monkeypatch):
     """Every weak pullback that engine:span:0..9 builds at seed 0, for its span
     composite and its span application, passes the exhaustive law check,
     inverse laws included: the inverse alphas are the ones carried to each
@@ -184,13 +185,13 @@ def test_engine_span_pullbacks_pass_the_groupoid_laws(monkeypatch):
     built = []
     weak_pullback = gpd.weak_pullback
 
-    def recorded(f, g):
-        out = weak_pullback(f, g)
+    def recorded(f, g, budget):
+        out = weak_pullback(f, g, budget)
         built.append(out[0])
         return out
     monkeypatch.setattr(gpd, "weak_pullback", recorded)
     for k in range(10):
-        report = suite_engine(0, only=f"engine:span:{k}")
+        report = suite_engine(ctx2, 0, only=f"engine:span:{k}")
         assert (report["instances"], report["failures"]) == (1, [])
     assert len(built) == 20
     assert any(P.n_morphisms() > P.n_objects() for P in built)
@@ -198,19 +199,19 @@ def test_engine_span_pullbacks_pass_the_groupoid_laws(monkeypatch):
         assert P.validate()
 
 
-def test_engine_pullbacks_match_the_per_move_formula(monkeypatch):
+def test_engine_pullbacks_match_the_per_move_formula(ctx2, monkeypatch):
     """Every weak pullback of the engine suite at seed 0 (its 50 span pairs,
     each composed and applied, and its 10 discrete pullbacks) has the
     objects, morphism labels and targets of weak_pullback_by_moves."""
     built = []
     weak_pullback = gpd.weak_pullback
 
-    def recorded(f, g):
-        out = weak_pullback(f, g)
+    def recorded(f, g, budget):
+        out = weak_pullback(f, g, budget)
         built.append((f, g, out[0]))
         return out
     monkeypatch.setattr(gpd, "weak_pullback", recorded)
-    report = suite_engine(0)
+    report = suite_engine(ctx2, 0)
     assert report["failures"] == [] and len(built) == 110
     for f, g, P in built:
         assert (P.objects, list(zip(P.mor_src, P.mor_tgt, P.mor_label))) == \
@@ -242,7 +243,7 @@ def test_apply_span_matches_matrix():
     X, Y = rng.groupoid(), rng.groupoid()
     s = rng.span(X, Y)
     psi = rng.span(X, X).left
-    applied = gpd.apply_span(s, psi)
+    applied = gpd.apply_span(s, psi, DEFAULT_BUDGET)
     e_s, _, _ = gpd.degroupoidify_span(s)
     assert gpd.degroupoidify_vector(applied) == \
         gpd.apply_matrix(e_s, gpd.degroupoidify_vector(psi))

@@ -73,8 +73,8 @@ def test_counit_compatibility(hall2):
         t = coproduct(hall2, HallVector.basis(label))
         assert t[(ZERO, label)] == 1
         assert t[(label, ZERO)] == 1
-        assert hall2.counit_tensor_left(t) == HallVector.basis(label)
-        assert hall2.counit_tensor_right(t) == HallVector.basis(label)
+        assert hall2.counit_tensor(t, 0) == HallVector.basis(label)
+        assert hall2.counit_tensor(t, 1) == HallVector.basis(label)
     assert hall2.counit(hall2.unit()) == 1
     assert hall2.counit(HallVector.basis(S1)) == 0
 
