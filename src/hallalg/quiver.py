@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import product
 from math import prod
-from operator import mul
+from operator import itemgetter, mul
 
 from .linalg import (
     DEFAULT_BUDGET,
@@ -292,6 +292,19 @@ def commutes(mor, p):
                for (s, t), sa, ta in zip(src.quiver.arrows, src.edge_maps, tgt.edge_maps))
 
 
+def apply_action(action, flat, p):
+    """The image of a flat edge tuple under a _generator_actions action
+    (gather, rows, terms): flat extended by one entry per row r, the sum of
+    c flat[j] over the (j, c, r) in terms mod p, and then gathered."""
+    gather, rows, terms = action
+    if rows:
+        values = [0] * rows
+        for j, c, r in terms:
+            values[r] += c * flat[j]
+        flat += tuple([x % p for x in values])
+    return gather(flat)
+
+
 def _columns(m, picked):
     """The columns picked of a matrix, as entry tuples."""
     return tuple(tuple(row[j] for row in m.entries) for j in picked)
@@ -343,21 +356,35 @@ class RepCategory:
 
     def _generator_actions(self, dim, shapes):
         """Each GL_{dim_v} generator g, acting as g M on arrows into v and as
-        M g^-1 on arrows out of v, as (changed, v, g, g^-1): changed lists the
-        (i, row) pairs of the rows of its matrix on flat edge tuples that
-        differ from the identity; generators that change no row are dropped."""
+        M g^-1 on arrows out of v, as (action, v, g, g^-1): action is the
+        (gather, rows, terms) form of its matrix on flat edge tuples that
+        apply_action reads.  A row of that matrix that is a unit vector e_j
+        gathers coordinate j.  The other rows are numbered r = 0, 1, ...,
+        rows - 1; each nonzero entry c of row r, in column j, is one (j, c, r)
+        of terms, and gather reads the row's value from past the tuple's end.
+        Generators whose matrix is the identity are dropped."""
         f, arrows = self.field, self.quiver.arrows
-        ident = Matrix.identity(f, sum(r * c for r, c in shapes)).entries
+        width = sum(r * c for r, c in shapes)
+        ident = Matrix.identity(f, width).entries
         actions = []
         for v in range(self.quiver.n):
             for g, ginv in gl_generators(f, dim[v]):
                 cols = [flatten(g * m if t == v else m * ginv if s == v else m
                                 for (s, t), m in zip(arrows, unflatten(f, e, shapes)))
                         for e in ident]
-                changed = [(i, row) for i, (row, e) in enumerate(zip(zip(*cols), ident))
-                           if row != e]
-                if changed:
-                    actions.append((changed, v, g, ginv))
+                picks, rows, terms = [], 0, []
+                for row in zip(*cols):
+                    if row.count(0) == width - 1 and 1 in row:
+                        picks.append(row.index(1))
+                    else:
+                        picks.append(width + rows)
+                        terms.extend((j, c, rows) for j, c in enumerate(row) if c)
+                        rows += 1
+                if picks != list(range(width)):
+                    # itemgetter of one index returns the item, of a slice a tuple
+                    gather = (itemgetter(*picks) if len(picks) > 1
+                              else itemgetter(slice(picks[0], picks[0] + 1)))
+                    actions.append(((gather, rows, tuple(terms)), v, g, ginv))
         return actions
 
     def classify(self, dim):
@@ -366,8 +393,10 @@ class RepCategory:
         Edge tuples are walked as flat coordinate vectors (flatten()'s
         layout) in lexicographic order, which is the order of the product of
         the per-arrow matrix enumerations.  Representatives are the least
-        tuple of each orbit, so labels are deterministic.  |Aut| is read off
-        by orbit-stabilizer inside prod_v GL(dim_v).
+        tuple of each orbit, so labels are deterministic.  Each orbit is
+        closed under the _generator_actions, applied by apply_action.  |Aut|
+        is read off by orbit-stabilizer inside prod_v GL(dim_v); an orbit
+        size that does not divide the group order raises a ValueError.
         """
         dim = tuple(dim)
         if dim in self._classes:
@@ -388,16 +417,15 @@ class RepCategory:
             size = 1
             while frontier:
                 cur = frontier.pop()
-                for changed in actions:
-                    new = list(cur)
-                    for i, row in changed:
-                        new[i] = sum(map(mul, row, cur)) % p
-                    new = tuple(new)
+                for action in actions:
+                    new = apply_action(action, cur, p)
                     if new not in visited:
                         visited[new] = index
                         size += 1
                         frontier.append(new)
-            assert group % size == 0
+            if group % size:
+                raise ValueError(f"classify{dim}: orbit of size {size} does not divide "
+                                 f"the group order {group}")
             rep = Representation._of(self.quiver, f, dim, unflatten(f, tup, shapes))
             cls = IsoClass(self.quiver.name, dim, index, rep, size, group // size)
             classes.append(cls)
@@ -503,8 +531,9 @@ class RepCategory:
     def _orbit_tree(self, cls):
         """{flat edge tuple: (parent tuple, generator action) or None at the root}
         over the orbit of cls: breadth-first from the representative's flat
-        tuple with classify's _generator_actions, so each tuple is its
-        parent's image under the action.  Built on first use per class; its
+        tuple with classify's _generator_actions in their order, each applied
+        by apply_action, so each tuple is its parent's image under the
+        (action, v, g, g^-1) stored with it.  Built on first use per class; its
         size must be cls.orbit_size, within the tuple_space_size(cls.dim)
         that classify has budgeted, and a ValueError says when it is not."""
         dim, p = cls.dim, self.q
@@ -516,10 +545,7 @@ class RepCategory:
             nxt = []
             for cur in level:
                 for act in actions:
-                    new = list(cur)
-                    for i, row in act[0]:
-                        new[i] = sum(map(mul, row, cur)) % p
-                    new = tuple(new)
+                    new = apply_action(act[0], cur, p)
                     if new not in tree:
                         tree[new] = cur, act
                         nxt.append(new)
@@ -603,7 +629,11 @@ class RepCategory:
         subspace_frames order (their product's order); an arrow is tested once
         both its ends are chosen and prunes the subtree when it fails.  Blocks
         are memoized on the context per edge map E_a and pair of frame
-        indices, so middle terms that share an edge map share them."""
+        indices, so middle terms that share an edge map share them.  On a
+        memo miss, the columns of E_a B_s and E_a C_s come from a table that
+        this walk keeps per arrow and source frame index, and is dropped
+        with the walk.  An arrow with an end of dimension 0 has empty blocks:
+        it is never tested and adds nothing to the memo."""
         q = self.q
         if sub_dim is None:
             what, ks = f"subspace tuples for subreps of every dim <= {E.dim}", [
@@ -623,10 +653,13 @@ class RepCategory:
                 entries.extend((k, offset + i, fr)
                                for i, fr in enumerate(self._subspace_frames[e, k]))
             per_vertex.append(entries)
-        n, closing, edge_maps = self.quiver.n, self._closing, E.edge_maps
+        n, edge_maps = self.quiver.n, E.edge_maps
+        closing = [[(a, s, t) for a, s, t in at_v if E.dim[s] and E.dim[t]]
+                   for at_v in self._closing]
         memos = [self._arrow_memo.setdefault(ea, {}) for ea in edge_maps]
+        sources = [{} for _ in edge_maps]   # per arrow: source frame index -> its columns
         picked, dims, index, frames = [-1] * n, [0] * n, [0] * n, [None] * n
-        blocks = [None] * len(edge_maps)
+        blocks = [self._block_pairs.setdefault(((), ()), ((), ()))] * len(edge_maps)
 
         def walk():
             v = 0
@@ -643,11 +676,14 @@ class RepCategory:
                 for a, s, t in closing[v]:
                     memo, key = memos[a], (index[s], index[t])
                     if key not in memo:
-                        ea = edge_maps[a]
-                        memo[key] = self._arrow_blocks(
-                            tuple(tuple(sum(map(mul, row, col)) % q for row in ea.entries)
-                                  for col in zip(*frames[s][0].entries)),
-                            _columns(ea, frames[s][2]), frames[t])
+                        cols = sources[a].get(index[s])
+                        if cols is None:
+                            ea = edge_maps[a]
+                            cols = sources[a][index[s]] = (
+                                tuple(tuple(sum(map(mul, row, col)) % q for row in ea.entries)
+                                      for col in zip(*frames[s][0].entries)),
+                                _columns(ea, frames[s][2]))
+                        memo[key] = self._arrow_blocks(*cols, frames[t])
                     blocks[a] = memo[key]
                     if blocks[a] is None:
                         break
@@ -828,7 +864,9 @@ class RepCategory:
 
     @kept
     def _census_walk(self, ce):
-        """{sub-dimension: census(ce, sub-dimension)} from one walk of E."""
+        """{sub-dimension: census(ce, sub-dimension)} from one walk of E: the
+        walk's yields are counted by (sub-dimension, blocks) first, and the
+        classes of U and E/U are looked up once per distinct key."""
         walk = self._subrep_walk(ce.rep)
         tallies = {}    # sub-dimension -> (quotient canon, sub canon, counts)
         for k in product(*(range(e + 1) for e in ce.dim)):
@@ -836,10 +874,10 @@ class RepCategory:
             self.classify(k)
             self.classify(qdim)
             tallies[k] = self._canon[qdim], self._canon[k], Counter()
-        for k, _, blocks in walk:
+        for (k, blocks), n in Counter(map(itemgetter(0, 2), walk)).items():
             qcanon, ucanon, counts = tallies[k]
             counts[qcanon[sum([b[1] for b in blocks], ())],
-                   ucanon[sum([b[0] for b in blocks], ())]] += 1
+                   ucanon[sum([b[0] for b in blocks], ())]] += n
         return {k: counts for k, (_, _, counts) in tallies.items()}
 
     # ---- indecomposables ----------------------------------------------------

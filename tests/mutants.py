@@ -232,11 +232,11 @@ def transporter_inverse_uninverted():
     own inverse: a transporter's h^-1 multiplies the generators themselves,
     which differs from h^-1 once some generator on its path is no involution
     (over F_3, or at a vertex of dimension >= 3).  classify reads only the
-    changed rows, so the classes stay as they are."""
+    actions, so the classes stay as they are."""
     generator_actions = RepCategory._generator_actions
 
     def uninverted(self, dim, shapes):
-        return [(changed, v, g, g) for changed, v, g, _ in generator_actions(self, dim, shapes)]
+        return [(action, v, g, g) for action, v, g, _ in generator_actions(self, dim, shapes)]
 
     with mock.patch.object(RepCategory, "_generator_actions", uninverted):
         yield

@@ -2,7 +2,10 @@
 
 Each one recomputes a quantity the library computes by a faster route:
 by enumerating every candidate morphism and testing it directly, by
-the one-vector-at-a-time linear algebra the library replaced, by a
+the one-vector-at-a-time linear algebra the library replaced, by the
+dense-row orbit walk that classify's gathered generator actions replaced,
+by a census tallied yield by yield where the library counts block tuples
+first, by a
 walk over every dimension vector or a per-quadruple join of sparse
 indexes where the library scatters whole rows of Green's formula, by
 walking every point of an End-subalgebra where the library walks a
@@ -23,9 +26,11 @@ replaced, and the End(M) idempotent walk and root scan that the plethystic
 log of the class counts replaced.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
+from operator import mul
 
 from hallalg.cathall import SESObject, _units
 from hallalg.groupoids import (ConcreteGroupoid, GroupoidFormatError, _validate_group_table,
@@ -380,6 +385,96 @@ def classify_by_matrix_orbits(ctx, dim):
         out.append((Representation(ctx.quiver, ctx.field, dim, tup), len(orbit),
                     group // len(orbit)))
     return out
+
+
+def dense_generator_actions(ctx, dim, shapes):
+    """Each GL_{dim_v} generator g, acting as g M on arrows into v and as
+    M g^-1 on arrows out of v, as (changed, v, g, g^-1): changed lists the
+    (i, row) pairs of the rows of its matrix on flat edge tuples that differ
+    from the identity, each row dense; generators that change no row are
+    dropped.  The form classify applied before its gathered actions."""
+    f, arrows = ctx.field, ctx.quiver.arrows
+    ident = Matrix.identity(f, sum(r * c for r, c in shapes)).entries
+    actions = []
+    for v in range(ctx.quiver.n):
+        for g, ginv in gl_generators(f, dim[v]):
+            cols = [flatten(g * m if t == v else m * ginv if s == v else m
+                            for (s, t), m in zip(arrows, unflatten(f, e, shapes)))
+                    for e in ident]
+            changed = [(i, row) for i, (row, e) in enumerate(zip(zip(*cols), ident))
+                       if row != e]
+            if changed:
+                actions.append((changed, v, g, ginv))
+    return actions
+
+
+def apply_dense_rows(changed, flat, p):
+    """flat with each changed row i replaced by the dot product of its dense row."""
+    new = list(flat)
+    for i, row in changed:
+        new[i] = sum(map(mul, row, flat)) % p
+    return tuple(new)
+
+
+def classify_by_dense_rows(ctx, dim):
+    """([(representative's flat tuple, orbit size, |Aut|)], {flat tuple: class
+    index}) for one dimension vector: classify's lexicographic orbit walk
+    with the dense_generator_actions applied row by row."""
+    dim, p = tuple(dim), ctx.q
+    shapes = [(dim[t], dim[s]) for s, t in ctx.quiver.arrows]
+    actions = [a[0] for a in dense_generator_actions(ctx, dim, shapes)]
+    group = prod(gl_order(d, p) for d in dim)
+    visited, classes = {}, []
+    for tup in enumerate_vectors(ctx.field, sum(r * c for r, c in shapes)):
+        if tup in visited:
+            continue
+        visited[tup], frontier, size = len(classes), [tup], 1
+        while frontier:
+            cur = frontier.pop()
+            for changed in actions:
+                new = apply_dense_rows(changed, cur, p)
+                if new not in visited:
+                    visited[new] = len(classes)
+                    size += 1
+                    frontier.append(new)
+        classes.append((tup, size, group // size))
+    return classes, visited
+
+
+def orbit_tree_by_dense_rows(ctx, cls):
+    """{flat tuple: (parent tuple, (v, g, g^-1)) or None at the root}: the
+    breadth-first orbit tree of cls with the dense_generator_actions."""
+    dim, p = cls.dim, ctx.q
+    actions = dense_generator_actions(ctx, dim, [(dim[t], dim[s]) for s, t in ctx.quiver.arrows])
+    root = flatten(cls.rep.edge_maps)
+    tree, level = {root: None}, [root]
+    while level:
+        nxt = []
+        for cur in level:
+            for changed, *gens in actions:
+                new = apply_dense_rows(changed, cur, p)
+                if new not in tree:
+                    tree[new] = cur, tuple(gens)
+                    nxt.append(new)
+        level = nxt
+    return tree
+
+
+def census_walk_by_yield(ctx, ce):
+    """{sub-dimension: Counter} like RepCategory._census_walk, tallied yield by
+    yield over the walk of E: the classes of E/U and U looked up at every
+    yield."""
+    tallies = {}
+    for k in product(*(range(e + 1) for e in ce.dim)):
+        qdim = tuple(e - x for e, x in zip(ce.dim, k))
+        ctx.classify(k)
+        ctx.classify(qdim)
+        tallies[k] = Counter()
+    for k, _, blocks in ctx._subrep_walk(ce.rep):
+        qdim = tuple(e - x for e, x in zip(ce.dim, k))
+        tallies[k][ctx._canon[qdim][sum([b[1] for b in blocks], ())],
+                   ctx._canon[k][sum([b[0] for b in blocks], ())]] += 1
+    return tallies
 
 
 def frame_matrices(frame):

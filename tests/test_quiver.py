@@ -4,19 +4,21 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from hallalg import verify
+from hallalg import quiver as quiver_module, verify
 from hallalg.cli import load_quiver
 from hallalg.hall import HallAlgebra
 from hallalg.linalg import BudgetError, Matrix, PrimeField, flatten, unflatten
 from hallalg.quiver import (Quiver, RepCategory, RepMorphism, Representation,
                             dim_vectors_with_total)
 from mutants import MUTANTS
-from oracles import (aut_order_slow, classify_by_matrix_orbits, complement_columns,
+from oracles import (aut_order_slow, census_walk_by_yield, classify_by_dense_rows,
+                     classify_by_matrix_orbits, complement_columns,
                      count_exact_pairs_slow, enumerate_matrices, ext1_dim, identity_morphism,
                      indecomposable_classes, invariant_subreps, invariant_subreps_by_solve,
                      is_indecomposable,
                      is_injective, is_invertible, is_surjective, is_simply_laced_dynkin,
-                     is_valid, is_zero, iso_set_by_products, pivot_row_complement,
+                     is_valid, is_zero, iso_set_by_products, orbit_tree_by_dense_rows,
+                     pivot_row_complement,
                      positive_roots, quiver_to_json_dict, quotient_with_projection,
                      reduce_cocycle_by_solve, span_elements, subrep_on, zero_matrix)
 
@@ -863,3 +865,58 @@ def test_census_builds_no_objects(a3_source, monkeypatch):
     cls, sub_dim = todo[-1]                            # sub_dim = dim E: U = E
     invariant_subreps(ctx, cls.rep, sub_dim)
     assert set(built) == {"Matrix", "Representation", "RepMorphism"}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("quiver", [load_quiver("a2"), load_quiver("a3-source"),
+                                    load_quiver("d4"), KRONECKER, TRIANGLE],
+                         ids=lambda quiver: quiver.name)
+def test_gathered_actions_match_the_dense_row_walk(quiver, p):
+    """classify (labels, representatives, orbit sizes, |Aut|), every _canon
+    entry and the orbit tree of every class (parents and generators), on
+    every dim up to 3, against the dense-row orbit walk that the gathered
+    generator actions replaced.  The dims include flat widths 0 and 1."""
+    ctx = RepCategory(quiver, p)
+    widths = set()
+    for total in range(4):
+        for dim in dim_vectors_with_total(quiver.n, total):
+            widths.add(sum(dim[s] * dim[t] for s, t in quiver.arrows))
+            want, canon = classify_by_dense_rows(ctx, dim)
+            got = ctx.classify(dim)
+            assert [(c.label, flatten(c.rep.edge_maps), c.orbit_size, c.aut) for c in got] == \
+                [(f"d{'.'.join(map(str, dim))}#{i}", rep, size, aut)
+                 for i, (rep, size, aut) in enumerate(want)]
+            assert ctx._canon[dim] == canon
+            for cls in got:
+                tree, want_tree = ctx._orbit_tree(cls), orbit_tree_by_dense_rows(ctx, cls)
+                assert list(tree) == list(want_tree)
+                assert {flat: node and (node[0], node[1][1:]) for flat, node in tree.items()} \
+                    == want_tree
+    assert 0 in widths and (1 in widths or quiver is KRONECKER)   # Kronecker widths are even
+
+
+def test_classify_raises_on_an_orbit_size_off_the_group_order(a2, monkeypatch):
+    """An orbit whose size does not divide |prod_v GL(dim_v)| is a ValueError
+    naming the grade and the size, not an assert that python -O drops."""
+    monkeypatch.setattr(quiver_module, "gl_order", lambda d, p: 7)
+    with pytest.raises(ValueError, match=r"classify\(1, 1\): orbit of size 2 does not "
+                                         r"divide the group order 49"):
+        RepCategory(a2, 3).classify((1, 1))
+
+
+@pytest.mark.parametrize("name", ["a2", "a3-source"])
+def test_census_walk_matches_a_per_yield_tally(name, ctx3):
+    """_census_walk, which resolves classes once per distinct block tuple,
+    equals the tally of every _subrep_walk yield, counts and their order,
+    on a fresh context (cold arrow memo) and on a shared one (warm)."""
+    quiver = load_quiver(name)
+    fresh, oracle = RepCategory(quiver, 3), RepCategory(quiver, 3)
+    shared, yields = ctx3 if name == "a2" else oracle, 0
+    for cls in oracle.classes_up_to(4):
+        tally = census_walk_by_yield(oracle, cls)
+        want = {k: list(c.items()) for k, c in tally.items()}
+        for ctx in (fresh, shared):
+            got = ctx._census_walk(ctx.class_by_label(cls.label))
+            assert {k: list(c.items()) for k, c in got.items()} == want, (ctx, cls.label)
+        yields += sum(sum(c.values()) for c in tally.values())
+    assert yields > 200
