@@ -3,7 +3,7 @@ fields, with the groupoid-level (categorified) counterparts and checks."""
 
 from .linalg import BudgetError, DEFAULT_BUDGET
 from .quiver import Quiver, RepCategory
-from .hall import HallAlgebra, HallVector
+from .hall import HallAlgebra
 from .groupoids import ConcreteGroupoid, ConcreteSpan, GroupoidFunctor
 from .cathall import ExtGroupoid, SESObject
 

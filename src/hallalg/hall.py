@@ -1,17 +1,20 @@
 """The Hall algebra of a quiver, graded over its Grothendieck group.
 
-Basis elements are isomorphism-class labels; coefficients are exact
-rationals in the fixed field size q, kept as ints wherever no denominator
-arises.  The product coefficients are the integer Hall numbers
-P^E_{MN} / (aut M aut N).  The coproduct and the canonical antipode carry
-denominators of one fixed form: every aut E of grade e divides the grade
-order |G_e| = prod_v |GL_{e_v}(F_q)|, so both are kept as int numerators
-over |G_e|, and the Hopf-object checks compare ints scaled to a common
-denominator.  A Fraction is formed where a value leaves this layer (the
-tables, the antipode comparison) and for the braiding's q^{-k}, inside
-braid, braid_inverse and green_residual's coefficients.  Nothing here
-truncates silently: every grade-increasing operation takes an explicit
-bound and refuses to cross it.
+Basis elements are isomorphism-class labels.  A vector is a {key: coeff}
+dict that stores no zero: a key is a label (an element of the Hall
+algebra) or a tuple of labels (an element of a tensor power, [N] (x) [M]
+as (N, M)), and a coefficient is an exact rational in the fixed field
+size q, kept as an int wherever no denominator arises.  The product
+coefficients are the integer Hall numbers P^E_{MN} / (aut M aut N).  The
+coproduct and the canonical antipode carry denominators of one fixed
+form: every aut E of grade e divides the grade order |G_e| = prod_v
+|GL_{e_v}(F_q)|, so both are kept as int numerators over |G_e|, and the
+Hopf-object checks compare ints scaled to a common denominator.  A
+Fraction is formed where a value leaves this layer (the tables, the
+antipode comparison) and for the braiding's q^{-k}, inside braid,
+braid_inverse and green_residual's coefficients.  Nothing here truncates
+silently: every grade-increasing operation takes an explicit bound and
+refuses to cross it.
 """
 
 from fractions import Fraction
@@ -42,85 +45,28 @@ def q_power(q, k):
     return q ** k if k >= 0 else Fraction(1, q ** -k)
 
 
-class HallVector:
-    """Finite rational linear combination of basis keys.
+def combine(terms):
+    """sum of c * x over (x, c) in terms, each x a {key: coeff} dict.
 
-    A key is an iso-class label (an element of the Hall algebra) or a tuple
-    of labels (an element of a tensor power, e.g. [N] (x) [M] as (N, M)).
-    A coefficient is an int, or a Fraction where a denominator arose; the
-    two compare and hash alike, so equality ignores which one is stored.
-    Zero coefficients are never stored.
+    Accumulates into one dict, dropping a key whose sum cancels, so n terms
+    cost O(total size) rather than the O(n^2) of repeated vector additions.
     """
+    acc = {}
+    for coeffs, c in terms:
+        for k, v in coeffs.items():
+            s = acc.get(k, 0) + v * c
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
+    return acc
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None):
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
-
-    @classmethod
-    def _of(cls, coeffs):
-        """The vector of a {key: coeff} dict that stores no zero, taken as is."""
-        out = cls.__new__(cls)
-        out.coeffs = coeffs
-        return out
-
-    @classmethod
-    def basis(cls, *labels):
-        """[label], or the tensor [l1] (x) [l2] (x) ... for several labels."""
-        return cls._of({labels[0] if len(labels) == 1 else labels: 1})
-
-    @classmethod
-    def combine(cls, terms):
-        """sum of c * x over (x, c) in terms, each x a {key: coeff} dict.
-
-        Accumulates into one dict, dropping a key whose sum cancels, so n
-        terms cost O(total size) rather than the O(n^2) of repeated vector
-        additions.
-        """
-        acc = {}
-        for coeffs, c in terms:
-            for k, v in coeffs.items():
-                s = acc.get(k, 0) + v * c
-                if s:
-                    acc[k] = s
-                else:
-                    acc.pop(k, None)
-        return cls._of(acc)
-
-    def __add__(self, other):
-        return HallVector.combine(((self.coeffs, 1), (other.coeffs, 1)))
-
-    def __sub__(self, other):
-        return HallVector.combine(((self.coeffs, 1), (other.coeffs, -1)))
-
-    def scale(self, c):
-        return HallVector.combine(((self.coeffs, c),))
-
-    def __eq__(self, other):
-        return isinstance(other, HallVector) and self.coeffs == other.coeffs
-
-    def __getitem__(self, key):
-        return self.coeffs.get(key, 0)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    @staticmethod
-    def _labels(key):
-        """The labels of a key: the key itself, or the entries of a tuple key."""
-        return (key,) if isinstance(key, str) else key
-
-    def items(self):
-        """(key, coeff) pairs sorted by the label_sort_key of each factor."""
-        return sorted(self.coeffs.items(),
-                      key=lambda kv: tuple(map(label_sort_key, self._labels(kv[0]))))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "HallVector(0)"
-        terms = " + ".join(f"{v}*" + "x".join(f"[{x}]" for x in self._labels(k))
-                           for k, v in self.items())
-        return f"HallVector({terms})"
+def sorted_terms(vector):
+    """The (key, coeff) pairs of a vector, sorted by the label_sort_key of
+    each factor of a key: the key itself, or the entries of a tuple key."""
+    return sorted(vector.items(), key=lambda kv: tuple(map(
+        label_sort_key, (kv[0],) if isinstance(kv[0], str) else kv[0])))
 
 
 class HallAlgebra:
@@ -154,20 +100,17 @@ class HallAlgebra:
         return q_power(self.q, sign * self.ctx.euler_form(grade_first, grade_second))
 
     def unit(self):
-        return HallVector.basis(self.zero_label())
+        return {self.zero_label(): 1}
 
     def counit(self, x):
-        return x[self.zero_label()]
+        return x.get(self.zero_label(), 0)
 
     def counit_tensor(self, t, slot):
-        """(counit x id) for slot 0, (id x counit) for slot 1, applied to a tensor."""
+        """(counit x id) for slot 0, (id x counit) for slot 1, applied to a
+        tensor: one dict, as the keys with [0] in slot map one to one to
+        their other factor, so nothing cancels."""
         z = self.zero_label()
-        out = {}
-        for key, v in t.coeffs.items():
-            if key[slot] == z:
-                rest = key[1 - slot]
-                out[rest] = out.get(rest, 0) + v
-        return HallVector(out)
+        return {key[1 - slot]: v for key, v in t.items() if key[slot] == z}
 
     # ---- product and coproduct ----------------------------------------------
 
@@ -198,9 +141,8 @@ class HallAlgebra:
 
     def product(self, x, y, bound):
         """Bilinear extension of the basis product; grades must stay <= bound."""
-        return HallVector.combine((self.bounded_product_basis(lm, ln, bound), cm * cn)
-                                  for lm, cm in x.coeffs.items()
-                                  for ln, cn in y.coeffs.items())
+        return combine((self.bounded_product_basis(lm, ln, bound), cm * cn)
+                       for lm, cm in x.items() for ln, cn in y.items())
 
     @kept
     def factorizations(self, label_e):
@@ -240,13 +182,11 @@ class HallAlgebra:
         """[A] (x) [D] -> q^{-<gr A, gr D>} [D] (x) [A], extended linearly: one
         dict, as the swap is a bijection on keys and no q^k is 0."""
         grade, coeff = self.grade, self.braid_coeff
-        return HallVector._of({(d, a): v * coeff(grade(a), grade(d))
-                               for (a, d), v in t.coeffs.items()})
+        return {(d, a): v * coeff(grade(a), grade(d)) for (a, d), v in t.items()}
 
     def braid_inverse(self, t):
         grade, coeff = self.grade, self.braid_coeff
-        return HallVector._of({(a, d): v * coeff(grade(a), grade(d), 1)
-                               for (d, a), v in t.coeffs.items()})
+        return {(a, d): v * coeff(grade(a), grade(d), 1) for (d, a), v in t.items()}
 
     def tensor_product(self, s, t, bound):
         """Braided algebra structure on H (x) H, scaled to stay integral.
@@ -254,24 +194,25 @@ class HallAlgebra:
         ([B] (x) [A]) . ([D] (x) [C]) = q^{-<A, D>} [B][D] (x) [A][C]:
         the inner factors braid past each other.  q^{-k} is a fraction for
         k > 0, so the result is (q^K s.t, K), K >= 0 the largest exponent
-        <A, D> over the term pairs: an int vector when s and t are.
+        <A, D> over the term pairs: an int vector when s and t are.  Keys
+        whose sum cancels are dropped.
         """
         grade, q = self.grade, self.q
         exponents = {(ga, gd): self.ctx.euler_form(ga, gd)
-                     for ga in {grade(a) for _, a in s.coeffs}
-                     for gd in {grade(d) for d, _ in t.coeffs}}
+                     for ga in {grade(a) for _, a in s}
+                     for gd in {grade(d) for d, _ in t}}
         top = max([0, *exponents.values()])
         out = {}
-        for (b, a), cs in s.coeffs.items():
+        for (b, a), cs in s.items():
             ga = grade(a)
-            for (d, c), ct in t.coeffs.items():
+            for (d, c), ct in t.items():
                 coeff = cs * ct * q ** (top - exponents[ga, grade(d)])
                 left = self.bounded_product_basis(b, d, bound)
                 right = self.bounded_product_basis(a, c, bound)
                 for lb, vb in left.items():
                     for la, va in right.items():
                         out[(lb, la)] = out.get((lb, la), 0) + vb * va * coeff
-        return HallVector(out), top
+        return {key: v for key, v in out.items() if v}, top
 
     # ---- Green's formula and the bialgebra law ---------------------------------
 
@@ -366,40 +307,40 @@ class HallAlgebra:
         g_m, g_n = self.grade(label_m), self.grade(label_n)
         order_m, order_n = self.grade_order(g_m), self.grade_order(g_n)
         order_mn = self.grade_order(dim_add(g_m, g_n))
-        rhs, top = self.tensor_product(HallVector(self.coproduct_basis(label_m)),
-                                       HallVector(self.coproduct_basis(label_n)), bound)
+        rhs, top = self.tensor_product(self.coproduct_basis(label_m),
+                                       self.coproduct_basis(label_n), bound)
         scale = order_m * order_n * self.q ** top
         terms = [(self.coproduct_basis(le), g * scale) for le, g in
                  self.bounded_product_basis(label_m, label_n, bound).items()]
-        terms.append((rhs.coeffs, -order_mn))
-        return HallVector.combine(terms), scale * order_mn
+        terms.append((rhs, -order_mn))
+        return combine(terms), scale * order_mn
 
     # ---- antipodes -------------------------------------------------------------
 
     def antipode_paper(self, x):
         """Basis-wise negation: the Lemma's S([M]) = -[M] read off every label."""
-        return x.scale(-1)
+        return {k: -v for k, v in x.items()}
 
     def _s_convolution(self, terms, bound, s_first):
         """sum c S([L]) . [O] (s_first) or c [O] . S([L]) over (L, O, c) in
         terms, times den = the lcm of the grade orders |G_l|; returns
-        (int HallVector, den).  S([L]) is kept over |G_l|, so each term is
+        (int vector, den).  S([L]) is kept over |G_l|, so each term is
         scaled by den / |G_l|."""
         orders = {ls: self.grade_order(self.grade(ls)) for ls, _, _ in terms}
         den = lcm(*orders.values())
         acc = []
         for ls, lo, c in terms:
             scale = c * (den // orders[ls])
-            for lk, v in self.antipode_canonical_basis(ls, bound).coeffs.items():
+            for lk, v in self.antipode_canonical_basis(ls, bound).items():
                 basis = (self.bounded_product_basis(lk, lo, bound) if s_first
                          else self.bounded_product_basis(lo, lk, bound))
                 acc.append((basis, scale * v))
-        return HallVector.combine(acc), den
+        return combine(acc), den
 
     @kept
     def antipode_canonical_basis(self, label, bound):
         """|G_e| S([E]) for the unique antipode of the connected graded
-        bialgebra, by recursion, as an int HallVector.
+        bialgebra, by recursion, as an int vector.
 
         S([0]) = [0]; for positive grade, S([E]) = -[E] - sum of
         S([N]) . (coefficient) [M] over the reduced coproduct terms of [E].
@@ -417,16 +358,16 @@ class HallAlgebra:
                    if ln != z and lm != z]
         conv, den = self._s_convolution(reduced, bound, s_first=True)
         order_e = self.grade_order(self.grade(label))
-        total = HallVector.combine((({label: order_e * den}, -1), (conv.coeffs, -1)))
-        out = HallVector()
-        for k, v in total.coeffs.items():
-            out.coeffs[k], r = divmod(v, den)
+        total = combine((({label: order_e * den}, -1), (conv, -1)))
+        out = {}
+        for k, v in total.items():
+            out[k], r = divmod(v, den)
             assert not r, (label, k)
         return out
 
     def antipode_residual(self, label, bound):
         """The right antipode-axiom defect m(1 x S)Delta - unit.counit for the
-        canonical S at a basis label, as an int HallVector: the defect times
+        canonical S at a basis label, as an int vector: the defect times
         |G_e| times the lcm of the grade orders of the factors S applies to.
 
         The left defect m(S x 1)Delta - unit.counit is not computed: its
@@ -434,26 +375,25 @@ class HallAlgebra:
         antipode_canonical_basis, so it vanishes by construction.
         """
         order_e = self.grade_order(self.grade(label))
-        counit = self.counit(HallVector.basis(label))
+        counit = self.counit({label: 1})
         conv, den = self._s_convolution(
             [(lm, ln, c) for (ln, lm), c in self.coproduct_basis(label).items()], bound,
             s_first=False)
-        return HallVector.combine(((conv.coeffs, 1),
-                                   (self.unit().coeffs, -counit * order_e * den)))
+        return combine(((conv, 1), (self.unit(), -counit * order_e * den)))
 
     def antipode_comparison(self, bound):
         """Where basis-wise negation and the canonical antipode differ, by label."""
         divergences = []
         for cls in self.ctx.classes_up_to(bound):
             order = self.grade_order(cls.dim)
-            paper = self.antipode_paper(HallVector.basis(cls.label))
+            paper = self.antipode_paper({cls.label: 1})
             canonical = self.antipode_canonical_basis(cls.label, bound)
-            if paper.scale(order) != canonical:
+            if {k: v * order for k, v in paper.items()} != canonical:
                 divergences.append({
                     "label": cls.label,
-                    "paper": {k: format_coeff(v) for k, v in paper.items()},
+                    "paper": {k: format_coeff(v) for k, v in sorted_terms(paper)},
                     "canonical": {k: format_coeff(Fraction(v, order))
-                                  for k, v in canonical.items()},
+                                  for k, v in sorted_terms(canonical)},
                 })
         return {
             "agree": not divergences,
@@ -467,9 +407,9 @@ class HallAlgebra:
         """All basis products with grades within bound, label-sorted."""
         table = {}
         for cm, cn in self.ctx.class_tuples(bound, 2):
-            entry = HallVector(self.product_basis(cm.label, cn.label))
+            entry = self.product_basis(cm.label, cn.label)
             table[f"[{cm.label}],[{cn.label}]"] = [
-                {"class": k, "coeff": format_coeff(v)} for k, v in entry.items()]
+                {"class": k, "coeff": format_coeff(v)} for k, v in sorted_terms(entry)]
         return table
 
     def coproduct_table(self, bound):
@@ -477,8 +417,7 @@ class HallAlgebra:
         table = {}
         for le in labels:
             order = self.grade_order(self.grade(le))
-            entry = HallVector(self.coproduct_basis(le))
             table[f"[{le}]"] = [
                 {"left": a, "right": b, "coeff": format_coeff(Fraction(v, order))}
-                for (a, b), v in entry.items()]
+                for (a, b), v in sorted_terms(self.coproduct_basis(le))]
         return table

@@ -31,7 +31,7 @@ class BudgetError(Exception):
 DEFAULT_BUDGET = 2_000_000
 
 
-def check_budget(what, count, budget=DEFAULT_BUDGET):
+def check_budget(what, count, budget):
     if count > budget:
         raise BudgetError(what, count, budget)
     return count
@@ -304,7 +304,7 @@ def enumerate_vectors(field, n):
     return product(range(field.p), repeat=n)
 
 
-def span_points(field, basis, length, what, budget=DEFAULT_BUDGET):
+def span_points(field, basis, length, what, budget):
     """Every point of the span of basis (flat vectors of the given length), once.
 
     The p^k points are walked in modular Gray-code order: step t adds the
@@ -440,7 +440,7 @@ def _pivot_frame(B, pivots, canon):
     return B, pivots, rest, Matrix._of(B.field, rows, len(rest), B.rows)
 
 
-def subspace_frames(field, n, k, budget=DEFAULT_BUDGET):
+def subspace_frames(field, n, k, budget):
     """Every k-dimensional subspace of F_p^n once, as a _pivot_frame with no
     rref: B is the transpose of a reduced row echelon form with pivot columns
     pivots, so B_pivots = I and P = [B | e_rest] has P^-1 x = (x_pivots,

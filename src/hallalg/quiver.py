@@ -198,12 +198,6 @@ class Representation:
         rep._flat = None
         return rep
 
-    def total_dim(self):
-        return sum(self.dim)
-
-    def is_zero(self):
-        return self.total_dim() == 0
-
     def direct_sum(self, other):
         """The chosen direct sum: self's coordinates first at every vertex."""
         if self.quiver != other.quiver or self.field != other.field:
@@ -314,7 +308,6 @@ def _columns(m, picked):
 class IsoClass:
     """Canonical representative, stable label and |Aut| of one iso class.
     classify makes one per class per context, so it hashes by identity."""
-    quiver_name: str
     dim: tuple
     index: int
     rep: Representation
@@ -427,7 +420,7 @@ class RepCategory:
                 raise ValueError(f"classify{dim}: orbit of size {size} does not divide "
                                  f"the group order {group}")
             rep = Representation._of(self.quiver, f, dim, unflatten(f, tup, shapes))
-            cls = IsoClass(self.quiver.name, dim, index, rep, size, group // size)
+            cls = IsoClass(dim, index, rep, size, group // size)
             classes.append(cls)
             self._by_label[cls.label] = cls
         self._classes[dim] = classes

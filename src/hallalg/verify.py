@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .linalg import BudgetError
 from .quiver import dim_add, dim_vectors_with_total
-from .hall import HallVector, format_coeff
+from .hall import format_coeff
 from . import cathall
 from . import groupoids as gpd
 
@@ -86,7 +86,7 @@ def suite_algebra(run, ctx, hall, max_dim):
     for triple in ctx.class_tuples(max_dim, 3):
         if not run.want("assoc:" + "|".join(c.label for c in triple)):
             continue
-        va, vb, vc = (HallVector.basis(c.label) for c in triple)
+        va, vb, vc = ({c.label: 1} for c in triple)
         left = hall.product(hall.product(va, vb, max_dim), vc, max_dim)
         right = hall.product(va, hall.product(vb, vc, max_dim), max_dim)
         if left != right:
@@ -102,12 +102,12 @@ def suite_algebra(run, ctx, hall, max_dim):
                     break
         if run.want(f"counit:{le}"):
             # coproduct_basis is |G_e| Delta([E])
-            t = HallVector(hall.coproduct_basis(le))
-            e = HallVector.basis(le).scale(hall.grade_order(hall.grade(le)))
+            t = hall.coproduct_basis(le)
+            e = {le: hall.grade_order(hall.grade(le))}
             if hall.counit_tensor(t, 0) != e or hall.counit_tensor(t, 1) != e:
                 run.fail("(counit x id) Delta != id")
         if run.want(f"unit:{le}"):
-            v = HallVector.basis(le)
+            v = {le: 1}
             if hall.product(hall.unit(), v, max_dim) != v or \
                hall.product(v, hall.unit(), max_dim) != v:
                 run.fail("unit law fails")
@@ -172,8 +172,8 @@ def suite_bialgebra(run, ctx, hall, max_dim):
     for cm, cn in ctx.class_tuples(max_dim, 2):
         if run.want(f"bialgebra:{cm.label}|{cn.label}"):
             res, _ = hall.bialgebra_residual(cm.label, cn.label, max_dim)
-            if not res.is_zero():
-                run.fail(f"residual has {len(res.coeffs)} terms")
+            if res:
+                run.fail(f"residual has {len(res)} terms")
     return {"scope_note": "braided tensor product on H (x) H"}
 
 
@@ -185,7 +185,7 @@ def suite_antipode(run, ctx, hall, max_dim):
     for cls in ctx.classes_up_to(max_dim):
         if not run.want(f"antipode:{cls.label}"):
             continue
-        if not hall.antipode_residual(cls.label, max_dim).is_zero():
+        if hall.antipode_residual(cls.label, max_dim):
             run.fail("right axiom residual nonzero")
     return {"scope_note": "canonical antipode axioms; comparison emitted either way",
             "comparison": hall.antipode_comparison(max_dim)}
@@ -228,7 +228,7 @@ def suite_hexagon(run, ctx, hall, max_dim):
         prefix = f"braidinv:{la}|"
         for lb in labels:
             if run.want(prefix + lb):
-                t = HallVector.basis(la, lb)
+                t = {(la, lb): 1}
                 if hall.braid_inverse(hall.braid(t)) != t:
                     run.fail("braid then inverse is not the identity")
     return {"entry_bound": entry_bound, "scope_note": "coefficient level, exact"}
@@ -266,9 +266,12 @@ def suite_bilinearity(run, ctx, max_dim):
             if not run.want(inst):
                 continue
             r = check(ctx, *reps)
-            if not (r["equal"] and r["skeleton_bijection"] and r["round_trip"]):
-                run.fail(f"{r['lhs']} vs {r['rhs']}, "
-                         f"bijection {r['skeleton_bijection']}")
+            failed = [part for part, ok in (
+                (f"cardinality {format_coeff(r['lhs'])} != {format_coeff(r['rhs'])}", r["equal"]),
+                ("skeleton map not a bijection", r["skeleton_bijection"]),
+                ("round trip leaves the class", r["round_trip"])) if not ok]
+            if failed:
+                run.fail(", ".join(failed))
     return {"scope_note": "fixed-end cardinalities; skeleton bijection via extension classes"}
 
 

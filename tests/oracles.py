@@ -35,7 +35,7 @@ from operator import mul
 from hallalg.cathall import SESObject, _units
 from hallalg.groupoids import (ConcreteGroupoid, GroupoidFormatError, _validate_group_table,
                                groupoid_to_json)
-from hallalg.hall import HallVector, q_power
+from hallalg.hall import combine, q_power
 from hallalg.linalg import (DEFAULT_BUDGET, Matrix, PrimeField, check_budget, enumerate_vectors,
                             flatten, gaussian_binomial, gl_generators, gl_order, unflatten)
 from hallalg.quiver import (Representation, RepMorphism, block_inclusion, block_projection,
@@ -645,25 +645,24 @@ def tensor_product_by_fractions(hall, s, t, bound):
     q^{-<A, D>} [B][D] (x) [A][C] with exact coefficients, the braiding's
     q^{-k} a Fraction for k > 0."""
     out = {}
-    for (b, a), cs in s.coeffs.items():
-        for (d, c), ct in t.coeffs.items():
+    for (b, a), cs in s.items():
+        for (d, c), ct in t.items():
             coeff = cs * ct * hall.braid_coeff(hall.grade(a), hall.grade(d))
-            left = hall.product(HallVector.basis(b), HallVector.basis(d), bound)
-            right = hall.product(HallVector.basis(a), HallVector.basis(c), bound)
-            for lb, vb in left.coeffs.items():
-                for la, va in right.coeffs.items():
+            left = hall.product({b: 1}, {d: 1}, bound)
+            right = hall.product({a: 1}, {c: 1}, bound)
+            for lb, vb in left.items():
+                for la, va in right.items():
                     out[(lb, la)] = out.get((lb, la), 0) + vb * va * coeff
-    return HallVector(out)
+    return {key: v for key, v in out.items() if v}
 
 
 def bialgebra_residual_by_fractions(hall, label_m, label_n, bound, coproduct):
     """Delta([M].[N]) - Delta([M]) . Delta([N]) with exact coefficients, for
     a coproduct given as coproduct(label) -> {(N, M): exact coefficient}."""
-    prod = hall.product(HallVector.basis(label_m), HallVector.basis(label_n), bound)
-    lhs = HallVector.combine((coproduct(le), c) for le, c in prod.coeffs.items())
-    rhs = tensor_product_by_fractions(hall, HallVector(coproduct(label_m)),
-                                      HallVector(coproduct(label_n)), bound)
-    return lhs - rhs
+    prod = hall.product({label_m: 1}, {label_n: 1}, bound)
+    lhs = combine((coproduct(le), c) for le, c in prod.items())
+    rhs = tensor_product_by_fractions(hall, coproduct(label_m), coproduct(label_n), bound)
+    return combine(((lhs, 1), (rhs, -1)))
 
 
 def antipode_by_fractions(hall, label, bound, cache):
@@ -678,8 +677,8 @@ def antipode_by_fractions(hall, label, bound, cache):
             for (ln, lm), c in coproduct_by_aut(hall, label).items():
                 if ln != z and lm != z:
                     s_n = antipode_by_fractions(hall, ln, bound, cache)
-                    terms.append((hall.product(s_n, HallVector.basis(lm), bound).coeffs, -c))
-            cache[label] = HallVector.combine(terms)
+                    terms.append((hall.product(s_n, {lm: 1}, bound), -c))
+            cache[label] = combine(terms)
     return cache[label]
 
 
@@ -901,27 +900,26 @@ def braid_by_accumulation(hall, t):
     into the output and filtered for zeros, where the library builds one
     dict because the swap is a bijection on keys."""
     out = {}
-    for (a, d), v in t.coeffs.items():
+    for (a, d), v in t.items():
         c = hall.braid_coeff(hall.grade(a), hall.grade(d))
         out[(d, a)] = out.get((d, a), 0) + v * c
-    return HallVector(out)
+    return {key: v for key, v in out.items() if v}
 
 
 def braid_inverse_by_accumulation(hall, t):
     """The inverse braiding [D] (x) [A] -> q^{<gr A, gr D>} [A] (x) [D], as
     braid_by_accumulation."""
     out = {}
-    for (d, a), v in t.coeffs.items():
+    for (d, a), v in t.items():
         c = hall.braid_coeff(hall.grade(a), hall.grade(d), 1)
         out[(a, d)] = out.get((a, d), 0) + v * c
-    return HallVector(out)
+    return {key: v for key, v in out.items() if v}
 
 
 def coproduct(hall, x):
     """Delta(x) with exact coefficients: each basis coproduct over |G_e|."""
-    return HallVector.combine(
-        (hall.coproduct_basis(le), Fraction(ce, hall.grade_order(hall.grade(le))))
-        for le, ce in x.coeffs.items())
+    return combine((hall.coproduct_basis(le), Fraction(ce, hall.grade_order(hall.grade(le))))
+                   for le, ce in x.items())
 
 
 def is_simply_laced_dynkin(quiver):
@@ -985,7 +983,7 @@ def positive_roots(ctx):
 
 def is_indecomposable(ctx, M):
     """No nontrivial idempotent in End(M); budgeted span walk."""
-    if M.is_zero():
+    if not any(M.dim):
         return False
     shapes = [(d, d) for d in M.dim]
     ident = flatten(identity_morphism(M).vertex_maps)

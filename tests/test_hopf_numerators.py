@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hallalg.cli import load_quiver
-from hallalg.hall import HallAlgebra, HallVector
+from hallalg.hall import HallAlgebra
 from hallalg.quiver import RepCategory
 from mutants import coproduct_doubled, double_mixed_terms
 from oracles import (antipode_by_fractions, bialgebra_residual_by_fractions, coproduct,
@@ -32,8 +32,7 @@ def test_coproduct_numerators_match_fractions(name, q, bound):
         got = hall.coproduct_basis(cls.label)
         assert all(type(v) is int for v in got.values())
         assert _exact(got, order) == coproduct_by_aut(hall, cls.label), cls.label
-        assert coproduct(hall, HallVector.basis(cls.label)) == \
-            HallVector(coproduct_by_aut(hall, cls.label))
+        assert coproduct(hall, {cls.label: 1}) == coproduct_by_aut(hall, cls.label)
 
 
 @pytest.mark.parametrize("name,q,bound", CONFIGS)
@@ -43,7 +42,7 @@ def test_canonical_antipode_matches_fractions(name, q, bound):
     for cls in hall.ctx.classes_up_to(bound):
         got = hall.antipode_canonical_basis(cls.label, bound)
         want = antipode_by_fractions(hall, cls.label, bound, cache)
-        assert _exact(got.coeffs, hall.grade_order(cls.dim)) == want.coeffs, cls.label
+        assert _exact(got, hall.grade_order(cls.dim)) == want, cls.label
 
 
 @pytest.mark.parametrize("name,q,bound", CONFIGS)
@@ -54,9 +53,9 @@ def test_bialgebra_residuals_match_fractions(name, q, bound):
     pairs = list(hall.ctx.class_tuples(bound, 2))
     for cm, cn in pairs:
         num, den = hall.bialgebra_residual(cm.label, cn.label, bound)
-        assert num.is_zero()
+        assert num == {}
         assert bialgebra_residual_by_fractions(
-            hall, cm.label, cn.label, bound, lambda le: coproduct_by_aut(hall, le)).is_zero()
+            hall, cm.label, cn.label, bound, lambda le: coproduct_by_aut(hall, le)) == {}
     zero = hall.zero_label()
     nonzero = 0
     with coproduct_doubled():
@@ -65,8 +64,8 @@ def test_bialgebra_residuals_match_fractions(name, q, bound):
             want = bialgebra_residual_by_fractions(
                 hall, cm.label, cn.label, bound,
                 lambda le: double_mixed_terms(coproduct_by_aut(hall, le), zero))
-            assert _exact(num.coeffs, den) == want.coeffs, (cm.label, cn.label)
-            nonzero += not want.is_zero()
+            assert _exact(num, den) == want, (cm.label, cn.label)
+            nonzero += bool(want)
     assert nonzero > 0
 
 
@@ -77,4 +76,4 @@ def test_antipode_times_aut_is_integral(name, q, bound):
     hall = _hall(name, q)
     for cls in hall.ctx.classes_up_to(bound):
         s = hall.antipode_canonical_basis(cls.label, bound)
-        assert all(v % cls.orbit_size == 0 for v in s.coeffs.values()), cls.label
+        assert all(v % cls.orbit_size == 0 for v in s.values()), cls.label

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from hallalg.linalg import (BudgetError, Matrix, PrimeField, basis_frame, blocks_invertible,
-                            enumerate_vectors, flatten, frame_coordinates, gaussian_binomial,
-                            gl_generators, gl_order, span_points, subspace_frames, unflatten)
+from hallalg.linalg import (DEFAULT_BUDGET, BudgetError, Matrix, PrimeField, basis_frame,
+                            blocks_invertible, enumerate_vectors, flatten, frame_coordinates,
+                            gaussian_binomial, gl_generators, gl_order, span_points,
+                            subspace_frames, unflatten)
 from oracles import (enumerate_gl, enumerate_matrices, enumerate_subspaces, frame_matrices,
                      matrix_inverse, pivot_row_complement, zero_matrix)
 
@@ -296,7 +297,7 @@ def test_subspace_enumeration_matches_gaussian_binomial():
     assert gaussian_binomial(4, 2, 2) == 35
     for n, k, p in ((3, 1, 2), (4, 2, 2), (3, 2, 3), (2, 0, 5)):
         f = PrimeField(p)
-        subs = [fr[0] for fr in subspace_frames(f, n, k)]
+        subs = [fr[0] for fr in subspace_frames(f, n, k, DEFAULT_BUDGET)]
         assert len(subs) == gaussian_binomial(n, k, p)
         for b in subs:
             assert b.rows == n and b.cols == k and b.rank() == k
@@ -330,7 +331,7 @@ def test_subspace_frames_invert_their_completion():
     cases = 0
     for p, n, k in shapes:
         f = PrimeField(p)
-        frames = list(subspace_frames(f, n, k))
+        frames = list(subspace_frames(f, n, k, DEFAULT_BUDGET))
         assert [fr[0] for fr in frames] == list(enumerate_subspaces(f, n, k))
         for fr in frames:
             B, pivots = fr[:2]

@@ -1,12 +1,14 @@
 """Each mutant of tests/mutants.py against the suites that must catch it."""
 
+from fractions import Fraction
+
 import pytest
 
 from hallalg.cli import load_quiver
 from hallalg.hall import HallAlgebra
 from hallalg.linalg import Matrix
 from hallalg.quiver import RepCategory, RepMorphism, Representation
-from hallalg import verify
+from hallalg import cathall, verify
 from mutants import MUTANTS
 from oracles import green_row_by_join, reduce_cocycle_by_solve
 
@@ -161,6 +163,25 @@ def test_green_mutant_failures_match_the_join_oracle(name, quiver, q, max_dim):
         assert rows and rows == _green_failures(quiver, q, max_dim, by_join=True)
 
 
+def test_bilinearity_names_what_failed(monkeypatch):
+    """Under glue_sign_dropped (a2, q = 3, max-dim 3) only the round trip
+    fails, and each of the 7 lines says so.  A failed cardinality prints
+    both sides as format_coeff does, and a failed skeleton map is named."""
+    ctx = RepCategory(load_quiver("a2"), 3)
+    with MUTANTS["glue_sign_dropped"]():
+        failures = verify.run_suite("bilinearity", ctx, None, 3, seed=0)["failures"]
+    assert len(failures) == 7
+    assert failures[0] == "bilin1:d0.0#0|d1.0#0|d0.1#0: round trip leaves the class"
+    assert all(f.startswith("bilin1:") and f.endswith(": round trip leaves the class")
+               for f in failures)
+    inst = "bilin1:d0.0#0|d1.0#0|d0.1#0"
+    monkeypatch.setattr(cathall, "ext_bilinearity_first", lambda ctx, *reps: {
+        "lhs": Fraction(3), "rhs": Fraction(9, 2), "equal": False,
+        "skeleton_bijection": False, "round_trip": True})
+    assert verify.run_suite("bilinearity", ctx, None, 3, seed=0, only=inst)["failures"] == [
+        f"{inst}: cardinality 3/1 != 9/2, skeleton map not a bijection"]
+
+
 def test_factorization_bumped_breaks_exactness_on_both_routes():
     """At q = 3 the bumped factorization is no multiple of aut S1 aut S2:
     the rows and the join both raise on their exactness assert."""
@@ -232,7 +253,7 @@ def _class_cache_misses():
         g2 = RepMorphism(E2, M2, _copy_maps(g.vertex_maps))
         got = ctx.extension_class(M2, N2, E2, f2, g2)
         mismatches += got != cached or got != fresh().extension_class(M2, N2, E2, f2, g2)
-        if M.is_zero():
+        if not any(M.dim):
             continue
         mu = next(a for a in ctx.aut_elements(M) if a.vertex_maps != tuple(
             Matrix.identity(ctx.field, d) for d in M.dim))
