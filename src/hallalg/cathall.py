@@ -1,9 +1,10 @@
 """Categorified structure over the groupoid of representations.
 
 This module builds the short-exact-sequence groupoids with fixed outer
-terms, the braiding span they assemble into, and the degroupoidified
-multiplication/comultiplication matrices, then verifies the cardinality
-and coherence identities tying them back to the Hall algebra.
+terms, the braiding span they assemble into, the degroupoidified
+multiplication/comultiplication matrices and the hexagonators, and
+computes the cardinalities that tie them back to the Hall algebra.  The
+checks that compare them live in verify.py; nothing here takes a Run.
 
 Morphism conventions matter here and are made explicit throughout:
 
@@ -17,7 +18,7 @@ Morphism conventions matter here and are made explicit throughout:
   sum_E P^E / aut E = q^{-<m, n>}.  Bilinearity in each slot holds at
   this level, and this is the level the hexagon checks consume fiberwise.
 
-All checks report which convention each number uses.
+Every value says which convention it uses.
 """
 
 from fractions import Fraction
@@ -159,7 +160,7 @@ class ExtGroupoid:
         by the orbits of c_a -> nu_t c_a mu_s.  Those orbits together are
         the classes of every sequence of the piece, i.e. its fixed-end iso
         classes, returned as a set.  The stabilizer is |Aut(E)| / |orbit|,
-        and the division is asserted exact.
+        and a ValueError names the piece when the division is not exact.
         """
         ctx, M, N = self.ctx, self.M, self.N
         group_of = {}                 # reduced class -> index into groups
@@ -174,8 +175,10 @@ class ExtGroupoid:
         aut_e = ctx.aut_order(self.pieces[e_label][0].mid)
         orbits = []
         for i, orbit in groups:
-            assert aut_e % len(orbit) == 0
-            orbits.append((i, orbit, aut_e // len(orbit)))
+            stab, r = divmod(aut_e, len(orbit))
+            if r:
+                raise ValueError(f"|Aut {e_label}| = {aut_e} is no multiple of orbit {len(orbit)}")
+            orbits.append((i, orbit, stab))
         return orbits, set(group_of)
 
     def _orbit(self, c):
@@ -306,7 +309,7 @@ def _units(ctx, E, basis):
     return sum(1 for point in points if blocks_invertible(point, E.dim, p))
 
 
-def _square_zero(ctx, E, basis):
+def square_zero(ctx, E, basis):
     """Whether psi phi = 0 in End(E) for every pair of flat basis elements.
 
     Checked vertex block by vertex block: k^2 products, nothing enumerated.
@@ -317,7 +320,7 @@ def _square_zero(ctx, E, basis):
                for a, b in zip(psi, phi))
 
 
-# ---- cardinality, Riedtmann and bilinearity checks --------------------------------
+# ---- cardinalities, Riedtmann and bilinearity --------------------------------
 
 
 def closed_form_ext_cardinality(ctx, M, N):
@@ -340,33 +343,15 @@ def _fixed_end_sum(ctx, cm, cn):
                 for ce in ctx.classify(dim_add(cm.dim, cn.dim))), Fraction(0))
 
 
-def ext_cardinality_check(ctx, M, N):
-    """Weak-quotient cardinality versus the closed form, with triple morphisms.
+def riedtmann_count(ctx, M, N, E):
+    """|Ext^1(M,N)_E| |Aut E| / |Hom(M,N)|: Riedtmann's value of P^E_{MN}.
 
-    The left side is the pair-count route: the fixed-end sum of P^E / aut E
-    over middle terms, divided by aut N aut M.
+    The extension-class count enumerates canonical cocycle class
+    representatives, builds each middle term, and tests isomorphism with E.
     """
-    lhs = fixed_end_cardinality(ctx, M, N) / (ctx.aut_order(N) * ctx.aut_order(M))
-    rhs = closed_form_ext_cardinality(ctx, M, N)
-    return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
-
-
-def riedtmann_check(ctx, M, N, E):
-    """P^E_{MN} versus |Ext^1(M,N)_E| |Aut E| / |Hom(M,N)|.
-
-    The extension-class count on the right enumerates canonical cocycle
-    class representatives, builds each middle term, and tests isomorphism
-    with E; the left side is the subobject-based pair count.
-    """
-    lhs = Fraction(ctx.count_exact_pairs(M, N, E))
-    ext_e = 0
-    for vec in ctx.ext_class_reps(M, N):
-        mid = ctx.middle_term(M, N, vec)
-        if ctx.is_isomorphic(mid, E):
-            ext_e += 1
-    hom = ctx.q ** ctx.hom_dim(M, N)
-    rhs = Fraction(ext_e * ctx.aut_order(E), hom)
-    return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs, "ext_classes_E": ext_e}
+    ext_e = sum(1 for vec in ctx.ext_class_reps(M, N)
+                if ctx.is_isomorphic(ctx.middle_term(M, N, vec), E))
+    return Fraction(ext_e * ctx.aut_order(E), ctx.q ** ctx.hom_dim(M, N))
 
 
 def ext_bilinearity_first(ctx, M1, M2, N):
@@ -563,7 +548,7 @@ def split_sequence(ctx, hexagonator, ses, y, z):
     return hexagonator(ctx, ses, y, z)
 
 
-# ---- the braiding span and its comparison with EXT -----------------------------------
+# ---- the braiding span ---------------------------------------------------------------
 
 
 def braiding_entry(ctx, cx, cy):
@@ -574,54 +559,6 @@ def braiding_entry(ctx, cx, cy):
     built.
     """
     return ExtGroupoid.of(ctx, cx.rep, cy.rep).cardinality_triples() * cx.aut * cy.aut
-
-
-def bsim_ext_check(run, ctx, classes):
-    """Per-piece comparison of the braiding span's apex with the EXT groupoids.
-
-    For every pair of classes: object counts per middle class must match the
-    pair counts (images times the listed |Aut N| |Aut M|, against the census
-    count times the orbit-stabilizer orders; the pieces and the census read
-    one walk through the same class tables, so no piece can be missing),
-    the stabilizer |Aut E| / |orbit| must equal the units of
-    the image-preserving subalgebra A of End(E) (counted modulo V; A and V
-    come from one End(E) pass per iso class), the fixed-end automorphism
-    group 1 + V must be Hom(quo, sub) as an elementary abelian group (dim V
-    from the End(E) kernel against hom_dim from the presentation matrix,
-    and V V = 0 on a basis), and the orbit route's triple-convention
-    cardinality must equal the closed form.  The pair-count route to that
-    cardinality is the ext suite's, so it is not compared here again.
-    Each pair's groupoid is the context's shared ExtGroupoid.of(ctx, x, y),
-    so its orbit data is shared with braiding_entry.  Each pair of classes
-    is the instance bsim-ext:<x>|<y>, and only the groupoids of the
-    instances run selects are built.
-    """
-    for cx in classes:
-        x = cx.rep
-        for cy in classes:
-            y = cy.rep
-            if not run.want(f"bsim-ext:{cx.label}|{cy.label}"):
-                continue
-            ext = ExtGroupoid.of(ctx, x, y)
-            for e_label, firsts in ext.pieces.items():
-                p = ctx.count_exact_pairs(x, y, firsts[0].mid)
-                n = ext.object_count(e_label)
-                if n != p:
-                    run.fail(f"object count {n} != P^E {p} at {e_label}")
-                for ses, stab in ext.iso_classes(e_label):
-                    basis, complement = ext.end_bases(ses)
-                    direct = ext.aut_triples_direct(ses, basis, complement)
-                    if direct != stab:
-                        run.fail(f"direct aut {direct} != stabilizer {stab}")
-                    fixed, hom = ctx.q ** len(basis), ctx.q ** ctx.hom_dim(x, y)
-                    if fixed != hom:
-                        run.fail(f"fixed-end aut {fixed} != |Hom| {hom} at {e_label}")
-                    if not _square_zero(ctx, ses.mid, basis):
-                        run.fail("fixed-end aut group not elementary abelian")
-            direct_card = ext.cardinality_triples()
-            closed = closed_form_ext_cardinality(ctx, x, y)
-            if direct_card != closed:
-                run.fail(f"cardinalities differ: {direct_card} {closed}")
 
 
 # ---- multiplication and comultiplication spans ----------------------------------------
@@ -657,150 +594,7 @@ def comult_span_entry(ctx, lm, ln, le):
             * ext_piece_cardinality(ctx, lm, ln, le))
 
 
-def mult_matrix_against_hall(run, ctx, hall, bound):
-    """Entrywise comparison of the multiplication span with the Hall product.
-
-    Each entry is the instance mult:<le>|<lm>|<ln>.
-    """
-    for cm, cn in ctx.class_tuples(bound, 2):
-        lm, ln = cm.label, cn.label
-        prod = hall.product_basis(lm, ln)
-        for ce in ctx.classify(dim_add(cm.dim, cn.dim)):
-            if run.want(f"mult:{ce.label}|{lm}|{ln}"):
-                span_val = mult_span_entry(ctx, ce.label, lm, ln)
-                hall_val = prod.get(ce.label, Fraction(0))
-                if span_val != hall_val:
-                    run.fail(f"span {span_val} != hall {hall_val}")
-
-
-def comult_matrix_against_hall(run, ctx, hall, bound):
-    """The comultiplication span against the Hall coproduct.
-
-    The coproduct term [n] (x) [m] must equal the span entry at row
-    (m, n): quotient first in the row key, subobject first in the tensor.
-    Each (M, N, E) with matching grades is the instance
-    comult:<lm>|<ln>|<le>: a coproduct term, or an entry with no term,
-    which must then be zero.
-    """
-    classes = ctx.classes_up_to(bound)
-    for cls in classes:
-        le = cls.label
-        order = hall.grade_order(cls.dim)
-        terms = {(lm, ln): Fraction(coeff, order)
-                 for (ln, lm), coeff in hall.coproduct_basis(le).items()}
-        for (lm, ln), coeff in terms.items():
-            if run.want(f"comult:{lm}|{ln}|{le}"):
-                span_val = comult_span_entry(ctx, lm, ln, le)
-                if span_val != coeff:
-                    run.fail(f"span {span_val} != hall {coeff}")
-        for cm in classes:
-            rest = tuple(e - m for e, m in zip(cls.dim, cm.dim))
-            if min(rest, default=0) < 0:
-                continue
-            for cn in ctx.classify(rest):
-                if (cm.label, cn.label) in terms:
-                    continue
-                if run.want(f"comult:{cm.label}|{cn.label}|{le}"):
-                    val = comult_span_entry(ctx, cm.label, cn.label, le)
-                    if val != 0:
-                        run.fail(f"extra span entry {val}")
-
-
-# ---- coherence polytopes ---------------------------------------------------------
-
-
-def _reassoc(obj):
-    """((x, y, m), z, n) -> (x, (y, z, n), m): the associator on pullback tuples."""
-    (x, y, m), z, n = obj
-    return (x, (y, z, n), m)
-
-
-def pentagon_strict_check(run, ctx, bound):
-    """Both pentagon composites of re-parenthesization maps agree objectwise.
-
-    The four spans are identity spans on the truncated base, so composite
-    objects are witnesses with chains of automorphisms between them.
-    """
-    if not run.selects("pentagon-strict"):
-        return
-    for cls in ctx.classes_up_to(bound):
-        w = cls.rep
-        wi = cls.label
-        check_budget(f"pentagon-strict Aut({wi})^3 loop", cls.aut ** 3, ctx.budget)
-        auts = [m.vertex_maps for m in ctx.aut_elements(w)]
-        for a in auts:
-            for b in auts:
-                for c in auts:
-                    run.want("pentagon-strict")     # one instance per object
-                    obj = (((wi, wi, a), wi, b), wi, c)
-                    via_back = _reassoc((_reassoc(obj[0]), obj[1], obj[2]))
-                    via_back = (via_back[0], _reassoc(via_back[1]), via_back[2])
-                    via_front = _reassoc(_reassoc(obj))
-                    if via_back != via_front:
-                        run.fail(f"pentagon mismatch at {wi}")
-
-
-def unitor_check(run, ctx, bound):
-    """The unitor triangle: both routes send ((t, y, f), s, g) to (t, s, g . f)."""
-    if not run.selects("unitor"):
-        return
-    for cls in ctx.classes_up_to(bound):
-        w = cls.rep
-        wi = cls.label
-        check_budget(f"unitor Aut({wi})^2 loop", cls.aut ** 2, ctx.budget)
-        auts = ctx.aut_elements(w)
-        for fm in auts:
-            for gm in auts:
-                run.want("unitor")                  # one instance per object
-                composite = gm.compose(fm).vertex_maps
-                via_assoc = _reassoc(((wi, wi, fm.vertex_maps), wi, gm.vertex_maps))
-                # T . l collapses the middle unit leg by composing the alphas
-                left_route = (via_assoc[0], via_assoc[1][1],
-                              _compose_keys(ctx, w, via_assoc[1][2], via_assoc[2]))
-                right_route = (wi, wi, composite)
-                if left_route != right_route:
-                    run.fail(f"unitor mismatch at {wi}")
-
-
-def _compose_keys(ctx, w, inner_key, outer_key):
-    g = RepMorphism(w, w, list(inner_key))
-    f = RepMorphism(w, w, list(outer_key))
-    return g.compose(f).vertex_maps
-
-
-def shuffle_check(run, ctx, name, shape, bound):
-    """One coherence shuffle on every class quadruple (a, b, c, d) within bound.
-
-    shape(ctx, a, b, c, d) returns the outer terms (quo, sub) of the
-    extensions to split, slots(ses) listing (slot, route-one piece,
-    route-two piece) for one sequence, and the list of (quo, sub) braid
-    pieces on the polytope's paths, each first met in path order.  slots
-    splits only through split_sequence, so each hexagonator runs once per
-    distinct input on the context, not once per check: quadruples whose
-    direct sums coincide (zero summands) walk the same sequences, and after
-    shuffle-1-3 and shuffle-3-1, shuffle-2-2 finds every split it asks for
-    cached.  On every object of EXT(quo, sub) the two routes must agree
-    slotwise (outer terms literal, middle terms isomorphic), and every
-    distinct piece must have fixed-end cardinality q^{-<quo, sub>}, read
-    off the census.  The paths' products of those values are not
-    compared: they read only the Euler form and agree by its bilinearity.
-    """
-    for classes in ctx.class_tuples(bound, 4):
-        if not run.want(f"{name}:" + "|".join(c.label for c in classes)):
-            continue
-        (quo, sub), slots, pieces = shape(ctx, *(c.rep for c in classes))
-        ext = ExtGroupoid.of(ctx, quo, sub)
-        for e_label in ext.pieces:
-            for ses in ext.objects(e_label):
-                for slot, one, two in slots(ses):
-                    if not (one.sub == two.sub and one.quo == two.quo
-                            and ctx.is_isomorphic(one.mid, two.mid)):
-                        run.fail(f"slot {slot} differs at {e_label}")
-                        break
-        for q, s in dict.fromkeys(pieces):
-            if fixed_end_cardinality(ctx, q, s) != q_power(ctx.q, -ctx.euler_form(q.dim, s.dim)):
-                run.fail(f"fixed-end piece value off for "
-                         f"{ctx.class_of(q).label},{ctx.class_of(s).label}")
+# ---- coherence shuffle shapes -------------------------------------------------------
 
 
 def _shuffle_13(ctx, a, b, c, d):

@@ -116,6 +116,8 @@ def cmd_verify(args):
         reports.append(rep)
         if rep["failures"]:
             ok = False
+    if args.only is not None and not any(rep["instances"] for rep in reports):
+        raise UsageError(f"--only {args.only!r} names no instance of verify {args.suite}")
     doc = {
         "config": {"quiver": ctx.quiver.name, "q": args.q, "max_dim": args.max_dim,
                    "budget": args.budget, "seed": args.seed, "only": args.only},

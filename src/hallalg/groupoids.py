@@ -13,7 +13,7 @@ endpoints and counts.
 from fractions import Fraction
 import random
 
-from .linalg import DEFAULT_BUDGET, check_budget
+from .linalg import DEFAULT_BUDGET, check_budget, combine
 
 
 class GroupoidFormatError(ValueError):
@@ -476,22 +476,13 @@ def _class_rep_map(G):
 
 def apply_matrix(entries, vec):
     """Multiply a degroupoidified span matrix by a degroupoidified vector."""
-    out = {}
-    for (y, x), m in entries.items():
-        if x in vec:
-            out[y] = out.get(y, Fraction(0)) + m * vec[x]
-    return {k: v for k, v in out.items() if v}
+    return combine(({y: m}, vec[x]) for (y, x), m in entries.items() if x in vec)
 
 
 def matrix_product(e1, e2):
     """Compose matrices given as {(row, mid)} and {(mid, col)} entry dicts."""
-    out = {}
-    for (y, m1), a in e1.items():
-        for (m2, x), b in e2.items():
-            if m1 == m2:
-                key = (y, x)
-                out[key] = out.get(key, Fraction(0)) + a * b
-    return {k: v for k, v in out.items() if v}
+    return combine(({(y, x): b for (m2, x), b in e2.items() if m2 == m1}, a)
+                   for (y, m1), a in e1.items())
 
 
 # ---- JSON round trip ----------------------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm, prod
 
-from .linalg import gl_order
+from .linalg import combine, gl_order
 from .quiver import dim_add, dim_total, kept, parse_label
 
 
@@ -45,21 +45,14 @@ def q_power(q, k):
     return q ** k if k >= 0 else Fraction(1, q ** -k)
 
 
-def combine(terms):
-    """sum of c * x over (x, c) in terms, each x a {key: coeff} dict.
-
-    Accumulates into one dict, dropping a key whose sum cancels, so n terms
-    cost O(total size) rather than the O(n^2) of repeated vector additions.
-    """
-    acc = {}
-    for coeffs, c in terms:
-        for k, v in coeffs.items():
-            s = acc.get(k, 0) + v * c
-            if s:
-                acc[k] = s
-            else:
-                acc.pop(k, None)
-    return acc
+def hall_number(p, aut_mn, le, lm, ln):
+    """P^E_{MN} / (aut M aut N), with aut_mn = aut M aut N: the Hall number
+    g^E_{MN}, an int, or a ValueError naming E, M and N when it is not one."""
+    g, r = divmod(p, aut_mn)
+    if r:
+        raise ValueError(f"Hall number at E = {le}, M = {lm}, N = {ln} is {p}/{aut_mn}, "
+                         "not an integer")
+    return g
 
 
 def sorted_terms(vector):
@@ -118,8 +111,7 @@ class HallAlgebra:
     def product_basis(self, label_m, label_n):
         """[M] . [N] = sum_E P^E_{MN} / (aut M aut N) [E], as a coeff dict.
 
-        Each coefficient is the Hall number g^E_{MN}, an int: the division
-        is exact, and asserted so.
+        Each coefficient is the Hall number g^E_{MN}, an int (hall_number).
         """
         ctx = self.ctx
         cm, cn = ctx.class_by_label(label_m), ctx.class_by_label(label_n)
@@ -127,9 +119,7 @@ class HallAlgebra:
         for ce in ctx.classify(dim_add(cm.dim, cn.dim)):
             p = ctx.pair_count(cm, cn, ce)
             if p:
-                g, r = divmod(p, cm.aut * cn.aut)
-                assert not r, (label_m, label_n, ce.label)
-                out[ce.label] = g
+                out[ce.label] = hall_number(p, cm.aut * cn.aut, ce.label, label_m, label_n)
         return out
 
     def bounded_product_basis(self, label_m, label_n, bound):
@@ -224,7 +214,7 @@ class HallAlgebra:
         total, read through pair_count.  inverse is {(A, C): [(X, g^X_{AC})]}
         over the classes X of every grade <= total, regrouped from their
         factorization indexes; the Hall number g^X_{AC} = P^X_{AC} /
-        (aut A aut C) is an exact integer, asserted so.
+        (aut A aut C) is an exact integer (hall_number).
         """
         ctx, cls = self.ctx, self.ctx.class_by_label
         splits = [(ctx.classify(dim_x), ctx.classify(tuple(t - x for t, x in zip(total, dim_x))))
@@ -240,8 +230,7 @@ class HallAlgebra:
                 for la, subs in self.factorizations(cx.label).items():
                     aut_a = cls(la).aut
                     for lc, p in subs.items():
-                        g, r = divmod(p, aut_a * cls(lc).aut)
-                        assert not r, (cx.label, la, lc)
+                        g = hall_number(p, aut_a * cls(lc).aut, cx.label, la, lc)
                         inverse.setdefault((la, lc), []).append((cx.label, g))
         return columns, inverse
 
@@ -345,7 +334,7 @@ class HallAlgebra:
         S([0]) = [0]; for positive grade, S([E]) = -[E] - sum of
         S([N]) . (coefficient) [M] over the reduced coproduct terms of [E].
         The sum is taken over the lcm of the sub grade orders, and the
-        division by it is exact (asserted), since aut E S([E]) is integral
+        division by it is exact (else a ValueError), since aut E S([E]) is integral
         (Xiao, J. Algebra 190, 1997).
         """
         if dim_total(self.grade(label)) > bound:
@@ -362,7 +351,8 @@ class HallAlgebra:
         out = {}
         for k, v in total.items():
             out[k], r = divmod(v, den)
-            assert not r, (label, k)
+            if r:
+                raise ValueError(f"|G_e| S([{label}]) at {k} is {v}/{den}, not an integer")
         return out
 
     def antipode_residual(self, label, bound):

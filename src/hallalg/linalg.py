@@ -3,7 +3,8 @@
 Everything here is immutable and deterministic: matrices are tuples of
 tuples, pivots are always the first nonzero entry, and enumeration runs
 in a fixed order: lexicographic where it fixes class labels, modular
-Gray-code for the points of a span.  No floating point anywhere.
+Gray-code for the points of a span.  No floating point anywhere.  combine
+is the one accumulator of sparse {key: coeff} vectors, for every layer.
 """
 
 from itertools import combinations, product
@@ -35,6 +36,23 @@ def check_budget(what, count, budget):
     if count > budget:
         raise BudgetError(what, count, budget)
     return count
+
+
+def combine(terms):
+    """sum of c * x over (x, c) in terms, each x a {key: coeff} dict.
+
+    Accumulates into one dict, dropping a key whose sum cancels, so n terms
+    cost O(total size) rather than the O(n^2) of repeated vector additions.
+    """
+    acc = {}
+    for coeffs, c in terms:
+        for k, v in coeffs.items():
+            s = acc.get(k, 0) + v * c
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
+    return acc
 
 
 def is_prime(n):
@@ -409,7 +427,8 @@ def gaussian_binomial(n, k, q):
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (k - i) - 1
-    assert num % den == 0
+    if num % den:
+        raise ValueError(f"Gaussian binomial ({n} choose {k})_{q} is {num}/{den}, not an integer")
     return num // den
 
 

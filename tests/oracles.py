@@ -606,7 +606,9 @@ def green_residual_by_join(hall, label_m, label_n, label_x, label_y):
                     p_y = y_subs.get(ld)
                     if p_y:
                         t, r = divmod(p_mx * p_n * p_y, aut_abc * cls(ld).aut)
-                        assert not r, (label_m, label_n, label_x, label_y)
+                        if r:
+                            raise ValueError(f"Green term at M = {label_m}, N = {label_n}, "
+                                             f"X = {label_x}, Y = {label_y} is not an integer")
                         terms += t
             if terms:
                 key = (ca.dim, cc.dim)

@@ -78,10 +78,11 @@ def test_criterion_05_ext_cardinality(ctx2, ctx3, reps2, reps3):
     for ctx in (ctx2, ctx3):
         rep = verify.suite_ext(ctx, 3)
         assert rep["failures"] == [], rep["failures"][:3]
-    r2 = cathall.ext_cardinality_check(ctx2, reps2["S1"], reps2["S2"])
-    assert r2["lhs"] == r2["rhs"] == Fraction(2)
-    r3 = cathall.ext_cardinality_check(ctx3, reps3["S1"], reps3["S2"])
-    assert r3["lhs"] == r3["rhs"] == Fraction(3, 4)
+    for ctx, reps, value in ((ctx2, reps2, Fraction(2)), (ctx3, reps3, Fraction(3, 4))):
+        S1, S2 = reps["S1"], reps["S2"]
+        pair_count_route = cathall.fixed_end_cardinality(ctx, S1, S2) / (
+            ctx.aut_order(S2) * ctx.aut_order(S1))
+        assert pair_count_route == cathall.closed_form_ext_cardinality(ctx, S1, S2) == value
     _ok(5, "EXT cardinality lemma exact for all pairs dim<=3 (A2, q=2,3); "
            "|EXT(S1,S2)| = 2 at q=2 and 3/4 at q=3")
 
@@ -100,12 +101,10 @@ def test_criterion_06_riedtmann(ctx2, ctx3):
 
 
 def test_criterion_07_span_degroupoidification(ctx2, hall2):
-    run = verify.Run()
-    cathall.mult_matrix_against_hall(run, ctx2, hall2, 3)
-    cathall.comult_matrix_against_hall(run, ctx2, hall2, 3)
-    assert run.failures == [], run.failures[:3]
+    rep = verify.suite_spans(ctx2, hall2, 3)
+    assert rep["failures"] == [], rep["failures"][:3]
     _ok(7, f"multiplication/comultiplication spans match the Hall maps "
-           f"entrywise at bound 3 ({run.instances} entries, A2, q=2)")
+           f"entrywise at bound 3 ({rep['instances']} entries, A2, q=2)")
 
 
 def test_criterion_08_engine_properties(ctx2):
@@ -152,14 +151,9 @@ def test_criterion_11_antipode(ctx2, hall2):
 
 def test_criterion_12_coherence_polytopes(ctx2, hall2):
     t0 = time.monotonic()
-    runs = {"pentagon-strict": verify.Run(), "unitor": verify.Run()}
-    cathall.pentagon_strict_check(runs["pentagon-strict"], ctx2, 2)
-    cathall.unitor_check(runs["unitor"], ctx2, 2)
-    for name, shape in cathall.SHUFFLES.items():
-        runs[name] = verify.Run()
-        cathall.shuffle_check(runs[name], ctx2, name, shape, 2)
-    for name, run in runs.items():
-        assert run.failures == [], (name, run.failures[:3])
+    for name in ("pentagon-strict", "unitor", *cathall.SHUFFLES):
+        rep = verify.suite_coherence(ctx2, 2, only=name)
+        assert rep["failures"] == [], (name, rep["failures"][:3])
     # hexagonator checks reproduce EXT bilinearity numerically
     rep = verify.suite_bilinearity(ctx2, 3)
     assert rep["failures"] == []

@@ -6,19 +6,18 @@ from operator import mul
 import pytest
 
 from hallalg import groupoids as gpd
-from hallalg.cathall import (ExtGroupoid, SESObject, braiding_entry, bsim_ext_check,
-                             comult_matrix_against_hall,
-                             comult_span_entry, ext_bilinearity_first,
-                             ext_bilinearity_second, ext_cardinality_check,
+from hallalg.cathall import (ExtGroupoid, SESObject, braiding_entry,
+                             closed_form_ext_cardinality, comult_span_entry,
+                             ext_bilinearity_first, ext_bilinearity_second,
                              fixed_end_cardinality,
                              glue_quotients, glue_subobjects, hexagonator_R, hexagonator_S,
-                             mult_matrix_against_hall, mult_span_entry,
-                             riedtmann_check, _square_zero)
+                             mult_span_entry, riedtmann_count, square_zero)
 from hallalg import cathall
 from hallalg.cli import load_quiver
 from hallalg.linalg import DEFAULT_BUDGET, BudgetError, Matrix, flatten, unflatten
 from hallalg.quiver import RepCategory, RepMorphism, dim_add
-from hallalg.verify import BSIM_CAP, Run, run_suite
+from hallalg.verify import (BSIM_CAP, run_suite, suite_bsim, suite_coherence,
+                            suite_spans)
 from oracles import (block_injections, block_projections, corestrict, factor_through,
                      fixed_ends_by_aut_scan, glue_quotients_by_solve,
                      glue_subobjects_by_solve, hexagonator_R_by_solve,
@@ -147,26 +146,35 @@ def test_ext_objects_are_budgeted(a2):
     assert f"piece {e_label}" in str(err.value)
 
 
+def _ext_cardinality(ctx, M, N):
+    """suite_ext's two sides: the pair-count route over aut N aut M, and the
+    closed form q^{-<m, n>} / (aut N aut M); asserted equal."""
+    lhs = fixed_end_cardinality(ctx, M, N) / (ctx.aut_order(N) * ctx.aut_order(M))
+    assert lhs == closed_form_ext_cardinality(ctx, M, N)
+    return lhs
+
+
 def test_ext_cardinality_lemma(ctx2, ctx3, reps2, reps3):
     for ctx, reps, q in ((ctx2, reps2, 2), (ctx3, reps3, 3)):
-        r = ext_cardinality_check(ctx, reps["S1"], reps["S2"])
-        assert r["equal"]
-        assert r["lhs"] == Fraction(q, (q - 1) ** 2)
-        r = ext_cardinality_check(ctx, reps["S2"], reps["S1"])
-        assert r["equal"] and r["lhs"] == Fraction(1, (q - 1) ** 2)
-        r = ext_cardinality_check(ctx, reps["zero"], reps["zero"])
-        assert r["equal"] and r["lhs"] == 1
+        assert _ext_cardinality(ctx, reps["S1"], reps["S2"]) == Fraction(q, (q - 1) ** 2)
+        assert _ext_cardinality(ctx, reps["S2"], reps["S1"]) == Fraction(1, (q - 1) ** 2)
+        assert _ext_cardinality(ctx, reps["zero"], reps["zero"]) == 1
 
 
 def test_riedtmann_examples(ctx2, reps2):
+    """riedtmann_count against the pair count, and its number of extension
+    classes with middle term E, |Ext^1(M,N)_E| = count |Hom(M,N)| / |Aut E|."""
     S1, S2, P1, SS = reps2["S1"], reps2["S2"], reps2["P1"], reps2["SS"]
-    r = riedtmann_check(ctx2, S1, S2, P1)
-    assert r["equal"] and r["lhs"] == 1 and r["ext_classes_E"] == 1
-    r = riedtmann_check(ctx2, S1, S2, SS)
-    assert r["equal"] and r["ext_classes_E"] == 1  # the zero class
+
+    def ext_classes(E):
+        return riedtmann_count(ctx2, S1, S2, E) * 2 ** ctx2.hom_dim(S1, S2) / ctx2.aut_order(E)
+    assert riedtmann_count(ctx2, S1, S2, P1) == ctx2.count_exact_pairs(S1, S2, P1) == 1
+    assert ext_classes(P1) == 1
+    assert riedtmann_count(ctx2, S1, S2, SS) == ctx2.count_exact_pairs(S1, S2, SS)
+    assert ext_classes(SS) == 1  # the zero class
     # wrong-dimension middle term: both sides zero
-    r = riedtmann_check(ctx2, S1, S2, reps2["S1"])
-    assert r["equal"] and r["lhs"] == 0
+    assert riedtmann_count(ctx2, S1, S2, reps2["S1"]) == ctx2.count_exact_pairs(
+        S1, S2, reps2["S1"]) == 0
 
 
 def test_ext_bilinearity(ctx2, ctx3, reps2, reps3):
@@ -377,26 +385,23 @@ def test_mult_span_matrix_entries(ctx2, hall2):
     assert mult_span_entry(ctx2, "d1.1#0", "d1.0#0", "d0.1#0") == 1
     # an entry off the grading is zero
     assert mult_span_entry(ctx2, "d1.1#1", "d1.0#0", "d1.0#0") == 0
-    run = Run()
-    mult_matrix_against_hall(run, ctx2, hall2, 3)
-    assert run.failures == []
-    assert run.instances == 71        # one per (E, M, N) with matching grades
+    rep = suite_spans(ctx2, hall2, 3, only="mult")
+    assert rep["failures"] == []
+    assert rep["instances"] == 71     # one per (E, M, N) with matching grades
 
 
 def test_comult_span_matrix_entries(ctx2, ctx3, hall2, hall3):
     # row (quo, sub) = (S1, S2) of column P1 carries Delta's [S2] (x) [S1] term
     assert comult_span_entry(ctx2, "d1.0#0", "d0.1#0", "d1.1#1") == 1
-    run = Run()
-    comult_matrix_against_hall(run, ctx2, hall2, 3)
-    assert run.failures == []
-    assert run.instances == 71        # one per (M, N, E) with matching grades, as for mult
+    rep = suite_spans(ctx2, hall2, 3, only="comult")
+    assert rep["failures"] == []
+    assert rep["instances"] == 71     # one per (M, N, E) with matching grades, as for mult
     assert comult_span_entry(ctx3, "d1.0#0", "d0.1#0", "d1.1#1") == 2  # q - 1 at q = 3
 
 
 def test_braiding_span_degroupoidifies_to_braiding(ctx2, hall2, reps2):
     ext = ExtGroupoid.of(ctx2, reps2["S1"], reps2["S2"])
-    assert ext.cardinality_triples() == ext_cardinality_check(
-        ctx2, reps2["S1"], reps2["S2"])["lhs"] == 2
+    assert ext.cardinality_triples() == _ext_cardinality(ctx2, reps2["S1"], reps2["S2"]) == 2
     assert braiding_entry(ctx2, ctx2.class_of(reps2["S1"]), ctx2.class_of(reps2["S2"])) == 2
     # matches the algebraic braiding coefficient q^{-<s1, s2>}
     assert hall2.braid_coeff((1, 0), (0, 1)) == 2
@@ -417,11 +422,10 @@ def test_ext_morphism_counts_on_demand(ctx2, reps2):
         objs[0], *ext.end_bases(objs[0]))
 
 
-def test_bsim_ext_check_bound_one(ctx2):
-    run = Run()
-    bsim_ext_check(run, ctx2, ctx2.classes_up_to(1))
-    assert run.failures == []
-    assert run.instances == 9
+def test_bsim_ext_check_bound_one(ctx2, hall2):
+    rep = suite_bsim(ctx2, hall2, 1, only="bsim-ext")
+    assert rep["failures"] == []
+    assert rep["instances"] == 9
 
 
 def test_aut_routes_match_aut_scans(ctx2):
@@ -451,7 +455,7 @@ def test_aut_routes_match_aut_scans(ctx2):
                 for (ses, _), (_, _, stab) in zip(ext.iso_classes(e_label), orbits):
                     basis, complement = ext.end_bases(ses)
                     assert ext.aut_triples_direct(ses, basis, complement) == stab
-                    assert _square_zero(ctx2, ses.mid, basis)
+                    assert square_zero(ctx2, ses.mid, basis)
                     one = flatten(identity_morphism(ses.mid).vertex_maps)
                     fixed = {tuple((e + sum(c * b[k] for c, b in zip(coeffs, basis))) % q
                                    for k, e in enumerate(one))
@@ -558,9 +562,9 @@ def test_square_zero_rejects_the_identity(ctx2, reps2):
     for e_label in ext.pieces:
         for ses in ext.objects(e_label):
             basis = ext.end_bases(ses)[0]
-            assert _square_zero(ctx2, ses.mid, basis)
+            assert square_zero(ctx2, ses.mid, basis)
             one = flatten(identity_morphism(ses.mid).vertex_maps)
-            assert not _square_zero(ctx2, ses.mid, basis + [one])
+            assert not square_zero(ctx2, ses.mid, basis + [one])
 
 
 def test_fixed_end_group_of_order_64_needs_no_enumeration(a2):
@@ -577,19 +581,14 @@ def test_fixed_end_group_of_order_64_needs_no_enumeration(a2):
     ses = SESObject(N, E, M, f, g)
     basis = ExtGroupoid(ctx, M, N).end_bases(ses)[0]
     assert len(basis) == ctx.hom_dim(M, N) == 6
-    assert _square_zero(ctx, E, basis)
+    assert square_zero(ctx, E, basis)
 
 
 def test_coherence_checks_bound_one(ctx2):
-    runs = {"pentagon-strict": Run(), "unitor": Run()}
-    cathall.pentagon_strict_check(runs["pentagon-strict"], ctx2, 1)
-    cathall.unitor_check(runs["unitor"], ctx2, 1)
-    for name, shape in cathall.SHUFFLES.items():
-        runs[name] = Run()
-        cathall.shuffle_check(runs[name], ctx2, name, shape, 1)
-    for name, run in runs.items():
-        assert run.failures == [], name
-        assert run.instances > 0, name
+    for name in ("pentagon-strict", "unitor", *cathall.SHUFFLES):
+        rep = suite_coherence(ctx2, 1, only=name)
+        assert rep["failures"] == [], name
+        assert rep["instances"] > 0, name
 
 
 def test_shuffle_22_specific_instance(ctx2, reps2):
@@ -641,11 +640,9 @@ def test_each_shuffle_splits_each_sequence_once(a2, monkeypatch):
         return split(*args)
     _watch_splits(monkeypatch, on_split)
     counts = {}
-    for check, shape in cathall.SHUFFLES.items():
+    for check in cathall.SHUFFLES:
         tally.update(asked=0, calls=0)
-        run = Run()
-        cathall.shuffle_check(run, ctx, check, shape, 2)
-        assert run.failures == []
+        assert suite_coherence(ctx, 3, only=check)["failures"] == []
         counts[check] = (tally["asked"], tally["calls"])
     assert counts == {"shuffle-1-3": (536, 81), "shuffle-3-1": (536, 81),
                       "shuffle-2-2": (774, 0)}
@@ -668,10 +665,8 @@ def test_shuffle_splits_equal_fresh_hexagonator_calls(ctx2, reps2, monkeypatch):
         seen.append(hexagonator)
         return got
     _watch_splits(monkeypatch, on_split)
-    for check, shape in cathall.SHUFFLES.items():
-        run = Run()
-        cathall.shuffle_check(run, ctx2, check, shape, 2)
-        assert run.failures == []
+    for check in cathall.SHUFFLES:
+        assert suite_coherence(ctx2, 3, only=check)["failures"] == []
     assert len(seen) == 536 + 536 + 774
     assert set(seen) == {hexagonator_R, hexagonator_S}
 

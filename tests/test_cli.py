@@ -412,7 +412,13 @@ def test_verify_only_check_name_selects_the_whole_check(capsys):
 
 @pytest.mark.parametrize("inst", ["unitorX", "pentagon-strict:nothing"])
 def test_verify_only_unknown_id_runs_nothing(capsys, inst):
-    assert _instances(capsys, "coherence", "--only", inst) == 0
+    """An id that selects no instance of the command is a usage error: exit 2,
+    no report, and the message names the id."""
+    for suite in ("coherence", "all"):
+        code, out, err = run(capsys, "verify", suite, "--max-dim", "2", "--only", inst)
+        assert code == 2 and out == ""
+        assert err.strip().splitlines()[-1] == (
+            f"error: --only {inst!r} names no instance of verify {suite}")
 
 
 def test_budget_error_names_suite_and_replayable_instance(capsys, tmp_path):

@@ -33,11 +33,12 @@ CAUGHT = {
                                               "bialgebra": (0, 45), "bsim": (0, 98)})],
     # every Hall suite that reads a coproduct sees it too; at q = 3 the bumped
     # P^{P1}_{S1 S2} = 5 is no multiple of aut S1 aut S2 = 4, and the Hall
-    # number division of the Green rows asserts exactness
+    # number division of the Green rows raises on the inexact quotient
     "factorization_bumped": [
         ("a2", 2, 3, {"algebra": (2, 202), "green": (22, 295), "bialgebra": (5, 45),
                       "antipode": (2, 13), "spans": (1, 142)}),
-        ("a2", 3, 3, {"green": ("AssertionError: ('d1.1#1', 'd1.0#0', 'd0.1#0')", 295)})],
+        ("a2", 3, 3, {"green": ("ValueError: Hall number at E = d1.1#1, M = d1.0#0, "
+                                "N = d0.1#0 is 5/4, not an integer", 295)})],
     # a sign is invisible over F_2; the bilinearity round trip sees it at q = 3
     "glue_sign_dropped": [("a2", 3, 2, {"bilinearity": (1, 62)}),
                           ("a2", 3, 3, {"bilinearity": (7, 210)})],
@@ -122,7 +123,7 @@ def _counts(quiver, q, max_dim, suites):
     for name in suites:
         try:
             rep = verify.run_suite(name, ctx, hall, max_dim, seed=0)
-        except (AssertionError, ValueError) as exc:
+        except ValueError as exc:
             out[name] = (f"{type(exc).__name__}: {exc}", suites[name][1])
             continue
         out[name] = (len(rep["failures"]), rep["instances"])
@@ -184,9 +185,9 @@ def test_bilinearity_names_what_failed(monkeypatch):
 
 def test_factorization_bumped_breaks_exactness_on_both_routes():
     """At q = 3 the bumped factorization is no multiple of aut S1 aut S2:
-    the rows and the join both raise on their exactness assert."""
+    the rows and the join both raise a ValueError on the inexact division."""
     for by_join in (False, True):
-        with MUTANTS["factorization_bumped"](), pytest.raises(AssertionError):
+        with MUTANTS["factorization_bumped"](), pytest.raises(ValueError):
             _green_failures("a2", 3, 3, by_join)
 
 

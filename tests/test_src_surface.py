@@ -90,3 +90,28 @@ def test_the_boundary_check_sees_private_context_reads():
     tree = ast.parse("ctx._memo\nself.ctx._canon\nctx.classify\nother._memo\n"
                      "self._memo\nctx.field._p\n")
     assert private_context_reads(tree) == ["_canon", "_memo"]
+
+
+def run_uses(tree):
+    """The parameters named run, and the attributes want, selects and fail
+    read, under tree: what only a verify suite may touch of a Run."""
+    params = [arg.arg for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.Lambda))
+              for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+              if arg.arg == "run"]
+    return sorted(params + [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                            and node.attr in ("want", "selects", "fail")])
+
+
+def test_only_verify_sees_a_run():
+    """Instance ids, --only selection and failure lines are verify.py's own:
+    no other src/ function takes a `run` or reads its want, selects or fail."""
+    assert {path.name: run_uses(ast.parse(path.read_text()))
+            for path in sorted(SRC.glob("*.py")) if path.name != "verify.py"} == {
+        path.name: [] for path in sorted(SRC.glob("*.py")) if path.name != "verify.py"}
+
+
+def test_the_run_check_sees_run_parameters_and_reads():
+    tree = ast.parse("def check(run, ctx):\n    if run.want('x'):\n        run.fail('y')\n"
+                     "f = lambda *, run: run.selects('z')\n"
+                     "def other(ctx, runs):\n    return ctx.wanted + runs\n")
+    assert run_uses(tree) == ["fail", "run", "run", "selects", "want"]
