@@ -385,6 +385,12 @@ def _ext_bilinearity(ctx, part1, part2, other, split, glue, slot):
     ctx.middle_term_ses builds from its reduced cocycle.  split_sequence is
     not used: bilinearity asks for no split twice on one context, so its
     memo would only keep every piece alive with the context.
+
+    Returns (lhs, rhs, splits, pairs): the fixed-end cardinality of EXT with
+    part1 (+) part2 in the slot and the product of those with each part,
+    {class: ((class of s1, class of s2), class of the glued sequence)} over
+    the extension classes of the whole, and n1 n2, the number of pairs of
+    extension classes of the parts.
     """
     def ends(x):
         return (x, other) if slot == 0 else (other, x)
@@ -396,20 +402,14 @@ def _ext_bilinearity(ctx, part1, part2, other, split, glue, slot):
     lhs = fixed_end_cardinality(ctx, *ends(whole))
     rhs = fixed_end_cardinality(ctx, *ends(part1)) * fixed_end_cardinality(ctx, *ends(part2))
     ext_sum = ExtGroupoid.of(ctx, *ends(whole))
-    classes = ext_sum.extension_classes()
-    image_pairs = set()
-    round_trip_ok = True
-    for cls in classes:
+    splits = {}
+    for cls in ext_sum.extension_classes():
         E, incl, proj = ctx.middle_term_ses(ext_sum.M, ext_sum.N, cls)
         s1, s2 = split(ctx, SESObject(ext_sum.N, E, ext_sum.M, incl, proj), part1, part2)
-        image_pairs.add((ext_class(s1), ext_class(s2)))
-        if ext_class(glue(ctx, s1, s2, whole)) != cls:
-            round_trip_ok = False
+        splits[cls] = (ext_class(s1), ext_class(s2)), ext_class(glue(ctx, s1, s2, whole))
     n1 = len(ExtGroupoid.of(ctx, *ends(part1)).extension_classes())
     n2 = len(ExtGroupoid.of(ctx, *ends(part2)).extension_classes())
-    bijection = len(image_pairs) == len(classes) == n1 * n2
-    return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs,
-            "skeleton_bijection": bijection, "round_trip": round_trip_ok}
+    return lhs, rhs, splits, n1 * n2
 
 
 # Splitting and gluing on subspace frames.  For U <= E spanned by a basis B,

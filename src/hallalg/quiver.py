@@ -613,30 +613,39 @@ class RepCategory:
                 tuple(sum(map(mul, row, col)) % p for row in low for col in rest_cols))
         return self._block_pairs.setdefault(pair, pair)
 
-    def _subrep_walk(self, E, sub_dim=None):
+    def _subrep_walk(self, E, sub_dim=None, free=()):
         """(sub_dim, frames, blocks) for every U <= E of dimension sub_dim, or of
         every dimension when sub_dim is None: a cached subspace frame per vertex
-        and the _arrow_blocks of every arrow.  The budget is checked on the
-        whole walk at call time, before any frame is built.  Vertices are
-        walked in order through their subspace lists, by dimension and then in
+        and the _arrow_blocks of every arrow.  A vertex in free, where every
+        arrow of E has a zero edge map, is walked once per dimension k with no
+        frame (None), standing for its [e choose k]_q subspaces, which all
+        give the same blocks.  The budget is checked on the whole walk at
+        call time, before any frame is built.  Vertices are walked in order
+        through their subspace lists, by dimension and then in
         subspace_frames order (their product's order); an arrow is tested once
         both its ends are chosen and prunes the subtree when it fails.  Blocks
         are memoized on the context per edge map E_a and pair of frame
         indices, so middle terms that share an edge map share them.  On a
         memo miss, the columns of E_a B_s and E_a C_s come from a table that
         this walk keeps per arrow and source frame index, and is dropped
-        with the walk.  An arrow with an end of dimension 0 has empty blocks:
-        it is never tested and adds nothing to the memo."""
+        with the walk.  An arrow with a zero edge map is never tested and
+        adds nothing to the memo: its blocks are the zero pair of the shapes
+        that the sub-dimensions of its ends give (empty when an end has
+        dimension 0)."""
         q = self.q
         if sub_dim is None:
             what, ks = f"subspace tuples for subreps of every dim <= {E.dim}", [
                 range(e + 1) for e in E.dim]
         else:
             what, ks = f"subspace tuples for subreps of dim {sub_dim}", [(k,) for k in sub_dim]
-        check_budget(what, prod(sum(gaussian_binomial(e, k, q) for k in kv)
-                                for e, kv in zip(E.dim, ks)), self.budget)
+        walked = [len(kv) if v in free else sum(gaussian_binomial(e, k, q) for k in kv)
+                  for v, (e, kv) in enumerate(zip(E.dim, ks))]
+        check_budget(what, prod(walked), self.budget)
         per_vertex = []     # per vertex: (k, frame index among all of F_p^e, frame)
-        for e, kv in zip(E.dim, ks):
+        for v, (e, kv) in enumerate(zip(E.dim, ks)):
+            if v in free:
+                per_vertex.append([(k, None, None) for k in kv])
+                continue
             entries = []
             for k in kv:
                 if (e, k) not in self._subspace_frames:
@@ -646,13 +655,24 @@ class RepCategory:
                 entries.extend((k, offset + i, fr)
                                for i, fr in enumerate(self._subspace_frames[e, k]))
             per_vertex.append(entries)
-        n, edge_maps = self.quiver.n, E.edge_maps
-        closing = [[(a, s, t) for a, s, t in at_v if E.dim[s] and E.dim[t]]
-                   for at_v in self._closing]
+        n, edge_maps, pairs = self.quiver.n, E.edge_maps, self._block_pairs
+        zero = [ea.is_zero() for ea in edge_maps]
+        closing = [[(a, s, t) for a, s, t in at_v if not zero[a]] for at_v in self._closing]
+        # per vertex v: (a, s, t, {(k_s, k_t): zero block pair}) of each zero-map
+        # arrow closed at v whose ends both have positive dimension
+        zeros = [[] for _ in range(n)]
+        for v, at_v in enumerate(self._closing):
+            for a, s, t in at_v:
+                if zero[a] and E.dim[s] and E.dim[t]:
+                    table = {}
+                    for ks, kt in product(range(E.dim[s] + 1), range(E.dim[t] + 1)):
+                        pair = (0,) * (kt * ks), (0,) * ((E.dim[t] - kt) * (E.dim[s] - ks))
+                        table[ks, kt] = pairs.setdefault(pair, pair)
+                    zeros[v].append((a, s, t, table))
         memos = [self._arrow_memo.setdefault(ea, {}) for ea in edge_maps]
         sources = [{} for _ in edge_maps]   # per arrow: source frame index -> its columns
         picked, dims, index, frames = [-1] * n, [0] * n, [0] * n, [None] * n
-        blocks = [self._block_pairs.setdefault(((), ()), ((), ()))] * len(edge_maps)
+        blocks = [pairs.setdefault(((), ()), ((), ()))] * len(edge_maps)
 
         def walk():
             v = 0
@@ -666,6 +686,8 @@ class RepCategory:
                     picked[v], v = -1, v - 1
                     continue
                 dims[v], index[v], frames[v] = per_vertex[v][picked[v]]
+                for a, s, t, table in zeros[v]:
+                    blocks[a] = table[dims[s], dims[t]]
                 for a, s, t in closing[v]:
                     memo, key = memos[a], (index[s], index[t])
                     if key not in memo:
@@ -855,23 +877,38 @@ class RepCategory:
         One walk of E over every sub-dimension fills the census of E at each."""
         return self._census_walk(ce)[sub_dim]
 
+    def _free_weights(self, dim, free):
+        """{k: prod_{v in free} [dim_v choose k_v]_q} over the sub-dimensions k of
+        dim, in product order: the subspace tuples at the free vertices that
+        one yield of a walk with those free vertices stands for."""
+        return {k: prod(gaussian_binomial(dim[v], k[v], self.q) for v in free)
+                for k in product(*(range(e + 1) for e in dim))}
+
     @kept
     def _census_walk(self, ce):
         """{sub-dimension: census(ce, sub-dimension)} from one walk of E: the
         walk's yields are counted by (sub-dimension, blocks) first, and the
-        classes of U and E/U are looked up once per distinct key."""
-        walk = self._subrep_walk(ce.rep)
-        tallies = {}    # sub-dimension -> (quotient canon, sub canon, counts)
-        for k in product(*(range(e + 1) for e in ce.dim)):
+        classes of U and E/U are looked up once per distinct key.  The
+        vertices where every arrow of E has a zero edge map (those of
+        dimension 0 among them) are walked free, once per sub-dimension, and
+        each key's count is multiplied by its sub-dimension's weight in
+        _free_weights."""
+        E, arrows = ce.rep, self.quiver.arrows
+        zero = [ea.is_zero() for ea in E.edge_maps]
+        free = tuple(v for v in range(self.quiver.n)
+                     if all(zero[a] for a, st in enumerate(arrows) if v in st))
+        walk = self._subrep_walk(E, None, free)
+        tallies = {}    # sub-dimension -> (quotient canon, sub canon, counts, free weight)
+        for k, weight in self._free_weights(ce.dim, free).items():
             qdim = tuple(e - x for e, x in zip(ce.dim, k))
             self.classify(k)
             self.classify(qdim)
-            tallies[k] = self._canon[qdim], self._canon[k], Counter()
+            tallies[k] = self._canon[qdim], self._canon[k], Counter(), weight
         for (k, blocks), n in Counter(map(itemgetter(0, 2), walk)).items():
-            qcanon, ucanon, counts = tallies[k]
+            qcanon, ucanon, counts, weight = tallies[k]
             counts[qcanon[sum([b[1] for b in blocks], ())],
-                   ucanon[sum([b[0] for b in blocks], ())]] += n
-        return {k: counts for k, (_, _, counts) in tallies.items()}
+                   ucanon[sum([b[0] for b in blocks], ())]] += n * weight
+        return {k: counts for k, (_, _, counts, _) in tallies.items()}
 
     # ---- indecomposables ----------------------------------------------------
 

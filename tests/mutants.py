@@ -119,6 +119,20 @@ def frame_low_term_dropped():
         yield
 
 
+@contextmanager
+def free_vertex_weight_dropped():
+    """RepCategory._free_weights with every weight 1: a census counts each
+    subspace tuple of its walk once, not [e_v choose k_v]_q times per free
+    vertex v."""
+    free_weights = RepCategory._free_weights
+
+    def dropped(self, dim, free):
+        return dict.fromkeys(free_weights(self, dim, free), 1)
+
+    with mock.patch.object(RepCategory, "_free_weights", dropped):
+        yield
+
+
 def drop_ext_low_terms(comp, reduction):
     """An Ext^1 reduction whose complement rows read x_c alone, not
     x_c - canon_c x_pivots: coboundaries are no longer sent to 0."""
@@ -265,6 +279,7 @@ MUTANTS = {"coproduct_doubled": coproduct_doubled, "glue_sign_dropped": glue_sig
            "braid_inverse_sign_kept": braid_inverse_sign_kept,
            "factorization_bumped": factorization_bumped,
            "frame_low_term_dropped": frame_low_term_dropped,
+           "free_vertex_weight_dropped": free_vertex_weight_dropped,
            "ext_low_term_dropped": ext_low_term_dropped, "orbits_merged": orbits_merged,
            "units_accept_singular": units_accept_singular,
            "fixed_end_factor_dropped": fixed_end_factor_dropped,

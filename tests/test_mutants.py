@@ -10,7 +10,7 @@ from hallalg.linalg import Matrix
 from hallalg.quiver import RepCategory, RepMorphism, Representation
 from hallalg import cathall, verify
 from mutants import MUTANTS
-from oracles import green_row_by_join, reduce_cocycle_by_solve
+from oracles import census_walk_by_yield, green_row_by_join, reduce_cocycle_by_solve
 
 # mutant -> [(quiver, q, max_dim, {suite: (failures, instances)}), ...]; failures may
 # instead be the "Type: message" of an exception the mutant makes the suite raise,
@@ -50,6 +50,12 @@ CAUGHT = {
                       "bsim": (9, 98)}),
         ("a2", 3, 3, {"algebra": (0, 202), "green": (0, 295), "ext": (0, 45),
                       "bilinearity": ("ValueError: inclusion is not injective", 210)})],
+    # every census of an E with a free vertex of dimension >= 2 counts each
+    # k-subspace tuple there once: the Hall suites and riedtmann see it, and
+    # test_census_oracle_catches_free_vertex_weight_dropped on the census itself
+    "free_vertex_weight_dropped": [("a2", 2, 3, {"algebra": (4, 202), "green": (30, 295),
+                                                 "bialgebra": (16, 45),
+                                                 "riedtmann": (10, 71)})],
     # no suite sees it: the reduction changes only on pairs of total dim >= 4
     # (none on a2), so every suite passes at a2 and a3-source up to dim 3;
     # test_ext_reduction_oracle_catches_ext_low_term_dropped and the property
@@ -176,9 +182,9 @@ def test_bilinearity_names_what_failed(monkeypatch):
     assert all(f.startswith("bilin1:") and f.endswith(": round trip leaves the class")
                for f in failures)
     inst = "bilin1:d0.0#0|d1.0#0|d0.1#0"
-    monkeypatch.setattr(cathall, "ext_bilinearity_first", lambda ctx, *reps: {
-        "lhs": Fraction(3), "rhs": Fraction(9, 2), "equal": False,
-        "skeleton_bijection": False, "round_trip": True})
+    # two class pairs of the parts, one class of the whole, glued back into itself
+    monkeypatch.setattr(cathall, "ext_bilinearity_first", lambda ctx, *reps: (
+        Fraction(3), Fraction(9, 2), {(0,): (((), ()), (0,))}, 2))
     assert verify.run_suite("bilinearity", ctx, None, 3, seed=0, only=inst)["failures"] == [
         f"{inst}: cardinality 3/1 != 9/2, skeleton map not a bijection"]
 
@@ -209,6 +215,19 @@ def test_ext_reduction_oracle_catches_ext_low_term_dropped():
     assert wrong() == 0
     with MUTANTS["ext_low_term_dropped"]():
         assert wrong() == 2         # the coboundary and the unit vector at its pivot
+
+
+def test_census_oracle_catches_free_vertex_weight_dropped():
+    """The census of 6 of the 13 classes of a2 (q = 2) up to dim 3, those with
+    a free vertex of dimension >= 2, where some [e choose k]_q exceeds 1,
+    leaves the full walk's tally."""
+    def wrong():
+        ctx, oracle = RepCategory(load_quiver("a2"), 2), RepCategory(load_quiver("a2"), 2)
+        return sum(ctx._census_walk(ctx.class_by_label(cls.label)) !=
+                   census_walk_by_yield(oracle, cls) for cls in oracle.classes_up_to(3))
+    assert wrong() == 0
+    with MUTANTS["free_vertex_weight_dropped"]():
+        assert wrong() == 6
 
 
 def _copy_maps(maps):

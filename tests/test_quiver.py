@@ -273,17 +273,32 @@ def test_subrep_budget_is_checked_before_any_frame(a2):
     assert ctx._memo == {} and ctx._subspace_frames == {}
 
 
-def test_census_budget_is_checked_before_any_frame(a2):
-    """A census walks E once over every sub-dimension, so the budget meets the
-    whole walk: (1 + 3 + 1)^2 = 25 subspace pairs for E = (2, 2) at q = 2."""
+def _census_budget_count(a2, edge_map):
+    """The walk count of the BudgetError that a census of E = (2, 2) on a2 at
+    q = 2 with the given edge map raises under budget 2, once the error is
+    checked to name the walk over every sub-dimension and the context to
+    hold no frame and no memo entry."""
     ctx = RepCategory(a2, 2)
-    ce = ctx.class_of(Representation(a2, ctx.field, (2, 2), [zero_matrix(ctx.field, 2, 2)]))
+    ce = ctx.class_of(Representation(a2, ctx.field, (2, 2), [edge_map]))
     ctx.budget = 2
     with pytest.raises(BudgetError) as err:
         ctx.census(ce, (1, 1))
     assert err.value.what == "subspace tuples for subreps of every dim <= (2, 2)"
-    assert err.value.count == 25
     assert ctx._memo == {} and ctx._subspace_frames == {}
+    return err.value.count
+
+
+def test_census_budget_is_checked_before_any_frame(a2):
+    """A census walks E once over every sub-dimension, so the budget meets the
+    whole walk.  The zero map leaves both vertices free: each is walked once
+    per dimension, 3 * 3 = 9 for E = (2, 2)."""
+    assert _census_budget_count(a2, zero_matrix(PrimeField(2), 2, 2)) == 9
+
+
+def test_census_budget_counts_every_subspace_at_a_nonzero_arrow(a2):
+    """With a nonzero map no vertex is free, and the walk meets all
+    (1 + 3 + 1)^2 = 25 subspace pairs of E = (2, 2) at q = 2."""
+    assert _census_budget_count(a2, Matrix.identity(PrimeField(2), 2)) == 25
 
 
 def test_iso_set_budget_counts_the_vertex_product(a2):
@@ -904,14 +919,19 @@ def test_classify_raises_on_an_orbit_size_off_the_group_order(a2, monkeypatch):
         RepCategory(a2, 3).classify((1, 1))
 
 
-@pytest.mark.parametrize("name", ["a2", "a3-source"])
-def test_census_walk_matches_a_per_yield_tally(name, ctx3):
-    """_census_walk, which resolves classes once per distinct block tuple,
-    equals the tally of every _subrep_walk yield, counts and their order,
-    on a fresh context (cold arrow memo) and on a shared one (warm)."""
+@pytest.mark.parametrize("name,q", [pytest.param("a2", 3, id="a2"),
+                                    pytest.param("a3-source", 3, id="a3-source"),
+                                    pytest.param("d4", 2, id="d4-2"),
+                                    pytest.param("d4", 3, id="d4-3")])
+def test_census_walk_matches_a_per_yield_tally(name, q, ctx3):
+    """_census_walk, which resolves classes once per distinct block tuple and
+    walks each free vertex once per dimension, equals the tally of every
+    yield of the full _subrep_walk, counts and their order, on a fresh
+    context (cold arrow memo) and on a shared one (warm).  On d4 some E
+    has a free vertex of positive dimension next to a nonzero arrow."""
     quiver = load_quiver(name)
-    fresh, oracle = RepCategory(quiver, 3), RepCategory(quiver, 3)
-    shared, yields = ctx3 if name == "a2" else oracle, 0
+    fresh, oracle = RepCategory(quiver, q), RepCategory(quiver, q)
+    shared, yields, mixed = ctx3 if name == "a2" else oracle, 0, 0
     for cls in oracle.classes_up_to(4):
         tally = census_walk_by_yield(oracle, cls)
         want = {k: list(c.items()) for k, c in tally.items()}
@@ -919,4 +939,9 @@ def test_census_walk_matches_a_per_yield_tally(name, ctx3):
             got = ctx._census_walk(ctx.class_by_label(cls.label))
             assert {k: list(c.items()) for k, c in got.items()} == want, (ctx, cls.label)
         yields += sum(sum(c.values()) for c in tally.values())
+        zero = [m.is_zero() for m in cls.rep.edge_maps]
+        mixed += not all(zero) and any(
+            cls.dim[v] and all(zero[a] for a, st in enumerate(quiver.arrows) if v in st)
+            for v in range(quiver.n))
     assert yields > 200
+    assert mixed or name != "d4"

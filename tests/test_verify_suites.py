@@ -99,9 +99,9 @@ def test_green_builds_each_census_once(a2, monkeypatch):
     walks = Counter()
     subrep_walk = RepCategory._subrep_walk
 
-    def counted(self, E, sub_dim=None):
+    def counted(self, E, sub_dim=None, free=()):
         walks[E, sub_dim] += 1
-        return subrep_walk(self, E, sub_dim)
+        return subrep_walk(self, E, sub_dim, free)
 
     monkeypatch.setattr(RepCategory, "_subrep_walk", counted)
     ctx = RepCategory(a2, 2)
