@@ -8,7 +8,6 @@ goes to stderr only.
 """
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -76,6 +75,19 @@ def emit(text, out_path):
         sys.stdout.write(text)
 
 
+def emit_json(doc, out_path, **options):
+    """doc as indented JSON and a newline, to out_path or to stdout, encoded
+    as it is written: the bytes of json.dumps(doc, indent=2, **options) + "\n"
+    with no copy of the encoded report held."""
+    if out_path:
+        with open(out_path, "w") as fh:
+            json.dump(doc, fh, indent=2, **options)
+            fh.write("\n")
+    else:
+        json.dump(doc, sys.stdout, indent=2, **options)
+        sys.stdout.write("\n")
+
+
 def cmd_tables(args):
     ctx, hall = make_context(args)
     config = {"quiver": ctx.quiver.name, "q": args.q, "max_dim": args.max_dim,
@@ -83,9 +95,9 @@ def cmd_tables(args):
     product = hall.product_table(args.max_dim)
     coproduct = hall.coproduct_table(args.max_dim)
     if args.format == "json":
-        doc = {"config": config, "product": product, "coproduct": coproduct}
-        emit(json.dumps(doc, indent=2) + "\n", args.out)
+        emit_json({"config": config, "product": product, "coproduct": coproduct}, args.out)
     else:
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["table", "left", "right", "class", "coeff"])
@@ -124,7 +136,7 @@ def cmd_verify(args):
         "suites": reports,
         "ok": ok,
     }
-    emit(json.dumps(doc, indent=2, default=str) + "\n", args.out)
+    emit_json(doc, args.out, default=str)
     return 0 if ok else 1
 
 
@@ -155,9 +167,7 @@ def cmd_groupoid(args):
         doc = {"objects": P.n_objects(), "morphisms": P.n_morphisms(),
                "cardinality": format_coeff(card)}
         if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(gpd.groupoid_to_json(P), fh, indent=2)
-                fh.write("\n")
+            emit_json(gpd.groupoid_to_json(P), args.out)
         print(json.dumps(doc, indent=2))
         return 0
     if args.gop == "degroupoidify":
@@ -170,7 +180,7 @@ def cmd_groupoid(args):
         table = [[format_coeff(entries.get((y, x), 0)) for x in cols] for y in rows]
         out = {"rows": [f"y{r}" for r in rows], "cols": [f"x{c}" for c in cols],
                "entries": table}
-        emit(json.dumps(out, indent=2) + "\n", args.out)
+        emit_json(out, args.out)
         return 0
     raise UsageError(f"unknown groupoid operation {args.gop!r}")
 

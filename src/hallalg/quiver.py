@@ -8,13 +8,13 @@ ever enumerating endomorphism spaces.  All enumeration is lexicographic
 and budget-gated, so class labels are stable across runs.
 """
 
+from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import wraps
 from itertools import product
 from math import prod
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
 from .linalg import (
     DEFAULT_BUDGET,
@@ -166,7 +166,7 @@ def tuples_up_to(classes, k, remaining):
 class Representation:
     """Dimension vector plus one matrix per arrow, shape (dim[tgt] x dim[src])."""
 
-    __slots__ = ("quiver", "field", "dim", "edge_maps", "_hash", "_flat")
+    __slots__ = ("quiver", "field", "dim", "edge_maps", "_hash", "_flat", "_index")
 
     def __init__(self, quiver, field, dim, edge_maps):
         dim = tuple(int(x) for x in dim)
@@ -184,6 +184,7 @@ class Representation:
         self.edge_maps = edge_maps
         self._hash = None
         self._flat = None         # flatten(edge_maps), the class_of key; set on demand
+        self._index = None        # its class index, set by class_of
 
     @classmethod
     def _of(cls, quiver, field, dim, edge_maps):
@@ -196,6 +197,7 @@ class Representation:
         rep.edge_maps = tuple(edge_maps)
         rep._hash = None
         rep._flat = None
+        rep._index = None
         return rep
 
     def direct_sum(self, other):
@@ -286,17 +288,28 @@ def commutes(mor, p):
                for (s, t), sa, ta in zip(src.quiver.arrows, src.edge_maps, tgt.edge_maps))
 
 
-def apply_action(action, flat, p):
-    """The image of a flat edge tuple under a _generator_actions action
-    (gather, rows, terms): flat extended by one entry per row r, the sum of
-    c flat[j] over the (j, c, r) in terms mod p, and then gathered."""
+def act_on_level(action, level, p):
+    """The images of the flat edge tuples of level (a list or a set), in its
+    iteration order, under a _generator_actions action (gather, rows,
+    terms): each tuple t extended by one entry per row r, the sum of c t[j]
+    over the (j, c, r) in terms mod p, and then gathered.  Each row is one
+    pass over the whole level.  The generators of gl_generators give rows
+    of one or two terms; a row of any other length raises a ValueError."""
     gather, rows, terms = action
-    if rows:
-        values = [0] * rows
-        for j, c, r in terms:
-            values[r] += c * flat[j]
-        flat += tuple([x % p for x in values])
-    return gather(flat)
+    if not rows:
+        return map(gather, level)
+    by_row = [[] for _ in range(rows)]
+    for j, c, r in terms:
+        by_row[r].append((j, c))
+    extra = []
+    for row in by_row:
+        if len(row) == 1:
+            (j, c), = row
+            extra.append([c * t[j] % p for t in level])
+        else:
+            (j, c), (k, d) = row
+            extra.append([(c * t[j] + d * t[k]) % p for t in level])
+    return map(gather, map(add, level, zip(*extra)))
 
 
 def _columns(m, picked):
@@ -304,19 +317,16 @@ def _columns(m, picked):
     return tuple(tuple(row[j] for row in m.entries) for j in picked)
 
 
-@dataclass(frozen=True, eq=False)
 class IsoClass:
     """Canonical representative, stable label and |Aut| of one iso class.
     classify makes one per class per context, so it hashes by identity."""
-    dim: tuple
-    index: int
-    rep: Representation
-    orbit_size: int
-    aut: int
 
-    @cached_property
-    def label(self):
-        return "d" + ".".join(str(x) for x in self.dim) + f"#{self.index}"
+    __slots__ = ("dim", "index", "rep", "orbit_size", "aut", "label")
+
+    def __init__(self, dim, index, rep, orbit_size, aut):
+        self.dim, self.index, self.rep = dim, index, rep
+        self.orbit_size, self.aut = orbit_size, aut
+        self.label = "d" + ".".join(str(x) for x in dim) + f"#{index}"
 
 
 class RepCategory:
@@ -333,7 +343,7 @@ class RepCategory:
         self.q = p
         self.budget = budget
         self._classes = {}        # dim -> list[IsoClass]
-        self._canon = {}          # dim -> {flat edge tuple: class index}
+        self._canon = {}          # dim -> (weights, index_of): see classify
         self._by_label = {}       # label -> IsoClass
         self._memo = {}           # qualified name -> {args: result} of each @kept function
         self._subspace_frames = {}  # (n, k) -> frames of all k-subspaces of F_p^n, in order
@@ -351,28 +361,37 @@ class RepCategory:
         """Each GL_{dim_v} generator g, acting as g M on arrows into v and as
         M g^-1 on arrows out of v, as (action, v, g, g^-1): action is the
         (gather, rows, terms) form of its matrix on flat edge tuples that
-        apply_action reads.  A row of that matrix that is a unit vector e_j
+        act_on_level reads.  A row of that matrix that is a unit vector e_j
         gathers coordinate j.  The other rows are numbered r = 0, 1, ...,
         rows - 1; each nonzero entry c of row r, in column j, is one (j, c, r)
         of terms, and gather reads the row's value from past the tuple's end.
-        Generators whose matrix is the identity are dropped."""
+        Rows are read off the entries of g and g^-1: entry (i, j) of the
+        block of an arrow into v is sum_k g_ik M_kj, of an arrow out of v
+        sum_k M_ik (g^-1)_kj.  Generators whose matrix is the identity are
+        dropped."""
         f, arrows = self.field, self.quiver.arrows
         width = sum(r * c for r, c in shapes)
-        ident = Matrix.identity(f, width).entries
         actions = []
         for v in range(self.quiver.n):
             for g, ginv in gl_generators(f, dim[v]):
-                cols = [flatten(g * m if t == v else m * ginv if s == v else m
-                                for (s, t), m in zip(arrows, unflatten(f, e, shapes)))
-                        for e in ident]
-                picks, rows, terms = [], 0, []
-                for row in zip(*cols):
-                    if row.count(0) == width - 1 and 1 in row:
-                        picks.append(row.index(1))
-                    else:
-                        picks.append(width + rows)
-                        terms.extend((j, c, rows) for j, c in enumerate(row) if c)
-                        rows += 1
+                picks, rows, terms, offset = [], 0, [], 0
+                for (s, t), (n_rows, n_cols) in zip(arrows, shapes):
+                    for i, j in product(range(n_rows), range(n_cols)):
+                        if t == v:
+                            row = [(offset + k * n_cols + j, c)
+                                   for k, c in enumerate(g.entries[i]) if c]
+                        elif s == v:
+                            row = [(offset + i * n_cols + k, inv_row[j])
+                                   for k, inv_row in enumerate(ginv.entries) if inv_row[j]]
+                        else:
+                            row = [(offset + i * n_cols + j, 1)]
+                        if len(row) == 1 and row[0][1] == 1:
+                            picks.append(row[0][0])
+                        else:
+                            picks.append(width + rows)
+                            terms.extend((k, c, rows) for k, c in row)
+                            rows += 1
+                    offset += n_rows * n_cols
                 if picks != list(range(width)):
                     # itemgetter of one index returns the item, of a slice a tuple
                     gather = (itemgetter(*picks) if len(picks) > 1
@@ -387,9 +406,15 @@ class RepCategory:
         layout) in lexicographic order, which is the order of the product of
         the per-arrow matrix enumerations.  Representatives are the least
         tuple of each orbit, so labels are deterministic.  Each orbit is
-        closed under the _generator_actions, applied by apply_action.  |Aut|
-        is read off by orbit-stabilizer inside prod_v GL(dim_v); an orbit
-        size that does not divide the group order raises a ValueError.
+        closed a level at a time: act_on_level maps the whole last level
+        under each of the _generator_actions, and the images not yet in the
+        orbit are the next level.  The grade's table _canon[dim] is
+        (weights, index_of): the tuple t of lex rank sum_i t_i weights_i =
+        sum_i t_i p^(width - 1 - i) has its class index at index_of[rank], an
+        array of p^width ints allocated once the tuple space has passed the
+        budget (canon_index reads it).  |Aut| is read off by
+        orbit-stabilizer inside prod_v GL(dim_v); an orbit size that does
+        not divide the group order raises a ValueError.
         """
         dim = tuple(dim)
         if dim in self._classes:
@@ -397,25 +422,26 @@ class RepCategory:
         check_budget(f"classify{dim} tuple space", self.tuple_space_size(dim), self.budget)
         f, p = self.field, self.q
         shapes = [(dim[t], dim[s]) for s, t in self.quiver.arrows]
+        width = sum(r * c for r, c in shapes)
         actions = [a[0] for a in self._generator_actions(dim, shapes)]
         group = prod(gl_order(d, p) for d in dim)
-        visited = {}
+        weights = tuple(p ** i for i in reversed(range(width)))
+        index_of = array("i", [-1]) * p ** width
         classes = []
-        for tup in enumerate_vectors(f, sum(r * c for r, c in shapes)):
-            if tup in visited:
+        for rank, tup in enumerate(enumerate_vectors(f, width)):
+            if index_of[rank] >= 0:
                 continue
             index = len(classes)
-            visited[tup] = index
-            frontier = [tup]
-            size = 1
-            while frontier:
-                cur = frontier.pop()
+            orbit, level = {tup}, [tup]
+            while level:
+                new = set()
                 for action in actions:
-                    new = apply_action(action, cur, p)
-                    if new not in visited:
-                        visited[new] = index
-                        size += 1
-                        frontier.append(new)
+                    new.update(act_on_level(action, level, p))
+                level = new - orbit
+                orbit |= level
+            for t in orbit:
+                index_of[sum(map(mul, weights, t))] = index
+            size = len(orbit)
             if group % size:
                 raise ValueError(f"classify{dim}: orbit of size {size} does not divide "
                                  f"the group order {group}")
@@ -424,14 +450,21 @@ class RepCategory:
             classes.append(cls)
             self._by_label[cls.label] = cls
         self._classes[dim] = classes
-        self._canon[dim] = visited
+        self._canon[dim] = weights, index_of
         return classes
+
+    def canon_index(self, dim, flat):
+        """The class index of the flat edge tuple flat in the classified grade dim."""
+        weights, index_of = self._canon[dim]
+        return index_of[sum(map(mul, weights, flat))]
 
     def class_of(self, rep):
         classes = self.classify(rep.dim)
-        if rep._flat is None:
-            rep._flat = flatten(rep.edge_maps)
-        index = self._canon[rep.dim][rep._flat]
+        index = rep._index
+        if index is None:
+            if rep._flat is None:
+                rep._flat = flatten(rep.edge_maps)
+            index = rep._index = self.canon_index(rep.dim, rep._flat)
         try:
             return classes[index]
         except IndexError:
@@ -524,9 +557,11 @@ class RepCategory:
     def _orbit_tree(self, cls):
         """{flat edge tuple: (parent tuple, generator action) or None at the root}
         over the orbit of cls: breadth-first from the representative's flat
-        tuple with classify's _generator_actions in their order, each applied
-        by apply_action, so each tuple is its parent's image under the
-        (action, v, g, g^-1) stored with it.  Built on first use per class; its
+        tuple with classify's _generator_actions in their order.  Each level
+        is mapped whole by act_on_level under every action, and the images
+        are read tuple by tuple, each tuple's under every action in turn, so
+        each tuple is its parent's image under the (action, v, g, g^-1)
+        stored with it.  Built on first use per class; its
         size must be cls.orbit_size, within the tuple_space_size(cls.dim)
         that classify has budgeted, and a ValueError says when it is not."""
         dim, p = cls.dim, self.q
@@ -536,9 +571,9 @@ class RepCategory:
         tree, level = {root: None}, [root]
         while level:
             nxt = []
-            for cur in level:
-                for act in actions:
-                    new = apply_action(act[0], cur, p)
+            images = [act_on_level(act[0], level, p) for act in actions]
+            for cur, news in zip(level, zip(*images)):
+                for act, new in zip(actions, news):
                     if new not in tree:
                         tree[new] = cur, act
                         nxt.append(new)
@@ -730,10 +765,10 @@ class RepCategory:
         """The _subreps triples of the U <= E with U in class cn and E/U in class
         cm, in walk order: the classes are read off the walk's flat blocks, as
         census reads them, and only the matching U are built."""
-        ucanon, qcanon = self._canon[cn.dim], self._canon[cm.dim]
+        canon = self.canon_index
         return self._subreps(E, (w for w in self._subrep_walk(E, cn.dim)
-                                 if ucanon[sum([b[0] for b in w[2]], ())] == cn.index
-                                 and qcanon[sum([b[1] for b in w[2]], ())] == cm.index))
+                                 if canon(cn.dim, sum([b[0] for b in w[2]], ())) == cn.index
+                                 and canon(cm.dim, sum([b[1] for b in w[2]], ())) == cm.index))
 
     @kept
     def subrep_frames(self, E, bases):
@@ -858,7 +893,6 @@ class RepCategory:
             return 0
         return self.pair_count(self.class_of(M), self.class_of(N), self.class_of(E))
 
-    @kept
     def pair_count(self, cm, cn, ce):
         """P^E_{MN} for iso classes M, N, E.
 
@@ -898,17 +932,18 @@ class RepCategory:
         free = tuple(v for v in range(self.quiver.n)
                      if all(zero[a] for a, st in enumerate(arrows) if v in st))
         walk = self._subrep_walk(E, None, free)
-        tallies = {}    # sub-dimension -> (quotient canon, sub canon, counts, free weight)
+        tallies = {}    # sub-dimension -> (quotient dimension, counts, free weight)
         for k, weight in self._free_weights(ce.dim, free).items():
             qdim = tuple(e - x for e, x in zip(ce.dim, k))
             self.classify(k)
             self.classify(qdim)
-            tallies[k] = self._canon[qdim], self._canon[k], Counter(), weight
+            tallies[k] = qdim, Counter(), weight
+        canon = self.canon_index
         for (k, blocks), n in Counter(map(itemgetter(0, 2), walk)).items():
-            qcanon, ucanon, counts, weight = tallies[k]
-            counts[qcanon[sum([b[1] for b in blocks], ())],
-                   ucanon[sum([b[0] for b in blocks], ())]] += n * weight
-        return {k: counts for k, (_, _, counts, _) in tallies.items()}
+            qdim, counts, weight = tallies[k]
+            counts[canon(qdim, sum([b[1] for b in blocks], ())),
+                   canon(k, sum([b[0] for b in blocks], ()))] += n * weight
+        return {k: counts for k, (_, counts, _) in tallies.items()}
 
     # ---- indecomposables ----------------------------------------------------
 

@@ -9,7 +9,6 @@ output.
 """
 
 import functools
-import inspect
 from fractions import Fraction
 from itertools import product
 
@@ -585,10 +584,13 @@ SUITE_ORDER = ("algebra", "green", "bialgebra", "antipode", "hexagon", "ext",
 
 
 def run_suite(name, ctx, hall, max_dim, seed, only=None):
-    """Run suite_<name>, passing whichever of ctx, hall, max_dim, seed it takes."""
+    """Run suite_<name>, passing whichever of ctx, hall, max_dim, seed it takes:
+    the positional parameters of the body that _suite wrapped (of the suite
+    itself when it wraps none)."""
     if name not in SUITE_ORDER:
         raise ValueError(f"unknown suite {name!r}; options: {', '.join(SUITE_ORDER)} or all")
     suite = globals()[f"suite_{name}"]
     given = {"ctx": ctx, "hall": hall, "max_dim": max_dim, "seed": seed}
-    args = [given[p] for p in inspect.signature(suite).parameters if p in given]
+    code = getattr(suite, "__wrapped__", suite).__code__
+    args = [given[p] for p in code.co_varnames[:code.co_argcount] if p in given]
     return suite(*args, only=only)

@@ -6,14 +6,14 @@ config, so a change that weakens a check fails the tests.
 """
 
 from contextlib import contextmanager
-from dataclasses import replace
+from operator import mul
 from unittest import mock
 
 from hallalg import cathall, quiver
 from hallalg.cathall import SESObject
 from hallalg.hall import HallAlgebra
 from hallalg.linalg import Matrix
-from hallalg.quiver import RepCategory, RepMorphism, block_inclusion, block_projection
+from hallalg.quiver import IsoClass, RepCategory, RepMorphism, block_inclusion, block_projection
 
 
 def double_mixed_terms(coeffs, zero):
@@ -164,7 +164,7 @@ def orbits_merged():
         if tuple(dim) != (3, 1):
             return classes
         *rest, a, b = classes
-        return rest + [replace(a, orbit_size=a.orbit_size + b.orbit_size)]
+        return rest + [IsoClass(a.dim, a.index, a.rep, a.orbit_size + b.orbit_size, a.aut)]
 
     with mock.patch.object(RepCategory, "classify", merged):
         yield
@@ -241,6 +241,20 @@ def euler_form_transposed():
 
 
 @contextmanager
+def canon_rank_weights_reversed():
+    """RepCategory.canon_index reading the rank of a flat tuple with the
+    grade's weights reversed: sum_i t_i p^i for sum_i t_i p^(width - 1 - i),
+    the lex rank of the reversed tuple, so a tuple gets the class of its
+    reversal."""
+    def reversed_weights(self, dim, flat):
+        weights, index_of = self._canon[dim]
+        return index_of[sum(map(mul, weights[::-1], flat))]
+
+    with mock.patch.object(RepCategory, "canon_index", reversed_weights):
+        yield
+
+
+@contextmanager
 def transporter_inverse_uninverted():
     """RepCategory._generator_actions with each generator standing in for its
     own inverse: a transporter's h^-1 multiplies the generators themselves,
@@ -286,5 +300,6 @@ MUTANTS = {"coproduct_doubled": coproduct_doubled, "glue_sign_dropped": glue_sig
            "hexagonator_output_split": hexagonator_output_split,
            "euler_form_bumped": euler_form_bumped,
            "euler_form_transposed": euler_form_transposed,
+           "canon_rank_weights_reversed": canon_rank_weights_reversed,
            "transporter_inverse_uninverted": transporter_inverse_uninverted,
            "extension_class_key_without_proj": extension_class_key_without_proj}

@@ -30,7 +30,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
-from operator import mul
+from operator import itemgetter, mul
 
 from hallalg.cathall import SESObject, _units
 from hallalg.groupoids import (ConcreteGroupoid, GroupoidFormatError, _validate_group_table,
@@ -408,6 +408,35 @@ def dense_generator_actions(ctx, dim, shapes):
     return actions
 
 
+def generator_actions_by_unit_vectors(ctx, dim, shapes):
+    """RepCategory._generator_actions built as it was before its closed form:
+    the matrix of each generator on flat edge tuples from the images of the
+    unit vectors under Matrix products, then its rows read as gathers and
+    extra rows."""
+    f, arrows = ctx.field, ctx.quiver.arrows
+    width = sum(r * c for r, c in shapes)
+    ident = Matrix.identity(f, width).entries
+    actions = []
+    for v in range(ctx.quiver.n):
+        for g, ginv in gl_generators(f, dim[v]):
+            cols = [flatten(g * m if t == v else m * ginv if s == v else m
+                            for (s, t), m in zip(arrows, unflatten(f, e, shapes)))
+                    for e in ident]
+            picks, rows, terms = [], 0, []
+            for row in zip(*cols):
+                if row.count(0) == width - 1 and 1 in row:
+                    picks.append(row.index(1))
+                else:
+                    picks.append(width + rows)
+                    terms.extend((j, c, rows) for j, c in enumerate(row) if c)
+                    rows += 1
+            if picks != list(range(width)):
+                gather = (itemgetter(*picks) if len(picks) > 1
+                          else itemgetter(slice(picks[0], picks[0] + 1)))
+                actions.append(((gather, rows, tuple(terms)), v, g, ginv))
+    return actions
+
+
 def apply_dense_rows(changed, flat, p):
     """flat with each changed row i replaced by the dot product of its dense row."""
     new = list(flat)
@@ -460,20 +489,29 @@ def orbit_tree_by_dense_rows(ctx, cls):
     return tree
 
 
+def canon_table(ctx, dim):
+    """{flat edge tuple: class index} over the whole tuple space of the
+    classified grade dim: its index array read in the lexicographic order of
+    enumerate_vectors, with no rank computed."""
+    weights, index_of = ctx._canon[tuple(dim)]
+    return dict(zip(enumerate_vectors(ctx.field, len(weights)), index_of))
+
+
 def census_walk_by_yield(ctx, ce):
     """{sub-dimension: Counter} like RepCategory._census_walk, tallied yield by
     yield over the walk of E: the classes of E/U and U looked up at every
-    yield."""
-    tallies = {}
+    yield, in the canon_table of their grades."""
+    tallies, tables = {}, {}
     for k in product(*(range(e + 1) for e in ce.dim)):
         qdim = tuple(e - x for e, x in zip(ce.dim, k))
         ctx.classify(k)
         ctx.classify(qdim)
         tallies[k] = Counter()
+        tables[k], tables[qdim] = canon_table(ctx, k), canon_table(ctx, qdim)
     for k, _, blocks in ctx._subrep_walk(ce.rep):
         qdim = tuple(e - x for e, x in zip(ce.dim, k))
-        tallies[k][ctx._canon[qdim][sum([b[1] for b in blocks], ())],
-                   ctx._canon[k][sum([b[0] for b in blocks], ())]] += 1
+        tallies[k][tables[qdim][sum([b[1] for b in blocks], ())],
+                   tables[k][sum([b[0] for b in blocks], ())]] += 1
     return tallies
 
 

@@ -3,9 +3,11 @@ import os
 
 import pytest
 
-from hallalg.cli import main
-from hallalg.linalg import Matrix
-from hallalg.verify import SUITE_ORDER
+from hallalg.cli import load_quiver, main
+from hallalg.hall import HallAlgebra
+from hallalg.linalg import DEFAULT_BUDGET, Matrix
+from hallalg.quiver import RepCategory
+from hallalg.verify import SUITE_ORDER, run_suite
 
 
 def run(capsys, *argv):
@@ -115,6 +117,32 @@ def test_verify_deterministic_output(tmp_path, capsys):
     assert run(capsys, "verify", "algebra", "--max-dim", "2", "--out", str(p1))[0] == 0
     assert run(capsys, "verify", "algebra", "--max-dim", "2", "--out", str(p2))[0] == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_reports_stream_the_bytes_of_one_encoded_string(tmp_path, capsys, to_file):
+    """tables and verify (a2, q = 3, max-dim 2) write their report as it is
+    encoded, through --out or to stdout: byte for byte json.dumps(doc,
+    indent=2) + "\n" of the same report, with default=str for verify."""
+    ctx = RepCategory(load_quiver("a2"), 3)
+    hall = HallAlgebra(ctx)
+    config = {"quiver": "a2", "q": 3, "max_dim": 2, "budget": DEFAULT_BUDGET}
+    cells = [(["tables"], {"config": config, "product": hall.product_table(2),
+                           "coproduct": hall.coproduct_table(2)}, {}),
+             (["verify", "green"], {"config": dict(config, seed=0, only=None),
+                                    "suites": [run_suite("green", ctx, hall, 2, 0)],
+                                    "ok": True}, {"default": str})]
+    for argv, doc, options in cells:
+        argv = argv + ["--quiver", "a2", "--q", "3", "--max-dim", "2"]
+        path = tmp_path / "report.json"
+        if to_file:
+            code, out, _ = run(capsys, *argv, "--out", str(path))
+            assert out == ""
+            out = path.read_bytes().decode()
+        else:
+            code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(doc, indent=2, **options) + "\n"
 
 
 def test_usage_errors_exit_two(capsys):

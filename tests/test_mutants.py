@@ -95,6 +95,20 @@ CAUGHT = {
     "euler_form_transposed": [("a2", 2, 3, {"hexagon": (0, 46825), "ext": (14, 45),
                                             "bsim": (48, 98), "coherence": (20, 661),
                                             "green": (26, 295), "bialgebra": (14, 45)})],
+    # a class lookup reads the class of the reversed flat tuple.  On a2 that is
+    # the same class: a class there is fixed by the rank of its one matrix, and
+    # reversing its flat tuple turns the matrix by 180 degrees, which keeps the
+    # rank, so no suite sees it; on a3-source the reversal swaps the two arrows'
+    # blocks, and the Hall suites count wrong, riedtmann's pair counts too, and
+    # bsim meets an orbit of the wrong class.  test_census_oracle_catches_
+    # canon_rank_weights_reversed sees it on the census itself
+    "canon_rank_weights_reversed": [
+        ("a2", 2, 3, {"algebra": (0, 202), "green": (0, 295), "riedtmann": (0, 71),
+                      "bilinearity": (0, 210), "bsim": (0, 98)}),
+        ("a3-source", 2, 3, {"algebra": (22, 513), "green": (48, 972),
+                             "riedtmann": (20, 220),
+                             "bsim": ("ValueError: |Aut d1.1.2#2| = 2 is no multiple of "
+                                      "orbit 3", 288)})],
     # a transporter's h^-1 from the generators themselves: up to max-dim 3 almost
     # every first_iso starts at a class representative, whose tree path is empty
     # (987 of 990 calls over bilinearity, spans, bsim and coherence at a2 q=3),
@@ -228,6 +242,21 @@ def test_census_oracle_catches_free_vertex_weight_dropped():
     assert wrong() == 0
     with MUTANTS["free_vertex_weight_dropped"]():
         assert wrong() == 6
+
+
+def test_census_oracle_catches_canon_rank_weights_reversed():
+    """The census of 2 of the 29 classes of a3-source (q = 2) up to dim 3
+    leaves the per-yield tally, which reads each grade's index array in lex
+    order with no rank: d1.1.1#1 and d1.1.1#2, whose flat tuples (0, 1) and
+    (1, 0) are each other's reversal, read each other's class at U = 0 and
+    at U = E."""
+    def wrong():
+        ctx, oracle = (RepCategory(load_quiver("a3-source"), 2) for _ in range(2))
+        return sum(ctx._census_walk(ctx.class_by_label(cls.label)) !=
+                   census_walk_by_yield(oracle, cls) for cls in oracle.classes_up_to(3))
+    assert wrong() == 0
+    with MUTANTS["canon_rank_weights_reversed"]():
+        assert wrong() == 2
 
 
 def _copy_maps(maps):

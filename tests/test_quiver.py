@@ -11,9 +11,10 @@ from hallalg.linalg import BudgetError, Matrix, PrimeField, flatten, unflatten
 from hallalg.quiver import (Quiver, RepCategory, RepMorphism, Representation,
                             dim_vectors_with_total)
 from mutants import MUTANTS
-from oracles import (aut_order_slow, census_walk_by_yield, classify_by_dense_rows,
+from oracles import (aut_order_slow, canon_table, census_walk_by_yield, classify_by_dense_rows,
                      classify_by_matrix_orbits, complement_columns,
-                     count_exact_pairs_slow, enumerate_matrices, ext1_dim, identity_morphism,
+                     count_exact_pairs_slow, enumerate_matrices, ext1_dim,
+                     generator_actions_by_unit_vectors, identity_morphism,
                      indecomposable_classes, invariant_subreps, invariant_subreps_by_solve,
                      is_indecomposable,
                      is_injective, is_invertible, is_surjective, is_simply_laced_dynkin,
@@ -247,7 +248,7 @@ def test_memo_tables_keep_their_sizes_on_verify_all(a2):
         "RepCategory.hom_basis": 76, "RepCategory.first_iso": 17,
         "RepCategory.ext_complement": 65, "RepCategory.middle_term_ses": 58,
         "RepCategory.extension_class": 241, "ExtGroupoid.of": 65, "_fixed_end_sum": 45,
-        "split_sequence": 162, "RepCategory.pair_count": 92, "RepCategory.aut_elements": 7,
+        "split_sequence": 162, "RepCategory.aut_elements": 7,
         "RepCategory._frame": 37, "RepCategory.direct_sum": 133,
         "RepCategory._orbit_tree": 13, "RepCategory.subrep_frames": 222,
         "RepCategory._census_walk": 22}
@@ -325,7 +326,7 @@ def test_iso_set_matches_gl_products_and_span_filter(request, name, p):
         for dim in dim_vectors_with_total(ctx.quiver.n, total):
             classes = ctx.classify(dim)
             last = {}
-            for flat, i in ctx._canon[dim].items():
+            for flat, i in canon_table(ctx, dim).items():
                 last[i] = max(last.get(i, flat), flat)
             shapes = [(dim[t], dim[s]) for s, t in ctx.quiver.arrows]
             reps = dict.fromkeys([c.rep for c in classes] + [
@@ -356,7 +357,7 @@ def test_first_iso_transports_within_every_orbit(name, p, bound):
         for dim in dim_vectors_with_total(ctx.quiver.n, total):
             shapes = [(dim[t], dim[s]) for s, t in ctx.quiver.arrows]
             for cls in ctx.classify(dim):
-                orbit = [flat for flat, i in ctx._canon[dim].items() if i == cls.index]
+                orbit = [flat for flat, i in canon_table(ctx, dim).items() if i == cls.index]
                 tree = ctx._orbit_tree(cls)
                 assert sorted(tree) == sorted(orbit) and len(orbit) == cls.orbit_size
                 for flat in orbit:
@@ -887,10 +888,11 @@ def test_census_builds_no_objects(a3_source, monkeypatch):
                                     load_quiver("d4"), KRONECKER, TRIANGLE],
                          ids=lambda quiver: quiver.name)
 def test_gathered_actions_match_the_dense_row_walk(quiver, p):
-    """classify (labels, representatives, orbit sizes, |Aut|), every _canon
-    entry and the orbit tree of every class (parents and generators), on
-    every dim up to 3, against the dense-row orbit walk that the gathered
-    generator actions replaced.  The dims include flat widths 0 and 1."""
+    """classify (labels, representatives, orbit sizes, |Aut|), every
+    canon_table entry and the orbit tree of every class (parents and
+    generators), on every dim up to 3, against the dense-row orbit walk that
+    the gathered generator actions replaced.  The dims include flat widths 0
+    and 1."""
     ctx = RepCategory(quiver, p)
     widths = set()
     for total in range(4):
@@ -901,13 +903,47 @@ def test_gathered_actions_match_the_dense_row_walk(quiver, p):
             assert [(c.label, flatten(c.rep.edge_maps), c.orbit_size, c.aut) for c in got] == \
                 [(f"d{'.'.join(map(str, dim))}#{i}", rep, size, aut)
                  for i, (rep, size, aut) in enumerate(want)]
-            assert ctx._canon[dim] == canon
+            assert canon_table(ctx, dim) == canon
             for cls in got:
                 tree, want_tree = ctx._orbit_tree(cls), orbit_tree_by_dense_rows(ctx, cls)
                 assert list(tree) == list(want_tree)
                 assert {flat: node and (node[0], node[1][1:]) for flat, node in tree.items()} \
                     == want_tree
     assert 0 in widths and (1 in widths or quiver is KRONECKER)   # Kronecker widths are even
+
+
+@pytest.mark.parametrize("name,p", [("a2", 3), ("a3-source", 2), ("d4", 2)])
+def test_each_grade_keeps_one_index_array(name, p):
+    """Each grade classified up to total dimension 3 keeps one array of
+    exactly p^width class indices of at most 4 bytes each, with the weights
+    p^(width - 1 - i) of the lex rank; classify leaves no entry at -1, and
+    every class index of the grade appears."""
+    ctx = RepCategory(load_quiver(name), p)
+    ctx.classes_up_to(3)
+    for dim, (weights, index_of) in ctx._canon.items():
+        width = sum(dim[s] * dim[t] for s, t in ctx.quiver.arrows)
+        assert weights == tuple(p ** (width - 1 - i) for i in range(width))
+        assert len(index_of) == p ** width and index_of.itemsize <= 4
+        assert set(index_of) == set(range(len(ctx.classify(dim))))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("quiver", [load_quiver("a3-source"), load_quiver("d4"), KRONECKER,
+                                    TRIANGLE], ids=lambda quiver: quiver.name)
+def test_generator_actions_match_the_unit_vector_products(quiver, p):
+    """_generator_actions, read off the entries of g and g^-1, equal the
+    actions built from the images of the unit vectors under Matrix products,
+    gathers by their indices, on every dim up to 3."""
+    ctx = RepCategory(quiver, p)
+    for total in range(4):
+        for dim in dim_vectors_with_total(quiver.n, total):
+            shapes = [(dim[t], dim[s]) for s, t in quiver.arrows]
+            got, want = (
+                [(repr(gather), rows, terms, v, g, ginv)
+                 for (gather, rows, terms), v, g, ginv in actions]
+                for actions in (ctx._generator_actions(dim, shapes),
+                                generator_actions_by_unit_vectors(ctx, dim, shapes)))
+            assert got == want
 
 
 def test_classify_raises_on_an_orbit_size_off_the_group_order(a2, monkeypatch):
