@@ -8,11 +8,11 @@ goes to stderr only.
 """
 
 import argparse
-import io
 import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from importlib import resources
 
 from .linalg import BudgetError, DEFAULT_BUDGET, is_prime
@@ -67,25 +67,23 @@ def make_context(args):
     return ctx, HallAlgebra(ctx)
 
 
-def emit(text, out_path):
+@contextmanager
+def _sink(out_path):
+    """The file out_path opened for writing, or stdout when it is empty."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
 def emit_json(doc, out_path, **options):
     """doc as indented JSON and a newline, to out_path or to stdout, encoded
     as it is written: the bytes of json.dumps(doc, indent=2, **options) + "\n"
     with no copy of the encoded report held."""
-    if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(doc, fh, indent=2, **options)
-            fh.write("\n")
-    else:
-        json.dump(doc, sys.stdout, indent=2, **options)
-        sys.stdout.write("\n")
+    with _sink(out_path) as fh:
+        json.dump(doc, fh, indent=2, **options)
+        fh.write("\n")
 
 
 def cmd_tables(args):
@@ -98,19 +96,18 @@ def cmd_tables(args):
         emit_json({"config": config, "product": product, "coproduct": coproduct}, args.out)
     else:
         import csv
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["table", "left", "right", "class", "coeff"])
-        for key, entries in product.items():
-            left, right = key.split("],[")
-            for e in entries:
-                writer.writerow(["product", left[1:], right[:-1],
-                                 e["class"], e["coeff"]])
-        for key, entries in coproduct.items():
-            for e in entries:
-                writer.writerow(["coproduct", e["left"], e["right"],
-                                 key[1:-1], e["coeff"]])
-        emit(buf.getvalue(), args.out)
+        with _sink(args.out) as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["table", "left", "right", "class", "coeff"])
+            for key, entries in product.items():
+                left, right = key.split("],[")
+                for e in entries:
+                    writer.writerow(["product", left[1:], right[:-1],
+                                     e["class"], e["coeff"]])
+            for key, entries in coproduct.items():
+                for e in entries:
+                    writer.writerow(["coproduct", e["left"], e["right"],
+                                     key[1:-1], e["coeff"]])
     return 0
 
 

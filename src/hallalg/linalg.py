@@ -381,7 +381,9 @@ def gl_generators(field, d):
     1) with a primitive root a, inverted by diag(a^(p-2), 1, ..., 1).  The
     permutations conjugate I + E_01 to every I + E_rs, which generate SL_d,
     and the diagonal one reaches every determinant.  The inverses are read
-    off in closed form, with no row reduction."""
+    off in closed form, with no row reduction.  Every row of each g and
+    every column of each g^-1 has at most two nonzero entries, so each
+    image entry of RepCategory._generator_actions has one or two terms."""
     p, gens = field.p, []
 
     def with_entry(r, s, x):

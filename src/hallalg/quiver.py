@@ -293,8 +293,8 @@ def act_on_level(action, level, p):
     iteration order, under a _generator_actions action (gather, rows,
     terms): each tuple t extended by one entry per row r, the sum of c t[j]
     over the (j, c, r) in terms mod p, and then gathered.  Each row is one
-    pass over the whole level.  The generators of gl_generators give rows
-    of one or two terms; a row of any other length raises a ValueError."""
+    pass over the whole level.  Each row has one or two terms, which
+    _generator_actions checks when it builds them."""
     gather, rows, terms = action
     if not rows:
         return map(gather, level)
@@ -368,7 +368,8 @@ class RepCategory:
         Rows are read off the entries of g and g^-1: entry (i, j) of the
         block of an arrow into v is sum_k g_ik M_kj, of an arrow out of v
         sum_k M_ik (g^-1)_kj.  Generators whose matrix is the identity are
-        dropped."""
+        dropped.  A row of more than two terms, which gl_generators never
+        gives, raises a ValueError."""
         f, arrows = self.field, self.quiver.arrows
         width = sum(r * c for r, c in shapes)
         actions = []
@@ -385,6 +386,10 @@ class RepCategory:
                                    for k, inv_row in enumerate(ginv.entries) if inv_row[j]]
                         else:
                             row = [(offset + i * n_cols + j, 1)]
+                        if len(row) > 2:
+                            raise ValueError(f"a GL_{dim[v]} generator at vertex {v} gives "
+                                             f"an image entry of {len(row)} terms; "
+                                             "act_on_level takes one or two")
                         if len(row) == 1 and row[0][1] == 1:
                             picks.append(row[0][0])
                         else:

@@ -585,12 +585,14 @@ SUITE_ORDER = ("algebra", "green", "bialgebra", "antipode", "hexagon", "ext",
 
 def run_suite(name, ctx, hall, max_dim, seed, only=None):
     """Run suite_<name>, passing whichever of ctx, hall, max_dim, seed it takes:
-    the positional parameters of the body that _suite wrapped (of the suite
-    itself when it wraps none)."""
+    the positional parameters of the innermost function down its __wrapped__
+    chain, the body that _suite wrapped however often it was wrapped since."""
     if name not in SUITE_ORDER:
         raise ValueError(f"unknown suite {name!r}; options: {', '.join(SUITE_ORDER)} or all")
-    suite = globals()[f"suite_{name}"]
+    suite = body = globals()[f"suite_{name}"]
+    while hasattr(body, "__wrapped__"):
+        body = body.__wrapped__
     given = {"ctx": ctx, "hall": hall, "max_dim": max_dim, "seed": seed}
-    code = getattr(suite, "__wrapped__", suite).__code__
+    code = body.__code__
     args = [given[p] for p in code.co_varnames[:code.co_argcount] if p in given]
     return suite(*args, only=only)

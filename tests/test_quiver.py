@@ -946,6 +946,20 @@ def test_generator_actions_match_the_unit_vector_products(quiver, p):
             assert got == want
 
 
+def test_generator_actions_reject_a_row_of_three_terms(a2, monkeypatch):
+    """act_on_level takes image entries of one or two terms, which every
+    gl_generators generator gives; a generator with a column of three
+    nonzero entries is a ValueError naming the cause when the actions are
+    built, not an unpacking error in the orbit kernel."""
+    f = PrimeField(2)
+    upper = Matrix(f, [[1, 1, 1], [0, 1, 1], [0, 0, 1]])
+    monkeypatch.setattr(quiver_module, "gl_generators",
+                        lambda field, d: [(upper, upper)] if d == 3 else [])
+    with pytest.raises(ValueError, match=r"GL_3 generator at vertex 0 gives an image "
+                                         r"entry of 3 terms"):
+        RepCategory(a2, 2).classify((3, 1))
+
+
 def test_classify_raises_on_an_orbit_size_off_the_group_order(a2, monkeypatch):
     """An orbit whose size does not divide |prod_v GL(dim_v)| is a ValueError
     naming the grade and the size, not an assert that python -O drops."""

@@ -49,6 +49,26 @@ def test_bsim_and_coherence_report_their_bound(ctx2, hall2):
     assert rep["bound"] == 2 and rep["failures"] == []
 
 
+@pytest.mark.parametrize("name", ["green", "coherence"])
+def test_run_suite_reads_parameters_through_every_wrapper(name, ctx2, hall2, monkeypatch):
+    """A suite wrapped once more, as a tracing wrapper does (a *args, **kwargs
+    function whose __wrapped__ is the suite), still gets ctx, hall and
+    max_dim from run_suite: the parameters are read off the innermost body,
+    not off the wrapper that _suite made."""
+    suite = getattr(verify, f"suite_{name}")
+    expected = verify.run_suite(name, ctx2, hall2, 2, 0)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return suite(*args, **kwargs)
+
+    wrapper.__wrapped__ = suite
+    monkeypatch.setattr(verify, f"suite_{name}", wrapper)
+    assert verify.run_suite(name, ctx2, hall2, 2, 0) == expected
+    assert calls == [(ctx2, hall2, 2) if name == "green" else (ctx2, 2)]
+
+
 def test_bsim_never_enumerates_aut_of_the_middle_term(a2):
     # Aut of the semisimple middle terms of dimension (4,0) and (0,4) is
     # GL_4(F_2), 20160 elements: more than this budget
